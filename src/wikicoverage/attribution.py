@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
-from .entities import EntityId, SlimEntity
+from .entities import EntityId, IdMemo, SlimEntity
 from .errors import DuplicateItemError, RulesError
 
 COUNTRY = EntityId.prop(17)
@@ -251,12 +251,12 @@ def render_provenance(paths: tuple[tuple[EntityId, ...], ...]) -> str:
     return ";".join(">".join(str(node) for node in path) for path in paths)
 
 
-def parse_provenance(text: str) -> tuple[tuple[EntityId, ...], ...]:
+def parse_provenance(text: str, ids: IdMemo | None = None) -> tuple[tuple[EntityId, ...], ...]:
+    """Inverse of :func:`render_provenance`; ``ids`` is the caller's per-read memo."""
     if not text:
         return ()
-    return tuple(
-        tuple(EntityId.parse(tok) for tok in segment.split(">")) for segment in text.split(";")
-    )
+    node = (IdMemo() if ids is None else ids).__getitem__
+    return tuple(tuple(map(node, segment.split(">"))) for segment in text.split(";"))
 
 
 def write_attribution_tsv(results: Mapping[EntityId, AttributionResult], sink: IO[str]) -> None:
@@ -267,7 +267,9 @@ def write_attribution_tsv(results: Mapping[EntityId, AttributionResult], sink: I
 
 
 def read_attribution_tsv(source: Iterable[str]) -> dict[EntityId, AttributionResult]:
+    """Read an attribution TSV; every id is validated, each distinct node once."""
     results: dict[EntityId, AttributionResult] = {}
+    ids = IdMemo()
     for line_number, raw in enumerate(source, start=1):
         line = raw.rstrip("\n")
         if not line:
@@ -275,7 +277,9 @@ def read_attribution_tsv(source: Iterable[str]) -> dict[EntityId, AttributionRes
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"line {line_number}: expected 3 fields")
-        item = EntityId.parse(parts[0])
-        related = parts[1] == "true"
-        results[item] = AttributionResult(item, related, parse_provenance(parts[2]))
+        try:
+            item = EntityId.parse_item(parts[0])
+            results[item] = AttributionResult(item, parts[1] == "true", parse_provenance(parts[2], ids))
+        except ValueError as exc:
+            raise ValueError(f"line {line_number}: {exc}") from exc
     return results

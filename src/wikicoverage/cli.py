@@ -32,7 +32,7 @@ from .dump import parse_dump_stream
 from .entities import EntityId
 from .errors import WikiCoverageError
 from .metrics import build_article_sets, compute_all, read_metrics_tsv, write_metrics_tsv
-from .report import RunConfig, emit_table, run_pipeline
+from .report import RunConfig, emit_table, run_pipeline, sort_rows_for_table
 from .slimstore import load_slim_store, save_slim_store
 from .usage import (
     UsageStats,
@@ -70,9 +70,9 @@ def _cmd_slim(args) -> int:
         return list(parse_dump_stream(handle, rules.required_properties, keep_wikis, errors=issues))
 
     if args.dump == "-":
-        entities = parse(sys.stdin)
+        entities = parse(sys.stdin.buffer)
     else:
-        with open(args.dump, encoding="utf-8") as handle:
+        with open(args.dump, "rb") as handle:
             entities = parse(handle)
     count = save_slim_store(
         entities, args.out, keep_props=rules.required_properties, keep_wikis=keep_wikis
@@ -98,7 +98,7 @@ def _cmd_usage(args) -> int:
     issues = []
     shards = []
     for path in args.pageviews:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             shards.append(
                 aggregate_views(parse_pageviews_stream(handle, languages, errors=issues))
             )
@@ -147,7 +147,7 @@ def _cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "table.tsv", "w", encoding="utf-8", newline="\n") as sink:
         emit_table(rows, sink)
-    chart = build_chart_data(rows, args.scale)
+    chart = build_chart_data(sort_rows_for_table(rows), args.scale)
     (out_dir / "chart.json").write_text(chart.to_json(), encoding="utf-8")
     if not args.no_svg and chart.data:
         (out_dir / "chart.svg").write_text(render_svg(chart.data, args.scale), encoding="utf-8")

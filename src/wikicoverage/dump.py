@@ -113,14 +113,8 @@ def _parse_entity_line(
         return None, None
     id_raw = obj.get("id")
     try:
-        # fast path for the overwhelmingly common "Q<digits>" form
-        if id_raw[0] == "Q" and id_raw[1] != "0" and id_raw[1:].isdigit():
-            entity_id = EntityId(ITEM, int(id_raw[1:]))
-        else:
-            entity_id = EntityId.parse(id_raw)
-            if not entity_id.is_item:
-                return None, f"type/id mismatch for {entity_id}"
-    except (TypeError, ValueError, IndexError):
+        entity_id = EntityId.parse_item(id_raw)
+    except ValueError:
         return None, f"bad entity id: {id_raw!r}"
 
     claims_obj = obj.get("claims")

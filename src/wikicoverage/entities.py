@@ -18,8 +18,8 @@ class EntityId(NamedTuple):
     """A Wikidata-style identifier such as ``Q42`` (item) or ``P17`` (property).
 
     The bare constructor is the trusted fast path used by the dump parser;
-    external inputs should come through :meth:`parse`, :meth:`item` or
-    :meth:`prop`, which validate.
+    external inputs should come through :meth:`parse`, :meth:`parse_item`,
+    :meth:`item` or :meth:`prop`, which validate.
     """
 
     kind: str
@@ -42,6 +42,27 @@ class EntityId(NamedTuple):
         if match is None:
             raise ValueError(f"not an entity id: {text!r}")
         return cls(_LETTER_KIND[match.group(1)], int(match.group(2)))
+
+    @classmethod
+    def parse_item(cls, text: str) -> "EntityId":
+        """Parse an item id such as ``Q42``; any other token raises ValueError.
+
+        The common ASCII ``Q<digits>`` form is built without the regex; every
+        other token takes the :meth:`parse` path, so both accept exactly the
+        same item ids.
+        """
+        if (
+            type(text) is str
+            and text[:1] == "Q"
+            and text[1:2] != "0"
+            and text.isascii()
+            and text[1:].isdigit()
+        ):
+            return cls(ITEM, int(text[1:]))
+        entity_id = cls.parse(text)
+        if entity_id.kind != ITEM:
+            raise ValueError(f"not an item id: {text!r}")
+        return entity_id
 
     @classmethod
     def item(cls, number: int) -> "EntityId":
@@ -94,6 +115,31 @@ class OpaqueValue:
 OPAQUE = OpaqueValue()
 
 ClaimValue = EntityId | OpaqueValue
+
+
+class IdMemo(dict):
+    """Id token -> validated id, for the life of one read.
+
+    Each distinct token is validated on its first lookup, which raises
+    ValueError for a bad token and stores nothing; later lookups return the
+    same object, so equal ids in one read share it.  With ``kind`` set, only
+    ids of that kind are accepted.  A reader may store other tokens up front,
+    as the slim store does with ``*`` for :data:`OPAQUE`.  Create one per
+    read: a memo that outlives its file would grow with every file read.
+    """
+
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str | None = None):
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, token: str) -> EntityId:
+        entity_id = EntityId.parse(token)
+        if self.kind is not None and entity_id.kind != self.kind:
+            raise ValueError(f"expected a {self.kind} id, got {token!r}")
+        self[token] = entity_id
+        return entity_id
 
 
 @dataclass(frozen=True, slots=True)

@@ -187,7 +187,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             keep_wikis = {sitelink_key(lang) for lang in config.languages}
             dump_issues: list[ParseIssue] = []
             if config.dump is not None:
-                with open(config.dump, encoding="utf-8") as handle:
+                with open(config.dump, "rb") as handle:
                     entities = list(
                         parse_dump_stream(
                             handle, rules.required_properties, keep_wikis, errors=dump_issues
@@ -228,7 +228,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             view_issues: list[PageviewsIssue] = []
             shards = []
             for path in config.pageviews:
-                with open(path, encoding="utf-8") as handle:
+                with open(path, "rb") as handle:
                     shards.append(
                         aggregate_views(
                             parse_pageviews_stream(handle, language_set, errors=view_issues)

@@ -11,6 +11,12 @@ Records are sorted by item number.  Titles have ``%``, tab, pipe, CR and LF
 percent-encoded; ``*`` in a value list stands for an opaque (non-entity) claim
 value.  The header's keep-set lists fingerprint the parse configuration that
 produced the store.
+
+The reader validates every id token: record ids must be items, claim keys
+properties, claim values ids or ``*``.  Each distinct token is validated once
+per read, on its first appearance, and equal ids then share one object; a bad
+token raises :class:`SlimStoreCorruptionError` naming its line wherever it
+first appears.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .entities import OPAQUE, ClaimValue, EntityId, SlimEntity
+from .entities import OPAQUE, PROPERTY, ClaimValue, EntityId, IdMemo, SlimEntity
 from .errors import (
     SlimStoreCorruptionError,
     SlimStoreVersionError,
@@ -117,33 +123,29 @@ def _parse_header(line: str) -> StoreHeader:
     return StoreHeader(count, props, wikis)
 
 
-def _parse_record(line: str, line_number: int) -> SlimEntity:
+def _parse_record(line: str, line_number: int, props: IdMemo, values: IdMemo) -> SlimEntity:
+    """One record line; ``props`` and ``values`` are the read's id memos."""
     parts = line.split("\t")
     if len(parts) != 3:
         raise SlimStoreCorruptionError(
             f"line {line_number}: expected 3 tab-separated fields, got {len(parts)}"
         )
     id_field, claims_field, links_field = parts
+    value_of = values.__getitem__
     try:
-        entity_id = EntityId.parse(id_field)
         claims: dict[EntityId, tuple[ClaimValue, ...]] = {}
         if claims_field:
             for group in claims_field.split(";"):
                 prop_text, _, values_text = group.partition(":")
-                prop = EntityId.parse(prop_text)
-                values = tuple(
-                    OPAQUE if tok == "*" else EntityId.parse(tok)
-                    for tok in values_text.split(",")
-                )
-                claims[prop] = values
+                claims[props[prop_text]] = tuple(map(value_of, values_text.split(",")))
         sitelinks: dict[str, str] = {}
         if links_field:
             for pair in links_field.split("|"):
                 wiki, sep, title = pair.partition("=")
                 if not sep:
                     raise ValueError(f"bad sitelink field {pair!r}")
-                sitelinks[wiki] = _unescape_title(title)
-        return SlimEntity(entity_id, claims, sitelinks)
+                sitelinks[wiki] = _unescape_title(title) if "%" in title else title
+        return SlimEntity(EntityId.parse_item(id_field), claims, sitelinks)
     except ValueError as exc:
         raise SlimStoreCorruptionError(f"line {line_number}: {exc}") from exc
 
@@ -169,6 +171,9 @@ def read_slim_store(source: Iterable[str]) -> Iterator[SlimEntity]:
         raise SlimStoreCorruptionError("store has no header line")
     header = _parse_header(header_line.rstrip("\n"))
 
+    props = IdMemo(PROPERTY)
+    values = IdMemo()
+    values["*"] = OPAQUE
     seen = 0
     for line_number, raw in enumerate(lines, start=3):
         line = raw.rstrip("\n")
@@ -179,7 +184,7 @@ def read_slim_store(source: Iterable[str]) -> Iterator[SlimEntity]:
             raise SlimStoreCorruptionError(
                 f"header says {header.count} records but more are present"
             )
-        yield _parse_record(line, line_number)
+        yield _parse_record(line, line_number, props, values)
     if seen != header.count:
         raise SlimStoreCorruptionError(
             f"header says {header.count} records but file has {seen}"

@@ -64,21 +64,15 @@ def _language_for_domain(domain: str) -> str | None:
     return base
 
 
-def parse_pageviews_line(line: str, languages: set[str] | None = None) -> ViewRecord | None:
-    """One pageviews line to a record, or None for untracked domains.
-
-    Raises :class:`PageviewsLineError` when the line is structurally wrong
-    (field count, non-numeric or negative count, empty title).
-    """
+def _split_line(line: str) -> tuple[str, str, str]:
+    """Domain, title and count text of one line; raises on a wrong field count."""
     parts = line.rstrip("\n").split(" ")
     if len(parts) != 4:
         raise PageviewsLineError(f"expected 4 space-separated fields, got {len(parts)}")
-    domain, title, count_text, _size = parts
-    language = _language_for_domain(domain)
-    if language is None:
-        return None
-    if languages is not None and language not in languages:
-        return None
+    return parts[0], parts[1], parts[2]
+
+
+def _view_record(language: str, title: str, count_text: str) -> ViewRecord:
     if not title:
         raise PageviewsLineError("empty title")
     try:
@@ -90,24 +84,60 @@ def parse_pageviews_line(line: str, languages: set[str] | None = None) -> ViewRe
     return ViewRecord(language, normalize_pageview_title(title), views)
 
 
+def _tracked_language(domain: str, languages: set[str] | None) -> str | None:
+    language = _language_for_domain(domain)
+    if language is None or (languages is not None and language not in languages):
+        return None
+    return language
+
+
+def parse_pageviews_line(line: str, languages: set[str] | None = None) -> ViewRecord | None:
+    """One pageviews line to a record, or None for untracked domains.
+
+    Raises :class:`PageviewsLineError` when the line is structurally wrong
+    (field count, non-numeric or negative count, empty title).
+    """
+    domain, title, count_text = _split_line(line)
+    language = _tracked_language(domain, languages)
+    if language is None:
+        return None
+    return _view_record(language, title, count_text)
+
+
 def parse_pageviews_stream(
-    lines: Iterable[str],
+    lines: Iterable[str | bytes],
     languages: set[str] | None = None,
     *,
     errors: list[PageviewsIssue] | None = None,
 ) -> Iterator[ViewRecord]:
-    """Parse a whole pageviews file, tallying malformed lines and moving on."""
+    """Parse a whole pageviews file, tallying malformed lines and moving on.
+
+    Byte lines are decoded as UTF-8; an undecodable line is tallied as
+    ``invalid UTF-8``.  Each distinct domain is classified once per call.
+    """
+    language_of: dict[str, str | None] = {}
     for line_number, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
         try:
-            record = parse_pageviews_line(raw, languages)
+            if isinstance(raw, bytes):
+                try:
+                    raw = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise PageviewsLineError("invalid UTF-8") from None
+            if not raw.strip():
+                continue
+            domain, title, count_text = _split_line(raw)
+            try:
+                language = language_of[domain]
+            except KeyError:
+                language = language_of[domain] = _tracked_language(domain, languages)
+            if language is None:
+                continue
+            record = _view_record(language, title, count_text)
         except PageviewsLineError as exc:
             if errors is not None:
                 errors.append(PageviewsIssue(line_number, str(exc)))
             continue
-        if record is not None:
-            yield record
+        yield record
 
 
 def aggregate_views(records: Iterable[ViewRecord]) -> dict[tuple[str, str], int]:

@@ -325,6 +325,12 @@ class TestTsv:
         assert parse_provenance("P27>Q30;P19>Q60>Q30") == paths
         assert parse_provenance("") == ()
 
+    @pytest.mark.parametrize("provenance", ["P27>Q30x", "P27>Q03", "P27>", "P27>Q30;", ">Q30"])
+    def test_bad_provenance_token_names_its_line(self, provenance):
+        text = "Q1\tfalse\t\nQ2\ttrue\t" + provenance + "\n"
+        with pytest.raises(ValueError, match="^line 2: "):
+            read_attribution_tsv(io.StringIO(text))
+
     def test_result_invariant_enforced(self):
         with pytest.raises(ValueError):
             AttributionResult(Q(1), True, ())

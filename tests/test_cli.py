@@ -71,6 +71,8 @@ class TestStageByStage:
         attribution = tmp_path / "attribution.tsv"
         views = tmp_path / "views.tsv"
         metrics = tmp_path / "metrics.tsv"
+        clusters = tmp_path / "clusters.tsv"
+        report_dir = tmp_path / "report"
         run(["slim", "--dump", FIXTURE / "dump.json", "--out", slim,
              "--rules", FIXTURE / "rules.txt", "--languages", "en,de"])
         run(["attribute", "--slim", slim, "--out", attribution,
@@ -80,13 +82,21 @@ class TestStageByStage:
         run(["metrics", "--slim", slim, "--attribution", attribution,
              "--views", views, "--readership", FIXTURE / "readership.csv",
              "--languages", "en,de", "--out", metrics])
+        run(["clusters", "--metrics", metrics, "--out", clusters])
+        run(["report", "--metrics", metrics, "--out", report_dir])
 
-        assert metrics.read_text(encoding="utf-8") == (
-            (all_dir / "metrics.tsv").read_text(encoding="utf-8")
-        )
-        assert attribution.read_text(encoding="utf-8") == (
-            (all_dir / "attribution.tsv").read_text(encoding="utf-8")
-        )
+        staged = {
+            "entities.slim": slim,
+            "attribution.tsv": attribution,
+            "views.tsv": views,
+            "metrics.tsv": metrics,
+            "clusters.tsv": clusters,
+            "table.tsv": report_dir / "table.tsv",
+            "chart.json": report_dir / "chart.json",
+            "chart.svg": report_dir / "chart.svg",
+        }
+        for name, path in staged.items():
+            assert path.read_bytes() == (all_dir / name).read_bytes(), name
 
 
 class TestErrorsAndFlags:

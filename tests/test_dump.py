@@ -65,6 +65,14 @@ class TestBasicParsing:
         with pytest.raises(ValueError):
             parse("[\n]\n", keep=frozenset())
 
+    @pytest.mark.parametrize("bad_id", ["Q\u0663", "Q\uff15", "Q05", "Q", "P17", 17, None])
+    def test_bad_item_id_is_tallied(self, bad_id):
+        obj = {"type": "item", "id": bad_id}
+        text = dump_text([obj, entity_json("Q2")])
+        errors = []
+        assert [e.id for e in parse(text, errors=errors)] == [Q(2)]
+        assert [(i.line_number, i.reason) for i in errors] == [(2, f"bad entity id: {bad_id!r}")]
+
     def test_file_order_is_preserved(self):
         text = dump_text([entity_json(f"Q{n}") for n in (9, 2, 7, 4)])
         assert [e.id.number for e in parse(text)] == [9, 2, 7, 4]

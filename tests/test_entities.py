@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wikicoverage.entities import ITEM, OPAQUE, PROPERTY, EntityId, OpaqueValue, SlimEntity
+from wikicoverage.entities import ITEM, OPAQUE, PROPERTY, EntityId, IdMemo, OpaqueValue, SlimEntity
 
 
 class TestEntityId:
@@ -21,6 +21,29 @@ class TestEntityId:
         with pytest.raises(ValueError):
             EntityId.parse(bad)
 
+    def test_parse_item(self):
+        assert EntityId.parse_item("Q60") == EntityId.item(60)
+        assert EntityId.parse_item("Q1234567890") == EntityId.item(1234567890)
+
+    @pytest.mark.parametrize(
+        "bad", ["", "Q", "Q0", "Q07", "Q-1", "Q+1", "Q 1", "Q1 ", "Q\u0663", "Q\uff15", "P17", "q5", None, 42]
+    )
+    def test_parse_item_rejects_anything_but_an_item(self, bad):
+        with pytest.raises(ValueError):
+            EntityId.parse_item(bad)
+
+    @given(st.text(alphabet="QP0123456789\u0663x", max_size=6))
+    def test_parse_item_agrees_with_parse(self, text):
+        try:
+            expected = EntityId.parse(text)
+        except ValueError:
+            expected = None
+        if expected is None or not expected.is_item:
+            with pytest.raises(ValueError):
+                EntityId.parse_item(text)
+        else:
+            assert EntityId.parse_item(text) == expected
+
     def test_number_must_be_positive(self):
         with pytest.raises(ValueError):
             EntityId.item(0)
@@ -36,6 +59,29 @@ class TestEntityId:
 
     def test_hashable_and_equal(self):
         assert {EntityId.item(30): 1}[EntityId.parse("Q30")] == 1
+
+
+class TestIdMemo:
+    def test_each_token_is_parsed_once_and_shared(self):
+        memo = IdMemo()
+        first = memo["Q30"]
+        assert first == EntityId.item(30)
+        assert memo["Q30"] is first
+        assert memo["P17"] == EntityId.prop(17)
+
+    def test_kind_is_checked_on_first_entry(self):
+        props = IdMemo(PROPERTY)
+        assert props["P17"] == EntityId.prop(17)
+        with pytest.raises(ValueError):
+            props["Q5"]
+        assert "Q5" not in props
+
+    @pytest.mark.parametrize("bad", ["", "*", "Q0", "xyz"])
+    def test_bad_token_raises_and_is_not_kept(self, bad):
+        memo = IdMemo()
+        with pytest.raises(ValueError):
+            memo[bad]
+        assert bad not in memo
 
 
 class TestOpaque:

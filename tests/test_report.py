@@ -254,6 +254,19 @@ class TestPipelineEndToEnd:
         for entry in manifest["inputs"].values():
             assert len(entry["sha256"]) == 64
 
+    def test_undecodable_bytes_are_tallied_not_fatal(self, tmp_path):
+        dump = tmp_path / "dump.json"
+        lines = (FIXTURE / "dump.json").read_bytes().splitlines(keepends=True)
+        lines.insert(2, b'{"type": "item", "id": "Q999", "sitelinks": "B\xe9ta"},\n')
+        dump.write_bytes(b"".join(lines))
+        shard = tmp_path / "pageviews-bad.txt"
+        shard.write_bytes(b"en Alpha 3 0\nen B\xe9ta 2 0\nen Gamma 4 0\n")
+        pageviews = (FIXTURE / "pageviews-a.txt", FIXTURE / "pageviews-b.txt", shard)
+        manifest = run_pipeline(self.config(tmp_path, dump=dump, pageviews=pageviews)).manifest
+        assert manifest["issues"]["dump_parse_errors"] == 2  # the fixture's own, plus ours
+        assert manifest["issues"]["pageview_parse_errors"] == 2
+        assert manifest["counts"]["entities"] == 21
+
     def test_missing_readership_aborts_at_metrics_stage(self, tmp_path):
         config = self.config(tmp_path, readership=None)
         with pytest.raises(PipelineStageError) as err:

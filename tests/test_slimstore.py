@@ -111,6 +111,32 @@ class TestRead:
         with pytest.raises(SlimStoreCorruptionError):
             list(read_slim_store(io.StringIO(text)))
 
+    @pytest.mark.parametrize(
+        "records, bad_line",
+        [
+            (["Q1\tQ5:Q30\t"], 3),
+            (["P17\tP17:Q30\t"], 3),
+            (["Q01\tP17:Q30\t"], 3),
+            (["Q\u0663\tP17:Q30\t"], 3),
+            (["Q\tP17:Q30\t"], 3),
+            (["Q1\tP17:Q01\t"], 3),
+            (["Q1\tP17:Q\u0663\t"], 3),
+            (["Q1\tP17:Q\t"], 3),
+            (["Q1\tP17:\t"], 3),
+            (["Q1\tP17:Q30,\t"], 3),
+            (["Q1\t\t=Title"], 3),
+            (["Q1\t\tenwiki="], 3),
+            (["Q1\tP17:Q30\tenwiki=A", "Q2\tP17:Q30,Q0\tenwiki=B"], 4),
+            (["Q1\tP17:Q30\t", "Q2\tP17:Q30\t", "Q3\tP31:Q5;Q5:Q30\t"], 5),
+        ],
+    )
+    def test_bad_token_is_corruption_naming_its_line(self, records, bad_line):
+        text = f"WCM1\ncount={len(records)} props=P17,P31 wikis=*\n" + "".join(
+            r + "\n" for r in records
+        )
+        with pytest.raises(SlimStoreCorruptionError, match=f"^line {bad_line}: "):
+            list(read_slim_store(io.StringIO(text)))
+
 
 class TestTitleEscaping:
     @pytest.mark.parametrize(
@@ -153,6 +179,21 @@ class TestRoundTripProperty:
         written, back = round_trip(entities)
         assert written == count
         assert back == sorted(entities, key=lambda e: e.id.number)
+
+    def test_shared_place_nodes_round_trip_as_one_object(self):
+        places = [Q(n) for n in range(1000, 1010)]
+        entities = [
+            SlimEntity(
+                Q(n),
+                {P(17): (places[n % 3],), P(19): (places[n % 10], OPAQUE)},
+                {"enwiki": f"Item {n}"},
+            )
+            for n in range(1, 500)
+        ]
+        _, back = round_trip(entities)
+        assert back == entities
+        shared = {id(v) for e in back for values in e.claims.values() for v in values}
+        assert len(shared) == len(places) + 1  # one object per distinct place, plus OPAQUE
 
     def test_ten_thousand_record_round_trip(self):
         entities = random_entities(random.Random(1234), 10_000)

@@ -69,6 +69,23 @@ class TestParseStream:
         assert [r.title for r in records] == ["Foo", "Baz"]
         assert len(errors) == 1 and errors[0].line_number == 2
 
+    def test_undecodable_line_is_tallied_and_skipped(self):
+        shard = io.BytesIO(b"en Alpha 3 0\nen B\xe9ta 2 0\nen Gamma 4 0\n")
+        errors = []
+        records = list(parse_pageviews_stream(shard, errors=errors))
+        assert records == [ViewRecord("en", "Alpha", 3), ViewRecord("en", "Gamma", 4)]
+        assert [(e.line_number, e.reason) for e in errors] == [(2, "invalid UTF-8")]
+
+    def test_byte_lines_parse_like_text_lines(self):
+        text = "en Caf\u00e9 1 0\nen.m Foo 2 0\nde Bar 3 0\nen.d Baz 4 0\nen Foo x 0\nen Foo -1 0\n"
+        text_errors, byte_errors = [], []
+        from_text = list(parse_pageviews_stream(io.StringIO(text), {"en"}, errors=text_errors))
+        from_bytes = list(
+            parse_pageviews_stream(io.BytesIO(text.encode("utf-8")), {"en"}, errors=byte_errors)
+        )
+        assert from_bytes == from_text == [ViewRecord("en", "Caf\u00e9", 1), ViewRecord("en", "Foo", 2)]
+        assert byte_errors == text_errors and len(text_errors) == 2
+
     def test_blank_lines_are_ignored(self):
         assert list(parse_pageviews_stream(["\n", "en Foo 1 0\n"])) == [
             ViewRecord("en", "Foo", 1)
