@@ -12,7 +12,6 @@ from wikicoverage import (
     SlimEntity,
     attribute_all,
     build_geo_index,
-    resolve_place_country,
 )
 from wikicoverage.attribution import render_provenance
 
@@ -38,9 +37,10 @@ entities = [
 
 index = build_geo_index(entities, rules)
 print(f"\ngeo index has {len(index)} entries")
-print("resolve Q60 ->", {str(e) for e in resolve_place_country(index, Q(60), rules)})
-print("resolve Q111 (cycle) ->", {str(e) for e in resolve_place_country(index, Q(111), rules)})
+for item, countries in sorted(index.items(), key=lambda kv: kv[0].number):
+    print(f"  {item} -> {', '.join(str(c) for c in countries)}")
 
+# Q500's birthplace walk goes round the Q111/Q112 cycle, stops, and finds no target
 results = attribute_all(entities, index, rules)
 print("\nattribution results:")
 for item, result in sorted(results.items(), key=lambda kv: kv[0].number):

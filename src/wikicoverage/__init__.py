@@ -17,7 +17,6 @@ from .attribution import (
     build_geo_index,
     load_rules,
     parse_rules,
-    resolve_place_country,
 )
 from .chart import ChartData, ChartDatum, build_chart_data, color_bucket, render_svg
 from .clusters import (
@@ -101,7 +100,6 @@ __all__ = [
     "primary_country",
     "read_slim_store",
     "render_svg",
-    "resolve_place_country",
     "run_pipeline",
     "save_slim_store",
     "sort_rows_for_table",

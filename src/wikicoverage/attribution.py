@@ -97,32 +97,13 @@ def build_geo_index(entities: Iterable[SlimEntity], rules: RuleSet) -> dict[Enti
     return index
 
 
-def resolve_place_country(index: GeoIndex, place: EntityId, rules: RuleSet) -> set[EntityId]:
-    """All entities reachable from ``place`` within ``max_depth`` hops.
-
-    Breadth-first and depth-bounded, so cyclic geographies terminate; the
-    start node itself appears only if some cycle leads back to it.
-    """
-    found: set[EntityId] = set()
-    frontier = [place]
-    for _ in range(rules.max_depth):
-        next_frontier: list[EntityId] = []
-        for node in frontier:
-            for value in index.get(node, ()):
-                if value not in found:
-                    found.add(value)
-                    next_frontier.append(value)
-        if not next_frontier:
-            break
-        frontier = next_frontier
-    return found
-
-
 def _path_to_target(index: GeoIndex, start: EntityId, rules: RuleSet) -> tuple[EntityId, ...] | None:
     """Shortest chain ``(start, ..., target)`` over geo edges, or None.
 
-    Breadth-first with parent tracking; ties resolve to the earliest claim in
-    the earliest-discovered node, so the chain is deterministic.
+    Breadth-first and bounded at ``max_depth`` hops, and each node is expanded
+    at most once, so cyclic geographies terminate.  Ties resolve to the
+    earliest claim in the earliest-discovered node, so the chain is
+    deterministic.
     """
     target = rules.target
     parents: dict[EntityId, EntityId] = {}
@@ -259,6 +240,9 @@ def parse_provenance(text: str, ids: IdMemo | None = None) -> tuple[tuple[Entity
     return tuple(tuple(map(node, segment.split(">"))) for segment in text.split(";"))
 
 
+_FLAGS = {"true": True, "false": False}
+
+
 def write_attribution_tsv(results: Mapping[EntityId, AttributionResult], sink: IO[str]) -> None:
     for item in sorted(results, key=lambda e: e.number):
         result = results[item]
@@ -279,7 +263,9 @@ def read_attribution_tsv(source: Iterable[str]) -> dict[EntityId, AttributionRes
             raise ValueError(f"line {line_number}: expected 3 fields")
         try:
             item = EntityId.parse_item(parts[0])
-            results[item] = AttributionResult(item, parts[1] == "true", parse_provenance(parts[2], ids))
+            if parts[1] not in _FLAGS:
+                raise ValueError(f"related flag must be true or false, got {parts[1]!r}")
+            results[item] = AttributionResult(item, _FLAGS[parts[1]], parse_provenance(parts[2], ids))
         except ValueError as exc:
             raise ValueError(f"line {line_number}: {exc}") from exc
     return results

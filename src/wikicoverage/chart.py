@@ -95,6 +95,7 @@ def build_chart_data(rows: Iterable[MetricsRow], scale: str = LOG) -> ChartData:
 _WIDTH, _HEIGHT = 720, 540
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 70, 24, 24, 56
 _MAX_RADIUS = 36.0
+AXIS_LIMITS = (0.001, 1.0)  # both axes; values outside are clamped to these
 
 
 def _project(value: float, lo: float, hi: float, scale: str) -> float:
@@ -116,13 +117,7 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def render_svg(
-    data: Sequence[ChartDatum],
-    scale: str = LOG,
-    *,
-    x_limits: tuple[float, float] = (0.001, 1.0),
-    y_limits: tuple[float, float] = (0.001, 1.0),
-) -> str:
+def render_svg(data: Sequence[ChartDatum], scale: str = LOG) -> str:
     """Static SVG bubble chart; radius grows with the square root of size."""
     if not data:
         raise EmptyChartError("no chart data to render")
@@ -135,10 +130,10 @@ def render_svg(
     radius_unit = _MAX_RADIUS / math.sqrt(max_size) if max_size > 0 else 0.0
 
     def sx(value: float) -> float:
-        return _MARGIN_LEFT + plot_w * _project(value, *x_limits, scale)
+        return _MARGIN_LEFT + plot_w * _project(value, *AXIS_LIMITS, scale)
 
     def sy(value: float) -> float:
-        return _MARGIN_TOP + plot_h * (1.0 - _project(value, *y_limits, scale))
+        return _MARGIN_TOP + plot_h * (1.0 - _project(value, *AXIS_LIMITS, scale))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -146,6 +141,7 @@ def render_svg(
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     axis_y = _MARGIN_TOP + plot_h
+    ticks = _ticks(*AXIS_LIMITS, scale)
     parts.append(
         f'<line x1="{_MARGIN_LEFT}" y1="{axis_y}" x2="{_MARGIN_LEFT + plot_w}" y2="{axis_y}" '
         'stroke="black" stroke-width="1"/>'
@@ -154,7 +150,7 @@ def render_svg(
         f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP}" x2="{_MARGIN_LEFT}" y2="{axis_y}" '
         'stroke="black" stroke-width="1"/>'
     )
-    for tick in _ticks(*x_limits, scale):
+    for tick in ticks:
         x = sx(tick)
         parts.append(
             f'<line x1="{_fmt(x)}" y1="{axis_y}" x2="{_fmt(x)}" y2="{axis_y + 5}" stroke="black"/>'
@@ -162,7 +158,7 @@ def render_svg(
         parts.append(
             f'<text x="{_fmt(x)}" y="{axis_y + 18}" font-size="11" text-anchor="middle">{tick:g}</text>'
         )
-    for tick in _ticks(*y_limits, scale):
+    for tick in ticks:
         y = sy(tick)
         parts.append(
             f'<line x1="{_MARGIN_LEFT - 5}" y1="{_fmt(y)}" x2="{_MARGIN_LEFT}" y2="{_fmt(y)}" stroke="black"/>'

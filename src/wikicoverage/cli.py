@@ -1,49 +1,34 @@
 """Command-line interface.
 
-Each subcommand runs one pipeline stage against files on disk; ``all`` runs
-the whole pipeline.  Dump input must already be decompressed -- pipe through
-``bzcat``/``zcat`` and pass ``-`` to read from stdin.
+Each subcommand reads its inputs from disk and runs one pipeline stage, the
+same stage function that ``all`` (:func:`report.run_pipeline`) runs.  Dump
+input must already be decompressed -- pipe through ``bzcat``/``zcat`` and
+pass ``-`` to read from stdin.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .attribution import (
-    RuleSet,
-    attribute_all,
-    build_geo_index,
-    load_rules,
-    read_attribution_tsv,
-    write_attribution_tsv,
-)
-from .chart import build_chart_data, render_svg
-from .clusters import (
-    aggregate_all,
-    assign_clusters,
-    default_cluster_map,
-    load_cluster_map,
-    write_clusters_tsv,
-)
-from .dump import parse_dump_stream
-from .entities import EntityId
+from .attribution import read_attribution_tsv
 from .errors import WikiCoverageError
-from .metrics import build_article_sets, compute_all, read_metrics_tsv, write_metrics_tsv
-from .report import RunConfig, emit_table, run_pipeline, sort_rows_for_table
-from .slimstore import load_slim_store, save_slim_store
-from .usage import (
-    UsageStats,
-    aggregate_views,
-    load_readership,
-    merge_views,
-    parse_pageviews_stream,
-    read_views_tsv,
-    write_views_tsv,
+from .metrics import MetricsRow, read_metrics_tsv
+from .report import (
+    RunConfig,
+    attribute_stage,
+    clusters_stage,
+    metrics_stage,
+    report_stage,
+    resolve_rules,
+    run_pipeline,
+    slim_stage,
+    usage_stage,
 )
-from .util import sitelink_key
+from .slimstore import load_slim_store
+from .usage import read_views_tsv
 
 
 def _languages(text: str) -> tuple[str, ...]:
@@ -53,58 +38,29 @@ def _languages(text: str) -> tuple[str, ...]:
     return languages
 
 
-def _ruleset(args) -> RuleSet:
-    rules = load_rules(args.rules) if getattr(args, "rules", None) else RuleSet()
-    target = getattr(args, "target", None)
-    if target:
-        rules = replace(rules, target=EntityId.parse(target))
-    return rules
+def _read_metrics(path: str) -> list[MetricsRow]:
+    with open(path, encoding="utf-8") as handle:
+        return read_metrics_tsv(handle)
 
 
 def _cmd_slim(args) -> int:
-    rules = _ruleset(args)
-    keep_wikis = {sitelink_key(lang) for lang in args.languages} if args.languages else None
-    issues = []
-
-    def parse(handle):
-        return list(parse_dump_stream(handle, rules.required_properties, keep_wikis, errors=issues))
-
-    if args.dump == "-":
-        entities = parse(sys.stdin.buffer)
-    else:
-        with open(args.dump, "rb") as handle:
-            entities = parse(handle)
-    count = save_slim_store(
-        entities, args.out, keep_props=rules.required_properties, keep_wikis=keep_wikis
-    )
-    print(f"wrote {count} entities to {args.out} ({len(issues)} malformed lines skipped)")
+    rules = resolve_rules(args.rules, None)
+    dump = contextlib.nullcontext(sys.stdin.buffer) if args.dump == "-" else open(args.dump, "rb")
+    with dump as handle:
+        entities, issues = slim_stage(handle, Path(args.out), rules, args.languages)
+    print(f"wrote {len(entities)} entities to {args.out} ({len(issues)} malformed lines skipped)")
     return 0
 
 
 def _cmd_attribute(args) -> int:
-    rules = _ruleset(args)
-    entities = load_slim_store(args.slim)
-    geo_index = build_geo_index(entities, rules)
-    attributions = attribute_all(entities, geo_index, rules)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as sink:
-        write_attribution_tsv(attributions, sink)
-    related = sum(1 for r in attributions.values() if r.related)
-    print(f"attributed {len(attributions)} items, {related} related to {rules.target}")
+    rules = resolve_rules(args.rules, args.target)
+    attributions, counts = attribute_stage(load_slim_store(args.slim), rules, Path(args.out))
+    print(f"attributed {len(attributions)} items, {counts['related_items']} related to {rules.target}")
     return 0
 
 
 def _cmd_usage(args) -> int:
-    languages = set(args.languages) if args.languages else None
-    issues = []
-    shards = []
-    for path in args.pageviews:
-        with open(path, "rb") as handle:
-            shards.append(
-                aggregate_views(parse_pageviews_stream(handle, languages, errors=issues))
-            )
-    views = merge_views(*shards)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as sink:
-        write_views_tsv(views, sink)
+    views, issues = usage_stage(args.pageviews, args.languages, Path(args.out))
     print(f"aggregated {len(views)} (language, title) totals ({len(issues)} malformed lines)")
     return 0
 
@@ -115,11 +71,9 @@ def _cmd_metrics(args) -> int:
         attributions = read_attribution_tsv(handle)
     with open(args.views, encoding="utf-8") as handle:
         views = read_views_tsv(handle)
-    usage = UsageStats(views=views, readership=load_readership(args.readership))
-    article_sets = build_article_sets(entities, args.languages)
-    rows, failures = compute_all(article_sets, attributions, usage, args.languages)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as sink:
-        write_metrics_tsv(rows, sink)
+    rows, failures = metrics_stage(
+        entities, attributions, views, args.readership, args.languages, Path(args.out)
+    )
     for language, exc in sorted(failures.items()):
         print(f"warning: {language}: {exc}", file=sys.stderr)
     print(f"wrote {len(rows)} metric rows to {args.out}")
@@ -127,30 +81,20 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_clusters(args) -> int:
-    with open(args.metrics, encoding="utf-8") as handle:
-        rows = read_metrics_tsv(handle)
-    cluster_map = load_cluster_map(args.cluster_map) if args.cluster_map else default_cluster_map()
-    assignments, unassigned = assign_clusters(rows, cluster_map)
+    cluster_rows, unassigned = clusters_stage(
+        _read_metrics(args.metrics), args.cluster_map, args.aggregation, Path(args.out)
+    )
     for row in unassigned:
         print(f"warning: no cluster for country {row.primary_country} ({row.language})", file=sys.stderr)
-    cluster_rows = aggregate_all(assignments, method=args.aggregation)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as sink:
-        write_clusters_tsv(cluster_rows, sink)
     print(f"wrote {len(cluster_rows)} cluster rows to {args.out}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    with open(args.metrics, encoding="utf-8") as handle:
-        rows = read_metrics_tsv(handle)
+    rows = _read_metrics(args.metrics)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "table.tsv", "w", encoding="utf-8", newline="\n") as sink:
-        emit_table(rows, sink)
-    chart = build_chart_data(sort_rows_for_table(rows), args.scale)
-    (out_dir / "chart.json").write_text(chart.to_json(), encoding="utf-8")
-    if not args.no_svg and chart.data:
-        (out_dir / "chart.svg").write_text(render_svg(chart.data, args.scale), encoding="utf-8")
+    chart, _ = report_stage(rows, out_dir, args.scale, not args.no_svg)
     print(f"wrote report artifacts to {out_dir} ({chart.dropped} rows dropped from chart)")
     return 0
 
@@ -188,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--rules", help="attribution rules file (sets the kept properties)")
     p.add_argument("--languages", type=_languages, help="comma-separated; limits kept sitelinks")
-    p.add_argument("--target", help="target country item id, e.g. Q30")
     p.set_defaults(func=_cmd_slim)
 
     p = sub.add_parser("attribute", help="attribute stored items to the target country")

@@ -1,11 +1,14 @@
-"""End-to-end pipeline orchestration and report emission.
+"""The pipeline's stages, and their end-to-end orchestration.
 
-``run_pipeline`` drives dump ingest, geographic indexing, attribution, usage
-ingest, metrics, cluster aggregation and report rendering, writing every
-artifact plus a manifest of input digests, counts and error tallies.  Outputs
-are deterministic: the same inputs and configuration produce byte-identical
-files.  Artifacts are staged in a temporary directory and promoted only when
-the whole run succeeds.
+Each stage is defined once here, as a function that takes its inputs, writes
+its artifact to a given path and returns what later stages and the manifest
+need: :func:`slim_stage`, :func:`attribute_stage`, :func:`usage_stage`,
+:func:`metrics_stage`, :func:`clusters_stage` and :func:`report_stage`.  Each
+CLI subcommand calls one of them; :func:`run_pipeline` composes all six and
+writes a manifest of input digests, counts and error tallies.  Outputs are
+deterministic: the same inputs and configuration produce byte-identical
+files.  A pipeline run stages its artifacts in a temporary directory and
+promotes them only when the whole run succeeds.
 """
 
 from __future__ import annotations
@@ -14,22 +17,25 @@ import json
 import os
 import shutil
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator, Sequence
 
 from . import __version__
 from .attribution import (
+    AttributionResult,
     RuleSet,
     attribute_all,
     build_geo_index,
     load_rules,
     write_attribution_tsv,
 )
-from .chart import LOG, SCALES, build_chart_data, render_svg
+from .chart import LOG, SCALES, ChartData, build_chart_data, render_svg
 from .clusters import (
     AGGREGATION_MODES,
     POOLED,
+    ClusterRow,
     aggregate_all,
     assign_clusters,
     default_cluster_map,
@@ -37,7 +43,7 @@ from .clusters import (
     write_clusters_tsv,
 )
 from .dump import ParseIssue, parse_dump_stream
-from .entities import EntityId
+from .entities import EntityId, SlimEntity
 from .errors import ConfigError, PipelineStageError, WikiCoverageError
 from .metrics import (
     MetricsRow,
@@ -101,8 +107,6 @@ class RunConfig:
     scale: str = LOG
     aggregation: str = POOLED
     svg: bool = True
-    x_limits: tuple[float, float] = (0.001, 1.0)
-    y_limits: tuple[float, float] = (0.001, 1.0)
 
     def validate(self) -> None:
         if not self.languages:
@@ -122,14 +126,136 @@ class RunConfig:
         paths.extend(self.pageviews)
         return [Path(p) for p in paths]
 
-    def ruleset(self) -> RuleSet:
-        rules = load_rules(self.rules) if self.rules else RuleSet()
-        if self.target:
-            try:
-                rules = replace(rules, target=EntityId.parse(self.target))
-            except ValueError as exc:
-                raise ConfigError(f"bad target id: {exc}") from exc
-        return rules
+
+def resolve_rules(rules_path: Path | str | None, target: str | None) -> RuleSet:
+    """The rules file's rule set (the defaults without one), retargeted at ``target`` if given."""
+    rules = load_rules(rules_path) if rules_path else RuleSet()
+    if target:
+        try:
+            rules = replace(rules, target=EntityId.parse(target))
+        except ValueError as exc:
+            raise ConfigError(f"bad target id: {exc}") from exc
+    return rules
+
+
+@contextmanager
+def stage_errors(stage: str) -> Iterator[None]:
+    """Re-raise an I/O, input or pipeline error in the block as ``PipelineStageError(stage)``."""
+    try:
+        yield
+    except (OSError, ValueError, WikiCoverageError) as exc:
+        raise PipelineStageError(stage, exc) from exc
+
+
+def _write(path: Path, writer, value) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as sink:
+        writer(value, sink)
+
+
+# -- the six stages ------------------------------------------------------------
+
+
+def slim_stage(
+    source: IO[bytes], out: Path, rules: RuleSet, languages: Iterable[str] | None
+) -> tuple[list[SlimEntity], list[ParseIssue]]:
+    """Parse a decompressed dump and write the entities as a slim store at ``out``.
+
+    The store keeps the properties ``rules`` need and, when ``languages`` is
+    given, only those languages' sitelinks.  Returns the entities in dump
+    order and the malformed lines skipped.
+    """
+    keep_wikis = None if languages is None else {sitelink_key(lang) for lang in languages}
+    issues: list[ParseIssue] = []
+    entities = list(parse_dump_stream(source, rules.required_properties, keep_wikis, errors=issues))
+    save_slim_store(entities, out, keep_props=rules.required_properties, keep_wikis=keep_wikis)
+    return entities, issues
+
+
+def attribute_stage(
+    entities: Sequence[SlimEntity], rules: RuleSet, out: Path
+) -> tuple[dict[EntityId, AttributionResult], dict[str, int]]:
+    """Attribute every item to ``rules.target`` and write the attribution TSV.
+
+    Returns the results and the manifest's counts of geo index entries and
+    related items.
+    """
+    geo_index = build_geo_index(entities, rules)
+    attributions = attribute_all(entities, geo_index, rules)
+    _write(out, write_attribution_tsv, attributions)
+    related = sum(1 for r in attributions.values() if r.related)
+    return attributions, {"geo_index_entries": len(geo_index), "related_items": related}
+
+
+def usage_stage(
+    paths: Iterable[Path | str], languages: Iterable[str] | None, out: Path
+) -> tuple[dict[tuple[str, str], int], list[PageviewsIssue]]:
+    """Total the pageview files per (language, title) and write the views TSV.
+
+    ``languages`` limits the languages kept; None keeps every language.
+    Returns the totals and the malformed lines skipped.
+    """
+    language_set = None if languages is None else set(languages)
+    issues: list[PageviewsIssue] = []
+    shards = []
+    for path in paths:
+        with open(path, "rb") as handle:
+            shards.append(aggregate_views(parse_pageviews_stream(handle, language_set, errors=issues)))
+    views = merge_views(*shards)
+    _write(out, write_views_tsv, views)
+    return views, issues
+
+
+def metrics_stage(
+    entities: Sequence[SlimEntity],
+    attributions: dict[EntityId, AttributionResult],
+    views: dict[tuple[str, str], int],
+    readership: Path | str,
+    languages: Sequence[str],
+    out: Path,
+) -> tuple[list[MetricsRow], dict[str, WikiCoverageError]]:
+    """Compute the four metrics per language and write the metrics TSV.
+
+    Returns the rows, in language order, and the languages that failed.
+    """
+    usage = UsageStats(views=views, readership=load_readership(readership))
+    article_sets = build_article_sets(entities, languages)
+    rows, failures = compute_all(article_sets, attributions, usage, languages)
+    _write(out, write_metrics_tsv, rows)
+    return rows, failures
+
+
+def clusters_stage(
+    rows: Iterable[MetricsRow], cluster_map: Path | str | None, aggregation: str, out: Path
+) -> tuple[list[ClusterRow], list[MetricsRow]]:
+    """Pool the rows into cultural clusters and write the clusters TSV.
+
+    ``cluster_map`` None means the packaged map.  Returns the cluster rows and
+    the metric rows whose primary country has no cluster.
+    """
+    mapping = load_cluster_map(cluster_map) if cluster_map else default_cluster_map()
+    assignments, unassigned = assign_clusters(rows, mapping)
+    cluster_rows = aggregate_all(assignments, method=aggregation)
+    _write(out, write_clusters_tsv, cluster_rows)
+    return cluster_rows, unassigned
+
+
+def report_stage(
+    rows: Iterable[MetricsRow], out_dir: Path, scale: str, svg: bool
+) -> tuple[ChartData, dict[str, Path]]:
+    """Write ``table.tsv``, ``chart.json`` and, when asked and not empty, ``chart.svg``.
+
+    Table and chart both list the rows in table order.  Returns the chart
+    and the written artifacts by name.
+    """
+    table_rows = sort_rows_for_table(rows)
+    written = {"table": out_dir / "table.tsv", "chart": out_dir / "chart.json"}
+    _write(written["table"], emit_table, table_rows)
+    chart = build_chart_data(table_rows, scale)
+    written["chart"].write_text(chart.to_json(), encoding="utf-8")
+    if svg and chart.data:
+        written["chart_svg"] = out_dir / "chart.svg"
+        written["chart_svg"].write_text(render_svg(chart.data, scale), encoding="utf-8")
+    return chart, written
 
 
 @dataclass
@@ -145,20 +271,20 @@ def _write_manifest(manifest: dict, sink: IO[str]) -> None:
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Run every stage and promote the artifacts; see the module docstring."""
-
-    def fail(stage: str, exc: BaseException) -> PipelineStageError:
-        return PipelineStageError(stage, exc)
-
-    try:
+    with stage_errors("config"):
         config.validate()
-        rules = config.ruleset()
-    except WikiCoverageError as exc:
-        raise fail("config", exc) from exc
+        rules = resolve_rules(config.rules, config.target)
+        inputs = {
+            str(path): {"sha256": sha256_file(path), "bytes": path.stat().st_size}
+            for path in config.input_paths()
+        }
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     artifacts: dict[str, Path] = {}
+    counts: dict = {}
+    issues: dict = {}
     manifest: dict = {
         "tool": {"name": "wikicoverage", "version": __version__},
         "config": {
@@ -168,142 +294,70 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             "target": str(rules.target),
             "svg": config.svg,
         },
-        "inputs": {},
-        "counts": {},
-        "issues": {},
+        "inputs": inputs,
+        "counts": counts,
+        "issues": issues,
     }
-    for path in config.input_paths():
-        manifest["inputs"][str(path)] = {
-            "sha256": sha256_file(path),
-            "bytes": path.stat().st_size,
-        }
 
-    def stage_path(name: str) -> Path:
-        return staging / name
+    def stage_path(name: str, file_name: str) -> Path:
+        artifacts[name] = staging / file_name
+        return artifacts[name]
 
     try:
         # ingest: dump -> entities (+ slim store artifact), or reload a store
-        try:
-            keep_wikis = {sitelink_key(lang) for lang in config.languages}
-            dump_issues: list[ParseIssue] = []
+        with stage_errors("ingest"):
             if config.dump is not None:
                 with open(config.dump, "rb") as handle:
-                    entities = list(
-                        parse_dump_stream(
-                            handle, rules.required_properties, keep_wikis, errors=dump_issues
-                        )
+                    entities, dump_issues = slim_stage(
+                        handle, stage_path("slim", "entities.slim"), rules, config.languages
                     )
-                count = save_slim_store(
-                    entities,
-                    stage_path("entities.slim"),
-                    keep_props=rules.required_properties,
-                    keep_wikis=keep_wikis,
-                )
-                artifacts["slim"] = stage_path("entities.slim")
-                manifest["counts"]["store_records"] = count
+                counts["store_records"] = len(entities)
             else:
-                entities = load_slim_store(config.slim)
-            manifest["counts"]["entities"] = len(entities)
-            manifest["issues"]["dump_parse_errors"] = len(dump_issues)
-        except (OSError, WikiCoverageError) as exc:
-            raise fail("ingest", exc) from exc
+                entities, dump_issues = load_slim_store(config.slim), []
+            counts["entities"] = len(entities)
+            issues["dump_parse_errors"] = len(dump_issues)
 
-        # attribution: geo index pass, then the decision pass
-        try:
-            geo_index = build_geo_index(entities, rules)
-            attributions = attribute_all(entities, geo_index, rules)
-            with open(stage_path("attribution.tsv"), "w", encoding="utf-8", newline="\n") as sink:
-                write_attribution_tsv(attributions, sink)
-            artifacts["attribution"] = stage_path("attribution.tsv")
-            manifest["counts"]["geo_index_entries"] = len(geo_index)
-            manifest["counts"]["related_items"] = sum(
-                1 for r in attributions.values() if r.related
+        with stage_errors("attribution"):
+            attributions, attribution_counts = attribute_stage(
+                entities, rules, stage_path("attribution", "attribution.tsv")
             )
-        except (OSError, WikiCoverageError) as exc:
-            raise fail("attribution", exc) from exc
+            counts.update(attribution_counts)
 
-        # usage: pageview files -> per-(language, title) totals
-        try:
-            language_set = set(config.languages)
-            view_issues: list[PageviewsIssue] = []
-            shards = []
-            for path in config.pageviews:
-                with open(path, "rb") as handle:
-                    shards.append(
-                        aggregate_views(
-                            parse_pageviews_stream(handle, language_set, errors=view_issues)
-                        )
-                    )
-            views = merge_views(*shards)
-            with open(stage_path("views.tsv"), "w", encoding="utf-8", newline="\n") as sink:
-                write_views_tsv(views, sink)
-            artifacts["views"] = stage_path("views.tsv")
-            manifest["counts"]["view_keys"] = len(views)
-            manifest["issues"]["pageview_parse_errors"] = len(view_issues)
-        except (OSError, WikiCoverageError) as exc:
-            raise fail("usage", exc) from exc
+        with stage_errors("usage"):
+            views, view_issues = usage_stage(
+                config.pageviews, config.languages, stage_path("views", "views.tsv")
+            )
+            counts["view_keys"] = len(views)
+            issues["pageview_parse_errors"] = len(view_issues)
 
         # metrics: needs the readership table; missing table aborts here
-        try:
+        with stage_errors("metrics"):
             if config.readership is None:
                 raise ConfigError("readership CSV is required to compute metrics")
-            usage = UsageStats(views=views, readership=load_readership(config.readership))
-            article_sets = build_article_sets(entities, config.languages)
-            rows, failures = compute_all(article_sets, attributions, usage, config.languages)
-            with open(stage_path("metrics.tsv"), "w", encoding="utf-8", newline="\n") as sink:
-                write_metrics_tsv(rows, sink)
-            artifacts["metrics"] = stage_path("metrics.tsv")
-            manifest["counts"]["metric_rows"] = len(rows)
-            manifest["issues"]["failed_languages"] = {
-                lang: str(exc) for lang, exc in sorted(failures.items())
-            }
-        except (OSError, WikiCoverageError) as exc:
-            raise fail("metrics", exc) from exc
-
-        # clusters
-        try:
-            cluster_map = (
-                load_cluster_map(config.cluster_map)
-                if config.cluster_map
-                else default_cluster_map()
+            rows, failures = metrics_stage(
+                entities,
+                attributions,
+                views,
+                config.readership,
+                config.languages,
+                stage_path("metrics", "metrics.tsv"),
             )
-            assignments, unassigned = assign_clusters(rows, cluster_map)
-            cluster_rows = aggregate_all(assignments, method=config.aggregation)
-            with open(stage_path("clusters.tsv"), "w", encoding="utf-8", newline="\n") as sink:
-                write_clusters_tsv(cluster_rows, sink)
-            artifacts["clusters"] = stage_path("clusters.tsv")
-            manifest["counts"]["clusters"] = len(cluster_rows)
-            manifest["issues"]["unassigned_countries"] = sorted(
-                {row.primary_country for row in unassigned}
+            counts["metric_rows"] = len(rows)
+            issues["failed_languages"] = {lang: str(exc) for lang, exc in sorted(failures.items())}
+
+        with stage_errors("clusters"):
+            cluster_rows, unassigned = clusters_stage(
+                rows, config.cluster_map, config.aggregation, stage_path("clusters", "clusters.tsv")
             )
-        except (OSError, ValueError, WikiCoverageError) as exc:
-            raise fail("clusters", exc) from exc
+            counts["clusters"] = len(cluster_rows)
+            issues["unassigned_countries"] = sorted({row.primary_country for row in unassigned})
 
-        # report: table, chart data, optional SVG
-        try:
-            table_rows = sort_rows_for_table(rows)
-            with open(stage_path("table.tsv"), "w", encoding="utf-8", newline="\n") as sink:
-                emit_table(table_rows, sink)
-            artifacts["table"] = stage_path("table.tsv")
-            chart = build_chart_data(table_rows, config.scale)
-            stage_path("chart.json").write_text(chart.to_json(), encoding="utf-8")
-            artifacts["chart"] = stage_path("chart.json")
-            manifest["issues"]["chart_dropped"] = chart.dropped
-            if config.svg and chart.data:
-                svg = render_svg(
-                    chart.data,
-                    config.scale,
-                    x_limits=config.x_limits,
-                    y_limits=config.y_limits,
-                )
-                stage_path("chart.svg").write_text(svg, encoding="utf-8")
-                artifacts["chart_svg"] = stage_path("chart.svg")
-        except (OSError, WikiCoverageError) as exc:
-            raise fail("report", exc) from exc
+        with stage_errors("report"):
+            chart, written = report_stage(rows, staging, config.scale, config.svg)
+            artifacts.update(written)
+            issues["chart_dropped"] = chart.dropped
 
-        with open(stage_path("manifest.json"), "w", encoding="utf-8", newline="\n") as sink:
-            _write_manifest(manifest, sink)
-        artifacts["manifest"] = stage_path("manifest.json")
+        _write(stage_path("manifest", "manifest.json"), _write_manifest, manifest)
 
         # promote: move everything out of staging in one sweep
         promoted: dict[str, Path] = {}

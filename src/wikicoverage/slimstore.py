@@ -109,10 +109,29 @@ def write_slim_store(
     return len(records)
 
 
-def _parse_header(line: str) -> StoreHeader:
-    match = _HEADER_RE.match(line)
+def read_store_header(source: Iterable[str]) -> StoreHeader:
+    """Read the magic and header lines of a store stream.
+
+    Raises :class:`SlimStoreVersionError` for an unknown format version and
+    :class:`SlimStoreCorruptionError` for a missing or malformed header.  An
+    iterator is left at the first record line.
+    """
+    lines = iter(source)
+    magic = next(lines, None)
+    if magic is None:
+        raise SlimStoreCorruptionError("empty store file")
+    magic = magic.rstrip("\n")
+    if magic != MAGIC:
+        if re.match(r"WCM\d+\Z", magic):
+            raise SlimStoreVersionError(f"unsupported store version {magic!r}")
+        raise SlimStoreCorruptionError(f"bad magic {magic!r}")
+    header_line = next(lines, None)
+    if header_line is None:
+        raise SlimStoreCorruptionError("store has no header line")
+    header_line = header_line.rstrip("\n")
+    match = _HEADER_RE.match(header_line)
     if match is None:
-        raise SlimStoreCorruptionError(f"bad store header: {line!r}")
+        raise SlimStoreCorruptionError(f"bad store header: {header_line!r}")
     count = int(match.group(1))
     props_field, wikis_field = match.group(2), match.group(3)
     props = tuple(EntityId.parse(tok) for tok in props_field.split(",") if tok)
@@ -158,18 +177,7 @@ def read_slim_store(source: Iterable[str]) -> Iterator[SlimEntity]:
     records actually present (checked once the stream is exhausted).
     """
     lines = iter(source)
-    magic = next(lines, None)
-    if magic is None:
-        raise SlimStoreCorruptionError("empty store file")
-    magic = magic.rstrip("\n")
-    if magic != MAGIC:
-        if re.match(r"WCM\d+\Z", magic):
-            raise SlimStoreVersionError(f"unsupported store version {magic!r}")
-        raise SlimStoreCorruptionError(f"bad magic {magic!r}")
-    header_line = next(lines, None)
-    if header_line is None:
-        raise SlimStoreCorruptionError("store has no header line")
-    header = _parse_header(header_line.rstrip("\n"))
+    header = read_store_header(lines)
 
     props = IdMemo(PROPERTY)
     values = IdMemo()
@@ -189,18 +197,6 @@ def read_slim_store(source: Iterable[str]) -> Iterator[SlimEntity]:
         raise SlimStoreCorruptionError(
             f"header says {header.count} records but file has {seen}"
         )
-
-
-def read_store_header(source: Iterable[str]) -> StoreHeader:
-    """Read just the header of a store stream."""
-    lines = iter(source)
-    magic = next(lines, None)
-    if magic is None or magic.rstrip("\n") != MAGIC:
-        raise SlimStoreCorruptionError("missing store magic")
-    header_line = next(lines, None)
-    if header_line is None:
-        raise SlimStoreCorruptionError("store has no header line")
-    return _parse_header(header_line.rstrip("\n"))
 
 
 def save_slim_store(entities: Iterable[SlimEntity], path: Path | str, **kwargs) -> int:

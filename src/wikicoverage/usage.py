@@ -211,15 +211,25 @@ def write_views_tsv(views: dict[tuple[str, str], int], sink: IO[str]) -> None:
 
 
 def read_views_tsv(source: Iterable[str]) -> dict[tuple[str, str], int]:
+    """Reload a views TSV; a malformed row or a negative total raises ValueError naming its line."""
     lines = iter(source)
     header = next(lines, None)
     if header is None or header.rstrip("\n") != "language\ttitle\tviews":
         raise ValueError("bad views TSV header")
     views: dict[tuple[str, str], int] = {}
-    for raw in lines:
+    for line_number, raw in enumerate(lines, start=2):
         line = raw.rstrip("\n")
         if not line:
             continue
-        language, title, total = line.split("\t")
-        views[(language, title)] = int(total)
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"line {line_number}: expected 3 fields, got {len(parts)}")
+        language, title, total = parts
+        try:
+            count = int(total)
+        except ValueError:
+            raise ValueError(f"line {line_number}: non-integer view total {total!r}") from None
+        if count < 0:
+            raise ValueError(f"line {line_number}: negative view total {count}")
+        views[(language, title)] = count
     return views

@@ -16,9 +16,9 @@ from wikicoverage.attribution import (
     parse_rules,
     read_attribution_tsv,
     render_provenance,
-    resolve_place_country,
     write_attribution_tsv,
 )
+from wikicoverage.attribution import _path_to_target as path_to_target
 from wikicoverage.entities import OPAQUE, SlimEntity
 from wikicoverage.errors import DuplicateItemError, RulesError
 
@@ -52,21 +52,30 @@ class TestGeoIndex:
         assert build_geo_index([entity], RULES) == {}
 
 
+def reachable(index, start, candidates, max_depth=5):
+    """The candidates that the geo walk from ``start`` reaches, each tried as the target."""
+    return {
+        target
+        for target in candidates
+        if path_to_target(index, start, RuleSet(max_depth=max_depth, target=target)) is not None
+    }
+
+
 class TestResolvePlace:
     def test_one_hop(self):
-        assert resolve_place_country({Q(60): (Q(30),)}, Q(60), RULES) == {Q(30)}
+        assert path_to_target({Q(60): (Q(30),)}, Q(60), RULES) == (Q(60), Q(30))
 
     def test_cycle_terminates_and_includes_both(self):
         index = {Q(1): (Q(2),), Q(2): (Q(1),)}
-        assert resolve_place_country(index, Q(1), RULES) == {Q(1), Q(2)}
+        assert reachable(index, Q(1), [Q(1), Q(2), Q(30)]) == {Q(1), Q(2)}
+        assert path_to_target(index, Q(1), RuleSet(target=Q(1))) == (Q(1), Q(2), Q(1))
 
     def test_unknown_place_is_empty(self):
-        assert resolve_place_country({}, Q(99), RULES) == set()
+        assert path_to_target({}, Q(99), RULES) is None
 
     def test_depth_bound_cuts_long_chains(self):
         chain = {Q(n): (Q(n + 1),) for n in range(1, 10)}
-        rules = RuleSet(max_depth=3)
-        assert resolve_place_country(chain, Q(1), rules) == {Q(2), Q(3), Q(4)}
+        assert reachable(chain, Q(1), [Q(n) for n in range(1, 11)], max_depth=3) == {Q(2), Q(3), Q(4)}
 
     @given(depth=st.integers(min_value=1, max_value=6), seed=st.integers(0, 2**31))
     @settings(max_examples=40)
@@ -79,9 +88,11 @@ class TestResolvePlace:
             if rng.random() < 0.7
         }
         index = {k: v for k, v in index.items() if v}
-        shallow = resolve_place_country(index, Q(1), RuleSet(max_depth=depth))
-        deep = resolve_place_country(index, Q(1), RuleSet(max_depth=depth + 1))
-        assert shallow <= deep
+        for target in nodes:
+            shallow = path_to_target(index, Q(1), RuleSet(max_depth=depth, target=target))
+            deep = path_to_target(index, Q(1), RuleSet(max_depth=depth + 1, target=target))
+            # found within d hops: the walk to d + 1 hops finds the same shortest chain
+            assert shallow is None or deep == shallow
 
 
 class TestAttributeItem:
@@ -225,11 +236,18 @@ class TestProperties:
 
     def test_visit_budget_is_linear_in_index_and_depth(self):
         # complete digraph: every node points at every node; BFS must stop
+        class CountingIndex(dict):
+            lookups = 0
+
+            def get(self, key, default=None):
+                self.lookups += 1
+                return super().get(key, default)
+
         nodes = [Q(n) for n in range(1, 30)]
-        index = {node: tuple(nodes) for node in nodes}
-        rules = RuleSet(max_depth=5, target=Q(999))
-        result = resolve_place_country(index, Q(1), rules)
-        assert result == set(nodes)
+        index = CountingIndex({node: tuple(nodes) for node in nodes})
+        assert path_to_target(index, Q(1), RuleSet(max_depth=5, target=Q(999))) is None
+        assert index.lookups <= len(nodes)  # each node is expanded at most once
+        assert reachable(index, Q(1), nodes) == set(nodes)
 
 
 class TestOracleEquivalence:
@@ -325,9 +343,14 @@ class TestTsv:
         assert parse_provenance("P27>Q30;P19>Q60>Q30") == paths
         assert parse_provenance("") == ()
 
-    @pytest.mark.parametrize("provenance", ["P27>Q30x", "P27>Q03", "P27>", "P27>Q30;", ">Q30"])
-    def test_bad_provenance_token_names_its_line(self, provenance):
-        text = "Q1\tfalse\t\nQ2\ttrue\t" + provenance + "\n"
+    @pytest.mark.parametrize(
+        "flag, provenance",
+        [pytest.param("true", p, id=p) for p in ["P27>Q30x", "P27>Q03", "P27>", "P27>Q30;", ">Q30"]]
+        # only true and false are flags
+        + [pytest.param("maybe", "", id="flag-maybe")],
+    )
+    def test_bad_provenance_token_names_its_line(self, flag, provenance):
+        text = f"Q1\tfalse\t\nQ2\t{flag}\t{provenance}\n"
         with pytest.raises(ValueError, match="^line 2: "):
             read_attribution_tsv(io.StringIO(text))
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
 from wikicoverage.cli import main
 
@@ -56,14 +57,15 @@ class TestStageByStage:
         assert (report_dir / "chart.json").exists()
         assert (report_dir / "chart.svg").exists()
 
-    def test_stage_chain_matches_all_in_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("target", [[], ["--target", "Q183"]], ids=["default", "Q183"])
+    def test_stage_chain_matches_all_in_one(self, tmp_path, capsys, target):
         all_dir = tmp_path / "all"
         assert run(
             ["all", FIXTURE / "pageviews-a.txt", FIXTURE / "pageviews-b.txt",
              "--dump", FIXTURE / "dump.json",
              "--readership", FIXTURE / "readership.csv",
              "--rules", FIXTURE / "rules.txt",
-             "--languages", "en,de", "--out", all_dir]
+             "--languages", "en,de", "--out", all_dir, *target]
         ) == 0
         capsys.readouterr()
 
@@ -76,7 +78,7 @@ class TestStageByStage:
         run(["slim", "--dump", FIXTURE / "dump.json", "--out", slim,
              "--rules", FIXTURE / "rules.txt", "--languages", "en,de"])
         run(["attribute", "--slim", slim, "--out", attribution,
-             "--rules", FIXTURE / "rules.txt"])
+             "--rules", FIXTURE / "rules.txt", *target])
         run(["usage", FIXTURE / "pageviews-a.txt", FIXTURE / "pageviews-b.txt",
              "--languages", "en,de", "--out", views])
         run(["metrics", "--slim", slim, "--attribution", attribution,
@@ -109,9 +111,17 @@ class TestErrorsAndFlags:
         slim = tmp_path / "entities.slim"
         run(["slim", "--dump", FIXTURE / "dump.json", "--out", slim])
         capsys.readouterr()
-        code = run(["attribute", "--slim", slim, "--out", tmp_path / "a.tsv", "--target", "Zx"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        messages = []
+        for argv in (
+            ["attribute", "--slim", slim, "--out", tmp_path / "a.tsv", "--target", "Zx"],
+            ["all", "--slim", slim, "--readership", FIXTURE / "readership.csv",
+             "--languages", "en", "--out", tmp_path / "all", "--target", "Zx"],
+        ):
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            messages.append(err[err.index("bad target id"):])
+        assert messages[0] == messages[1] == "bad target id: not an entity id: 'Zx'\n"
 
     def test_target_flag_overrides_rules(self, tmp_path, capsys):
         slim = tmp_path / "entities.slim"

@@ -267,6 +267,15 @@ class TestPipelineEndToEnd:
         assert manifest["issues"]["pageview_parse_errors"] == 2
         assert manifest["counts"]["entities"] == 21
 
+    def test_undecodable_store_fails_as_the_ingest_stage(self, tmp_path):
+        store = tmp_path / "entities.slim"
+        first = run_pipeline(self.config(tmp_path, out_dir=tmp_path / "first"))
+        store.write_bytes(first.artifacts["slim"].read_bytes().replace(b"=Berlin|", b"=B\xe9rlin|"))
+        with pytest.raises(PipelineStageError) as err:
+            run_pipeline(self.config(tmp_path, dump=None, slim=store))
+        assert err.value.stage == "ingest"
+        assert isinstance(err.value.cause, UnicodeDecodeError)
+
     def test_missing_readership_aborts_at_metrics_stage(self, tmp_path):
         config = self.config(tmp_path, readership=None)
         with pytest.raises(PipelineStageError) as err:
@@ -347,6 +356,14 @@ class TestRunConfigValidation:
         )
         with pytest.raises(PipelineStageError):
             run_pipeline(config)
+
+    def test_directory_as_input_fails_as_the_config_stage(self, tmp_path):
+        config = RunConfig(
+            out_dir=tmp_path, languages=("en",), dump=FIXTURE / "dump.json", pageviews=(FIXTURE,)
+        )
+        with pytest.raises(PipelineStageError) as err:
+            run_pipeline(config)
+        assert err.value.stage == "config"
 
     def test_rejects_empty_language_list(self, tmp_path):
         config = RunConfig(out_dir=tmp_path, languages=(), dump=FIXTURE / "dump.json")

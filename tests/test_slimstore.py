@@ -95,8 +95,11 @@ class TestRead:
             list(read_slim_store(io.StringIO(text)))
 
     def test_unknown_version_is_version_error(self):
+        text = "WCM2\ncount=0 props= wikis=*\n"
         with pytest.raises(SlimStoreVersionError):
-            list(read_slim_store(io.StringIO("WCM2\ncount=0 props= wikis=*\n")))
+            list(read_slim_store(io.StringIO(text)))
+        with pytest.raises(SlimStoreVersionError):
+            read_store_header(io.StringIO(text))
 
     def test_garbage_magic_is_corruption(self):
         with pytest.raises(SlimStoreCorruptionError):

@@ -186,3 +186,18 @@ class TestViewsTsv:
         assert lines[0] == "language\ttitle\tviews"
         assert lines[1:] == ["de\tA\t7", "en\tA\t1", "en\tB\t2"]
         assert read_views_tsv(io.StringIO(sink.getvalue())) == views
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("en\tA", "expected 3 fields, got 2"),
+            ("en\tA\t1\t2", "expected 3 fields, got 4"),
+            ("en\tA\tmany", "non-integer view total 'many'"),
+            ("en\tA\t-5", "negative view total -5"),
+        ],
+        ids=["two-fields", "four-fields", "non-integer", "negative"],
+    )
+    def test_bad_row_names_its_line(self, row, problem):
+        text = "language\ttitle\tviews\nde\tA\t7\n" + row + "\n"
+        with pytest.raises(ValueError, match=f"^line 3: {problem}$"):
+            read_views_tsv(io.StringIO(text))
