@@ -28,7 +28,7 @@ from .clusters import (
     load_cluster_map,
 )
 from .dump import ParseIssue, parse_dump_stream
-from .entities import OPAQUE, EntityId, OpaqueValue, SlimEntity
+from .entities import EntityId, SlimEntity
 from .errors import WikiCoverageError
 from .metrics import (
     LanguageArticleSet,
@@ -61,8 +61,6 @@ __all__ = [
     "EntityId",
     "LanguageArticleSet",
     "MetricsRow",
-    "OPAQUE",
-    "OpaqueValue",
     "ParseIssue",
     "PipelineResult",
     "ReadershipRecord",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
-from .entities import EntityId, IdMemo, SlimEntity
+from .entities import ITEM, PROPERTY, EntityId, IdMemo, SlimEntity
 from .errors import DuplicateItemError, RulesError
 
 COUNTRY = EntityId.prop(17)
@@ -42,7 +42,8 @@ class RuleSet:
     ``direct_props`` values must equal ``target``; ``place_props`` values are
     places resolved through ``geo_chain_props`` edges, at most ``max_depth``
     hops.  Items whose instance-of claim hits ``exclude_classes`` are never
-    attributed (navigation pages, not topics).
+    attributed (navigation pages, not topics).  ``target`` and
+    ``exclude_classes`` are items; the three property sets hold properties.
     """
 
     target: EntityId = UNITED_STATES
@@ -53,6 +54,18 @@ class RuleSet:
     exclude_classes: frozenset[EntityId] = frozenset({DISAMBIGUATION_PAGE})
 
     def __post_init__(self):
+        for name, ids, kind in (
+            ("target", (self.target,), ITEM),
+            ("exclude_classes", self.exclude_classes, ITEM),
+            ("direct", self.direct_props, PROPERTY),
+            ("place", self.place_props, PROPERTY),
+            ("geo_chain", self.geo_chain_props, PROPERTY),
+        ):
+            wrong = [i for i in ids if i.kind != kind]
+            if wrong:
+                first = min(wrong, key=lambda i: i.sort_key)
+                article = "an" if kind == ITEM else "a"
+                raise ValueError(f"{name} must be {article} {kind} id, got {first}")
         if self.direct_props & self.place_props:
             overlap = ", ".join(sorted(str(p) for p in self.direct_props & self.place_props))
             raise ValueError(f"direct and place property sets overlap: {overlap}")
@@ -91,7 +104,7 @@ def build_geo_index(entities: Iterable[SlimEntity], rules: RuleSet) -> dict[Enti
     for entity in entities:
         values: list[EntityId] = []
         for prop in rules.geo_chain_props:
-            values.extend(entity.entity_values(prop))
+            values.extend(entity.claim_values(prop))
         if values:
             index[entity.id] = tuple(values)
     return index
@@ -142,7 +155,7 @@ def attribute_item(entity: SlimEntity, index: GeoIndex, rules: RuleSet) -> Attri
             if value == rules.target:
                 paths.append((prop, rules.target))
     for prop in sorted(rules.place_props, key=lambda p: p.number):
-        for value in entity.entity_values(prop):
+        for value in entity.claim_values(prop):
             chain = _path_to_target(index, value, rules)
             if chain is not None:
                 paths.append((prop, *chain))
@@ -151,7 +164,7 @@ def attribute_item(entity: SlimEntity, index: GeoIndex, rules: RuleSet) -> Attri
 
 def is_excluded(entity: SlimEntity, rules: RuleSet) -> bool:
     """True when the item's instance-of claim hits an excluded class."""
-    return any(v in rules.exclude_classes for v in entity.entity_values(INSTANCE_OF))
+    return any(v in rules.exclude_classes for v in entity.claim_values(INSTANCE_OF))
 
 
 def attribute_all(

@@ -54,7 +54,9 @@ def _cmd_slim(args) -> int:
 
 def _cmd_attribute(args) -> int:
     rules = resolve_rules(args.rules, args.target)
-    attributions, counts = attribute_stage(load_slim_store(args.slim), rules, Path(args.out))
+    attributions, counts = attribute_stage(
+        load_slim_store(args.slim, rules.required_properties), rules, Path(args.out)
+    )
     print(f"attributed {len(attributions)} items, {counts['related_items']} related to {rules.target}")
     return 0
 

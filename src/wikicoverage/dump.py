@@ -7,9 +7,10 @@ line, so memory use is bounded by the longest line rather than the file size.
 
 Only item-kind entities survive.  Claims are projected down to a caller-chosen
 keep-set of properties, sitelinks to a keep-set of wiki codes; everything else
-is dropped on the spot.  Claim values that are not entity references become
-:data:`~wikicoverage.entities.OPAQUE` markers, and deprecated-rank statements
-are discarded entirely.
+is dropped on the spot.  A kept claim value is an item id: a statement whose
+value is anything else (a string, a quantity, a property, a no-value or
+some-value snak), and every deprecated-rank statement, is dropped, and so is
+a claim group left empty.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .entities import ITEM, OPAQUE, ClaimValue, EntityId, SlimEntity
+from .entities import ITEM, EntityId, SlimEntity
 from .errors import DumpTruncatedError
-
-_ENTITY_KINDS = ("item", "property")
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ def _parse_entity_line(
         return None, f"bad entity id: {id_raw!r}"
 
     claims_obj = obj.get("claims")
-    claims: dict[EntityId, tuple[ClaimValue, ...]] = {}
+    claims: dict[EntityId, tuple[EntityId, ...]] = {}
     if isinstance(claims_obj, dict):
         for key, prop in prop_by_key.items():
             statements = claims_obj.get(key)
@@ -143,34 +142,26 @@ def _parse_entity_line(
             if not isinstance(entry, dict):
                 continue
             title = entry.get("title")
-            if isinstance(title, str) and title:
+            if wiki and isinstance(title, str) and title:
                 sitelinks[wiki] = title
 
     return SlimEntity(entity_id, claims, sitelinks), None
 
 
-def _claim_value(statement) -> ClaimValue | None:
-    """Extract one statement's value; None means the statement is dropped."""
-    if not isinstance(statement, dict):
-        return OPAQUE
-    if statement.get("rank") == "deprecated":
+def _claim_value(statement) -> EntityId | None:
+    """The statement's item id; None means the statement is dropped."""
+    if not isinstance(statement, dict) or statement.get("rank") == "deprecated":
         return None
     mainsnak = statement.get("mainsnak")
-    if not isinstance(mainsnak, dict):
-        return OPAQUE
-    datavalue = mainsnak.get("datavalue")
-    if not isinstance(datavalue, dict):
-        return OPAQUE  # novalue / somevalue snaks carry no datavalue
-    value = datavalue.get("value")
-    if isinstance(value, dict):
-        kind = value.get("entity-type")
-        if kind in _ENTITY_KINDS:
-            number = value.get("numeric-id")
-            if type(number) is int and number >= 1:
-                return EntityId(kind, number)
-            if isinstance(value.get("id"), str):
-                try:
-                    return EntityId.parse(value["id"])
-                except ValueError:
-                    return OPAQUE
-    return OPAQUE
+    # novalue / somevalue snaks carry no datavalue
+    datavalue = mainsnak.get("datavalue") if isinstance(mainsnak, dict) else None
+    value = datavalue.get("value") if isinstance(datavalue, dict) else None
+    if not isinstance(value, dict) or value.get("entity-type") != ITEM:
+        return None
+    number = value.get("numeric-id")
+    if type(number) is int and number >= 1:
+        return EntityId(ITEM, number)
+    try:
+        return EntityId.parse_item(value.get("id"))
+    except ValueError:
+        return None

@@ -12,6 +12,7 @@ PROPERTY = "property"
 _ID_RE = re.compile(r"([QP])([1-9][0-9]*)\Z")
 _KIND_LETTER = {ITEM: "Q", PROPERTY: "P"}
 _LETTER_KIND = {"Q": ITEM, "P": PROPERTY}
+_KIND_NAME = {ITEM: "an item", PROPERTY: "a property"}
 
 
 class EntityId(NamedTuple):
@@ -88,44 +89,14 @@ class EntityId(NamedTuple):
         return _KIND_LETTER[self.kind] + str(self.number)
 
 
-class OpaqueValue:
-    """Marker for a kept property's claim value that is not an entity reference.
-
-    String, quantity, coordinate and no/some-value snaks are recorded as this
-    single marker and never interpreted further.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OpaqueValue)
-
-    def __hash__(self) -> int:
-        return hash(OpaqueValue)
-
-    def __repr__(self) -> str:
-        return "OPAQUE"
-
-
-OPAQUE = OpaqueValue()
-
-ClaimValue = EntityId | OpaqueValue
-
-
 class IdMemo(dict):
     """Id token -> validated id, for the life of one read.
 
     Each distinct token is validated on its first lookup, which raises
     ValueError for a bad token and stores nothing; later lookups return the
     same object, so equal ids in one read share it.  With ``kind`` set, only
-    ids of that kind are accepted.  A reader may store other tokens up front,
-    as the slim store does with ``*`` for :data:`OPAQUE`.  Create one per
-    read: a memo that outlives its file would grow with every file read.
+    ids of that kind are accepted.  Create one per read: a memo that outlives
+    its file would grow with every file read.
     """
 
     __slots__ = ("kind",)
@@ -137,7 +108,7 @@ class IdMemo(dict):
     def __missing__(self, token: str) -> EntityId:
         entity_id = EntityId.parse(token)
         if self.kind is not None and entity_id.kind != self.kind:
-            raise ValueError(f"expected a {self.kind} id, got {token!r}")
+            raise ValueError(f"not {_KIND_NAME[self.kind]} id: {token!r}")
         self[token] = entity_id
         return entity_id
 
@@ -146,14 +117,14 @@ class IdMemo(dict):
 class SlimEntity:
     """The minimal projection of one dump item: id, kept claims, kept sitelinks.
 
-    ``claims`` maps a property id to the ordered claim values that survived
-    filtering; ``sitelinks`` maps a wiki code (``enwiki``) to the article title
+    ``claims`` maps a property id to the item ids of its kept claims, in claim
+    order; ``sitelinks`` maps a wiki code (``enwiki``) to the article title
     exactly as spelled in the dump.  Instances are treated as immutable and are
     safe to share between threads.
     """
 
     id: EntityId
-    claims: dict[EntityId, tuple[ClaimValue, ...]] = field(default_factory=dict)
+    claims: dict[EntityId, tuple[EntityId, ...]] = field(default_factory=dict)
     sitelinks: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -170,9 +141,6 @@ class SlimEntity:
             if not title:
                 raise ValueError(f"sitelink title for {wiki!r} is empty")
 
-    def claim_values(self, prop: EntityId) -> tuple[ClaimValue, ...]:
+    def claim_values(self, prop: EntityId) -> tuple[EntityId, ...]:
+        """The item ids that ``prop`` claims, in claim order."""
         return self.claims.get(prop, ())
-
-    def entity_values(self, prop: EntityId) -> tuple[EntityId, ...]:
-        """Claim values of ``prop`` that are entity references, in claim order."""
-        return tuple(v for v in self.claims.get(prop, ()) if isinstance(v, EntityId))

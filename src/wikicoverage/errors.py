@@ -23,6 +23,10 @@ class SlimStoreCorruptionError(SlimStoreError):
     """The store file violates its own header or record grammar."""
 
 
+class SlimStoreMismatchError(SlimStoreError):
+    """The store was kept without a property that the attribution rules need."""
+
+
 class SlimStoreWriteError(SlimStoreError):
     """Writing a store failed partway through.
 

@@ -313,7 +313,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                     )
                 counts["store_records"] = len(entities)
             else:
-                entities, dump_issues = load_slim_store(config.slim), []
+                entities, dump_issues = load_slim_store(config.slim, rules.required_properties), []
             counts["entities"] = len(entities)
             issues["dump_parse_errors"] = len(dump_issues)
 

@@ -3,20 +3,21 @@
 Re-parsing dump JSON on every run defeats the two-pass pipeline, so parsed
 entities are persisted in a small line-oriented format:
 
-    WCM1
+    WCM2
     count=<n> props=<comma-list> wikis=<comma-list or *>
-    <QID>\\t<prop>:<QID|*>[,...][;...]\\t<wiki>=<title>[|...]
+    <QID>\\t<prop>:<QID>[,...][;...]\\t<wiki>=<title>[|...]
 
 Records are sorted by item number.  Titles have ``%``, tab, pipe, CR and LF
-percent-encoded; ``*`` in a value list stands for an opaque (non-entity) claim
-value.  The header's keep-set lists fingerprint the parse configuration that
-produced the store.
+percent-encoded.  The header's keep-set lists fingerprint the parse
+configuration that produced the store; a reader given the properties its
+rules need checks them against ``props=``.  ``WCM1``, which also stored
+non-item claim values as ``*``, is not read: rebuild such a store.
 
-The reader validates every id token: record ids must be items, claim keys
-properties, claim values ids or ``*``.  Each distinct token is validated once
-per read, on its first appearance, and equal ids then share one object; a bad
-token raises :class:`SlimStoreCorruptionError` naming its line wherever it
-first appears.
+The reader validates every id token: record ids and claim values must be
+items, claim keys and the header's ``props=`` properties.  Each distinct
+token is validated once per read, on its first appearance, and equal ids then
+share one object; a bad token raises :class:`SlimStoreCorruptionError`
+naming its line wherever it first appears.
 """
 
 from __future__ import annotations
@@ -26,14 +27,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .entities import OPAQUE, PROPERTY, ClaimValue, EntityId, IdMemo, SlimEntity
+from .entities import ITEM, PROPERTY, EntityId, IdMemo, SlimEntity
 from .errors import (
     SlimStoreCorruptionError,
+    SlimStoreMismatchError,
     SlimStoreVersionError,
     SlimStoreWriteError,
 )
 
-MAGIC = "WCM1"
+MAGIC = "WCM2"
 
 _HEADER_RE = re.compile(r"count=(\d+) props=(\S*) wikis=(\S*)\Z")
 _ESCAPE_RE = re.compile(r"[%\t|\n\r]")
@@ -57,13 +59,9 @@ class StoreHeader:
     wikis: tuple[str, ...] | None  # None = unrestricted
 
 
-def _value_token(value: ClaimValue) -> str:
-    return str(value) if isinstance(value, EntityId) else "*"
-
-
 def _record_line(entity: SlimEntity) -> str:
     claims = ";".join(
-        f"{prop}:" + ",".join(_value_token(v) for v in values)
+        f"{prop}:" + ",".join(map(str, values))
         for prop, values in sorted(entity.claims.items(), key=lambda kv: kv[0].number)
     )
     links = "|".join(
@@ -76,21 +74,18 @@ def write_slim_store(
     entities: Iterable[SlimEntity],
     sink: IO[str],
     *,
-    keep_props: Iterable[EntityId] | None = None,
+    keep_props: Iterable[EntityId],
     keep_wikis: Iterable[str] | None = None,
 ) -> int:
     """Write entities (re-sorted by id number) to ``sink``; returns the count.
 
-    The header's keep-set lists come from ``keep_props``/``keep_wikis`` when
-    given, otherwise from the entities themselves (``wikis=*`` meaning
-    unrestricted).  A failed write raises :class:`SlimStoreWriteError` with the
-    number of records that made it out before the failure.
+    The header lists ``keep_props``, the properties the parse kept, and
+    ``keep_wikis`` (``wikis=*`` when None, meaning unrestricted).  A failed
+    write raises :class:`SlimStoreWriteError` with the number of records that
+    made it out before the failure.
     """
     records = sorted(entities, key=lambda e: e.id.number)
-    if keep_props is None:
-        props = sorted({p for e in records for p in e.claims}, key=lambda p: p.number)
-    else:
-        props = sorted(set(keep_props), key=lambda p: p.number)
+    props = sorted(set(keep_props), key=lambda p: p.number)
     wikis = "*" if keep_wikis is None else ",".join(sorted(set(keep_wikis)))
     header = f"count={len(records)} props={','.join(str(p) for p in props)} wikis={wikis}\n"
 
@@ -112,9 +107,9 @@ def write_slim_store(
 def read_store_header(source: Iterable[str]) -> StoreHeader:
     """Read the magic and header lines of a store stream.
 
-    Raises :class:`SlimStoreVersionError` for an unknown format version and
-    :class:`SlimStoreCorruptionError` for a missing or malformed header.  An
-    iterator is left at the first record line.
+    Raises :class:`SlimStoreVersionError` for another format version (``WCM1``
+    included) and :class:`SlimStoreCorruptionError` for a missing or malformed
+    header.  An iterator is left at the first record line.
     """
     lines = iter(source)
     magic = next(lines, None)
@@ -134,7 +129,11 @@ def read_store_header(source: Iterable[str]) -> StoreHeader:
         raise SlimStoreCorruptionError(f"bad store header: {header_line!r}")
     count = int(match.group(1))
     props_field, wikis_field = match.group(2), match.group(3)
-    props = tuple(EntityId.parse(tok) for tok in props_field.split(",") if tok)
+    prop_of = IdMemo(PROPERTY).__getitem__
+    try:
+        props = tuple(prop_of(tok) for tok in props_field.split(",") if tok)
+    except ValueError as exc:
+        raise SlimStoreCorruptionError(f"line 2: {exc}") from exc
     if wikis_field == "*":
         wikis = None
     else:
@@ -152,7 +151,7 @@ def _parse_record(line: str, line_number: int, props: IdMemo, values: IdMemo) ->
     id_field, claims_field, links_field = parts
     value_of = values.__getitem__
     try:
-        claims: dict[EntityId, tuple[ClaimValue, ...]] = {}
+        claims: dict[EntityId, tuple[EntityId, ...]] = {}
         if claims_field:
             for group in claims_field.split(";"):
                 prop_text, _, values_text = group.partition(":")
@@ -169,19 +168,28 @@ def _parse_record(line: str, line_number: int, props: IdMemo, values: IdMemo) ->
         raise SlimStoreCorruptionError(f"line {line_number}: {exc}") from exc
 
 
-def read_slim_store(source: Iterable[str]) -> Iterator[SlimEntity]:
+def read_slim_store(
+    source: Iterable[str], required_props: Iterable[EntityId] = ()
+) -> Iterator[SlimEntity]:
     """Yield the stored records in stored order.
 
-    Raises :class:`SlimStoreVersionError` for an unknown format version and
-    :class:`SlimStoreCorruptionError` when the header count disagrees with the
-    records actually present (checked once the stream is exhausted).
+    Raises :class:`SlimStoreVersionError` for another format version,
+    :class:`SlimStoreMismatchError` when the header's ``props=`` lacks one of
+    ``required_props``, and :class:`SlimStoreCorruptionError` when the header
+    count disagrees with the records actually present (checked once the
+    stream is exhausted).
     """
     lines = iter(source)
     header = read_store_header(lines)
+    missing = set(required_props).difference(header.props)
+    if missing:
+        ids = ", ".join(str(p) for p in sorted(missing, key=lambda p: p.number))
+        raise SlimStoreMismatchError(
+            f"store was kept without {ids}, which the rules need; rebuild it with these rules"
+        )
 
     props = IdMemo(PROPERTY)
-    values = IdMemo()
-    values["*"] = OPAQUE
+    values = IdMemo(ITEM)
     seen = 0
     for line_number, raw in enumerate(lines, start=3):
         line = raw.rstrip("\n")
@@ -204,6 +212,6 @@ def save_slim_store(entities: Iterable[SlimEntity], path: Path | str, **kwargs) 
         return write_slim_store(entities, sink, **kwargs)
 
 
-def load_slim_store(path: Path | str) -> list[SlimEntity]:
+def load_slim_store(path: Path | str, required_props: Iterable[EntityId] = ()) -> list[SlimEntity]:
     with open(path, encoding="utf-8") as source:
-        return list(read_slim_store(source))
+        return list(read_slim_store(source, required_props))

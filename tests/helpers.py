@@ -12,7 +12,7 @@ import json
 import random
 
 from wikicoverage.attribution import INSTANCE_OF, RuleSet
-from wikicoverage.entities import OPAQUE, EntityId, SlimEntity
+from wikicoverage.entities import EntityId, SlimEntity
 
 Q = EntityId.item
 P = EntityId.prop
@@ -22,7 +22,7 @@ P = EntityId.prop
 
 
 def statement(value, rank: str = "normal") -> dict:
-    """One claim statement; value may be an EntityId or an opaque payload."""
+    """One claim statement; value may be an EntityId or a string payload."""
     if isinstance(value, EntityId):
         datavalue = {
             "type": "wikibase-entityid",
@@ -64,6 +64,9 @@ def dump_text(objects: list[dict | str], terminator: bool = True) -> str:
 
 # -- random slim entities (store round-trip fixtures) ---------------------------
 
+# every property that random_entities claims, for a store header's props=
+STORE_PROPS = (P(17), P(19), P(27), P(31), P(276), P(495))
+
 _TITLE_CHARS = "abcdefgh XYZ_%|\t'(),:;=é中"
 
 
@@ -73,19 +76,14 @@ def random_title(rng: random.Random) -> str:
 
 
 def random_entities(rng: random.Random, count: int) -> list[SlimEntity]:
-    """Entities with unique ids, mixed claims (incl. opaque) and odd titles."""
+    """Entities with unique ids, mixed claims and odd titles."""
     numbers = rng.sample(range(1, max(count * 10, 1000)), count)
     entities = []
-    props = [P(17), P(19), P(27), P(31), P(276), P(495)]
     wikis = ["enwiki", "dewiki", "frwiki", "plwiki", "zh_min_nanwiki"]
     for number in numbers:
         claims = {}
-        for prop in rng.sample(props, rng.randint(0, len(props))):
-            values = tuple(
-                OPAQUE if rng.random() < 0.2 else Q(rng.randint(1, 5000))
-                for _ in range(rng.randint(1, 3))
-            )
-            claims[prop] = values
+        for prop in rng.sample(STORE_PROPS, rng.randint(0, len(STORE_PROPS))):
+            claims[prop] = tuple(Q(rng.randint(1, 5000)) for _ in range(rng.randint(1, 3)))
         sitelinks = {
             wiki: random_title(rng)
             for wiki in rng.sample(wikis, rng.randint(0, len(wikis)))
@@ -104,7 +102,7 @@ def oracle_related(entity: SlimEntity, geo_graph: dict[EntityId, list[EntityId]]
     :func:`oracle_geo_graph`), not from the package's index.  A place claim
     satisfies when any walk of 1..max_depth edges reaches the target.
     """
-    for value in entity.entity_values(INSTANCE_OF):
+    for value in entity.claim_values(INSTANCE_OF):
         if value in rules.exclude_classes:
             return False
     for prop in rules.direct_props:
@@ -123,7 +121,7 @@ def oracle_related(entity: SlimEntity, geo_graph: dict[EntityId, list[EntityId]]
         return False
 
     for prop in rules.place_props:
-        for value in entity.entity_values(prop):
+        for value in entity.claim_values(prop):
             if walk_hits_target(value, rules.max_depth):
                 return True
     return False
@@ -134,7 +132,7 @@ def oracle_geo_graph(entities: list[SlimEntity], rules: RuleSet) -> dict[EntityI
     for entity in entities:
         edges: list[EntityId] = []
         for prop in rules.geo_chain_props:
-            edges.extend(entity.entity_values(prop))
+            edges.extend(entity.claim_values(prop))
         if edges:
             graph[entity.id] = edges
     return graph
@@ -145,8 +143,8 @@ def random_attribution_fixture(rng: random.Random, size: int) -> list[SlimEntity
 
     Roughly: a handful of country nodes (the target among them), a geographic
     layer whose country chains sometimes cycle or dead-end, and a topic layer
-    with direct country claims, place claims, opaque noise and the occasional
-    excluded navigation page.
+    with direct country claims, place claims and the occasional excluded
+    navigation page.
     """
     target = Q(30)
     countries = [target, Q(183), Q(142), Q(145)]
@@ -188,10 +186,6 @@ def random_attribution_fixture(rng: random.Random, size: int) -> list[SlimEntity
             claims[P(276)] = (rng.choice(places + countries),)
         if rng.random() < 0.1:
             claims[P(31)] = (Q(4167410),)  # excluded navigation page
-        if rng.random() < 0.15:
-            claims.setdefault(P(27), ())
-            claims[P(27)] = claims[P(27)] + (OPAQUE,)
-        claims = {prop: values for prop, values in claims.items() if values}
         entities.append(SlimEntity(Q(next_number), claims, {}))
         next_number += 1
     return entities

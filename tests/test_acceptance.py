@@ -33,6 +33,7 @@ from wikicoverage.slimstore import read_slim_store, write_slim_store
 from wikicoverage.usage import ReadershipRecord, UsageStats
 
 from helpers import (
+    STORE_PROPS,
     P,
     Q,
     oracle_geo_graph,
@@ -394,7 +395,7 @@ class TestSlimStoreRoundTrip:
         with criterion("slim store round trip (1200 randomized entities)"):
             entities = random_entities(random.Random(424242), 1_200)
             sink = io.StringIO()
-            count = write_slim_store(entities, sink)
+            count = write_slim_store(entities, sink, keep_props=STORE_PROPS)
             assert count == 1_200
             restored = list(read_slim_store(io.StringIO(sink.getvalue())))
             expected = sorted(entities, key=lambda e: e.id.number)

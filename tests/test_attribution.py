@@ -19,18 +19,28 @@ from wikicoverage.attribution import (
     write_attribution_tsv,
 )
 from wikicoverage.attribution import _path_to_target as path_to_target
-from wikicoverage.entities import OPAQUE, SlimEntity
+from wikicoverage.dump import parse_dump_stream
+from wikicoverage.entities import SlimEntity
 from wikicoverage.errors import DuplicateItemError, RulesError
 
 from helpers import (
     P,
     Q,
+    dump_text,
+    entity_json,
     oracle_geo_graph,
     oracle_related,
     random_attribution_fixture,
 )
 
 RULES = RuleSet()
+
+
+def parsed(claims: dict) -> SlimEntity:
+    """Item Q5 with ``claims``, as the dump parser keeps it for the default rules."""
+    text = dump_text([entity_json("Q5", claims)])
+    (entity,) = parse_dump_stream(io.StringIO(text), RULES.required_properties)
+    return entity
 
 
 class TestGeoIndex:
@@ -48,7 +58,7 @@ class TestGeoIndex:
         assert index[Q(1)] == (Q(183), Q(30))
 
     def test_opaque_values_are_not_indexed(self):
-        entity = SlimEntity(Q(1), {P(17): (OPAQUE,)})
+        entity = parsed({"P17": ["United States", P(30)]})
         assert build_geo_index([entity], RULES) == {}
 
 
@@ -142,8 +152,10 @@ class TestAttributeItem:
         assert result.provenance == ((P(276), Q(30), Q(30)),)
 
     def test_opaque_claim_values_never_match(self):
-        entity = SlimEntity(Q(5), {P(27): (OPAQUE,), P(19): (OPAQUE,)})
-        assert not attribute_item(entity, {}, RULES).related
+        # a string or a property value never matches, even one numbered like the target
+        entity = parsed({"P27": ["Q30", P(30)], "P19": ["Q60", P(60)]})
+        index = {Q(60): (Q(30),), P(60): (Q(30),)}
+        assert not attribute_item(entity, index, RULES).related
 
 
 class TestAttributeAll:
@@ -296,6 +308,21 @@ class TestRuleSet:
         with pytest.raises(ValueError):
             RuleSet(max_depth=0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("target", P(17), "target must be an item id, got P17"),
+            ("exclude_classes", frozenset({Q(5), P(31)}), "exclude_classes must be an item id, got P31"),
+            ("direct_props", frozenset({P(17), Q(30)}), "direct must be a property id, got Q30"),
+            ("place_props", frozenset({Q(60)}), "place must be a property id, got Q60"),
+            ("geo_chain_props", (P(17), Q(17)), "geo_chain must be a property id, got Q17"),
+        ],
+        ids=["target", "exclude_classes", "direct", "place", "geo_chain"],
+    )
+    def test_id_kinds_are_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RuleSet(**{field: value})
+
     def test_parse_rules_file(self):
         text = """
         # attribution rules
@@ -321,6 +348,8 @@ class TestRuleSet:
     def test_parse_rules_rejects_bad_id(self):
         with pytest.raises(RulesError):
             parse_rules("target=Z9")
+        with pytest.raises(RulesError, match="^target must be an item id, got P17$"):
+            parse_rules("target=P17")
 
     def test_empty_text_gives_defaults(self):
         assert parse_rules("") == RULES

@@ -111,17 +111,38 @@ class TestErrorsAndFlags:
         slim = tmp_path / "entities.slim"
         run(["slim", "--dump", FIXTURE / "dump.json", "--out", slim])
         capsys.readouterr()
-        messages = []
+        for target, message in (
+            ("Zx", "bad target id: not an entity id: 'Zx'\n"),
+            ("P17", "bad target id: target must be an item id, got P17\n"),
+        ):
+            messages = []
+            for argv in (
+                ["attribute", "--slim", slim, "--out", tmp_path / "a.tsv", "--target", target],
+                ["all", "--slim", slim, "--readership", FIXTURE / "readership.csv",
+                 "--languages", "en", "--out", tmp_path / "all", "--target", target],
+            ):
+                assert run(argv) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error:")
+                messages.append(err[err.index("bad target id"):])
+            assert messages[0] == messages[1] == message
+
+    def test_store_kept_for_other_rules_is_a_clean_error(self, tmp_path, capsys):
+        slim = tmp_path / "entities.slim"
+        rules = tmp_path / "rules.txt"
+        rules.write_text("direct=P17\nplace=P276\n", encoding="utf-8")
+        run(["slim", "--dump", FIXTURE / "dump.json", "--out", slim, "--rules", rules])
+        capsys.readouterr()
         for argv in (
-            ["attribute", "--slim", slim, "--out", tmp_path / "a.tsv", "--target", "Zx"],
+            ["attribute", "--slim", slim, "--out", tmp_path / "a.tsv"],
             ["all", "--slim", slim, "--readership", FIXTURE / "readership.csv",
-             "--languages", "en", "--out", tmp_path / "all", "--target", "Zx"],
+             "--languages", "en", "--out", tmp_path / "all"],
         ):
             assert run(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:")
-            messages.append(err[err.index("bad target id"):])
-        assert messages[0] == messages[1] == "bad target id: not an entity id: 'Zx'\n"
+            assert "store was kept without P19, P27, P495, which the rules need" in err
+        assert not (tmp_path / "a.tsv").exists()
 
     def test_target_flag_overrides_rules(self, tmp_path, capsys):
         slim = tmp_path / "entities.slim"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wikicoverage.dump import ParseIssue, parse_dump_stream
-from wikicoverage.entities import OPAQUE, SlimEntity
+from wikicoverage.entities import SlimEntity
 from wikicoverage.errors import DumpTruncatedError
 
 from helpers import P, Q, dump_text, entity_json, statement
@@ -108,21 +108,26 @@ class TestFiltering:
         (entity,) = parse(text)
         assert entity.claims[P(17)] == (Q(183),)
 
-    def test_non_entity_values_become_opaque(self):
-        text = dump_text([entity_json("Q1", {"P17": ["just a string", Q(30)]})])
+    def test_non_item_values_are_dropped(self):
+        # a claim value that is not an item id (a string, a property) is dropped
+        text = dump_text([entity_json("Q1", {"P17": ["just a string", Q(30), P(5)]})])
         (entity,) = parse(text)
-        assert entity.claims[P(17)] == (OPAQUE, Q(30))
+        assert entity.claims[P(17)] == (Q(30),)
 
     def test_novalue_snak_becomes_opaque(self):
+        # a no-value snak carries no item id: it is dropped, and so is the claim
+        # group it leaves empty; a property value (P5) is dropped the same way
         stmt = {"mainsnak": {"snaktype": "novalue"}, "rank": "normal"}
-        text = dump_text([entity_json("Q1", {"P17": [stmt]})])
+        text = dump_text([entity_json("Q1", {"P17": [stmt], "P27": [P(5)], "P31": [Q(5)]})])
         (entity,) = parse(text)
-        assert entity.claims[P(17)] == (OPAQUE,)
+        assert entity.claims == {P(31): (Q(5),)}
 
     def test_empty_title_sitelink_is_skipped(self):
-        obj = {"type": "item", "id": "Q1", "sitelinks": {"enwiki": {"title": ""}}}
-        (entity,) = parse(dump_text([obj]))
-        assert entity.sitelinks == {}
+        # an empty wiki code is skipped the same way, with every wiki kept
+        for wiki, title in (("enwiki", ""), ("", "x")):
+            obj = {"type": "item", "id": "Q1", "sitelinks": {wiki: {"title": title}}}
+            (entity,) = parse(dump_text([obj]))
+            assert entity.sitelinks == {}
 
 
 class TestTruncation:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wikicoverage.entities import ITEM, OPAQUE, PROPERTY, EntityId, IdMemo, OpaqueValue, SlimEntity
+from wikicoverage.entities import ITEM, PROPERTY, EntityId, IdMemo, SlimEntity
 
 
 class TestEntityId:
@@ -84,13 +84,6 @@ class TestIdMemo:
         assert bad not in memo
 
 
-class TestOpaque:
-    def test_singleton_equality(self):
-        assert OpaqueValue() is OPAQUE
-        assert OpaqueValue() == OPAQUE
-        assert OPAQUE != EntityId.item(1)
-
-
 class TestSlimEntity:
     def test_basic_construction(self):
         entity = SlimEntity(
@@ -112,10 +105,3 @@ class TestSlimEntity:
     def test_rejects_empty_title(self):
         with pytest.raises(ValueError):
             SlimEntity(EntityId.item(1), {}, {"enwiki": ""})
-
-    def test_entity_values_filters_opaque(self):
-        entity = SlimEntity(
-            EntityId.item(1),
-            {EntityId.prop(17): (OPAQUE, EntityId.item(30), OPAQUE)},
-        )
-        assert entity.entity_values(EntityId.prop(17)) == (EntityId.item(30),)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wikicoverage.entities import OPAQUE, SlimEntity
+from wikicoverage.entities import SlimEntity
 from wikicoverage.errors import (
     SlimStoreCorruptionError,
+    SlimStoreMismatchError,
     SlimStoreVersionError,
     SlimStoreWriteError,
 )
@@ -17,20 +18,28 @@ from wikicoverage.slimstore import (
     write_slim_store,
 )
 
-from helpers import P, Q, random_entities
+from helpers import STORE_PROPS, P, Q, random_entities
+
+
+def write(entities, sink, keep_props=STORE_PROPS, **kwargs):
+    return write_slim_store(entities, sink, keep_props=keep_props, **kwargs)
 
 
 def round_trip(entities, **kwargs):
     sink = io.StringIO()
-    count = write_slim_store(entities, sink, **kwargs)
+    count = write(entities, sink, **kwargs)
     return count, list(read_slim_store(io.StringIO(sink.getvalue())))
 
 
 class TestWrite:
     def test_empty_stream_writes_count_zero(self):
         sink = io.StringIO()
-        assert write_slim_store([], sink) == 0
+        assert write([], sink) == 0
         assert "count=0" in sink.getvalue().splitlines()[1]
+
+    def test_keep_props_is_required(self):
+        with pytest.raises(TypeError):
+            write_slim_store([], io.StringIO())
 
     def test_records_are_sorted_by_id_number(self):
         entities = [SlimEntity(Q(9684)), SlimEntity(Q(30))]
@@ -53,7 +62,7 @@ class TestWrite:
 
     def test_header_wikis_star_means_unrestricted(self):
         sink = io.StringIO()
-        write_slim_store([], sink)
+        write([], sink)
         assert read_store_header(io.StringIO(sink.getvalue())).wikis is None
 
     def test_partial_write_failure_reports_progress(self):
@@ -68,7 +77,7 @@ class TestWrite:
 
         entities = [SlimEntity(Q(n)) for n in range(1, 6)]
         with pytest.raises(SlimStoreWriteError) as err:
-            write_slim_store(entities, FlakySink())
+            write(entities, FlakySink())
         assert err.value.records_written == 2
 
 
@@ -82,24 +91,33 @@ class TestRead:
 
     def test_count_mismatch_is_corruption(self):
         sink = io.StringIO()
-        write_slim_store([SlimEntity(Q(n)) for n in range(1, 5)], sink)
+        write([SlimEntity(Q(n)) for n in range(1, 5)], sink)
         text = sink.getvalue().replace("count=4", "count=5")
         with pytest.raises(SlimStoreCorruptionError):
             list(read_slim_store(io.StringIO(text)))
 
     def test_extra_records_are_corruption(self):
         sink = io.StringIO()
-        write_slim_store([SlimEntity(Q(1)), SlimEntity(Q(2))], sink)
+        write([SlimEntity(Q(1)), SlimEntity(Q(2))], sink)
         text = sink.getvalue().replace("count=2", "count=1")
         with pytest.raises(SlimStoreCorruptionError):
             list(read_slim_store(io.StringIO(text)))
 
     def test_unknown_version_is_version_error(self):
-        text = "WCM2\ncount=0 props= wikis=*\n"
+        # WCM1 also stored non-item claim values as '*'; it is not read
+        text = "WCM1\ncount=1 props=P17 wikis=*\nQ1\tP17:*,Q30\t\n"
         with pytest.raises(SlimStoreVersionError):
             list(read_slim_store(io.StringIO(text)))
         with pytest.raises(SlimStoreVersionError):
             read_store_header(io.StringIO(text))
+
+    def test_store_lacking_a_required_property_is_a_mismatch(self):
+        sink = io.StringIO()
+        write([SlimEntity(Q(1), {P(17): (Q(30),)})], sink, keep_props=[P(17), P(276)])
+        text = sink.getvalue()
+        assert len(list(read_slim_store(io.StringIO(text), [P(276), P(17)]))) == 1
+        with pytest.raises(SlimStoreMismatchError, match="kept without P19, P27, which"):
+            list(read_slim_store(io.StringIO(text), [P(27), P(17), P(19)]))
 
     def test_garbage_magic_is_corruption(self):
         with pytest.raises(SlimStoreCorruptionError):
@@ -110,7 +128,7 @@ class TestRead:
             list(read_slim_store(io.StringIO("")))
 
     def test_bad_record_field_count_is_corruption(self):
-        text = "WCM1\ncount=1 props= wikis=*\nQ1\tonly-two-fields\n"
+        text = "WCM2\ncount=1 props= wikis=*\nQ1\tonly-two-fields\n"
         with pytest.raises(SlimStoreCorruptionError):
             list(read_slim_store(io.StringIO(text)))
 
@@ -131,10 +149,17 @@ class TestRead:
             (["Q1\t\tenwiki="], 3),
             (["Q1\tP17:Q30\tenwiki=A", "Q2\tP17:Q30,Q0\tenwiki=B"], 4),
             (["Q1\tP17:Q30\t", "Q2\tP17:Q30\t", "Q3\tP31:Q5;Q5:Q30\t"], 5),
+            (["Q1\tP17:Q30,P5\t"], 3),
+            (["props=P17,Q5x"], 2),
+            (["props=P17,Q5"], 2),
         ],
     )
     def test_bad_token_is_corruption_naming_its_line(self, records, bad_line):
-        text = f"WCM1\ncount={len(records)} props=P17,P31 wikis=*\n" + "".join(
+        # a first entry "props=..." stands in for the header's property list
+        props = "props=P17,P31"
+        if records[0].startswith("props="):
+            props, records = records[0], records[1:]
+        text = f"WCM2\ncount={len(records)} {props} wikis=*\n" + "".join(
             r + "\n" for r in records
         )
         with pytest.raises(SlimStoreCorruptionError, match=f"^line {bad_line}: "):
@@ -159,17 +184,18 @@ class TestTitleEscaping:
         _, back = round_trip([entity])
         assert back[0].sitelinks["enwiki"] == title
 
-    def test_opaque_claim_values_survive(self):
-        entity = SlimEntity(Q(1), {P(17): (OPAQUE, Q(30), OPAQUE)})
-        _, back = round_trip([entity])
-        assert back[0].claims[P(17)] == (OPAQUE, Q(30), OPAQUE)
+    def test_star_claim_value_is_corruption(self):
+        # WCM1 wrote a non-item claim value as '*'; in WCM2 it is a bad token
+        text = "WCM2\ncount=2 props=P17 wikis=*\nQ1\tP17:Q30\t\nQ2\tP17:*,Q30\t\n"
+        with pytest.raises(SlimStoreCorruptionError, match="^line 4: not an entity id: '\\*'$"):
+            list(read_slim_store(io.StringIO(text)))
 
     def test_bare_entity_round_trips(self):
         _, back = round_trip([SlimEntity(Q(7))])
         assert back == [SlimEntity(Q(7))]
 
     def test_garbage_claim_token_is_corruption(self):
-        text = "WCM1\ncount=1 props=P17 wikis=*\nQ1\tP17:xyz\t\n"
+        text = "WCM2\ncount=1 props=P17 wikis=*\nQ1\tP17:xyz\t\n"
         with pytest.raises(SlimStoreCorruptionError):
             list(read_slim_store(io.StringIO(text)))
 
@@ -188,7 +214,7 @@ class TestRoundTripProperty:
         entities = [
             SlimEntity(
                 Q(n),
-                {P(17): (places[n % 3],), P(19): (places[n % 10], OPAQUE)},
+                {P(17): (places[n % 3],), P(19): (places[n % 10], places[n % 7])},
                 {"enwiki": f"Item {n}"},
             )
             for n in range(1, 500)
@@ -196,7 +222,7 @@ class TestRoundTripProperty:
         _, back = round_trip(entities)
         assert back == entities
         shared = {id(v) for e in back for values in e.claims.values() for v in values}
-        assert len(shared) == len(places) + 1  # one object per distinct place, plus OPAQUE
+        assert len(shared) == len(places)  # one object per distinct place
 
     def test_ten_thousand_record_round_trip(self):
         entities = random_entities(random.Random(1234), 10_000)
