@@ -45,6 +45,7 @@ from .report import PipelineResult, RunConfig, emit_table, run_pipeline, sort_ro
 from .slimstore import load_slim_store, read_slim_store, save_slim_store, write_slim_store
 from .usage import (
     ReadershipRecord,
+    TitleMemo,
     UsageStats,
     ViewRecord,
     aggregate_views,
@@ -67,6 +68,7 @@ __all__ = [
     "RuleSet",
     "RunConfig",
     "SlimEntity",
+    "TitleMemo",
     "UsageStats",
     "ViewRecord",
     "WikiCoverageError",

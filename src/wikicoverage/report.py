@@ -54,6 +54,7 @@ from .metrics import (
 from .slimstore import load_slim_store, save_slim_store
 from .usage import (
     PageviewsIssue,
+    TitleMemo,
     UsageStats,
     aggregate_views,
     load_readership,
@@ -196,10 +197,12 @@ def usage_stage(
     """
     language_set = None if languages is None else set(languages)
     issues: list[PageviewsIssue] = []
+    titles = TitleMemo()  # each distinct title is normalised once per stage
     shards = []
     for path in paths:
         with open(path, "rb") as handle:
-            shards.append(aggregate_views(parse_pageviews_stream(handle, language_set, errors=issues)))
+            records = parse_pageviews_stream(handle, language_set, errors=issues, titles=titles)
+            shards.append(aggregate_views(records))
     views = merge_views(*shards)
     _write(out, write_views_tsv, views)
     return views, issues

@@ -14,10 +14,12 @@ rules need checks them against ``props=``.  ``WCM1``, which also stored
 non-item claim values as ``*``, is not read: rebuild such a store.
 
 The reader validates every id token: record ids and claim values must be
-items, claim keys and the header's ``props=`` properties.  Each distinct
-token is validated once per read, on its first appearance, and equal ids then
-share one object; a bad token raises :class:`SlimStoreCorruptionError`
-naming its line wherever it first appears.
+items, and the header's ``props=`` properties.  Each distinct token is
+validated once per read, on its first appearance, and equal ids then share
+one object; a bad token raises :class:`SlimStoreCorruptionError` naming its
+line wherever it first appears.  The header is enforced per record: a claim
+key must be one of ``props=``, and a sitelink one of ``wikis=`` unless that is
+``*``.  A record that breaks its own header is corruption naming its line.
 """
 
 from __future__ import annotations
@@ -141,8 +143,24 @@ def read_store_header(source: Iterable[str]) -> StoreHeader:
     return StoreHeader(count, props, wikis)
 
 
-def _parse_record(line: str, line_number: int, props: IdMemo, values: IdMemo) -> SlimEntity:
-    """One record line; ``props`` and ``values`` are the read's id memos."""
+class _Declared(dict):
+    """Header token -> its value; a token the header does not declare is corruption."""
+
+    __slots__ = ("message",)
+
+    def __init__(self, message: str, values: Iterable):
+        super().__init__((str(value), value) for value in values)
+        self.message = message
+
+    def __missing__(self, token: str):
+        raise ValueError(self.message.format(token))
+
+
+def _parse_record(
+    line: str, line_number: int, props: _Declared, wikis: _Declared | None, values: IdMemo
+) -> SlimEntity:
+    """One record line; ``props`` and ``wikis`` (None = unrestricted) are the
+    header's lists, ``values`` the read's item id memo."""
     parts = line.split("\t")
     if len(parts) != 3:
         raise SlimStoreCorruptionError(
@@ -162,6 +180,8 @@ def _parse_record(line: str, line_number: int, props: IdMemo, values: IdMemo) ->
                 wiki, sep, title = pair.partition("=")
                 if not sep:
                     raise ValueError(f"bad sitelink field {pair!r}")
+                if wikis is not None:
+                    wiki = wikis[wiki]
                 sitelinks[wiki] = _unescape_title(title) if "%" in title else title
         return SlimEntity(EntityId.parse_item(id_field), claims, sitelinks)
     except ValueError as exc:
@@ -188,7 +208,10 @@ def read_slim_store(
             f"store was kept without {ids}, which the rules need; rebuild it with these rules"
         )
 
-    props = IdMemo(PROPERTY)
+    props = _Declared("claim key {!r} is not in the header's props=", header.props)
+    wikis = None
+    if header.wikis is not None:
+        wikis = _Declared("sitelink {!r} is not in the header's wikis=", header.wikis)
     values = IdMemo(ITEM)
     seen = 0
     for line_number, raw in enumerate(lines, start=3):
@@ -200,7 +223,7 @@ def read_slim_store(
             raise SlimStoreCorruptionError(
                 f"header says {header.count} records but more are present"
             )
-        yield _parse_record(line, line_number, props, values)
+        yield _parse_record(line, line_number, props, wikis, values)
     if seen != header.count:
         raise SlimStoreCorruptionError(
             f"header says {header.count} records but file has {seen}"

@@ -4,6 +4,16 @@ Pageview dumps are space-separated lines ``<domain> <title> <views> <size>``.
 Mobile and zero-rated domain variants (``en.m``, ``en.zero``) fold into their
 base language; every non-Wikipedia project domain is skipped.  Readership is a
 required external CSV giving per-(language, country) reader and view counts.
+
+A malformed line is tallied with its line number and skipped: a wrong field
+count, an empty title, a non-numeric or negative count, a line that is not
+UTF-8, and a title that decodes to a tab, LF or CR (:data:`BAD_TITLE`; no
+sitelink title holds one, and the views TSV could not carry it).  Titles are
+percent-decoded through a :class:`TitleMemo`, so each distinct title of a
+tracked language is normalised once per memo.  The usage stage shares one
+memo between all of its shards and drops it when the stage ends; the memo
+then holds at most the stage's distinct titles, the same strings its totals
+key on.
 """
 
 from __future__ import annotations
@@ -25,6 +35,9 @@ _NON_LANGUAGE_CODES = frozenset(
 )
 
 READERSHIP_COLUMNS = ("language", "country", "readers", "views_from")
+
+# the one reason tallied for a title that decodes to a tab, LF or CR
+BAD_TITLE = "title decodes to a tab, LF or CR"
 
 
 class ViewRecord(NamedTuple):
@@ -64,26 +77,6 @@ def _language_for_domain(domain: str) -> str | None:
     return base
 
 
-def _split_line(line: str) -> tuple[str, str, str]:
-    """Domain, title and count text of one line; raises on a wrong field count."""
-    parts = line.rstrip("\n").split(" ")
-    if len(parts) != 4:
-        raise PageviewsLineError(f"expected 4 space-separated fields, got {len(parts)}")
-    return parts[0], parts[1], parts[2]
-
-
-def _view_record(language: str, title: str, count_text: str) -> ViewRecord:
-    if not title:
-        raise PageviewsLineError("empty title")
-    try:
-        views = int(count_text)
-    except ValueError:
-        raise PageviewsLineError(f"non-numeric view count {count_text!r}") from None
-    if views < 0:
-        raise PageviewsLineError(f"negative view count {views}")
-    return ViewRecord(language, normalize_pageview_title(title), views)
-
-
 def _tracked_language(domain: str, languages: set[str] | None) -> str | None:
     language = _language_for_domain(domain)
     if language is None or (languages is not None and language not in languages):
@@ -91,17 +84,54 @@ def _tracked_language(domain: str, languages: set[str] | None) -> str | None:
     return language
 
 
+class TitleMemo(dict):
+    """Raw pageview title -> normalised title, or None for a bad title.
+
+    A title is decoded and normalised on its first lookup; later lookups
+    return the same string object, which the per-shard totals then key on.
+    A title that decodes to a tab, LF or CR maps to None: no sitelink title
+    holds one, and the views TSV could not carry it.  Create one per usage
+    stage and share it between that stage's shards; it holds each distinct
+    raw title of a tracked language once, so it must not outlive the stage.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, raw: str) -> str | None:
+        title = normalize_pageview_title(raw)
+        if "\t" in title or "\n" in title or "\r" in title:
+            title = None
+        self[raw] = title
+        return title
+
+
 def parse_pageviews_line(line: str, languages: set[str] | None = None) -> ViewRecord | None:
     """One pageviews line to a record, or None for untracked domains.
 
     Raises :class:`PageviewsLineError` when the line is structurally wrong
-    (field count, non-numeric or negative count, empty title).
+    (field count, empty title, non-numeric or negative count, a title that
+    decodes to a tab, LF or CR).  Agrees line for line with
+    :func:`parse_pageviews_stream`, which tallies what this raises.
     """
-    domain, title, count_text = _split_line(line)
+    fields = line.split(" ")
+    if len(fields) != 4:
+        raise PageviewsLineError(f"expected 4 space-separated fields, got {len(fields)}")
+    domain, raw_title, count_text, _ = fields
     language = _tracked_language(domain, languages)
     if language is None:
         return None
-    return _view_record(language, title, count_text)
+    if not raw_title:
+        raise PageviewsLineError("empty title")
+    try:
+        views = int(count_text)
+    except ValueError:
+        raise PageviewsLineError(f"non-numeric view count {count_text!r}") from None
+    if views < 0:
+        raise PageviewsLineError(f"negative view count {views}")
+    title = TitleMemo()[raw_title]
+    if title is None:
+        raise PageviewsLineError(BAD_TITLE)
+    return ViewRecord(language, title, views)
 
 
 def parse_pageviews_stream(
@@ -109,43 +139,68 @@ def parse_pageviews_stream(
     languages: set[str] | None = None,
     *,
     errors: list[PageviewsIssue] | None = None,
+    titles: TitleMemo | None = None,
 ) -> Iterator[ViewRecord]:
     """Parse a whole pageviews file, tallying malformed lines and moving on.
 
     Byte lines are decoded as UTF-8; an undecodable line is tallied as
-    ``invalid UTF-8``.  Each distinct domain is classified once per call.
+    ``invalid UTF-8``.  Blank lines are skipped.  Each distinct domain is
+    classified once per call, and each distinct title is normalised once per
+    ``titles`` memo: pass one memo to every shard of a stage to share it,
+    or leave it out for a memo of this call's own.
     """
     language_of: dict[str, str | None] = {}
-    for line_number, raw in enumerate(lines, start=1):
-        try:
-            if isinstance(raw, bytes):
-                try:
-                    raw = raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise PageviewsLineError("invalid UTF-8") from None
-            if not raw.strip():
-                continue
-            domain, title, count_text = _split_line(raw)
+    title_of = TitleMemo() if titles is None else titles
+    new_record = tuple.__new__  # skips NamedTuple's Python-level __new__
+
+    def tally(line_number: int, reason: str) -> None:
+        if errors is not None:
+            errors.append(PageviewsIssue(line_number, reason))
+
+    for line_number, line in enumerate(lines, start=1):
+        if isinstance(line, bytes):
             try:
-                language = language_of[domain]
-            except KeyError:
-                language = language_of[domain] = _tracked_language(domain, languages)
-            if language is None:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                tally(line_number, "invalid UTF-8")
                 continue
-            record = _view_record(language, title, count_text)
-        except PageviewsLineError as exc:
-            if errors is not None:
-                errors.append(PageviewsIssue(line_number, str(exc)))
+        fields = line.split(" ")
+        if len(fields) != 4:
+            if line.strip():
+                tally(line_number, f"expected 4 space-separated fields, got {len(fields)}")
             continue
-        yield record
+        domain, raw_title, count_text, _ = fields
+        try:
+            language = language_of[domain]
+        except KeyError:
+            language = language_of[domain] = _tracked_language(domain, languages)
+        if language is None:
+            continue
+        if not raw_title:
+            tally(line_number, "empty title")
+            continue
+        try:
+            views = int(count_text)
+        except ValueError:
+            tally(line_number, f"non-numeric view count {count_text!r}")
+            continue
+        if views < 0:
+            tally(line_number, f"negative view count {views}")
+            continue
+        title = title_of[raw_title]
+        if title is None:
+            tally(line_number, BAD_TITLE)
+            continue
+        yield new_record(ViewRecord, (language, title, views))
 
 
 def aggregate_views(records: Iterable[ViewRecord]) -> dict[tuple[str, str], int]:
     """Exact integer totals per (language, title); order- and shard-independent."""
     totals: dict[tuple[str, str], int] = {}
-    for record in records:
-        key = (record.language, record.title)
-        totals[key] = totals.get(key, 0) + record.views
+    get = totals.get
+    for language, title, views in records:
+        key = (language, title)
+        totals[key] = get(key, 0) + views
     return totals
 
 

@@ -177,6 +177,24 @@ class TestErrorsAndFlags:
         assert code == 1
         assert "xx" in capsys.readouterr().err
 
+    def test_titles_with_line_or_field_breaks_do_not_break_the_chain(self, tmp_path, capsys):
+        # such a title used to reach views.tsv, which `metrics` then failed to read
+        slim = tmp_path / "entities.slim"
+        attribution = tmp_path / "attribution.tsv"
+        views = tmp_path / "views.tsv"
+        bad = tmp_path / "pageviews-bad.txt"
+        bad.write_bytes(b"en Foo%0ABar 5 0\nen Foo\tBar 5 0\nde Baz%0D 2 0\nen Foo%0ABar 1 0\n")
+        run(["slim", "--dump", FIXTURE / "dump.json", "--out", slim, "--languages", "en,de"])
+        run(["attribute", "--slim", slim, "--out", attribution, "--rules", FIXTURE / "rules.txt"])
+        capsys.readouterr()
+        assert run(["usage", FIXTURE / "pageviews-a.txt", bad, "--languages", "en,de", "--out", views]) == 0
+        assert "(5 malformed lines)" in capsys.readouterr().out  # the fixture has 1
+        assert run(
+            ["metrics", "--slim", slim, "--attribution", attribution,
+             "--views", views, "--readership", FIXTURE / "readership.csv",
+             "--languages", "en,de", "--out", tmp_path / "metrics.tsv"]
+        ) == 0
+
     def test_stdin_dump_input(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "wikicoverage.cli", "slim", "--dump", "-",

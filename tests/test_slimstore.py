@@ -1,5 +1,6 @@
 import io
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,27 @@ class TestRead:
         )
         with pytest.raises(SlimStoreCorruptionError, match=f"^line {bad_line}: "):
             list(read_slim_store(io.StringIO(text)))
+
+
+    @pytest.mark.parametrize(
+        "wikis, record, problem",
+        [
+            ("enwiki", "Q1\tP99:Q5\tenwiki=X", "claim key 'P99' is not in the header's props="),
+            ("enwiki", "Q1\tP17:Q5\tdewiki=X", "sitelink 'dewiki' is not in the header's wikis="),
+            ("enwiki", "Q1\tQ5:Q30\t", "claim key 'Q5' is not in the header's props="),
+            ("", "Q1\t\tenwiki=X", "sitelink 'enwiki' is not in the header's wikis="),
+        ],
+        ids=["undeclared-claim-key", "undeclared-sitelink", "item-as-claim-key", "empty-wikis"],
+    )
+    def test_record_outside_its_header_is_corruption(self, wikis, record, problem):
+        text = f"WCM2\ncount=2 props=P17 wikis={wikis}\nQ2\tP17:Q30\t\n{record}\n"
+        with pytest.raises(SlimStoreCorruptionError, match=f"^line 4: {re.escape(problem)}$"):
+            list(read_slim_store(io.StringIO(text)))
+
+    def test_unrestricted_wikis_accept_any_sitelink(self):
+        text = "WCM2\ncount=1 props=P17 wikis=*\nQ1\tP17:Q5\tdewiki=X|xxwiki=Y\n"
+        [entity] = read_slim_store(io.StringIO(text))
+        assert entity.sitelinks == {"dewiki": "X", "xxwiki": "Y"}
 
 
 class TestTitleEscaping:

@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wikicoverage.errors import PageviewsLineError, ReadershipTableError
+from wikicoverage.report import usage_stage
 from wikicoverage.usage import (
+    BAD_TITLE,
+    PageviewsIssue,
     ReadershipRecord,
+    TitleMemo,
     ViewRecord,
     aggregate_views,
     merge_views,
@@ -60,6 +64,13 @@ class TestParseLine:
     def test_spaces_from_decoding_become_underscores(self):
         assert parse_pageviews_line("en A%20B 1 0").title == "A_B"
 
+    @pytest.mark.parametrize(
+        "title", ["Foo%0ABar", "Foo%0aBar", "Foo%09Bar", "Foo%0DBar", "Foo\tBar", "Foo\rBar"]
+    )
+    def test_title_decoding_to_a_line_or_field_break_is_malformed(self, title):
+        with pytest.raises(PageviewsLineError, match=f"^{BAD_TITLE}$"):
+            parse_pageviews_line(f"en {title} 5 0\n")
+
 
 class TestParseStream:
     def test_malformed_lines_are_tallied_and_skipped(self):
@@ -90,6 +101,98 @@ class TestParseStream:
         assert list(parse_pageviews_stream(["\n", "en Foo 1 0\n"])) == [
             ViewRecord("en", "Foo", 1)
         ]
+
+    def test_bad_title_is_tallied_once_per_line_and_memoised_once(self):
+        lines = ["en Foo%0ABar 5 0\n", "en Foo 1 0\n", "en.m Foo%0ABar 2 0\n", "en A\tB 3 0\n"]
+        titles = TitleMemo()
+        errors = []
+        records = list(parse_pageviews_stream(lines, errors=errors, titles=titles))
+        assert records == [ViewRecord("en", "Foo", 1)]
+        assert [(e.line_number, e.reason) for e in errors] == [(1, BAD_TITLE), (3, BAD_TITLE), (4, BAD_TITLE)]
+        assert titles == {"Foo%0ABar": None, "Foo": "Foo", "A\tB": None}
+
+    def test_shared_memo_normalises_each_title_once_across_shards(self):
+        titles = TitleMemo()
+        first = list(parse_pageviews_stream(["en Caf%C3%A9 1 0\n", "de Foo 2 0\n"], titles=titles))
+        second = list(parse_pageviews_stream(["en.m Caf%C3%A9 3 0\n"], titles=titles))
+        assert first[0].title == second[0].title == "Caf\u00e9"
+        assert first[0].title is second[0].title
+        assert titles == {"Caf%C3%A9": "Caf\u00e9", "Foo": "Foo"}
+
+
+_DOMAINS = ["en", "en.m", "de.zero", "de", "fr", "en.d", "commons.m", "www", "EN", "", " ", "zh-min-nan"]
+_TITLE_PIECES = [
+    "Foo", "Bar_baz", "", "%20", "%0A", "%0a", "%09", "%0D", "%C3%A9", "%E9", "%", "%zz", "\t", "\r", "é",
+]
+_COUNTS = ["0", "5", "42", "-1", "-0", "x", "", "1.5", "+3", "\t7"]
+_SIZES = ["0", "0\r", "123", ""]
+_BLANKS = ["", "\n", "   \n", "\r\n", " \t \n", "\t"]
+
+
+@st.composite
+def pageview_lines(draw):
+    """A line that is well-formed, malformed or blank, with or without its newline."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(_BLANKS))
+    title = "".join(draw(st.lists(st.sampled_from(_TITLE_PIECES), max_size=3)))
+    fields = [
+        draw(st.sampled_from(_DOMAINS)),
+        title,
+        draw(st.sampled_from(_COUNTS)),
+        draw(st.sampled_from(_SIZES)),
+    ]
+    count = draw(st.sampled_from([4, 4, 4, 4, 3, 5, 1]))
+    fields = (fields + ["extra"])[:count]
+    return " ".join(fields) + draw(st.sampled_from(["\n", "\r\n", ""]))
+
+
+def _as_bytes(line: str, corrupt: int | None) -> bytes:
+    data = line.encode("utf-8")
+    if corrupt is None:
+        return data
+    at = corrupt % (len(data) + 1)
+    return data[:at] + b"\xff" + data[at:]
+
+
+def reference_stream(lines, languages):
+    """Records and issues of a file, one :func:`parse_pageviews_line` call per line."""
+    records, issues = [], []
+    for line_number, line in enumerate(lines, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                issues.append(PageviewsIssue(line_number, "invalid UTF-8"))
+                continue
+        if not line.strip():
+            continue
+        try:
+            record = parse_pageviews_line(line, languages)
+        except PageviewsLineError as exc:
+            issues.append(PageviewsIssue(line_number, str(exc)))
+            continue
+        if record is not None:
+            records.append(record)
+    return records, issues
+
+
+class TestStreamAgreesWithLineParser:
+    @given(
+        lines=st.lists(pageview_lines(), max_size=25),
+        languages=st.sampled_from([None, {"en"}, {"en", "de"}]),
+        corrupt=st.lists(st.one_of(st.none(), st.integers(0, 60)), max_size=25),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_text_and_bytes_match_the_per_line_reference(self, lines, languages, corrupt):
+        errors = []
+        records = list(parse_pageviews_stream(lines, languages, errors=errors))
+        assert (records, errors) == reference_stream(lines, languages)
+
+        corrupt += [None] * (len(lines) - len(corrupt))
+        byte_lines = [_as_bytes(line, at) for line, at in zip(lines, corrupt)]
+        errors = []
+        records = list(parse_pageviews_stream(byte_lines, languages, errors=errors, titles=TitleMemo()))
+        assert (records, errors) == reference_stream(byte_lines, languages)
 
 
 class TestAggregate:
@@ -124,6 +227,32 @@ class TestAggregate:
             parts[rng.randrange(shards)].append(record)
         sharded = merge_views(*[aggregate_views(part) for part in parts])
         assert sharded == single_pass
+
+    def test_usage_stage_with_one_memo_equals_independent_shards(self, tmp_path):
+        shards = [
+            b"en Foo 1 0\nen.m Caf%C3%A9 2 0\nde Foo 3 0\nen Foo%0ABar 1 0\n",
+            b"en Caf%C3%A9 4 0\nen.m Foo 5 0\nfr Foo 6 0\nen x 1\n",
+            b"de Foo 7 0\n\nen A%20B 8 0\nen.d Foo 9 0\nen B\xe9ta 1 0\n",
+        ]
+        paths = [tmp_path / f"pageviews-{index}.txt" for index in range(len(shards))]
+        for path, data in zip(paths, shards):
+            path.write_bytes(data)
+        views, issues = usage_stage(paths, ["en", "de"], tmp_path / "views.tsv")
+
+        independent_issues = []
+        independent = []
+        for path in paths:
+            with open(path, "rb") as handle:
+                records = parse_pageviews_stream(handle, {"en", "de"}, errors=independent_issues)
+                independent.append(aggregate_views(records))
+        assert views == merge_views(*independent)
+        assert issues == independent_issues
+        assert [(i.line_number, i.reason) for i in issues] == [
+            (4, BAD_TITLE), (4, "expected 4 space-separated fields, got 3"), (5, "invalid UTF-8")
+        ]
+        assert views == {("en", "Foo"): 6, ("en", "Caf\u00e9"): 6, ("de", "Foo"): 10, ("en", "A_B"): 8}
+        with open(tmp_path / "views.tsv", encoding="utf-8") as source:
+            assert read_views_tsv(source) == views
 
     def test_thousand_records_in_four_shards_match_single_pass(self):
         rng = random.Random(42)
