@@ -11,6 +11,12 @@ Every satisfied claim contributes one provenance path: ``(property, entity,
 ..., target)``.  Direct paths come first, then place paths; properties are
 visited in ascending id order and claim values in claim order, so results are
 deterministic for a given entity.
+
+A walk depends only on the index, its start and the rules, so
+:func:`attribute_all` resolves each distinct place once per call: it keeps a
+dict from start node to chain (or None) for that call alone, which holds at
+most one entry per node the walks start from and so is bounded by the places
+the input claims.  It is never kept between calls.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from typing import IO, Iterable, Mapping
 
 from .entities import ITEM, PROPERTY, EntityId, IdMemo, SlimEntity
 from .errors import DuplicateItemError, RulesError
+from .util import paused_gc
 
 COUNTRY = EntityId.prop(17)
 PLACE_OF_BIRTH = EntityId.prop(19)
@@ -80,13 +87,15 @@ class RuleSet:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributionResult:
     """Whether (and why) one item relates to the target country.
 
     ``provenance`` holds one path per satisfied claim; each path starts with
     the property and ends at the target.  ``related`` is true exactly when
-    provenance is non-empty.
+    provenance is non-empty; the constructor checks that, and :meth:`trusted`
+    does not, for the code that has already made sure of it: attribution
+    itself and :func:`read_attribution_tsv`.
     """
 
     item: EntityId
@@ -96,6 +105,25 @@ class AttributionResult:
     def __post_init__(self):
         if self.related != bool(self.provenance):
             raise ValueError("related flag must mirror provenance non-emptiness")
+
+    @classmethod
+    def trusted(
+        cls, item: EntityId, related: bool, provenance: tuple[tuple[EntityId, ...], ...]
+    ) -> "AttributionResult":
+        """Build a result without ``__post_init__``'s check; ``related`` must
+        already equal ``bool(provenance)``."""
+        result = _new_object(cls)
+        _set_item(result, item)
+        _set_related(result, related)
+        _set_provenance(result, provenance)
+        return result
+
+
+# the slot setters, which a frozen dataclass's own __setattr__ refuses to run
+_new_object = object.__new__
+_set_item = AttributionResult.__dict__["item"].__set__
+_set_related = AttributionResult.__dict__["related"].__set__
+_set_provenance = AttributionResult.__dict__["provenance"].__set__
 
 
 def build_geo_index(entities: Iterable[SlimEntity], rules: RuleSet) -> dict[EntityId, tuple[EntityId, ...]]:
@@ -147,8 +175,31 @@ def _path_to_target(index: GeoIndex, start: EntityId, rules: RuleSet) -> tuple[E
     return None
 
 
-def attribute_item(entity: SlimEntity, index: GeoIndex, rules: RuleSet) -> AttributionResult:
-    """Attribute one item: direct property matches first, then resolved places."""
+class _Chains(dict):
+    """Start node -> :func:`_path_to_target` chain or None, each walked on its
+    first lookup.  One per call over one index, never shared between calls."""
+
+    __slots__ = ("index", "rules")
+
+    def __init__(self, index: GeoIndex, rules: RuleSet):
+        super().__init__()
+        self.index = index
+        self.rules = rules
+
+    def __missing__(self, start: EntityId) -> tuple[EntityId, ...] | None:
+        chain = self[start] = _path_to_target(self.index, start, self.rules)
+        return chain
+
+
+def attribute_item(
+    entity: SlimEntity, index: GeoIndex, rules: RuleSet, chains: _Chains | None = None
+) -> AttributionResult:
+    """Attribute one item: direct property matches first, then resolved places.
+
+    ``chains`` is the caller's walk memo over ``index`` (see the module
+    docstring); without one, the call keeps its own for this item alone.
+    """
+    chain_of = (_Chains(index, rules) if chains is None else chains).__getitem__
     paths: list[tuple[EntityId, ...]] = []
     for prop in sorted(rules.direct_props, key=lambda p: p.number):
         for value in entity.claim_values(prop):
@@ -156,10 +207,10 @@ def attribute_item(entity: SlimEntity, index: GeoIndex, rules: RuleSet) -> Attri
                 paths.append((prop, rules.target))
     for prop in sorted(rules.place_props, key=lambda p: p.number):
         for value in entity.claim_values(prop):
-            chain = _path_to_target(index, value, rules)
+            chain = chain_of(value)
             if chain is not None:
                 paths.append((prop, *chain))
-    return AttributionResult(entity.id, bool(paths), tuple(paths))
+    return AttributionResult.trusted(entity.id, bool(paths), tuple(paths))
 
 
 def is_excluded(entity: SlimEntity, rules: RuleSet) -> bool:
@@ -170,15 +221,19 @@ def is_excluded(entity: SlimEntity, rules: RuleSet) -> bool:
 def attribute_all(
     entities: Iterable[SlimEntity], index: GeoIndex, rules: RuleSet
 ) -> dict[EntityId, AttributionResult]:
-    """One result per input item; excluded-class items are forced unrelated."""
+    """One result per input item; excluded-class items are forced unrelated.
+
+    Each distinct place is walked once per call (see the module docstring).
+    """
     results: dict[EntityId, AttributionResult] = {}
+    chains = _Chains(index, rules)
     for entity in entities:
         if entity.id in results:
             raise DuplicateItemError(f"item {entity.id} appears twice in the input stream")
         if is_excluded(entity, rules):
-            results[entity.id] = AttributionResult(entity.id, False, ())
+            results[entity.id] = AttributionResult.trusted(entity.id, False, ())
         else:
-            results[entity.id] = attribute_item(entity, index, rules)
+            results[entity.id] = attribute_item(entity, index, rules, chains)
     return results
 
 
@@ -264,21 +319,31 @@ def write_attribution_tsv(results: Mapping[EntityId, AttributionResult], sink: I
 
 
 def read_attribution_tsv(source: Iterable[str]) -> dict[EntityId, AttributionResult]:
-    """Read an attribution TSV; every id is validated, each distinct node once."""
-    results: dict[EntityId, AttributionResult] = {}
-    ids = IdMemo()
-    for line_number, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"line {line_number}: expected 3 fields")
-        try:
-            item = EntityId.parse_item(parts[0])
-            if parts[1] not in _FLAGS:
-                raise ValueError(f"related flag must be true or false, got {parts[1]!r}")
-            results[item] = AttributionResult(item, _FLAGS[parts[1]], parse_provenance(parts[2], ids))
-        except ValueError as exc:
-            raise ValueError(f"line {line_number}: {exc}") from exc
-    return results
+    """Read an attribution TSV; every id is validated, each distinct node once.
+
+    A bad id, a flag other than ``true``/``false`` and a flag that does not
+    match its provenance each raise ValueError naming the line.  The read
+    runs with the cyclic collector paused (:func:`util.paused_gc`).
+    """
+    with paused_gc():
+        results: dict[EntityId, AttributionResult] = {}
+        ids = IdMemo()
+        for line_number, raw in enumerate(source, start=1):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ValueError(f"line {line_number}: expected 3 fields")
+            try:
+                item = EntityId.parse_item(parts[0])
+                related = _FLAGS.get(parts[1])
+                if related is None:
+                    raise ValueError(f"related flag must be true or false, got {parts[1]!r}")
+                provenance = parse_provenance(parts[2], ids)
+                if related != bool(provenance):
+                    raise ValueError(f"related flag {parts[1]} does not match provenance {parts[2]!r}")
+                results[item] = AttributionResult.trusted(item, related, provenance)
+            except ValueError as exc:
+                raise ValueError(f"line {line_number}: {exc}") from exc
+        return results

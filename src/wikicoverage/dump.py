@@ -11,6 +11,14 @@ is dropped on the spot.  A kept claim value is an item id: a statement whose
 value is anything else (a string, a quantity, a property, a no-value or
 some-value snak), and every deprecated-rank statement, is dropped, and so is
 a claim group left empty.
+
+Each item is checked field by field as it is projected, so the parser builds
+its records with :meth:`SlimEntity.trusted`.  A caller that keeps every entity
+can pass ``item_ids``, a dict it owns, to share one :class:`EntityId` per
+distinct claim value across the parse: the pipeline's slim stage does, since
+places and countries repeat.  A parse without one interns nothing, because a
+memo would grow with the distinct values of the whole dump and break the
+parser's flat memory.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .entities import ITEM, EntityId, SlimEntity
+from .entities import ITEM, PROPERTY, EntityId, SlimEntity
 from .errors import DumpTruncatedError
 
 
@@ -38,18 +46,24 @@ def parse_dump_stream(
     *,
     errors: list[ParseIssue] | None = None,
     require_terminator: bool = True,
+    item_ids: dict[int, EntityId] | None = None,
 ) -> Iterator[SlimEntity]:
     """Yield one :class:`SlimEntity` per item entity, in file order.
 
-    ``keep_props`` must be non-empty; claims outside it are dropped, as are
-    sitelinks outside ``keep_wikis`` (``None`` keeps every sitelink).
-    Malformed lines are appended to ``errors`` (if given) and skipped; the
-    stream keeps going.  A dump that ends without its closing ``]`` raises
-    :class:`DumpTruncatedError` unless ``require_terminator`` is false, which
-    is the mode used to parse dump fragments split between lines.
+    ``keep_props`` must be a non-empty set of properties; claims outside it
+    are dropped, as are sitelinks outside ``keep_wikis`` (``None`` keeps every
+    sitelink).  Malformed lines are appended to ``errors`` (if given) and
+    skipped; the stream keeps going.  A dump that ends without its closing
+    ``]`` raises :class:`DumpTruncatedError` unless ``require_terminator`` is
+    false, which is the mode used to parse dump fragments split between lines.
+    ``item_ids`` (numeric id -> id) interns claim values for as long as the
+    caller keeps it; see the module docstring.
     """
     if not keep_props:
         raise ValueError("keep_props must be non-empty")
+    wrong = [p for p in keep_props if p.kind != PROPERTY]
+    if wrong:
+        raise ValueError(f"keep_props must hold properties, got {min(wrong, key=lambda p: p.sort_key)}")
     prop_by_key = {str(p): p for p in sorted(keep_props, key=lambda p: p.sort_key)}
     wiki_keys = None if keep_wikis is None else sorted(set(keep_wikis))
 
@@ -77,7 +91,7 @@ def parse_dump_stream(
             continue
         if line.endswith(","):
             line = line[:-1]
-        entity, reason = _parse_entity_line(line, prop_by_key, wiki_keys)
+        entity, reason = _parse_entity_line(line, prop_by_key, wiki_keys, item_ids)
         if reason is not None:
             pending_issue = ParseIssue(line_number, reason)
         elif entity is not None:
@@ -92,10 +106,14 @@ def parse_dump_stream(
         errors.append(pending_issue)
 
 
+_new_id = tuple.__new__  # skips NamedTuple's Python-level __new__
+
+
 def _parse_entity_line(
     line: str,
     prop_by_key: dict[str, EntityId],
     wiki_keys: list[str] | None,
+    item_ids: dict[int, EntityId] | None,
 ) -> tuple[SlimEntity | None, str | None]:
     """Parse one entity line; returns (entity, None), (None, reason) on a
     malformed line, or (None, None) for entities that are simply not items."""
@@ -125,9 +143,29 @@ def _parse_entity_line(
                 continue
             values = []
             for statement in statements:
-                value = _claim_value(statement)
-                if value is not None:
-                    values.append(value)
+                # a statement is kept when its value is an item id; a deprecated
+                # one, and a no-value or some-value snak (no datavalue), is not
+                if not isinstance(statement, dict) or statement.get("rank") == "deprecated":
+                    continue
+                mainsnak = statement.get("mainsnak")
+                datavalue = mainsnak.get("datavalue") if isinstance(mainsnak, dict) else None
+                value = datavalue.get("value") if isinstance(datavalue, dict) else None
+                if not isinstance(value, dict) or value.get("entity-type") != ITEM:
+                    continue
+                number = value.get("numeric-id")
+                if type(number) is int and number >= 1:
+                    if item_ids is None:
+                        values.append(_new_id(EntityId, (ITEM, number)))
+                        continue
+                    item = item_ids.get(number)
+                    if item is None:
+                        item = item_ids[number] = _new_id(EntityId, (ITEM, number))
+                    values.append(item)
+                    continue
+                try:
+                    values.append(EntityId.parse_item(value.get("id")))
+                except ValueError:
+                    pass
             if values:
                 claims[prop] = tuple(values)
 
@@ -145,23 +183,4 @@ def _parse_entity_line(
             if wiki and isinstance(title, str) and title:
                 sitelinks[wiki] = title
 
-    return SlimEntity(entity_id, claims, sitelinks), None
-
-
-def _claim_value(statement) -> EntityId | None:
-    """The statement's item id; None means the statement is dropped."""
-    if not isinstance(statement, dict) or statement.get("rank") == "deprecated":
-        return None
-    mainsnak = statement.get("mainsnak")
-    # novalue / somevalue snaks carry no datavalue
-    datavalue = mainsnak.get("datavalue") if isinstance(mainsnak, dict) else None
-    value = datavalue.get("value") if isinstance(datavalue, dict) else None
-    if not isinstance(value, dict) or value.get("entity-type") != ITEM:
-        return None
-    number = value.get("numeric-id")
-    if type(number) is int and number >= 1:
-        return EntityId(ITEM, number)
-    try:
-        return EntityId.parse_item(value.get("id"))
-    except ValueError:
-        return None
+    return SlimEntity.trusted(entity_id, claims, sitelinks), None

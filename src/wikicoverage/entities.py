@@ -13,6 +13,7 @@ _ID_RE = re.compile(r"([QP])([1-9][0-9]*)\Z")
 _KIND_LETTER = {ITEM: "Q", PROPERTY: "P"}
 _LETTER_KIND = {"Q": ITEM, "P": PROPERTY}
 _KIND_NAME = {ITEM: "an item", PROPERTY: "a property"}
+_new_tuple = tuple.__new__  # skips NamedTuple's Python-level __new__
 
 
 class EntityId(NamedTuple):
@@ -59,7 +60,7 @@ class EntityId(NamedTuple):
             and text.isascii()
             and text[1:].isdigit()
         ):
-            return cls(ITEM, int(text[1:]))
+            return _new_tuple(cls, (ITEM, int(text[1:])))
         entity_id = cls.parse(text)
         if entity_id.kind != ITEM:
             raise ValueError(f"not an item id: {text!r}")
@@ -121,6 +122,11 @@ class SlimEntity:
     order; ``sitelinks`` maps a wiki code (``enwiki``) to the article title
     exactly as spelled in the dump.  Instances are treated as immutable and are
     safe to share between threads.
+
+    The constructor checks every field.  :meth:`trusted` skips those checks
+    and is only for the readers that have already made each of them on the
+    way in: the dump parser (``dump._parse_entity_line``) and the store reader
+    (``slimstore._parse_record``).
     """
 
     id: EntityId
@@ -141,6 +147,29 @@ class SlimEntity:
             if not title:
                 raise ValueError(f"sitelink title for {wiki!r} is empty")
 
+    @classmethod
+    def trusted(
+        cls, id: EntityId, claims: dict[EntityId, tuple[EntityId, ...]], sitelinks: dict[str, str]
+    ) -> "SlimEntity":
+        """Build a record without ``__post_init__``'s checks.
+
+        The caller must already have checked every field: ``id`` is an item,
+        each claim key a property with a non-empty tuple of items, and each
+        sitelink a non-empty wiki code with a non-empty title.
+        """
+        entity = _new_object(cls)
+        _set_id(entity, id)
+        _set_claims(entity, claims)
+        _set_sitelinks(entity, sitelinks)
+        return entity
+
     def claim_values(self, prop: EntityId) -> tuple[EntityId, ...]:
         """The item ids that ``prop`` claims, in claim order."""
         return self.claims.get(prop, ())
+
+
+# the slot setters, which a frozen dataclass's own __setattr__ refuses to run
+_new_object = object.__new__
+_set_id = SlimEntity.__dict__["id"].__set__
+_set_claims = SlimEntity.__dict__["claims"].__set__
+_set_sitelinks = SlimEntity.__dict__["sitelinks"].__set__

@@ -62,7 +62,7 @@ from .usage import (
     parse_pageviews_stream,
     write_views_tsv,
 )
-from .util import percent, sha256_file, sitelink_key
+from .util import paused_gc, percent, sha256_file, sitelink_key
 
 TABLE_COLUMNS = ("language", "primary_country", "ppcrw", "vpc", "ras", "ravs", "articles")
 
@@ -163,11 +163,17 @@ def slim_stage(
 
     The store keeps the properties ``rules`` need and, when ``languages`` is
     given, only those languages' sitelinks.  Returns the entities in dump
-    order and the malformed lines skipped.
+    order and the malformed lines skipped.  The stage keeps every entity
+    anyway, so it shares one id per distinct claim value across the parse.
     """
     keep_wikis = None if languages is None else {sitelink_key(lang) for lang in languages}
     issues: list[ParseIssue] = []
-    entities = list(parse_dump_stream(source, rules.required_properties, keep_wikis, errors=issues))
+    with paused_gc():
+        entities = list(
+            parse_dump_stream(
+                source, rules.required_properties, keep_wikis, errors=issues, item_ids={}
+            )
+        )
     save_slim_store(entities, out, keep_props=rules.required_properties, keep_wikis=keep_wikis)
     return entities, issues
 
@@ -180,8 +186,9 @@ def attribute_stage(
     Returns the results and the manifest's counts of geo index entries and
     related items.
     """
-    geo_index = build_geo_index(entities, rules)
-    attributions = attribute_all(entities, geo_index, rules)
+    with paused_gc():
+        geo_index = build_geo_index(entities, rules)
+        attributions = attribute_all(entities, geo_index, rules)
     _write(out, write_attribution_tsv, attributions)
     related = sum(1 for r in attributions.values() if r.related)
     return attributions, {"geo_index_entries": len(geo_index), "related_items": related}
@@ -199,10 +206,11 @@ def usage_stage(
     issues: list[PageviewsIssue] = []
     titles = TitleMemo()  # each distinct title is normalised once per stage
     shards = []
-    for path in paths:
-        with open(path, "rb") as handle:
-            records = parse_pageviews_stream(handle, language_set, errors=issues, titles=titles)
-            shards.append(aggregate_views(records))
+    with paused_gc():
+        for path in paths:
+            with open(path, "rb") as handle:
+                records = parse_pageviews_stream(handle, language_set, errors=issues, titles=titles)
+                shards.append(aggregate_views(records))
     views = merge_views(*shards)
     _write(out, write_views_tsv, views)
     return views, issues

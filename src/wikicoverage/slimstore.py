@@ -20,6 +20,13 @@ one object; a bad token raises :class:`SlimStoreCorruptionError` naming its
 line wherever it first appears.  The header is enforced per record: a claim
 key must be one of ``props=``, and a sitelink one of ``wikis=`` unless that is
 ``*``.  A record that breaks its own header is corruption naming its line.
+Since every field is checked on the way in, records are built with
+:meth:`SlimEntity.trusted`, and a whole load runs with the cyclic collector
+paused (:func:`util.paused_gc`).
+
+The writer holds each record to the header it writes: a claim key outside
+``keep_props``, or a sitelink outside ``keep_wikis``, raises ValueError before
+anything is written, so the writer never leaves a store its reader rejects.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .errors import (
     SlimStoreVersionError,
     SlimStoreWriteError,
 )
+from .util import paused_gc
 
 MAGIC = "WCM2"
 
@@ -84,11 +92,22 @@ def write_slim_store(
     The header lists ``keep_props``, the properties the parse kept, and
     ``keep_wikis`` (``wikis=*`` when None, meaning unrestricted).  A failed
     write raises :class:`SlimStoreWriteError` with the number of records that
-    made it out before the failure.
+    made it out before the failure.  A record with a claim key outside
+    ``keep_props``, or a sitelink outside ``keep_wikis``, raises ValueError
+    naming the item before anything is written.
     """
     records = sorted(entities, key=lambda e: e.id.number)
-    props = sorted(set(keep_props), key=lambda p: p.number)
-    wikis = "*" if keep_wikis is None else ",".join(sorted(set(keep_wikis)))
+    prop_set = set(keep_props)
+    wiki_set = None if keep_wikis is None else set(keep_wikis)
+    for record in records:
+        if not record.claims.keys() <= prop_set:
+            extra = min(record.claims.keys() - prop_set, key=lambda p: p.sort_key)
+            raise ValueError(f"item {record.id}: claim key {extra} is not in keep_props")
+        if wiki_set is not None and not record.sitelinks.keys() <= wiki_set:
+            extra = min(record.sitelinks.keys() - wiki_set)
+            raise ValueError(f"item {record.id}: sitelink {extra!r} is not in keep_wikis")
+    props = sorted(prop_set, key=lambda p: p.number)
+    wikis = "*" if wiki_set is None else ",".join(sorted(wiki_set))
     header = f"count={len(records)} props={','.join(str(p) for p in props)} wikis={wikis}\n"
 
     written = 0
@@ -182,8 +201,12 @@ def _parse_record(
                     raise ValueError(f"bad sitelink field {pair!r}")
                 if wikis is not None:
                     wiki = wikis[wiki]
+                elif not wiki:
+                    raise ValueError("sitelink wiki code is empty")
+                if not title:
+                    raise ValueError(f"sitelink title for {wiki!r} is empty")
                 sitelinks[wiki] = _unescape_title(title) if "%" in title else title
-        return SlimEntity(EntityId.parse_item(id_field), claims, sitelinks)
+        return SlimEntity.trusted(EntityId.parse_item(id_field), claims, sitelinks)
     except ValueError as exc:
         raise SlimStoreCorruptionError(f"line {line_number}: {exc}") from exc
 
@@ -236,5 +259,5 @@ def save_slim_store(entities: Iterable[SlimEntity], path: Path | str, **kwargs) 
 
 
 def load_slim_store(path: Path | str, required_props: Iterable[EntityId] = ()) -> list[SlimEntity]:
-    with open(path, encoding="utf-8") as source:
+    with open(path, encoding="utf-8") as source, paused_gc():
         return list(read_slim_store(source, required_props))

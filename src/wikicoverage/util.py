@@ -1,10 +1,14 @@
-"""Small shared helpers: title normalization and exact fraction rendering."""
+"""Small shared helpers: title normalization, exact fraction rendering, and a
+pause of the cyclic garbage collector for bulk loads."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 from urllib.parse import unquote
 
 
@@ -51,3 +55,23 @@ def sha256_file(path: Path) -> str:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+@contextmanager
+def paused_gc() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block, then restore its state.
+
+    A bulk load allocates many container objects and frees almost none, so
+    each automatic collection would rescan every record built so far, yet the
+    records (ids, dicts of tuples and strings) form no reference cycles for it
+    to free.  Reference counting still frees everything as usual.  The
+    collector's previous state comes back on exit, on an error too, so a
+    caller that had it off keeps it off.  Wrap a load, never a whole run.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -305,7 +305,9 @@ print(json.dumps({"entities": count, "seconds": elapsed, "maxrss_kib": peak_kib(
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
-def write_synthetic_dump(path: Path, lines: int) -> int:
+def write_synthetic_dump(path: Path, lines: int, distinct_values: bool = False) -> int:
+    """A dump of ``lines`` items with one P17 claim each: one of 7 values, or,
+    with ``distinct_values``, a value of its own per line."""
     template = (
         '{"type":"item","id":"Q%d","claims":{"P17":[{"mainsnak":{"snaktype":"value",'
         '"datavalue":{"type":"wikibase-entityid","value":{"entity-type":"item",'
@@ -316,7 +318,7 @@ def write_synthetic_dump(path: Path, lines: int) -> int:
         handle.write("[\n")
         chunk: list[str] = []
         for i in range(1, lines + 1):
-            chunk.append(template % (i, 30 + i % 7, i))
+            chunk.append(template % (i, 10_000_000 + i if distinct_values else 30 + i % 7, i))
             if len(chunk) == 50_000:
                 handle.write("".join(chunk))
                 chunk.clear()
@@ -361,6 +363,22 @@ class TestStreamingBounds:
                 "(soft target 50 MB/s, report only)"
             )
             assert large["maxrss_kib"] < 10 * small["maxrss_kib"]
+
+    def test_distinct_claim_values_keep_memory_flat(self, tmp_path):
+        # a parse keeps no claim value after yielding its item, so a claim
+        # value per line may not make peak memory grow with the dump
+        with criterion("streaming bounds (300k distinct claim values, RSS < 1.5x of 10k run)"):
+            small_path = tmp_path / "small.json"
+            large_path = tmp_path / "large.json"
+            write_synthetic_dump(small_path, 10_000, distinct_values=True)
+            write_synthetic_dump(large_path, 300_000, distinct_values=True)
+            small = run_probe(small_path)
+            large = run_probe(large_path)
+            assert small["entities"] == 10_000
+            assert large["entities"] == 300_000
+            ratio = large["maxrss_kib"] / small["maxrss_kib"]
+            print(f"  peak RSS {small['maxrss_kib']} KiB (10k) vs {large['maxrss_kib']} KiB (300k), ratio {ratio:.2f}")
+            assert ratio < 1.5
 
 
 class TestDeterminism:

@@ -236,6 +236,54 @@ class TestProperties:
             if attribute_item(entity, index, RULES).related:
                 assert attribute_item(entity, index, wider).related
 
+    @given(seed=st.integers(0, 2**31), max_depth=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_memoised_walks_agree_with_fresh_walks_and_the_oracle(self, seed, max_depth):
+        rng = random.Random(seed)
+        rules = RuleSet(max_depth=max_depth)
+        places = [Q(1000 + i) for i in range(rng.randint(2, 24))]
+        targets = [rules.target, Q(183)]
+        geo: dict = {}
+        # rings, and chains up to two hops longer than max_depth that end at a country
+        for _ in range(rng.randint(1, 4)):
+            ring = rng.sample(places, min(len(places), rng.randint(1, 4)))
+            for node, nxt in zip(ring, ring[1:] + ring[:1]):
+                geo.setdefault(node, []).append(nxt)
+        for _ in range(rng.randint(1, 3)):
+            chain = rng.sample(places, min(len(places), rng.randint(1, max_depth + 2)))
+            for node, nxt in zip(chain, chain[1:] + [rng.choice(targets)]):
+                geo.setdefault(node, []).append(nxt)
+        for node in places:
+            if rng.random() < 0.3:
+                geo.setdefault(node, []).append(rng.choice(places + targets))
+        entities = [SlimEntity(node, {P(17): tuple(edges)}) for node, edges in geo.items()]
+        for number in range(50_000, 50_000 + rng.randint(1, 40)):
+            claims = {}
+            for prop in (P(19), P(276)):
+                if rng.random() < 0.7:
+                    claims[prop] = tuple(rng.choice(places + targets) for _ in range(rng.randint(1, 3)))
+            if rng.random() < 0.2:
+                claims[P(27)] = (rng.choice(targets),)
+            if rng.random() < 0.1:
+                claims[P(31)] = (Q(4167410),)
+            entities.append(SlimEntity(Q(number), claims))
+
+        index = build_geo_index(entities, rules)
+        graph = oracle_geo_graph(entities, rules)
+        results = attribute_all(entities, index, rules)
+        for entity in entities:
+            paths = []
+            if not is_excluded(entity, rules):
+                for prop in sorted(rules.direct_props, key=lambda p: p.number):
+                    paths += [(prop, v) for v in entity.claim_values(prop) if v == rules.target]
+                for prop in sorted(rules.place_props, key=lambda p: p.number):
+                    for value in entity.claim_values(prop):
+                        chain = path_to_target(index, value, rules)
+                        if chain is not None:
+                            paths.append((prop, *chain))
+            assert results[entity.id] == AttributionResult(entity.id, bool(paths), tuple(paths))
+            assert results[entity.id].related == oracle_related(entity, graph, rules)
+
     def test_widening_a_rule_set_can_flip_unrelated_to_related(self):
         # headquarters location (P159) is not matched by the defaults
         entity = SlimEntity(Q(5), {P(159): (Q(60),)})
@@ -376,7 +424,12 @@ class TestTsv:
         "flag, provenance",
         [pytest.param("true", p, id=p) for p in ["P27>Q30x", "P27>Q03", "P27>", "P27>Q30;", ">Q30"]]
         # only true and false are flags
-        + [pytest.param("maybe", "", id="flag-maybe")],
+        + [pytest.param("maybe", "", id="flag-maybe")]
+        # the flag must mirror whether provenance is empty
+        + [
+            pytest.param("true", "", id="true-without-provenance"),
+            pytest.param("false", "P27>Q30", id="false-with-provenance"),
+        ],
     )
     def test_bad_provenance_token_names_its_line(self, flag, provenance):
         text = f"Q1\tfalse\t\nQ2\t{flag}\t{provenance}\n"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -105,3 +107,10 @@ class TestSlimEntity:
     def test_rejects_empty_title(self):
         with pytest.raises(ValueError):
             SlimEntity(EntityId.item(1), {}, {"enwiki": ""})
+
+    def test_trusted_construction_equals_the_checked_one(self):
+        claims = {EntityId.prop(27): (EntityId.item(30),)}
+        trusted = SlimEntity.trusted(EntityId.item(5), claims, {"enwiki": "X"})
+        assert trusted == SlimEntity(EntityId.item(5), claims, {"enwiki": "X"})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trusted.id = EntityId.item(6)

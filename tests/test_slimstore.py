@@ -66,6 +66,26 @@ class TestWrite:
         write([], sink)
         assert read_store_header(io.StringIO(sink.getvalue())).wikis is None
 
+    @pytest.mark.parametrize(
+        "entity, keep_wikis, problem",
+        [
+            (SlimEntity(Q(1), {P(99): (Q(5),)}, {"dewiki": "X"}), ["enwiki"], "item Q1: claim key P99 is not in keep_props"),
+            (SlimEntity(Q(2), {P(17): (Q(5),)}, {"dewiki": "X"}), ["enwiki"], "item Q2: sitelink 'dewiki' is not in keep_wikis"),
+            (SlimEntity(Q(3), {}, {"enwiki": "X"}), [], "item Q3: sitelink 'enwiki' is not in keep_wikis"),
+        ],
+        ids=["undeclared-claim-key", "undeclared-sitelink", "empty-keep-wikis"],
+    )
+    def test_record_outside_the_header_is_refused_before_writing(self, entity, keep_wikis, problem):
+        sink = io.StringIO()
+        records = [SlimEntity(Q(9), {P(17): (Q(30),)}, {"enwiki": "Y"}), entity]
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            write_slim_store(records, sink, keep_props=[P(17)], keep_wikis=keep_wikis)
+        assert sink.getvalue() == ""
+
+    def test_unrestricted_wikis_write_any_sitelink(self):
+        entity = SlimEntity(Q(1), {P(17): (Q(5),)}, {"dewiki": "X", "xxwiki": "Y"})
+        assert round_trip([entity], keep_props=[P(17)]) == (1, [entity])
+
     def test_partial_write_failure_reports_progress(self):
         class FlakySink:
             def __init__(self):
@@ -180,6 +200,11 @@ class TestRead:
     def test_record_outside_its_header_is_corruption(self, wikis, record, problem):
         text = f"WCM2\ncount=2 props=P17 wikis={wikis}\nQ2\tP17:Q30\t\n{record}\n"
         with pytest.raises(SlimStoreCorruptionError, match=f"^line 4: {re.escape(problem)}$"):
+            list(read_slim_store(io.StringIO(text)))
+
+    def test_empty_title_is_corruption_under_a_wikis_list(self):
+        text = "WCM2\ncount=1 props=P17 wikis=enwiki\nQ1\t\tenwiki=\n"
+        with pytest.raises(SlimStoreCorruptionError, match="^line 3: sitelink title for 'enwiki' is empty$"):
             list(read_slim_store(io.StringIO(text)))
 
     def test_unrestricted_wikis_accept_any_sitelink(self):

@@ -1,5 +1,7 @@
+import gc
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,6 +9,7 @@ from wikicoverage.util import (
     format_fraction,
     normalize_pageview_title,
     normalize_sitelink_title,
+    paused_gc,
     percent,
     sitelink_key,
 )
@@ -71,3 +74,34 @@ class TestPercent:
         assert percent(Fraction(1631, 10000)) == "16.31%"
         assert percent(Fraction(3, 5)) == "60.00%"
         assert percent(Fraction(1)) == "100.00%"
+
+
+class TestPausedGc:
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_pauses_inside_and_restores_on_normal_exit(self):
+        gc.enable()
+        with paused_gc():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_restores_when_the_block_raises(self):
+        gc.enable()
+        with pytest.raises(KeyError):
+            with paused_gc():
+                raise KeyError("boom")
+        assert gc.isenabled()
+
+    def test_leaves_a_collector_the_caller_had_off_off(self):
+        gc.disable()
+        with paused_gc():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+        with pytest.raises(KeyError):
+            with paused_gc():
+                raise KeyError("boom")
+        assert not gc.isenabled()
