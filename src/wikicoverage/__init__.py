@@ -35,11 +35,9 @@ from .metrics import (
     MetricsRow,
     build_article_sets,
     compute_all,
-    compute_ppcrw,
-    compute_ras,
-    compute_ravs,
-    compute_vpc,
+    count_related,
     primary_country,
+    reader_share,
 )
 from .report import PipelineResult, RunConfig, emit_table, run_pipeline, sort_rows_for_table
 from .slimstore import load_slim_store, read_slim_store, save_slim_store, write_slim_store
@@ -83,10 +81,7 @@ __all__ = [
     "build_geo_index",
     "color_bucket",
     "compute_all",
-    "compute_ppcrw",
-    "compute_ras",
-    "compute_ravs",
-    "compute_vpc",
+    "count_related",
     "default_cluster_map",
     "emit_table",
     "load_cluster_map",
@@ -99,6 +94,7 @@ __all__ = [
     "parse_rules",
     "primary_country",
     "read_slim_store",
+    "reader_share",
     "render_svg",
     "run_pipeline",
     "save_slim_store",

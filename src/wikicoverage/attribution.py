@@ -22,12 +22,13 @@ the input claims.  It is never kept between calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 from .entities import ITEM, PROPERTY, EntityId, IdMemo, SlimEntity
 from .errors import DuplicateItemError, RulesError
-from .util import paused_gc
+from .util import paused_gc, read_tsv
 
 COUNTRY = EntityId.prop(17)
 PLACE_OF_BIRTH = EntityId.prop(19)
@@ -78,6 +79,12 @@ class RuleSet:
             raise ValueError(f"direct and place property sets overlap: {overlap}")
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+
+    @cached_property
+    def path_order(self) -> tuple[tuple[EntityId, ...], tuple[EntityId, ...]]:
+        """``direct_props`` and ``place_props``, each in ascending id order: the
+        order of provenance paths.  Sorted once per rule set."""
+        return tuple(sorted(self.direct_props)), tuple(sorted(self.place_props))
 
     @property
     def required_properties(self) -> frozenset[EntityId]:
@@ -200,12 +207,13 @@ def attribute_item(
     docstring); without one, the call keeps its own for this item alone.
     """
     chain_of = (_Chains(index, rules) if chains is None else chains).__getitem__
+    direct_order, place_order = rules.path_order
     paths: list[tuple[EntityId, ...]] = []
-    for prop in sorted(rules.direct_props, key=lambda p: p.number):
+    for prop in direct_order:
         for value in entity.claim_values(prop):
             if value == rules.target:
                 paths.append((prop, rules.target))
-    for prop in sorted(rules.place_props, key=lambda p: p.number):
+    for prop in place_order:
         for value in entity.claim_values(prop):
             chain = chain_of(value)
             if chain is not None:
@@ -309,6 +317,8 @@ def parse_provenance(text: str, ids: IdMemo | None = None) -> tuple[tuple[Entity
 
 
 _FLAGS = {"true": True, "false": False}
+# the attribution TSV has no header line
+ATTRIBUTION_COLUMNS = ("item", "related", "provenance")
 
 
 def write_attribution_tsv(results: Mapping[EntityId, AttributionResult], sink: IO[str]) -> None:
@@ -319,31 +329,25 @@ def write_attribution_tsv(results: Mapping[EntityId, AttributionResult], sink: I
 
 
 def read_attribution_tsv(source: Iterable[str]) -> dict[EntityId, AttributionResult]:
-    """Read an attribution TSV; every id is validated, each distinct node once.
+    """Read an attribution TSV (:func:`util.read_tsv`, no header); every id is
+    validated, each distinct node once.
 
     A bad id, a flag other than ``true``/``false`` and a flag that does not
-    match its provenance each raise ValueError naming the line.  The read
-    runs with the cyclic collector paused (:func:`util.paused_gc`).
+    match its provenance are bad rows.  The read runs with the cyclic
+    collector paused (:func:`util.paused_gc`).
     """
+    ids = IdMemo()
+
+    def row(fields: list[str]) -> tuple[EntityId, AttributionResult]:
+        item_text, flag, provenance_text = fields
+        item = EntityId.parse_item(item_text)
+        related = _FLAGS.get(flag)
+        if related is None:
+            raise ValueError(f"related flag must be true or false, got {flag!r}")
+        provenance = parse_provenance(provenance_text, ids)
+        if related != bool(provenance):
+            raise ValueError(f"related flag {flag} does not match provenance {provenance_text!r}")
+        return item, AttributionResult.trusted(item, related, provenance)
+
     with paused_gc():
-        results: dict[EntityId, AttributionResult] = {}
-        ids = IdMemo()
-        for line_number, raw in enumerate(source, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"line {line_number}: expected 3 fields")
-            try:
-                item = EntityId.parse_item(parts[0])
-                related = _FLAGS.get(parts[1])
-                if related is None:
-                    raise ValueError(f"related flag must be true or false, got {parts[1]!r}")
-                provenance = parse_provenance(parts[2], ids)
-                if related != bool(provenance):
-                    raise ValueError(f"related flag {parts[1]} does not match provenance {parts[2]!r}")
-                results[item] = AttributionResult.trusted(item, related, provenance)
-            except ValueError as exc:
-                raise ValueError(f"line {line_number}: {exc}") from exc
-        return results
+        return read_tsv(source, ATTRIBUTION_COLUMNS, row, header=False)

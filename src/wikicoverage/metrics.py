@@ -28,7 +28,7 @@ from .errors import (
     WikiCoverageError,
 )
 from .usage import ReadershipRecord, UsageStats
-from .util import format_fraction, normalize_sitelink_title, sitelink_key
+from .util import format_fraction, normalize_sitelink_title, read_tsv, sitelink_key
 
 METRICS_COLUMNS = (
     "language",
@@ -88,6 +88,15 @@ class MetricsRow:
         ):
             raise ValueError("ravs does not match its counts")
 
+    @classmethod
+    def from_counts(
+        cls, language: str, primary_country: str, ppcrw: Fraction, vpc: Fraction, *counts: int
+    ) -> "MetricsRow":
+        """A row from its four counts, in column order; ras and ravs are their exact shares."""
+        article_count, related_article_count, total_views, related_views = counts
+        ras = Fraction(related_article_count, article_count)
+        return cls(language, primary_country, ppcrw, vpc, ras, Fraction(related_views, total_views), *counts)
+
 
 def build_article_sets(
     entities: Iterable[SlimEntity], languages: Iterable[str]
@@ -125,71 +134,39 @@ def primary_country(readership: Iterable[ReadershipRecord]) -> str:
     return min(records, key=lambda r: (-r.readers, r.country)).country
 
 
-def compute_ppcrw(readership: Iterable[ReadershipRecord], primary: str) -> Fraction:
-    """Share of readers located in the primary country."""
+def reader_share(readership: Iterable[ReadershipRecord], primary: str, count: str) -> Fraction:
+    """The primary country's share of one readership count: ``ppcrw`` over
+    ``readers``, ``vpc`` over ``views_from``."""
     records = list(readership)
     if primary not in {r.country for r in records}:
         raise UndefinedMetricError(f"primary country {primary!r} absent from readership")
-    total = sum(r.readers for r in records)
+    total = sum(getattr(r, count) for r in records)
     if total == 0:
-        raise UndefinedMetricError("zero total readers")
-    mine = sum(r.readers for r in records if r.country == primary)
+        raise UndefinedMetricError(f"zero total {count}")
+    mine = sum(getattr(r, count) for r in records if r.country == primary)
     return Fraction(mine, total)
 
 
-def compute_vpc(readership: Iterable[ReadershipRecord], primary: str) -> Fraction:
-    """Share of views coming from the primary country."""
-    records = list(readership)
-    if primary not in {r.country for r in records}:
-        raise UndefinedMetricError(f"primary country {primary!r} absent from readership")
-    total = sum(r.views_from for r in records)
-    if total == 0:
-        raise UndefinedMetricError("zero total views_from")
-    mine = sum(r.views_from for r in records if r.country == primary)
-    return Fraction(mine, total)
-
-
-def compute_ras(
-    articles: LanguageArticleSet,
-    attributions: Mapping[EntityId, AttributionResult],
-) -> tuple[Fraction, int, int]:
-    """Related-article share: (share, related count, total count)."""
-    total = len(articles.articles)
-    if total == 0:
-        raise UndefinedMetricError(f"no articles for language {articles.language!r}")
-    related = 0
-    for title, item in articles.articles.items():
-        result = attributions.get(item)
-        if result is None:
-            raise IncompleteAttributionError(
-                f"{articles.language}:{title!r} owner {item} has no attribution"
-            )
-        if result.related:
-            related += 1
-    return Fraction(related, total), related, total
-
-
-def compute_ravs(
+def count_related(
     articles: LanguageArticleSet,
     attributions: Mapping[EntityId, AttributionResult],
     views: Mapping[tuple[str, str], int],
-) -> tuple[Fraction, int, int]:
-    """Related-views share over the article set; absent titles count 0 views."""
-    total = 0
-    related = 0
+) -> tuple[int, int, int]:
+    """One walk over the article set: (related articles, related views, total
+    views).  A title absent from ``views`` counts 0 views; an owner without an
+    attribution raises :class:`IncompleteAttributionError`."""
+    language = articles.language
+    related_articles = related_views = total_views = 0
     for title, item in articles.articles.items():
         result = attributions.get(item)
         if result is None:
-            raise IncompleteAttributionError(
-                f"{articles.language}:{title!r} owner {item} has no attribution"
-            )
-        count = views.get((articles.language, title), 0)
-        total += count
+            raise IncompleteAttributionError(f"{language}:{title!r} owner {item} has no attribution")
+        count = views.get((language, title), 0)
+        total_views += count
         if result.related:
-            related += count
-    if total == 0:
-        raise UndefinedMetricError(f"zero total views for language {articles.language!r}")
-    return Fraction(related, total), related, total
+            related_articles += 1
+            related_views += count
+    return related_articles, related_views, total_views
 
 
 def compute_language_row(
@@ -197,24 +174,18 @@ def compute_language_row(
     attributions: Mapping[EntityId, AttributionResult],
     usage: UsageStats,
 ) -> MetricsRow:
-    readership = usage.readership.get(articles.language, [])
+    language = articles.language
+    readership = usage.readership.get(language, [])
     primary = primary_country(readership)
-    ppcrw = compute_ppcrw(readership, primary)
-    vpc = compute_vpc(readership, primary)
-    ras, related_articles, article_count = compute_ras(articles, attributions)
-    ravs, related_views, total_views = compute_ravs(articles, attributions, usage.views)
-    return MetricsRow(
-        language=articles.language,
-        primary_country=primary,
-        ppcrw=ppcrw,
-        vpc=vpc,
-        ras=ras,
-        ravs=ravs,
-        article_count=article_count,
-        related_article_count=related_articles,
-        total_views=total_views,
-        related_views=related_views,
-    )
+    ppcrw = reader_share(readership, primary, "readers")
+    vpc = reader_share(readership, primary, "views_from")
+    related_articles, related_views, total_views = count_related(articles, attributions, usage.views)
+    if not articles.articles:
+        raise UndefinedMetricError(f"no articles for language {language!r}")
+    if total_views == 0:
+        raise UndefinedMetricError(f"zero total views for language {language!r}")
+    counts = (len(articles.articles), related_articles, total_views, related_views)
+    return MetricsRow.from_counts(language, primary, ppcrw, vpc, *counts)
 
 
 def compute_all(
@@ -264,36 +235,17 @@ def write_metrics_tsv(rows: Iterable[MetricsRow], sink: IO[str]) -> None:
         )
 
 
+def _metrics_row(fields: list[str]) -> tuple[str, MetricsRow]:
+    # the rounded ras and ravs columns are skipped: the counts rebuild them exactly
+    counts = tuple(map(int, fields[6:]))
+    for name, count in (("article_count", counts[0]), ("total_views", counts[2])):
+        if count <= 0:
+            raise ValueError(f"{name} must be positive, got {count}")
+    language, primary, ppcrw, vpc = fields[:4]
+    return language, MetricsRow.from_counts(language, primary, Fraction(ppcrw), Fraction(vpc), *counts)
+
+
 def read_metrics_tsv(source: Iterable[str]) -> list[MetricsRow]:
-    """Reload a metrics TSV; ras/ravs are rebuilt exactly from the counts."""
-    lines = iter(source)
-    header = next(lines, None)
-    if header is None or tuple(header.rstrip("\n").split("\t")) != METRICS_COLUMNS:
-        raise ValueError("bad metrics TSV header")
-    rows: list[MetricsRow] = []
-    for raw in lines:
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(METRICS_COLUMNS):
-            raise ValueError(f"expected {len(METRICS_COLUMNS)} fields, got {len(fields)}")
-        article_count = int(fields[6])
-        related_articles = int(fields[7])
-        total_views = int(fields[8])
-        related_views = int(fields[9])
-        rows.append(
-            MetricsRow(
-                language=fields[0],
-                primary_country=fields[1],
-                ppcrw=Fraction(fields[2]),
-                vpc=Fraction(fields[3]),
-                ras=Fraction(related_articles, article_count),
-                ravs=Fraction(related_views, total_views),
-                article_count=article_count,
-                related_article_count=related_articles,
-                total_views=total_views,
-                related_views=related_views,
-            )
-        )
-    return rows
+    """Reload a metrics TSV (:func:`util.read_tsv`), one row per language;
+    ras/ravs are rebuilt exactly from the counts."""
+    return list(read_tsv(source, METRICS_COLUMNS, _metrics_row).values())

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import PageviewsLineError, ReadershipTableError
-from .util import normalize_pageview_title
+from .util import normalize_pageview_title, read_tsv
 
 _LANGUAGE_RE = re.compile(r"[a-z][a-z0-9-]*\Z")
 _COUNTRY_RE = re.compile(r"[A-Z]{2}\Z")
@@ -35,6 +35,7 @@ _NON_LANGUAGE_CODES = frozenset(
 )
 
 READERSHIP_COLUMNS = ("language", "country", "readers", "views_from")
+VIEWS_COLUMNS = ("language", "title", "views")
 
 # the one reason tallied for a title that decodes to a tab, LF or CR
 BAD_TITLE = "title decodes to a tab, LF or CR"
@@ -67,21 +68,18 @@ class PageviewsIssue:
     reason: str
 
 
-def _language_for_domain(domain: str) -> str | None:
-    """Base language for a Wikipedia domain code, or None for untracked projects."""
+def _tracked_language(domain: str, languages: set[str] | None) -> str | None:
+    """Base language of a Wikipedia domain code, or None for another project
+    or a language outside ``languages``."""
     base, _, suffix = domain.partition(".")
-    if not _LANGUAGE_RE.match(base) or base in _NON_LANGUAGE_CODES:
-        return None
-    if suffix and suffix not in _FOLDED_SUFFIXES:
+    if (
+        not _LANGUAGE_RE.match(base)
+        or base in _NON_LANGUAGE_CODES
+        or (suffix and suffix not in _FOLDED_SUFFIXES)
+        or (languages is not None and base not in languages)
+    ):
         return None
     return base
-
-
-def _tracked_language(domain: str, languages: set[str] | None) -> str | None:
-    language = _language_for_domain(domain)
-    if language is None or (languages is not None and language not in languages):
-        return None
-    return language
 
 
 class TitleMemo(dict):
@@ -108,30 +106,20 @@ class TitleMemo(dict):
 def parse_pageviews_line(line: str, languages: set[str] | None = None) -> ViewRecord | None:
     """One pageviews line to a record, or None for untracked domains.
 
-    Raises :class:`PageviewsLineError` when the line is structurally wrong
-    (field count, empty title, non-numeric or negative count, a title that
-    decodes to a tab, LF or CR).  Agrees line for line with
-    :func:`parse_pageviews_stream`, which tallies what this raises.
+    Raises :class:`PageviewsLineError` with the reason that
+    :func:`parse_pageviews_stream`, which makes every check, tallies for the
+    line.  A blank line, which the stream skips, raises its field count.
     """
-    fields = line.split(" ")
-    if len(fields) != 4:
-        raise PageviewsLineError(f"expected 4 space-separated fields, got {len(fields)}")
-    domain, raw_title, count_text, _ = fields
-    language = _tracked_language(domain, languages)
-    if language is None:
-        return None
-    if not raw_title:
-        raise PageviewsLineError("empty title")
-    try:
-        views = int(count_text)
-    except ValueError:
-        raise PageviewsLineError(f"non-numeric view count {count_text!r}") from None
-    if views < 0:
-        raise PageviewsLineError(f"negative view count {views}")
-    title = TitleMemo()[raw_title]
-    if title is None:
-        raise PageviewsLineError(BAD_TITLE)
-    return ViewRecord(language, title, views)
+    if not line.strip():
+        # the stream skips a blank line; behind a NUL domain, which no
+        # language matches, it counts the line's fields like any other
+        line = "\0" + line
+    issues: list[PageviewsIssue] = []
+    for record in parse_pageviews_stream((line,), languages, errors=issues):
+        return record
+    if issues:
+        raise PageviewsLineError(issues[0].reason)
+    return None
 
 
 def parse_pageviews_stream(
@@ -260,31 +248,22 @@ def load_readership(path) -> dict[str, list[ReadershipRecord]]:
 
 
 def write_views_tsv(views: dict[tuple[str, str], int], sink: IO[str]) -> None:
-    sink.write("language\ttitle\tviews\n")
+    sink.write("\t".join(VIEWS_COLUMNS) + "\n")
     for (language, title), total in sorted(views.items()):
         sink.write(f"{language}\t{title}\t{total}\n")
 
 
+def _views_row(fields: list[str]) -> tuple[tuple[str, str], int]:
+    language, title, total = fields
+    try:
+        count = int(total)
+    except ValueError:
+        raise ValueError(f"non-integer view total {total!r}") from None
+    if count < 0:
+        raise ValueError(f"negative view total {count}")
+    return (language, title), count
+
+
 def read_views_tsv(source: Iterable[str]) -> dict[tuple[str, str], int]:
-    """Reload a views TSV; a malformed row or a negative total raises ValueError naming its line."""
-    lines = iter(source)
-    header = next(lines, None)
-    if header is None or header.rstrip("\n") != "language\ttitle\tviews":
-        raise ValueError("bad views TSV header")
-    views: dict[tuple[str, str], int] = {}
-    for line_number, raw in enumerate(lines, start=2):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"line {line_number}: expected 3 fields, got {len(parts)}")
-        language, title, total = parts
-        try:
-            count = int(total)
-        except ValueError:
-            raise ValueError(f"line {line_number}: non-integer view total {total!r}") from None
-        if count < 0:
-            raise ValueError(f"line {line_number}: negative view total {count}")
-        views[(language, title)] = count
-    return views
+    """Reload a views TSV (:func:`util.read_tsv`); a negative total is a bad row."""
+    return read_tsv(source, VIEWS_COLUMNS, _views_row)

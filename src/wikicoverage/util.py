@@ -1,5 +1,6 @@
-"""Small shared helpers: title normalization, exact fraction rendering, and a
-pause of the cyclic garbage collector for bulk loads."""
+"""Small shared helpers: title normalization, exact fraction rendering, the
+one row reader behind the TSV artifact readers, and a pause of the cyclic
+garbage collector for bulk loads."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import hashlib
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 from urllib.parse import unquote
 
 
@@ -55,6 +56,41 @@ def sha256_file(path: Path) -> str:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def read_tsv(
+    source: Iterable[str], columns: tuple[str, ...], row: Callable[[list[str]], tuple], header: bool = True
+) -> dict:
+    """Read a tab-separated artifact into ``{key: value}``, in line order.
+
+    With ``header``, the first line must be ``columns`` joined by tabs.  Blank
+    lines are skipped; every other line must hold one field per column, and
+    ``row`` turns its fields into a ``(key, value)`` that no earlier line gave.
+    A bad header, a wrong field count, a repeated key and a ValueError from
+    ``row`` each raise ValueError led by ``line N: ``.
+    """
+    lines = iter(source)
+    if header:
+        first = next(lines, None)
+        if first is None or tuple(first.rstrip("\n").split("\t")) != columns:
+            raise ValueError("line 1: expected the header " + repr("\t".join(columns)))
+    width = len(columns)
+    result = {}
+    for line_number, raw in enumerate(lines, 2 if header else 1):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        try:
+            if len(fields) != width:
+                raise ValueError(f"expected {width} fields, got {len(fields)}")
+            key, value = row(fields)
+            if key in result:
+                raise ValueError(f"repeated key {key}")
+        except ValueError as exc:
+            raise ValueError(f"line {line_number}: {exc}") from exc
+        result[key] = value
+    return result
 
 
 @contextmanager

@@ -21,13 +21,7 @@ from wikicoverage.attribution import RuleSet, attribute_all, build_geo_index
 from wikicoverage.chart import BLUE, RED, color_bucket
 from wikicoverage.clusters import aggregate_cluster
 from wikicoverage.entities import SlimEntity
-from wikicoverage.metrics import (
-    MetricsRow,
-    build_article_sets,
-    compute_all,
-    compute_ppcrw,
-    compute_vpc,
-)
+from wikicoverage.metrics import MetricsRow, build_article_sets, compute_all, reader_share
 from wikicoverage.report import RunConfig, emit_table, run_pipeline
 from wikicoverage.slimstore import read_slim_store, write_slim_store
 from wikicoverage.usage import ReadershipRecord, UsageStats
@@ -246,8 +240,8 @@ class TestReaderShareAnchors:
                 ReadershipRecord("en", "DE", 100, 60),
                 ReadershipRecord("en", "FR", 150, 50),
             ]
-            assert compute_ppcrw(records, "US") == Fraction(60, 100)
-            assert compute_vpc(records, "US") == Fraction(80, 100)
+            assert reader_share(records, "US", "readers") == Fraction(60, 100)
+            assert reader_share(records, "US", "views_from") == Fraction(80, 100)
 
 
 class TestTableContract:

@@ -421,19 +421,24 @@ class TestTsv:
         assert parse_provenance("") == ()
 
     @pytest.mark.parametrize(
-        "flag, provenance",
-        [pytest.param("true", p, id=p) for p in ["P27>Q30x", "P27>Q03", "P27>", "P27>Q30;", ">Q30"]]
+        "row, problem",
+        [pytest.param(f"Q2\ttrue\t{p}", "", id=p) for p in ["P27>Q30x", "P27>Q03", "P27>", "P27>Q30;", ">Q30"]]
         # only true and false are flags
-        + [pytest.param("maybe", "", id="flag-maybe")]
+        + [pytest.param("Q2\tmaybe\t", "", id="flag-maybe")]
         # the flag must mirror whether provenance is empty
         + [
-            pytest.param("true", "", id="true-without-provenance"),
-            pytest.param("false", "P27>Q30", id="false-with-provenance"),
+            pytest.param("Q2\ttrue\t", "", id="true-without-provenance"),
+            pytest.param("Q2\tfalse\tP27>Q30", "", id="false-with-provenance"),
+        ]
+        # every line holds three fields and its own item
+        + [
+            pytest.param("Q2\ttrue", "expected 3 fields, got 2$", id="two-fields"),
+            pytest.param("Q1\ttrue\tP27>Q30", "repeated key Q1$", id="repeated-item"),
         ],
     )
-    def test_bad_provenance_token_names_its_line(self, flag, provenance):
-        text = f"Q1\tfalse\t\nQ2\t{flag}\t{provenance}\n"
-        with pytest.raises(ValueError, match="^line 2: "):
+    def test_bad_provenance_token_names_its_line(self, row, problem):
+        text = f"Q1\tfalse\t\n{row}\n"
+        with pytest.raises(ValueError, match=f"^line 2: {problem}"):
             read_attribution_tsv(io.StringIO(text))
 
     def test_result_invariant_enforced(self):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from wikicoverage.cli import main
+from wikicoverage.metrics import METRICS_COLUMNS
 
 FIXTURE = Path(__file__).resolve().parents[1] / "demos" / "data"
 
@@ -107,6 +108,13 @@ class TestErrorsAndFlags:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_count_in_metrics_tsv_is_a_clean_error(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.tsv"
+        header = "\t".join(METRICS_COLUMNS) + "\n"
+        metrics.write_text(header + "en\tUS\t0.6\t0.8\t0\t0\t0\t0\t10\t0\n", encoding="utf-8")
+        assert run(["report", "--metrics", metrics, "--out", tmp_path / "report"]) == 1
+        assert capsys.readouterr().err == "error: line 2: article_count must be positive, got 0\n"
+
     def test_bad_target_id_is_a_clean_error(self, tmp_path, capsys):
         slim = tmp_path / "entities.slim"
         run(["slim", "--dump", FIXTURE / "dump.json", "--out", slim])
@@ -203,6 +211,7 @@ class TestErrorsAndFlags:
             capture_output=True,
             text=True,
             timeout=60,
+            cwd=FIXTURE.parents[1] / "src",  # the checkout's package, installed or not
         )
         assert result.returncode == 0, result.stderr
         assert "wrote 21 entities" in result.stdout

@@ -19,12 +19,11 @@ from wikicoverage.metrics import (
     MetricsRow,
     build_article_sets,
     compute_all,
-    compute_ppcrw,
-    compute_ras,
-    compute_ravs,
-    compute_vpc,
+    compute_language_row,
+    count_related,
     primary_country,
     read_metrics_tsv,
+    reader_share,
     write_metrics_tsv,
 )
 from wikicoverage.usage import ReadershipRecord, UsageStats
@@ -114,6 +113,14 @@ class TestPrimaryCountry:
         assert primary_country(records) == primary_country(scaled)
 
 
+def language_row(articles, attributions, views=None):
+    """The metrics row of one article set, one view per title unless ``views`` is given."""
+    if views is None:
+        views = {(articles.language, title): 1 for title in articles.articles}
+    usage = UsageStats(views=views, readership={articles.language: [rr(articles.language, "US", 1, 1)]})
+    return compute_language_row(articles, attributions, usage)
+
+
 class TestReaderShares:
     def test_en_fixture_matches_published_percentages(self):
         records = [
@@ -122,30 +129,30 @@ class TestReaderShares:
             rr("en", "DE", 100, 60),
             rr("en", "FR", 150, 50),
         ]
-        assert compute_ppcrw(records, "US") == Fraction(60, 100)
-        assert compute_vpc(records, "US") == Fraction(80, 100)
+        assert reader_share(records, "US", "readers") == Fraction(60, 100)
+        assert reader_share(records, "US", "views_from") == Fraction(80, 100)
 
     def test_singleton_country_gives_one(self):
         records = [rr("nl", "NL", 10, 25)]
-        assert compute_ppcrw(records, "NL") == 1
-        assert compute_vpc(records, "NL") == 1
+        assert reader_share(records, "NL", "readers") == 1
+        assert reader_share(records, "NL", "views_from") == 1
 
     def test_zh_style_minority_primary(self):
         records = [rr("zh", "CN", 7, 0), rr("zh", "TW", 93, 0)]
         # CN is not primary here, but the share arithmetic is the same
-        assert compute_ppcrw(records, "CN") == Fraction(7, 100)
+        assert reader_share(records, "CN", "readers") == Fraction(7, 100)
 
     def test_sv_style_views_share(self):
         records = [rr("sv", "SE", 0, 89), rr("sv", "FI", 0, 11)]
-        assert compute_vpc(records, "SE") == Fraction(89, 100)
+        assert reader_share(records, "SE", "views_from") == Fraction(89, 100)
 
     def test_zero_total_readers_is_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            compute_ppcrw([rr("en", "US", 0, 5)], "US")
+            reader_share([rr("en", "US", 0, 5)], "US", "readers")
 
     def test_absent_primary_is_an_error(self):
         with pytest.raises(UndefinedMetricError):
-            compute_ppcrw([rr("en", "US", 5)], "GB")
+            reader_share([rr("en", "US", 5)], "GB", "readers")
 
 
 class TestArticleShares:
@@ -159,35 +166,37 @@ class TestArticleShares:
 
     def test_three_of_ten_related(self):
         articles, attributions = self.build(10, 3)
-        assert compute_ras(articles, attributions) == (Fraction(3, 10), 3, 10)
+        row = language_row(articles, attributions)
+        assert (row.ras, row.related_article_count, row.article_count) == (Fraction(3, 10), 3, 10)
+        assert count_related(articles, attributions, {}) == (3, 0, 0)
 
     def test_none_related_is_zero(self):
         articles, attributions = self.build(7, 0)
-        assert compute_ras(articles, attributions)[0] == 0
+        assert language_row(articles, attributions).ras == 0
 
     def test_all_related_is_one(self):
         articles, attributions = self.build(5, 5)
-        assert compute_ras(articles, attributions)[0] == 1
+        assert language_row(articles, attributions).ras == 1
 
     def test_empty_article_set_is_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            compute_ras(LanguageArticleSet("en", {}), {})
+            language_row(LanguageArticleSet("en", {}), {})
 
     def test_missing_attribution_is_incomplete_input(self):
         articles = LanguageArticleSet("en", {"T1": Q(1)})
         with pytest.raises(IncompleteAttributionError):
-            compute_ras(articles, {})
+            count_related(articles, {}, {})
 
     def test_adding_unrelated_article_decreases_share(self):
         articles, attributions = self.build(10, 3)
         bigger, more = self.build(11, 3)
-        assert compute_ras(bigger, more)[0] < compute_ras(articles, attributions)[0]
+        assert language_row(bigger, more).ras < language_row(articles, attributions).ras
 
     def test_adding_related_article_increases_share(self):
         articles, attributions = self.build(10, 3)
         grown = LanguageArticleSet("en", {**articles.articles, "new": Q(99)})
         attributions[Q(99)] = related(Q(99))
-        assert compute_ras(grown, attributions)[0] > Fraction(3, 10)
+        assert language_row(grown, attributions).ras > Fraction(3, 10)
 
 
 class TestViewShares:
@@ -206,36 +215,36 @@ class TestViewShares:
 
     def test_forty_of_hundred(self):
         articles, attributions, views = self.fixture()
-        assert compute_ravs(articles, attributions, views) == (Fraction(40, 100), 40, 100)
+        row = language_row(articles, attributions, views)
+        assert (row.ravs, row.related_views, row.total_views) == (Fraction(40, 100), 40, 100)
 
     def test_no_related_articles_is_zero(self):
         articles, attributions, views = self.fixture()
         attributions = {item: unrelated(item) for item in attributions}
-        assert compute_ravs(articles, attributions, views)[0] == 0
+        assert language_row(articles, attributions, views).ravs == 0
 
     def test_related_article_without_views_contributes_zero(self):
         articles, attributions, views = self.fixture()
         del views[("en", "B")]
-        share, related_views, total = compute_ravs(articles, attributions, views)
-        assert (related_views, total) == (30, 90)
+        assert count_related(articles, attributions, views)[1:] == (30, 90)
 
     def test_views_outside_the_article_set_are_ignored(self):
         articles, attributions, views = self.fixture()
         views[("en", "Main_Page")] = 100000
-        assert compute_ravs(articles, attributions, views)[1:] == (40, 100)
+        assert count_related(articles, attributions, views)[1:] == (40, 100)
 
     def test_zero_total_views_is_undefined(self):
         articles, attributions, _ = self.fixture()
         with pytest.raises(UndefinedMetricError):
-            compute_ravs(articles, attributions, {})
+            language_row(articles, attributions, {})
 
     @given(factor=st.integers(1, 500))
     def test_scaling_views_leaves_share_unchanged(self, factor):
         articles, attributions, views = self.fixture()
         scaled = {key: value * factor for key, value in views.items()}
         assert (
-            compute_ravs(articles, attributions, scaled)[0]
-            == compute_ravs(articles, attributions, views)[0]
+            language_row(articles, attributions, scaled).ravs
+            == language_row(articles, attributions, views).ravs
         )
 
 
@@ -312,6 +321,47 @@ class TestComputeAll:
         rows, _ = compute_all(article_sets, attributions, usage)
         assert [row.language for row in rows] == ["de", "en", "fr"]
 
+    def test_failure_messages_are_exact_and_in_check_order(self):
+        # each language fails one check; most also fail every later check,
+        # so the message pins which check comes first
+        def fine(lang):
+            return [rr(lang, "US", 5, 5)]
+
+        article_sets = {
+            "aa": LanguageArticleSet("aa", {}),
+            "ab": LanguageArticleSet("ab", {}),
+            "ac": LanguageArticleSet("ac", {}),
+            "ad": LanguageArticleSet("ad", {}),
+            "ae": LanguageArticleSet("ae", {"T": Q(9)}),
+            "af": LanguageArticleSet("af", {"T": Q(1)}),
+        }
+        usage = UsageStats(
+            views={},
+            readership={
+                "ab": [rr("ab", "US", 0, 0)],
+                "ac": [rr("ac", "US", 5, 0)],
+                "ad": fine("ad"),
+                "ae": fine("ae"),
+                "af": fine("af"),
+            },
+        )
+        languages = [*article_sets, "ag"]
+        rows, failures = compute_all(article_sets, {Q(1): related(Q(1))}, usage, languages)
+        assert rows == []
+        assert {lang: (type(exc), str(exc)) for lang, exc in failures.items()} == {
+            "aa": (NoReadershipError, "no readership rows for this language"),
+            "ab": (UndefinedMetricError, "zero total readers"),
+            "ac": (UndefinedMetricError, "zero total views_from"),
+            "ad": (UndefinedMetricError, "no articles for language 'ad'"),
+            "ae": (IncompleteAttributionError, "ae:'T' owner Q9 has no attribution"),
+            "af": (UndefinedMetricError, "zero total views for language 'af'"),
+            "ag": (UndefinedMetricError, "no article set for language 'ag'"),
+        }
+        # the primary country comes from the same rows, so compute_all never
+        # meets an absent one; the share function names it
+        with pytest.raises(UndefinedMetricError, match="^primary country 'GB' absent from readership$"):
+            reader_share(fine("en"), "GB", "readers")
+
 
 class TestMetricsRow:
     def make_row(self, **overrides):
@@ -354,6 +404,23 @@ class TestMetricsRow:
         assert "0.600000" in text and "0.300000" in text
         back = read_metrics_tsv(io.StringIO(text))
         assert back == rows
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("de\tDE\t0.6\t0.8\t0.3", "expected 10 fields, got 5"),
+            ("de\tDE\t0.6\t0.8\t0\t0.4\t0\t0\t100\t40", "article_count must be positive, got 0"),
+            ("de\tDE\t0.6\t0.8\t0.3\t0\t10\t3\t-1\t0", "total_views must be positive, got -1"),
+            ("de\tDE\t0.6\t0.8\t0.3\t0.4\tten\t3\t100\t40", r"invalid literal for int\(\) with base 10: 'ten'"),
+            ("en\tUS\t0.6\t0.8\t0.3\t0.4\t10\t3\t100\t40", "repeated key en"),
+        ],
+        ids=["five-fields", "zero-articles", "negative-views", "non-integer", "repeated-language"],
+    )
+    def test_bad_row_names_its_line(self, row, problem):
+        sink = io.StringIO()
+        write_metrics_tsv([self.make_row()], sink)
+        with pytest.raises(ValueError, match=f"^line 3: {problem}$"):
+            read_metrics_tsv(io.StringIO(sink.getvalue() + row + "\n"))
 
     @given(
         num=st.integers(0, 1000),

@@ -323,8 +323,9 @@ class TestViewsTsv:
             ("en\tA\t1\t2", "expected 3 fields, got 4"),
             ("en\tA\tmany", "non-integer view total 'many'"),
             ("en\tA\t-5", "negative view total -5"),
+            ("de\tA\t3", r"repeated key \('de', 'A'\)"),
         ],
-        ids=["two-fields", "four-fields", "non-integer", "negative"],
+        ids=["two-fields", "four-fields", "non-integer", "negative", "repeated-key"],
     )
     def test_bad_row_names_its_line(self, row, problem):
         text = "language\ttitle\tviews\nde\tA\t7\n" + row + "\n"

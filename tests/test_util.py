@@ -11,6 +11,7 @@ from wikicoverage.util import (
     normalize_sitelink_title,
     paused_gc,
     percent,
+    read_tsv,
     sitelink_key,
 )
 
@@ -105,3 +106,19 @@ class TestPausedGc:
             with paused_gc():
                 raise KeyError("boom")
         assert not gc.isenabled()
+
+
+class TestReadTsv:
+    # the readers' own tests cover field counts, repeated keys and bad fields
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("", r"line 1: expected the header 'key\\tvalue'"),
+            ("key\tvalues\n", r"line 1: expected the header 'key\\tvalue'"),
+            ("key\tvalue\na\t1\n\na\t2\n", "line 4: repeated key a"),
+        ],
+        ids=["empty", "bad-header", "blank-line-counted"],
+    )
+    def test_every_error_names_its_line(self, text, problem):
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            read_tsv(text.splitlines(True), ("key", "value"), lambda fields: tuple(fields))
