@@ -40,7 +40,13 @@ from .metrics import (
     reader_share,
 )
 from .report import PipelineResult, RunConfig, emit_table, run_pipeline, sort_rows_for_table
-from .slimstore import load_slim_store, read_slim_store, save_slim_store, write_slim_store
+from .slimstore import (
+    load_slim_store,
+    read_slim_store,
+    read_store_sitelinks,
+    save_slim_store,
+    write_slim_store,
+)
 from .usage import (
     ReadershipRecord,
     TitleMemo,
@@ -94,6 +100,7 @@ __all__ = [
     "parse_rules",
     "primary_country",
     "read_slim_store",
+    "read_store_sitelinks",
     "reader_share",
     "render_svg",
     "run_pipeline",

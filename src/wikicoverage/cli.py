@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .attribution import read_attribution_tsv
 from .errors import WikiCoverageError
-from .metrics import MetricsRow, read_metrics_tsv
+from .metrics import MetricsRow, build_article_sets, read_metrics_tsv
 from .report import (
     RunConfig,
     attribute_stage,
@@ -27,8 +27,9 @@ from .report import (
     slim_stage,
     usage_stage,
 )
-from .slimstore import load_slim_store
+from .slimstore import load_slim_store, read_store_sitelinks
 from .usage import read_views_tsv
+from .util import paused_gc
 
 
 def _languages(text: str) -> tuple[str, ...]:
@@ -68,13 +69,15 @@ def _cmd_usage(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    entities = load_slim_store(args.slim)
+    # the store first, so a corrupt one is the first error reported
+    with open(args.slim, encoding="utf-8") as source, paused_gc():
+        article_sets = build_article_sets(read_store_sitelinks(source), args.languages)
     with open(args.attribution, encoding="utf-8") as handle:
         attributions = read_attribution_tsv(handle)
     with open(args.views, encoding="utf-8") as handle:
         views = read_views_tsv(handle)
     rows, failures = metrics_stage(
-        entities, attributions, views, args.readership, args.languages, Path(args.out)
+        article_sets, attributions, views, args.readership, args.languages, Path(args.out)
     )
     for language, exc in sorted(failures.items()):
         print(f"warning: {language}: {exc}", file=sys.stderr)

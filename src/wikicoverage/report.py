@@ -46,6 +46,7 @@ from .dump import ParseIssue, parse_dump_stream
 from .entities import EntityId, SlimEntity
 from .errors import ConfigError, PipelineStageError, WikiCoverageError
 from .metrics import (
+    LanguageArticleSet,
     MetricsRow,
     build_article_sets,
     compute_all,
@@ -217,7 +218,7 @@ def usage_stage(
 
 
 def metrics_stage(
-    entities: Sequence[SlimEntity],
+    article_sets: dict[str, LanguageArticleSet],
     attributions: dict[EntityId, AttributionResult],
     views: dict[tuple[str, str], int],
     readership: Path | str,
@@ -226,10 +227,11 @@ def metrics_stage(
 ) -> tuple[list[MetricsRow], dict[str, WikiCoverageError]]:
     """Compute the four metrics per language and write the metrics TSV.
 
-    Returns the rows, in language order, and the languages that failed.
+    ``article_sets`` come from :func:`metrics.build_article_sets`, over the
+    entities in memory or streamed from a store.  Returns the rows, in
+    language order, and the languages that failed.
     """
     usage = UsageStats(views=views, readership=load_readership(readership))
-    article_sets = build_article_sets(entities, languages)
     rows, failures = compute_all(article_sets, attributions, usage, languages)
     _write(out, write_metrics_tsv, rows)
     return rows, failures
@@ -346,7 +348,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             if config.readership is None:
                 raise ConfigError("readership CSV is required to compute metrics")
             rows, failures = metrics_stage(
-                entities,
+                build_article_sets(entities, config.languages),
                 attributions,
                 views,
                 config.readership,

@@ -7,37 +7,52 @@ entities are persisted in a small line-oriented format:
     count=<n> props=<comma-list> wikis=<comma-list or *>
     <QID>\\t<prop>:<QID>[,...][;...]\\t<wiki>=<title>[|...]
 
-Records are sorted by item number.  Titles have ``%``, tab, pipe, CR and LF
-percent-encoded.  The header's keep-set lists fingerprint the parse
-configuration that produced the store; a reader given the properties its
-rules need checks them against ``props=``.  ``WCM1``, which also stored
+Records are sorted by item number, each item once.  Titles have ``%``, tab,
+pipe, CR and LF percent-encoded.  The header's keep-set lists fingerprint the
+parse configuration that produced the store; a reader given the properties
+its rules need checks them against ``props=``.  ``WCM1``, which also stored
 non-item claim values as ``*``, is not read: rebuild such a store.
 
-The reader validates every id token: record ids and claim values must be
-items, and the header's ``props=`` properties.  Each distinct token is
-validated once per read, on its first appearance, and equal ids then share
-one object; a bad token raises :class:`SlimStoreCorruptionError` naming its
-line wherever it first appears.  The header is enforced per record: a claim
-key must be one of ``props=``, and a sitelink one of ``wikis=`` unless that is
-``*``.  A record that breaks its own header is corruption naming its line.
-Since every field is checked on the way in, records are built with
-:meth:`SlimEntity.trusted`, and a whole load runs with the cyclic collector
-paused (:func:`util.paused_gc`).
+There are two readers of one file, and they share one record skeleton: the
+magic and header lines, the ``props=`` check, line numbers, blank lines, the
+header count in both directions, the sitelink checks and the item order.
+
+* :func:`read_slim_store` yields whole :class:`SlimEntity` records.  It
+  validates every id token: record ids and claim values must be items, and
+  the header's ``props=`` properties.  Each distinct token is validated once
+  per read, on its first appearance, and equal ids then share one object.
+  Since every field is checked on the way in, records are built with
+  :meth:`SlimEntity.trusted`; :func:`load_slim_store` lists them with the
+  cyclic collector paused (:func:`util.paused_gc`).
+* :func:`read_store_sitelinks` yields only each record's id and sitelinks, for
+  the article sets of ``metrics``.  It checks the claims field whole against
+  one pattern compiled from ``props=`` and builds no claim; a field that fails
+  the pattern is handed to the whole-record parser, so both readers accept
+  the same stores and fail a bad one with the same message.
+
+Either way a bad token raises :class:`SlimStoreCorruptionError` naming its
+line.  The header is enforced per record: a claim key must be one of
+``props=``, and a sitelink one of ``wikis=`` unless that is ``*``.  A record
+that breaks its own header, or does not follow the record before it in item
+order, is corruption naming its line.
 
 The writer holds each record to the header it writes: a claim key outside
-``keep_props``, or a sitelink outside ``keep_wikis``, raises ValueError before
-anything is written, so the writer never leaves a store its reader rejects.
+``keep_props``, or a sitelink outside ``keep_wikis``, raises ValueError, and a
+repeated item raises :class:`DuplicateItemError`, before anything is written,
+so the writer never leaves a store its reader rejects.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .entities import ITEM, PROPERTY, EntityId, IdMemo, SlimEntity
 from .errors import (
+    DuplicateItemError,
     SlimStoreCorruptionError,
     SlimStoreMismatchError,
     SlimStoreVersionError,
@@ -52,6 +67,8 @@ _ESCAPE_RE = re.compile(r"[%\t|\n\r]")
 _UNESCAPE_RE = re.compile(r"%(25|09|7C|0A|0D)")
 _ESCAPES = {"%": "%25", "\t": "%09", "|": "%7C", "\n": "%0A", "\r": "%0D"}
 _UNESCAPES = {"25": "%", "09": "\t", "7C": "|", "0A": "\n", "0D": "\r"}
+_ITEM_TOKEN = "Q[1-9][0-9]*"  # the item ids EntityId.parse_item accepts
+_new_tuple = tuple.__new__  # skips NamedTuple's Python-level __new__
 
 
 def _escape_title(title: str) -> str:
@@ -94,12 +111,17 @@ def write_slim_store(
     write raises :class:`SlimStoreWriteError` with the number of records that
     made it out before the failure.  A record with a claim key outside
     ``keep_props``, or a sitelink outside ``keep_wikis``, raises ValueError
-    naming the item before anything is written.
+    naming the item, and a repeated item raises :class:`DuplicateItemError`,
+    before anything is written.
     """
     records = sorted(entities, key=lambda e: e.id.number)
     prop_set = set(keep_props)
     wiki_set = None if keep_wikis is None else set(keep_wikis)
+    previous = None
     for record in records:
+        if record.id == previous:  # sorted, so a repeat is the record before
+            raise DuplicateItemError(f"item {record.id} appears twice in the input stream")
+        previous = record.id
         if not record.claims.keys() <= prop_set:
             extra = min(record.claims.keys() - prop_set, key=lambda p: p.sort_key)
             raise ValueError(f"item {record.id}: claim key {extra} is not in keep_props")
@@ -175,8 +197,26 @@ class _Declared(dict):
         raise ValueError(self.message.format(token))
 
 
+def _parse_sitelinks(links_field: str, wikis: _Declared | None) -> dict[str, str]:
+    """A record's sitelinks field; ``wikis`` None = unrestricted.  A bad pair raises ValueError."""
+    sitelinks: dict[str, str] = {}
+    if links_field:
+        for pair in links_field.split("|"):
+            wiki, sep, title = pair.partition("=")
+            if not sep:
+                raise ValueError(f"bad sitelink field {pair!r}")
+            if wikis is not None:
+                wiki = wikis[wiki]
+            elif not wiki:
+                raise ValueError("sitelink wiki code is empty")
+            if not title:
+                raise ValueError(f"sitelink title for {wiki!r} is empty")
+            sitelinks[wiki] = _unescape_title(title) if "%" in title else title
+    return sitelinks
+
+
 def _parse_record(
-    line: str, line_number: int, props: _Declared, wikis: _Declared | None, values: IdMemo
+    props: _Declared, wikis: _Declared | None, values: IdMemo, line: str, line_number: int
 ) -> SlimEntity:
     """One record line; ``props`` and ``wikis`` (None = unrestricted) are the
     header's lists, ``values`` the read's item id memo."""
@@ -193,34 +233,60 @@ def _parse_record(
             for group in claims_field.split(";"):
                 prop_text, _, values_text = group.partition(":")
                 claims[props[prop_text]] = tuple(map(value_of, values_text.split(",")))
-        sitelinks: dict[str, str] = {}
-        if links_field:
-            for pair in links_field.split("|"):
-                wiki, sep, title = pair.partition("=")
-                if not sep:
-                    raise ValueError(f"bad sitelink field {pair!r}")
-                if wikis is not None:
-                    wiki = wikis[wiki]
-                elif not wiki:
-                    raise ValueError("sitelink wiki code is empty")
-                if not title:
-                    raise ValueError(f"sitelink title for {wiki!r} is empty")
-                sitelinks[wiki] = _unescape_title(title) if "%" in title else title
+        sitelinks = _parse_sitelinks(links_field, wikis)
         return SlimEntity.trusted(EntityId.parse_item(id_field), claims, sitelinks)
     except ValueError as exc:
         raise SlimStoreCorruptionError(f"line {line_number}: {exc}") from exc
 
 
-def read_slim_store(
-    source: Iterable[str], required_props: Iterable[EntityId] = ()
-) -> Iterator[SlimEntity]:
-    """Yield the stored records in stored order.
+class SitelinksRecord(NamedTuple):
+    """One store record as :func:`read_store_sitelinks` yields it: no claims."""
 
-    Raises :class:`SlimStoreVersionError` for another format version,
-    :class:`SlimStoreMismatchError` when the header's ``props=`` lacks one of
-    ``required_props``, and :class:`SlimStoreCorruptionError` when the header
-    count disagrees with the records actually present (checked once the
-    stream is exhausted).
+    id: EntityId
+    sitelinks: dict[str, str]
+
+
+def _claims_pattern(props: Iterable[str]) -> re.Pattern:
+    """The claims fields :func:`_parse_record` accepts under the header's ``props=``.
+
+    That is ``prop:Q<n>[,Q<n>]`` groups joined by ``;``, each ``prop`` one of
+    ``props``, or nothing at all.
+    """
+    keys = "|".join(map(re.escape, props))
+    if not keys:
+        return re.compile("")
+    group = f"(?:{keys}):{_ITEM_TOKEN}(?:,{_ITEM_TOKEN})*"
+    return re.compile(f"(?:{group}(?:;{group})*)?")
+
+
+def _sitelinks_parser(props: _Declared, wikis: _Declared | None) -> Callable[[str, int], SitelinksRecord]:
+    claims_valid = _claims_pattern(props).fullmatch
+    parse_record = partial(_parse_record, props, wikis, IdMemo(ITEM))
+    parse_item = EntityId.parse_item
+
+    def parse(line: str, line_number: int) -> SitelinksRecord:
+        parts = line.split("\t")
+        if len(parts) != 3 or claims_valid(parts[1]) is None:
+            entity = parse_record(line, line_number)  # raises the whole reader's error
+            return _new_tuple(SitelinksRecord, (entity.id, entity.sitelinks))
+        try:
+            sitelinks = _parse_sitelinks(parts[2], wikis)
+            return _new_tuple(SitelinksRecord, (parse_item(parts[0]), sitelinks))
+        except ValueError as exc:
+            raise SlimStoreCorruptionError(f"line {line_number}: {exc}") from exc
+
+    return parse
+
+
+def _read_records(
+    source: Iterable[str],
+    required_props: Iterable[EntityId],
+    parser: Callable[[_Declared, _Declared | None], Callable[[str, int], SlimEntity | SitelinksRecord]],
+) -> Iterator:
+    """The record skeleton both readers share.
+
+    ``parser(props, wikis)`` gives the function that turns one record line and
+    its number into a record; it is called once the header is read.
     """
     lines = iter(source)
     header = read_store_header(lines)
@@ -235,8 +301,9 @@ def read_slim_store(
     wikis = None
     if header.wikis is not None:
         wikis = _Declared("sitelink {!r} is not in the header's wikis=", header.wikis)
-    values = IdMemo(ITEM)
+    parse = parser(props, wikis)
     seen = 0
+    previous = 0  # the item number of the record before; every id is above 0
     for line_number, raw in enumerate(lines, start=3):
         line = raw.rstrip("\n")
         if not line:
@@ -246,11 +313,45 @@ def read_slim_store(
             raise SlimStoreCorruptionError(
                 f"header says {header.count} records but more are present"
             )
-        yield _parse_record(line, line_number, props, wikis, values)
+        record = parse(line, line_number)
+        number = record.id.number
+        if number <= previous:
+            raise SlimStoreCorruptionError(
+                f"line {line_number}: item {record.id} does not follow Q{previous}; "
+                "records are sorted by item number, each item once"
+            )
+        previous = number
+        yield record
     if seen != header.count:
         raise SlimStoreCorruptionError(
             f"header says {header.count} records but file has {seen}"
         )
+
+
+def read_slim_store(
+    source: Iterable[str], required_props: Iterable[EntityId] = ()
+) -> Iterator[SlimEntity]:
+    """Yield the stored records in stored order.
+
+    Raises :class:`SlimStoreVersionError` for another format version,
+    :class:`SlimStoreMismatchError` when the header's ``props=`` lacks one of
+    ``required_props``, and :class:`SlimStoreCorruptionError` for a bad
+    record, a record out of item order, or a header count that disagrees with
+    the records actually present (checked once the stream is exhausted).
+    """
+    return _read_records(
+        source, required_props, lambda props, wikis: partial(_parse_record, props, wikis, IdMemo(ITEM))
+    )
+
+
+def read_store_sitelinks(source: Iterable[str]) -> Iterator[SitelinksRecord]:
+    """Yield each stored record's ``.id`` and ``.sitelinks``, in stored order.
+
+    Accepts exactly the stores :func:`read_slim_store` accepts and fails the
+    others with the same error.  The claims field is checked whole and never
+    built.
+    """
+    return _read_records(source, (), _sitelinks_parser)
 
 
 def save_slim_store(entities: Iterable[SlimEntity], path: Path | str, **kwargs) -> int:

@@ -8,6 +8,8 @@ import pytest
 from wikicoverage.cli import main
 from wikicoverage.metrics import METRICS_COLUMNS
 
+from helpers import dump_text, entity_json
+
 FIXTURE = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
@@ -204,15 +206,16 @@ class TestErrorsAndFlags:
         ) == 0
 
     def test_stdin_dump_input(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "wikicoverage.cli", "slim", "--dump", "-",
-             "--out", str(tmp_path / "s.slim")],
-            stdin=open(FIXTURE / "dump.json", "rb"),
-            capture_output=True,
-            text=True,
-            timeout=60,
-            cwd=FIXTURE.parents[1] / "src",  # the checkout's package, installed or not
-        )
+        with open(FIXTURE / "dump.json", "rb") as dump:
+            result = subprocess.run(
+                [sys.executable, "-m", "wikicoverage.cli", "slim", "--dump", "-",
+                 "--out", str(tmp_path / "s.slim")],
+                stdin=dump,
+                capture_output=True,
+                text=True,
+                timeout=60,
+                cwd=FIXTURE.parents[1] / "src",  # the checkout's package, installed or not
+            )
         assert result.returncode == 0, result.stderr
         assert "wrote 21 entities" in result.stdout
 
@@ -234,3 +237,71 @@ class TestChartFlags:
         payload = json.loads((report_dir / "chart.json").read_text(encoding="utf-8"))
         assert payload["scale"] == "linear"
         assert not (report_dir / "chart.svg").exists()
+
+
+class TestCorruptStores:
+    """``metrics`` streams the store, ``attribute`` loads it whole: both fail a bad one alike."""
+
+    @pytest.fixture
+    def chain(self, tmp_path, capsys):
+        paths = {name: tmp_path / name for name in ("entities.slim", "attribution.tsv", "views.tsv")}
+        run(["slim", "--dump", FIXTURE / "dump.json", "--out", paths["entities.slim"],
+             "--rules", FIXTURE / "rules.txt", "--languages", "en,de"])
+        run(["attribute", "--slim", paths["entities.slim"], "--out", paths["attribution.tsv"],
+             "--rules", FIXTURE / "rules.txt"])
+        run(["usage", FIXTURE / "pageviews-a.txt", "--languages", "en,de", "--out", paths["views.tsv"]])
+        capsys.readouterr()
+        return paths
+
+    def errors(self, chain, tmp_path, capsys):
+        """The stderr of ``metrics`` and of ``attribute`` on the chain's store; both must exit 1."""
+        assert run(
+            ["metrics", "--slim", chain["entities.slim"], "--attribution", chain["attribution.tsv"],
+             "--views", chain["views.tsv"], "--readership", FIXTURE / "readership.csv",
+             "--languages", "en,de", "--out", tmp_path / "metrics.tsv"]
+        ) == 1
+        metrics_err = capsys.readouterr().err
+        assert run(
+            ["attribute", "--slim", chain["entities.slim"], "--out", tmp_path / "a.tsv",
+             "--rules", FIXTURE / "rules.txt"]
+        ) == 1
+        return metrics_err, capsys.readouterr().err
+
+    def test_bad_claim_token_fails_metrics_as_it_fails_attribute(self, chain, tmp_path, capsys):
+        store = chain["entities.slim"]
+        lines = store.read_text(encoding="utf-8").split("\n")
+        item, claims, links = lines[4].split("\t")
+        lines[4] = "\t".join((item, claims.replace(":Q", ":Q0", 1), links))
+        store.write_text("\n".join(lines), encoding="utf-8")
+        metrics_err, attribute_err = self.errors(chain, tmp_path, capsys)
+        assert metrics_err == attribute_err
+        assert metrics_err.startswith("error: line 5: not an entity id: 'Q0")
+        assert not (tmp_path / "metrics.tsv").exists()
+
+    def test_corrupt_store_is_reported_before_a_corrupt_attribution_tsv(self, chain, tmp_path, capsys):
+        store = chain["entities.slim"]
+        store.write_text(store.read_text(encoding="utf-8").replace("\t", "\t\t", 1), encoding="utf-8")
+        chain["attribution.tsv"].write_text("not\ta\tvalid\tline\n", encoding="utf-8")
+        metrics_err, _ = self.errors(chain, tmp_path, capsys)
+        assert metrics_err == "error: line 3: expected 3 tab-separated fields, got 4\n"
+
+    def test_repeated_item_fails_metrics_and_attribute(self, chain, tmp_path, capsys):
+        store = chain["entities.slim"]
+        lines = store.read_text(encoding="utf-8").splitlines(keepends=True)
+        count = len(lines) - 2
+        lines[1] = lines[1].replace(f"count={count} ", f"count={count + 1} ")
+        lines.insert(4, lines[3])
+        store.write_text("".join(lines), encoding="utf-8")
+        item = lines[3].split("\t")[0]
+        message = f"error: line 5: item {item} does not follow {item}; records are sorted by item number, each item once\n"
+        assert self.errors(chain, tmp_path, capsys) == (message, message)
+
+    def test_slim_refuses_a_dump_with_a_repeated_item(self, tmp_path, capsys):
+        dump = tmp_path / "dump.json"
+        dump.write_text(
+            dump_text([entity_json("Q5", sitelinks={"enwiki": "A"}), entity_json("Q7"),
+                       entity_json("Q5", sitelinks={"enwiki": "B"})]),
+            encoding="utf-8",
+        )
+        assert run(["slim", "--dump", dump, "--out", tmp_path / "s.slim"]) == 1
+        assert capsys.readouterr().err == "error: item Q5 appears twice in the input stream\n"

@@ -1,6 +1,7 @@
 import io
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +9,17 @@ from hypothesis import strategies as st
 
 from wikicoverage.entities import SlimEntity
 from wikicoverage.errors import (
+    DuplicateItemError,
     SlimStoreCorruptionError,
     SlimStoreMismatchError,
     SlimStoreVersionError,
     SlimStoreWriteError,
 )
+from wikicoverage.metrics import build_article_sets
 from wikicoverage.slimstore import (
     read_slim_store,
     read_store_header,
+    read_store_sitelinks,
     write_slim_store,
 )
 
@@ -30,6 +34,44 @@ def round_trip(entities, **kwargs):
     sink = io.StringIO()
     count = write(entities, sink, **kwargs)
     return count, list(read_slim_store(io.StringIO(sink.getvalue())))
+
+
+def outcome(reader, text):
+    """The ids and sitelinks a reader yields from ``text``, or the error it raises."""
+    try:
+        return [(record.id, record.sitelinks) for record in reader(io.StringIO(text))]
+    except SlimStoreCorruptionError as exc:
+        return f"error: {exc}"
+
+
+# records that break a token, each with the line it breaks; a first entry
+# "props=..." stands in for the header's property list
+BAD_TOKEN_CASES = [
+    (["Q1\tQ5:Q30\t"], 3),
+    (["P17\tP17:Q30\t"], 3),
+    (["Q01\tP17:Q30\t"], 3),
+    (["Q\u0663\tP17:Q30\t"], 3),
+    (["Q\tP17:Q30\t"], 3),
+    (["Q1\tP17:Q01\t"], 3),
+    (["Q1\tP17:Q\u0663\t"], 3),
+    (["Q1\tP17:Q\t"], 3),
+    (["Q1\tP17:\t"], 3),
+    (["Q1\tP17:Q30,\t"], 3),
+    (["Q1\t\t=Title"], 3),
+    (["Q1\t\tenwiki="], 3),
+    (["Q1\tP17:Q30\tenwiki=A", "Q2\tP17:Q30,Q0\tenwiki=B"], 4),
+    (["Q1\tP17:Q30\t", "Q2\tP17:Q30\t", "Q3\tP31:Q5;Q5:Q30\t"], 5),
+    (["Q1\tP17:Q30,P5\t"], 3),
+    (["props=P17,Q5x"], 2),
+    (["props=P17,Q5"], 2),
+]
+
+
+def store_text(records):
+    props = "props=P17,P31"
+    if records[0].startswith("props="):
+        props, records = records[0], records[1:]
+    return f"WCM2\ncount={len(records)} {props} wikis=*\n" + "".join(r + "\n" for r in records)
 
 
 class TestWrite:
@@ -101,6 +143,13 @@ class TestWrite:
             write(entities, FlakySink())
         assert err.value.records_written == 2
 
+    def test_repeated_item_is_refused_before_writing(self):
+        sink = io.StringIO()
+        records = [SlimEntity(Q(5), {P(17): (Q(30),)}), SlimEntity(Q(9)), SlimEntity(Q(5), {}, {"enwiki": "X"})]
+        with pytest.raises(DuplicateItemError, match="^item Q5 appears twice in the input stream$"):
+            write(records, sink)
+        assert sink.getvalue() == ""
+
 
 class TestRead:
     def test_single_entity_round_trip(self):
@@ -153,38 +202,10 @@ class TestRead:
         with pytest.raises(SlimStoreCorruptionError):
             list(read_slim_store(io.StringIO(text)))
 
-    @pytest.mark.parametrize(
-        "records, bad_line",
-        [
-            (["Q1\tQ5:Q30\t"], 3),
-            (["P17\tP17:Q30\t"], 3),
-            (["Q01\tP17:Q30\t"], 3),
-            (["Q\u0663\tP17:Q30\t"], 3),
-            (["Q\tP17:Q30\t"], 3),
-            (["Q1\tP17:Q01\t"], 3),
-            (["Q1\tP17:Q\u0663\t"], 3),
-            (["Q1\tP17:Q\t"], 3),
-            (["Q1\tP17:\t"], 3),
-            (["Q1\tP17:Q30,\t"], 3),
-            (["Q1\t\t=Title"], 3),
-            (["Q1\t\tenwiki="], 3),
-            (["Q1\tP17:Q30\tenwiki=A", "Q2\tP17:Q30,Q0\tenwiki=B"], 4),
-            (["Q1\tP17:Q30\t", "Q2\tP17:Q30\t", "Q3\tP31:Q5;Q5:Q30\t"], 5),
-            (["Q1\tP17:Q30,P5\t"], 3),
-            (["props=P17,Q5x"], 2),
-            (["props=P17,Q5"], 2),
-        ],
-    )
+    @pytest.mark.parametrize("records, bad_line", BAD_TOKEN_CASES)
     def test_bad_token_is_corruption_naming_its_line(self, records, bad_line):
-        # a first entry "props=..." stands in for the header's property list
-        props = "props=P17,P31"
-        if records[0].startswith("props="):
-            props, records = records[0], records[1:]
-        text = f"WCM2\ncount={len(records)} {props} wikis=*\n" + "".join(
-            r + "\n" for r in records
-        )
         with pytest.raises(SlimStoreCorruptionError, match=f"^line {bad_line}: "):
-            list(read_slim_store(io.StringIO(text)))
+            list(read_slim_store(io.StringIO(store_text(records))))
 
 
     @pytest.mark.parametrize(
@@ -211,6 +232,21 @@ class TestRead:
         text = "WCM2\ncount=1 props=P17 wikis=*\nQ1\tP17:Q5\tdewiki=X|xxwiki=Y\n"
         [entity] = read_slim_store(io.StringIO(text))
         assert entity.sitelinks == {"dewiki": "X", "xxwiki": "Y"}
+
+    @pytest.mark.parametrize("reader", [read_slim_store, read_store_sitelinks])
+    @pytest.mark.parametrize(
+        "records, problem",
+        [
+            (["Q5\tP17:Q30\t", "Q5\t\tenwiki=X"], "item Q5 does not follow Q5"),
+            (["Q7\tP17:Q30\t", "Q5\t\tenwiki=X"], "item Q5 does not follow Q7"),
+        ],
+        ids=["repeated", "descending"],
+    )
+    def test_record_out_of_item_order_is_corruption(self, reader, records, problem):
+        text = store_text(records)
+        message = f"line 4: {problem}; records are sorted by item number, each item once"
+        with pytest.raises(SlimStoreCorruptionError, match=f"^{re.escape(message)}$"):
+            list(reader(io.StringIO(text)))
 
 
 class TestTitleEscaping:
@@ -275,3 +311,87 @@ class TestRoundTripProperty:
         entities = random_entities(random.Random(1234), 10_000)
         _, back = round_trip(entities)
         assert back == sorted(entities, key=lambda e: e.id.number)
+
+
+class TestSitelinksReader:
+    """``read_store_sitelinks`` accepts exactly what ``read_slim_store`` accepts."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**31), count=st.integers(0, 60))
+    @settings(max_examples=30, deadline=None)
+    def test_yields_the_ids_and_sitelinks_of_every_record(self, seed, count):
+        sink = io.StringIO()
+        write(random_entities(random.Random(seed), count), sink)
+        text = sink.getvalue()
+        back = list(read_store_sitelinks(io.StringIO(text)))
+        assert [(r.id, r.sitelinks) for r in back] == outcome(read_slim_store, text)
+        assert len(back) == count
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            *(records for records, _ in BAD_TOKEN_CASES),
+            ["Q1\tP17:Q5;P17:Q6\tenwiki=X"],  # a repeated claim key is read, the last group kept
+            ["Q1\tP17:Q5\t", "Q1\tP31:Q5\t"],
+            ["Q1\tP17:Q5\tenwiki=a%7Cb%25"],
+            ["Q1\tP17:Q5\tenwiki"],
+            ["Q1\tP17:Q5"],
+            ["Q1\t;\t"],
+            ["props=", "Q1\t\tenwiki=X"],
+            ["props=", "Q1\tP17:Q5\t"],
+        ],
+    )
+    def test_hand_written_stores_read_the_same(self, records):
+        text = store_text(records)
+        assert outcome(read_store_sitelinks, text) == outcome(read_slim_store, text)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        count=st.integers(1, 20),
+        restricted=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_a_mutated_field_reads_the_same_in_both_readers(self, seed, count, restricted, data):
+        keep_wikis = ["enwiki", "dewiki", "frwiki", "plwiki", "zh_min_nanwiki"] if restricted else None
+        sink = io.StringIO()
+        write(random_entities(random.Random(seed), count), sink, keep_wikis=keep_wikis)
+        lines = sink.getvalue().split("\n")  # lines[2:count + 2] are the records
+        fields = lines[data.draw(st.integers(2, count + 1), label="line")].split("\t")
+        which = data.draw(st.sampled_from([1, 2]), label="field")  # claims or sitelinks
+        start = data.draw(st.integers(0, len(fields[which])), label="start")
+        end = data.draw(st.integers(start, min(start + 3, len(fields[which]))), label="end")
+        insert = data.draw(st.text("QP0123456789:;,=|%\t", max_size=3), label="insert")
+        original = "\t".join(fields)
+        fields[which] = fields[which][:start] + insert + fields[which][end:]
+        text = sink.getvalue().replace(original, "\t".join(fields), 1)
+        assert outcome(read_store_sitelinks, text) == outcome(read_slim_store, text)
+
+    def test_claims_are_never_built(self, tmp_path):
+        def store(values_per_record):
+            entities = [
+                SlimEntity(
+                    Q(n),
+                    {P(17): tuple(Q(n * 100 + k) for k in range(values_per_record))},
+                    {"enwiki": f"Title {n}", "dewiki": f"Titel {n}"},
+                )
+                for n in range(1, 2001)
+            ]
+            path = tmp_path / f"{values_per_record}.slim"
+            with open(path, "w", encoding="utf-8") as sink:
+                write(entities, sink)
+            return path
+
+        def peak(reader, path):
+            with open(path, encoding="utf-8") as source:
+                tracemalloc.start()
+                try:
+                    build_article_sets(reader(source), ["en", "de"])
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        one, forty = store(1), store(40)
+        peak(read_store_sitelinks, one)  # compiles and caches the claims pattern
+        assert peak(read_store_sitelinks, forty) <= 1.1 * peak(read_store_sitelinks, one)
+        # the measure sees claims: the whole-record reader, streamed the same way, peaks far higher
+        assert peak(read_slim_store, forty) > 2 * peak(read_store_sitelinks, forty)
