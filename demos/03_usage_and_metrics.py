@@ -5,7 +5,8 @@
 * ras   -- share of the edition's articles related to the target country
 * ravs  -- share of article views going to related articles
 
-Values stay exact fractions until they are rendered.
+Values stay exact fractions until they are rendered; ras and ravs are derived
+from the article and view counts a row stores.
 """
 
 import io
@@ -13,7 +14,6 @@ import io
 from wikicoverage import (
     EntityId,
     SlimEntity,
-    UsageStats,
     aggregate_views,
     build_article_sets,
     compute_all,
@@ -54,17 +54,15 @@ entities = [
     SlimEntity(Q(183), {P(17): (Q(183),)}, {"enwiki": "Germany"}),
     SlimEntity(Q(22686), {P(27): (Q(30),)}, {"enwiki": "Donald Trump"}),
 ]
+# an item is related exactly when it has a provenance path to the target
 attributions = {
-    Q(30): AttributionResult(Q(30), True, ((P(17), Q(30)),)),
-    Q(183): AttributionResult(Q(183), False, ()),
-    Q(22686): AttributionResult(Q(22686), True, ((P(27), Q(30)),)),
+    Q(30): AttributionResult(Q(30), ((P(17), Q(30)),)),
+    Q(183): AttributionResult(Q(183)),
+    Q(22686): AttributionResult(Q(22686), ((P(27), Q(30)),)),
 }
 
-usage = UsageStats(
-    views=views,
-    readership=parse_readership_table(io.StringIO(READERSHIP)),
-)
-rows, failures = compute_all(build_article_sets(entities, {"en"}), attributions, usage)
+readership = parse_readership_table(io.StringIO(READERSHIP))
+rows, failures = compute_all(build_article_sets(entities, {"en"}), attributions, views, readership)
 assert not failures
 
 (row,) = rows

@@ -26,8 +26,6 @@ def row(language, country, ppcrw_pct, related_views, total_views, related_articl
         primary_country=country,
         ppcrw=Fraction(ppcrw_pct, 100),
         vpc=Fraction(1, 2),
-        ras=Fraction(related_articles, articles),
-        ravs=Fraction(related_views, total_views),
         article_count=articles,
         related_article_count=related_articles,
         total_views=total_views,

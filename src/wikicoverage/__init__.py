@@ -31,7 +31,6 @@ from .dump import ParseIssue, parse_dump_stream
 from .entities import EntityId, SlimEntity
 from .errors import WikiCoverageError
 from .metrics import (
-    LanguageArticleSet,
     MetricsRow,
     build_article_sets,
     compute_all,
@@ -50,7 +49,6 @@ from .slimstore import (
 from .usage import (
     ReadershipRecord,
     TitleMemo,
-    UsageStats,
     ViewRecord,
     aggregate_views,
     parse_pageviews_line,
@@ -64,7 +62,6 @@ __all__ = [
     "ChartDatum",
     "ClusterRow",
     "EntityId",
-    "LanguageArticleSet",
     "MetricsRow",
     "ParseIssue",
     "PipelineResult",
@@ -73,7 +70,6 @@ __all__ = [
     "RunConfig",
     "SlimEntity",
     "TitleMemo",
-    "UsageStats",
     "ViewRecord",
     "WikiCoverageError",
     "aggregate_all",

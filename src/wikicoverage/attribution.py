@@ -8,9 +8,10 @@ a first pass maps every item to its country-chain claim values, and a bounded
 breadth-first walk over that index decides whether the target is reachable.
 
 Every satisfied claim contributes one provenance path: ``(property, entity,
-..., target)``.  Direct paths come first, then place paths; properties are
-visited in ascending id order and claim values in claim order, so results are
-deterministic for a given entity.
+..., target)``, and an item is related exactly when it has one.  Direct paths
+come first, then place paths; properties are visited in ascending id order
+and claim values in claim order, so results are deterministic for a given
+entity.
 
 A walk depends only on the index, its start and the rules, so
 :func:`attribute_all` resolves each distinct place once per call: it keeps a
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, NamedTuple
 
 from .entities import ITEM, PROPERTY, EntityId, IdMemo, SlimEntity
 from .errors import DuplicateItemError, RulesError
@@ -94,43 +95,20 @@ class RuleSet:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class AttributionResult:
+class AttributionResult(NamedTuple):
     """Whether (and why) one item relates to the target country.
 
     ``provenance`` holds one path per satisfied claim; each path starts with
-    the property and ends at the target.  ``related`` is true exactly when
-    provenance is non-empty; the constructor checks that, and :meth:`trusted`
-    does not, for the code that has already made sure of it: attribution
-    itself and :func:`read_attribution_tsv`.
+    the property and ends at the target.  The item is related exactly when
+    it has provenance.
     """
 
     item: EntityId
-    related: bool
     provenance: tuple[tuple[EntityId, ...], ...] = ()
 
-    def __post_init__(self):
-        if self.related != bool(self.provenance):
-            raise ValueError("related flag must mirror provenance non-emptiness")
-
-    @classmethod
-    def trusted(
-        cls, item: EntityId, related: bool, provenance: tuple[tuple[EntityId, ...], ...]
-    ) -> "AttributionResult":
-        """Build a result without ``__post_init__``'s check; ``related`` must
-        already equal ``bool(provenance)``."""
-        result = _new_object(cls)
-        _set_item(result, item)
-        _set_related(result, related)
-        _set_provenance(result, provenance)
-        return result
-
-
-# the slot setters, which a frozen dataclass's own __setattr__ refuses to run
-_new_object = object.__new__
-_set_item = AttributionResult.__dict__["item"].__set__
-_set_related = AttributionResult.__dict__["related"].__set__
-_set_provenance = AttributionResult.__dict__["provenance"].__set__
+    @property
+    def related(self) -> bool:
+        return bool(self.provenance)
 
 
 def build_geo_index(entities: Iterable[SlimEntity], rules: RuleSet) -> dict[EntityId, tuple[EntityId, ...]]:
@@ -218,7 +196,7 @@ def attribute_item(
             chain = chain_of(value)
             if chain is not None:
                 paths.append((prop, *chain))
-    return AttributionResult.trusted(entity.id, bool(paths), tuple(paths))
+    return AttributionResult(entity.id, tuple(paths))
 
 
 def is_excluded(entity: SlimEntity, rules: RuleSet) -> bool:
@@ -239,7 +217,7 @@ def attribute_all(
         if entity.id in results:
             raise DuplicateItemError(f"item {entity.id} appears twice in the input stream")
         if is_excluded(entity, rules):
-            results[entity.id] = AttributionResult.trusted(entity.id, False, ())
+            results[entity.id] = AttributionResult(entity.id)
         else:
             results[entity.id] = attribute_item(entity, index, rules, chains)
     return results
@@ -258,8 +236,10 @@ def _parse_id_list(value: str, line_number: int) -> tuple[EntityId, ...]:
 
 
 def parse_rules(text: str) -> RuleSet:
-    """Parse a rules file; unspecified keys keep their defaults."""
+    """Parse a rules file; unspecified keys keep their defaults, and a
+    repeated key is an error."""
     kwargs: dict = {}
+    seen: set[str] = set()
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -268,6 +248,9 @@ def parse_rules(text: str) -> RuleSet:
         if not sep:
             raise RulesError(f"line {line_number}: expected key=value, got {raw!r}")
         key, value = key.strip(), value.strip()
+        if key in seen:
+            raise RulesError(f"line {line_number}: repeated key {key!r}")
+        seen.add(key)
         if key == "target":
             try:
                 kwargs["target"] = EntityId.parse(value)
@@ -323,9 +306,9 @@ ATTRIBUTION_COLUMNS = ("item", "related", "provenance")
 
 def write_attribution_tsv(results: Mapping[EntityId, AttributionResult], sink: IO[str]) -> None:
     for item in sorted(results, key=lambda e: e.number):
-        result = results[item]
-        flag = "true" if result.related else "false"
-        sink.write(f"{item}\t{flag}\t{render_provenance(result.provenance)}\n")
+        provenance = results[item].provenance
+        flag = "true" if provenance else "false"
+        sink.write(f"{item}\t{flag}\t{render_provenance(provenance)}\n")
 
 
 def read_attribution_tsv(source: Iterable[str]) -> dict[EntityId, AttributionResult]:
@@ -347,7 +330,7 @@ def read_attribution_tsv(source: Iterable[str]) -> dict[EntityId, AttributionRes
         provenance = parse_provenance(provenance_text, ids)
         if related != bool(provenance):
             raise ValueError(f"related flag {flag} does not match provenance {provenance_text!r}")
-        return item, AttributionResult.trusted(item, related, provenance)
+        return item, AttributionResult(item, provenance)
 
     with paused_gc():
         return read_tsv(source, ATTRIBUTION_COLUMNS, row, header=False)

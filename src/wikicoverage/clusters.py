@@ -106,10 +106,9 @@ def aggregate_cluster(
     if method not in AGGREGATION_MODES:
         raise ValueError(f"unknown aggregation method {method!r}")
     if method == POOLED:
+        # every member's counts are positive (MetricsRow), so neither total is zero
         total_views = sum(m.total_views for m in member_list)
         total_articles = sum(m.article_count for m in member_list)
-        if total_views == 0 or total_articles == 0:
-            raise UndefinedAggregateError(f"cluster {cluster!r} has a zero pooled denominator")
         popularity = Fraction(sum(m.related_views for m in member_list), total_views)
         articles = Fraction(sum(m.related_article_count for m in member_list), total_articles)
     else:

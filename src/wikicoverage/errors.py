@@ -72,7 +72,7 @@ class TitleConflictError(WikiCoverageError):
 
 
 class UndefinedAggregateError(WikiCoverageError):
-    """A cluster aggregate has a zero pooled denominator."""
+    """A cluster aggregate is undefined: the cluster has no members."""
 
 
 class EmptyChartError(WikiCoverageError):

@@ -9,12 +9,15 @@ For each language edition four parameters are computed:
 
 The primary country is the one with the most readers of that edition.  All
 four values are kept as exact :class:`~fractions.Fraction` internally; any
-rendering to decimals happens only at the reporting edge.
+rendering to decimals happens only at the reporting edge.  A
+:class:`MetricsRow` stores ``ppcrw``, ``vpc`` and the four counts; ``ras``
+and ``ravs`` are derived from the counts, so a row cannot disagree with
+itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Mapping
 
@@ -27,7 +30,7 @@ from .errors import (
     UndefinedMetricError,
     WikiCoverageError,
 )
-from .usage import ReadershipRecord, UsageStats
+from .usage import ReadershipRecord
 from .util import format_fraction, normalize_sitelink_title, read_tsv, sitelink_key
 
 METRICS_COLUMNS = (
@@ -45,63 +48,43 @@ METRICS_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class LanguageArticleSet:
-    """All sitelinked articles of one language edition, title -> owning item."""
-
-    language: str
-    articles: dict[str, EntityId] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.articles)
-
-
-@dataclass(frozen=True)
 class MetricsRow:
-    """One language edition's four metrics plus the raw counts behind them."""
+    """One language edition's reader shares and the counts behind its article
+    and view shares; ``ras`` and ``ravs`` are the exact shares of those counts."""
 
     language: str
     primary_country: str
     ppcrw: Fraction
     vpc: Fraction
-    ras: Fraction
-    ravs: Fraction
     article_count: int
     related_article_count: int
     total_views: int
     related_views: int
 
     def __post_init__(self):
+        for name in ("article_count", "total_views"):
+            count = getattr(self, name)
+            if count <= 0:
+                raise ValueError(f"{name} must be positive, got {count}")
         for name in ("ppcrw", "vpc", "ras", "ravs"):
             value = getattr(self, name)
             if not 0 <= value <= 1:
                 raise ValueError(f"{name} out of [0, 1]: {value}")
-        if self.related_article_count > self.article_count:
-            raise ValueError("related article count exceeds article count")
-        if self.related_views > self.total_views:
-            raise ValueError("related views exceed total views")
-        if self.article_count > 0 and self.ras != Fraction(
-            self.related_article_count, self.article_count
-        ):
-            raise ValueError("ras does not match its counts")
-        if self.total_views > 0 and self.ravs != Fraction(
-            self.related_views, self.total_views
-        ):
-            raise ValueError("ravs does not match its counts")
 
-    @classmethod
-    def from_counts(
-        cls, language: str, primary_country: str, ppcrw: Fraction, vpc: Fraction, *counts: int
-    ) -> "MetricsRow":
-        """A row from its four counts, in column order; ras and ravs are their exact shares."""
-        article_count, related_article_count, total_views, related_views = counts
-        ras = Fraction(related_article_count, article_count)
-        return cls(language, primary_country, ppcrw, vpc, ras, Fraction(related_views, total_views), *counts)
+    @property
+    def ras(self) -> Fraction:
+        return Fraction(self.related_article_count, self.article_count)
+
+    @property
+    def ravs(self) -> Fraction:
+        return Fraction(self.related_views, self.total_views)
 
 
 def build_article_sets(
     entities: Iterable[SlimEntity], languages: Iterable[str]
-) -> dict[str, LanguageArticleSet]:
-    """Collect each language's sitelinked titles, normalized to underscores.
+) -> dict[str, dict[str, EntityId]]:
+    """Collect each language's sitelinked titles, normalized to underscores:
+    language -> title -> owning item.
 
     Two distinct items claiming the same (language, title) raise
     :class:`TitleConflictError` naming both ids.
@@ -121,9 +104,7 @@ def build_article_sets(
                     f"{language}:{normalized!r} claimed by both {previous} and {entity.id}"
                 )
             by_language[language][normalized] = entity.id
-    return {
-        lang: LanguageArticleSet(lang, articles) for lang, articles in by_language.items()
-    }
+    return by_language
 
 
 def primary_country(readership: Iterable[ReadershipRecord]) -> str:
@@ -148,53 +129,59 @@ def reader_share(readership: Iterable[ReadershipRecord], primary: str, count: st
 
 
 def count_related(
-    articles: LanguageArticleSet,
+    language: str,
+    articles: Mapping[str, EntityId],
     attributions: Mapping[EntityId, AttributionResult],
     views: Mapping[tuple[str, str], int],
 ) -> tuple[int, int, int]:
-    """One walk over the article set: (related articles, related views, total
-    views).  A title absent from ``views`` counts 0 views; an owner without an
-    attribution raises :class:`IncompleteAttributionError`."""
-    language = articles.language
+    """One walk over a language's article set (title -> item): (related
+    articles, related views, total views).  A title absent from ``views``
+    counts 0 views; an owner without an attribution raises
+    :class:`IncompleteAttributionError`."""
     related_articles = related_views = total_views = 0
-    for title, item in articles.articles.items():
+    for title, item in articles.items():
         result = attributions.get(item)
         if result is None:
             raise IncompleteAttributionError(f"{language}:{title!r} owner {item} has no attribution")
         count = views.get((language, title), 0)
         total_views += count
-        if result.related:
+        if result.provenance:
             related_articles += 1
             related_views += count
     return related_articles, related_views, total_views
 
 
 def compute_language_row(
-    articles: LanguageArticleSet,
+    language: str,
+    articles: Mapping[str, EntityId],
     attributions: Mapping[EntityId, AttributionResult],
-    usage: UsageStats,
+    views: Mapping[tuple[str, str], int],
+    readership: Mapping[str, list[ReadershipRecord]],
 ) -> MetricsRow:
-    language = articles.language
-    readership = usage.readership.get(language, [])
-    primary = primary_country(readership)
-    ppcrw = reader_share(readership, primary, "readers")
-    vpc = reader_share(readership, primary, "views_from")
-    related_articles, related_views, total_views = count_related(articles, attributions, usage.views)
-    if not articles.articles:
+    records = readership.get(language, [])
+    primary = primary_country(records)
+    ppcrw = reader_share(records, primary, "readers")
+    vpc = reader_share(records, primary, "views_from")
+    related_articles, related_views, total_views = count_related(language, articles, attributions, views)
+    if not articles:
         raise UndefinedMetricError(f"no articles for language {language!r}")
     if total_views == 0:
         raise UndefinedMetricError(f"zero total views for language {language!r}")
-    counts = (len(articles.articles), related_articles, total_views, related_views)
-    return MetricsRow.from_counts(language, primary, ppcrw, vpc, *counts)
+    return MetricsRow(language, primary, ppcrw, vpc, len(articles), related_articles, total_views, related_views)
 
 
 def compute_all(
-    article_sets: Mapping[str, LanguageArticleSet],
+    article_sets: Mapping[str, Mapping[str, EntityId]],
     attributions: Mapping[EntityId, AttributionResult],
-    usage: UsageStats,
+    views: Mapping[tuple[str, str], int],
+    readership: Mapping[str, list[ReadershipRecord]],
     languages: Iterable[str] | None = None,
 ) -> tuple[list[MetricsRow], dict[str, WikiCoverageError]]:
-    """One row per language, language-sorted; failures tagged, others produced."""
+    """One row per language, language-sorted; failures tagged, others produced.
+
+    ``views`` maps (language, title) to total views; ``readership`` maps a
+    language to its readership rows.
+    """
     requested = sorted(set(languages)) if languages is not None else sorted(article_sets)
     rows: list[MetricsRow] = []
     failures: dict[str, WikiCoverageError] = {}
@@ -203,7 +190,7 @@ def compute_all(
             articles = article_sets.get(language)
             if articles is None:
                 raise UndefinedMetricError(f"no article set for language {language!r}")
-            rows.append(compute_language_row(articles, attributions, usage))
+            rows.append(compute_language_row(language, articles, attributions, views, readership))
         except WikiCoverageError as exc:
             failures[language] = exc
     return rows, failures
@@ -238,11 +225,8 @@ def write_metrics_tsv(rows: Iterable[MetricsRow], sink: IO[str]) -> None:
 def _metrics_row(fields: list[str]) -> tuple[str, MetricsRow]:
     # the rounded ras and ravs columns are skipped: the counts rebuild them exactly
     counts = tuple(map(int, fields[6:]))
-    for name, count in (("article_count", counts[0]), ("total_views", counts[2])):
-        if count <= 0:
-            raise ValueError(f"{name} must be positive, got {count}")
     language, primary, ppcrw, vpc = fields[:4]
-    return language, MetricsRow.from_counts(language, primary, Fraction(ppcrw), Fraction(vpc), *counts)
+    return language, MetricsRow(language, primary, Fraction(ppcrw), Fraction(vpc), *counts)
 
 
 def read_metrics_tsv(source: Iterable[str]) -> list[MetricsRow]:

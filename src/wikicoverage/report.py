@@ -45,18 +45,11 @@ from .clusters import (
 from .dump import ParseIssue, parse_dump_stream
 from .entities import EntityId, SlimEntity
 from .errors import ConfigError, PipelineStageError, WikiCoverageError
-from .metrics import (
-    LanguageArticleSet,
-    MetricsRow,
-    build_article_sets,
-    compute_all,
-    write_metrics_tsv,
-)
+from .metrics import MetricsRow, build_article_sets, compute_all, write_metrics_tsv
 from .slimstore import load_slim_store, save_slim_store
 from .usage import (
     PageviewsIssue,
     TitleMemo,
-    UsageStats,
     aggregate_views,
     load_readership,
     merge_views,
@@ -191,7 +184,7 @@ def attribute_stage(
         geo_index = build_geo_index(entities, rules)
         attributions = attribute_all(entities, geo_index, rules)
     _write(out, write_attribution_tsv, attributions)
-    related = sum(1 for r in attributions.values() if r.related)
+    related = sum(1 for r in attributions.values() if r.provenance)
     return attributions, {"geo_index_entries": len(geo_index), "related_items": related}
 
 
@@ -218,7 +211,7 @@ def usage_stage(
 
 
 def metrics_stage(
-    article_sets: dict[str, LanguageArticleSet],
+    article_sets: dict[str, dict[str, EntityId]],
     attributions: dict[EntityId, AttributionResult],
     views: dict[tuple[str, str], int],
     readership: Path | str,
@@ -231,8 +224,7 @@ def metrics_stage(
     entities in memory or streamed from a store.  Returns the rows, in
     language order, and the languages that failed.
     """
-    usage = UsageStats(views=views, readership=load_readership(readership))
-    rows, failures = compute_all(article_sets, attributions, usage, languages)
+    rows, failures = compute_all(article_sets, attributions, views, load_readership(readership), languages)
     _write(out, write_metrics_tsv, rows)
     return rows, failures
 

@@ -39,12 +39,16 @@ order, is corruption naming its line.
 The writer holds each record to the header it writes: a claim key outside
 ``keep_props``, or a sitelink outside ``keep_wikis``, raises ValueError, and a
 repeated item raises :class:`DuplicateItemError`, before anything is written,
-so the writer never leaves a store its reader rejects.
+so the writer never leaves a store its reader rejects.  :func:`save_slim_store`
+writes beside the target file and renames over it only on success, so a
+refused or failed write never truncates the store already there.
 """
 
 from __future__ import annotations
 
+import os
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -355,8 +359,21 @@ def read_store_sitelinks(source: Iterable[str]) -> Iterator[SitelinksRecord]:
 
 
 def save_slim_store(entities: Iterable[SlimEntity], path: Path | str, **kwargs) -> int:
-    with open(path, "w", encoding="utf-8", newline="\n") as sink:
-        return write_slim_store(entities, sink, **kwargs)
+    """:func:`write_slim_store` to ``path``, through a sibling temporary file
+    that replaces ``path`` only once the whole store is written.  A refused or
+    failed write leaves the file already at ``path`` as it was, and removes
+    the temporary file."""
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8", newline="\n") as sink:
+            count = write_slim_store(entities, sink, **kwargs)
+        os.replace(temporary, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temporary)
+        raise
+    return count
 
 
 def load_slim_store(path: Path | str, required_props: Iterable[EntityId] = ()) -> list[SlimEntity]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import PageviewsLineError, ReadershipTableError
@@ -52,14 +52,6 @@ class ReadershipRecord(NamedTuple):
     country: str
     readers: int
     views_from: int
-
-
-@dataclass
-class UsageStats:
-    """Aggregated usage inputs: per-(language, title) views and readership."""
-
-    views: dict[tuple[str, str], int] = field(default_factory=dict)
-    readership: dict[str, list[ReadershipRecord]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

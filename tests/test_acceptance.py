@@ -24,7 +24,7 @@ from wikicoverage.entities import SlimEntity
 from wikicoverage.metrics import MetricsRow, build_article_sets, compute_all, reader_share
 from wikicoverage.report import RunConfig, emit_table, run_pipeline
 from wikicoverage.slimstore import read_slim_store, write_slim_store
-from wikicoverage.usage import ReadershipRecord, UsageStats
+from wikicoverage.usage import ReadershipRecord
 
 from helpers import (
     STORE_PROPS,
@@ -84,8 +84,6 @@ def reference_metrics_rows() -> list[MetricsRow]:
                 primary_country=country,
                 ppcrw=Fraction(ppcrw, 100),
                 vpc=Fraction(vpc, 100),
-                ras=Fraction(ras_e4, 10000),
-                ravs=Fraction(ravs_e4, 10000),
                 article_count=10000,
                 related_article_count=ras_e4,
                 total_views=10000,
@@ -147,7 +145,7 @@ class TestMetricsOracleEquivalence:
         from wikicoverage.attribution import AttributionResult
 
         attributions = {
-            item: AttributionResult(item, flag, ((P(17), Q(30)),) if flag else ())
+            item: AttributionResult(item, ((P(17), Q(30)),) if flag else ())
             for item, flag in related_flags.items()
         }
         views = {}
@@ -162,11 +160,10 @@ class TestMetricsOracleEquivalence:
             ]
             for language, country_list in countries.items()
         }
-        usage = UsageStats(views=views, readership=readership)
         article_sets = build_article_sets(entities, languages)
-        return languages, entities, attributions, usage, article_sets, related_flags
+        return languages, entities, attributions, views, readership, article_sets, related_flags
 
-    def oracle(self, languages, entities, related_flags, usage):
+    def oracle(self, languages, entities, related_flags, views, readership):
         """Recompute all four metrics per language with plain loops."""
         expected = {}
         for language in languages:
@@ -177,13 +174,13 @@ class TestMetricsOracleEquivalence:
                     titles[title.replace(" ", "_")] = entity.id
             article_count = len(titles)
             related_articles = sum(1 for item in titles.values() if related_flags[item])
-            total_views = sum(usage.views.get((language, t), 0) for t in titles)
+            total_views = sum(views.get((language, t), 0) for t in titles)
             related_views = sum(
-                usage.views.get((language, t), 0)
+                views.get((language, t), 0)
                 for t, item in titles.items()
                 if related_flags[item]
             )
-            rows = usage.readership[language]
+            rows = readership[language]
             best = max(sorted(rows, key=lambda r: r.country), key=lambda r: r.readers)
             expected[language] = {
                 "primary": best.country,
@@ -199,12 +196,12 @@ class TestMetricsOracleEquivalence:
 
     def test_three_language_fixture_matches_exact_rational_oracle(self):
         with criterion("metrics oracle equivalence (3 languages, exact rationals)"):
-            languages, entities, attributions, usage, article_sets, flags = (
+            languages, entities, attributions, views, readership, article_sets, flags = (
                 self.build_fixture()
             )
-            rows, failures = compute_all(article_sets, attributions, usage, languages)
+            rows, failures = compute_all(article_sets, attributions, views, readership, languages)
             assert failures == {}
-            expected = self.oracle(languages, entities, flags, usage)
+            expected = self.oracle(languages, entities, flags, views, readership)
             for row in rows:
                 want = expected[row.language]
                 assert row.primary_country == want["primary"]
@@ -218,13 +215,11 @@ class TestMetricsOracleEquivalence:
             entities = [SlimEntity(Q(1), {}, {"enwiki": "Lone Article"})]
             from wikicoverage.attribution import AttributionResult
 
-            attributions = {Q(1): AttributionResult(Q(1), True, ((P(17), Q(30)),))}
-            usage = UsageStats(
-                views={("en", "Lone_Article"): 10},
-                readership={"en": [ReadershipRecord("en", "US", 5, 9)]},
-            )
+            attributions = {Q(1): AttributionResult(Q(1), ((P(17), Q(30)),))}
+            views = {("en", "Lone_Article"): 10}
+            readership = {"en": [ReadershipRecord("en", "US", 5, 9)]}
             rows, failures = compute_all(
-                build_article_sets(entities, ("en",)), attributions, usage
+                build_article_sets(entities, ("en",)), attributions, views, readership
             )
             assert failures == {}
             (row,) = rows
@@ -425,8 +420,6 @@ class TestClusterPooling:
                     primary_country="MX",
                     ppcrw=Fraction(1, 2),
                     vpc=Fraction(1, 2),
-                    ras=Fraction(1, 2),
-                    ravs=Fraction(related_views, 100),
                     article_count=10,
                     related_article_count=5,
                     total_views=100,
@@ -450,8 +443,6 @@ class TestClusterPooling:
                     primary_country="US",
                     ppcrw=Fraction(rng.randint(0, 100), 100),
                     vpc=Fraction(rng.randint(0, 100), 100),
-                    ras=Fraction(related_articles, articles),
-                    ravs=Fraction(related_views, total_views),
                     article_count=articles,
                     related_article_count=related_articles,
                     total_views=total_views,

@@ -177,7 +177,7 @@ class TestAttributeAll:
     def test_disambiguation_page_is_forced_unrelated(self):
         page = SlimEntity(Q(7), {P(17): (Q(30),), P(31): (Q(4167410),)})
         results = attribute_all([page], {}, RULES)
-        assert results[Q(7)] == AttributionResult(Q(7), False, ())
+        assert results[Q(7)] == AttributionResult(Q(7))
 
     def test_duplicate_item_raises(self):
         entities = [SlimEntity(Q(1)), SlimEntity(Q(1))]
@@ -281,7 +281,7 @@ class TestProperties:
                         chain = path_to_target(index, value, rules)
                         if chain is not None:
                             paths.append((prop, *chain))
-            assert results[entity.id] == AttributionResult(entity.id, bool(paths), tuple(paths))
+            assert results[entity.id] == AttributionResult(entity.id, tuple(paths))
             assert results[entity.id].related == oracle_related(entity, graph, rules)
 
     def test_widening_a_rule_set_can_flip_unrelated_to_related(self):
@@ -393,6 +393,19 @@ class TestRuleSet:
         with pytest.raises(RulesError):
             parse_rules("colour=blue")
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("place=P19\nplace=P276", "line 2: repeated key 'place'"),
+            ("target=Q30\n# a comment\n\ntarget=Q183", "line 4: repeated key 'target'"),
+            ("max_depth=3\n max_depth = 4", "line 2: repeated key 'max_depth'"),
+        ],
+        ids=["place", "target", "max_depth"],
+    )
+    def test_parse_rules_rejects_a_repeated_key(self, text, problem):
+        with pytest.raises(RulesError, match=f"^{problem}$"):
+            parse_rules(text)
+
     def test_parse_rules_rejects_bad_id(self):
         with pytest.raises(RulesError):
             parse_rules("target=Z9")
@@ -406,9 +419,9 @@ class TestRuleSet:
 class TestTsv:
     def test_round_trip(self):
         results = {
-            Q(1): AttributionResult(Q(1), True, ((P(27), Q(30)),)),
-            Q(2): AttributionResult(Q(2), False, ()),
-            Q(3): AttributionResult(Q(3), True, ((P(19), Q(60), Q(30)),)),
+            Q(1): AttributionResult(Q(1), ((P(27), Q(30)),)),
+            Q(2): AttributionResult(Q(2)),
+            Q(3): AttributionResult(Q(3), ((P(19), Q(60), Q(30)),)),
         }
         sink = io.StringIO()
         write_attribution_tsv(results, sink)
@@ -440,7 +453,3 @@ class TestTsv:
         text = f"Q1\tfalse\t\n{row}\n"
         with pytest.raises(ValueError, match=f"^line 2: {problem}"):
             read_attribution_tsv(io.StringIO(text))
-
-    def test_result_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            AttributionResult(Q(1), True, ())

@@ -24,8 +24,6 @@ def row(language, ppcrw, ras_pair, ravs_pair):
         primary_country="US",
         ppcrw=Fraction(*ppcrw),
         vpc=Fraction(1, 2),
-        ras=Fraction(related_articles, articles),
-        ravs=Fraction(related_views, total_views),
         article_count=articles,
         related_article_count=related_articles,
         total_views=total_views,

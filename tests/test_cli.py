@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -102,6 +103,58 @@ class TestStageByStage:
         }
         for name, path in staged.items():
             assert path.read_bytes() == (all_dir / name).read_bytes(), name
+
+
+# sha256 of every artifact `all` writes over the demo fixture, per target; the
+# manifest's digest leaves out its path-keyed "inputs"
+GOLDEN_DIGESTS = {
+    "default": {
+        "attribution.tsv": "4bbf08aaf26cbbe8ad85adaaeddb7dd10791d04b1447428e4c4a50ff83dda96e",
+        "chart.json": "7fd6eebb7dab727c30e0d827e88603bdafd510bd1f25703095fbb7451d6a3336",
+        "chart.svg": "9f2c02903d5efa1c82df1db26790f5cf015711b7d41239aeda95f92ee2c13c0b",
+        "clusters.tsv": "4785fbddc4712ce903865976bdd2bcaad759a15d229ab01374ba94e47a15b5a2",
+        "entities.slim": "9889b7739f2639dcdafc0219e05c874d11d914abefa08f3ea7ef42d609525b5b",
+        "manifest.json": "47d9f49f06076787ba8c464d3552bb9394b6986e2000334a4cd850d9e676a03d",
+        "metrics.tsv": "38ee2e9031921762283c419a0b1a743ba2d91692a3c077f9f608d4c52c205509",
+        "table.tsv": "dfda502475b7b74a1c22a435580d1d8a12ae11e969ebbae75ddda9baa9b72085",
+        "views.tsv": "55a9475bfa2fe79c660d85df67108816b68de9459a90c25b7e928aed00869f39",
+    },
+    "Q183": {
+        "attribution.tsv": "933d09bdcf82353af9e43916179a16134903b32ca6a6c41c7f5d527b20bef21c",
+        "chart.json": "263602129f12c7f0108b1b6a7316254dd9e490a961f586b5d55d6d1782a8430d",
+        "chart.svg": "d61128d4fa44220ec4bc0230b8c03d0af0815dba4cceb2fd751bfaacdee23d93",
+        "clusters.tsv": "78c2fff1911cf95a16dc82cc3bb221cb79c517169adfcb0ef371f726e1c3e7f7",
+        "entities.slim": "9889b7739f2639dcdafc0219e05c874d11d914abefa08f3ea7ef42d609525b5b",
+        "manifest.json": "ff34e597ea8d153de8a20e65359fedf0c28bf94600e9d0a97f616d0d86617d36",
+        "metrics.tsv": "889db149497ced9f049b11a4d102b2fdbd533cb68471a1cc4525a1edfd0f09d3",
+        "table.tsv": "52b65ec6c27ccd898445e6e711bba2edddeb9b6486f84dc3374ca18c5f8295f5",
+        "views.tsv": "55a9475bfa2fe79c660d85df67108816b68de9459a90c25b7e928aed00869f39",
+    },
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("target", sorted(GOLDEN_DIGESTS))
+    def test_every_artifact_of_all_is_byte_identical_to_its_pinned_digest(self, tmp_path, capsys, target):
+        out = tmp_path / "all"
+        flags = [] if target == "default" else ["--target", target]
+        assert run(
+            ["all", FIXTURE / "pageviews-a.txt", FIXTURE / "pageviews-b.txt",
+             "--dump", FIXTURE / "dump.json",
+             "--readership", FIXTURE / "readership.csv",
+             "--rules", FIXTURE / "rules.txt",
+             "--languages", "en,de", "--out", out, *flags]
+        ) == 0
+        capsys.readouterr()
+        digests = {}
+        for path in out.iterdir():
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                manifest = json.loads(data)
+                del manifest["inputs"]  # keyed by the input paths of this run
+                data = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+            digests[path.name] = hashlib.sha256(data).hexdigest()
+        assert digests == GOLDEN_DIGESTS[target]
 
 
 class TestErrorsAndFlags:
@@ -297,11 +350,17 @@ class TestCorruptStores:
         assert self.errors(chain, tmp_path, capsys) == (message, message)
 
     def test_slim_refuses_a_dump_with_a_repeated_item(self, tmp_path, capsys):
-        dump = tmp_path / "dump.json"
+        good, dump, store = tmp_path / "good.json", tmp_path / "dump.json", tmp_path / "s.slim"
+        good.write_text(dump_text([entity_json("Q5", sitelinks={"enwiki": "A"})]), encoding="utf-8")
+        assert run(["slim", "--dump", good, "--out", store]) == 0
+        kept = store.read_bytes()
+        capsys.readouterr()
         dump.write_text(
             dump_text([entity_json("Q5", sitelinks={"enwiki": "A"}), entity_json("Q7"),
                        entity_json("Q5", sitelinks={"enwiki": "B"})]),
             encoding="utf-8",
         )
-        assert run(["slim", "--dump", dump, "--out", tmp_path / "s.slim"]) == 1
+        assert run(["slim", "--dump", dump, "--out", store]) == 1
         assert capsys.readouterr().err == "error: item Q5 appears twice in the input stream\n"
+        assert store.read_bytes() == kept
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dump.json", "good.json", "s.slim"]

@@ -24,8 +24,6 @@ def row(language, country, related_views, total_views, related_articles, article
         primary_country=country,
         ppcrw=Fraction(1, 2),
         vpc=Fraction(1, 2),
-        ras=Fraction(related_articles, articles),
-        ravs=Fraction(related_views, total_views),
         article_count=articles,
         related_article_count=related_articles,
         total_views=total_views,

@@ -1,5 +1,6 @@
 import io
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from wikicoverage.errors import (
     UndefinedMetricError,
 )
 from wikicoverage.metrics import (
-    LanguageArticleSet,
     MetricsRow,
     build_article_sets,
     compute_all,
@@ -26,17 +26,17 @@ from wikicoverage.metrics import (
     reader_share,
     write_metrics_tsv,
 )
-from wikicoverage.usage import ReadershipRecord, UsageStats
+from wikicoverage.usage import ReadershipRecord
 
 from helpers import P, Q
 
 
 def related(item):
-    return AttributionResult(item, True, ((P(17), Q(30)),))
+    return AttributionResult(item, ((P(17), Q(30)),))
 
 
 def unrelated(item):
-    return AttributionResult(item, False, ())
+    return AttributionResult(item)
 
 
 def rr(language, country, readers, views_from=0):
@@ -47,7 +47,7 @@ class TestArticleSets:
     def test_sitelink_title_is_normalized_to_underscores(self):
         entity = SlimEntity(Q(9684), {}, {"enwiki": "The New York Times"})
         sets = build_article_sets([entity], {"en"})
-        assert sets["en"].articles == {"The_New_York_Times": Q(9684)}
+        assert sets["en"] == {"The_New_York_Times": Q(9684)}
 
     def test_empty_stream_gives_empty_sets(self):
         sets = build_article_sets([], {"en", "de"})
@@ -86,7 +86,7 @@ class TestArticleSets:
     def test_hyphenated_language_maps_to_underscore_wiki_code(self):
         entity = SlimEntity(Q(1), {}, {"zh_min_nanwiki": "A"})
         sets = build_article_sets([entity], {"zh-min-nan"})
-        assert sets["zh-min-nan"].articles == {"A": Q(1)}
+        assert sets["zh-min-nan"] == {"A": Q(1)}
 
 
 class TestPrimaryCountry:
@@ -113,12 +113,12 @@ class TestPrimaryCountry:
         assert primary_country(records) == primary_country(scaled)
 
 
-def language_row(articles, attributions, views=None):
+def language_row(articles, attributions, views=None, language="en"):
     """The metrics row of one article set, one view per title unless ``views`` is given."""
     if views is None:
-        views = {(articles.language, title): 1 for title in articles.articles}
-    usage = UsageStats(views=views, readership={articles.language: [rr(articles.language, "US", 1, 1)]})
-    return compute_language_row(articles, attributions, usage)
+        views = {(language, title): 1 for title in articles}
+    readership = {language: [rr(language, "US", 1, 1)]}
+    return compute_language_row(language, articles, attributions, views, readership)
 
 
 class TestReaderShares:
@@ -156,19 +156,19 @@ class TestReaderShares:
 
 
 class TestArticleShares:
-    def build(self, total, related_count, language="en"):
+    def build(self, total, related_count):
         articles = {}
         attributions = {}
         for n in range(1, total + 1):
             articles[f"T{n}"] = Q(n)
             attributions[Q(n)] = related(Q(n)) if n <= related_count else unrelated(Q(n))
-        return LanguageArticleSet(language, articles), attributions
+        return articles, attributions
 
     def test_three_of_ten_related(self):
         articles, attributions = self.build(10, 3)
         row = language_row(articles, attributions)
         assert (row.ras, row.related_article_count, row.article_count) == (Fraction(3, 10), 3, 10)
-        assert count_related(articles, attributions, {}) == (3, 0, 0)
+        assert count_related("en", articles, attributions, {}) == (3, 0, 0)
 
     def test_none_related_is_zero(self):
         articles, attributions = self.build(7, 0)
@@ -180,12 +180,11 @@ class TestArticleShares:
 
     def test_empty_article_set_is_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            language_row(LanguageArticleSet("en", {}), {})
+            language_row({}, {})
 
     def test_missing_attribution_is_incomplete_input(self):
-        articles = LanguageArticleSet("en", {"T1": Q(1)})
         with pytest.raises(IncompleteAttributionError):
-            count_related(articles, {}, {})
+            count_related("en", {"T1": Q(1)}, {}, {})
 
     def test_adding_unrelated_article_decreases_share(self):
         articles, attributions = self.build(10, 3)
@@ -194,16 +193,14 @@ class TestArticleShares:
 
     def test_adding_related_article_increases_share(self):
         articles, attributions = self.build(10, 3)
-        grown = LanguageArticleSet("en", {**articles.articles, "new": Q(99)})
+        grown = {**articles, "new": Q(99)}
         attributions[Q(99)] = related(Q(99))
         assert language_row(grown, attributions).ras > Fraction(3, 10)
 
 
 class TestViewShares:
     def fixture(self):
-        articles = LanguageArticleSet(
-            "en", {"A": Q(1), "B": Q(2), "C": Q(3), "D": Q(4)}
-        )
+        articles = {"A": Q(1), "B": Q(2), "C": Q(3), "D": Q(4)}
         attributions = {
             Q(1): related(Q(1)),
             Q(2): related(Q(2)),
@@ -226,12 +223,12 @@ class TestViewShares:
     def test_related_article_without_views_contributes_zero(self):
         articles, attributions, views = self.fixture()
         del views[("en", "B")]
-        assert count_related(articles, attributions, views)[1:] == (30, 90)
+        assert count_related("en", articles, attributions, views)[1:] == (30, 90)
 
     def test_views_outside_the_article_set_are_ignored(self):
         articles, attributions, views = self.fixture()
         views[("en", "Main_Page")] = 100000
-        assert count_related(articles, attributions, views)[1:] == (40, 100)
+        assert count_related("en", articles, attributions, views)[1:] == (40, 100)
 
     def test_zero_total_views_is_undefined(self):
         articles, attributions, _ = self.fixture()
@@ -262,27 +259,25 @@ class TestComputeAll:
             Q(3): related(Q(3)),
             Q(4): unrelated(Q(4)),
         }
-        usage = UsageStats(
-            views={
-                ("en", "A"): 6,
-                ("en", "B"): 2,
-                ("de", "A"): 3,
-                ("de", "C"): 9,
-                ("fr", "C"): 1,
-                ("fr", "D"): 3,
-            },
-            readership={
-                "en": [rr("en", "US", 600, 800), rr("en", "GB", 400, 200)],
-                "de": [rr("de", "DE", 75, 50), rr("de", "AT", 25, 50)],
-                "fr": [rr("fr", "FR", 9, 9), rr("fr", "BE", 1, 1)],
-            },
-        )
+        views = {
+            ("en", "A"): 6,
+            ("en", "B"): 2,
+            ("de", "A"): 3,
+            ("de", "C"): 9,
+            ("fr", "C"): 1,
+            ("fr", "D"): 3,
+        }
+        readership = {
+            "en": [rr("en", "US", 600, 800), rr("en", "GB", 400, 200)],
+            "de": [rr("de", "DE", 75, 50), rr("de", "AT", 25, 50)],
+            "fr": [rr("fr", "FR", 9, 9), rr("fr", "BE", 1, 1)],
+        }
         article_sets = build_article_sets(entities, {"en", "de", "fr"})
-        return article_sets, attributions, usage
+        return article_sets, attributions, views, readership
 
     def test_three_language_fixture_matches_per_op_oracles(self):
-        article_sets, attributions, usage = self.fixture()
-        rows, failures = compute_all(article_sets, attributions, usage)
+        article_sets, attributions, views, readership = self.fixture()
+        rows, failures = compute_all(article_sets, attributions, views, readership)
         assert failures == {}
         by_lang = {row.language: row for row in rows}
         # oracle: values recomputed by hand from the fixture tables above
@@ -297,9 +292,9 @@ class TestComputeAll:
         assert by_lang["fr"].ravs == Fraction(1, 4)
 
     def test_language_without_readership_fails_alone(self):
-        article_sets, attributions, usage = self.fixture()
-        del usage.readership["de"]
-        rows, failures = compute_all(article_sets, attributions, usage)
+        article_sets, attributions, views, readership = self.fixture()
+        del readership["de"]
+        rows, failures = compute_all(article_sets, attributions, views, readership)
         assert {row.language for row in rows} == {"en", "fr"}
         assert set(failures) == {"de"}
         assert isinstance(failures["de"], NoReadershipError)
@@ -307,18 +302,16 @@ class TestComputeAll:
     def test_single_language_all_related_fixture_is_all_ones(self):
         entities = [SlimEntity(Q(1), {}, {"enwiki": "Only"})]
         attributions = {Q(1): related(Q(1))}
-        usage = UsageStats(
-            views={("en", "Only"): 10},
-            readership={"en": [rr("en", "US", 3, 7)]},
-        )
-        rows, failures = compute_all(build_article_sets(entities, {"en"}), attributions, usage)
+        views = {("en", "Only"): 10}
+        readership = {"en": [rr("en", "US", 3, 7)]}
+        rows, failures = compute_all(build_article_sets(entities, {"en"}), attributions, views, readership)
         assert failures == {}
         (row,) = rows
         assert (row.ppcrw, row.vpc, row.ras, row.ravs) == (1, 1, 1, 1)
 
     def test_rows_come_back_language_sorted(self):
-        article_sets, attributions, usage = self.fixture()
-        rows, _ = compute_all(article_sets, attributions, usage)
+        article_sets, attributions, views, readership = self.fixture()
+        rows, _ = compute_all(article_sets, attributions, views, readership)
         assert [row.language for row in rows] == ["de", "en", "fr"]
 
     def test_failure_messages_are_exact_and_in_check_order(self):
@@ -327,26 +320,16 @@ class TestComputeAll:
         def fine(lang):
             return [rr(lang, "US", 5, 5)]
 
-        article_sets = {
-            "aa": LanguageArticleSet("aa", {}),
-            "ab": LanguageArticleSet("ab", {}),
-            "ac": LanguageArticleSet("ac", {}),
-            "ad": LanguageArticleSet("ad", {}),
-            "ae": LanguageArticleSet("ae", {"T": Q(9)}),
-            "af": LanguageArticleSet("af", {"T": Q(1)}),
+        article_sets = {"aa": {}, "ab": {}, "ac": {}, "ad": {}, "ae": {"T": Q(9)}, "af": {"T": Q(1)}}
+        readership = {
+            "ab": [rr("ab", "US", 0, 0)],
+            "ac": [rr("ac", "US", 5, 0)],
+            "ad": fine("ad"),
+            "ae": fine("ae"),
+            "af": fine("af"),
         }
-        usage = UsageStats(
-            views={},
-            readership={
-                "ab": [rr("ab", "US", 0, 0)],
-                "ac": [rr("ac", "US", 5, 0)],
-                "ad": fine("ad"),
-                "ae": fine("ae"),
-                "af": fine("af"),
-            },
-        )
         languages = [*article_sets, "ag"]
-        rows, failures = compute_all(article_sets, {Q(1): related(Q(1))}, usage, languages)
+        rows, failures = compute_all(article_sets, {Q(1): related(Q(1))}, {}, readership, languages)
         assert rows == []
         assert {lang: (type(exc), str(exc)) for lang, exc in failures.items()} == {
             "aa": (NoReadershipError, "no readership rows for this language"),
@@ -370,8 +353,6 @@ class TestMetricsRow:
             primary_country="US",
             ppcrw=Fraction(3, 5),
             vpc=Fraction(4, 5),
-            ras=Fraction(3, 10),
-            ravs=Fraction(2, 5),
             article_count=10,
             related_article_count=3,
             total_views=100,
@@ -383,17 +364,34 @@ class TestMetricsRow:
     def test_valid_row_constructs(self):
         assert self.make_row().language == "en"
 
+    def test_ras_and_ravs_are_the_exact_shares_of_the_counts(self):
+        row = self.make_row()
+        assert (row.ras, row.ravs) == (Fraction(3, 10), Fraction(2, 5))
+
     def test_out_of_range_metric_rejected(self):
         with pytest.raises(ValueError):
             self.make_row(ppcrw=Fraction(3, 2))
 
-    def test_inconsistent_ras_rejected(self):
-        with pytest.raises(ValueError):
-            self.make_row(ras=Fraction(1, 2))
-
     def test_related_exceeding_total_rejected(self):
         with pytest.raises(ValueError):
-            self.make_row(related_views=101, ravs=Fraction(101, 100))
+            self.make_row(related_views=101)
+
+    @pytest.mark.parametrize(
+        "overrides, problem",
+        [
+            ({"article_count": 0}, "article_count must be positive, got 0"),
+            ({"article_count": 0, "total_views": 0}, "article_count must be positive, got 0"),
+            ({"total_views": -1}, "total_views must be positive, got -1"),
+            ({"related_article_count": -1}, "ras out of [0, 1]: -1/10"),
+            ({"related_views": -1}, "ravs out of [0, 1]: -1/100"),
+            ({"related_article_count": 11}, "ras out of [0, 1]: 11/10"),
+        ],
+        ids=["zero-articles", "zero-articles-and-views", "negative-views",
+             "negative-related-articles", "negative-related-views", "related-articles-exceed"],
+    )
+    def test_bad_counts_are_rejected_with_their_reason(self, overrides, problem):
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            self.make_row(**overrides)
 
     def test_tsv_round_trip(self):
         rows = [self.make_row(), self.make_row(language="de", primary_country="DE")]
@@ -430,7 +428,6 @@ class TestMetricsRow:
     def test_metrics_stay_in_unit_interval(self, num, den):
         related_count = min(num, den)
         row = self.make_row(
-            ras=Fraction(related_count, den),
             article_count=den,
             related_article_count=related_count,
         )

@@ -21,8 +21,6 @@ def make_row(language, ravs_pair, **overrides):
         primary_country="US",
         ppcrw=Fraction(1, 2),
         vpc=Fraction(1, 2),
-        ras=Fraction(1, 10),
-        ravs=Fraction(related_views, total_views),
         article_count=10,
         related_article_count=1,
         total_views=total_views,

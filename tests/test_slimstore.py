@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wikicoverage import slimstore
 from wikicoverage.entities import SlimEntity
 from wikicoverage.errors import (
     DuplicateItemError,
@@ -20,6 +21,7 @@ from wikicoverage.slimstore import (
     read_slim_store,
     read_store_header,
     read_store_sitelinks,
+    save_slim_store,
     write_slim_store,
 )
 
@@ -64,6 +66,18 @@ BAD_TOKEN_CASES = [
     (["Q1\tP17:Q30,P5\t"], 3),
     (["props=P17,Q5x"], 2),
     (["props=P17,Q5"], 2),
+]
+
+
+# a field mutates one token at a time: an id prefix, a digit run, a separator
+# or a run of other text is replaced by, or preceded by, one replacement: a
+# Q/P id, a digit run (zero and a leading zero among them), a separator, a
+# tab, or nothing
+MUTABLE_TOKEN = re.compile(r"[QP]|[0-9]+|[:;,=|%]|[^QP0-9:;,=|%]+")
+TOKEN_REPLACEMENTS = [
+    "Q0", "Q01", "Q7", "Q", "P0", "P17", "P",
+    "0", "01", "7",
+    ":", ";", ",", "=", "|", "%", "\t", "",
 ]
 
 
@@ -149,6 +163,56 @@ class TestWrite:
         with pytest.raises(DuplicateItemError, match="^item Q5 appears twice in the input stream$"):
             write(records, sink)
         assert sink.getvalue() == ""
+
+
+class TestSave:
+    """A refused or failed save leaves the store already at its path as it
+    was, and no temporary file beside it."""
+
+    def existing_store(self, tmp_path):
+        path = tmp_path / "s.slim"
+        save_slim_store([SlimEntity(Q(5), {P(17): (Q(30),)}, {"enwiki": "A"})], path, keep_props=STORE_PROPS)
+        return path, path.read_bytes()
+
+    def test_save_replaces_the_store(self, tmp_path):
+        path, _ = self.existing_store(tmp_path)
+        assert save_slim_store([SlimEntity(Q(7))], path, keep_props=STORE_PROPS) == 1
+        assert [entity.id for entity in read_slim_store(io.StringIO(path.read_text(encoding="utf-8")))] == [Q(7)]
+        assert [p.name for p in tmp_path.iterdir()] == ["s.slim"]
+
+    @pytest.mark.parametrize(
+        "entities, kwargs, error",
+        [
+            ([SlimEntity(Q(5)), SlimEntity(Q(5))], {}, DuplicateItemError),
+            ([SlimEntity(Q(5), {P(999): (Q(1),)})], {}, ValueError),
+            ([SlimEntity(Q(5), {}, {"dewiki": "X"})], {"keep_wikis": ["enwiki"]}, ValueError),
+        ],
+        ids=["repeated-item", "claim-outside-keep-props", "sitelink-outside-keep-wikis"],
+    )
+    def test_a_refused_save_keeps_the_old_store(self, tmp_path, entities, kwargs, error):
+        path, kept = self.existing_store(tmp_path)
+        with pytest.raises(error):
+            save_slim_store(entities, path, keep_props=STORE_PROPS, **kwargs)
+        assert path.read_bytes() == kept
+        assert [p.name for p in tmp_path.iterdir()] == ["s.slim"]
+
+    @pytest.mark.parametrize("failing", ["write", "replace"])
+    def test_an_os_error_keeps_the_old_store(self, tmp_path, monkeypatch, failing):
+        path, kept = self.existing_store(tmp_path)
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        if failing == "write":
+            monkeypatch.setattr(slimstore, "_record_line", fail)
+            expected = SlimStoreWriteError
+        else:
+            monkeypatch.setattr(slimstore.os, "replace", fail)
+            expected = OSError
+        with pytest.raises(expected, match="disk full"):
+            save_slim_store([SlimEntity(Q(7)), SlimEntity(Q(8))], path, keep_props=STORE_PROPS)
+        assert path.read_bytes() == kept
+        assert [p.name for p in tmp_path.iterdir()] == ["s.slim"]
 
 
 class TestRead:
@@ -355,16 +419,20 @@ class TestSitelinksReader:
         keep_wikis = ["enwiki", "dewiki", "frwiki", "plwiki", "zh_min_nanwiki"] if restricted else None
         sink = io.StringIO()
         write(random_entities(random.Random(seed), count), sink, keep_wikis=keep_wikis)
-        lines = sink.getvalue().split("\n")  # lines[2:count + 2] are the records
+        text = sink.getvalue()
+        lines = text.split("\n")  # lines[2:count + 2] are the records
         fields = lines[data.draw(st.integers(2, count + 1), label="line")].split("\t")
         which = data.draw(st.sampled_from([1, 2]), label="field")  # claims or sitelinks
-        start = data.draw(st.integers(0, len(fields[which])), label="start")
-        end = data.draw(st.integers(start, min(start + 3, len(fields[which]))), label="end")
-        insert = data.draw(st.text("QP0123456789:;,=|%\t", max_size=3), label="insert")
+        replacement = data.draw(st.sampled_from(TOKEN_REPLACEMENTS), label="replacement")
+        insert = data.draw(st.booleans(), label="insert")
         original = "\t".join(fields)
-        fields[which] = fields[which][:start] + insert + fields[which][end:]
-        text = sink.getvalue().replace(original, "\t".join(fields), 1)
-        assert outcome(read_store_sitelinks, text) == outcome(read_slim_store, text)
+        tokens = MUTABLE_TOKEN.findall(fields[which])
+        for at in range(len(tokens) + 1):  # each token in turn, then an append
+            mutated = tokens.copy()
+            mutated[at:at if insert else at + 1] = [replacement]
+            fields[which] = "".join(mutated)
+            mutated_text = text.replace(original, "\t".join(fields), 1)
+            assert outcome(read_store_sitelinks, mutated_text) == outcome(read_slim_store, mutated_text)
 
     def test_claims_are_never_built(self, tmp_path):
         def store(values_per_record):
