@@ -29,7 +29,7 @@ from typing import IO, Iterable, Mapping, NamedTuple
 
 from .entities import ITEM, PROPERTY, EntityId, IdMemo, SlimEntity
 from .errors import DuplicateItemError, RulesError
-from .util import paused_gc, read_tsv
+from .util import parse_int, paused_gc, read_tsv
 
 COUNTRY = EntityId.prop(17)
 PLACE_OF_BIRTH = EntityId.prop(19)
@@ -258,7 +258,7 @@ def parse_rules(text: str) -> RuleSet:
                 raise RulesError(f"line {line_number}: {exc}") from exc
         elif key == "max_depth":
             try:
-                kwargs["max_depth"] = int(value)
+                kwargs["max_depth"] = parse_int(value)
             except ValueError as exc:
                 raise RulesError(f"line {line_number}: max_depth must be an integer") from exc
         elif key in _LIST_KEYS:

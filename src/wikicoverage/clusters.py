@@ -17,6 +17,7 @@ from typing import IO, Iterable, Mapping
 
 from .errors import UndefinedAggregateError
 from .metrics import MetricsRow
+from .usage import COUNTRY_RE
 from .util import format_fraction
 
 POOLED = "pooled"
@@ -43,7 +44,11 @@ class ClusterRow:
 
 
 def parse_cluster_map(source: Iterable[str]) -> dict[str, str]:
-    """Parse a country,cluster CSV; each country maps to exactly one cluster."""
+    """Parse a country,cluster CSV; each country maps to exactly one cluster.
+
+    A country is a readership country code (``[A-Z]{2}``): a row with any
+    other country could never match a primary country, so it is rejected.
+    """
     reader = csv.DictReader(source)
     if reader.fieldnames is None:
         return {}
@@ -56,6 +61,8 @@ def parse_cluster_map(source: Iterable[str]) -> dict[str, str]:
         cluster = (row["cluster"] or "").strip()
         if not country or not cluster:
             raise ValueError(f"cluster map row {row_number}: empty field")
+        if not COUNTRY_RE.match(country):
+            raise ValueError(f"cluster map row {row_number}: bad country code {country!r}")
         if country in mapping and mapping[country] != cluster:
             raise ValueError(f"cluster map row {row_number}: {country} mapped twice")
         mapping[country] = cluster

@@ -31,7 +31,7 @@ from .errors import (
     WikiCoverageError,
 )
 from .usage import ReadershipRecord
-from .util import format_fraction, normalize_sitelink_title, read_tsv, sitelink_key
+from .util import format_fraction, normalize_sitelink_title, parse_int, read_tsv, sitelink_key
 
 METRICS_COLUMNS = (
     "language",
@@ -224,7 +224,7 @@ def write_metrics_tsv(rows: Iterable[MetricsRow], sink: IO[str]) -> None:
 
 def _metrics_row(fields: list[str]) -> tuple[str, MetricsRow]:
     # the rounded ras and ravs columns are skipped: the counts rebuild them exactly
-    counts = tuple(map(int, fields[6:]))
+    counts = tuple(map(parse_int, fields[6:]))
     language, primary, ppcrw, vpc = fields[:4]
     return language, MetricsRow(language, primary, Fraction(ppcrw), Fraction(vpc), *counts)
 

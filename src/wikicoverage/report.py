@@ -195,17 +195,30 @@ def usage_stage(
 
     ``languages`` limits the languages kept; None keeps every language.
     Returns the totals and the malformed lines skipped.
+
+    The totals are folded as the files are read: the first file's totals
+    become the running totals, and :func:`usage.merge_views` adds each later
+    file's totals into them in place.  A file's totals are dropped when the
+    next file's replace them, so the stage holds the running totals, the
+    title memo and at most two files' totals, however many files there are.
     """
     language_set = None if languages is None else set(languages)
     issues: list[PageviewsIssue] = []
     titles = TitleMemo()  # each distinct title is normalised once per stage
-    shards = []
+    views = None
     with paused_gc():
         for path in paths:
             with open(path, "rb") as handle:
                 records = parse_pageviews_stream(handle, language_set, errors=issues, titles=titles)
-                shards.append(aggregate_views(records))
-    views = merge_views(*shards)
+                # the last file's totals are dropped only when these replace
+                # them: dropping them before this read saves one file's totals
+                # of heap, but when the stages share a process it kept the
+                # heap that attribution had freed from going back to the OS,
+                # which raised the process's peak RSS
+                shard = aggregate_views(records)
+            views = shard if views is None else merge_views(views, shard)
+    if views is None:  # no files
+        views = {}
     _write(out, write_views_tsv, views)
     return views, issues
 

@@ -66,7 +66,7 @@ from .util import paused_gc
 
 MAGIC = "WCM2"
 
-_HEADER_RE = re.compile(r"count=(\d+) props=(\S*) wikis=(\S*)\Z")
+_HEADER_RE = re.compile(r"count=([0-9]+) props=(\S*) wikis=(\S*)\Z")
 _ESCAPE_RE = re.compile(r"[%\t|\n\r]")
 _UNESCAPE_RE = re.compile(r"%(25|09|7C|0A|0D)")
 _ESCAPES = {"%": "%25", "\t": "%09", "|": "%7C", "\n": "%0A", "\r": "%0D"}

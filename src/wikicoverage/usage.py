@@ -6,14 +6,14 @@ base language; every non-Wikipedia project domain is skipped.  Readership is a
 required external CSV giving per-(language, country) reader and view counts.
 
 A malformed line is tallied with its line number and skipped: a wrong field
-count, an empty title, a non-numeric or negative count, a line that is not
-UTF-8, and a title that decodes to a tab, LF or CR (:data:`BAD_TITLE`; no
-sitelink title holds one, and the views TSV could not carry it).  Titles are
-percent-decoded through a :class:`TitleMemo`, so each distinct title of a
-tracked language is normalised once per memo.  The usage stage shares one
-memo between all of its shards and drops it when the stage ends; the memo
-then holds at most the stage's distinct titles, the same strings its totals
-key on.
+count, an empty title, a count that is not ASCII digits (a negative one is
+named as such), a line that is not UTF-8, and a title that decodes to a tab,
+LF or CR (:data:`BAD_TITLE`; no sitelink title holds one, and the views TSV
+could not carry it).  Titles are percent-decoded through a
+:class:`TitleMemo`, so each distinct title of a tracked language is
+normalised once per memo.  The usage stage shares one memo between all of
+its shards and drops it when the stage ends; the memo then holds at most the
+stage's distinct titles, the same strings its totals key on.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import PageviewsLineError, ReadershipTableError
-from .util import normalize_pageview_title, read_tsv
+from .util import normalize_pageview_title, parse_int, read_tsv
 
 _LANGUAGE_RE = re.compile(r"[a-z][a-z0-9-]*\Z")
-_COUNTRY_RE = re.compile(r"[A-Z]{2}\Z")
+# a readership country code; a cluster map's countries are the same codes
+COUNTRY_RE = re.compile(r"[A-Z]{2}\Z")
 _FOLDED_SUFFIXES = frozenset({"m", "zero"})
 # special Wikimedia project codes that are not Wikipedia languages
 _NON_LANGUAGE_CODES = frozenset(
@@ -159,14 +160,17 @@ def parse_pageviews_stream(
         if not raw_title:
             tally(line_number, "empty title")
             continue
-        try:
+        if count_text.isascii() and count_text.isdigit():
             views = int(count_text)
-        except ValueError:
-            tally(line_number, f"non-numeric view count {count_text!r}")
-            continue
-        if views < 0:
-            tally(line_number, f"negative view count {views}")
-            continue
+        else:
+            try:
+                views = parse_int(count_text)
+            except ValueError:
+                tally(line_number, f"non-numeric view count {count_text!r}")
+                continue
+            if views < 0:
+                tally(line_number, f"negative view count {views}")
+                continue
         title = title_of[raw_title]
         if title is None:
             tally(line_number, BAD_TITLE)
@@ -185,11 +189,20 @@ def aggregate_views(records: Iterable[ViewRecord]) -> dict[tuple[str, str], int]
 
 
 def merge_views(*parts: dict[tuple[str, str], int]) -> dict[tuple[str, str], int]:
-    """Merge per-shard totals; equals a single pass over the concatenation."""
-    merged: dict[tuple[str, str], int] = {}
-    for part in parts:
+    """Add the later per-shard totals into the first, in place, and return it.
+
+    The result equals a single pass over the concatenation; the later parts
+    are left as they were, and no parts gives ``{}``.  The usage stage folds
+    each shard's totals into its running totals this way as soon as the
+    shard has been read, so it never holds every shard's totals at once.
+    """
+    if not parts:
+        return {}
+    merged = parts[0]
+    get = merged.get
+    for part in parts[1:]:
         for key, views in part.items():
-            merged[key] = merged.get(key, 0) + views
+            merged[key] = get(key, 0) + views
     return merged
 
 
@@ -212,16 +225,16 @@ def parse_readership_table(source: Iterable[str]) -> dict[str, list[ReadershipRe
         country = (row["country"] or "").strip()
         if not _LANGUAGE_RE.match(language):
             raise ReadershipTableError(f"row {row_number}: bad language code {language!r}")
-        if not _COUNTRY_RE.match(country):
+        if not COUNTRY_RE.match(country):
             raise ReadershipTableError(f"row {row_number}: bad country code {country!r}")
         key = (language, country)
         if key in seen:
             raise ReadershipTableError(f"row {row_number}: duplicate entry for {language},{country}")
         seen.add(key)
         try:
-            readers = int(row["readers"])
-            views_from = int(row["views_from"])
-        except (TypeError, ValueError):
+            readers = parse_int((row["readers"] or "").strip())
+            views_from = parse_int((row["views_from"] or "").strip())
+        except ValueError:
             raise ReadershipTableError(f"row {row_number}: non-integer count") from None
         if readers < 0 or views_from < 0:
             raise ReadershipTableError(f"row {row_number}: negative count")
@@ -248,7 +261,7 @@ def write_views_tsv(views: dict[tuple[str, str], int], sink: IO[str]) -> None:
 def _views_row(fields: list[str]) -> tuple[tuple[str, str], int]:
     language, title, total = fields
     try:
-        count = int(total)
+        count = parse_int(total)
     except ValueError:
         raise ValueError(f"non-integer view total {total!r}") from None
     if count < 0:

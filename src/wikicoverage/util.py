@@ -1,6 +1,6 @@
 """Small shared helpers: title normalization, exact fraction rendering, the
-one row reader behind the TSV artifact readers, and a pause of the cyclic
-garbage collector for bulk loads."""
+integer reader and the one row reader behind the TSV artifact readers, and a
+pause of the cyclic garbage collector for bulk loads."""
 
 from __future__ import annotations
 
@@ -30,6 +30,20 @@ def normalize_pageview_title(title: str) -> str:
     joins with sitelink-derived titles.  Invalid escapes pass through as-is.
     """
     return unquote(title).replace(" ", "_")
+
+
+def parse_int(text: str) -> int:
+    """An integer written as ASCII digits with an optional leading ``-``.
+
+    ``int()`` alone would also take a ``+``, underscores, surrounding
+    whitespace and non-ASCII digits, none of which a count in an input file
+    may hold; any such text raises ``int()``'s own ValueError.  The minus is
+    read so that a caller can name a negative count as such.
+    """
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 def format_fraction(value: Fraction, places: int = 6) -> str:

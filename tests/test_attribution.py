@@ -406,6 +406,11 @@ class TestRuleSet:
         with pytest.raises(RulesError, match=f"^{problem}$"):
             parse_rules(text)
 
+    @pytest.mark.parametrize("value", ["+3", "3_0", "\u0663", "three"], ids=["plus-sign", "underscore", "arabic-indic-digit", "word"])
+    def test_parse_rules_rejects_a_max_depth_that_is_not_ascii_digits(self, value):
+        with pytest.raises(RulesError, match="^line 2: max_depth must be an integer$"):
+            parse_rules(f"target=Q30\nmax_depth={value}")
+
     def test_parse_rules_rejects_bad_id(self):
         with pytest.raises(RulesError):
             parse_rules("target=Z9")

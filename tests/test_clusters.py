@@ -151,6 +151,12 @@ class TestClusterMap:
         with pytest.raises(ValueError):
             parse_cluster_map(["country,colour", "US,blue"])
 
+    @pytest.mark.parametrize("country", ["us", "USA", "U", "U1", "\uff35S"])
+    def test_bad_country_code_rejected_naming_its_row(self, country):
+        # readership country codes are [A-Z]{2}, so such a row could never match a primary country
+        with pytest.raises(ValueError, match=f"^cluster map row 3: bad country code '{country}'$"):
+            parse_cluster_map(["country,cluster", "SE,Nordic", f"{country},Nordic"])
+
     def test_conflicting_duplicate_rejected(self):
         with pytest.raises(ValueError):
             parse_cluster_map(["country,cluster", "US,A", "US,B"])

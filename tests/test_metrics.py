@@ -410,9 +410,13 @@ class TestMetricsRow:
             ("de\tDE\t0.6\t0.8\t0\t0.4\t0\t0\t100\t40", "article_count must be positive, got 0"),
             ("de\tDE\t0.6\t0.8\t0.3\t0\t10\t3\t-1\t0", "total_views must be positive, got -1"),
             ("de\tDE\t0.6\t0.8\t0.3\t0.4\tten\t3\t100\t40", r"invalid literal for int\(\) with base 10: 'ten'"),
+            ("de\tDE\t0.6\t0.8\t0.3\t0.4\t1_0\t3\t100\t40", r"invalid literal for int\(\) with base 10: '1_0'"),
+            ("de\tDE\t0.6\t0.8\t0.3\t0.4\t10\t\u0663\t100\t40", r"invalid literal for int\(\) with base 10: '\u0663'"),
+            ("de\tDE\t0.6\t0.8\t0.3\t0.4\t10\t3\t+100\t40", r"invalid literal for int\(\) with base 10: '\+100'"),
             ("en\tUS\t0.6\t0.8\t0.3\t0.4\t10\t3\t100\t40", "repeated key en"),
         ],
-        ids=["five-fields", "zero-articles", "negative-views", "non-integer", "repeated-language"],
+        ids=["five-fields", "zero-articles", "negative-views", "non-integer", "underscore",
+             "arabic-indic-digit", "plus-sign", "repeated-language"],
     )
     def test_bad_row_names_its_line(self, row, problem):
         sink = io.StringIO()

@@ -230,6 +230,13 @@ class TestRead:
         with pytest.raises(SlimStoreCorruptionError):
             list(read_slim_store(io.StringIO(text)))
 
+    @pytest.mark.parametrize("count", ["\u0661", "+1", "1_0"], ids=["arabic-indic-digit", "plus-sign", "underscore"])
+    def test_header_count_that_is_not_ascii_digits_is_corruption(self, count):
+        text = f"WCM2\ncount={count} props=P17 wikis=*\nQ1\tP17:Q30\t\n"
+        for read in (read_slim_store, read_store_sitelinks):
+            with pytest.raises(SlimStoreCorruptionError, match="^bad store header"):
+                list(read(io.StringIO(text)))
+
     def test_extra_records_are_corruption(self):
         sink = io.StringIO()
         write([SlimEntity(Q(1)), SlimEntity(Q(2))], sink)

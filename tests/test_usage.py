@@ -1,5 +1,7 @@
 import io
 import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,19 @@ class TestParseLine:
         with pytest.raises(PageviewsLineError):
             parse_pageviews_line("en Foo -1 0")
 
+    @pytest.mark.parametrize(
+        "count", ["1_000", "\u0663", "+5", "5\t", "\uff15"],
+        ids=["underscore", "arabic-indic-digit", "plus-sign", "trailing-tab", "fullwidth-digit"],
+    )
+    def test_count_that_is_not_ascii_digits_is_malformed(self, count):
+        # int() reads each of these as a number
+        with pytest.raises(PageviewsLineError, match=f"^non-numeric view count {re.escape(repr(count))}$"):
+            parse_pageviews_line(f"en Foo {count} 0")
+
+    def test_negative_count_names_its_value(self):
+        with pytest.raises(PageviewsLineError, match="^negative view count -4$"):
+            parse_pageviews_line("en Foo -4 0")
+
     def test_wrong_field_count_is_malformed(self):
         with pytest.raises(PageviewsLineError):
             parse_pageviews_line("en Foo 42")
@@ -79,6 +94,17 @@ class TestParseStream:
         records = list(parse_pageviews_stream(lines, errors=errors))
         assert [r.title for r in records] == ["Foo", "Baz"]
         assert len(errors) == 1 and errors[0].line_number == 2
+
+    def test_counts_that_are_not_ascii_digits_are_tallied_with_their_lines(self):
+        lines = ["en Foo 1_000 0\n", "en Bar \u0663 0\n", "en Baz +5 0\n", "en Qux -4 0\n", "en Ok 7 0\n"]
+        errors = []
+        assert list(parse_pageviews_stream(lines, errors=errors)) == [ViewRecord("en", "Ok", 7)]
+        assert errors == [
+            PageviewsIssue(1, "non-numeric view count '1_000'"),
+            PageviewsIssue(2, "non-numeric view count '\u0663'"),
+            PageviewsIssue(3, "non-numeric view count '+5'"),
+            PageviewsIssue(4, "negative view count -4"),
+        ]
 
     def test_undecodable_line_is_tallied_and_skipped(self):
         shard = io.BytesIO(b"en Alpha 3 0\nen B\xe9ta 2 0\nen Gamma 4 0\n")
@@ -254,6 +280,47 @@ class TestAggregate:
         with open(tmp_path / "views.tsv", encoding="utf-8") as source:
             assert read_views_tsv(source) == views
 
+    def test_merge_adds_later_parts_into_the_first_and_returns_it(self):
+        first = {("en", "A"): 1, ("en", "B"): 2}
+        second = {("en", "B"): 3, ("de", "A"): 4}
+        third = {("en", "A"): 5}
+        merged = merge_views(first, second, third)
+        assert merged is first
+        assert merged == {("en", "A"): 6, ("en", "B"): 5, ("de", "A"): 4}
+        assert second == {("en", "B"): 3, ("de", "A"): 4}
+        assert third == {("en", "A"): 5}
+
+    def test_merge_of_one_part_returns_it_and_of_none_an_empty_dict(self):
+        only = {("en", "A"): 1}
+        assert merge_views(only) is only and only == {("en", "A"): 1}
+        assert merge_views() == {}
+
+    def test_usage_stage_peak_memory_is_flat_in_the_number_of_shards(self, tmp_path):
+        # the same 2,000 titles in every shard: the running totals do not grow
+        shard = "".join(f"en Title_{n} {n % 7 + 1} 0\n" for n in range(2000))
+
+        def peak(shards):
+            directory = tmp_path / str(shards)
+            directory.mkdir()
+            paths = [directory / f"pageviews-{index:03d}.txt" for index in range(shards)]
+            for path in paths:
+                path.write_text(shard, encoding="utf-8")
+            tracemalloc.start()
+            try:
+                views, _ = usage_stage(paths, ["en"], directory / "views.tsv")
+                top = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(views) == 2000 and views[("en", "Title_1")] == 2 * shards
+            return top
+
+        assert peak(32) <= 1.25 * peak(4)
+
+    def test_usage_stage_over_no_files_writes_an_empty_views_tsv(self, tmp_path):
+        views, issues = usage_stage([], None, tmp_path / "views.tsv")
+        assert views == {} and issues == []
+        assert (tmp_path / "views.tsv").read_text(encoding="utf-8") == "language\ttitle\tviews\n"
+
     def test_thousand_records_in_four_shards_match_single_pass(self):
         rng = random.Random(42)
         records = [
@@ -300,6 +367,19 @@ class TestReadership:
         with pytest.raises(ReadershipTableError):
             parse_readership_table(source)
 
+    @pytest.mark.parametrize(
+        "count", ["1_000", "\u0663", "+5", "1e3", ""],
+        ids=["underscore", "arabic-indic-digit", "plus-sign", "exponent", "empty"],
+    )
+    def test_count_that_is_not_ascii_digits_raises(self, count):
+        source = io.StringIO(self.HEADER + f"en,US,600,800\nde,DE,{count},1\n")
+        with pytest.raises(ReadershipTableError, match="^row 3: non-integer count$"):
+            parse_readership_table(source)
+
+    def test_counts_are_stripped_like_codes(self):
+        source = io.StringIO(self.HEADER + " en , US , 600 , 800 \n")
+        assert parse_readership_table(source) == {"en": [ReadershipRecord("en", "US", 600, 800)]}
+
     def test_bad_country_code_raises(self):
         source = io.StringIO(self.HEADER + "en,usa,1,1\n")
         with pytest.raises(ReadershipTableError):
@@ -322,10 +402,14 @@ class TestViewsTsv:
             ("en\tA", "expected 3 fields, got 2"),
             ("en\tA\t1\t2", "expected 3 fields, got 4"),
             ("en\tA\tmany", "non-integer view total 'many'"),
+            ("en\tA\t1_0", "non-integer view total '1_0'"),
+            ("en\tA\t\u0663", "non-integer view total '\u0663'"),
+            ("en\tA\t+5", r"non-integer view total '\+5'"),
             ("en\tA\t-5", "negative view total -5"),
             ("de\tA\t3", r"repeated key \('de', 'A'\)"),
         ],
-        ids=["two-fields", "four-fields", "non-integer", "negative", "repeated-key"],
+        ids=["two-fields", "four-fields", "non-integer", "underscore", "arabic-indic-digit", "plus-sign",
+             "negative", "repeated-key"],
     )
     def test_bad_row_names_its_line(self, row, problem):
         text = "language\ttitle\tviews\nde\tA\t7\n" + row + "\n"

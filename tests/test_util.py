@@ -1,4 +1,5 @@
 import gc
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,28 @@ from wikicoverage.util import (
     format_fraction,
     normalize_pageview_title,
     normalize_sitelink_title,
+    parse_int,
     paused_gc,
     percent,
     read_tsv,
     sitelink_key,
 )
+
+
+class TestParseInt:
+    @pytest.mark.parametrize("text, value", [("0", 0), ("007", 7), ("42", 42), ("-5", -5)])
+    def test_ascii_digits_with_an_optional_minus(self, text, value):
+        assert parse_int(text) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "-", "+5", "1_000", " 5", "5\n", "\u0663", "\uff15", "--5", "5-", "1e3", "0x10"],
+        ids=["empty", "minus-only", "plus-sign", "underscore", "leading-space", "trailing-newline",
+             "arabic-indic-digit", "fullwidth-digit", "double-minus", "trailing-minus", "exponent", "hex"],
+    )
+    def test_anything_else_raises_ints_message(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"invalid literal for int() with base 10: {text!r}")):
+            parse_int(text)
 
 
 class TestSitelinkKey:
