@@ -10,6 +10,7 @@ from the article and view counts a row stores.
 """
 
 import io
+from fractions import Fraction
 
 from wikicoverage import (
     EntityId,
@@ -20,7 +21,6 @@ from wikicoverage import (
     parse_pageviews_stream,
     parse_readership_table,
 )
-from wikicoverage.attribution import AttributionResult
 from wikicoverage.util import percent
 
 Q, P = EntityId.item, EntityId.prop
@@ -54,15 +54,12 @@ entities = [
     SlimEntity(Q(183), {P(17): (Q(183),)}, {"enwiki": "Germany"}),
     SlimEntity(Q(22686), {P(27): (Q(30),)}, {"enwiki": "Donald Trump"}),
 ]
-# an item is related exactly when it has a provenance path to the target
-attributions = {
-    Q(30): AttributionResult(Q(30), ((P(17), Q(30)),)),
-    Q(183): AttributionResult(Q(183)),
-    Q(22686): AttributionResult(Q(22686), ((P(27), Q(30)),)),
-}
+# the metrics need only each item's related flag (02_attribution.py derives
+# it): the United States and Donald Trump relate to Q30, Germany does not
+related = {Q(30): True, Q(183): False, Q(22686): True}
 
 readership = parse_readership_table(io.StringIO(READERSHIP))
-rows, failures = compute_all(build_article_sets(entities, {"en"}), attributions, views, readership)
+rows, failures = compute_all(build_article_sets(entities, {"en"}), related, views, readership)
 assert not failures
 
 (row,) = rows
@@ -71,3 +68,4 @@ print(f"  ppcrw = {row.ppcrw}  ({percent(row.ppcrw)})")
 print(f"  vpc   = {row.vpc}  ({percent(row.vpc)})")
 print(f"  ras   = {row.ras}  ({percent(row.ras)})   [{row.related_article_count}/{row.article_count} articles]")
 print(f"  ravs  = {row.ravs}  ({percent(row.ravs)})   [{row.related_views}/{row.total_views} views]")
+assert (row.ras, row.ravs) == (Fraction(2, 3), Fraction(67, 83))

@@ -11,7 +11,7 @@ Every satisfied claim contributes one provenance path: ``(property, entity,
 ..., target)``, and an item is related exactly when it has one.  Direct paths
 come first, then place paths; properties are visited in ascending id order
 and claim values in claim order, so results are deterministic for a given
-entity.
+entity.  Only this module sees provenance: later stages get a related flag.
 
 A walk depends only on the index, its start and the rules, so
 :func:`attribute_all` resolves each distinct place once per call: it keeps a
@@ -22,12 +22,13 @@ the input claims.  It is never kept between calls.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple
 
-from .entities import ITEM, PROPERTY, EntityId, IdMemo, SlimEntity
+from .entities import ITEM, PROPERTY, EntityId, SlimEntity
 from .errors import DuplicateItemError, RulesError
 from .util import parse_int, paused_gc, read_tsv
 
@@ -291,13 +292,9 @@ def render_provenance(paths: tuple[tuple[EntityId, ...], ...]) -> str:
     return ";".join(">".join(str(node) for node in path) for path in paths)
 
 
-def parse_provenance(text: str, ids: IdMemo | None = None) -> tuple[tuple[EntityId, ...], ...]:
-    """Inverse of :func:`render_provenance`; ``ids`` is the caller's per-read memo."""
-    if not text:
-        return ()
-    node = (IdMemo() if ids is None else ids).__getitem__
-    return tuple(tuple(map(node, segment.split(">"))) for segment in text.split(";"))
-
+# what render_provenance writes; each node is an id that EntityId.parse accepts
+_PATH = "[QP][1-9][0-9]*(?:>[QP][1-9][0-9]*)*"
+_PROVENANCE_RE = re.compile(f"(?:{_PATH}(?:;{_PATH})*)?")
 
 _FLAGS = {"true": True, "false": False}
 # the attribution TSV has no header line
@@ -311,26 +308,27 @@ def write_attribution_tsv(results: Mapping[EntityId, AttributionResult], sink: I
         sink.write(f"{item}\t{flag}\t{render_provenance(provenance)}\n")
 
 
-def read_attribution_tsv(source: Iterable[str]) -> dict[EntityId, AttributionResult]:
-    """Read an attribution TSV (:func:`util.read_tsv`, no header); every id is
-    validated, each distinct node once.
+def read_attribution_tsv(source: Iterable[str]) -> dict[EntityId, bool]:
+    """Each item's related flag from an attribution TSV (:func:`util.read_tsv`,
+    no header); a provenance is matched whole against one pattern, never built.
 
-    A bad id, a flag other than ``true``/``false`` and a flag that does not
-    match its provenance are bad rows.  The read runs with the cyclic
-    collector paused (:func:`util.paused_gc`).
+    A bad item id or provenance, a flag other than ``true``/``false`` and a
+    flag that does not match its provenance are bad rows.  The read runs with
+    the cyclic collector paused (:func:`util.paused_gc`).
     """
-    ids = IdMemo()
+    provenance_valid = _PROVENANCE_RE.fullmatch
 
-    def row(fields: list[str]) -> tuple[EntityId, AttributionResult]:
-        item_text, flag, provenance_text = fields
+    def row(fields: list[str]) -> tuple[EntityId, bool]:
+        item_text, flag, provenance = fields
         item = EntityId.parse_item(item_text)
         related = _FLAGS.get(flag)
         if related is None:
             raise ValueError(f"related flag must be true or false, got {flag!r}")
-        provenance = parse_provenance(provenance_text, ids)
+        if provenance_valid(provenance) is None:
+            raise ValueError(f"malformed provenance {provenance!r}")
         if related != bool(provenance):
-            raise ValueError(f"related flag {flag} does not match provenance {provenance_text!r}")
-        return item, AttributionResult(item, provenance)
+            raise ValueError(f"related flag {flag} does not match provenance {provenance!r}")
+        return item, related
 
     with paused_gc():
         return read_tsv(source, ATTRIBUTION_COLUMNS, row, header=False)

@@ -14,6 +14,8 @@ import sys
 from pathlib import Path
 
 from .attribution import read_attribution_tsv
+from .chart import LOG, SCALES
+from .clusters import AGGREGATION_MODES, POOLED
 from .errors import WikiCoverageError
 from .metrics import MetricsRow, build_article_sets, read_metrics_tsv
 from .report import (
@@ -73,11 +75,11 @@ def _cmd_metrics(args) -> int:
     with open(args.slim, encoding="utf-8") as source, paused_gc():
         article_sets = build_article_sets(read_store_sitelinks(source), args.languages)
     with open(args.attribution, encoding="utf-8") as handle:
-        attributions = read_attribution_tsv(handle)
+        related = read_attribution_tsv(handle)
     with open(args.views, encoding="utf-8") as handle:
         views = read_views_tsv(handle)
     rows, failures = metrics_stage(
-        article_sets, attributions, views, args.readership, args.languages, Path(args.out)
+        article_sets, related, views, args.readership, args.languages, Path(args.out)
     )
     for language, exc in sorted(failures.items()):
         print(f"warning: {language}: {exc}", file=sys.stderr)
@@ -164,13 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clusters", help="aggregate metric rows into cultural clusters")
     p.add_argument("--metrics", required=True)
     p.add_argument("--cluster-map")
-    p.add_argument("--aggregation", choices=("pooled", "mean"), default="pooled")
+    p.add_argument("--aggregation", choices=AGGREGATION_MODES, default=POOLED)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_clusters)
 
     p = sub.add_parser("report", help="emit the sorted table, chart JSON and SVG")
     p.add_argument("--metrics", required=True)
-    p.add_argument("--scale", choices=("log", "linear"), default="log")
+    p.add_argument("--scale", choices=SCALES, default=LOG)
     p.add_argument("--no-svg", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_report)
@@ -183,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules")
     p.add_argument("--cluster-map")
     p.add_argument("--languages", type=_languages, required=True)
-    p.add_argument("--scale", choices=("log", "linear"), default="log")
-    p.add_argument("--aggregation", choices=("pooled", "mean"), default="pooled")
+    p.add_argument("--scale", choices=SCALES, default=LOG)
+    p.add_argument("--aggregation", choices=AGGREGATION_MODES, default=POOLED)
     p.add_argument("--target")
     p.add_argument("--no-svg", action="store_true")
     p.add_argument("--out", required=True, help="output directory")

@@ -91,24 +91,24 @@ class EntityId(NamedTuple):
 
 
 class IdMemo(dict):
-    """Id token -> validated id, for the life of one read.
+    """Id token -> validated id of one ``kind``, for the life of one read.
 
     Each distinct token is validated on its first lookup, which raises
-    ValueError for a bad token and stores nothing; later lookups return the
-    same object, so equal ids in one read share it.  With ``kind`` set, only
-    ids of that kind are accepted.  Create one per read: a memo that outlives
-    its file would grow with every file read.
+    ValueError for a bad token or an id of another kind and stores nothing;
+    later lookups return the same object, so equal ids in one read share it.
+    Create one per read: a memo that outlives its file would grow with every
+    file read.
     """
 
     __slots__ = ("kind",)
 
-    def __init__(self, kind: str | None = None):
+    def __init__(self, kind: str):
         super().__init__()
         self.kind = kind
 
     def __missing__(self, token: str) -> EntityId:
         entity_id = EntityId.parse(token)
-        if self.kind is not None and entity_id.kind != self.kind:
+        if entity_id.kind != self.kind:
             raise ValueError(f"not {_KIND_NAME[self.kind]} id: {token!r}")
         self[token] = entity_id
         return entity_id

@@ -17,11 +17,11 @@ itself.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Mapping
 
-from .attribution import AttributionResult
 from .entities import EntityId, SlimEntity
 from .errors import (
     IncompleteAttributionError,
@@ -45,6 +45,8 @@ METRICS_COLUMNS = (
     "total_views",
     "related_views",
 )
+# a share as write_metrics_tsv writes it
+_SHARE_RE = re.compile(r"[0-9]+\.[0-9]{6}")
 
 
 @dataclass(frozen=True)
@@ -131,21 +133,21 @@ def reader_share(readership: Iterable[ReadershipRecord], primary: str, count: st
 def count_related(
     language: str,
     articles: Mapping[str, EntityId],
-    attributions: Mapping[EntityId, AttributionResult],
+    related: Mapping[EntityId, bool],
     views: Mapping[tuple[str, str], int],
 ) -> tuple[int, int, int]:
     """One walk over a language's article set (title -> item): (related
     articles, related views, total views).  A title absent from ``views``
-    counts 0 views; an owner without an attribution raises
+    counts 0 views; an owner without a related flag raises
     :class:`IncompleteAttributionError`."""
     related_articles = related_views = total_views = 0
     for title, item in articles.items():
-        result = attributions.get(item)
-        if result is None:
+        flag = related.get(item)
+        if flag is None:
             raise IncompleteAttributionError(f"{language}:{title!r} owner {item} has no attribution")
         count = views.get((language, title), 0)
         total_views += count
-        if result.provenance:
+        if flag:
             related_articles += 1
             related_views += count
     return related_articles, related_views, total_views
@@ -154,7 +156,7 @@ def count_related(
 def compute_language_row(
     language: str,
     articles: Mapping[str, EntityId],
-    attributions: Mapping[EntityId, AttributionResult],
+    related: Mapping[EntityId, bool],
     views: Mapping[tuple[str, str], int],
     readership: Mapping[str, list[ReadershipRecord]],
 ) -> MetricsRow:
@@ -162,7 +164,7 @@ def compute_language_row(
     primary = primary_country(records)
     ppcrw = reader_share(records, primary, "readers")
     vpc = reader_share(records, primary, "views_from")
-    related_articles, related_views, total_views = count_related(language, articles, attributions, views)
+    related_articles, related_views, total_views = count_related(language, articles, related, views)
     if not articles:
         raise UndefinedMetricError(f"no articles for language {language!r}")
     if total_views == 0:
@@ -172,7 +174,7 @@ def compute_language_row(
 
 def compute_all(
     article_sets: Mapping[str, Mapping[str, EntityId]],
-    attributions: Mapping[EntityId, AttributionResult],
+    related: Mapping[EntityId, bool],
     views: Mapping[tuple[str, str], int],
     readership: Mapping[str, list[ReadershipRecord]],
     languages: Iterable[str] | None = None,
@@ -190,7 +192,7 @@ def compute_all(
             articles = article_sets.get(language)
             if articles is None:
                 raise UndefinedMetricError(f"no article set for language {language!r}")
-            rows.append(compute_language_row(language, articles, attributions, views, readership))
+            rows.append(compute_language_row(language, articles, related, views, readership))
         except WikiCoverageError as exc:
             failures[language] = exc
     return rows, failures
@@ -223,13 +225,24 @@ def write_metrics_tsv(rows: Iterable[MetricsRow], sink: IO[str]) -> None:
 
 
 def _metrics_row(fields: list[str]) -> tuple[str, MetricsRow]:
-    # the rounded ras and ravs columns are skipped: the counts rebuild them exactly
+    language, primary, ppcrw, vpc, ras, ravs = fields[:6]
     counts = tuple(map(parse_int, fields[6:]))
-    language, primary, ppcrw, vpc = fields[:4]
-    return language, MetricsRow(language, primary, Fraction(ppcrw), Fraction(vpc), *counts)
+    for name, text in (("ppcrw", ppcrw), ("vpc", vpc)):
+        if _SHARE_RE.fullmatch(text) is None:
+            raise ValueError(f"{name} must have six decimals, got {text!r}")
+    row = MetricsRow(language, primary, Fraction(ppcrw), Fraction(vpc), *counts)
+    for name, text in (("ras", ras), ("ravs", ravs)):
+        share = format_fraction(getattr(row, name))
+        if text != share:
+            raise ValueError(f"{name} {text!r} does not match its counts, which give {share}")
+    return language, row
 
 
 def read_metrics_tsv(source: Iterable[str]) -> list[MetricsRow]:
-    """Reload a metrics TSV (:func:`util.read_tsv`), one row per language;
-    ras/ravs are rebuilt exactly from the counts."""
+    """Reload a metrics TSV (:func:`util.read_tsv`), one row per language.
+
+    ``ppcrw`` and ``vpc`` must be written as :func:`write_metrics_tsv` writes
+    them, and ``ras`` and ``ravs`` must be the rounded shares of the counts,
+    from which they are rebuilt exactly.
+    """
     return list(read_tsv(source, METRICS_COLUMNS, _metrics_row).values())

@@ -184,7 +184,7 @@ def attribute_stage(
         geo_index = build_geo_index(entities, rules)
         attributions = attribute_all(entities, geo_index, rules)
     _write(out, write_attribution_tsv, attributions)
-    related = sum(1 for r in attributions.values() if r.provenance)
+    related = sum(1 for r in attributions.values() if r.related)
     return attributions, {"geo_index_entries": len(geo_index), "related_items": related}
 
 
@@ -225,7 +225,7 @@ def usage_stage(
 
 def metrics_stage(
     article_sets: dict[str, dict[str, EntityId]],
-    attributions: dict[EntityId, AttributionResult],
+    related: dict[EntityId, bool],
     views: dict[tuple[str, str], int],
     readership: Path | str,
     languages: Sequence[str],
@@ -237,7 +237,7 @@ def metrics_stage(
     entities in memory or streamed from a store.  Returns the rows, in
     language order, and the languages that failed.
     """
-    rows, failures = compute_all(article_sets, attributions, views, load_readership(readership), languages)
+    rows, failures = compute_all(article_sets, related, views, load_readership(readership), languages)
     _write(out, write_metrics_tsv, rows)
     return rows, failures
 
@@ -339,6 +339,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             attributions, attribution_counts = attribute_stage(
                 entities, rules, stage_path("attribution", "attribution.tsv")
             )
+            related = {item: result.related for item, result in attributions.items()}
+            del attributions  # later stages need only the flags
             counts.update(attribution_counts)
 
         with stage_errors("usage"):
@@ -354,7 +356,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                 raise ConfigError("readership CSV is required to compute metrics")
             rows, failures = metrics_stage(
                 build_article_sets(entities, config.languages),
-                attributions,
+                related,
                 views,
                 config.readership,
                 config.languages,

@@ -33,8 +33,8 @@ header count in both directions, the sitelink checks and the item order.
 Either way a bad token raises :class:`SlimStoreCorruptionError` naming its
 line.  The header is enforced per record: a claim key must be one of
 ``props=``, and a sitelink one of ``wikis=`` unless that is ``*``.  A record
-that breaks its own header, or does not follow the record before it in item
-order, is corruption naming its line.
+that breaks its own header, repeats a claim key or a wiki, or does not follow
+the record before it in item order, is corruption naming its line.
 
 The writer holds each record to the header it writes: a claim key outside
 ``keep_props``, or a sitelink outside ``keep_wikis``, raises ValueError, and a
@@ -215,6 +215,8 @@ def _parse_sitelinks(links_field: str, wikis: _Declared | None) -> dict[str, str
                 raise ValueError("sitelink wiki code is empty")
             if not title:
                 raise ValueError(f"sitelink title for {wiki!r} is empty")
+            if wiki in sitelinks:
+                raise ValueError(f"sitelink {wiki!r} appears twice in the record")
             sitelinks[wiki] = _unescape_title(title) if "%" in title else title
     return sitelinks
 
@@ -236,7 +238,10 @@ def _parse_record(
         if claims_field:
             for group in claims_field.split(";"):
                 prop_text, _, values_text = group.partition(":")
-                claims[props[prop_text]] = tuple(map(value_of, values_text.split(",")))
+                prop = props[prop_text]
+                if prop in claims:
+                    raise ValueError(f"claim key {prop_text!r} appears twice in the record")
+                claims[prop] = tuple(map(value_of, values_text.split(",")))
         sitelinks = _parse_sitelinks(links_field, wikis)
         return SlimEntity.trusted(EntityId.parse_item(id_field), claims, sitelinks)
     except ValueError as exc:
@@ -254,13 +259,16 @@ def _claims_pattern(props: Iterable[str]) -> re.Pattern:
     """The claims fields :func:`_parse_record` accepts under the header's ``props=``.
 
     That is ``prop:Q<n>[,Q<n>]`` groups joined by ``;``, each ``prop`` one of
-    ``props``, or nothing at all.
+    ``props`` and in no later group, or nothing at all.
     """
     keys = "|".join(map(re.escape, props))
     if not keys:
         return re.compile("")
-    group = f"(?:{keys}):{_ITEM_TOKEN}(?:,{_ITEM_TOKEN})*"
-    return re.compile(f"(?:{group}(?:;{group})*)?")
+    values = f":{_ITEM_TOKEN}(?:,{_ITEM_TOKEN})*"
+    # each group's lookahead refuses a later group with the same key
+    first = f"({keys}){values}(?!.*;\\1:)"
+    later = f";({keys}){values}(?!.*;\\2:)"
+    return re.compile(f"(?:{first}(?:{later})*)?", re.DOTALL)
 
 
 def _sitelinks_parser(props: _Declared, wikis: _Declared | None) -> Callable[[str, int], SitelinksRecord]:

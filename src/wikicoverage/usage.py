@@ -209,8 +209,9 @@ def merge_views(*parts: dict[tuple[str, str], int]) -> dict[tuple[str, str], int
 def parse_readership_table(source: Iterable[str]) -> dict[str, list[ReadershipRecord]]:
     """Parse the readership CSV, grouped by language in row order.
 
-    Raises :class:`ReadershipTableError` on a missing column, a duplicate
-    (language, country) pair, a malformed code, or a negative count.
+    Raises :class:`ReadershipTableError` on a missing column, a row with
+    more fields than the header, a duplicate (language, country) pair, a
+    malformed code, or a negative count.
     """
     reader = csv.DictReader(source)
     if reader.fieldnames is None:
@@ -221,6 +222,10 @@ def parse_readership_table(source: Iterable[str]) -> dict[str, list[ReadershipRe
     grouped: dict[str, list[ReadershipRecord]] = {}
     seen: set[tuple[str, str]] = set()
     for row_number, row in enumerate(reader, start=2):
+        if None in row:  # DictReader files the fields past the header under None
+            width = len(reader.fieldnames)
+            got = width + len(row[None])
+            raise ReadershipTableError(f"row {row_number}: expected {width} fields, got {got}")
         language = (row["language"] or "").strip()
         country = (row["country"] or "").strip()
         if not _LANGUAGE_RE.match(language):

@@ -28,7 +28,6 @@ from wikicoverage.usage import ReadershipRecord
 
 from helpers import (
     STORE_PROPS,
-    P,
     Q,
     oracle_geo_graph,
     oracle_related,
@@ -142,12 +141,6 @@ class TestMetricsOracleEquivalence:
                 )
                 related_flags[item] = rng.random() < 0.4
                 number += 1
-        from wikicoverage.attribution import AttributionResult
-
-        attributions = {
-            item: AttributionResult(item, ((P(17), Q(30)),) if flag else ())
-            for item, flag in related_flags.items()
-        }
         views = {}
         for entity in entities:
             for wiki, title in entity.sitelinks.items():
@@ -161,7 +154,7 @@ class TestMetricsOracleEquivalence:
             for language, country_list in countries.items()
         }
         article_sets = build_article_sets(entities, languages)
-        return languages, entities, attributions, views, readership, article_sets, related_flags
+        return languages, entities, views, readership, article_sets, related_flags
 
     def oracle(self, languages, entities, related_flags, views, readership):
         """Recompute all four metrics per language with plain loops."""
@@ -196,10 +189,8 @@ class TestMetricsOracleEquivalence:
 
     def test_three_language_fixture_matches_exact_rational_oracle(self):
         with criterion("metrics oracle equivalence (3 languages, exact rationals)"):
-            languages, entities, attributions, views, readership, article_sets, flags = (
-                self.build_fixture()
-            )
-            rows, failures = compute_all(article_sets, attributions, views, readership, languages)
+            languages, entities, views, readership, article_sets, flags = self.build_fixture()
+            rows, failures = compute_all(article_sets, flags, views, readership, languages)
             assert failures == {}
             expected = self.oracle(languages, entities, flags, views, readership)
             for row in rows:
@@ -213,13 +204,10 @@ class TestMetricsOracleEquivalence:
     def test_trivial_all_related_fixture_is_all_ones(self):
         with criterion("metrics trivial fixture (all four metrics exactly 1.0)"):
             entities = [SlimEntity(Q(1), {}, {"enwiki": "Lone Article"})]
-            from wikicoverage.attribution import AttributionResult
-
-            attributions = {Q(1): AttributionResult(Q(1), ((P(17), Q(30)),))}
             views = {("en", "Lone_Article"): 10}
             readership = {"en": [ReadershipRecord("en", "US", 5, 9)]}
             rows, failures = compute_all(
-                build_article_sets(entities, ("en",)), attributions, views, readership
+                build_article_sets(entities, ("en",)), {Q(1): True}, views, readership
             )
             assert failures == {}
             (row,) = rows

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from wikicoverage.cli import main
+from wikicoverage.chart import LOG, SCALES
+from wikicoverage.cli import build_parser, main
+from wikicoverage.clusters import AGGREGATION_MODES, POOLED
 from wikicoverage.metrics import METRICS_COLUMNS
 
 from helpers import dump_text, entity_json
@@ -166,7 +168,7 @@ class TestErrorsAndFlags:
     def test_zero_count_in_metrics_tsv_is_a_clean_error(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.tsv"
         header = "\t".join(METRICS_COLUMNS) + "\n"
-        metrics.write_text(header + "en\tUS\t0.6\t0.8\t0\t0\t0\t0\t10\t0\n", encoding="utf-8")
+        metrics.write_text(header + "en\tUS\t0.600000\t0.800000\t0\t0\t0\t0\t10\t0\n", encoding="utf-8")
         assert run(["report", "--metrics", metrics, "--out", tmp_path / "report"]) == 1
         assert capsys.readouterr().err == "error: line 2: article_count must be positive, got 0\n"
 
@@ -290,6 +292,27 @@ class TestChartFlags:
         payload = json.loads((report_dir / "chart.json").read_text(encoding="utf-8"))
         assert payload["scale"] == "linear"
         assert not (report_dir / "chart.svg").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["report", "--metrics", "m.tsv", "--out", "o"], ["all", "--languages", "en", "--out", "o"]],
+        ids=["report", "all"],
+    )
+    def test_scale_choices_and_default_are_the_chart_constants(self, argv):
+        parser = build_parser()
+        assert parser.parse_args(argv).scale == LOG
+        assert [parser.parse_args([*argv, "--scale", s]).scale for s in SCALES] == list(SCALES)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["clusters", "--metrics", "m.tsv", "--out", "o"], ["all", "--languages", "en", "--out", "o"]],
+        ids=["clusters", "all"],
+    )
+    def test_aggregation_choices_and_default_are_the_cluster_constants(self, argv):
+        parser = build_parser()
+        assert parser.parse_args(argv).aggregation == POOLED
+        modes = [parser.parse_args([*argv, "--aggregation", m]).aggregation for m in AGGREGATION_MODES]
+        assert modes == list(AGGREGATION_MODES)
 
 
 class TestCorruptStores:

@@ -65,11 +65,11 @@ class TestEntityId:
 
 class TestIdMemo:
     def test_each_token_is_parsed_once_and_shared(self):
-        memo = IdMemo()
+        memo = IdMemo(ITEM)
         first = memo["Q30"]
         assert first == EntityId.item(30)
         assert memo["Q30"] is first
-        assert memo["P17"] == EntityId.prop(17)
+        assert memo["Q17"] == EntityId.item(17)
 
     def test_kind_is_checked_on_first_entry(self):
         props = IdMemo(PROPERTY)
@@ -80,7 +80,7 @@ class TestIdMemo:
 
     @pytest.mark.parametrize("bad", ["", "*", "Q0", "xyz"])
     def test_bad_token_raises_and_is_not_kept(self, bad):
-        memo = IdMemo()
+        memo = IdMemo(ITEM)
         with pytest.raises(ValueError):
             memo[bad]
         assert bad not in memo

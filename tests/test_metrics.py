@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wikicoverage.attribution import AttributionResult
 from wikicoverage.entities import SlimEntity
 from wikicoverage.errors import (
     IncompleteAttributionError,
@@ -16,6 +15,7 @@ from wikicoverage.errors import (
     UndefinedMetricError,
 )
 from wikicoverage.metrics import (
+    METRICS_COLUMNS,
     MetricsRow,
     build_article_sets,
     compute_all,
@@ -28,15 +28,7 @@ from wikicoverage.metrics import (
 )
 from wikicoverage.usage import ReadershipRecord
 
-from helpers import P, Q
-
-
-def related(item):
-    return AttributionResult(item, ((P(17), Q(30)),))
-
-
-def unrelated(item):
-    return AttributionResult(item)
+from helpers import Q
 
 
 def rr(language, country, readers, views_from=0):
@@ -113,12 +105,12 @@ class TestPrimaryCountry:
         assert primary_country(records) == primary_country(scaled)
 
 
-def language_row(articles, attributions, views=None, language="en"):
+def language_row(articles, flags, views=None, language="en"):
     """The metrics row of one article set, one view per title unless ``views`` is given."""
     if views is None:
         views = {(language, title): 1 for title in articles}
     readership = {language: [rr(language, "US", 1, 1)]}
-    return compute_language_row(language, articles, attributions, views, readership)
+    return compute_language_row(language, articles, flags, views, readership)
 
 
 class TestReaderShares:
@@ -158,25 +150,25 @@ class TestReaderShares:
 class TestArticleShares:
     def build(self, total, related_count):
         articles = {}
-        attributions = {}
+        flags = {}
         for n in range(1, total + 1):
             articles[f"T{n}"] = Q(n)
-            attributions[Q(n)] = related(Q(n)) if n <= related_count else unrelated(Q(n))
-        return articles, attributions
+            flags[Q(n)] = n <= related_count
+        return articles, flags
 
     def test_three_of_ten_related(self):
-        articles, attributions = self.build(10, 3)
-        row = language_row(articles, attributions)
+        articles, flags = self.build(10, 3)
+        row = language_row(articles, flags)
         assert (row.ras, row.related_article_count, row.article_count) == (Fraction(3, 10), 3, 10)
-        assert count_related("en", articles, attributions, {}) == (3, 0, 0)
+        assert count_related("en", articles, flags, {}) == (3, 0, 0)
 
     def test_none_related_is_zero(self):
-        articles, attributions = self.build(7, 0)
-        assert language_row(articles, attributions).ras == 0
+        articles, flags = self.build(7, 0)
+        assert language_row(articles, flags).ras == 0
 
     def test_all_related_is_one(self):
-        articles, attributions = self.build(5, 5)
-        assert language_row(articles, attributions).ras == 1
+        articles, flags = self.build(5, 5)
+        assert language_row(articles, flags).ras == 1
 
     def test_empty_article_set_is_undefined(self):
         with pytest.raises(UndefinedMetricError):
@@ -187,61 +179,61 @@ class TestArticleShares:
             count_related("en", {"T1": Q(1)}, {}, {})
 
     def test_adding_unrelated_article_decreases_share(self):
-        articles, attributions = self.build(10, 3)
+        articles, flags = self.build(10, 3)
         bigger, more = self.build(11, 3)
-        assert language_row(bigger, more).ras < language_row(articles, attributions).ras
+        assert language_row(bigger, more).ras < language_row(articles, flags).ras
 
     def test_adding_related_article_increases_share(self):
-        articles, attributions = self.build(10, 3)
+        articles, flags = self.build(10, 3)
         grown = {**articles, "new": Q(99)}
-        attributions[Q(99)] = related(Q(99))
-        assert language_row(grown, attributions).ras > Fraction(3, 10)
+        flags[Q(99)] = True
+        assert language_row(grown, flags).ras > Fraction(3, 10)
 
 
 class TestViewShares:
     def fixture(self):
         articles = {"A": Q(1), "B": Q(2), "C": Q(3), "D": Q(4)}
-        attributions = {
-            Q(1): related(Q(1)),
-            Q(2): related(Q(2)),
-            Q(3): unrelated(Q(3)),
-            Q(4): unrelated(Q(4)),
+        flags = {
+            Q(1): True,
+            Q(2): True,
+            Q(3): False,
+            Q(4): False,
         }
         views = {("en", "A"): 30, ("en", "B"): 10, ("en", "C"): 45, ("en", "D"): 15}
-        return articles, attributions, views
+        return articles, flags, views
 
     def test_forty_of_hundred(self):
-        articles, attributions, views = self.fixture()
-        row = language_row(articles, attributions, views)
+        articles, flags, views = self.fixture()
+        row = language_row(articles, flags, views)
         assert (row.ravs, row.related_views, row.total_views) == (Fraction(40, 100), 40, 100)
 
     def test_no_related_articles_is_zero(self):
-        articles, attributions, views = self.fixture()
-        attributions = {item: unrelated(item) for item in attributions}
-        assert language_row(articles, attributions, views).ravs == 0
+        articles, flags, views = self.fixture()
+        flags = dict.fromkeys(flags, False)
+        assert language_row(articles, flags, views).ravs == 0
 
     def test_related_article_without_views_contributes_zero(self):
-        articles, attributions, views = self.fixture()
+        articles, flags, views = self.fixture()
         del views[("en", "B")]
-        assert count_related("en", articles, attributions, views)[1:] == (30, 90)
+        assert count_related("en", articles, flags, views)[1:] == (30, 90)
 
     def test_views_outside_the_article_set_are_ignored(self):
-        articles, attributions, views = self.fixture()
+        articles, flags, views = self.fixture()
         views[("en", "Main_Page")] = 100000
-        assert count_related("en", articles, attributions, views)[1:] == (40, 100)
+        assert count_related("en", articles, flags, views)[1:] == (40, 100)
 
     def test_zero_total_views_is_undefined(self):
-        articles, attributions, _ = self.fixture()
+        articles, flags, _ = self.fixture()
         with pytest.raises(UndefinedMetricError):
-            language_row(articles, attributions, {})
+            language_row(articles, flags, {})
 
     @given(factor=st.integers(1, 500))
     def test_scaling_views_leaves_share_unchanged(self, factor):
-        articles, attributions, views = self.fixture()
+        articles, flags, views = self.fixture()
         scaled = {key: value * factor for key, value in views.items()}
         assert (
-            language_row(articles, attributions, scaled).ravs
-            == language_row(articles, attributions, views).ravs
+            language_row(articles, flags, scaled).ravs
+            == language_row(articles, flags, views).ravs
         )
 
 
@@ -253,11 +245,11 @@ class TestComputeAll:
             SlimEntity(Q(3), {}, {"dewiki": "C", "frwiki": "C"}),
             SlimEntity(Q(4), {}, {"frwiki": "D"}),
         ]
-        attributions = {
-            Q(1): related(Q(1)),
-            Q(2): unrelated(Q(2)),
-            Q(3): related(Q(3)),
-            Q(4): unrelated(Q(4)),
+        flags = {
+            Q(1): True,
+            Q(2): False,
+            Q(3): True,
+            Q(4): False,
         }
         views = {
             ("en", "A"): 6,
@@ -273,11 +265,11 @@ class TestComputeAll:
             "fr": [rr("fr", "FR", 9, 9), rr("fr", "BE", 1, 1)],
         }
         article_sets = build_article_sets(entities, {"en", "de", "fr"})
-        return article_sets, attributions, views, readership
+        return article_sets, flags, views, readership
 
     def test_three_language_fixture_matches_per_op_oracles(self):
-        article_sets, attributions, views, readership = self.fixture()
-        rows, failures = compute_all(article_sets, attributions, views, readership)
+        article_sets, flags, views, readership = self.fixture()
+        rows, failures = compute_all(article_sets, flags, views, readership)
         assert failures == {}
         by_lang = {row.language: row for row in rows}
         # oracle: values recomputed by hand from the fixture tables above
@@ -292,26 +284,26 @@ class TestComputeAll:
         assert by_lang["fr"].ravs == Fraction(1, 4)
 
     def test_language_without_readership_fails_alone(self):
-        article_sets, attributions, views, readership = self.fixture()
+        article_sets, flags, views, readership = self.fixture()
         del readership["de"]
-        rows, failures = compute_all(article_sets, attributions, views, readership)
+        rows, failures = compute_all(article_sets, flags, views, readership)
         assert {row.language for row in rows} == {"en", "fr"}
         assert set(failures) == {"de"}
         assert isinstance(failures["de"], NoReadershipError)
 
     def test_single_language_all_related_fixture_is_all_ones(self):
         entities = [SlimEntity(Q(1), {}, {"enwiki": "Only"})]
-        attributions = {Q(1): related(Q(1))}
+        flags = {Q(1): True}
         views = {("en", "Only"): 10}
         readership = {"en": [rr("en", "US", 3, 7)]}
-        rows, failures = compute_all(build_article_sets(entities, {"en"}), attributions, views, readership)
+        rows, failures = compute_all(build_article_sets(entities, {"en"}), flags, views, readership)
         assert failures == {}
         (row,) = rows
         assert (row.ppcrw, row.vpc, row.ras, row.ravs) == (1, 1, 1, 1)
 
     def test_rows_come_back_language_sorted(self):
-        article_sets, attributions, views, readership = self.fixture()
-        rows, _ = compute_all(article_sets, attributions, views, readership)
+        article_sets, flags, views, readership = self.fixture()
+        rows, _ = compute_all(article_sets, flags, views, readership)
         assert [row.language for row in rows] == ["de", "en", "fr"]
 
     def test_failure_messages_are_exact_and_in_check_order(self):
@@ -329,7 +321,7 @@ class TestComputeAll:
             "af": fine("af"),
         }
         languages = [*article_sets, "ag"]
-        rows, failures = compute_all(article_sets, {Q(1): related(Q(1))}, {}, readership, languages)
+        rows, failures = compute_all(article_sets, {Q(1): True}, {}, readership, languages)
         assert rows == []
         assert {lang: (type(exc), str(exc)) for lang, exc in failures.items()} == {
             "aa": (NoReadershipError, "no readership rows for this language"),
@@ -407,13 +399,13 @@ class TestMetricsRow:
         "row, problem",
         [
             ("de\tDE\t0.6\t0.8\t0.3", "expected 10 fields, got 5"),
-            ("de\tDE\t0.6\t0.8\t0\t0.4\t0\t0\t100\t40", "article_count must be positive, got 0"),
-            ("de\tDE\t0.6\t0.8\t0.3\t0\t10\t3\t-1\t0", "total_views must be positive, got -1"),
+            ("de\tDE\t0.600000\t0.800000\t0\t0.4\t0\t0\t100\t40", "article_count must be positive, got 0"),
+            ("de\tDE\t0.600000\t0.800000\t0.3\t0\t10\t3\t-1\t0", "total_views must be positive, got -1"),
             ("de\tDE\t0.6\t0.8\t0.3\t0.4\tten\t3\t100\t40", r"invalid literal for int\(\) with base 10: 'ten'"),
             ("de\tDE\t0.6\t0.8\t0.3\t0.4\t1_0\t3\t100\t40", r"invalid literal for int\(\) with base 10: '1_0'"),
             ("de\tDE\t0.6\t0.8\t0.3\t0.4\t10\t\u0663\t100\t40", r"invalid literal for int\(\) with base 10: '\u0663'"),
             ("de\tDE\t0.6\t0.8\t0.3\t0.4\t10\t3\t+100\t40", r"invalid literal for int\(\) with base 10: '\+100'"),
-            ("en\tUS\t0.6\t0.8\t0.3\t0.4\t10\t3\t100\t40", "repeated key en"),
+            ("en\tUS\t0.600000\t0.800000\t0.300000\t0.400000\t10\t3\t100\t40", "repeated key en"),
         ],
         ids=["five-fields", "zero-articles", "negative-views", "non-integer", "underscore",
              "arabic-indic-digit", "plus-sign", "repeated-language"],
@@ -423,6 +415,30 @@ class TestMetricsRow:
         write_metrics_tsv([self.make_row()], sink)
         with pytest.raises(ValueError, match=f"^line 3: {problem}$"):
             read_metrics_tsv(io.StringIO(sink.getvalue() + row + "\n"))
+
+    @pytest.mark.parametrize("column", ["ppcrw", "vpc"])
+    @pytest.mark.parametrize(
+        "text", ["\u0660.\u0666", "6e-1", " 3/5", "+0.6", "0.6", "0.6000000", ".600000", "0.600000 "]
+    )
+    def test_reader_share_must_be_written_as_the_writer_writes_it(self, column, text):
+        # each of these reads as 3/5 through Fraction(), yet the writer writes 0.600000
+        fields = dict(zip(METRICS_COLUMNS, "de DE 0.600000 0.600000 0.300000 0.400000 10 3 100 40".split()))
+        fields[column] = text
+        with pytest.raises(ValueError, match=f"^line 3: {column} must have six decimals, got "):
+            self.read_after_one_row("\t".join(fields.values()))
+
+    @pytest.mark.parametrize("column", ["ras", "ravs"])
+    @pytest.mark.parametrize("text", ["garbage", "-7", "0.3", "0.500000", "0.300001"])
+    def test_rounded_share_must_match_the_counts(self, column, text):
+        fields = dict(zip(METRICS_COLUMNS, "de DE 0.600000 0.800000 0.300000 0.400000 10 3 100 40".split()))
+        fields[column] = text
+        with pytest.raises(ValueError, match=f"^line 3: {column} '{re.escape(text)}' does not match its counts"):
+            self.read_after_one_row("\t".join(fields.values()))
+
+    def read_after_one_row(self, row):
+        sink = io.StringIO()
+        write_metrics_tsv([self.make_row()], sink)
+        return read_metrics_tsv(io.StringIO(sink.getvalue() + row + "\n"))
 
     @given(
         num=st.integers(0, 1000),

@@ -306,6 +306,24 @@ class TestRead:
 
     @pytest.mark.parametrize("reader", [read_slim_store, read_store_sitelinks])
     @pytest.mark.parametrize(
+        "record, problem",
+        [
+            ("Q2\tP17:Q5;P17:Q6\tenwiki=A", "claim key 'P17' appears twice in the record"),
+            ("Q2\tP17:Q5;P31:Q7;P17:Q6\t", "claim key 'P17' appears twice in the record"),
+            ("Q2\tP17:Q5\tenwiki=A|enwiki=B", "sitelink 'enwiki' appears twice in the record"),
+            ("Q2\tP17:Q5;P17:Q6\tenwiki=A|enwiki=B", "claim key 'P17' appears twice in the record"),
+        ],
+        ids=["claim-key", "claim-key-apart", "wiki", "both"],
+    )
+    def test_a_repeat_within_a_record_is_corruption(self, reader, record, problem):
+        # the writer cannot write one (claims and sitelinks are dicts); reading
+        # one would keep only its last group or sitelink
+        text = store_text(["Q1\tP17:Q30\tenwiki=X", record])
+        with pytest.raises(SlimStoreCorruptionError, match=f"^line 4: {re.escape(problem)}$"):
+            list(reader(io.StringIO(text)))
+
+    @pytest.mark.parametrize("reader", [read_slim_store, read_store_sitelinks])
+    @pytest.mark.parametrize(
         "records, problem",
         [
             (["Q5\tP17:Q30\t", "Q5\t\tenwiki=X"], "item Q5 does not follow Q5"),
@@ -401,7 +419,11 @@ class TestSitelinksReader:
         "records",
         [
             *(records for records, _ in BAD_TOKEN_CASES),
-            ["Q1\tP17:Q5;P17:Q6\tenwiki=X"],  # a repeated claim key is read, the last group kept
+            ["Q1\tP17:Q5;P17:Q6\tenwiki=X"],
+            ["Q1\tP17:Q5\tenwiki=A|enwiki=B"],
+            ["Q1\tP31:Q7;P17:Q5,Q8;P17:Q6\t"],
+            ["props=P1,P17", "Q1\tP1:Q5;P17:Q6;P1:Q7\t"],
+            ["props=P1,P17", "Q1\tP17:Q5;P1:Q6\t"],
             ["Q1\tP17:Q5\t", "Q1\tP31:Q5\t"],
             ["Q1\tP17:Q5\tenwiki=a%7Cb%25"],
             ["Q1\tP17:Q5\tenwiki"],

@@ -385,6 +385,20 @@ class TestReadership:
         with pytest.raises(ReadershipTableError):
             parse_readership_table(source)
 
+    @pytest.mark.parametrize("extra", ["999", "", "999,1"], ids=["one-field", "empty-field", "two-fields"])
+    def test_row_longer_than_the_header_raises(self, extra):
+        # csv.DictReader would file the extra fields under its None key
+        source = io.StringIO(self.HEADER + f"en,US,600,800\nen,GB,150,90,{extra}\n")
+        got = 5 + extra.count(",")
+        with pytest.raises(ReadershipTableError, match=f"^row 3: expected 4 fields, got {got}$"):
+            parse_readership_table(source)
+
+    def test_header_may_have_extra_columns(self):
+        source = io.StringIO("language,country,readers,views_from,note\nen,US,600,800,survey\nen,GB,150,90\n")
+        assert parse_readership_table(source) == {
+            "en": [ReadershipRecord("en", "US", 600, 800), ReadershipRecord("en", "GB", 150, 90)]
+        }
+
 
 class TestViewsTsv:
     def test_round_trip_sorted(self):
