@@ -51,7 +51,6 @@ from .usage import (
     TitleMemo,
     ViewRecord,
     aggregate_views,
-    parse_pageviews_line,
     parse_pageviews_stream,
     parse_readership_table,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "load_rules",
     "load_slim_store",
     "parse_dump_stream",
-    "parse_pageviews_line",
     "parse_pageviews_stream",
     "parse_readership_table",
     "parse_rules",

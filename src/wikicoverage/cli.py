@@ -30,7 +30,7 @@ from .report import (
     usage_stage,
 )
 from .slimstore import load_slim_store, read_store_sitelinks
-from .usage import read_views_tsv
+from .usage import LANGUAGE_RE, read_views_tsv
 from .util import paused_gc
 
 
@@ -38,12 +38,22 @@ def _languages(text: str) -> tuple[str, ...]:
     languages = tuple(tok.strip() for tok in text.split(",") if tok.strip())
     if not languages:
         raise argparse.ArgumentTypeError("language list is empty")
+    for language in languages:
+        if not LANGUAGE_RE.match(language):
+            raise argparse.ArgumentTypeError(f"bad language code {language!r}")
     return languages
 
 
 def _read_metrics(path: str) -> list[MetricsRow]:
     with open(path, encoding="utf-8") as handle:
         return read_metrics_tsv(handle)
+
+
+def _warn_failed(failures: dict) -> int:
+    """Print a warning per failed language; the exit code, 1 if any failed."""
+    for language, reason in sorted(failures.items()):
+        print(f"warning: {language}: {reason}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_slim(args) -> int:
@@ -81,10 +91,8 @@ def _cmd_metrics(args) -> int:
     rows, failures = metrics_stage(
         article_sets, related, views, args.readership, args.languages, Path(args.out)
     )
-    for language, exc in sorted(failures.items()):
-        print(f"warning: {language}: {exc}", file=sys.stderr)
     print(f"wrote {len(rows)} metric rows to {args.out}")
-    return 0 if not failures else 1
+    return _warn_failed(failures)
 
 
 def _cmd_clusters(args) -> int:
@@ -124,7 +132,7 @@ def _cmd_all(args) -> int:
     result = run_pipeline(config)
     for name in sorted(result.artifacts):
         print(f"{name}: {result.artifacts[name]}")
-    return 0
+    return _warn_failed(result.manifest["issues"]["failed_languages"])
 
 
 def build_parser() -> argparse.ArgumentParser:

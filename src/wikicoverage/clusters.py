@@ -18,7 +18,7 @@ from typing import IO, Iterable, Mapping
 from .errors import UndefinedAggregateError
 from .metrics import MetricsRow
 from .usage import COUNTRY_RE
-from .util import format_fraction
+from .util import format_fraction, overlong_row
 
 POOLED = "pooled"
 MEAN = "mean"
@@ -48,6 +48,8 @@ def parse_cluster_map(source: Iterable[str]) -> dict[str, str]:
 
     A country is a readership country code (``[A-Z]{2}``): a row with any
     other country could never match a primary country, so it is rejected.
+    So is a row with more fields than the header, such as an unquoted
+    cluster name that holds a comma; the header may have extra columns.
     """
     reader = csv.DictReader(source)
     if reader.fieldnames is None:
@@ -57,6 +59,9 @@ def parse_cluster_map(source: Iterable[str]) -> dict[str, str]:
             raise ValueError(f"cluster map is missing column {column!r}")
     mapping: dict[str, str] = {}
     for row_number, row in enumerate(reader, start=2):
+        problem = overlong_row(row, reader.fieldnames)
+        if problem:
+            raise ValueError(f"cluster map row {row_number}: {problem}")
         country = (row["country"] or "").strip()
         cluster = (row["cluster"] or "").strip()
         if not country or not cluster:

@@ -33,7 +33,7 @@ from .errors import DumpTruncatedError
 
 @dataclass(frozen=True)
 class ParseIssue:
-    """One malformed dump line, kept for the caller's error tally."""
+    """One malformed input line, kept for the caller's error tally."""
 
     line_number: int
     reason: str

@@ -47,10 +47,6 @@ class RulesError(WikiCoverageError):
     """An attribution rules file could not be parsed."""
 
 
-class PageviewsLineError(WikiCoverageError):
-    """A pageviews dump line does not match the expected record shape."""
-
-
 class ReadershipTableError(WikiCoverageError):
     """The readership CSV is malformed (columns, duplicates, negatives)."""
 

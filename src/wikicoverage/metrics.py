@@ -30,7 +30,7 @@ from .errors import (
     UndefinedMetricError,
     WikiCoverageError,
 )
-from .usage import ReadershipRecord
+from .usage import COUNTRY_RE, LANGUAGE_RE, ReadershipRecord
 from .util import format_fraction, normalize_sitelink_title, parse_int, read_tsv, sitelink_key
 
 METRICS_COLUMNS = (
@@ -226,6 +226,10 @@ def write_metrics_tsv(rows: Iterable[MetricsRow], sink: IO[str]) -> None:
 
 def _metrics_row(fields: list[str]) -> tuple[str, MetricsRow]:
     language, primary, ppcrw, vpc, ras, ravs = fields[:6]
+    if not LANGUAGE_RE.match(language):
+        raise ValueError(f"bad language code {language!r}")
+    if not COUNTRY_RE.match(primary):
+        raise ValueError(f"bad country code {primary!r}")
     counts = tuple(map(parse_int, fields[6:]))
     for name, text in (("ppcrw", ppcrw), ("vpc", vpc)):
         if _SHARE_RE.fullmatch(text) is None:

@@ -48,7 +48,7 @@ from .errors import ConfigError, PipelineStageError, WikiCoverageError
 from .metrics import MetricsRow, build_article_sets, compute_all, write_metrics_tsv
 from .slimstore import load_slim_store, save_slim_store
 from .usage import (
-    PageviewsIssue,
+    LANGUAGE_RE,
     TitleMemo,
     aggregate_views,
     load_readership,
@@ -106,6 +106,9 @@ class RunConfig:
     def validate(self) -> None:
         if not self.languages:
             raise ConfigError("language list is empty")
+        for language in self.languages:
+            if not LANGUAGE_RE.match(language):
+                raise ConfigError(f"bad language code {language!r}")
         if (self.dump is None) == (self.slim is None):
             raise ConfigError("exactly one of dump/slim input must be given")
         if self.scale not in SCALES:
@@ -190,7 +193,7 @@ def attribute_stage(
 
 def usage_stage(
     paths: Iterable[Path | str], languages: Iterable[str] | None, out: Path
-) -> tuple[dict[tuple[str, str], int], list[PageviewsIssue]]:
+) -> tuple[dict[tuple[str, str], int], list[ParseIssue]]:
     """Total the pageview files per (language, title) and write the views TSV.
 
     ``languages`` limits the languages kept; None keeps every language.
@@ -203,7 +206,7 @@ def usage_stage(
     title memo and at most two files' totals, however many files there are.
     """
     language_set = None if languages is None else set(languages)
-    issues: list[PageviewsIssue] = []
+    issues: list[ParseIssue] = []
     titles = TitleMemo()  # each distinct title is normalised once per stage
     views = None
     with paused_gc():

@@ -5,11 +5,12 @@ Mobile and zero-rated domain variants (``en.m``, ``en.zero``) fold into their
 base language; every non-Wikipedia project domain is skipped.  Readership is a
 required external CSV giving per-(language, country) reader and view counts.
 
-A malformed line is tallied with its line number and skipped: a wrong field
-count, an empty title, a count that is not ASCII digits (a negative one is
-named as such), a line that is not UTF-8, and a title that decodes to a tab,
-LF or CR (:data:`BAD_TITLE`; no sitelink title holds one, and the views TSV
-could not carry it).  Titles are percent-decoded through a
+A malformed line is tallied as a :class:`~wikicoverage.dump.ParseIssue`,
+with its line number and reason, and skipped: a wrong field count, an empty
+title, a count that is not ASCII digits (a negative one is named as such), a
+line that is not UTF-8, and a title that decodes to a tab, LF or CR
+(:data:`BAD_TITLE`; no sitelink title holds one, and the views TSV could not
+carry it).  Titles are percent-decoded through a
 :class:`TitleMemo`, so each distinct title of a tracked language is
 normalised once per memo.  The usage stage shares one memo between all of
 its shards and drops it when the stage ends; the memo then holds at most the
@@ -20,13 +21,14 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import PageviewsLineError, ReadershipTableError
-from .util import normalize_pageview_title, parse_int, read_tsv
+from .dump import ParseIssue
+from .errors import ReadershipTableError
+from .util import normalize_pageview_title, overlong_row, parse_int, read_tsv
 
-_LANGUAGE_RE = re.compile(r"[a-z][a-z0-9-]*\Z")
+# a readership language code; pageview domains and --languages use the same codes
+LANGUAGE_RE = re.compile(r"[a-z][a-z0-9-]*\Z")
 # a readership country code; a cluster map's countries are the same codes
 COUNTRY_RE = re.compile(r"[A-Z]{2}\Z")
 _FOLDED_SUFFIXES = frozenset({"m", "zero"})
@@ -55,18 +57,12 @@ class ReadershipRecord(NamedTuple):
     views_from: int
 
 
-@dataclass(frozen=True)
-class PageviewsIssue:
-    line_number: int
-    reason: str
-
-
 def _tracked_language(domain: str, languages: set[str] | None) -> str | None:
     """Base language of a Wikipedia domain code, or None for another project
     or a language outside ``languages``."""
     base, _, suffix = domain.partition(".")
     if (
-        not _LANGUAGE_RE.match(base)
+        not LANGUAGE_RE.match(base)
         or base in _NON_LANGUAGE_CODES
         or (suffix and suffix not in _FOLDED_SUFFIXES)
         or (languages is not None and base not in languages)
@@ -96,30 +92,11 @@ class TitleMemo(dict):
         return title
 
 
-def parse_pageviews_line(line: str, languages: set[str] | None = None) -> ViewRecord | None:
-    """One pageviews line to a record, or None for untracked domains.
-
-    Raises :class:`PageviewsLineError` with the reason that
-    :func:`parse_pageviews_stream`, which makes every check, tallies for the
-    line.  A blank line, which the stream skips, raises its field count.
-    """
-    if not line.strip():
-        # the stream skips a blank line; behind a NUL domain, which no
-        # language matches, it counts the line's fields like any other
-        line = "\0" + line
-    issues: list[PageviewsIssue] = []
-    for record in parse_pageviews_stream((line,), languages, errors=issues):
-        return record
-    if issues:
-        raise PageviewsLineError(issues[0].reason)
-    return None
-
-
 def parse_pageviews_stream(
     lines: Iterable[str | bytes],
     languages: set[str] | None = None,
     *,
-    errors: list[PageviewsIssue] | None = None,
+    errors: list[ParseIssue] | None = None,
     titles: TitleMemo | None = None,
 ) -> Iterator[ViewRecord]:
     """Parse a whole pageviews file, tallying malformed lines and moving on.
@@ -136,7 +113,7 @@ def parse_pageviews_stream(
 
     def tally(line_number: int, reason: str) -> None:
         if errors is not None:
-            errors.append(PageviewsIssue(line_number, reason))
+            errors.append(ParseIssue(line_number, reason))
 
     for line_number, line in enumerate(lines, start=1):
         if isinstance(line, bytes):
@@ -222,13 +199,12 @@ def parse_readership_table(source: Iterable[str]) -> dict[str, list[ReadershipRe
     grouped: dict[str, list[ReadershipRecord]] = {}
     seen: set[tuple[str, str]] = set()
     for row_number, row in enumerate(reader, start=2):
-        if None in row:  # DictReader files the fields past the header under None
-            width = len(reader.fieldnames)
-            got = width + len(row[None])
-            raise ReadershipTableError(f"row {row_number}: expected {width} fields, got {got}")
+        problem = overlong_row(row, reader.fieldnames)
+        if problem:
+            raise ReadershipTableError(f"row {row_number}: {problem}")
         language = (row["language"] or "").strip()
         country = (row["country"] or "").strip()
-        if not _LANGUAGE_RE.match(language):
+        if not LANGUAGE_RE.match(language):
             raise ReadershipTableError(f"row {row_number}: bad language code {language!r}")
         if not COUNTRY_RE.match(country):
             raise ReadershipTableError(f"row {row_number}: bad country code {country!r}")

@@ -1,6 +1,7 @@
 """Small shared helpers: title normalization, exact fraction rendering, the
-integer reader and the one row reader behind the TSV artifact readers, and a
-pause of the cyclic garbage collector for bulk loads."""
+integer reader, the one row reader behind the TSV artifact readers, the
+field-count check of the CSV readers, and a pause of the cyclic garbage
+collector for bulk loads."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import hashlib
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 from urllib.parse import unquote
 
 
@@ -36,12 +37,14 @@ def parse_int(text: str) -> int:
     """An integer written as ASCII digits with an optional leading ``-``.
 
     ``int()`` alone would also take a ``+``, underscores, surrounding
-    whitespace and non-ASCII digits, none of which a count in an input file
-    may hold; any such text raises ``int()``'s own ValueError.  The minus is
-    read so that a caller can name a negative count as such.
+    whitespace, non-ASCII digits and ``-0``, none of which a count in an
+    input file may hold; any such text raises ``int()``'s own ValueError.
+    The minus is read so that a caller can name a negative count as such,
+    so it must lead a non-zero value.
     """
-    digits = text[1:] if text[:1] == "-" else text
-    if not (digits.isascii() and digits.isdigit()):
+    negative = text[:1] == "-"
+    digits = text[1:] if negative else text
+    if not (digits.isascii() and digits.isdigit()) or (negative and not digits.strip("0")):
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(text)
 
@@ -105,6 +108,17 @@ def read_tsv(
             raise ValueError(f"line {line_number}: {exc}") from exc
         result[key] = value
     return result
+
+
+def overlong_row(row: dict, fieldnames: Sequence[str]) -> str | None:
+    """Why a :class:`csv.DictReader` row has more fields than its header, or None.
+
+    DictReader files the fields past the header under the key None, where a
+    reader that looks only at its named columns would drop them unseen.
+    """
+    if None not in row:
+        return None
+    return f"expected {len(fieldnames)} fields, got {len(fieldnames) + len(row[None])}"
 
 
 @contextmanager

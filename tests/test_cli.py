@@ -242,6 +242,31 @@ class TestErrorsAndFlags:
         assert code == 1
         assert "xx" in capsys.readouterr().err
 
+    def test_failed_language_sets_the_exit_code_of_all(self, tmp_path, capsys):
+        code = run(
+            ["all", FIXTURE / "pageviews-a.txt", "--dump", FIXTURE / "dump.json",
+             "--readership", FIXTURE / "readership.csv", "--rules", FIXTURE / "rules.txt",
+             "--languages", "en,de,xx", "--out", tmp_path]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "warning: xx: no readership rows for this language\n"
+        # the run still writes and promotes every artifact
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert list(manifest["issues"]["failed_languages"]) == ["xx"]
+        assert len((tmp_path / "metrics.tsv").read_text(encoding="utf-8").splitlines()) == 3
+
+    @pytest.mark.parametrize("command", ["usage", "all"])
+    def test_language_outside_the_readership_grammar_is_refused(self, tmp_path, capsys, command):
+        # such a code could never match a readership row, a pageview domain or a sitelink
+        argv = [command, FIXTURE / "pageviews-a.txt", "--languages", "EN,de", "--out", tmp_path / "out"]
+        if command == "all":
+            argv += ["--dump", FIXTURE / "dump.json", "--readership", FIXTURE / "readership.csv"]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "argument --languages: bad language code 'EN'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_titles_with_line_or_field_breaks_do_not_break_the_chain(self, tmp_path, capsys):
         # such a title used to reach views.tsv, which `metrics` then failed to read
         slim = tmp_path / "entities.slim"

@@ -157,6 +157,15 @@ class TestClusterMap:
         with pytest.raises(ValueError, match=f"^cluster map row 3: bad country code '{country}'$"):
             parse_cluster_map(["country,cluster", "SE,Nordic", f"{country},Nordic"])
 
+    def test_row_longer_than_the_header_rejected_naming_its_row(self):
+        # an unquoted cluster name holding a comma would otherwise be cut without a word
+        with pytest.raises(ValueError, match="^cluster map row 2: expected 2 fields, got 3$"):
+            parse_cluster_map(["country,cluster\n", "US,English-speaking,Catholic Europe\n"])
+
+    def test_header_may_have_extra_columns(self):
+        text = ["country,cluster,note", "US,English-Speaking,seed", "MX,Latin America"]
+        assert parse_cluster_map(text) == {"US": "English-Speaking", "MX": "Latin America"}
+
     def test_conflicting_duplicate_rejected(self):
         with pytest.raises(ValueError):
             parse_cluster_map(["country,cluster", "US,A", "US,B"])

@@ -406,9 +406,11 @@ class TestMetricsRow:
             ("de\tDE\t0.6\t0.8\t0.3\t0.4\t10\t\u0663\t100\t40", r"invalid literal for int\(\) with base 10: '\u0663'"),
             ("de\tDE\t0.6\t0.8\t0.3\t0.4\t10\t3\t+100\t40", r"invalid literal for int\(\) with base 10: '\+100'"),
             ("en\tUS\t0.600000\t0.800000\t0.300000\t0.400000\t10\t3\t100\t40", "repeated key en"),
+            ("EN !\tus \t0.600000\t0.800000\t0.300000\t0.400000\t10\t3\t100\t40", "bad language code 'EN !'"),
+            ("fr\tus \t0.600000\t0.800000\t0.300000\t0.400000\t10\t3\t100\t40", "bad country code 'us '"),
         ],
         ids=["five-fields", "zero-articles", "negative-views", "non-integer", "underscore",
-             "arabic-indic-digit", "plus-sign", "repeated-language"],
+             "arabic-indic-digit", "plus-sign", "repeated-language", "bad-language", "bad-country"],
     )
     def test_bad_row_names_its_line(self, row, problem):
         sink = io.StringIO()

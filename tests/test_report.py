@@ -381,3 +381,9 @@ class TestRunConfigValidation:
     def test_validate_directly_raises_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             RunConfig(out_dir=tmp_path, languages=()).validate()
+
+    def test_language_outside_the_readership_grammar_is_a_config_error(self, tmp_path):
+        # such a code could never match a readership row, a pageview domain or a sitelink
+        config = RunConfig(out_dir=tmp_path, languages=("EN", "de"), dump=FIXTURE / "dump.json")
+        with pytest.raises(ConfigError, match="^bad language code 'EN'$"):
+            config.validate()

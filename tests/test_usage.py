@@ -2,22 +2,23 @@ import io
 import random
 import re
 import tracemalloc
+from urllib.parse import unquote
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wikicoverage.errors import PageviewsLineError, ReadershipTableError
+from wikicoverage.dump import ParseIssue
+from wikicoverage.errors import ReadershipTableError
 from wikicoverage.report import usage_stage
 from wikicoverage.usage import (
+    _NON_LANGUAGE_CODES,
     BAD_TITLE,
-    PageviewsIssue,
     ReadershipRecord,
     TitleMemo,
     ViewRecord,
     aggregate_views,
     merge_views,
-    parse_pageviews_line,
     parse_pageviews_stream,
     parse_readership_table,
     read_views_tsv,
@@ -25,66 +26,66 @@ from wikicoverage.usage import (
 )
 
 
+def parse_one(line, languages=None):
+    """The records and the tallied issues of a one-line pageviews file."""
+    return list(parse_pageviews_stream([line], languages, errors=(errors := []))), errors
+
+
 class TestParseLine:
     def test_plain_wikipedia_line(self):
-        assert parse_pageviews_line("en Main_Page 42 0") == ViewRecord("en", "Main_Page", 42)
+        assert parse_one("en Main_Page 42 0") == ([ViewRecord("en", "Main_Page", 42)], [])
 
     def test_mobile_domain_folds_into_base_language(self):
-        assert parse_pageviews_line("en.m Foo 7 0") == ViewRecord("en", "Foo", 7)
+        assert parse_one("en.m Foo 7 0") == ([ViewRecord("en", "Foo", 7)], [])
 
     def test_zero_domain_folds_into_base_language(self):
-        assert parse_pageviews_line("de.zero Bar 3 0") == ViewRecord("de", "Bar", 3)
+        assert parse_one("de.zero Bar 3 0") == ([ViewRecord("de", "Bar", 3)], [])
 
     def test_non_numeric_count_is_malformed(self):
-        with pytest.raises(PageviewsLineError):
-            parse_pageviews_line("en Foo x 0")
+        assert parse_one("en Foo x 0") == ([], [ParseIssue(1, "non-numeric view count 'x'")])
 
     def test_negative_count_is_malformed(self):
-        with pytest.raises(PageviewsLineError):
-            parse_pageviews_line("en Foo -1 0")
+        assert parse_one("en Foo -1 0") == ([], [ParseIssue(1, "negative view count -1")])
 
     @pytest.mark.parametrize(
-        "count", ["1_000", "\u0663", "+5", "5\t", "\uff15"],
-        ids=["underscore", "arabic-indic-digit", "plus-sign", "trailing-tab", "fullwidth-digit"],
+        "count", ["1_000", "\u0663", "+5", "5\t", "\uff15", "-0", "-00"],
+        ids=[
+            "underscore", "arabic-indic-digit", "plus-sign", "trailing-tab", "fullwidth-digit",
+            "minus-zero", "minus-zeros",
+        ],
     )
     def test_count_that_is_not_ascii_digits_is_malformed(self, count):
         # int() reads each of these as a number
-        with pytest.raises(PageviewsLineError, match=f"^non-numeric view count {re.escape(repr(count))}$"):
-            parse_pageviews_line(f"en Foo {count} 0")
+        assert parse_one(f"en Foo {count} 0") == ([], [ParseIssue(1, f"non-numeric view count {count!r}")])
 
     def test_negative_count_names_its_value(self):
-        with pytest.raises(PageviewsLineError, match="^negative view count -4$"):
-            parse_pageviews_line("en Foo -4 0")
+        assert parse_one("en Foo -4 0") == ([], [ParseIssue(1, "negative view count -4")])
 
     def test_wrong_field_count_is_malformed(self):
-        with pytest.raises(PageviewsLineError):
-            parse_pageviews_line("en Foo 42")
+        assert parse_one("en Foo 42") == ([], [ParseIssue(1, "expected 4 space-separated fields, got 3")])
 
     def test_empty_title_is_malformed(self):
-        with pytest.raises(PageviewsLineError):
-            parse_pageviews_line("en  42 0")
+        assert parse_one("en  42 0") == ([], [ParseIssue(1, "empty title")])
 
     @pytest.mark.parametrize("domain", ["en.d", "en.b", "commons.m", "en.m.d", "EN", "www"])
     def test_untracked_domains_are_skipped(self, domain):
-        assert parse_pageviews_line(f"{domain} Foo 42 0") is None
+        assert parse_one(f"{domain} Foo 42 0") == ([], [])
 
     def test_language_filter_skips_other_languages(self):
-        assert parse_pageviews_line("de Foo 42 0", languages={"en"}) is None
-        assert parse_pageviews_line("en Foo 42 0", languages={"en"}) is not None
+        assert parse_one("de Foo 42 0", languages={"en"}) == ([], [])
+        assert parse_one("en Foo 42 0", languages={"en"}) == ([ViewRecord("en", "Foo", 42)], [])
 
     def test_percent_encoded_title_is_decoded(self):
-        record = parse_pageviews_line("en Claude_D%C3%A9sir%C3%A9 5 0")
-        assert record.title == "Claude_Désiré"
+        assert parse_one("en Claude_D%C3%A9sir%C3%A9 5 0") == ([ViewRecord("en", "Claude_Désiré", 5)], [])
 
     def test_spaces_from_decoding_become_underscores(self):
-        assert parse_pageviews_line("en A%20B 1 0").title == "A_B"
+        assert parse_one("en A%20B 1 0") == ([ViewRecord("en", "A_B", 1)], [])
 
     @pytest.mark.parametrize(
         "title", ["Foo%0ABar", "Foo%0aBar", "Foo%09Bar", "Foo%0DBar", "Foo\tBar", "Foo\rBar"]
     )
     def test_title_decoding_to_a_line_or_field_break_is_malformed(self, title):
-        with pytest.raises(PageviewsLineError, match=f"^{BAD_TITLE}$"):
-            parse_pageviews_line(f"en {title} 5 0\n")
+        assert parse_one(f"en {title} 5 0\n") == ([], [ParseIssue(1, BAD_TITLE)])
 
 
 class TestParseStream:
@@ -100,10 +101,10 @@ class TestParseStream:
         errors = []
         assert list(parse_pageviews_stream(lines, errors=errors)) == [ViewRecord("en", "Ok", 7)]
         assert errors == [
-            PageviewsIssue(1, "non-numeric view count '1_000'"),
-            PageviewsIssue(2, "non-numeric view count '\u0663'"),
-            PageviewsIssue(3, "non-numeric view count '+5'"),
-            PageviewsIssue(4, "negative view count -4"),
+            ParseIssue(1, "non-numeric view count '1_000'"),
+            ParseIssue(2, "non-numeric view count '\u0663'"),
+            ParseIssue(3, "non-numeric view count '+5'"),
+            ParseIssue(4, "negative view count -4"),
         ]
 
     def test_undecodable_line_is_tallied_and_skipped(self):
@@ -181,24 +182,49 @@ def _as_bytes(line: str, corrupt: int | None) -> bytes:
 
 
 def reference_stream(lines, languages):
-    """Records and issues of a file, one :func:`parse_pageviews_line` call per line."""
+    """Records and issues of a file, parsed line by line from the rules in
+    :mod:`wikicoverage.usage`'s docstring and the README, with no call into
+    the package."""
     records, issues = [], []
     for line_number, line in enumerate(lines, start=1):
         if isinstance(line, bytes):
             try:
                 line = line.decode("utf-8")
             except UnicodeDecodeError:
-                issues.append(PageviewsIssue(line_number, "invalid UTF-8"))
+                issues.append(ParseIssue(line_number, "invalid UTF-8"))
                 continue
         if not line.strip():
             continue
-        try:
-            record = parse_pageviews_line(line, languages)
-        except PageviewsLineError as exc:
-            issues.append(PageviewsIssue(line_number, str(exc)))
+        fields = line.split(" ")
+        if len(fields) != 4:
+            issues.append(ParseIssue(line_number, f"expected 4 space-separated fields, got {len(fields)}"))
             continue
-        if record is not None:
-            records.append(record)
+        domain, raw_title, count, _ = fields
+        language = domain.partition(".")[0]
+        if (
+            not re.fullmatch("[a-z][a-z0-9-]*", language)
+            or language in _NON_LANGUAGE_CODES
+            or domain not in (language, language + ".m", language + ".zero")
+            or (languages is not None and language not in languages)
+        ):
+            continue
+        if not raw_title:
+            issues.append(ParseIssue(line_number, "empty title"))
+            continue
+        negative = count.startswith("-")
+        digits = count[1:] if negative else count
+        # a count is ASCII digits; a minus is read only to name a negative count
+        if not digits or not set(digits) <= set("0123456789") or (negative and int(digits) == 0):
+            issues.append(ParseIssue(line_number, f"non-numeric view count {count!r}"))
+            continue
+        if negative:
+            issues.append(ParseIssue(line_number, f"negative view count -{int(digits)}"))
+            continue
+        title = unquote(raw_title).replace(" ", "_")
+        if any(c in title for c in "\t\n\r"):
+            issues.append(ParseIssue(line_number, BAD_TITLE))
+            continue
+        records.append(ViewRecord(language, title, int(count)))
     return records, issues
 
 
@@ -368,8 +394,8 @@ class TestReadership:
             parse_readership_table(source)
 
     @pytest.mark.parametrize(
-        "count", ["1_000", "\u0663", "+5", "1e3", ""],
-        ids=["underscore", "arabic-indic-digit", "plus-sign", "exponent", "empty"],
+        "count", ["1_000", "\u0663", "+5", "1e3", "", "-0", "-00"],
+        ids=["underscore", "arabic-indic-digit", "plus-sign", "exponent", "empty", "minus-zero", "minus-zeros"],
     )
     def test_count_that_is_not_ascii_digits_raises(self, count):
         source = io.StringIO(self.HEADER + f"en,US,600,800\nde,DE,{count},1\n")
@@ -420,10 +446,12 @@ class TestViewsTsv:
             ("en\tA\t\u0663", "non-integer view total '\u0663'"),
             ("en\tA\t+5", r"non-integer view total '\+5'"),
             ("en\tA\t-5", "negative view total -5"),
+            ("en\tA\t-0", "non-integer view total '-0'"),
+            ("en\tA\t-00", "non-integer view total '-00'"),
             ("de\tA\t3", r"repeated key \('de', 'A'\)"),
         ],
         ids=["two-fields", "four-fields", "non-integer", "underscore", "arabic-indic-digit", "plus-sign",
-             "negative", "repeated-key"],
+             "negative", "minus-zero", "minus-zeros", "repeated-key"],
     )
     def test_bad_row_names_its_line(self, row, problem):
         text = "language\ttitle\tviews\nde\tA\t7\n" + row + "\n"

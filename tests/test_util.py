@@ -25,9 +25,10 @@ class TestParseInt:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "-", "+5", "1_000", " 5", "5\n", "\u0663", "\uff15", "--5", "5-", "1e3", "0x10"],
+        ["", "-", "+5", "1_000", " 5", "5\n", "\u0663", "\uff15", "--5", "5-", "1e3", "0x10", "-0", "-00"],
         ids=["empty", "minus-only", "plus-sign", "underscore", "leading-space", "trailing-newline",
-             "arabic-indic-digit", "fullwidth-digit", "double-minus", "trailing-minus", "exponent", "hex"],
+             "arabic-indic-digit", "fullwidth-digit", "double-minus", "trailing-minus", "exponent", "hex",
+             "minus-zero", "minus-zeros"],
     )
     def test_anything_else_raises_ints_message(self, text):
         with pytest.raises(ValueError, match=re.escape(f"invalid literal for int() with base 10: {text!r}")):
