@@ -43,6 +43,6 @@ for item, countries in sorted(index.items(), key=lambda kv: kv[0].number):
 # Q500's birthplace walk goes round the Q111/Q112 cycle, stops, and finds no target
 results = attribute_all(entities, index, rules)
 print("\nattribution results:")
-for item, result in sorted(results.items(), key=lambda kv: kv[0].number):
-    via = render_provenance(result.provenance) or "-"
-    print(f"  {item}: related={result.related}  via {via}")
+for item, paths in sorted(results.items(), key=lambda kv: kv[0].number):
+    via = render_provenance(paths) or "-"
+    print(f"  {item}: related={bool(paths)}  via {via}")

@@ -10,7 +10,6 @@ and emit a sorted table plus bubble-chart data.
 __version__ = "0.1.0"
 
 from .attribution import (
-    AttributionResult,
     RuleSet,
     attribute_all,
     attribute_item,
@@ -56,7 +55,6 @@ from .usage import (
 )
 
 __all__ = [
-    "AttributionResult",
     "ChartData",
     "ChartDatum",
     "ClusterRow",

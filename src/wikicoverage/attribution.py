@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Mapping, NamedTuple
+from typing import IO, Iterable, Mapping
 
 from .entities import ITEM, PROPERTY, EntityId, SlimEntity
 from .errors import DuplicateItemError, RulesError
@@ -43,6 +43,8 @@ UNITED_STATES = EntityId.item(30)
 DISAMBIGUATION_PAGE = EntityId.item(4167410)
 
 GeoIndex = Mapping[EntityId, tuple[EntityId, ...]]
+# one path per satisfied claim, each (property, ..., target); empty: not related
+Provenance = tuple[tuple[EntityId, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -94,22 +96,6 @@ class RuleSet:
         return frozenset(
             {*self.direct_props, *self.place_props, *self.geo_chain_props, INSTANCE_OF}
         )
-
-
-class AttributionResult(NamedTuple):
-    """Whether (and why) one item relates to the target country.
-
-    ``provenance`` holds one path per satisfied claim; each path starts with
-    the property and ends at the target.  The item is related exactly when
-    it has provenance.
-    """
-
-    item: EntityId
-    provenance: tuple[tuple[EntityId, ...], ...] = ()
-
-    @property
-    def related(self) -> bool:
-        return bool(self.provenance)
 
 
 def build_geo_index(entities: Iterable[SlimEntity], rules: RuleSet) -> dict[EntityId, tuple[EntityId, ...]]:
@@ -179,8 +165,8 @@ class _Chains(dict):
 
 def attribute_item(
     entity: SlimEntity, index: GeoIndex, rules: RuleSet, chains: _Chains | None = None
-) -> AttributionResult:
-    """Attribute one item: direct property matches first, then resolved places.
+) -> Provenance:
+    """One item's provenance: direct property matches first, then resolved places.
 
     ``chains`` is the caller's walk memo over ``index`` (see the module
     docstring); without one, the call keeps its own for this item alone.
@@ -197,7 +183,7 @@ def attribute_item(
             chain = chain_of(value)
             if chain is not None:
                 paths.append((prop, *chain))
-    return AttributionResult(entity.id, tuple(paths))
+    return tuple(paths)
 
 
 def is_excluded(entity: SlimEntity, rules: RuleSet) -> bool:
@@ -207,20 +193,17 @@ def is_excluded(entity: SlimEntity, rules: RuleSet) -> bool:
 
 def attribute_all(
     entities: Iterable[SlimEntity], index: GeoIndex, rules: RuleSet
-) -> dict[EntityId, AttributionResult]:
-    """One result per input item; excluded-class items are forced unrelated.
+) -> dict[EntityId, Provenance]:
+    """Each input item's provenance; an excluded-class item gets ``()``.
 
     Each distinct place is walked once per call (see the module docstring).
     """
-    results: dict[EntityId, AttributionResult] = {}
+    results: dict[EntityId, Provenance] = {}
     chains = _Chains(index, rules)
     for entity in entities:
         if entity.id in results:
             raise DuplicateItemError(f"item {entity.id} appears twice in the input stream")
-        if is_excluded(entity, rules):
-            results[entity.id] = AttributionResult(entity.id)
-        else:
-            results[entity.id] = attribute_item(entity, index, rules, chains)
+        results[entity.id] = () if is_excluded(entity, rules) else attribute_item(entity, index, rules, chains)
     return results
 
 
@@ -288,7 +271,7 @@ def load_rules(path: Path | str) -> RuleSet:
 # -- attribution TSV ---------------------------------------------------------
 
 
-def render_provenance(paths: tuple[tuple[EntityId, ...], ...]) -> str:
+def render_provenance(paths: Provenance) -> str:
     return ";".join(">".join(str(node) for node in path) for path in paths)
 
 
@@ -301,9 +284,9 @@ _FLAGS = {"true": True, "false": False}
 ATTRIBUTION_COLUMNS = ("item", "related", "provenance")
 
 
-def write_attribution_tsv(results: Mapping[EntityId, AttributionResult], sink: IO[str]) -> None:
+def write_attribution_tsv(results: Mapping[EntityId, Provenance], sink: IO[str]) -> None:
     for item in sorted(results, key=lambda e: e.number):
-        provenance = results[item].provenance
+        provenance = results[item]
         flag = "true" if provenance else "false"
         sink.write(f"{item}\t{flag}\t{render_provenance(provenance)}\n")
 

@@ -121,6 +121,8 @@ def _parse_entity_line(
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         return None, f"invalid JSON: {exc.msg}"
+    except (ValueError, RecursionError) as exc:  # an over-long integer, or nesting too deep
+        return None, f"invalid JSON: {exc}"
     if not isinstance(obj, dict):
         return None, "entity line is not a JSON object"
     kind = obj.get("type")

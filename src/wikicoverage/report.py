@@ -24,7 +24,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 from . import __version__
 from .attribution import (
-    AttributionResult,
+    Provenance,
     RuleSet,
     attribute_all,
     build_geo_index,
@@ -177,17 +177,17 @@ def slim_stage(
 
 def attribute_stage(
     entities: Sequence[SlimEntity], rules: RuleSet, out: Path
-) -> tuple[dict[EntityId, AttributionResult], dict[str, int]]:
+) -> tuple[dict[EntityId, Provenance], dict[str, int]]:
     """Attribute every item to ``rules.target`` and write the attribution TSV.
 
-    Returns the results and the manifest's counts of geo index entries and
-    related items.
+    Returns each item's provenance and the manifest's counts of geo index
+    entries and related items.
     """
     with paused_gc():
         geo_index = build_geo_index(entities, rules)
         attributions = attribute_all(entities, geo_index, rules)
     _write(out, write_attribution_tsv, attributions)
-    related = sum(1 for r in attributions.values() if r.related)
+    related = sum(1 for paths in attributions.values() if paths)
     return attributions, {"geo_index_entries": len(geo_index), "related_items": related}
 
 
@@ -342,7 +342,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             attributions, attribution_counts = attribute_stage(
                 entities, rules, stage_path("attribution", "attribution.tsv")
             )
-            related = {item: result.related for item, result in attributions.items()}
+            related = {item: bool(paths) for item, paths in attributions.items()}
             del attributions  # later stages need only the flags
             counts.update(attribution_counts)
 

@@ -174,7 +174,12 @@ def read_store_header(source: Iterable[str]) -> StoreHeader:
     match = _HEADER_RE.match(header_line)
     if match is None:
         raise SlimStoreCorruptionError(f"bad store header: {header_line!r}")
-    count = int(match.group(1))
+    try:
+        count = int(match.group(1))
+    except ValueError:  # more digits than int() reads
+        raise SlimStoreCorruptionError(
+            f"bad store header: count too large ({len(match.group(1))} digits)"
+        ) from None
     props_field, wikis_field = match.group(2), match.group(3)
     prop_of = IdMemo(PROPERTY).__getitem__
     try:

@@ -2,16 +2,17 @@
 
 Pageview dumps are space-separated lines ``<domain> <title> <views> <size>``.
 Mobile and zero-rated domain variants (``en.m``, ``en.zero``) fold into their
-base language; every non-Wikipedia project domain is skipped.  Readership is a
-required external CSV giving per-(language, country) reader and view counts.
+base language; every other suffix (``en.d``, ``en.``) and every non-Wikipedia
+project domain is skipped.  Readership is a required external CSV giving
+per-(language, country) reader and view counts.
 
 A malformed line is tallied as a :class:`~wikicoverage.dump.ParseIssue`,
 with its line number and reason, and skipped: a wrong field count, an empty
-title, a count that is not ASCII digits (a negative one is named as such), a
-line that is not UTF-8, and a title that decodes to a tab, LF or CR
-(:data:`BAD_TITLE`; no sitelink title holds one, and the views TSV could not
-carry it).  Titles are percent-decoded through a
-:class:`TitleMemo`, so each distinct title of a tracked language is
+title, a count that is not ASCII digits (a negative one is named as such) or
+has more digits than ``int()`` reads, a line that is not UTF-8, and a title
+that decodes to a tab, LF or CR (:data:`BAD_TITLE`; no sitelink title holds
+one, and the views TSV could not carry it).  Titles are percent-decoded
+through a :class:`TitleMemo`, so each distinct title of a tracked language is
 normalised once per memo.  The usage stage shares one memo between all of
 its shards and drops it when the stage ends; the memo then holds at most the
 stage's distinct titles, the same strings its totals key on.
@@ -60,15 +61,26 @@ class ReadershipRecord(NamedTuple):
 def _tracked_language(domain: str, languages: set[str] | None) -> str | None:
     """Base language of a Wikipedia domain code, or None for another project
     or a language outside ``languages``."""
-    base, _, suffix = domain.partition(".")
+    base, dot, suffix = domain.partition(".")
     if (
         not LANGUAGE_RE.match(base)
         or base in _NON_LANGUAGE_CODES
-        or (suffix and suffix not in _FOLDED_SUFFIXES)
+        or (dot and suffix not in _FOLDED_SUFFIXES)
         or (languages is not None and base not in languages)
     ):
         return None
     return base
+
+
+def _count_problem(text: str) -> str:
+    """Why a view count was refused.  Digits that :func:`util.parse_int` would
+    take (so not ``-0``) are refused only when ``int()`` does not read that
+    many (4300 by default); they are counted, not echoed.
+    """
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit() and (digits == text or digits.strip("0")):
+        return f"view count too large ({len(digits)} digits)"
+    return f"non-numeric view count {text!r}"
 
 
 class TitleMemo(dict):
@@ -137,17 +149,17 @@ def parse_pageviews_stream(
         if not raw_title:
             tally(line_number, "empty title")
             continue
-        if count_text.isascii() and count_text.isdigit():
-            views = int(count_text)
-        else:
-            try:
+        try:
+            if count_text.isascii() and count_text.isdigit():
+                views = int(count_text)
+            else:
                 views = parse_int(count_text)
-            except ValueError:
-                tally(line_number, f"non-numeric view count {count_text!r}")
-                continue
-            if views < 0:
-                tally(line_number, f"negative view count {views}")
-                continue
+                if views < 0:
+                    tally(line_number, f"negative view count {views}")
+                    continue
+        except ValueError:
+            tally(line_number, _count_problem(count_text))
+            continue
         title = title_of[raw_title]
         if title is None:
             tally(line_number, BAD_TITLE)

@@ -111,7 +111,7 @@ class TestAttributionOracleEquivalence:
                 results = attribute_all(entities, index_map, rules)
                 for entity in entities:
                     checked += 1
-                    if results[entity.id].related != oracle_related(entity, graph, rules):
+                    if bool(results[entity.id]) != oracle_related(entity, graph, rules):
                         mismatches += 1
             elapsed = time.perf_counter() - started
             print(f"  checked {checked} items across 20 fixtures in {elapsed:.2f}s")

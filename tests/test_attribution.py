@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wikicoverage.attribution import (
-    AttributionResult,
     RuleSet,
     attribute_all,
     attribute_item,
@@ -107,54 +106,54 @@ class TestResolvePlace:
 class TestAttributeItem:
     def test_citizenship_direct_match(self):
         person = SlimEntity(Q(22686), {P(27): (Q(30),)})
-        result = attribute_item(person, {}, RULES)
-        assert result.related
-        assert result.provenance == ((P(27), Q(30)),)
+        paths = attribute_item(person, {}, RULES)
+        assert paths
+        assert paths == ((P(27), Q(30)),)
 
     def test_country_direct_match(self):
         org = SlimEntity(Q(9684), {P(17): (Q(30),)})
-        assert attribute_item(org, {}, RULES).related
+        assert attribute_item(org, {}, RULES)
 
     def test_birthplace_resolves_through_index(self):
         person = SlimEntity(Q(5), {P(19): (Q(60),)})
-        result = attribute_item(person, {Q(60): (Q(30),)}, RULES)
-        assert result.related
-        assert result.provenance == ((P(19), Q(60), Q(30)),)
+        paths = attribute_item(person, {Q(60): (Q(30),)}, RULES)
+        assert paths
+        assert paths == ((P(19), Q(60), Q(30)),)
 
     def test_foreign_country_only_is_unrelated(self):
         entity = SlimEntity(Q(5), {P(17): (Q(183),)})
-        result = attribute_item(entity, {}, RULES)
-        assert not result.related
-        assert result.provenance == ()
+        paths = attribute_item(entity, {}, RULES)
+        assert not paths
+        assert paths == ()
 
     def test_direct_paths_come_before_place_paths(self):
         entity = SlimEntity(Q(5), {P(19): (Q(60),), P(27): (Q(30),)})
-        result = attribute_item(entity, {Q(60): (Q(30),)}, RULES)
-        assert result.provenance == ((P(27), Q(30)), (P(19), Q(60), Q(30)))
+        paths = attribute_item(entity, {Q(60): (Q(30),)}, RULES)
+        assert paths == ((P(27), Q(30)), (P(19), Q(60), Q(30)))
 
     def test_multi_hop_place_chain_is_recorded(self):
         index = {Q(100): (Q(101),), Q(101): (Q(30),)}
         entity = SlimEntity(Q(5), {P(276): (Q(100),)})
-        result = attribute_item(entity, index, RULES)
-        assert result.provenance == ((P(276), Q(100), Q(101), Q(30)),)
+        paths = attribute_item(entity, index, RULES)
+        assert paths == ((P(276), Q(100), Q(101), Q(30)),)
 
     def test_dual_citizenship_matches_on_any_value(self):
         entity = SlimEntity(Q(5), {P(27): (Q(142), Q(30))})
-        assert attribute_item(entity, {}, RULES).related
+        assert attribute_item(entity, {}, RULES)
 
     def test_place_value_equal_to_target_needs_a_geo_edge(self):
         entity = SlimEntity(Q(5), {P(276): (Q(30),)})
-        assert not attribute_item(entity, {}, RULES).related
+        assert not attribute_item(entity, {}, RULES)
         # with the target's own self country claim the edge exists
-        result = attribute_item(entity, {Q(30): (Q(30),)}, RULES)
-        assert result.related
-        assert result.provenance == ((P(276), Q(30), Q(30)),)
+        paths = attribute_item(entity, {Q(30): (Q(30),)}, RULES)
+        assert paths
+        assert paths == ((P(276), Q(30), Q(30)),)
 
     def test_opaque_claim_values_never_match(self):
         # a string or a property value never matches, even one numbered like the target
         entity = parsed({"P27": ["Q30", P(30)], "P19": ["Q60", P(60)]})
         index = {Q(60): (Q(30),), P(60): (Q(30),)}
-        assert not attribute_item(entity, index, RULES).related
+        assert not attribute_item(entity, index, RULES)
 
 
 class TestAttributeAll:
@@ -167,7 +166,7 @@ class TestAttributeAll:
         ]
         index = {Q(60): (Q(30),)}
         results = attribute_all(entities, index, RULES)
-        related = [str(i) for i, r in sorted(results.items(), key=lambda kv: kv[0].number) if r.related]
+        related = [str(i) for i, paths in sorted(results.items(), key=lambda kv: kv[0].number) if paths]
         assert related == ["Q1", "Q3"]
 
     def test_empty_stream_gives_empty_mapping(self):
@@ -176,7 +175,7 @@ class TestAttributeAll:
     def test_disambiguation_page_is_forced_unrelated(self):
         page = SlimEntity(Q(7), {P(17): (Q(30),), P(31): (Q(4167410),)})
         results = attribute_all([page], {}, RULES)
-        assert results[Q(7)] == AttributionResult(Q(7))
+        assert results[Q(7)] == ()
 
     def test_duplicate_item_raises(self):
         entities = [SlimEntity(Q(1)), SlimEntity(Q(1))]
@@ -197,7 +196,7 @@ class TestProperties:
         entities = random_attribution_fixture(rng, 40)
         index = build_geo_index(entities, RULES)
         for entity in entities[:20]:
-            baseline = attribute_item(entity, index, RULES).related
+            baseline = bool(attribute_item(entity, index, RULES))
             items = list(entity.claims.items())
             rng.shuffle(items)
             shuffled = SlimEntity(
@@ -205,7 +204,7 @@ class TestProperties:
                 {prop: tuple(rng.sample(values, len(values))) for prop, values in items},
                 dict(entity.sitelinks),
             )
-            assert attribute_item(shuffled, index, RULES).related == baseline
+            assert bool(attribute_item(shuffled, index, RULES)) == baseline
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
@@ -218,8 +217,8 @@ class TestProperties:
             place_props=RULES.place_props,
         )
         for entity in entities:
-            if attribute_item(entity, index, RULES).related:
-                assert attribute_item(entity, index, wider).related
+            if attribute_item(entity, index, RULES):
+                assert attribute_item(entity, index, wider)
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
@@ -232,8 +231,8 @@ class TestProperties:
             place_props=RULES.place_props | {P(1002)},
         )
         for entity in entities:
-            if attribute_item(entity, index, RULES).related:
-                assert attribute_item(entity, index, wider).related
+            if attribute_item(entity, index, RULES):
+                assert attribute_item(entity, index, wider)
 
     @given(seed=st.integers(0, 2**31), max_depth=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
@@ -280,18 +279,18 @@ class TestProperties:
                         chain = path_to_target(index, value, rules)
                         if chain is not None:
                             paths.append((prop, *chain))
-            assert results[entity.id] == AttributionResult(entity.id, tuple(paths))
-            assert results[entity.id].related == oracle_related(entity, graph, rules)
+            assert results[entity.id] == tuple(paths)
+            assert bool(results[entity.id]) == oracle_related(entity, graph, rules)
 
     def test_widening_a_rule_set_can_flip_unrelated_to_related(self):
         # headquarters location (P159) is not matched by the defaults
         entity = SlimEntity(Q(5), {P(159): (Q(60),)})
         index = {Q(60): (Q(30),)}
-        assert not attribute_item(entity, index, RULES).related
+        assert not attribute_item(entity, index, RULES)
         wider = RuleSet(place_props=RULES.place_props | {P(159)})
-        result = attribute_item(entity, index, wider)
-        assert result.related
-        assert result.provenance == ((P(159), Q(60), Q(30)),)
+        paths = attribute_item(entity, index, wider)
+        assert paths
+        assert paths == ((P(159), Q(60), Q(30)),)
 
     def test_visit_budget_is_linear_in_index_and_depth(self):
         # complete digraph: every node points at every node; BFS must stop
@@ -320,15 +319,14 @@ class TestOracleEquivalence:
         results = attribute_all(entities, index, RULES)
         for entity in entities:
             expected = oracle_related(entity, graph, RULES)
-            assert results[entity.id].related == expected, str(entity.id)
+            assert bool(results[entity.id]) == expected, str(entity.id)
 
     def test_provenance_paths_are_well_formed(self):
         rng = random.Random(99)
         entities = random_attribution_fixture(rng, 200)
         index = build_geo_index(entities, RULES)
-        for result in attribute_all(entities, index, RULES).values():
-            assert result.related == bool(result.provenance)
-            for path in result.provenance:
+        for paths in attribute_all(entities, index, RULES).values():
+            for path in paths:
                 assert path[0].is_property
                 assert path[-1] == RULES.target
                 # every geo hop in the path is a real index edge
@@ -423,9 +421,9 @@ class TestRuleSet:
 class TestTsv:
     def test_round_trip(self):
         results = {
-            Q(1): AttributionResult(Q(1), ((P(27), Q(30)),)),
-            Q(2): AttributionResult(Q(2)),
-            Q(3): AttributionResult(Q(3), ((P(19), Q(60), Q(30)),)),
+            Q(1): ((P(27), Q(30)),),
+            Q(2): (),
+            Q(3): ((P(19), Q(60), Q(30)),),
         }
         sink = io.StringIO()
         write_attribution_tsv(results, sink)

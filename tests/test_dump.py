@@ -49,6 +49,23 @@ class TestBasicParsing:
         assert errors[0].line_number == 3
         assert "JSON" in errors[0].reason
 
+    def test_json_that_the_decoder_refuses_is_tallied_and_skipped(self):
+        # json.loads raises ValueError past int()'s digit limit and RecursionError
+        # when nested too deep, not JSONDecodeError
+        text = dump_text(
+            [
+                '{"type": "item", "id": "Q1", "extra": ' + "1" * 5000 + "}",
+                "[" * 100_000 + "]" * 100_000,
+                entity_json("Q3", {"P17": [Q(30)]}),
+            ]
+        )
+        errors = []
+        entities = parse(text, errors=errors)
+        assert [e.id for e in entities] == [Q(3)]
+        assert [e.line_number for e in errors] == [2, 3]
+        assert all(e.reason.startswith("invalid JSON: ") for e in errors)
+        assert "1" * 100 not in errors[0].reason
+
     def test_property_entities_are_dropped_silently(self):
         text = dump_text(
             [

@@ -237,6 +237,12 @@ class TestRead:
             with pytest.raises(SlimStoreCorruptionError, match="^bad store header"):
                 list(read(io.StringIO(text)))
 
+    def test_header_count_with_more_digits_than_int_reads_is_corruption(self):
+        text = f"WCM2\ncount={'1' * 5000} props=P17 wikis=*\nQ1\tP17:Q30\t\n"
+        for read in (read_slim_store, read_store_sitelinks):
+            with pytest.raises(SlimStoreCorruptionError, match=r"^bad store header: count too large \(5000 digits\)$"):
+                list(read(io.StringIO(text)))
+
     def test_extra_records_are_corruption(self):
         sink = io.StringIO()
         write([SlimEntity(Q(1)), SlimEntity(Q(2))], sink)

@@ -58,6 +58,14 @@ class TestParseLine:
         # int() reads each of these as a number
         assert parse_one(f"en Foo {count} 0") == ([], [ParseIssue(1, f"non-numeric view count {count!r}")])
 
+    @pytest.mark.parametrize("count", ["1" * 5000, "0" * 5000, "-" + "1" * 5000], ids=["ones", "zeros", "negative"])
+    def test_count_with_more_digits_than_int_reads_is_malformed(self, count):
+        # int() refuses more than 4300 digits by default; the reason does not echo them
+        lines = [f"en Foo {count} 0\n", "en Bar 5 0\n"]
+        errors = []
+        assert list(parse_pageviews_stream(lines, errors=errors)) == [ViewRecord("en", "Bar", 5)]
+        assert errors == [ParseIssue(1, "view count too large (5000 digits)")]
+
     def test_negative_count_names_its_value(self):
         assert parse_one("en Foo -4 0") == ([], [ParseIssue(1, "negative view count -4")])
 
@@ -67,7 +75,7 @@ class TestParseLine:
     def test_empty_title_is_malformed(self):
         assert parse_one("en  42 0") == ([], [ParseIssue(1, "empty title")])
 
-    @pytest.mark.parametrize("domain", ["en.d", "en.b", "commons.m", "en.m.d", "EN", "www"])
+    @pytest.mark.parametrize("domain", ["en.d", "en.b", "commons.m", "en.m.d", "EN", "www", "en."])
     def test_untracked_domains_are_skipped(self, domain):
         assert parse_one(f"{domain} Foo 42 0") == ([], [])
 
@@ -147,7 +155,7 @@ class TestParseStream:
         assert titles == {"Caf%C3%A9": "Caf\u00e9", "Foo": "Foo"}
 
 
-_DOMAINS = ["en", "en.m", "de.zero", "de", "fr", "en.d", "commons.m", "www", "EN", "", " ", "zh-min-nan"]
+_DOMAINS = ["en", "en.m", "de.zero", "de", "fr", "en.d", "en.", "commons.m", "www", "EN", "", " ", "zh-min-nan"]
 _TITLE_PIECES = [
     "Foo", "Bar_baz", "", "%20", "%0A", "%0a", "%09", "%0D", "%C3%A9", "%E9", "%", "%zz", "\t", "\r", "é",
 ]
