@@ -28,9 +28,9 @@ from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
-from .entities import ITEM, PROPERTY, EntityId, SlimEntity
+from .entities import ITEM, PROPERTY, EntityId, SlimEntity, id_pattern
 from .errors import DuplicateItemError, RulesError
-from .util import parse_int, paused_gc, read_tsv
+from .util import parse_count, paused_gc, read_tsv
 
 COUNTRY = EntityId.prop(17)
 PLACE_OF_BIRTH = EntityId.prop(19)
@@ -242,9 +242,9 @@ def parse_rules(text: str) -> RuleSet:
                 raise RulesError(f"line {line_number}: {exc}") from exc
         elif key == "max_depth":
             try:
-                kwargs["max_depth"] = parse_int(value)
+                kwargs["max_depth"] = parse_count(value, "max_depth")
             except ValueError as exc:
-                raise RulesError(f"line {line_number}: max_depth must be an integer") from exc
+                raise RulesError(f"line {line_number}: {exc}") from exc
         elif key in _LIST_KEYS:
             ids = _parse_id_list(value, line_number)
             if key == "direct":
@@ -276,7 +276,7 @@ def render_provenance(paths: Provenance) -> str:
 
 
 # what render_provenance writes; each node is an id that EntityId.parse accepts
-_PATH = "[QP][1-9][0-9]*(?:>[QP][1-9][0-9]*)*"
+_PATH = f"{id_pattern()}(?:>{id_pattern()})*"
 _PROVENANCE_RE = re.compile(f"(?:{_PATH}(?:;{_PATH})*)?")
 
 _FLAGS = {"true": True, "false": False}

@@ -38,9 +38,11 @@ def _languages(text: str) -> tuple[str, ...]:
     languages = tuple(tok.strip() for tok in text.split(",") if tok.strip())
     if not languages:
         raise argparse.ArgumentTypeError("language list is empty")
-    for language in languages:
+    for index, language in enumerate(languages):
         if not LANGUAGE_RE.match(language):
             raise argparse.ArgumentTypeError(f"bad language code {language!r}")
+        if language in languages[:index]:
+            raise argparse.ArgumentTypeError(f"repeated language code {language!r}")
     return languages
 
 
@@ -67,10 +69,10 @@ def _cmd_slim(args) -> int:
 
 def _cmd_attribute(args) -> int:
     rules = resolve_rules(args.rules, args.target)
-    attributions, counts = attribute_stage(
+    related, counts = attribute_stage(
         load_slim_store(args.slim, rules.required_properties), rules, Path(args.out)
     )
-    print(f"attributed {len(attributions)} items, {counts['related_items']} related to {rules.target}")
+    print(f"attributed {len(related)} items, {counts['related_items']} related to {rules.target}")
     return 0
 
 

@@ -10,7 +10,9 @@ keep-set of properties, sitelinks to a keep-set of wiki codes; everything else
 is dropped on the spot.  A kept claim value is an item id: a statement whose
 value is anything else (a string, a quantity, a property, a no-value or
 some-value snak), and every deprecated-rank statement, is dropped, and so is
-a claim group left empty.
+a claim group left empty.  Without a keep-set of wiki codes, an item with a
+wiki code that a slim store cannot carry (it holds ``=``, ``|``, tab, CR or
+LF) is a malformed line.
 
 Each item is checked field by field as it is projected, so the parser builds
 its records with :meth:`SlimEntity.trusted`.  A caller that keeps every entity
@@ -29,6 +31,7 @@ from typing import Iterable, Iterator
 
 from .entities import ITEM, PROPERTY, EntityId, SlimEntity
 from .errors import DumpTruncatedError
+from .slimstore import unstorable_wiki_code
 
 
 @dataclass(frozen=True)
@@ -184,5 +187,9 @@ def _parse_entity_line(
             title = entry.get("title")
             if wiki and isinstance(title, str) and title:
                 sitelinks[wiki] = title
+        # a kept code is one of keep_wikis, which the store writer checks itself
+        problem = unstorable_wiki_code(sitelinks) if wiki_keys is None else None
+        if problem:
+            return None, f"sitelink {problem}"
 
     return SlimEntity.trusted(entity_id, claims, sitelinks), None

@@ -9,11 +9,22 @@ from typing import NamedTuple
 ITEM = "item"
 PROPERTY = "property"
 
-_ID_RE = re.compile(r"([QP])([1-9][0-9]*)\Z")
 _KIND_LETTER = {ITEM: "Q", PROPERTY: "P"}
 _LETTER_KIND = {"Q": ITEM, "P": PROPERTY}
 _KIND_NAME = {ITEM: "an item", PROPERTY: "a property"}
 _new_tuple = tuple.__new__  # skips NamedTuple's Python-level __new__
+
+
+def id_pattern(kind: str | None = None) -> str:
+    """Regex text for the id tokens of ``kind`` (either kind when None) that
+    :meth:`EntityId.parse` accepts and ``str()`` writes: a letter, then a
+    number in ASCII digits with no sign and no leading zero.  Every reader that
+    matches ids in bulk builds its pattern from this one."""
+    letters = "".join(_LETTER_KIND) if kind is None else _KIND_LETTER[kind]
+    return f"[{letters}][1-9][0-9]*"
+
+
+_ID_RE = re.compile(id_pattern() + r"\Z")
 
 
 class EntityId(NamedTuple):
@@ -40,10 +51,9 @@ class EntityId(NamedTuple):
         """Parse ``Q42``/``P17``.  Round-trips with ``str()``."""
         if not isinstance(text, str):
             raise ValueError(f"not an entity id: {text!r}")
-        match = _ID_RE.match(text)
-        if match is None:
+        if _ID_RE.match(text) is None:
             raise ValueError(f"not an entity id: {text!r}")
-        return cls(_LETTER_KIND[match.group(1)], int(match.group(2)))
+        return cls(_LETTER_KIND[text[0]], int(text[1:]))
 
     @classmethod
     def parse_item(cls, text: str) -> "EntityId":

@@ -31,7 +31,7 @@ from .errors import (
     WikiCoverageError,
 )
 from .usage import COUNTRY_RE, LANGUAGE_RE, ReadershipRecord
-from .util import format_fraction, normalize_sitelink_title, parse_int, read_tsv, sitelink_key
+from .util import format_fraction, normalize_sitelink_title, parse_count, read_tsv, sitelink_key
 
 METRICS_COLUMNS = (
     "language",
@@ -230,7 +230,7 @@ def _metrics_row(fields: list[str]) -> tuple[str, MetricsRow]:
         raise ValueError(f"bad language code {language!r}")
     if not COUNTRY_RE.match(primary):
         raise ValueError(f"bad country code {primary!r}")
-    counts = tuple(map(parse_int, fields[6:]))
+    counts = tuple(map(parse_count, fields[6:], METRICS_COLUMNS[6:]))
     for name, text in (("ppcrw", ppcrw), ("vpc", vpc)):
         if _SHARE_RE.fullmatch(text) is None:
             raise ValueError(f"{name} must have six decimals, got {text!r}")

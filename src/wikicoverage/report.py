@@ -24,7 +24,6 @@ from typing import IO, Iterable, Iterator, Sequence
 
 from . import __version__
 from .attribution import (
-    Provenance,
     RuleSet,
     attribute_all,
     build_geo_index,
@@ -106,9 +105,11 @@ class RunConfig:
     def validate(self) -> None:
         if not self.languages:
             raise ConfigError("language list is empty")
-        for language in self.languages:
+        for index, language in enumerate(self.languages):
             if not LANGUAGE_RE.match(language):
                 raise ConfigError(f"bad language code {language!r}")
+            if language in self.languages[:index]:
+                raise ConfigError(f"repeated language code {language!r}")
         if (self.dump is None) == (self.slim is None):
             raise ConfigError("exactly one of dump/slim input must be given")
         if self.scale not in SCALES:
@@ -177,18 +178,19 @@ def slim_stage(
 
 def attribute_stage(
     entities: Sequence[SlimEntity], rules: RuleSet, out: Path
-) -> tuple[dict[EntityId, Provenance], dict[str, int]]:
+) -> tuple[dict[EntityId, bool], dict[str, int]]:
     """Attribute every item to ``rules.target`` and write the attribution TSV.
 
-    Returns each item's provenance and the manifest's counts of geo index
-    entries and related items.
+    Returns each item's related flag and the manifest's counts of geo index
+    entries and related items.  The provenance goes only into the TSV: no
+    later stage reads it.
     """
     with paused_gc():
         geo_index = build_geo_index(entities, rules)
         attributions = attribute_all(entities, geo_index, rules)
     _write(out, write_attribution_tsv, attributions)
-    related = sum(1 for paths in attributions.values() if paths)
-    return attributions, {"geo_index_entries": len(geo_index), "related_items": related}
+    related = {item: bool(paths) for item, paths in attributions.items()}
+    return related, {"geo_index_entries": len(geo_index), "related_items": sum(related.values())}
 
 
 def usage_stage(
@@ -339,11 +341,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             issues["dump_parse_errors"] = len(dump_issues)
 
         with stage_errors("attribution"):
-            attributions, attribution_counts = attribute_stage(
+            related, attribution_counts = attribute_stage(
                 entities, rules, stage_path("attribution", "attribution.tsv")
             )
-            related = {item: bool(paths) for item, paths in attributions.items()}
-            del attributions  # later stages need only the flags
             counts.update(attribution_counts)
 
         with stage_errors("usage"):

@@ -37,11 +37,13 @@ that breaks its own header, repeats a claim key or a wiki, or does not follow
 the record before it in item order, is corruption naming its line.
 
 The writer holds each record to the header it writes: a claim key outside
-``keep_props``, or a sitelink outside ``keep_wikis``, raises ValueError, and a
-repeated item raises :class:`DuplicateItemError`, before anything is written,
-so the writer never leaves a store its reader rejects.  :func:`save_slim_store`
-writes beside the target file and renames over it only on success, so a
-refused or failed write never truncates the store already there.
+``keep_props``, a sitelink outside ``keep_wikis`` or a wiki code holding
+``=``, ``|``, tab, CR or LF raises ValueError, and a repeated item raises
+:class:`DuplicateItemError`, before anything is written, so the writer never
+leaves a store that its reader rejects or reads back otherwise.
+:func:`save_slim_store` writes beside the target file and renames over it
+only on success, so a refused or failed write never truncates the store
+already there.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from functools import partial
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
-from .entities import ITEM, PROPERTY, EntityId, IdMemo, SlimEntity
+from .entities import ITEM, PROPERTY, EntityId, IdMemo, SlimEntity, id_pattern
 from .errors import (
     DuplicateItemError,
     SlimStoreCorruptionError,
@@ -62,7 +64,7 @@ from .errors import (
     SlimStoreVersionError,
     SlimStoreWriteError,
 )
-from .util import paused_gc
+from .util import parse_count, paused_gc
 
 MAGIC = "WCM2"
 
@@ -71,7 +73,8 @@ _ESCAPE_RE = re.compile(r"[%\t|\n\r]")
 _UNESCAPE_RE = re.compile(r"%(25|09|7C|0A|0D)")
 _ESCAPES = {"%": "%25", "\t": "%09", "|": "%7C", "\n": "%0A", "\r": "%0D"}
 _UNESCAPES = {"25": "%", "09": "\t", "7C": "|", "0A": "\n", "0D": "\r"}
-_ITEM_TOKEN = "Q[1-9][0-9]*"  # the item ids EntityId.parse_item accepts
+_ITEM_TOKEN = id_pattern(ITEM)  # the item ids EntityId.parse_item accepts
+_WIKI_BREAK_RE = re.compile(r"[=|\t\n\r]")  # wiki codes are stored unescaped
 _new_tuple = tuple.__new__  # skips NamedTuple's Python-level __new__
 
 
@@ -81,6 +84,18 @@ def _escape_title(title: str) -> str:
 
 def _unescape_title(text: str) -> str:
     return _UNESCAPE_RE.sub(lambda m: _UNESCAPES[m.group(1)], text)
+
+
+def unstorable_wiki_code(wikis: Iterable[str]) -> str | None:
+    """Why a store cannot carry the least bad one of ``wikis``, or None.
+
+    Wiki codes are stored as they are: a record splits on tabs and line
+    breaks, its sitelinks field on ``|`` and each pair on its first ``=``, so
+    a code holding one of those would read back as another sitelink, or fail
+    the read.
+    """
+    bad = [wiki for wiki in wikis if _WIKI_BREAK_RE.search(wiki)]
+    return f"wiki code {min(bad)!r} holds '=', '|', a tab, CR or LF" if bad else None
 
 
 @dataclass(frozen=True)
@@ -114,13 +129,18 @@ def write_slim_store(
     ``keep_wikis`` (``wikis=*`` when None, meaning unrestricted).  A failed
     write raises :class:`SlimStoreWriteError` with the number of records that
     made it out before the failure.  A record with a claim key outside
-    ``keep_props``, or a sitelink outside ``keep_wikis``, raises ValueError
-    naming the item, and a repeated item raises :class:`DuplicateItemError`,
-    before anything is written.
+    ``keep_props``, a sitelink outside ``keep_wikis`` or a wiki code the store
+    cannot carry (:func:`unstorable_wiki_code`) raises ValueError naming the
+    item, and so does such a code in ``keep_wikis``, naming it; a repeated
+    item raises :class:`DuplicateItemError`; each before anything is written.
     """
     records = sorted(entities, key=lambda e: e.id.number)
     prop_set = set(keep_props)
     wiki_set = None if keep_wikis is None else set(keep_wikis)
+    problem = None if wiki_set is None else unstorable_wiki_code(wiki_set)
+    if problem:
+        raise ValueError(f"keep_wikis: {problem}")
+    storable: set[str] = set()  # without keep_wikis, the wiki codes checked so far
     previous = None
     for record in records:
         if record.id == previous:  # sorted, so a repeat is the record before
@@ -129,9 +149,15 @@ def write_slim_store(
         if not record.claims.keys() <= prop_set:
             extra = min(record.claims.keys() - prop_set, key=lambda p: p.sort_key)
             raise ValueError(f"item {record.id}: claim key {extra} is not in keep_props")
-        if wiki_set is not None and not record.sitelinks.keys() <= wiki_set:
-            extra = min(record.sitelinks.keys() - wiki_set)
-            raise ValueError(f"item {record.id}: sitelink {extra!r} is not in keep_wikis")
+        if wiki_set is not None:
+            if not record.sitelinks.keys() <= wiki_set:
+                extra = min(record.sitelinks.keys() - wiki_set)
+                raise ValueError(f"item {record.id}: sitelink {extra!r} is not in keep_wikis")
+        elif not record.sitelinks.keys() <= storable:
+            problem = unstorable_wiki_code(record.sitelinks.keys() - storable)
+            if problem:
+                raise ValueError(f"item {record.id}: {problem}")
+            storable.update(record.sitelinks)
     props = sorted(prop_set, key=lambda p: p.number)
     wikis = "*" if wiki_set is None else ",".join(sorted(wiki_set))
     header = f"count={len(records)} props={','.join(str(p) for p in props)} wikis={wikis}\n"
@@ -175,11 +201,9 @@ def read_store_header(source: Iterable[str]) -> StoreHeader:
     if match is None:
         raise SlimStoreCorruptionError(f"bad store header: {header_line!r}")
     try:
-        count = int(match.group(1))
-    except ValueError:  # more digits than int() reads
-        raise SlimStoreCorruptionError(
-            f"bad store header: count too large ({len(match.group(1))} digits)"
-        ) from None
+        count = parse_count(match.group(1), "count")
+    except ValueError as exc:  # the pattern admits only digits: too many of them
+        raise SlimStoreCorruptionError(f"bad store header: {exc}") from None
     props_field, wikis_field = match.group(2), match.group(3)
     prop_of = IdMemo(PROPERTY).__getitem__
     try:

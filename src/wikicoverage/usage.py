@@ -8,10 +8,12 @@ per-(language, country) reader and view counts.
 
 A malformed line is tallied as a :class:`~wikicoverage.dump.ParseIssue`,
 with its line number and reason, and skipped: a wrong field count, an empty
-title, a count that is not ASCII digits (a negative one is named as such) or
-has more digits than ``int()`` reads, a line that is not UTF-8, and a title
-that decodes to a tab, LF or CR (:data:`BAD_TITLE`; no sitelink title holds
-one, and the views TSV could not carry it).  Titles are percent-decoded
+title, a view count that :func:`util.parse_count` refuses (the reason is its
+message), a line that is not UTF-8, and a title that decodes to a tab, LF or
+CR (:data:`BAD_TITLE`; no sitelink title holds one, and the views TSV could
+not carry it).  The views TSV and readership readers take their counts
+through :func:`util.parse_count` too, so a refused count reads the same in
+every reader, led by its line or row.  Titles are percent-decoded
 through a :class:`TitleMemo`, so each distinct title of a tracked language is
 normalised once per memo.  The usage stage shares one memo between all of
 its shards and drops it when the stage ends; the memo then holds at most the
@@ -26,7 +28,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 from .dump import ParseIssue
 from .errors import ReadershipTableError
-from .util import normalize_pageview_title, overlong_row, parse_int, read_tsv
+from .util import normalize_pageview_title, overlong_row, parse_count, read_tsv
 
 # a readership language code; pageview domains and --languages use the same codes
 LANGUAGE_RE = re.compile(r"[a-z][a-z0-9-]*\Z")
@@ -70,17 +72,6 @@ def _tracked_language(domain: str, languages: set[str] | None) -> str | None:
     ):
         return None
     return base
-
-
-def _count_problem(text: str) -> str:
-    """Why a view count was refused.  Digits that :func:`util.parse_int` would
-    take (so not ``-0``) are refused only when ``int()`` does not read that
-    many (4300 by default); they are counted, not echoed.
-    """
-    digits = text.removeprefix("-")
-    if digits.isascii() and digits.isdigit() and (digits == text or digits.strip("0")):
-        return f"view count too large ({len(digits)} digits)"
-    return f"non-numeric view count {text!r}"
 
 
 class TitleMemo(dict):
@@ -149,17 +140,16 @@ def parse_pageviews_stream(
         if not raw_title:
             tally(line_number, "empty title")
             continue
-        try:
-            if count_text.isascii() and count_text.isdigit():
-                views = int(count_text)
-            else:
-                views = parse_int(count_text)
-                if views < 0:
-                    tally(line_number, f"negative view count {views}")
-                    continue
+        try:  # the common count inline; util.parse_count words every refusal
+            if not (count_text.isascii() and count_text.isdigit()):
+                raise ValueError
+            views = int(count_text)
         except ValueError:
-            tally(line_number, _count_problem(count_text))
-            continue
+            try:
+                views = parse_count(count_text, "view count")
+            except ValueError as exc:
+                tally(line_number, str(exc))
+                continue
         title = title_of[raw_title]
         if title is None:
             tally(line_number, BAD_TITLE)
@@ -200,7 +190,7 @@ def parse_readership_table(source: Iterable[str]) -> dict[str, list[ReadershipRe
 
     Raises :class:`ReadershipTableError` on a missing column, a row with
     more fields than the header, a duplicate (language, country) pair, a
-    malformed code, or a negative count.
+    malformed code, or a count that :func:`util.parse_count` refuses.
     """
     reader = csv.DictReader(source)
     if reader.fieldnames is None:
@@ -225,12 +215,10 @@ def parse_readership_table(source: Iterable[str]) -> dict[str, list[ReadershipRe
             raise ReadershipTableError(f"row {row_number}: duplicate entry for {language},{country}")
         seen.add(key)
         try:
-            readers = parse_int((row["readers"] or "").strip())
-            views_from = parse_int((row["views_from"] or "").strip())
-        except ValueError:
-            raise ReadershipTableError(f"row {row_number}: non-integer count") from None
-        if readers < 0 or views_from < 0:
-            raise ReadershipTableError(f"row {row_number}: negative count")
+            readers = parse_count((row["readers"] or "").strip(), "readers")
+            views_from = parse_count((row["views_from"] or "").strip(), "views_from")
+        except ValueError as exc:
+            raise ReadershipTableError(f"row {row_number}: {exc}") from exc
         grouped.setdefault(language, []).append(
             ReadershipRecord(language, country, readers, views_from)
         )
@@ -253,15 +241,10 @@ def write_views_tsv(views: dict[tuple[str, str], int], sink: IO[str]) -> None:
 
 def _views_row(fields: list[str]) -> tuple[tuple[str, str], int]:
     language, title, total = fields
-    try:
-        count = parse_int(total)
-    except ValueError:
-        raise ValueError(f"non-integer view total {total!r}") from None
-    if count < 0:
-        raise ValueError(f"negative view total {count}")
-    return (language, title), count
+    return (language, title), parse_count(total, "views")
 
 
 def read_views_tsv(source: Iterable[str]) -> dict[tuple[str, str], int]:
-    """Reload a views TSV (:func:`util.read_tsv`); a negative total is a bad row."""
+    """Reload a views TSV (:func:`util.read_tsv`); a total that
+    :func:`util.parse_count` refuses is a bad row."""
     return read_tsv(source, VIEWS_COLUMNS, _views_row)

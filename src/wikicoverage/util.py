@@ -1,7 +1,7 @@
 """Small shared helpers: title normalization, exact fraction rendering, the
-integer reader, the one row reader behind the TSV artifact readers, the
-field-count check of the CSV readers, and a pause of the cyclic garbage
-collector for bulk loads."""
+one count reader of every input file (:func:`parse_count`), the one row
+reader behind the TSV artifact readers, the field-count check of the CSV
+readers, and a pause of the cyclic garbage collector for bulk loads."""
 
 from __future__ import annotations
 
@@ -33,20 +33,29 @@ def normalize_pageview_title(title: str) -> str:
     return unquote(title).replace(" ", "_")
 
 
-def parse_int(text: str) -> int:
-    """An integer written as ASCII digits with an optional leading ``-``.
+def parse_count(text: str, field: str) -> int:
+    """A count in an input file: ASCII digits, no sign, no more digits than
+    ``int()`` reads (4300 by default).
 
-    ``int()`` alone would also take a ``+``, underscores, surrounding
-    whitespace, non-ASCII digits and ``-0``, none of which a count in an
-    input file may hold; any such text raises ``int()``'s own ValueError.
-    The minus is read so that a caller can name a negative count as such,
-    so it must lead a non-zero value.
+    This is the one place that decides what a count is.  A refusal raises
+    ValueError in one of three forms, ``field`` naming the count:
+    ``non-numeric <field> '<text>'``, ``negative <field> -N`` (a minus before
+    digits that are not all zeros), or ``<field> too large (N digits)``, which
+    counts the digits but never echoes them, whatever their sign.
     """
     negative = text[:1] == "-"
     digits = text[1:] if negative else text
-    if not (digits.isascii() and digits.isdigit()) or (negative and not digits.strip("0")):
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"non-numeric {field} {text!r}")
+    try:
+        count = int(digits)
+    except ValueError:  # more digits than int() reads
+        raise ValueError(f"{field} too large ({len(digits)} digits)") from None
+    if negative and count:
+        raise ValueError(f"negative {field} -{count}")
+    if negative:  # -0 is no count either
+        raise ValueError(f"non-numeric {field} {text!r}")
+    return count
 
 
 def format_fraction(value: Fraction, places: int = 6) -> str:

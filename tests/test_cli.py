@@ -257,15 +257,18 @@ class TestErrorsAndFlags:
 
     @pytest.mark.parametrize("command", ["usage", "all"])
     def test_language_outside_the_readership_grammar_is_refused(self, tmp_path, capsys, command):
-        # such a code could never match a readership row, a pageview domain or a sitelink
-        argv = [command, FIXTURE / "pageviews-a.txt", "--languages", "EN,de", "--out", tmp_path / "out"]
-        if command == "all":
-            argv += ["--dump", FIXTURE / "dump.json", "--readership", FIXTURE / "readership.csv"]
-        with pytest.raises(SystemExit) as exc:
-            run(argv)
-        assert exc.value.code == 2
-        assert "argument --languages: bad language code 'EN'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        # such a code could never match a readership row, a pageview domain or a sitelink;
+        # a repeated code would be listed twice in the manifest
+        cases = (("EN,de", "bad language code 'EN'"), ("en,en,de", "repeated language code 'en'"))
+        for languages, problem in cases:
+            argv = [command, FIXTURE / "pageviews-a.txt", "--languages", languages, "--out", tmp_path / "out"]
+            if command == "all":
+                argv += ["--dump", FIXTURE / "dump.json", "--readership", FIXTURE / "readership.csv"]
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+            assert f"argument --languages: {problem}" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_titles_with_line_or_field_breaks_do_not_break_the_chain(self, tmp_path, capsys):
         # such a title used to reach views.tsv, which `metrics` then failed to read

@@ -131,6 +131,23 @@ class TestFiltering:
         (entity,) = parse(text)
         assert entity.sitelinks == {"enwiki": "A", "dewiki": "B"}
 
+    @pytest.mark.parametrize(
+        "wiki", ["a=b", "x|y", "a\tb", "a\rb", "a\nb"], ids=["equals", "pipe", "tab", "cr", "lf"]
+    )
+    def test_wiki_code_a_store_cannot_carry_is_tallied_and_skipped(self, wiki):
+        text = dump_text(
+            [
+                entity_json("Q1", sitelinks={"enwiki": "A", wiki: "T"}),
+                entity_json("Q2", sitelinks={"enwiki": "B"}),
+            ]
+        )
+        errors = []
+        assert [entity.id for entity in parse(text, errors=errors)] == [Q(2)]
+        assert errors == [ParseIssue(2, f"sitelink wiki code {wiki!r} holds '=', '|', a tab, CR or LF")]
+        # kept wiki codes are checked by the store writer; the others are dropped
+        kept = parse(text, wikis={"enwiki"})
+        assert [entity.sitelinks for entity in kept] == [{"enwiki": "A"}, {"enwiki": "B"}]
+
     def test_deprecated_rank_claims_are_dropped(self):
         text = dump_text(
             [

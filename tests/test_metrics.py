@@ -400,11 +400,11 @@ class TestMetricsRow:
         [
             ("de\tDE\t0.6\t0.8\t0.3", "expected 10 fields, got 5"),
             ("de\tDE\t0.600000\t0.800000\t0\t0.4\t0\t0\t100\t40", "article_count must be positive, got 0"),
-            ("de\tDE\t0.600000\t0.800000\t0.3\t0\t10\t3\t-1\t0", "total_views must be positive, got -1"),
-            ("de\tDE\t0.6\t0.8\t0.3\t0.4\tten\t3\t100\t40", r"invalid literal for int\(\) with base 10: 'ten'"),
-            ("de\tDE\t0.6\t0.8\t0.3\t0.4\t1_0\t3\t100\t40", r"invalid literal for int\(\) with base 10: '1_0'"),
-            ("de\tDE\t0.6\t0.8\t0.3\t0.4\t10\t\u0663\t100\t40", r"invalid literal for int\(\) with base 10: '\u0663'"),
-            ("de\tDE\t0.6\t0.8\t0.3\t0.4\t10\t3\t+100\t40", r"invalid literal for int\(\) with base 10: '\+100'"),
+            ("de\tDE\t0.600000\t0.800000\t0.3\t0\t10\t3\t-1\t0", "negative total_views -1"),
+            ("de\tDE\t0.6\t0.8\t0.3\t0.4\tten\t3\t100\t40", "non-numeric article_count 'ten'"),
+            ("de\tDE\t0.6\t0.8\t0.3\t0.4\t1_0\t3\t100\t40", "non-numeric article_count '1_0'"),
+            ("de\tDE\t0.6\t0.8\t0.3\t0.4\t10\t\u0663\t100\t40", "non-numeric related_article_count '\u0663'"),
+            ("de\tDE\t0.6\t0.8\t0.3\t0.4\t10\t3\t+100\t40", r"non-numeric total_views '\+100'"),
             ("en\tUS\t0.600000\t0.800000\t0.300000\t0.400000\t10\t3\t100\t40", "repeated key en"),
             ("EN !\tus \t0.600000\t0.800000\t0.300000\t0.400000\t10\t3\t100\t40", "bad language code 'EN !'"),
             ("fr\tus \t0.600000\t0.800000\t0.300000\t0.400000\t10\t3\t100\t40", "bad country code 'us '"),

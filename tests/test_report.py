@@ -384,7 +384,10 @@ class TestRunConfigValidation:
             RunConfig(out_dir=tmp_path, languages=()).validate()
 
     def test_language_outside_the_readership_grammar_is_a_config_error(self, tmp_path):
-        # such a code could never match a readership row, a pageview domain or a sitelink
-        config = RunConfig(out_dir=tmp_path, languages=("EN", "de"), dump=FIXTURE / "dump.json")
-        with pytest.raises(ConfigError, match="^bad language code 'EN'$"):
-            config.validate()
+        # such a code could never match a readership row, a pageview domain or a sitelink;
+        # a repeated code would be listed twice in the manifest
+        cases = ((("EN", "de"), "bad language code 'EN'"), (("en", "en", "de"), "repeated language code 'en'"))
+        for languages, problem in cases:
+            config = RunConfig(out_dir=tmp_path, languages=languages, dump=FIXTURE / "dump.json")
+            with pytest.raises(ConfigError, match=f"^{problem}$"):
+                config.validate()

@@ -138,6 +138,21 @@ class TestWrite:
             write_slim_store(records, sink, keep_props=[P(17)], keep_wikis=keep_wikis)
         assert sink.getvalue() == ""
 
+    @pytest.mark.parametrize(
+        "wiki", ["a=b", "x|y", "a\tb", "a\rb", "a\nb"], ids=["equals", "pipe", "tab", "cr", "lf"]
+    )
+    @pytest.mark.parametrize("keep_wikis", [None, "listed"])
+    def test_wiki_code_the_store_cannot_carry_is_refused_before_writing(self, wiki, keep_wikis):
+        # a record splits on these: `a=b` read back as {'a': 'b=T'}, `x|y` failed the read
+        sink = io.StringIO()
+        records = [SlimEntity(Q(9), {}, {"enwiki": "Y"}), SlimEntity(Q(12), {}, {"enwiki": "Z", wiki: "T"})]
+        kwargs = {"keep_wikis": ["enwiki", wiki]} if keep_wikis else {}
+        where = "keep_wikis" if keep_wikis else "item Q12"
+        problem = f"{where}: wiki code {wiki!r} holds '=', '|', a tab, CR or LF"
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            write_slim_store(records, sink, keep_props=[P(17)], **kwargs)
+        assert sink.getvalue() == ""
+
     def test_unrestricted_wikis_write_any_sitelink(self):
         entity = SlimEntity(Q(1), {P(17): (Q(5),)}, {"dewiki": "X", "xxwiki": "Y"})
         assert round_trip([entity], keep_props=[P(17)]) == (1, [entity])

@@ -407,7 +407,7 @@ class TestReadership:
     )
     def test_count_that_is_not_ascii_digits_raises(self, count):
         source = io.StringIO(self.HEADER + f"en,US,600,800\nde,DE,{count},1\n")
-        with pytest.raises(ReadershipTableError, match="^row 3: non-integer count$"):
+        with pytest.raises(ReadershipTableError, match=f"^row 3: {re.escape(f'non-numeric readers {count!r}')}$"):
             parse_readership_table(source)
 
     def test_counts_are_stripped_like_codes(self):
@@ -449,13 +449,13 @@ class TestViewsTsv:
         [
             ("en\tA", "expected 3 fields, got 2"),
             ("en\tA\t1\t2", "expected 3 fields, got 4"),
-            ("en\tA\tmany", "non-integer view total 'many'"),
-            ("en\tA\t1_0", "non-integer view total '1_0'"),
-            ("en\tA\t\u0663", "non-integer view total '\u0663'"),
-            ("en\tA\t+5", r"non-integer view total '\+5'"),
-            ("en\tA\t-5", "negative view total -5"),
-            ("en\tA\t-0", "non-integer view total '-0'"),
-            ("en\tA\t-00", "non-integer view total '-00'"),
+            ("en\tA\tmany", "non-numeric views 'many'"),
+            ("en\tA\t1_0", "non-numeric views '1_0'"),
+            ("en\tA\t\u0663", "non-numeric views '\u0663'"),
+            ("en\tA\t+5", r"non-numeric views '\+5'"),
+            ("en\tA\t-5", "negative views -5"),
+            ("en\tA\t-0", "non-numeric views '-0'"),
+            ("en\tA\t-00", "non-numeric views '-00'"),
             ("de\tA\t3", r"repeated key \('de', 'A'\)"),
         ],
         ids=["two-fields", "four-fields", "non-integer", "underscore", "arabic-indic-digit", "plus-sign",

@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wikicoverage.attribution import parse_rules
+from wikicoverage.errors import WikiCoverageError
+from wikicoverage.metrics import METRICS_COLUMNS, read_metrics_tsv
+from wikicoverage.slimstore import read_store_header
+from wikicoverage.usage import parse_pageviews_stream, parse_readership_table, read_views_tsv
 from wikicoverage.util import (
     format_fraction,
     normalize_pageview_title,
     normalize_sitelink_title,
-    parse_int,
+    parse_count,
     paused_gc,
     percent,
     read_tsv,
@@ -18,10 +23,10 @@ from wikicoverage.util import (
 )
 
 
-class TestParseInt:
-    @pytest.mark.parametrize("text, value", [("0", 0), ("007", 7), ("42", 42), ("-5", -5)])
-    def test_ascii_digits_with_an_optional_minus(self, text, value):
-        assert parse_int(text) == value
+class TestParseCount:
+    @pytest.mark.parametrize("text, value", [("0", 0), ("007", 7), ("42", 42)])
+    def test_ascii_digits(self, text, value):
+        assert parse_count(text, "views") == value
 
     @pytest.mark.parametrize(
         "text",
@@ -30,9 +35,72 @@ class TestParseInt:
              "arabic-indic-digit", "fullwidth-digit", "double-minus", "trailing-minus", "exponent", "hex",
              "minus-zero", "minus-zeros"],
     )
-    def test_anything_else_raises_ints_message(self, text):
-        with pytest.raises(ValueError, match=re.escape(f"invalid literal for int() with base 10: {text!r}")):
-            parse_int(text)
+    def test_anything_else_is_non_numeric(self, text):
+        # int() reads many of these as a number
+        with pytest.raises(ValueError, match=f"^{re.escape(f'non-numeric views {text!r}')}$"):
+            parse_count(text, "views")
+
+    @pytest.mark.parametrize("text, value", [("-5", 5), ("-05", 5), ("-4300", 4300)])
+    def test_a_minus_before_digits_names_a_negative_count(self, text, value):
+        with pytest.raises(ValueError, match=f"^negative views -{value}$"):
+            parse_count(text, "views")
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "0" * 5000, "-" + "1" * 5000, "-" + "0" * 5000],
+                             ids=["ones", "zeros", "negative", "minus-zeros"])
+    def test_more_digits_than_int_reads_are_counted_not_echoed(self, text):
+        with pytest.raises(ValueError, match=r"^views too large \(5000 digits\)$"):
+            parse_count(text, "views")
+
+
+def _pageview_reason(count):
+    errors = []
+    assert list(parse_pageviews_stream([f"en Foo {count} 0\n"], errors=errors)) == []
+    (issue,) = errors
+    raise ValueError(issue.reason)
+
+
+def _metrics_row(count):
+    header = "\t".join(METRICS_COLUMNS) + "\n"
+    read_metrics_tsv([header, f"de\tDE\t0.600000\t0.800000\t0.300000\t0.400000\t10\t3\t{count}\t40\n"])
+
+
+# each reader of a count in an input file, and the name it gives that count
+COUNT_READERS = {
+    "pageviews": (_pageview_reason, "view count"),
+    "views-tsv": (lambda count: read_views_tsv(["language\ttitle\tviews\n", f"en\tA\t{count}\n"]), "views"),
+    "readership": (
+        lambda count: parse_readership_table(["language,country,readers,views_from\n", f"en,US,{count},1\n"]),
+        "readers",
+    ),
+    "metrics-tsv": (_metrics_row, "total_views"),
+    "rules": (lambda count: parse_rules(f"target=Q30\nmax_depth={count}"), "max_depth"),
+    "store-header": (lambda count: read_store_header(["WCM2\n", f"count={count} props=P17 wikis=*\n"]), "count"),
+}
+
+
+class TestEveryCountReader:
+    """Every reader takes its counts through util.parse_count, so a refused
+    count reads the same in each, led only by the reader's line or row."""
+
+    @pytest.mark.parametrize(
+        "reader, count",
+        [(name, "1" * 5000) for name in COUNT_READERS]
+        # the store header's pattern admits only digits, so it never sees a minus
+        + [(name, "-7") for name in COUNT_READERS if name != "store-header"],
+        ids=[f"{name}-overlong" for name in COUNT_READERS]
+        + [f"{name}-negative" for name in COUNT_READERS if name != "store-header"],
+    )
+    def test_a_refused_count_is_worded_alike(self, reader, count):
+        read, field = COUNT_READERS[reader]
+        with pytest.raises((ValueError, WikiCoverageError)) as refused:
+            read(count)
+        message = str(refused.value)
+        if count.startswith("-"):
+            assert f"negative {field} -7" in message
+        else:
+            assert f"{field} too large (5000 digits)" in message
+            assert re.search("[0-9]{21}", message) is None
+            assert len(message) < 200
 
 
 class TestSitelinkKey:
