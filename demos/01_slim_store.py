@@ -36,7 +36,7 @@ for issue in errors:
 # persist to the compact store format and read it back; records come back
 # sorted by item number, which is what the two-pass attribution step expects
 buffer = io.StringIO()
-count = write_slim_store(entities, buffer, keep_props=keep_props, keep_wikis={"enwiki"})
+count = write_slim_store(entities, buffer, keep_props=keep_props)
 print(f"\nslim store with {count} records:")
 print(buffer.getvalue())
 

@@ -30,19 +30,15 @@ from .report import (
     usage_stage,
 )
 from .slimstore import load_slim_store, read_store_sitelinks
-from .usage import LANGUAGE_RE, read_views_tsv
+from .usage import language_list_problem, read_views_tsv
 from .util import paused_gc
 
 
 def _languages(text: str) -> tuple[str, ...]:
     languages = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    if not languages:
-        raise argparse.ArgumentTypeError("language list is empty")
-    for index, language in enumerate(languages):
-        if not LANGUAGE_RE.match(language):
-            raise argparse.ArgumentTypeError(f"bad language code {language!r}")
-        if language in languages[:index]:
-            raise argparse.ArgumentTypeError(f"repeated language code {language!r}")
+    problem = language_list_problem(languages)
+    if problem:
+        raise argparse.ArgumentTypeError(problem)
     return languages
 
 

@@ -12,7 +12,8 @@ value is anything else (a string, a quantity, a property, a no-value or
 some-value snak), and every deprecated-rank statement, is dropped, and so is
 a claim group left empty.  Without a keep-set of wiki codes, an item with a
 wiki code that a slim store cannot carry (it holds ``=``, ``|``, tab, CR or
-LF) is a malformed line.
+LF) is a malformed line; a keep-set's codes are the caller's, and the store
+writer refuses one it cannot carry.
 
 Each item is checked field by field as it is projected, so the parser builds
 its records with :meth:`SlimEntity.trusted`.  A caller that keeps every entity
@@ -187,7 +188,7 @@ def _parse_entity_line(
             title = entry.get("title")
             if wiki and isinstance(title, str) and title:
                 sitelinks[wiki] = title
-        # a kept code is one of keep_wikis, which the store writer checks itself
+        # a kept code is one of the caller's keep_wikis; the store writer refuses a bad one
         problem = unstorable_wiki_code(sitelinks) if wiki_keys is None else None
         if problem:
             return None, f"sitelink {problem}"

@@ -47,9 +47,9 @@ from .errors import ConfigError, PipelineStageError, WikiCoverageError
 from .metrics import MetricsRow, build_article_sets, compute_all, write_metrics_tsv
 from .slimstore import load_slim_store, save_slim_store
 from .usage import (
-    LANGUAGE_RE,
     TitleMemo,
     aggregate_views,
+    language_list_problem,
     load_readership,
     merge_views,
     parse_pageviews_stream,
@@ -103,13 +103,9 @@ class RunConfig:
     svg: bool = True
 
     def validate(self) -> None:
-        if not self.languages:
-            raise ConfigError("language list is empty")
-        for index, language in enumerate(self.languages):
-            if not LANGUAGE_RE.match(language):
-                raise ConfigError(f"bad language code {language!r}")
-            if language in self.languages[:index]:
-                raise ConfigError(f"repeated language code {language!r}")
+        problem = language_list_problem(self.languages)
+        if problem:
+            raise ConfigError(problem)
         if (self.dump is None) == (self.slim is None):
             raise ConfigError("exactly one of dump/slim input must be given")
         if self.scale not in SCALES:
@@ -172,7 +168,7 @@ def slim_stage(
                 source, rules.required_properties, keep_wikis, errors=issues, item_ids={}
             )
         )
-    save_slim_store(entities, out, keep_props=rules.required_properties, keep_wikis=keep_wikis)
+    save_slim_store(entities, out, keep_props=rules.required_properties)
     return entities, issues
 
 

@@ -3,15 +3,16 @@
 Re-parsing dump JSON on every run defeats the two-pass pipeline, so parsed
 entities are persisted in a small line-oriented format:
 
-    WCM2
-    count=<n> props=<comma-list> wikis=<comma-list or *>
+    WCM3
+    count=<n> props=<comma-list>
     <QID>\\t<prop>:<QID>[,...][;...]\\t<wiki>=<title>[|...]
 
 Records are sorted by item number, each item once.  Titles have ``%``, tab,
-pipe, CR and LF percent-encoded.  The header's keep-set lists fingerprint the
-parse configuration that produced the store; a reader given the properties
-its rules need checks them against ``props=``.  ``WCM1``, which also stored
-non-item claim values as ``*``, is not read: rebuild such a store.
+pipe, CR and LF percent-encoded.  The header's ``props=`` lists the
+properties the parse kept; a reader given the properties its rules need
+checks them against it.  ``WCM1``, which also stored non-item claim values as
+``*``, and ``WCM2``, whose header also listed the kept wiki codes, are not
+read: rebuild such a store.
 
 There are two readers of one file, and they share one record skeleton: the
 magic and header lines, the ``props=`` check, line numbers, blank lines, the
@@ -32,15 +33,15 @@ header count in both directions, the sitelink checks and the item order.
 
 Either way a bad token raises :class:`SlimStoreCorruptionError` naming its
 line.  The header is enforced per record: a claim key must be one of
-``props=``, and a sitelink one of ``wikis=`` unless that is ``*``.  A record
-that breaks its own header, repeats a claim key or a wiki, or does not follow
-the record before it in item order, is corruption naming its line.
+``props=``.  A record that breaks its own header, repeats a claim key or a
+wiki, or does not follow the record before it in item order, is corruption
+naming its line.
 
 The writer holds each record to the header it writes: a claim key outside
-``keep_props``, a sitelink outside ``keep_wikis`` or a wiki code holding
-``=``, ``|``, tab, CR or LF raises ValueError, and a repeated item raises
-:class:`DuplicateItemError`, before anything is written, so the writer never
-leaves a store that its reader rejects or reads back otherwise.
+``keep_props`` or a wiki code holding ``=``, ``|``, tab, CR or LF raises
+ValueError, and a repeated item raises :class:`DuplicateItemError`, before
+anything is written, so the writer never leaves a store that its reader
+rejects or reads back otherwise.
 :func:`save_slim_store` writes beside the target file and renames over it
 only on success, so a refused or failed write never truncates the store
 already there.
@@ -54,6 +55,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from sys import intern
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .entities import ITEM, PROPERTY, EntityId, IdMemo, SlimEntity, id_pattern
@@ -66,9 +68,9 @@ from .errors import (
 )
 from .util import parse_count, paused_gc
 
-MAGIC = "WCM2"
+MAGIC = "WCM3"
 
-_HEADER_RE = re.compile(r"count=([0-9]+) props=(\S*) wikis=(\S*)\Z")
+_HEADER_RE = re.compile(r"count=([0-9]+) props=(\S*)\Z")
 _ESCAPE_RE = re.compile(r"[%\t|\n\r]")
 _UNESCAPE_RE = re.compile(r"%(25|09|7C|0A|0D)")
 _ESCAPES = {"%": "%25", "\t": "%09", "|": "%7C", "\n": "%0A", "\r": "%0D"}
@@ -102,7 +104,6 @@ def unstorable_wiki_code(wikis: Iterable[str]) -> str | None:
 class StoreHeader:
     count: int
     props: tuple[EntityId, ...]
-    wikis: tuple[str, ...] | None  # None = unrestricted
 
 
 def _record_line(entity: SlimEntity) -> str:
@@ -116,31 +117,20 @@ def _record_line(entity: SlimEntity) -> str:
     return f"{entity.id}\t{claims}\t{links}\n"
 
 
-def write_slim_store(
-    entities: Iterable[SlimEntity],
-    sink: IO[str],
-    *,
-    keep_props: Iterable[EntityId],
-    keep_wikis: Iterable[str] | None = None,
-) -> int:
+def write_slim_store(entities: Iterable[SlimEntity], sink: IO[str], *, keep_props: Iterable[EntityId]) -> int:
     """Write entities (re-sorted by id number) to ``sink``; returns the count.
 
-    The header lists ``keep_props``, the properties the parse kept, and
-    ``keep_wikis`` (``wikis=*`` when None, meaning unrestricted).  A failed
+    The header lists ``keep_props``, the properties the parse kept.  A failed
     write raises :class:`SlimStoreWriteError` with the number of records that
     made it out before the failure.  A record with a claim key outside
-    ``keep_props``, a sitelink outside ``keep_wikis`` or a wiki code the store
-    cannot carry (:func:`unstorable_wiki_code`) raises ValueError naming the
-    item, and so does such a code in ``keep_wikis``, naming it; a repeated
-    item raises :class:`DuplicateItemError`; each before anything is written.
+    ``keep_props`` or a wiki code the store cannot carry
+    (:func:`unstorable_wiki_code`) raises ValueError naming the item; a
+    repeated item raises :class:`DuplicateItemError`; each before anything is
+    written.
     """
     records = sorted(entities, key=lambda e: e.id.number)
     prop_set = set(keep_props)
-    wiki_set = None if keep_wikis is None else set(keep_wikis)
-    problem = None if wiki_set is None else unstorable_wiki_code(wiki_set)
-    if problem:
-        raise ValueError(f"keep_wikis: {problem}")
-    storable: set[str] = set()  # without keep_wikis, the wiki codes checked so far
+    storable: set[str] = set()  # the wiki codes checked so far
     previous = None
     for record in records:
         if record.id == previous:  # sorted, so a repeat is the record before
@@ -149,18 +139,13 @@ def write_slim_store(
         if not record.claims.keys() <= prop_set:
             extra = min(record.claims.keys() - prop_set, key=lambda p: p.sort_key)
             raise ValueError(f"item {record.id}: claim key {extra} is not in keep_props")
-        if wiki_set is not None:
-            if not record.sitelinks.keys() <= wiki_set:
-                extra = min(record.sitelinks.keys() - wiki_set)
-                raise ValueError(f"item {record.id}: sitelink {extra!r} is not in keep_wikis")
-        elif not record.sitelinks.keys() <= storable:
+        if not record.sitelinks.keys() <= storable:
             problem = unstorable_wiki_code(record.sitelinks.keys() - storable)
             if problem:
                 raise ValueError(f"item {record.id}: {problem}")
             storable.update(record.sitelinks)
     props = sorted(prop_set, key=lambda p: p.number)
-    wikis = "*" if wiki_set is None else ",".join(sorted(wiki_set))
-    header = f"count={len(records)} props={','.join(str(p) for p in props)} wikis={wikis}\n"
+    header = f"count={len(records)} props={','.join(str(p) for p in props)}\n"
 
     written = 0
     try:
@@ -181,8 +166,9 @@ def read_store_header(source: Iterable[str]) -> StoreHeader:
     """Read the magic and header lines of a store stream.
 
     Raises :class:`SlimStoreVersionError` for another format version (``WCM1``
-    included) and :class:`SlimStoreCorruptionError` for a missing or malformed
-    header.  An iterator is left at the first record line.
+    and ``WCM2`` included) and :class:`SlimStoreCorruptionError` for a missing
+    or malformed header, whose ``props=`` holds an empty or repeated token.
+    An iterator is left at the first record line.
     """
     lines = iter(source)
     magic = next(lines, None)
@@ -204,57 +190,51 @@ def read_store_header(source: Iterable[str]) -> StoreHeader:
         count = parse_count(match.group(1), "count")
     except ValueError as exc:  # the pattern admits only digits: too many of them
         raise SlimStoreCorruptionError(f"bad store header: {exc}") from None
-    props_field, wikis_field = match.group(2), match.group(3)
+    tokens = match.group(2).split(",") if match.group(2) else []
     prop_of = IdMemo(PROPERTY).__getitem__
     try:
-        props = tuple(prop_of(tok) for tok in props_field.split(",") if tok)
+        props = tuple(map(prop_of, tokens))
     except ValueError as exc:
         raise SlimStoreCorruptionError(f"line 2: {exc}") from exc
-    if wikis_field == "*":
-        wikis = None
-    else:
-        wikis = tuple(tok for tok in wikis_field.split(",") if tok)
-    return StoreHeader(count, props, wikis)
+    repeated = [prop for i, prop in enumerate(props) if prop in props[:i]]
+    if repeated:
+        raise SlimStoreCorruptionError(f"line 2: property {repeated[0]} appears twice in props=")
+    return StoreHeader(count, props)
 
 
 class _Declared(dict):
-    """Header token -> its value; a token the header does not declare is corruption."""
+    """Claim key -> the header's property; a key ``props=`` does not declare is corruption."""
 
-    __slots__ = ("message",)
+    __slots__ = ()
 
-    def __init__(self, message: str, values: Iterable):
-        super().__init__((str(value), value) for value in values)
-        self.message = message
+    def __init__(self, props: Iterable[EntityId]):
+        super().__init__((str(prop), prop) for prop in props)
 
     def __missing__(self, token: str):
-        raise ValueError(self.message.format(token))
+        raise ValueError(f"claim key {token!r} is not in the header's props=")
 
 
-def _parse_sitelinks(links_field: str, wikis: _Declared | None) -> dict[str, str]:
-    """A record's sitelinks field; ``wikis`` None = unrestricted.  A bad pair raises ValueError."""
+def _parse_sitelinks(links_field: str) -> dict[str, str]:
+    """A record's sitelinks field.  A bad pair raises ValueError."""
     sitelinks: dict[str, str] = {}
     if links_field:
         for pair in links_field.split("|"):
             wiki, sep, title = pair.partition("=")
             if not sep:
                 raise ValueError(f"bad sitelink field {pair!r}")
-            if wikis is not None:
-                wiki = wikis[wiki]
-            elif not wiki:
+            if not wiki:
                 raise ValueError("sitelink wiki code is empty")
             if not title:
                 raise ValueError(f"sitelink title for {wiki!r} is empty")
             if wiki in sitelinks:
                 raise ValueError(f"sitelink {wiki!r} appears twice in the record")
-            sitelinks[wiki] = _unescape_title(title) if "%" in title else title
+            # one string per wiki code, shared by every record that links it
+            sitelinks[intern(wiki)] = _unescape_title(title) if "%" in title else title
     return sitelinks
 
 
-def _parse_record(
-    props: _Declared, wikis: _Declared | None, values: IdMemo, line: str, line_number: int
-) -> SlimEntity:
-    """One record line; ``props`` and ``wikis`` (None = unrestricted) are the
-    header's lists, ``values`` the read's item id memo."""
+def _parse_record(props: _Declared, values: IdMemo, line: str, line_number: int) -> SlimEntity:
+    """One record line; ``props`` is the header's list, ``values`` the read's item id memo."""
     parts = line.split("\t")
     if len(parts) != 3:
         raise SlimStoreCorruptionError(
@@ -271,7 +251,7 @@ def _parse_record(
                 if prop in claims:
                     raise ValueError(f"claim key {prop_text!r} appears twice in the record")
                 claims[prop] = tuple(map(value_of, values_text.split(",")))
-        sitelinks = _parse_sitelinks(links_field, wikis)
+        sitelinks = _parse_sitelinks(links_field)
         return SlimEntity.trusted(EntityId.parse_item(id_field), claims, sitelinks)
     except ValueError as exc:
         raise SlimStoreCorruptionError(f"line {line_number}: {exc}") from exc
@@ -300,9 +280,9 @@ def _claims_pattern(props: Iterable[str]) -> re.Pattern:
     return re.compile(f"(?:{first}(?:{later})*)?", re.DOTALL)
 
 
-def _sitelinks_parser(props: _Declared, wikis: _Declared | None) -> Callable[[str, int], SitelinksRecord]:
+def _sitelinks_parser(props: _Declared) -> Callable[[str, int], SitelinksRecord]:
     claims_valid = _claims_pattern(props).fullmatch
-    parse_record = partial(_parse_record, props, wikis, IdMemo(ITEM))
+    parse_record = partial(_parse_record, props, IdMemo(ITEM))
     parse_item = EntityId.parse_item
 
     def parse(line: str, line_number: int) -> SitelinksRecord:
@@ -311,7 +291,7 @@ def _sitelinks_parser(props: _Declared, wikis: _Declared | None) -> Callable[[st
             entity = parse_record(line, line_number)  # raises the whole reader's error
             return _new_tuple(SitelinksRecord, (entity.id, entity.sitelinks))
         try:
-            sitelinks = _parse_sitelinks(parts[2], wikis)
+            sitelinks = _parse_sitelinks(parts[2])
             return _new_tuple(SitelinksRecord, (parse_item(parts[0]), sitelinks))
         except ValueError as exc:
             raise SlimStoreCorruptionError(f"line {line_number}: {exc}") from exc
@@ -322,12 +302,12 @@ def _sitelinks_parser(props: _Declared, wikis: _Declared | None) -> Callable[[st
 def _read_records(
     source: Iterable[str],
     required_props: Iterable[EntityId],
-    parser: Callable[[_Declared, _Declared | None], Callable[[str, int], SlimEntity | SitelinksRecord]],
+    parser: Callable[[_Declared], Callable[[str, int], SlimEntity | SitelinksRecord]],
 ) -> Iterator:
     """The record skeleton both readers share.
 
-    ``parser(props, wikis)`` gives the function that turns one record line and
-    its number into a record; it is called once the header is read.
+    ``parser(props)`` gives the function that turns one record line and its
+    number into a record; it is called once the header is read.
     """
     lines = iter(source)
     header = read_store_header(lines)
@@ -338,11 +318,7 @@ def _read_records(
             f"store was kept without {ids}, which the rules need; rebuild it with these rules"
         )
 
-    props = _Declared("claim key {!r} is not in the header's props=", header.props)
-    wikis = None
-    if header.wikis is not None:
-        wikis = _Declared("sitelink {!r} is not in the header's wikis=", header.wikis)
-    parse = parser(props, wikis)
+    parse = parser(_Declared(header.props))
     seen = 0
     previous = 0  # the item number of the record before; every id is above 0
     for line_number, raw in enumerate(lines, start=3):
@@ -380,9 +356,7 @@ def read_slim_store(
     record, a record out of item order, or a header count that disagrees with
     the records actually present (checked once the stream is exhausted).
     """
-    return _read_records(
-        source, required_props, lambda props, wikis: partial(_parse_record, props, wikis, IdMemo(ITEM))
-    )
+    return _read_records(source, required_props, lambda props: partial(_parse_record, props, IdMemo(ITEM)))
 
 
 def read_store_sitelinks(source: Iterable[str]) -> Iterator[SitelinksRecord]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import re
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .dump import ParseIssue
 from .errors import ReadershipTableError
@@ -45,6 +45,19 @@ VIEWS_COLUMNS = ("language", "title", "views")
 
 # the one reason tallied for a title that decodes to a tab, LF or CR
 BAD_TITLE = "title decodes to a tab, LF or CR"
+
+
+def language_list_problem(languages: Sequence[str]) -> str | None:
+    """Why ``languages`` cannot be a run's language list, or None: it must be
+    non-empty and hold distinct :data:`LANGUAGE_RE` codes."""
+    if not languages:
+        return "language list is empty"
+    for index, language in enumerate(languages):
+        if not LANGUAGE_RE.match(language):
+            return f"bad language code {language!r}"
+        if language in languages[:index]:
+            return f"repeated language code {language!r}"
+    return None
 
 
 class ViewRecord(NamedTuple):

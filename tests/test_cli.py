@@ -115,7 +115,7 @@ GOLDEN_DIGESTS = {
         "chart.json": "7fd6eebb7dab727c30e0d827e88603bdafd510bd1f25703095fbb7451d6a3336",
         "chart.svg": "9f2c02903d5efa1c82df1db26790f5cf015711b7d41239aeda95f92ee2c13c0b",
         "clusters.tsv": "4785fbddc4712ce903865976bdd2bcaad759a15d229ab01374ba94e47a15b5a2",
-        "entities.slim": "9889b7739f2639dcdafc0219e05c874d11d914abefa08f3ea7ef42d609525b5b",
+        "entities.slim": "b8ab2413ca2f78fa57fe742fc5d4d273702a9db144165dae665e1bfe5a189bab",
         "manifest.json": "47d9f49f06076787ba8c464d3552bb9394b6986e2000334a4cd850d9e676a03d",
         "metrics.tsv": "38ee2e9031921762283c419a0b1a743ba2d91692a3c077f9f608d4c52c205509",
         "table.tsv": "dfda502475b7b74a1c22a435580d1d8a12ae11e969ebbae75ddda9baa9b72085",
@@ -126,7 +126,7 @@ GOLDEN_DIGESTS = {
         "chart.json": "263602129f12c7f0108b1b6a7316254dd9e490a961f586b5d55d6d1782a8430d",
         "chart.svg": "d61128d4fa44220ec4bc0230b8c03d0af0815dba4cceb2fd751bfaacdee23d93",
         "clusters.tsv": "78c2fff1911cf95a16dc82cc3bb221cb79c517169adfcb0ef371f726e1c3e7f7",
-        "entities.slim": "9889b7739f2639dcdafc0219e05c874d11d914abefa08f3ea7ef42d609525b5b",
+        "entities.slim": "b8ab2413ca2f78fa57fe742fc5d4d273702a9db144165dae665e1bfe5a189bab",
         "manifest.json": "ff34e597ea8d153de8a20e65359fedf0c28bf94600e9d0a97f616d0d86617d36",
         "metrics.tsv": "889db149497ced9f049b11a4d102b2fdbd533cb68471a1cc4525a1edfd0f09d3",
         "table.tsv": "52b65ec6c27ccd898445e6e711bba2edddeb9b6486f84dc3374ca18c5f8295f5",
@@ -254,6 +254,20 @@ class TestErrorsAndFlags:
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         assert list(manifest["issues"]["failed_languages"]) == ["xx"]
         assert len((tmp_path / "metrics.tsv").read_text(encoding="utf-8").splitlines()) == 3
+
+    def test_a_language_the_store_was_kept_without_fails_all(self, tmp_path, capsys):
+        # the store's header does not list its kept wiki codes: the language shows as having no articles
+        store = tmp_path / "en.slim"
+        run(["slim", "--dump", FIXTURE / "dump.json", "--rules", FIXTURE / "rules.txt",
+             "--languages", "en", "--out", store])
+        capsys.readouterr()
+        code = run(
+            ["all", FIXTURE / "pageviews-a.txt", "--slim", store,
+             "--readership", FIXTURE / "readership.csv", "--rules", FIXTURE / "rules.txt",
+             "--languages", "en,de", "--out", tmp_path / "out"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "warning: de: no articles for language 'de'\n"
 
     @pytest.mark.parametrize("command", ["usage", "all"])
     def test_language_outside_the_readership_grammar_is_refused(self, tmp_path, capsys, command):

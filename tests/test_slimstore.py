@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wikicoverage import slimstore
+from wikicoverage.cli import main
 from wikicoverage.entities import SlimEntity
 from wikicoverage.errors import (
     DuplicateItemError,
@@ -66,6 +67,8 @@ BAD_TOKEN_CASES = [
     (["Q1\tP17:Q30,P5\t"], 3),
     (["props=P17,Q5x"], 2),
     (["props=P17,Q5"], 2),
+    (["props=P17,,P31"], 2),
+    (["props=P17,P31,P17"], 2),
 ]
 
 
@@ -85,7 +88,7 @@ def store_text(records):
     props = "props=P17,P31"
     if records[0].startswith("props="):
         props, records = records[0], records[1:]
-    return f"WCM2\ncount={len(records)} {props} wikis=*\n" + "".join(r + "\n" for r in records)
+    return f"WCM3\ncount={len(records)} {props}\n" + "".join(r + "\n" for r in records)
 
 
 class TestWrite:
@@ -110,52 +113,42 @@ class TestWrite:
             [SlimEntity(Q(1), {P(17): (Q(30),)})],
             sink,
             keep_props=[P(27), P(17)],
-            keep_wikis=["enwiki"],
         )
         header = read_store_header(io.StringIO(sink.getvalue()))
-        assert header.count == 1
-        assert header.props == (P(17), P(27))
-        assert header.wikis == ("enwiki",)
-
-    def test_header_wikis_star_means_unrestricted(self):
-        sink = io.StringIO()
-        write([], sink)
-        assert read_store_header(io.StringIO(sink.getvalue())).wikis is None
+        assert header == slimstore.StoreHeader(1, (P(17), P(27)))
+        assert sink.getvalue().splitlines()[:2] == ["WCM3", "count=1 props=P17,P27"]
 
     @pytest.mark.parametrize(
-        "entity, keep_wikis, problem",
-        [
-            (SlimEntity(Q(1), {P(99): (Q(5),)}, {"dewiki": "X"}), ["enwiki"], "item Q1: claim key P99 is not in keep_props"),
-            (SlimEntity(Q(2), {P(17): (Q(5),)}, {"dewiki": "X"}), ["enwiki"], "item Q2: sitelink 'dewiki' is not in keep_wikis"),
-            (SlimEntity(Q(3), {}, {"enwiki": "X"}), [], "item Q3: sitelink 'enwiki' is not in keep_wikis"),
-        ],
-        ids=["undeclared-claim-key", "undeclared-sitelink", "empty-keep-wikis"],
+        "entity, problem",
+        [(SlimEntity(Q(1), {P(99): (Q(5),)}, {"dewiki": "X"}), "item Q1: claim key P99 is not in keep_props")],
+        ids=["undeclared-claim-key"],
     )
-    def test_record_outside_the_header_is_refused_before_writing(self, entity, keep_wikis, problem):
+    def test_record_outside_the_header_is_refused_before_writing(self, entity, problem):
         sink = io.StringIO()
         records = [SlimEntity(Q(9), {P(17): (Q(30),)}, {"enwiki": "Y"}), entity]
         with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
-            write_slim_store(records, sink, keep_props=[P(17)], keep_wikis=keep_wikis)
+            write_slim_store(records, sink, keep_props=[P(17)])
         assert sink.getvalue() == ""
 
     @pytest.mark.parametrize(
         "wiki", ["a=b", "x|y", "a\tb", "a\rb", "a\nb"], ids=["equals", "pipe", "tab", "cr", "lf"]
     )
-    @pytest.mark.parametrize("keep_wikis", [None, "listed"])
-    def test_wiki_code_the_store_cannot_carry_is_refused_before_writing(self, wiki, keep_wikis):
+    def test_wiki_code_the_store_cannot_carry_is_refused_before_writing(self, wiki):
         # a record splits on these: `a=b` read back as {'a': 'b=T'}, `x|y` failed the read
         sink = io.StringIO()
         records = [SlimEntity(Q(9), {}, {"enwiki": "Y"}), SlimEntity(Q(12), {}, {"enwiki": "Z", wiki: "T"})]
-        kwargs = {"keep_wikis": ["enwiki", wiki]} if keep_wikis else {}
-        where = "keep_wikis" if keep_wikis else "item Q12"
-        problem = f"{where}: wiki code {wiki!r} holds '=', '|', a tab, CR or LF"
+        problem = f"item Q12: wiki code {wiki!r} holds '=', '|', a tab, CR or LF"
         with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
-            write_slim_store(records, sink, keep_props=[P(17)], **kwargs)
+            write_slim_store(records, sink, keep_props=[P(17)])
         assert sink.getvalue() == ""
 
     def test_unrestricted_wikis_write_any_sitelink(self):
-        entity = SlimEntity(Q(1), {P(17): (Q(5),)}, {"dewiki": "X", "xxwiki": "Y"})
+        # no header line lists the wiki codes, so a comma or a space in one is stored as it is
+        entity = SlimEntity(Q(1), {P(17): (Q(5),)}, {"dewiki": "X", "xxwiki": "Y", "a,b": "Z", "a b": "W"})
         assert round_trip([entity], keep_props=[P(17)]) == (1, [entity])
+        sink = io.StringIO()
+        write([entity], sink, keep_props=[P(17)])
+        assert outcome(read_store_sitelinks, sink.getvalue()) == [(entity.id, entity.sitelinks)]
 
     def test_partial_write_failure_reports_progress(self):
         class FlakySink:
@@ -196,18 +189,18 @@ class TestSave:
         assert [p.name for p in tmp_path.iterdir()] == ["s.slim"]
 
     @pytest.mark.parametrize(
-        "entities, kwargs, error",
+        "entities, error",
         [
-            ([SlimEntity(Q(5)), SlimEntity(Q(5))], {}, DuplicateItemError),
-            ([SlimEntity(Q(5), {P(999): (Q(1),)})], {}, ValueError),
-            ([SlimEntity(Q(5), {}, {"dewiki": "X"})], {"keep_wikis": ["enwiki"]}, ValueError),
+            ([SlimEntity(Q(5)), SlimEntity(Q(5))], DuplicateItemError),
+            ([SlimEntity(Q(5), {P(999): (Q(1),)})], ValueError),
+            ([SlimEntity(Q(5), {}, {"a|b": "X"})], ValueError),
         ],
-        ids=["repeated-item", "claim-outside-keep-props", "sitelink-outside-keep-wikis"],
+        ids=["repeated-item", "claim-outside-keep-props", "unstorable-wiki-code"],
     )
-    def test_a_refused_save_keeps_the_old_store(self, tmp_path, entities, kwargs, error):
+    def test_a_refused_save_keeps_the_old_store(self, tmp_path, entities, error):
         path, kept = self.existing_store(tmp_path)
         with pytest.raises(error):
-            save_slim_store(entities, path, keep_props=STORE_PROPS, **kwargs)
+            save_slim_store(entities, path, keep_props=STORE_PROPS)
         assert path.read_bytes() == kept
         assert [p.name for p in tmp_path.iterdir()] == ["s.slim"]
 
@@ -247,13 +240,13 @@ class TestRead:
 
     @pytest.mark.parametrize("count", ["\u0661", "+1", "1_0"], ids=["arabic-indic-digit", "plus-sign", "underscore"])
     def test_header_count_that_is_not_ascii_digits_is_corruption(self, count):
-        text = f"WCM2\ncount={count} props=P17 wikis=*\nQ1\tP17:Q30\t\n"
+        text = f"WCM3\ncount={count} props=P17\nQ1\tP17:Q30\t\n"
         for read in (read_slim_store, read_store_sitelinks):
             with pytest.raises(SlimStoreCorruptionError, match="^bad store header"):
                 list(read(io.StringIO(text)))
 
     def test_header_count_with_more_digits_than_int_reads_is_corruption(self):
-        text = f"WCM2\ncount={'1' * 5000} props=P17 wikis=*\nQ1\tP17:Q30\t\n"
+        text = f"WCM3\ncount={'1' * 5000} props=P17\nQ1\tP17:Q30\t\n"
         for read in (read_slim_store, read_store_sitelinks):
             with pytest.raises(SlimStoreCorruptionError, match=r"^bad store header: count too large \(5000 digits\)$"):
                 list(read(io.StringIO(text)))
@@ -265,13 +258,25 @@ class TestRead:
         with pytest.raises(SlimStoreCorruptionError):
             list(read_slim_store(io.StringIO(text)))
 
-    def test_unknown_version_is_version_error(self):
-        # WCM1 also stored non-item claim values as '*'; it is not read
-        text = "WCM1\ncount=1 props=P17 wikis=*\nQ1\tP17:*,Q30\t\n"
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # WCM1 also stored non-item claim values as '*'
+            "WCM1\ncount=1 props=P17 wikis=*\nQ1\tP17:*,Q30\t\n",
+            # WCM2 also listed the kept wiki codes
+            "WCM2\ncount=1 props=P17 wikis=*\nQ1\tP17:Q30\t\n",
+        ],
+        ids=["WCM1", "WCM2"],
+    )
+    def test_unknown_version_is_version_error(self, tmp_path, capsys, text):
         with pytest.raises(SlimStoreVersionError):
             list(read_slim_store(io.StringIO(text)))
         with pytest.raises(SlimStoreVersionError):
             read_store_header(io.StringIO(text))
+        store = tmp_path / "old.slim"
+        store.write_text(text, encoding="utf-8")
+        assert main(["attribute", "--slim", str(store), "--out", str(tmp_path / "a.tsv")]) == 1
+        assert capsys.readouterr().err == f"error: unsupported store version {text[:4]!r}\n"
 
     def test_store_lacking_a_required_property_is_a_mismatch(self):
         sink = io.StringIO()
@@ -290,7 +295,7 @@ class TestRead:
             list(read_slim_store(io.StringIO("")))
 
     def test_bad_record_field_count_is_corruption(self):
-        text = "WCM2\ncount=1 props= wikis=*\nQ1\tonly-two-fields\n"
+        text = "WCM3\ncount=1 props=\nQ1\tonly-two-fields\n"
         with pytest.raises(SlimStoreCorruptionError):
             list(read_slim_store(io.StringIO(text)))
 
@@ -301,27 +306,25 @@ class TestRead:
 
 
     @pytest.mark.parametrize(
-        "wikis, record, problem",
+        "record, problem",
         [
-            ("enwiki", "Q1\tP99:Q5\tenwiki=X", "claim key 'P99' is not in the header's props="),
-            ("enwiki", "Q1\tP17:Q5\tdewiki=X", "sitelink 'dewiki' is not in the header's wikis="),
-            ("enwiki", "Q1\tQ5:Q30\t", "claim key 'Q5' is not in the header's props="),
-            ("", "Q1\t\tenwiki=X", "sitelink 'enwiki' is not in the header's wikis="),
+            ("Q1\tP99:Q5\tenwiki=X", "claim key 'P99' is not in the header's props="),
+            ("Q1\tQ5:Q30\t", "claim key 'Q5' is not in the header's props="),
         ],
-        ids=["undeclared-claim-key", "undeclared-sitelink", "item-as-claim-key", "empty-wikis"],
+        ids=["undeclared-claim-key", "item-as-claim-key"],
     )
-    def test_record_outside_its_header_is_corruption(self, wikis, record, problem):
-        text = f"WCM2\ncount=2 props=P17 wikis={wikis}\nQ2\tP17:Q30\t\n{record}\n"
+    def test_record_outside_its_header_is_corruption(self, record, problem):
+        text = f"WCM3\ncount=2 props=P17\nQ2\tP17:Q30\t\n{record}\n"
         with pytest.raises(SlimStoreCorruptionError, match=f"^line 4: {re.escape(problem)}$"):
             list(read_slim_store(io.StringIO(text)))
 
-    def test_empty_title_is_corruption_under_a_wikis_list(self):
-        text = "WCM2\ncount=1 props=P17 wikis=enwiki\nQ1\t\tenwiki=\n"
+    def test_empty_title_is_corruption(self):
+        text = "WCM3\ncount=1 props=P17\nQ1\t\tenwiki=\n"
         with pytest.raises(SlimStoreCorruptionError, match="^line 3: sitelink title for 'enwiki' is empty$"):
             list(read_slim_store(io.StringIO(text)))
 
     def test_unrestricted_wikis_accept_any_sitelink(self):
-        text = "WCM2\ncount=1 props=P17 wikis=*\nQ1\tP17:Q5\tdewiki=X|xxwiki=Y\n"
+        text = "WCM3\ncount=1 props=P17\nQ1\tP17:Q5\tdewiki=X|xxwiki=Y\n"
         [entity] = read_slim_store(io.StringIO(text))
         assert entity.sitelinks == {"dewiki": "X", "xxwiki": "Y"}
 
@@ -378,8 +381,8 @@ class TestTitleEscaping:
         assert back[0].sitelinks["enwiki"] == title
 
     def test_star_claim_value_is_corruption(self):
-        # WCM1 wrote a non-item claim value as '*'; in WCM2 it is a bad token
-        text = "WCM2\ncount=2 props=P17 wikis=*\nQ1\tP17:Q30\t\nQ2\tP17:*,Q30\t\n"
+        # WCM1 wrote a non-item claim value as '*'; since WCM2 it is a bad token
+        text = "WCM3\ncount=2 props=P17\nQ1\tP17:Q30\t\nQ2\tP17:*,Q30\t\n"
         with pytest.raises(SlimStoreCorruptionError, match="^line 4: not an entity id: '\\*'$"):
             list(read_slim_store(io.StringIO(text)))
 
@@ -388,7 +391,7 @@ class TestTitleEscaping:
         assert back == [SlimEntity(Q(7))]
 
     def test_garbage_claim_token_is_corruption(self):
-        text = "WCM2\ncount=1 props=P17 wikis=*\nQ1\tP17:xyz\t\n"
+        text = "WCM3\ncount=1 props=P17\nQ1\tP17:xyz\t\n"
         with pytest.raises(SlimStoreCorruptionError):
             list(read_slim_store(io.StringIO(text)))
 
@@ -416,6 +419,7 @@ class TestRoundTripProperty:
         assert back == entities
         shared = {id(v) for e in back for values in e.claims.values() for v in values}
         assert len(shared) == len(places)  # one object per distinct place
+        assert len({id(wiki) for e in back for wiki in e.sitelinks}) == 1  # and per wiki code
 
     def test_ten_thousand_record_round_trip(self):
         entities = random_entities(random.Random(1234), 10_000)
@@ -461,14 +465,12 @@ class TestSitelinksReader:
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
         count=st.integers(1, 20),
-        restricted=st.booleans(),
         data=st.data(),
     )
     @settings(max_examples=500, deadline=None)
-    def test_a_mutated_field_reads_the_same_in_both_readers(self, seed, count, restricted, data):
-        keep_wikis = ["enwiki", "dewiki", "frwiki", "plwiki", "zh_min_nanwiki"] if restricted else None
+    def test_a_mutated_field_reads_the_same_in_both_readers(self, seed, count, data):
         sink = io.StringIO()
-        write(random_entities(random.Random(seed), count), sink, keep_wikis=keep_wikis)
+        write(random_entities(random.Random(seed), count), sink)
         text = sink.getvalue()
         lines = text.split("\n")  # lines[2:count + 2] are the records
         fields = lines[data.draw(st.integers(2, count + 1), label="line")].split("\t")

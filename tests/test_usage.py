@@ -18,6 +18,7 @@ from wikicoverage.usage import (
     TitleMemo,
     ViewRecord,
     aggregate_views,
+    language_list_problem,
     merge_views,
     parse_pageviews_stream,
     parse_readership_table,
@@ -363,6 +364,23 @@ class TestAggregate:
         ]
         shards = [records[i::4] for i in range(4)]
         assert merge_views(*[aggregate_views(s) for s in shards]) == aggregate_views(records)
+
+
+class TestLanguageList:
+    """``--languages`` and ``RunConfig`` refuse a language list by this one function."""
+
+    @pytest.mark.parametrize(
+        "languages, problem",
+        [
+            ((), "language list is empty"),
+            (("en", "EN"), "bad language code 'EN'"),
+            (("en", "de", "en"), "repeated language code 'en'"),
+            (("de", "en", "zh-min-nan"), None),
+        ],
+        ids=["empty", "bad-code", "repeated-code", "good"],
+    )
+    def test_problem(self, languages, problem):
+        assert language_list_problem(languages) == problem
 
 
 class TestReadership:

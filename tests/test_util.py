@@ -74,7 +74,7 @@ COUNT_READERS = {
     ),
     "metrics-tsv": (_metrics_row, "total_views"),
     "rules": (lambda count: parse_rules(f"target=Q30\nmax_depth={count}"), "max_depth"),
-    "store-header": (lambda count: read_store_header(["WCM2\n", f"count={count} props=P17 wikis=*\n"]), "count"),
+    "store-header": (lambda count: read_store_header(["WCM3\n", f"count={count} props=P17\n"]), "count"),
 }
 
 
