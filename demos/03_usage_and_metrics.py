@@ -15,7 +15,6 @@ from fractions import Fraction
 from wikicoverage import (
     EntityId,
     SlimEntity,
-    aggregate_views,
     build_article_sets,
     compute_all,
     parse_pageviews_stream,
@@ -45,7 +44,7 @@ en,FR,150,50
 """
 
 issues = []
-views = aggregate_views(parse_pageviews_stream(io.StringIO(PAGEVIEWS), errors=issues))
+views = parse_pageviews_stream(io.StringIO(PAGEVIEWS), errors=issues)
 print("view totals:", {f"{l}:{t}": v for (l, t), v in sorted(views.items())})
 print("malformed pageview lines:", len(issues))
 

@@ -48,7 +48,6 @@ from .slimstore import (
 from .usage import (
     ReadershipRecord,
     TitleMemo,
-    ViewRecord,
     aggregate_views,
     parse_pageviews_stream,
     parse_readership_table,
@@ -67,7 +66,6 @@ __all__ = [
     "RunConfig",
     "SlimEntity",
     "TitleMemo",
-    "ViewRecord",
     "WikiCoverageError",
     "aggregate_all",
     "aggregate_cluster",

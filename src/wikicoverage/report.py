@@ -48,7 +48,6 @@ from .metrics import MetricsRow, build_article_sets, compute_all, write_metrics_
 from .slimstore import load_slim_store, save_slim_store
 from .usage import (
     TitleMemo,
-    aggregate_views,
     language_list_problem,
     load_readership,
     merge_views,
@@ -197,26 +196,28 @@ def usage_stage(
     ``languages`` limits the languages kept; None keeps every language.
     Returns the totals and the malformed lines skipped.
 
-    The totals are folded as the files are read: the first file's totals
-    become the running totals, and :func:`usage.merge_views` adds each later
-    file's totals into them in place.  A file's totals are dropped when the
-    next file's replace them, so the stage holds the running totals, the
-    title memo and at most two files' totals, however many files there are.
+    :func:`usage.parse_pageviews_stream` totals each file in one pass, and
+    the files are folded as they are read: the first file's totals become
+    the running totals, and :func:`usage.merge_views` adds each later file's
+    totals into them in place.  A file's totals are dropped when the next
+    file's replace them, so the stage holds the running totals, the title
+    memo and at most two files' totals, however many files there are.  The
+    memo gives each distinct (language, raw title) one key for the whole
+    stage, so every file's totals share the same key objects.
     """
     language_set = None if languages is None else set(languages)
     issues: list[ParseIssue] = []
-    titles = TitleMemo()  # each distinct title is normalised once per stage
+    titles = TitleMemo()  # each distinct (language, title) is normalised once per stage
     views = None
     with paused_gc():
         for path in paths:
             with open(path, "rb") as handle:
-                records = parse_pageviews_stream(handle, language_set, errors=issues, titles=titles)
                 # the last file's totals are dropped only when these replace
                 # them: dropping them before this read saves one file's totals
                 # of heap, but when the stages share a process it kept the
                 # heap that attribution had freed from going back to the OS,
                 # which raised the process's peak RSS
-                shard = aggregate_views(records)
+                shard = parse_pageviews_stream(handle, language_set, errors=issues, titles=titles)
             views = shard if views is None else merge_views(views, shard)
     if views is None:  # no files
         views = {}

@@ -7,24 +7,31 @@ project domain is skipped.  Readership is a required external CSV giving
 per-(language, country) reader and view counts.
 
 A malformed line is tallied as a :class:`~wikicoverage.dump.ParseIssue`,
-with its line number and reason, and skipped: a wrong field count, an empty
-title, a view count that :func:`util.parse_count` refuses (the reason is its
-message), a line that is not UTF-8, and a title that decodes to a tab, LF or
-CR (:data:`BAD_TITLE`; no sitelink title holds one, and the views TSV could
+with its line number and reason, and skipped.  A line's checks run in this
+order, and the first that fails gives its reason: it is UTF-8 (``invalid
+UTF-8``), it has four fields, its domain is a tracked language (a line of
+any other domain is skipped, not tallied), its title is not empty (``empty
+title``), :func:`util.parse_count` takes its view count (the reason is its
+message), and its title does not decode to a tab, LF or CR
+(:data:`BAD_TITLE`; no sitelink title holds one, and the views TSV could
 not carry it).  The views TSV and readership readers take their counts
 through :func:`util.parse_count` too, so a refused count reads the same in
-every reader, led by its line or row.  Titles are percent-decoded
-through a :class:`TitleMemo`, so each distinct title of a tracked language is
-normalised once per memo.  The usage stage shares one memo between all of
-its shards and drops it when the stage ends; the memo then holds at most the
-stage's distinct titles, the same strings its totals key on.
+every reader, led by its line or row.
+
+:func:`parse_pageviews_stream` adds each kept line's views straight into
+the file's totals, in the loop that splits the line.  Titles are
+percent-decoded through a :class:`TitleMemo`, which gives each distinct
+(language, raw title) its totals key once per memo.  The usage stage shares
+one memo between all of its shards and drops it when the stage ends; the
+memo then holds at most the stage's distinct titles, and the keys its totals
+hold are the memo's own.
 """
 
 from __future__ import annotations
 
 import csv
 import re
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .dump import ParseIssue
 from .errors import ReadershipTableError
@@ -43,7 +50,8 @@ _NON_LANGUAGE_CODES = frozenset(
 READERSHIP_COLUMNS = ("language", "country", "readers", "views_from")
 VIEWS_COLUMNS = ("language", "title", "views")
 
-# the one reason tallied for a title that decodes to a tab, LF or CR
+# the reasons tallied for an empty title and for one that decodes to a tab, LF or CR
+EMPTY_TITLE = "empty title"
 BAD_TITLE = "title decodes to a tab, LF or CR"
 
 
@@ -58,12 +66,6 @@ def language_list_problem(languages: Sequence[str]) -> str | None:
         if language in languages[:index]:
             return f"repeated language code {language!r}"
     return None
-
-
-class ViewRecord(NamedTuple):
-    language: str
-    title: str
-    views: int
 
 
 class ReadershipRecord(NamedTuple):
@@ -87,25 +89,60 @@ def _tracked_language(domain: str, languages: set[str] | None) -> str | None:
     return base
 
 
-class TitleMemo(dict):
-    """Raw pageview title -> normalised title, or None for a bad title.
+class _LanguageTitles(dict):
+    """Raw title -> totals key ``(language, title)``, or the reason the title
+    is refused, for one language of a :class:`TitleMemo`."""
 
-    A title is decoded and normalised on its first lookup; later lookups
-    return the same string object, which the per-shard totals then key on.
-    A title that decodes to a tab, LF or CR maps to None: no sitelink title
-    holds one, and the views TSV could not carry it.  Create one per usage
-    stage and share it between that stage's shards; it holds each distinct
-    raw title of a tracked language once, so it must not outlive the stage.
+    __slots__ = ("language",)
+
+    def __init__(self, language: str):
+        super().__init__()
+        self.language = language
+
+    def __missing__(self, raw: str) -> tuple[str, str] | str:
+        if not raw:
+            key = EMPTY_TITLE
+        else:
+            title = normalize_pageview_title(raw)
+            if "\t" in title or "\n" in title or "\r" in title:
+                key = BAD_TITLE
+            else:
+                key = (self.language, title)
+        self[raw] = key
+        return key
+
+
+class TitleMemo(dict):
+    """Tracked language -> raw pageview title -> the totals key
+    ``(language, title)``, or the reason that title is refused.
+
+    A title is decoded and normalised on its first lookup in a language;
+    later lookups return the same key object, which every file's totals then
+    key on.  An empty title maps to :data:`EMPTY_TITLE`, and one that decodes
+    to a tab, LF or CR to :data:`BAD_TITLE`: no sitelink title holds one, and
+    the views TSV could not carry it.  Create one per usage stage and share
+    it between that stage's shards; it holds each distinct raw title of each
+    tracked language once, so it must not outlive the stage.
     """
 
     __slots__ = ()
 
-    def __missing__(self, raw: str) -> str | None:
-        title = normalize_pageview_title(raw)
-        if "\t" in title or "\n" in title or "\r" in title:
-            title = None
-        self[raw] = title
-        return title
+    def __missing__(self, language: str) -> _LanguageTitles:
+        titles = self[language] = _LanguageTitles(language)
+        return titles
+
+
+def _refusal(key: tuple[str, str] | str, count_text: str) -> str:
+    """Why a line of a tracked language is refused, given its title's memo
+    entry and its view count: the title's emptiness is checked before the
+    count, and its decoding after."""
+    if key == EMPTY_TITLE:
+        return EMPTY_TITLE
+    try:
+        parse_count(count_text, "view count")
+    except ValueError as exc:
+        return str(exc)
+    return key
 
 
 def parse_pageviews_stream(
@@ -114,18 +151,20 @@ def parse_pageviews_stream(
     *,
     errors: list[ParseIssue] | None = None,
     titles: TitleMemo | None = None,
-) -> Iterator[ViewRecord]:
-    """Parse a whole pageviews file, tallying malformed lines and moving on.
+) -> dict[tuple[str, str], int]:
+    """Exact view totals per (language, title) of a whole pageviews file,
+    tallying malformed lines and moving on.
 
     Byte lines are decoded as UTF-8; an undecodable line is tallied as
     ``invalid UTF-8``.  Blank lines are skipped.  Each distinct domain is
-    classified once per call, and each distinct title is normalised once per
-    ``titles`` memo: pass one memo to every shard of a stage to share it,
-    or leave it out for a memo of this call's own.
+    classified once per call, and each distinct title of a language is
+    normalised once per ``titles`` memo: pass one memo to every shard of a
+    stage to share it, or leave it out for a memo of this call's own.
     """
-    language_of: dict[str, str | None] = {}
-    title_of = TitleMemo() if titles is None else titles
-    new_record = tuple.__new__  # skips NamedTuple's Python-level __new__
+    memo = TitleMemo() if titles is None else titles
+    keys_of: dict[str, _LanguageTitles | None] = {}  # domain -> its language's memo
+    totals: dict[tuple[str, str], int] = {}
+    get = totals.get
 
     def tally(line_number: int, reason: str) -> None:
         if errors is not None:
@@ -145,33 +184,27 @@ def parse_pageviews_stream(
             continue
         domain, raw_title, count_text, _ = fields
         try:
-            language = language_of[domain]
+            keys = keys_of[domain]
         except KeyError:
-            language = language_of[domain] = _tracked_language(domain, languages)
-        if language is None:
+            language = _tracked_language(domain, languages)
+            keys = keys_of[domain] = None if language is None else memo[language]
+        if keys is None:
             continue
-        if not raw_title:
-            tally(line_number, "empty title")
-            continue
-        try:  # the common count inline; util.parse_count words every refusal
-            if not (count_text.isascii() and count_text.isdigit()):
+        key = keys[raw_title]
+        try:  # the common line inline; _refusal orders the reasons of the rest
+            if key.__class__ is str or not (count_text.isascii() and count_text.isdigit()):
                 raise ValueError
             views = int(count_text)
         except ValueError:
-            try:
-                views = parse_count(count_text, "view count")
-            except ValueError as exc:
-                tally(line_number, str(exc))
-                continue
-        title = title_of[raw_title]
-        if title is None:
-            tally(line_number, BAD_TITLE)
+            tally(line_number, _refusal(key, count_text))
             continue
-        yield new_record(ViewRecord, (language, title, views))
+        totals[key] = get(key, 0) + views
+    return totals
 
 
-def aggregate_views(records: Iterable[ViewRecord]) -> dict[tuple[str, str], int]:
-    """Exact integer totals per (language, title); order- and shard-independent."""
+def aggregate_views(records: Iterable[tuple[str, str, int]]) -> dict[tuple[str, str], int]:
+    """Exact integer totals per (language, title) of ``(language, title,
+    views)`` triples; order- and shard-independent."""
     totals: dict[tuple[str, str], int] = {}
     get = totals.get
     for language, title, views in records:

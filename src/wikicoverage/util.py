@@ -28,7 +28,10 @@ def normalize_pageview_title(title: str) -> str:
     """Canonical underscore form of a pageviews title.
 
     Pageview dumps percent-encode some characters; decode them so the title
-    joins with sitelink-derived titles.  Invalid escapes pass through as-is.
+    joins with sitelink-derived titles.  A malformed escape passes through
+    as-is (``A%zz`` stays ``A%zz``), but well-formed escapes of bytes that are
+    not UTF-8 decode to U+FFFD (``A%E9`` becomes ``A\ufffd``), so ``A%E9``
+    and ``A%E8`` give the same title.
     """
     return unquote(title).replace(" ", "_")
 

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wikicoverage.report
+import wikicoverage.usage
 from wikicoverage.dump import ParseIssue
 from wikicoverage.errors import ReadershipTableError
 from wikicoverage.report import usage_stage
@@ -16,7 +18,6 @@ from wikicoverage.usage import (
     BAD_TITLE,
     ReadershipRecord,
     TitleMemo,
-    ViewRecord,
     aggregate_views,
     language_list_problem,
     merge_views,
@@ -28,25 +29,25 @@ from wikicoverage.usage import (
 
 
 def parse_one(line, languages=None):
-    """The records and the tallied issues of a one-line pageviews file."""
-    return list(parse_pageviews_stream([line], languages, errors=(errors := []))), errors
+    """The totals and the tallied issues of a one-line pageviews file."""
+    return parse_pageviews_stream([line], languages, errors=(errors := [])), errors
 
 
 class TestParseLine:
     def test_plain_wikipedia_line(self):
-        assert parse_one("en Main_Page 42 0") == ([ViewRecord("en", "Main_Page", 42)], [])
+        assert parse_one("en Main_Page 42 0") == ({("en", "Main_Page"): 42}, [])
 
     def test_mobile_domain_folds_into_base_language(self):
-        assert parse_one("en.m Foo 7 0") == ([ViewRecord("en", "Foo", 7)], [])
+        assert parse_one("en.m Foo 7 0") == ({("en", "Foo"): 7}, [])
 
     def test_zero_domain_folds_into_base_language(self):
-        assert parse_one("de.zero Bar 3 0") == ([ViewRecord("de", "Bar", 3)], [])
+        assert parse_one("de.zero Bar 3 0") == ({("de", "Bar"): 3}, [])
 
     def test_non_numeric_count_is_malformed(self):
-        assert parse_one("en Foo x 0") == ([], [ParseIssue(1, "non-numeric view count 'x'")])
+        assert parse_one("en Foo x 0") == ({}, [ParseIssue(1, "non-numeric view count 'x'")])
 
     def test_negative_count_is_malformed(self):
-        assert parse_one("en Foo -1 0") == ([], [ParseIssue(1, "negative view count -1")])
+        assert parse_one("en Foo -1 0") == ({}, [ParseIssue(1, "negative view count -1")])
 
     @pytest.mark.parametrize(
         "count", ["1_000", "\u0663", "+5", "5\t", "\uff15", "-0", "-00"],
@@ -57,58 +58,75 @@ class TestParseLine:
     )
     def test_count_that_is_not_ascii_digits_is_malformed(self, count):
         # int() reads each of these as a number
-        assert parse_one(f"en Foo {count} 0") == ([], [ParseIssue(1, f"non-numeric view count {count!r}")])
+        assert parse_one(f"en Foo {count} 0") == ({}, [ParseIssue(1, f"non-numeric view count {count!r}")])
 
     @pytest.mark.parametrize("count", ["1" * 5000, "0" * 5000, "-" + "1" * 5000], ids=["ones", "zeros", "negative"])
     def test_count_with_more_digits_than_int_reads_is_malformed(self, count):
         # int() refuses more than 4300 digits by default; the reason does not echo them
         lines = [f"en Foo {count} 0\n", "en Bar 5 0\n"]
         errors = []
-        assert list(parse_pageviews_stream(lines, errors=errors)) == [ViewRecord("en", "Bar", 5)]
+        assert parse_pageviews_stream(lines, errors=errors) == {("en", "Bar"): 5}
         assert errors == [ParseIssue(1, "view count too large (5000 digits)")]
 
+    def test_count_of_as_many_digits_as_int_reads_is_kept_and_one_more_is_malformed(self):
+        assert parse_one(f"en Foo {'1' * 4300} 0") == ({("en", "Foo"): int("1" * 4300)}, [])
+        assert parse_one(f"en Foo {'1' * 4301} 0") == ({}, [ParseIssue(1, "view count too large (4301 digits)")])
+
     def test_negative_count_names_its_value(self):
-        assert parse_one("en Foo -4 0") == ([], [ParseIssue(1, "negative view count -4")])
+        assert parse_one("en Foo -4 0") == ({}, [ParseIssue(1, "negative view count -4")])
 
     def test_wrong_field_count_is_malformed(self):
-        assert parse_one("en Foo 42") == ([], [ParseIssue(1, "expected 4 space-separated fields, got 3")])
+        assert parse_one("en Foo 42") == ({}, [ParseIssue(1, "expected 4 space-separated fields, got 3")])
 
     def test_empty_title_is_malformed(self):
-        assert parse_one("en  42 0") == ([], [ParseIssue(1, "empty title")])
+        assert parse_one("en  42 0") == ({}, [ParseIssue(1, "empty title")])
 
     @pytest.mark.parametrize("domain", ["en.d", "en.b", "commons.m", "en.m.d", "EN", "www", "en."])
     def test_untracked_domains_are_skipped(self, domain):
-        assert parse_one(f"{domain} Foo 42 0") == ([], [])
+        assert parse_one(f"{domain} Foo 42 0") == ({}, [])
 
     def test_language_filter_skips_other_languages(self):
-        assert parse_one("de Foo 42 0", languages={"en"}) == ([], [])
-        assert parse_one("en Foo 42 0", languages={"en"}) == ([ViewRecord("en", "Foo", 42)], [])
+        assert parse_one("de Foo 42 0", languages={"en"}) == ({}, [])
+        assert parse_one("en Foo 42 0", languages={"en"}) == ({("en", "Foo"): 42}, [])
 
     def test_percent_encoded_title_is_decoded(self):
-        assert parse_one("en Claude_D%C3%A9sir%C3%A9 5 0") == ([ViewRecord("en", "Claude_Désiré", 5)], [])
+        assert parse_one("en Claude_D%C3%A9sir%C3%A9 5 0") == ({("en", "Claude_Désiré"): 5}, [])
 
     def test_spaces_from_decoding_become_underscores(self):
-        assert parse_one("en A%20B 1 0") == ([ViewRecord("en", "A_B", 1)], [])
+        assert parse_one("en A%20B 1 0") == ({("en", "A_B"): 1}, [])
 
     @pytest.mark.parametrize(
         "title", ["Foo%0ABar", "Foo%0aBar", "Foo%09Bar", "Foo%0DBar", "Foo\tBar", "Foo\rBar"]
     )
     def test_title_decoding_to_a_line_or_field_break_is_malformed(self, title):
-        assert parse_one(f"en {title} 5 0\n") == ([], [ParseIssue(1, BAD_TITLE)])
+        assert parse_one(f"en {title} 5 0\n") == ({}, [ParseIssue(1, BAD_TITLE)])
+
+    # a line that fails two checks is tallied with the first one's reason:
+    # field count, language, empty title, count, then title
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("en Foo%09 x 0\n", "non-numeric view count 'x'"),
+            ("en  x 0\n", "empty title"),
+            (b"en.d Foo\xff 1 0\n", "invalid UTF-8"),
+        ],
+        ids=["bad-count-and-tab-title", "empty-title-and-bad-count", "untracked-domain-and-bad-byte"],
+    )
+    def test_the_first_failed_check_gives_the_reason(self, line, reason):
+        assert parse_one(line) == ({}, [ParseIssue(1, reason)])
 
 
 class TestParseStream:
     def test_malformed_lines_are_tallied_and_skipped(self):
         lines = ["en Foo 1 0\n", "en Bar x 0\n", "en Baz 2 0\n"]
         errors = []
-        records = list(parse_pageviews_stream(lines, errors=errors))
-        assert [r.title for r in records] == ["Foo", "Baz"]
+        assert parse_pageviews_stream(lines, errors=errors) == {("en", "Foo"): 1, ("en", "Baz"): 2}
         assert len(errors) == 1 and errors[0].line_number == 2
 
     def test_counts_that_are_not_ascii_digits_are_tallied_with_their_lines(self):
         lines = ["en Foo 1_000 0\n", "en Bar \u0663 0\n", "en Baz +5 0\n", "en Qux -4 0\n", "en Ok 7 0\n"]
         errors = []
-        assert list(parse_pageviews_stream(lines, errors=errors)) == [ViewRecord("en", "Ok", 7)]
+        assert parse_pageviews_stream(lines, errors=errors) == {("en", "Ok"): 7}
         assert errors == [
             ParseIssue(1, "non-numeric view count '1_000'"),
             ParseIssue(2, "non-numeric view count '\u0663'"),
@@ -119,41 +137,37 @@ class TestParseStream:
     def test_undecodable_line_is_tallied_and_skipped(self):
         shard = io.BytesIO(b"en Alpha 3 0\nen B\xe9ta 2 0\nen Gamma 4 0\n")
         errors = []
-        records = list(parse_pageviews_stream(shard, errors=errors))
-        assert records == [ViewRecord("en", "Alpha", 3), ViewRecord("en", "Gamma", 4)]
+        assert parse_pageviews_stream(shard, errors=errors) == {("en", "Alpha"): 3, ("en", "Gamma"): 4}
         assert [(e.line_number, e.reason) for e in errors] == [(2, "invalid UTF-8")]
 
     def test_byte_lines_parse_like_text_lines(self):
         text = "en Caf\u00e9 1 0\nen.m Foo 2 0\nde Bar 3 0\nen.d Baz 4 0\nen Foo x 0\nen Foo -1 0\n"
         text_errors, byte_errors = [], []
-        from_text = list(parse_pageviews_stream(io.StringIO(text), {"en"}, errors=text_errors))
-        from_bytes = list(
-            parse_pageviews_stream(io.BytesIO(text.encode("utf-8")), {"en"}, errors=byte_errors)
-        )
-        assert from_bytes == from_text == [ViewRecord("en", "Caf\u00e9", 1), ViewRecord("en", "Foo", 2)]
+        from_text = parse_pageviews_stream(io.StringIO(text), {"en"}, errors=text_errors)
+        from_bytes = parse_pageviews_stream(io.BytesIO(text.encode("utf-8")), {"en"}, errors=byte_errors)
+        assert from_bytes == from_text == {("en", "Caf\u00e9"): 1, ("en", "Foo"): 2}
         assert byte_errors == text_errors and len(text_errors) == 2
 
     def test_blank_lines_are_ignored(self):
-        assert list(parse_pageviews_stream(["\n", "en Foo 1 0\n"])) == [
-            ViewRecord("en", "Foo", 1)
-        ]
+        assert parse_pageviews_stream(["\n", "en Foo 1 0\n"]) == {("en", "Foo"): 1}
 
     def test_bad_title_is_tallied_once_per_line_and_memoised_once(self):
-        lines = ["en Foo%0ABar 5 0\n", "en Foo 1 0\n", "en.m Foo%0ABar 2 0\n", "en A\tB 3 0\n"]
+        lines = ["en Foo%0ABar 5 0\n", "en Foo 1 0\n", "en.m Foo%0ABar 2 0\n", "en A\tB 3 0\n", "en  4 0\n"]
         titles = TitleMemo()
         errors = []
-        records = list(parse_pageviews_stream(lines, errors=errors, titles=titles))
-        assert records == [ViewRecord("en", "Foo", 1)]
-        assert [(e.line_number, e.reason) for e in errors] == [(1, BAD_TITLE), (3, BAD_TITLE), (4, BAD_TITLE)]
-        assert titles == {"Foo%0ABar": None, "Foo": "Foo", "A\tB": None}
+        assert parse_pageviews_stream(lines, errors=errors, titles=titles) == {("en", "Foo"): 1}
+        assert [(e.line_number, e.reason) for e in errors] == [
+            (1, BAD_TITLE), (3, BAD_TITLE), (4, BAD_TITLE), (5, "empty title")
+        ]
+        assert titles == {"en": {"Foo%0ABar": BAD_TITLE, "Foo": ("en", "Foo"), "A\tB": BAD_TITLE, "": "empty title"}}
 
     def test_shared_memo_normalises_each_title_once_across_shards(self):
         titles = TitleMemo()
-        first = list(parse_pageviews_stream(["en Caf%C3%A9 1 0\n", "de Foo 2 0\n"], titles=titles))
-        second = list(parse_pageviews_stream(["en.m Caf%C3%A9 3 0\n"], titles=titles))
-        assert first[0].title == second[0].title == "Caf\u00e9"
-        assert first[0].title is second[0].title
-        assert titles == {"Caf%C3%A9": "Caf\u00e9", "Foo": "Foo"}
+        first = parse_pageviews_stream(["en Caf%C3%A9 1 0\n", "de Foo 2 0\n"], titles=titles)
+        second = parse_pageviews_stream(["en.m Caf%C3%A9 3 0\n"], titles=titles)
+        assert first == {("en", "Caf\u00e9"): 1, ("de", "Foo"): 2} and second == {("en", "Caf\u00e9"): 3}
+        assert next(iter(first)) is next(iter(second))
+        assert titles == {"en": {"Caf%C3%A9": ("en", "Caf\u00e9")}, "de": {"Foo": ("de", "Foo")}}
 
 
 _DOMAINS = ["en", "en.m", "de.zero", "de", "fr", "en.d", "en.", "commons.m", "www", "EN", "", " ", "zh-min-nan"]
@@ -191,9 +205,9 @@ def _as_bytes(line: str, corrupt: int | None) -> bytes:
 
 
 def reference_stream(lines, languages):
-    """Records and issues of a file, parsed line by line from the rules in
-    :mod:`wikicoverage.usage`'s docstring and the README, with no call into
-    the package."""
+    """(language, title, views) records and issues of a file, parsed line by
+    line from the rules in :mod:`wikicoverage.usage`'s docstring and the
+    README, with no call into the package."""
     records, issues = [], []
     for line_number, line in enumerate(lines, start=1):
         if isinstance(line, bytes):
@@ -233,8 +247,17 @@ def reference_stream(lines, languages):
         if any(c in title for c in "\t\n\r"):
             issues.append(ParseIssue(line_number, BAD_TITLE))
             continue
-        records.append(ViewRecord(language, title, int(count)))
+        records.append((language, title, int(count)))
     return records, issues
+
+
+def reference_totals(lines, languages):
+    """:func:`reference_stream`'s records summed per (language, title), and its issues."""
+    records, issues = reference_stream(lines, languages)
+    totals = {}
+    for language, title, views in records:
+        totals[language, title] = totals.get((language, title), 0) + views
+    return totals, issues
 
 
 class TestStreamAgreesWithLineParser:
@@ -245,28 +268,28 @@ class TestStreamAgreesWithLineParser:
     )
     @settings(max_examples=300, deadline=None)
     def test_text_and_bytes_match_the_per_line_reference(self, lines, languages, corrupt):
+        titles = TitleMemo()  # shared by both calls, as the usage stage shares it between files
         errors = []
-        records = list(parse_pageviews_stream(lines, languages, errors=errors))
-        assert (records, errors) == reference_stream(lines, languages)
+        totals = parse_pageviews_stream(lines, languages, errors=errors, titles=titles)
+        assert (totals, errors) == reference_totals(lines, languages)
 
         corrupt += [None] * (len(lines) - len(corrupt))
         byte_lines = [_as_bytes(line, at) for line, at in zip(lines, corrupt)]
         errors = []
-        records = list(parse_pageviews_stream(byte_lines, languages, errors=errors, titles=TitleMemo()))
-        assert (records, errors) == reference_stream(byte_lines, languages)
+        totals = parse_pageviews_stream(byte_lines, languages, errors=errors, titles=titles)
+        assert (totals, errors) == reference_totals(byte_lines, languages)
 
 
 class TestAggregate:
     def test_totals_are_summed(self):
-        records = [ViewRecord("en", "Foo", 2), ViewRecord("en", "Foo", 3)]
-        assert aggregate_views(records) == {("en", "Foo"): 5}
+        assert aggregate_views([("en", "Foo", 2), ("en", "Foo", 3)]) == {("en", "Foo"): 5}
 
     def test_empty_input_gives_empty_mapping(self):
         assert aggregate_views([]) == {}
 
     def test_mobile_fold_preserves_language_sum(self):
         lines = ["en Foo 2 0\n", "en.m Foo 3 0\n", "en.m Bar 4 0\n"]
-        totals = aggregate_views(parse_pageviews_stream(lines))
+        totals = parse_pageviews_stream(lines)
         assert totals == {("en", "Foo"): 5, ("en", "Bar"): 4}
         assert sum(totals.values()) == 9
 
@@ -274,19 +297,16 @@ class TestAggregate:
     @settings(max_examples=40)
     def test_sharding_never_changes_totals(self, seed, shards):
         rng = random.Random(seed)
-        records = [
-            ViewRecord(
-                rng.choice(["en", "de"]),
-                rng.choice(["A", "B", "C", "D"]),
-                rng.randint(0, 50),
-            )
+        lines = [
+            f"{rng.choice(['en', 'de'])} {rng.choice(['A', 'B', 'C', 'D'])} {rng.randint(0, 50)} 0\n"
             for _ in range(rng.randint(0, 200))
         ]
-        single_pass = aggregate_views(records)
+        single_pass = parse_pageviews_stream(lines)
         parts = [[] for _ in range(shards)]
-        for record in records:
-            parts[rng.randrange(shards)].append(record)
-        sharded = merge_views(*[aggregate_views(part) for part in parts])
+        for line in lines:
+            parts[rng.randrange(shards)].append(line)
+        titles = TitleMemo()
+        sharded = merge_views(*[parse_pageviews_stream(part, titles=titles) for part in parts])
         assert sharded == single_pass
 
     def test_usage_stage_with_one_memo_equals_independent_shards(self, tmp_path):
@@ -304,8 +324,7 @@ class TestAggregate:
         independent = []
         for path in paths:
             with open(path, "rb") as handle:
-                records = parse_pageviews_stream(handle, {"en", "de"}, errors=independent_issues)
-                independent.append(aggregate_views(records))
+                independent.append(parse_pageviews_stream(handle, {"en", "de"}, errors=independent_issues))
         assert views == merge_views(*independent)
         assert issues == independent_issues
         assert [(i.line_number, i.reason) for i in issues] == [
@@ -314,6 +333,31 @@ class TestAggregate:
         assert views == {("en", "Foo"): 6, ("en", "Caf\u00e9"): 6, ("de", "Foo"): 10, ("en", "A_B"): 8}
         with open(tmp_path / "views.tsv", encoding="utf-8") as source:
             assert read_views_tsv(source) == views
+
+    def test_usage_stage_decodes_each_language_title_once_and_shares_its_key(self, tmp_path, monkeypatch):
+        decoded = []
+
+        def counting(raw):
+            decoded.append(raw)
+            return normalize(raw)
+
+        def recording(*args, **kwargs):
+            shards.append(parse(*args, **kwargs))
+            return shards[-1]
+
+        normalize, parse, shards = wikicoverage.usage.normalize_pageview_title, parse_pageviews_stream, []
+        monkeypatch.setattr(wikicoverage.usage, "normalize_pageview_title", counting)
+        monkeypatch.setattr(wikicoverage.report, "parse_pageviews_stream", recording)
+        paths = [tmp_path / "pageviews-0.txt", tmp_path / "pageviews-1.txt"]
+        paths[0].write_bytes(b"en Caf%C3%A9 1 0\nen.m Caf%C3%A9 2 0\nde Caf%C3%A9 3 0\nen Foo 4 0\n")
+        paths[1].write_bytes(b"en Foo 5 0\nen.zero Caf%C3%A9 6 0\nde Foo 7 0\n")
+        views, _ = usage_stage(paths, None, tmp_path / "views.tsv")
+
+        assert sorted(decoded) == ["Caf%C3%A9", "Caf%C3%A9", "Foo", "Foo"]  # en and de each once
+        assert views == {("en", "Caf\u00e9"): 9, ("de", "Caf\u00e9"): 3, ("en", "Foo"): 9, ("de", "Foo"): 7}
+        first, second = ({key: key for key in shard} for shard in shards)
+        assert first[("en", "Caf\u00e9")] is second[("en", "Caf\u00e9")]
+        assert first[("en", "Foo")] is second[("en", "Foo")]
 
     def test_merge_adds_later_parts_into_the_first_and_returns_it(self):
         first = {("en", "A"): 1, ("en", "B"): 2}
@@ -358,10 +402,7 @@ class TestAggregate:
 
     def test_thousand_records_in_four_shards_match_single_pass(self):
         rng = random.Random(42)
-        records = [
-            ViewRecord("en", f"T{rng.randint(1, 30)}", rng.randint(0, 9))
-            for _ in range(1000)
-        ]
+        records = [("en", f"T{rng.randint(1, 30)}", rng.randint(0, 9)) for _ in range(1000)]
         shards = [records[i::4] for i in range(4)]
         assert merge_views(*[aggregate_views(s) for s in shards]) == aggregate_views(records)
 

@@ -54,7 +54,7 @@ class TestParseCount:
 
 def _pageview_reason(count):
     errors = []
-    assert list(parse_pageviews_stream([f"en Foo {count} 0\n"], errors=errors)) == []
+    assert parse_pageviews_stream([f"en Foo {count} 0\n"], errors=errors) == {}
     (issue,) = errors
     raise ValueError(issue.reason)
 
@@ -123,6 +123,12 @@ class TestTitleNormalization:
 
     def test_pageview_invalid_escape_passes_through(self):
         assert normalize_pageview_title("100%_club") == "100%_club"
+        assert normalize_pageview_title("A%zz") == "A%zz"
+
+    def test_pageview_escape_of_a_byte_that_is_not_utf8_becomes_a_replacement_character(self):
+        # views.tsv keys on this form, so two such titles total under one key
+        assert normalize_pageview_title("A%E9") == normalize_pageview_title("A%E8") == "A\ufffd"
+        assert parse_pageviews_stream(["en A%E9 1 0\n", "en A%E8 2 0\n"]) == {("en", "A\ufffd"): 3}
 
     def test_pageview_decoded_space_becomes_underscore(self):
         assert normalize_pageview_title("A%20B") == "A_B"
