@@ -2,17 +2,12 @@
 
 Country-valued properties (country, citizenship, country of origin) match the
 target directly.  Place-valued properties (place of birth, location) go
-through a geographic index: first pass collects every item's country-chain
-claims, then a bounded breadth-first walk resolves each place.
+through a geographic index of every item's country-chain claims, built as the
+items pass in one read; once they have all passed, a bounded breadth-first
+walk resolves each place.
 """
 
-from wikicoverage import (
-    EntityId,
-    RuleSet,
-    SlimEntity,
-    attribute_all,
-    build_geo_index,
-)
+from wikicoverage import EntityId, RuleSet, SlimEntity, attribute_all
 from wikicoverage.attribution import render_provenance
 
 Q, P = EntityId.item, EntityId.prop
@@ -35,13 +30,15 @@ entities = [
     SlimEntity(Q(600), {P(17): (Q(30),), P(31): (Q(4167410),)}),
 ]
 
-index = build_geo_index(entities, rules)
+# one read of the items, here a one-shot stream: attribute_all fills the geo
+# index as they pass, then walks each place.  Q500's birthplace walk goes
+# round the Q111/Q112 cycle, stops, and finds no target
+index = {}
+results = attribute_all(iter(entities), index, rules)
 print(f"\ngeo index has {len(index)} entries")
 for item, countries in sorted(index.items(), key=lambda kv: kv[0].number):
     print(f"  {item} -> {', '.join(str(c) for c in countries)}")
 
-# Q500's birthplace walk goes round the Q111/Q112 cycle, stops, and finds no target
-results = attribute_all(entities, index, rules)
 print("\nattribution results:")
 for item, paths in sorted(results.items(), key=lambda kv: kv[0].number):
     via = render_provenance(paths) or "-"

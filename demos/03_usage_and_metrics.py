@@ -53,9 +53,9 @@ entities = [
     SlimEntity(Q(183), {P(17): (Q(183),)}, {"enwiki": "Germany"}),
     SlimEntity(Q(22686), {P(27): (Q(30),)}, {"enwiki": "Donald Trump"}),
 ]
-# the metrics need only each item's related flag (02_attribution.py derives
+# the metrics need only the set of related items (02_attribution.py derives
 # it): the United States and Donald Trump relate to Q30, Germany does not
-related = {Q(30): True, Q(183): False, Q(22686): True}
+related = {Q(30), Q(22686)}
 
 readership = parse_readership_table(io.StringIO(READERSHIP))
 rows, failures = compute_all(build_article_sets(entities, {"en"}), related, views, readership)

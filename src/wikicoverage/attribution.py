@@ -3,9 +3,14 @@
 Two families of rules apply.  Direct properties (country, citizenship, country
 of origin) relate an item when any claim value equals the target country
 itself.  Place properties (place of birth, location) point at places, not
-countries, so the place is resolved transitively: a geographic index built in
-a first pass maps every item to its country-chain claim values, and a bounded
-breadth-first walk over that index decides whether the target is reachable.
+countries, so the place is resolved transitively: a geographic index maps
+every item to its country-chain claim values, and a bounded breadth-first
+walk over that index decides whether the target is reachable.
+
+:func:`attribute_all` reads its items once, as a stream: the geo index is
+built from the records as they pass, and until it is complete each item
+leaves behind only its id, its direct paths and its place-claim values.  The
+places are walked once the stream ends.
 
 Every satisfied claim contributes one provenance path: ``(property, entity,
 ..., target)``, and an item is related exactly when it has one.  Direct paths
@@ -26,11 +31,11 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 from .entities import ITEM, PROPERTY, EntityId, SlimEntity, id_pattern
 from .errors import DuplicateItemError, RulesError
-from .util import parse_count, paused_gc, read_tsv
+from .util import iter_tsv, parse_count
 
 COUNTRY = EntityId.prop(17)
 PLACE_OF_BIRTH = EntityId.prop(19)
@@ -99,7 +104,7 @@ class RuleSet:
 
 
 def build_geo_index(entities: Iterable[SlimEntity], rules: RuleSet) -> dict[EntityId, tuple[EntityId, ...]]:
-    """First pass: map each item to its country-chain claim values, in claim order."""
+    """Map each item to its country-chain claim values, in claim order."""
     index: dict[EntityId, tuple[EntityId, ...]] = {}
     for entity in entities:
         values: list[EntityId] = []
@@ -163,6 +168,40 @@ class _Chains(dict):
         return chain
 
 
+def _direct_paths(claims: Mapping[EntityId, tuple[EntityId, ...]], rules: RuleSet) -> Provenance:
+    """An item's direct property matches, in path order, from its claims."""
+    target = rules.target
+    paths: Provenance = ()
+    for prop in rules.path_order[0]:
+        matches = claims.get(prop, ()).count(target)
+        if matches:
+            paths += ((prop, target),) * matches
+    return paths
+
+
+def _places(
+    claims: Mapping[EntityId, tuple[EntityId, ...]], rules: RuleSet
+) -> tuple[tuple[EntityId, ...], ...]:
+    """An item's own claim-value tuple of each place property, in path order."""
+    return tuple([claims.get(prop, ()) for prop in rules.path_order[1]])
+
+
+def _with_place_paths(
+    direct: Provenance,
+    places: tuple[tuple[EntityId, ...], ...],
+    chain_of: Callable[[EntityId], tuple[EntityId, ...] | None],
+    rules: RuleSet,
+) -> Provenance:
+    """``direct`` followed by one path per place value that reaches the target."""
+    paths = list(direct)
+    for prop, values in zip(rules.path_order[1], places):
+        for value in values:
+            chain = chain_of(value)
+            if chain is not None:
+                paths.append((prop, *chain))
+    return tuple(paths)
+
+
 def attribute_item(
     entity: SlimEntity, index: GeoIndex, rules: RuleSet, chains: _Chains | None = None
 ) -> Provenance:
@@ -172,38 +211,51 @@ def attribute_item(
     docstring); without one, the call keeps its own for this item alone.
     """
     chain_of = (_Chains(index, rules) if chains is None else chains).__getitem__
-    direct_order, place_order = rules.path_order
-    paths: list[tuple[EntityId, ...]] = []
-    for prop in direct_order:
-        for value in entity.claim_values(prop):
-            if value == rules.target:
-                paths.append((prop, rules.target))
-    for prop in place_order:
-        for value in entity.claim_values(prop):
-            chain = chain_of(value)
-            if chain is not None:
-                paths.append((prop, *chain))
-    return tuple(paths)
+    claims = entity.claims
+    return _with_place_paths(_direct_paths(claims, rules), _places(claims, rules), chain_of, rules)
 
 
 def is_excluded(entity: SlimEntity, rules: RuleSet) -> bool:
     """True when the item's instance-of claim hits an excluded class."""
-    return any(v in rules.exclude_classes for v in entity.claim_values(INSTANCE_OF))
+    return not rules.exclude_classes.isdisjoint(entity.claim_values(INSTANCE_OF))
 
 
 def attribute_all(
-    entities: Iterable[SlimEntity], index: GeoIndex, rules: RuleSet
+    entities: Iterable[SlimEntity], index: dict[EntityId, tuple[EntityId, ...]], rules: RuleSet
 ) -> dict[EntityId, Provenance]:
-    """Each input item's provenance; an excluded-class item gets ``()``.
+    """Each input item's provenance, in input order; an excluded-class item gets ``()``.
 
-    Each distinct place is walked once per call (see the module docstring).
+    ``entities`` is read once, as a stream, so a one-shot iterator will do.
+    Each record's country-chain values are added to ``index`` as it passes
+    (:func:`build_geo_index`); ``index`` may already hold places that
+    ``entities`` lack.  Until the stream ends, an item leaves behind only its
+    id, its direct paths and its place-claim values, which are the record's
+    own tuples, never copies.  Then each distinct place is walked once over
+    the complete index (see the module docstring).
     """
-    results: dict[EntityId, Provenance] = {}
-    chains = _Chains(index, rules)
-    for entity in entities:
-        if entity.id in results:
-            raise DuplicateItemError(f"item {entity.id} appears twice in the input stream")
-        results[entity.id] = () if is_excluded(entity, rules) else attribute_item(entity, index, rules, chains)
+    results: dict[EntityId, Provenance] = {}  # direct paths only, until the walks
+    waiting: list[tuple[EntityId, tuple[tuple[EntityId, ...], ...]]] = []  # items with place values
+    excluded = rules.exclude_classes
+
+    def passing() -> Iterator[SlimEntity]:
+        for entity in entities:
+            item = entity.id
+            if item in results:
+                raise DuplicateItemError(f"item {item} appears twice in the input stream")
+            claims = entity.claims
+            if excluded.isdisjoint(claims.get(INSTANCE_OF, ())):
+                results[item] = _direct_paths(claims, rules)
+                places = _places(claims, rules)
+                if any(places):
+                    waiting.append((item, places))
+            else:
+                results[item] = ()
+            yield entity
+
+    index.update(build_geo_index(passing(), rules))
+    chain_of = _Chains(index, rules).__getitem__
+    for item, places in waiting:
+        results[item] = _with_place_paths(results[item], places, chain_of, rules)
     return results
 
 
@@ -291,19 +343,20 @@ def write_attribution_tsv(results: Mapping[EntityId, Provenance], sink: IO[str])
         sink.write(f"{item}\t{flag}\t{render_provenance(provenance)}\n")
 
 
-def read_attribution_tsv(source: Iterable[str]) -> dict[EntityId, bool]:
-    """Each item's related flag from an attribution TSV (:func:`util.read_tsv`,
-    no header); a provenance is matched whole against one pattern, never built.
+def read_attribution_tsv(source: Iterable[str]) -> Iterator[tuple[int, tuple[str, bool]]]:
+    """Each row of an attribution TSV (:func:`util.iter_tsv`, no header) as
+    ``(line number, (item, related))``, in line order.
 
-    A bad item id or provenance, a flag other than ``true``/``false`` and a
-    flag that does not match its provenance are bad rows.  The read runs with
-    the cyclic collector paused (:func:`util.paused_gc`).
+    The item is the text as written: :func:`metrics.join_attribution` matches
+    it to its store record, so it is never parsed.  A provenance is matched
+    whole against one pattern, never built.  A bad provenance, a flag other
+    than ``true``/``false`` and a flag that does not match its provenance are
+    bad rows.
     """
     provenance_valid = _PROVENANCE_RE.fullmatch
 
-    def row(fields: list[str]) -> tuple[EntityId, bool]:
-        item_text, flag, provenance = fields
-        item = EntityId.parse_item(item_text)
+    def row(fields: list[str]) -> tuple[str, bool]:
+        item, flag, provenance = fields
         related = _FLAGS.get(flag)
         if related is None:
             raise ValueError(f"related flag must be true or false, got {flag!r}")
@@ -313,5 +366,4 @@ def read_attribution_tsv(source: Iterable[str]) -> dict[EntityId, bool]:
             raise ValueError(f"related flag {flag} does not match provenance {provenance!r}")
         return item, related
 
-    with paused_gc():
-        return read_tsv(source, ATTRIBUTION_COLUMNS, row, header=False)
+    yield from iter_tsv(source, ATTRIBUTION_COLUMNS, row, header=False)

@@ -17,7 +17,7 @@ from .attribution import read_attribution_tsv
 from .chart import LOG, SCALES
 from .clusters import AGGREGATION_MODES, POOLED
 from .errors import WikiCoverageError
-from .metrics import MetricsRow, build_article_sets, read_metrics_tsv
+from .metrics import MetricsRow, build_article_sets, join_attribution, read_metrics_tsv
 from .report import (
     RunConfig,
     attribute_stage,
@@ -65,10 +65,8 @@ def _cmd_slim(args) -> int:
 
 def _cmd_attribute(args) -> int:
     rules = resolve_rules(args.rules, args.target)
-    related, counts = attribute_stage(
-        load_slim_store(args.slim, rules.required_properties), rules, Path(args.out)
-    )
-    print(f"attributed {len(related)} items, {counts['related_items']} related to {rules.target}")
+    _, counts = attribute_stage(load_slim_store(args.slim, rules.required_properties), rules, Path(args.out))
+    print(f"attributed {counts['entities']} items, {counts['related_items']} related to {rules.target}")
     return 0
 
 
@@ -79,11 +77,13 @@ def _cmd_usage(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    # the store first, so a corrupt one is the first error reported
-    with open(args.slim, encoding="utf-8") as source, paused_gc():
-        article_sets = build_article_sets(read_store_sitelinks(source), args.languages)
-    with open(args.attribution, encoding="utf-8") as handle:
-        related = read_attribution_tsv(handle)
+    # the join reads each store record before its TSV row, so the first bad
+    # line it meets in either file is the error reported
+    related: set = set()
+    with open(args.slim, encoding="utf-8") as store, open(args.attribution, encoding="utf-8") as tsv:
+        with paused_gc():
+            records = join_attribution(read_store_sitelinks(store), read_attribution_tsv(tsv), related)
+            article_sets = build_article_sets(records, args.languages)
     with open(args.views, encoding="utf-8") as handle:
         views = read_views_tsv(handle)
     rows, failures = metrics_stage(

@@ -60,7 +60,7 @@ class UndefinedMetricError(WikiCoverageError):
 
 
 class IncompleteAttributionError(WikiCoverageError):
-    """An article's owning item has no attribution entry."""
+    """The attribution TSV does not list exactly the store's items, in store order."""
 
 
 class TitleConflictError(WikiCoverageError):

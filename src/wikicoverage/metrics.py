@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Mapping
+from typing import IO, AbstractSet, Iterable, Iterator, Mapping, TypeVar
 
 from .entities import EntityId, SlimEntity
 from .errors import (
@@ -47,6 +47,8 @@ METRICS_COLUMNS = (
 )
 # a share as write_metrics_tsv writes it
 _SHARE_RE = re.compile(r"[0-9]+\.[0-9]{6}")
+
+Record = TypeVar("Record")  # a store record: SlimEntity or slimstore.SitelinksRecord
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,54 @@ class MetricsRow:
     @property
     def ravs(self) -> Fraction:
         return Fraction(self.related_views, self.total_views)
+
+
+def join_attribution(
+    records: Iterable[Record], rows: Iterable[tuple[int, tuple[str, bool]]], related: set[EntityId]
+) -> Iterator[Record]:
+    """Yield each store record once its attribution TSV row is matched to it.
+
+    ``records`` come from a store, in item order, and ``rows`` from
+    :func:`attribution.read_attribution_tsv`; the two are read in lockstep, so
+    the TSV must list exactly the store's items, in store order.  Each record
+    is read before its row, so the first bad line met in either file is the
+    one reported; a bad row's ValueError is led by ``attribution TSV``.  A
+    row's item text is compared with its record's id, never parsed.  A TSV
+    that skips, adds or reorders an item raises
+    :class:`IncompleteAttributionError` naming the item and the TSV line.
+    The id of each related record is added to ``related``; nothing else is
+    kept.
+    """
+    rows = iter(rows)
+
+    def next_row() -> tuple[int, tuple[str, bool]] | None:
+        try:
+            return next(rows, None)
+        except ValueError as exc:
+            raise ValueError(f"attribution TSV {exc}") from exc
+
+    line_number = 0
+    for record in records:
+        row = next_row()
+        if row is None:
+            raise IncompleteAttributionError(
+                f"attribution TSV has no row for item {record.id}: its rows end after line {line_number}"
+            )
+        line_number, (item, flag) = row
+        if item != str(record.id):
+            raise IncompleteAttributionError(
+                f"attribution TSV line {line_number}: item {item!r} where the store has {record.id}; "
+                "the TSV lists exactly the store's items, in store order"
+            )
+        if flag:
+            related.add(record.id)
+        yield record
+    row = next_row()
+    if row is not None:
+        line_number, (item, _) = row
+        raise IncompleteAttributionError(
+            f"attribution TSV line {line_number}: item {item!r} is not in the store, which ends before it"
+        )
 
 
 def build_article_sets(
@@ -133,21 +183,17 @@ def reader_share(readership: Iterable[ReadershipRecord], primary: str, count: st
 def count_related(
     language: str,
     articles: Mapping[str, EntityId],
-    related: Mapping[EntityId, bool],
+    related: AbstractSet[EntityId],
     views: Mapping[tuple[str, str], int],
 ) -> tuple[int, int, int]:
     """One walk over a language's article set (title -> item): (related
-    articles, related views, total views).  A title absent from ``views``
-    counts 0 views; an owner without a related flag raises
-    :class:`IncompleteAttributionError`."""
+    articles, related views, total views).  An article is related when its
+    owner is in ``related``; a title absent from ``views`` counts 0 views."""
     related_articles = related_views = total_views = 0
     for title, item in articles.items():
-        flag = related.get(item)
-        if flag is None:
-            raise IncompleteAttributionError(f"{language}:{title!r} owner {item} has no attribution")
         count = views.get((language, title), 0)
         total_views += count
-        if flag:
+        if item in related:
             related_articles += 1
             related_views += count
     return related_articles, related_views, total_views
@@ -156,7 +202,7 @@ def count_related(
 def compute_language_row(
     language: str,
     articles: Mapping[str, EntityId],
-    related: Mapping[EntityId, bool],
+    related: AbstractSet[EntityId],
     views: Mapping[tuple[str, str], int],
     readership: Mapping[str, list[ReadershipRecord]],
 ) -> MetricsRow:
@@ -174,15 +220,15 @@ def compute_language_row(
 
 def compute_all(
     article_sets: Mapping[str, Mapping[str, EntityId]],
-    related: Mapping[EntityId, bool],
+    related: AbstractSet[EntityId],
     views: Mapping[tuple[str, str], int],
     readership: Mapping[str, list[ReadershipRecord]],
     languages: Iterable[str] | None = None,
 ) -> tuple[list[MetricsRow], dict[str, WikiCoverageError]]:
     """One row per language, language-sorted; failures tagged, others produced.
 
-    ``views`` maps (language, title) to total views; ``readership`` maps a
-    language to its readership rows.
+    ``related`` holds the related items, ``views`` maps (language, title) to
+    total views and ``readership`` maps a language to its readership rows.
     """
     requested = sorted(set(languages)) if languages is not None else sorted(article_sets)
     rows: list[MetricsRow] = []

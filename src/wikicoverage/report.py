@@ -20,16 +20,10 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, AbstractSet, Iterable, Iterator, Sequence
 
 from . import __version__
-from .attribution import (
-    RuleSet,
-    attribute_all,
-    build_geo_index,
-    load_rules,
-    write_attribution_tsv,
-)
+from .attribution import RuleSet, attribute_all, load_rules, write_attribution_tsv
 from .chart import LOG, SCALES, ChartData, build_chart_data, render_svg
 from .clusters import (
     AGGREGATION_MODES,
@@ -45,7 +39,7 @@ from .dump import ParseIssue, parse_dump_stream
 from .entities import EntityId, SlimEntity
 from .errors import ConfigError, PipelineStageError, WikiCoverageError
 from .metrics import MetricsRow, build_article_sets, compute_all, write_metrics_tsv
-from .slimstore import load_slim_store, save_slim_store
+from .slimstore import load_slim_store, read_store_sitelinks, save_slim_store
 from .usage import (
     TitleMemo,
     language_list_problem,
@@ -134,9 +128,14 @@ def resolve_rules(rules_path: Path | str | None, target: str | None) -> RuleSet:
 
 @contextmanager
 def stage_errors(stage: str) -> Iterator[None]:
-    """Re-raise an I/O, input or pipeline error in the block as ``PipelineStageError(stage)``."""
+    """Re-raise an I/O, input or pipeline error in the block as ``PipelineStageError(stage)``.
+
+    A ``PipelineStageError`` passes through as it is: an inner stage named it.
+    """
     try:
         yield
+    except PipelineStageError:
+        raise
     except (OSError, ValueError, WikiCoverageError) as exc:
         raise PipelineStageError(stage, exc) from exc
 
@@ -172,20 +171,23 @@ def slim_stage(
 
 
 def attribute_stage(
-    entities: Sequence[SlimEntity], rules: RuleSet, out: Path
-) -> tuple[dict[EntityId, bool], dict[str, int]]:
+    entities: Iterable[SlimEntity], rules: RuleSet, out: Path
+) -> tuple[set[EntityId], dict[str, int]]:
     """Attribute every item to ``rules.target`` and write the attribution TSV.
 
-    Returns each item's related flag and the manifest's counts of geo index
+    ``entities`` is read once, as a stream (:func:`attribution.attribute_all`),
+    so a store can be passed as :func:`slimstore.load_slim_store` yields it.
+    Returns the related items and the manifest's counts of items, geo index
     entries and related items.  The provenance goes only into the TSV: no
     later stage reads it.
     """
+    geo_index: dict[EntityId, tuple[EntityId, ...]] = {}
     with paused_gc():
-        geo_index = build_geo_index(entities, rules)
         attributions = attribute_all(entities, geo_index, rules)
     _write(out, write_attribution_tsv, attributions)
-    related = {item: bool(paths) for item, paths in attributions.items()}
-    return related, {"geo_index_entries": len(geo_index), "related_items": sum(related.values())}
+    related = {item for item, paths in attributions.items() if paths}
+    counts = {"entities": len(attributions), "geo_index_entries": len(geo_index), "related_items": len(related)}
+    return related, counts
 
 
 def usage_stage(
@@ -227,7 +229,7 @@ def usage_stage(
 
 def metrics_stage(
     article_sets: dict[str, dict[str, EntityId]],
-    related: dict[EntityId, bool],
+    related: AbstractSet[EntityId],
     views: dict[tuple[str, str], int],
     readership: Path | str,
     languages: Sequence[str],
@@ -236,8 +238,9 @@ def metrics_stage(
     """Compute the four metrics per language and write the metrics TSV.
 
     ``article_sets`` come from :func:`metrics.build_article_sets`, over the
-    entities in memory or streamed from a store.  Returns the rows, in
-    language order, and the languages that failed.
+    entities in memory or streamed from a store, and ``related`` holds the
+    related items.  Returns the rows, in language order, and the languages
+    that failed.
     """
     rows, failures = compute_all(article_sets, related, views, load_readership(readership), languages)
     _write(out, write_metrics_tsv, rows)
@@ -289,6 +292,12 @@ def _write_manifest(manifest: dict, sink: IO[str]) -> None:
     sink.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _store_records(path: Path, rules: RuleSet) -> Iterator[SlimEntity]:
+    """The store's records, streamed; an error reading them is the ingest stage's."""
+    with stage_errors("ingest"):
+        yield from load_slim_store(path, rules.required_properties)
+
+
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Run every stage and promote the artifacts; see the module docstring."""
     with stage_errors("config"):
@@ -324,7 +333,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         return artifacts[name]
 
     try:
-        # ingest: dump -> entities (+ slim store artifact), or reload a store
+        # ingest: dump -> entities (+ slim store artifact); a store is streamed
+        # into attribution instead, and read again for the article sets
         with stage_errors("ingest"):
             if config.dump is not None:
                 with open(config.dump, "rb") as handle:
@@ -333,8 +343,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                     )
                 counts["store_records"] = len(entities)
             else:
-                entities, dump_issues = load_slim_store(config.slim, rules.required_properties), []
-            counts["entities"] = len(entities)
+                entities, dump_issues = _store_records(config.slim, rules), []
             issues["dump_parse_errors"] = len(dump_issues)
 
         with stage_errors("attribution"):
@@ -354,8 +363,13 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         with stage_errors("metrics"):
             if config.readership is None:
                 raise ConfigError("readership CSV is required to compute metrics")
+            if config.dump is not None:
+                article_sets = build_article_sets(entities, config.languages)
+            else:
+                with open(config.slim, encoding="utf-8") as source, paused_gc():
+                    article_sets = build_article_sets(read_store_sitelinks(source), config.languages)
             rows, failures = metrics_stage(
-                build_article_sets(entities, config.languages),
+                article_sets,
                 related,
                 views,
                 config.readership,

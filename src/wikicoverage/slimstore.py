@@ -23,8 +23,8 @@ header count in both directions, the sitelink checks and the item order.
   the header's ``props=`` properties.  Each distinct token is validated once
   per read, on its first appearance, and equal ids then share one object.
   Since every field is checked on the way in, records are built with
-  :meth:`SlimEntity.trusted`; :func:`load_slim_store` lists them with the
-  cyclic collector paused (:func:`util.paused_gc`).
+  :meth:`SlimEntity.trusted`.  :func:`load_slim_store` streams them from a
+  path; no reader lists them.
 * :func:`read_store_sitelinks` yields only each record's id and sitelinks, for
   the article sets of ``metrics``.  It checks the claims field whole against
   one pattern compiled from ``props=`` and builds no claim; a field that fails
@@ -66,7 +66,7 @@ from .errors import (
     SlimStoreVersionError,
     SlimStoreWriteError,
 )
-from .util import parse_count, paused_gc
+from .util import parse_count
 
 MAGIC = "WCM3"
 
@@ -387,6 +387,8 @@ def save_slim_store(entities: Iterable[SlimEntity], path: Path | str, **kwargs) 
     return count
 
 
-def load_slim_store(path: Path | str, required_props: Iterable[EntityId] = ()) -> list[SlimEntity]:
-    with open(path, encoding="utf-8") as source, paused_gc():
-        return list(read_slim_store(source, required_props))
+def load_slim_store(path: Path | str, required_props: Iterable[EntityId] = ()) -> Iterator[SlimEntity]:
+    """:func:`read_slim_store` over the file at ``path``, which stays open
+    until the last record is read or the stream is closed."""
+    with open(path, encoding="utf-8") as source:
+        yield from read_slim_store(source, required_props)

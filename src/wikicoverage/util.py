@@ -87,16 +87,15 @@ def sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def read_tsv(
+def iter_tsv(
     source: Iterable[str], columns: tuple[str, ...], row: Callable[[list[str]], tuple], header: bool = True
-) -> dict:
-    """Read a tab-separated artifact into ``{key: value}``, in line order.
+) -> Iterator[tuple[int, tuple]]:
+    """Each line of a tab-separated artifact as ``(line number, row(fields))``, in line order.
 
     With ``header``, the first line must be ``columns`` joined by tabs.  Blank
-    lines are skipped; every other line must hold one field per column, and
-    ``row`` turns its fields into a ``(key, value)`` that no earlier line gave.
-    A bad header, a wrong field count, a repeated key and a ValueError from
-    ``row`` each raise ValueError led by ``line N: ``.
+    lines are skipped; every other line must hold one field per column.  A bad
+    header, a wrong field count and a ValueError from ``row`` each raise
+    ValueError led by ``line N: ``.
     """
     lines = iter(source)
     if header:
@@ -104,7 +103,6 @@ def read_tsv(
         if first is None or tuple(first.rstrip("\n").split("\t")) != columns:
             raise ValueError("line 1: expected the header " + repr("\t".join(columns)))
     width = len(columns)
-    result = {}
     for line_number, raw in enumerate(lines, 2 if header else 1):
         line = raw.rstrip("\n")
         if not line:
@@ -113,11 +111,24 @@ def read_tsv(
         try:
             if len(fields) != width:
                 raise ValueError(f"expected {width} fields, got {len(fields)}")
-            key, value = row(fields)
-            if key in result:
-                raise ValueError(f"repeated key {key}")
+            value = row(fields)
         except ValueError as exc:
             raise ValueError(f"line {line_number}: {exc}") from exc
+        yield line_number, value
+
+
+def read_tsv(
+    source: Iterable[str], columns: tuple[str, ...], row: Callable[[list[str]], tuple], header: bool = True
+) -> dict:
+    """Read a tab-separated artifact (:func:`iter_tsv`) into ``{key: value}``, in line order.
+
+    ``row`` turns a line's fields into a ``(key, value)`` that no earlier line
+    gave; a repeated key raises ValueError led by ``line N: ``.
+    """
+    result = {}
+    for line_number, (key, value) in iter_tsv(source, columns, row, header):
+        if key in result:
+            raise ValueError(f"line {line_number}: repeated key {key}")
         result[key] = value
     return result
 

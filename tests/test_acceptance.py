@@ -13,17 +13,18 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from wikicoverage.attribution import RuleSet, attribute_all, build_geo_index
+from wikicoverage.attribution import RuleSet, attribute_all, build_geo_index, read_attribution_tsv
 from wikicoverage.chart import BLUE, RED, color_bucket
 from wikicoverage.clusters import aggregate_cluster
 from wikicoverage.entities import SlimEntity
-from wikicoverage.metrics import MetricsRow, build_article_sets, compute_all, reader_share
-from wikicoverage.report import RunConfig, emit_table, run_pipeline
-from wikicoverage.slimstore import read_slim_store, write_slim_store
+from wikicoverage.metrics import MetricsRow, build_article_sets, compute_all, join_attribution, reader_share
+from wikicoverage.report import RunConfig, attribute_stage, emit_table, run_pipeline
+from wikicoverage.slimstore import load_slim_store, read_slim_store, read_store_sitelinks, write_slim_store
 from wikicoverage.usage import ReadershipRecord
 
 from helpers import (
@@ -131,7 +132,7 @@ class TestMetricsOracleEquivalence:
             "fr": ["FR", "BE"],
         }
         entities = []
-        related_flags = {}
+        related = set()
         number = 1
         for language, article_count in counts.items():
             for i in range(article_count):
@@ -139,7 +140,8 @@ class TestMetricsOracleEquivalence:
                 entities.append(
                     SlimEntity(item, {}, {f"{language}wiki": f"Article {number}"})
                 )
-                related_flags[item] = rng.random() < 0.4
+                if rng.random() < 0.4:
+                    related.add(item)
                 number += 1
         views = {}
         for entity in entities:
@@ -154,9 +156,9 @@ class TestMetricsOracleEquivalence:
             for language, country_list in countries.items()
         }
         article_sets = build_article_sets(entities, languages)
-        return languages, entities, views, readership, article_sets, related_flags
+        return languages, entities, views, readership, article_sets, related
 
-    def oracle(self, languages, entities, related_flags, views, readership):
+    def oracle(self, languages, entities, related, views, readership):
         """Recompute all four metrics per language with plain loops."""
         expected = {}
         for language in languages:
@@ -166,12 +168,12 @@ class TestMetricsOracleEquivalence:
                 if title:
                     titles[title.replace(" ", "_")] = entity.id
             article_count = len(titles)
-            related_articles = sum(1 for item in titles.values() if related_flags[item])
+            related_articles = sum(1 for item in titles.values() if item in related)
             total_views = sum(views.get((language, t), 0) for t in titles)
             related_views = sum(
                 views.get((language, t), 0)
                 for t, item in titles.items()
-                if related_flags[item]
+                if item in related
             )
             rows = readership[language]
             best = max(sorted(rows, key=lambda r: r.country), key=lambda r: r.readers)
@@ -189,10 +191,10 @@ class TestMetricsOracleEquivalence:
 
     def test_three_language_fixture_matches_exact_rational_oracle(self):
         with criterion("metrics oracle equivalence (3 languages, exact rationals)"):
-            languages, entities, views, readership, article_sets, flags = self.build_fixture()
-            rows, failures = compute_all(article_sets, flags, views, readership, languages)
+            languages, entities, views, readership, article_sets, related = self.build_fixture()
+            rows, failures = compute_all(article_sets, related, views, readership, languages)
             assert failures == {}
-            expected = self.oracle(languages, entities, flags, views, readership)
+            expected = self.oracle(languages, entities, related, views, readership)
             for row in rows:
                 want = expected[row.language]
                 assert row.primary_country == want["primary"]
@@ -207,7 +209,7 @@ class TestMetricsOracleEquivalence:
             views = {("en", "Lone_Article"): 10}
             readership = {"en": [ReadershipRecord("en", "US", 5, 9)]}
             rows, failures = compute_all(
-                build_article_sets(entities, ("en",)), {Q(1): True}, views, readership
+                build_article_sets(entities, ("en",)), {Q(1)}, views, readership
             )
             assert failures == {}
             (row,) = rows
@@ -356,6 +358,70 @@ class TestStreamingBounds:
             ratio = large["maxrss_kib"] / small["maxrss_kib"]
             print(f"  peak RSS {small['maxrss_kib']} KiB (10k) vs {large['maxrss_kib']} KiB (300k), ratio {ratio:.2f}")
             assert ratio < 1.5
+
+
+def write_store(path: Path, records: int, links) -> int:
+    """A store of places ``Q1``-``Q10`` (each in country ``Q30`` or ``Q183``) and
+    items ``Q11`` on, each born in one of them; ``links(n)`` is item ``n``'s
+    sitelinks field."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(f"WCM3\ncount={records} props=P17,P19,P27,P31,P276,P495\n")
+        for n in range(1, records + 1):
+            claims = f"P17:Q{30 if n % 2 else 183}" if n <= 10 else f"P19:Q{1 + n % 10}"
+            handle.write(f"Q{n}\t{claims}\t{links(n)}\n")
+    return path.stat().st_size
+
+
+def traced_peak(call) -> int:
+    """The ``tracemalloc`` peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedStore:
+    def test_attribute_holds_no_whole_record(self, tmp_path):
+        # each record's 16 KB title is dropped once the record has passed
+        with criterion("attribute streams the store (2,000 records of 16 KB, peak < 1/4 of the store)"):
+            store = tmp_path / "entities.slim"
+            size = write_store(store, 2_000, lambda n: f"enwiki=T{n}_" + "x" * 16_000)
+            rules = RuleSet()
+            out = tmp_path / "attribution.tsv"
+            peak = traced_peak(
+                lambda: attribute_stage(load_slim_store(store, rules.required_properties), rules, out)
+            )
+            print(f"  traced peak {peak / 2**20:.2f} MiB over a {size / 2**20:.1f} MiB store")
+            assert peak < size / 4
+            related = out.read_text(encoding="utf-8").count("\ttrue\t")
+            assert related == 5 + 995  # the places in Q30, and the items born there
+
+    def test_the_metrics_join_holds_no_per_item_map(self, tmp_path):
+        # no record links an English article, one in a hundred is related:
+        # the join may keep those, and nothing per item
+        with criterion("metrics join (20,000 records, peak < 16 B per record)"):
+            store = tmp_path / "entities.slim"
+            write_store(store, 20_000, lambda n: f"frwiki=T{n}")
+            tsv = tmp_path / "attribution.tsv"
+            tsv.write_text(
+                "".join(f"Q{n}\ttrue\tP17>Q30\n" if n % 100 == 0 else f"Q{n}\tfalse\t\n" for n in range(1, 20_001)),
+                encoding="utf-8",
+            )
+            related: set = set()
+            sets: dict = {}
+
+            def join():
+                with open(store, encoding="utf-8") as records, open(tsv, encoding="utf-8") as rows:
+                    joined = join_attribution(read_store_sitelinks(records), read_attribution_tsv(rows), related)
+                    sets.update(build_article_sets(joined, ["en"]))
+
+            peak = traced_peak(join)
+            print(f"  traced peak {peak / 1024:.0f} KiB for 20,000 records")
+            assert sets == {"en": {}}
+            assert related == {Q(n) for n in range(100, 20_001, 100)}
+            assert peak < 20_000 * 16
 
 
 class TestDeterminism:

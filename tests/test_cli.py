@@ -358,7 +358,9 @@ class TestChartFlags:
 
 
 class TestCorruptStores:
-    """``metrics`` streams the store, ``attribute`` loads it whole: both fail a bad one alike."""
+    """``attribute`` streams the store, and ``metrics`` joins it in lockstep with
+    the attribution TSV: both fail a bad store alike, and the join reports the
+    first bad line it meets, reading each store record before its TSV row."""
 
     @pytest.fixture
     def chain(self, tmp_path, capsys):
@@ -402,6 +404,42 @@ class TestCorruptStores:
         chain["attribution.tsv"].write_text("not\ta\tvalid\tline\n", encoding="utf-8")
         metrics_err, _ = self.errors(chain, tmp_path, capsys)
         assert metrics_err == "error: line 3: expected 3 tab-separated fields, got 4\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                lambda rows: rows[:1] + rows[2:],
+                "attribution TSV line 2: item 'Q64' where the store has Q60",
+                id="skipped-item",
+            ),
+            pytest.param(
+                lambda rows: rows + ["Q999999\tfalse\t\n"],
+                "attribution TSV line 22: item 'Q999999' is not in the store, which ends before it",
+                id="added-item",
+            ),
+            pytest.param(
+                lambda rows: [rows[0], rows[2], rows[1], *rows[3:]],
+                "attribution TSV line 2: item 'Q64' where the store has Q60",
+                id="swapped-items",
+            ),
+            pytest.param(
+                lambda rows: [rows[0], rows[1].replace("\ttrue\t", "\tyes\t"), *rows[2:]],
+                "attribution TSV line 2: related flag must be true or false, got 'yes'",
+                id="bad-flag",
+            ),
+        ],
+    )
+    def test_an_attribution_tsv_that_breaks_the_join_fails_metrics(self, chain, tmp_path, capsys, edit, message):
+        tsv = chain["attribution.tsv"]
+        tsv.write_text("".join(edit(tsv.read_text(encoding="utf-8").splitlines(keepends=True))), encoding="utf-8")
+        assert run(
+            ["metrics", "--slim", chain["entities.slim"], "--attribution", tsv,
+             "--views", chain["views.tsv"], "--readership", FIXTURE / "readership.csv",
+             "--languages", "en,de", "--out", tmp_path / "metrics.tsv"]
+        ) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "metrics.tsv").exists()
 
     def test_repeated_item_fails_metrics_and_attribute(self, chain, tmp_path, capsys):
         store = chain["entities.slim"]

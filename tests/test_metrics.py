@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wikicoverage.attribution import read_attribution_tsv
 from wikicoverage.entities import SlimEntity
 from wikicoverage.errors import (
     IncompleteAttributionError,
@@ -21,6 +22,7 @@ from wikicoverage.metrics import (
     compute_all,
     compute_language_row,
     count_related,
+    join_attribution,
     primary_country,
     read_metrics_tsv,
     reader_share,
@@ -81,6 +83,81 @@ class TestArticleSets:
         assert sets["zh-min-nan"] == {"A": Q(1)}
 
 
+class TestAttributionJoin:
+    """``join_attribution`` matches each store record to its attribution TSV row."""
+
+    STORE = [SlimEntity(Q(n), {}, {"enwiki": f"T{n}"}) for n in (1, 2, 3)]
+
+    def join(self, lines, store=STORE):
+        related = set()
+        rows = read_attribution_tsv(io.StringIO("".join(f"{line}\n" for line in lines)))
+        records = list(join_attribution(store, rows, related))
+        return records, related
+
+    def test_rows_in_store_order_pass_every_record_and_keep_the_related(self):
+        records, related = self.join(["Q1\ttrue\tP27>Q30", "", "Q2\tfalse\t", "Q3\ttrue\tP17>Q30"])
+        assert records == self.STORE
+        assert related == {Q(1), Q(3)}
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            pytest.param(
+                ["Q1\tfalse\t", "Q3\tfalse\t"],
+                "attribution TSV line 2: item 'Q3' where the store has Q2; "
+                "the TSV lists exactly the store's items, in store order",
+                id="skipped-item",
+            ),
+            pytest.param(
+                ["Q1\tfalse\t", "Q2\tfalse\t"],
+                "attribution TSV has no row for item Q3: its rows end after line 2",
+                id="skipped-last-item",
+            ),
+            pytest.param(
+                ["Q1\tfalse\t", "Q9\tfalse\t", "Q2\tfalse\t", "Q3\tfalse\t"],
+                "attribution TSV line 2: item 'Q9' where the store has Q2; ",
+                id="added-item",
+            ),
+            pytest.param(
+                ["Q1\tfalse\t", "Q2\tfalse\t", "Q3\tfalse\t", "", "Q4\tfalse\t"],
+                "attribution TSV line 5: item 'Q4' is not in the store, which ends before it",
+                id="added-last-item",
+            ),
+            pytest.param(
+                ["Q1\tfalse\t", "Q3\tfalse\t", "Q2\tfalse\t"],
+                "attribution TSV line 2: item 'Q3' where the store has Q2; ",
+                id="swapped-items",
+            ),
+            pytest.param(
+                ["Q1\tfalse\t", "Q1\ttrue\tP27>Q30", "Q2\tfalse\t", "Q3\tfalse\t"],
+                "attribution TSV line 2: item 'Q1' where the store has Q2; ",
+                id="repeated-item",
+            ),
+            pytest.param(
+                ["Q1\tfalse\t", "Q02\tfalse\t", "Q3\tfalse\t"],
+                "attribution TSV line 2: item 'Q02' where the store has Q2; ",
+                id="item-not-written-as-the-writer-writes-it",
+            ),
+            pytest.param([], "attribution TSV has no row for item Q1: its rows end after line 0", id="empty-tsv"),
+        ],
+    )
+    def test_a_wrong_item_list_names_item_and_line(self, lines, message):
+        with pytest.raises(IncompleteAttributionError, match=f"^{re.escape(message)}"):
+            self.join(lines)
+
+    def test_a_bad_row_names_the_file_and_its_line(self):
+        with pytest.raises(ValueError, match="^attribution TSV line 2: related flag must be true or false, got 'maybe'$"):
+            self.join(["Q1\tfalse\t", "Q2\tmaybe\t", "Q3\tfalse\t"])
+
+    def test_each_store_record_is_read_before_its_row(self):
+        def store():
+            yield self.STORE[0]
+            raise ValueError("line 4: bad store record")
+
+        with pytest.raises(ValueError, match="^line 4: bad store record$"):
+            self.join(["Q1\tfalse\t", "Q2\tmaybe\t"], store())
+
+
 class TestPrimaryCountry:
     def test_largest_reader_count_wins(self):
         assert primary_country([rr("en", "US", 600), rr("en", "GB", 150)]) == "US"
@@ -105,12 +182,12 @@ class TestPrimaryCountry:
         assert primary_country(records) == primary_country(scaled)
 
 
-def language_row(articles, flags, views=None, language="en"):
+def language_row(articles, related, views=None, language="en"):
     """The metrics row of one article set, one view per title unless ``views`` is given."""
     if views is None:
         views = {(language, title): 1 for title in articles}
     readership = {language: [rr(language, "US", 1, 1)]}
-    return compute_language_row(language, articles, flags, views, readership)
+    return compute_language_row(language, articles, related, views, readership)
 
 
 class TestReaderShares:
@@ -149,91 +226,83 @@ class TestReaderShares:
 
 class TestArticleShares:
     def build(self, total, related_count):
-        articles = {}
-        flags = {}
-        for n in range(1, total + 1):
-            articles[f"T{n}"] = Q(n)
-            flags[Q(n)] = n <= related_count
-        return articles, flags
+        articles = {f"T{n}": Q(n) for n in range(1, total + 1)}
+        return articles, {Q(n) for n in range(1, related_count + 1)}
 
     def test_three_of_ten_related(self):
-        articles, flags = self.build(10, 3)
-        row = language_row(articles, flags)
+        articles, related = self.build(10, 3)
+        row = language_row(articles, related)
         assert (row.ras, row.related_article_count, row.article_count) == (Fraction(3, 10), 3, 10)
-        assert count_related("en", articles, flags, {}) == (3, 0, 0)
+        assert count_related("en", articles, related, {}) == (3, 0, 0)
 
     def test_none_related_is_zero(self):
-        articles, flags = self.build(7, 0)
-        assert language_row(articles, flags).ras == 0
+        articles, related = self.build(7, 0)
+        assert language_row(articles, related).ras == 0
 
     def test_all_related_is_one(self):
-        articles, flags = self.build(5, 5)
-        assert language_row(articles, flags).ras == 1
+        articles, related = self.build(5, 5)
+        assert language_row(articles, related).ras == 1
 
     def test_empty_article_set_is_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            language_row({}, {})
+            language_row({}, set())
 
     def test_missing_attribution_is_incomplete_input(self):
-        with pytest.raises(IncompleteAttributionError):
-            count_related("en", {"T1": Q(1)}, {}, {})
+        # an article's owner is attributed only through the join with the TSV
+        store = [SlimEntity(Q(1), {}, {"enwiki": "T1"})]
+        with pytest.raises(IncompleteAttributionError, match="^attribution TSV has no row for item Q1"):
+            build_article_sets(join_attribution(store, [], set()), {"en"})
 
     def test_adding_unrelated_article_decreases_share(self):
-        articles, flags = self.build(10, 3)
+        articles, related = self.build(10, 3)
         bigger, more = self.build(11, 3)
-        assert language_row(bigger, more).ras < language_row(articles, flags).ras
+        assert language_row(bigger, more).ras < language_row(articles, related).ras
 
     def test_adding_related_article_increases_share(self):
-        articles, flags = self.build(10, 3)
+        articles, related = self.build(10, 3)
         grown = {**articles, "new": Q(99)}
-        flags[Q(99)] = True
-        assert language_row(grown, flags).ras > Fraction(3, 10)
+        related.add(Q(99))
+        assert language_row(grown, related).ras > Fraction(3, 10)
 
 
 class TestViewShares:
     def fixture(self):
         articles = {"A": Q(1), "B": Q(2), "C": Q(3), "D": Q(4)}
-        flags = {
-            Q(1): True,
-            Q(2): True,
-            Q(3): False,
-            Q(4): False,
-        }
+        related = {Q(1), Q(2)}
         views = {("en", "A"): 30, ("en", "B"): 10, ("en", "C"): 45, ("en", "D"): 15}
-        return articles, flags, views
+        return articles, related, views
 
     def test_forty_of_hundred(self):
-        articles, flags, views = self.fixture()
-        row = language_row(articles, flags, views)
+        articles, related, views = self.fixture()
+        row = language_row(articles, related, views)
         assert (row.ravs, row.related_views, row.total_views) == (Fraction(40, 100), 40, 100)
 
     def test_no_related_articles_is_zero(self):
-        articles, flags, views = self.fixture()
-        flags = dict.fromkeys(flags, False)
-        assert language_row(articles, flags, views).ravs == 0
+        articles, _, views = self.fixture()
+        assert language_row(articles, set(), views).ravs == 0
 
     def test_related_article_without_views_contributes_zero(self):
-        articles, flags, views = self.fixture()
+        articles, related, views = self.fixture()
         del views[("en", "B")]
-        assert count_related("en", articles, flags, views)[1:] == (30, 90)
+        assert count_related("en", articles, related, views)[1:] == (30, 90)
 
     def test_views_outside_the_article_set_are_ignored(self):
-        articles, flags, views = self.fixture()
+        articles, related, views = self.fixture()
         views[("en", "Main_Page")] = 100000
-        assert count_related("en", articles, flags, views)[1:] == (40, 100)
+        assert count_related("en", articles, related, views)[1:] == (40, 100)
 
     def test_zero_total_views_is_undefined(self):
-        articles, flags, _ = self.fixture()
+        articles, related, _ = self.fixture()
         with pytest.raises(UndefinedMetricError):
-            language_row(articles, flags, {})
+            language_row(articles, related, {})
 
     @given(factor=st.integers(1, 500))
     def test_scaling_views_leaves_share_unchanged(self, factor):
-        articles, flags, views = self.fixture()
+        articles, related, views = self.fixture()
         scaled = {key: value * factor for key, value in views.items()}
         assert (
-            language_row(articles, flags, scaled).ravs
-            == language_row(articles, flags, views).ravs
+            language_row(articles, related, scaled).ravs
+            == language_row(articles, related, views).ravs
         )
 
 
@@ -245,12 +314,7 @@ class TestComputeAll:
             SlimEntity(Q(3), {}, {"dewiki": "C", "frwiki": "C"}),
             SlimEntity(Q(4), {}, {"frwiki": "D"}),
         ]
-        flags = {
-            Q(1): True,
-            Q(2): False,
-            Q(3): True,
-            Q(4): False,
-        }
+        related = {Q(1), Q(3)}
         views = {
             ("en", "A"): 6,
             ("en", "B"): 2,
@@ -265,11 +329,11 @@ class TestComputeAll:
             "fr": [rr("fr", "FR", 9, 9), rr("fr", "BE", 1, 1)],
         }
         article_sets = build_article_sets(entities, {"en", "de", "fr"})
-        return article_sets, flags, views, readership
+        return article_sets, related, views, readership
 
     def test_three_language_fixture_matches_per_op_oracles(self):
-        article_sets, flags, views, readership = self.fixture()
-        rows, failures = compute_all(article_sets, flags, views, readership)
+        article_sets, related, views, readership = self.fixture()
+        rows, failures = compute_all(article_sets, related, views, readership)
         assert failures == {}
         by_lang = {row.language: row for row in rows}
         # oracle: values recomputed by hand from the fixture tables above
@@ -284,26 +348,26 @@ class TestComputeAll:
         assert by_lang["fr"].ravs == Fraction(1, 4)
 
     def test_language_without_readership_fails_alone(self):
-        article_sets, flags, views, readership = self.fixture()
+        article_sets, related, views, readership = self.fixture()
         del readership["de"]
-        rows, failures = compute_all(article_sets, flags, views, readership)
+        rows, failures = compute_all(article_sets, related, views, readership)
         assert {row.language for row in rows} == {"en", "fr"}
         assert set(failures) == {"de"}
         assert isinstance(failures["de"], NoReadershipError)
 
     def test_single_language_all_related_fixture_is_all_ones(self):
         entities = [SlimEntity(Q(1), {}, {"enwiki": "Only"})]
-        flags = {Q(1): True}
+        related = {Q(1)}
         views = {("en", "Only"): 10}
         readership = {"en": [rr("en", "US", 3, 7)]}
-        rows, failures = compute_all(build_article_sets(entities, {"en"}), flags, views, readership)
+        rows, failures = compute_all(build_article_sets(entities, {"en"}), related, views, readership)
         assert failures == {}
         (row,) = rows
         assert (row.ppcrw, row.vpc, row.ras, row.ravs) == (1, 1, 1, 1)
 
     def test_rows_come_back_language_sorted(self):
-        article_sets, flags, views, readership = self.fixture()
-        rows, _ = compute_all(article_sets, flags, views, readership)
+        article_sets, related, views, readership = self.fixture()
+        rows, _ = compute_all(article_sets, related, views, readership)
         assert [row.language for row in rows] == ["de", "en", "fr"]
 
     def test_failure_messages_are_exact_and_in_check_order(self):
@@ -312,23 +376,21 @@ class TestComputeAll:
         def fine(lang):
             return [rr(lang, "US", 5, 5)]
 
-        article_sets = {"aa": {}, "ab": {}, "ac": {}, "ad": {}, "ae": {"T": Q(9)}, "af": {"T": Q(1)}}
+        article_sets = {"aa": {}, "ab": {}, "ac": {}, "ad": {}, "af": {"T": Q(1)}}
         readership = {
             "ab": [rr("ab", "US", 0, 0)],
             "ac": [rr("ac", "US", 5, 0)],
             "ad": fine("ad"),
-            "ae": fine("ae"),
             "af": fine("af"),
         }
         languages = [*article_sets, "ag"]
-        rows, failures = compute_all(article_sets, {Q(1): True}, {}, readership, languages)
+        rows, failures = compute_all(article_sets, {Q(1)}, {}, readership, languages)
         assert rows == []
         assert {lang: (type(exc), str(exc)) for lang, exc in failures.items()} == {
             "aa": (NoReadershipError, "no readership rows for this language"),
             "ab": (UndefinedMetricError, "zero total readers"),
             "ac": (UndefinedMetricError, "zero total views_from"),
             "ad": (UndefinedMetricError, "no articles for language 'ad'"),
-            "ae": (IncompleteAttributionError, "ae:'T' owner Q9 has no attribution"),
             "af": (UndefinedMetricError, "zero total views for language 'af'"),
             "ag": (UndefinedMetricError, "no article set for language 'ag'"),
         }
