@@ -58,8 +58,8 @@ def _cmd_slim(args) -> int:
     rules = resolve_rules(args.rules, None)
     dump = contextlib.nullcontext(sys.stdin.buffer) if args.dump == "-" else open(args.dump, "rb")
     with dump as handle:
-        entities, issues = slim_stage(handle, Path(args.out), rules, args.languages)
-    print(f"wrote {len(entities)} entities to {args.out} ({len(issues)} malformed lines skipped)")
+        count, issues, _ = slim_stage(handle, Path(args.out), rules, args.languages)
+    print(f"wrote {count} entities to {args.out} ({len(issues)} malformed lines skipped)")
     return 0
 
 

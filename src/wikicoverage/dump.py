@@ -16,12 +16,10 @@ LF) is a malformed line; a keep-set's codes are the caller's, and the store
 writer refuses one it cannot carry.
 
 Each item is checked field by field as it is projected, so the parser builds
-its records with :meth:`SlimEntity.trusted`.  A caller that keeps every entity
-can pass ``item_ids``, a dict it owns, to share one :class:`EntityId` per
-distinct claim value across the parse: the pipeline's slim stage does, since
-places and countries repeat.  A parse without one interns nothing, because a
-memo would grow with the distinct values of the whole dump and break the
-parser's flat memory.
+its records with :meth:`SlimEntity.trusted`.  It interns no claim value: no
+caller keeps the records (the slim stage renders each to its store line as
+it passes), and a memo would grow with the distinct values of the whole dump
+and break the parser's flat memory.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ def parse_dump_stream(
     *,
     errors: list[ParseIssue] | None = None,
     require_terminator: bool = True,
-    item_ids: dict[int, EntityId] | None = None,
 ) -> Iterator[SlimEntity]:
     """Yield one :class:`SlimEntity` per item entity, in file order.
 
@@ -60,8 +57,6 @@ def parse_dump_stream(
     skipped; the stream keeps going.  A dump that ends without its closing
     ``]`` raises :class:`DumpTruncatedError` unless ``require_terminator`` is
     false, which is the mode used to parse dump fragments split between lines.
-    ``item_ids`` (numeric id -> id) interns claim values for as long as the
-    caller keeps it; see the module docstring.
     """
     if not keep_props:
         raise ValueError("keep_props must be non-empty")
@@ -95,7 +90,7 @@ def parse_dump_stream(
             continue
         if line.endswith(","):
             line = line[:-1]
-        entity, reason = _parse_entity_line(line, prop_by_key, wiki_keys, item_ids)
+        entity, reason = _parse_entity_line(line, prop_by_key, wiki_keys)
         if reason is not None:
             pending_issue = ParseIssue(line_number, reason)
         elif entity is not None:
@@ -117,7 +112,6 @@ def _parse_entity_line(
     line: str,
     prop_by_key: dict[str, EntityId],
     wiki_keys: list[str] | None,
-    item_ids: dict[int, EntityId] | None,
 ) -> tuple[SlimEntity | None, str | None]:
     """Parse one entity line; returns (entity, None), (None, reason) on a
     malformed line, or (None, None) for entities that are simply not items."""
@@ -160,13 +154,7 @@ def _parse_entity_line(
                     continue
                 number = value.get("numeric-id")
                 if type(number) is int and number >= 1:
-                    if item_ids is None:
-                        values.append(_new_id(EntityId, (ITEM, number)))
-                        continue
-                    item = item_ids.get(number)
-                    if item is None:
-                        item = item_ids[number] = _new_id(EntityId, (ITEM, number))
-                    values.append(item)
+                    values.append(_new_id(EntityId, (ITEM, number)))
                     continue
                 try:
                     values.append(EntityId.parse_item(value.get("id")))

@@ -151,6 +151,9 @@ class SlimEntity:
                 raise ValueError(f"claim key must be a property, got {prop}")
             if not values:
                 raise ValueError(f"claim group {prop} is empty")
+            for value in values:
+                if not value.is_item:
+                    raise ValueError(f"claim value must be an item, got {value} under {prop}")
         for wiki, title in self.sitelinks.items():
             if not wiki:
                 raise ValueError("sitelink wiki code is empty")

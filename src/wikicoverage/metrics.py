@@ -31,7 +31,7 @@ from .errors import (
     WikiCoverageError,
 )
 from .usage import COUNTRY_RE, LANGUAGE_RE, ReadershipRecord
-from .util import format_fraction, normalize_sitelink_title, parse_count, read_tsv, sitelink_key
+from .util import drain, format_fraction, normalize_sitelink_title, parse_count, read_tsv, sitelink_key
 
 METRICS_COLUMNS = (
     "language",
@@ -132,31 +132,45 @@ def join_attribution(
         )
 
 
-def build_article_sets(
-    entities: Iterable[SlimEntity], languages: Iterable[str]
-) -> dict[str, dict[str, EntityId]]:
-    """Collect each language's sitelinked titles, normalized to underscores:
-    language -> title -> owning item.
+def collect_article_sets(
+    records: Iterable[Record], languages: Iterable[str], article_sets: dict[str, dict[str, EntityId]]
+) -> Iterator[Record]:
+    """Yield each record once its sitelinked titles are in ``article_sets``.
 
-    Two distinct items claiming the same (language, title) raise
-    :class:`TitleConflictError` naming both ids.
+    ``article_sets`` maps each of ``languages`` to its titles, normalized to
+    underscores, and each title to its owning item: language -> title ->
+    item.  The languages are added when the stream starts, so a stream read
+    to its end leaves one set per language.  Two distinct items claiming the
+    same (language, title) raise :class:`TitleConflictError` naming both ids.
+    Nothing of a record is kept but its titles.
     """
     language_list = sorted(set(languages))
-    by_language: dict[str, dict[str, EntityId]] = {lang: {} for lang in language_list}
+    for language in language_list:
+        article_sets.setdefault(language, {})
     key_to_language = {sitelink_key(lang): lang for lang in language_list}
-    for entity in entities:
-        for wiki, title in entity.sitelinks.items():
+    for record in records:
+        for wiki, title in record.sitelinks.items():
             language = key_to_language.get(wiki)
             if language is None:
                 continue
             normalized = normalize_sitelink_title(title)
-            previous = by_language[language].get(normalized)
-            if previous is not None and previous != entity.id:
+            articles = article_sets[language]
+            previous = articles.get(normalized)
+            if previous is not None and previous != record.id:
                 raise TitleConflictError(
-                    f"{language}:{normalized!r} claimed by both {previous} and {entity.id}"
+                    f"{language}:{normalized!r} claimed by both {previous} and {record.id}"
                 )
-            by_language[language][normalized] = entity.id
-    return by_language
+            articles[normalized] = record.id
+        yield record
+
+
+def build_article_sets(
+    entities: Iterable[SlimEntity], languages: Iterable[str]
+) -> dict[str, dict[str, EntityId]]:
+    """The article sets of ``entities`` (:func:`collect_article_sets`, read to its end)."""
+    article_sets: dict[str, dict[str, EntityId]] = {}
+    drain(collect_article_sets(entities, languages, article_sets))
+    return article_sets
 
 
 def primary_country(readership: Iterable[ReadershipRecord]) -> str:

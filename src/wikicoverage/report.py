@@ -9,6 +9,13 @@ writes a manifest of input digests, counts and error tallies.  Outputs are
 deterministic: the same inputs and configuration produce byte-identical
 files.  A pipeline run stages its artifacts in a temporary directory and
 promotes them only when the whole run succeeds.
+
+No stage of a run holds every entity.  From a dump, each parsed record
+passes through the store writer, which renders it to its store line, then
+through :func:`metrics.collect_article_sets`, which adds its titles, into
+attribution, which pulls the records; the store is written once attribution
+is done.  A store given instead is streamed through the same article-set
+collection and attribution pass, and read once.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, AbstractSet, Iterable, Iterator, Sequence
+from typing import IO, AbstractSet, Any, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .attribution import RuleSet, attribute_all, load_rules, write_attribution_tsv
@@ -37,9 +44,15 @@ from .clusters import (
 )
 from .dump import ParseIssue, parse_dump_stream
 from .entities import EntityId, SlimEntity
-from .errors import ConfigError, PipelineStageError, WikiCoverageError
-from .metrics import MetricsRow, build_article_sets, compute_all, write_metrics_tsv
-from .slimstore import load_slim_store, read_store_sitelinks, save_slim_store
+from .errors import (
+    ConfigError,
+    DuplicateItemError,
+    PipelineStageError,
+    TitleConflictError,
+    WikiCoverageError,
+)
+from .metrics import MetricsRow, collect_article_sets, compute_all, write_metrics_tsv
+from .slimstore import SlimStoreWriter, load_slim_store, save_slim_store
 from .usage import (
     TitleMemo,
     language_list_problem,
@@ -48,7 +61,7 @@ from .usage import (
     parse_pageviews_stream,
     write_views_tsv,
 )
-from .util import paused_gc, percent, sha256_file, sitelink_key
+from .util import drain, paused_gc, percent, sha256_file, sitelink_key
 
 TABLE_COLUMNS = ("language", "primary_country", "ppcrw", "vpc", "ras", "ravs", "articles")
 
@@ -149,25 +162,31 @@ def _write(path: Path, writer, value) -> None:
 
 
 def slim_stage(
-    source: IO[bytes], out: Path, rules: RuleSet, languages: Iterable[str] | None
-) -> tuple[list[SlimEntity], list[ParseIssue]]:
+    source: IO[bytes],
+    out: Path,
+    rules: RuleSet,
+    languages: Iterable[str] | None,
+    consume: Callable[[Iterator[SlimEntity]], Any] = drain,
+) -> tuple[int, list[ParseIssue], Any]:
     """Parse a decompressed dump and write the entities as a slim store at ``out``.
 
     The store keeps the properties ``rules`` need and, when ``languages`` is
-    given, only those languages' sitelinks.  Returns the entities in dump
-    order and the malformed lines skipped.  The stage keeps every entity
-    anyway, so it shares one id per distinct claim value across the parse.
+    given, only those languages' sitelinks.  Each parsed record is rendered
+    to its store line (:class:`slimstore.SlimStoreWriter`) and then handed
+    on, in dump order, to ``consume``, which reads the stream to its end:
+    ``all`` attributes the records and collects the article sets as they
+    pass.  The store is written once the stream ends.  Returns the number of
+    records stored, the malformed lines skipped and what ``consume``
+    returned; no record is kept.
     """
     keep_wikis = None if languages is None else {sitelink_key(lang) for lang in languages}
     issues: list[ParseIssue] = []
-    with paused_gc():
-        entities = list(
-            parse_dump_stream(
-                source, rules.required_properties, keep_wikis, errors=issues, item_ids={}
-            )
-        )
-    save_slim_store(entities, out, keep_props=rules.required_properties)
-    return entities, issues
+    with SlimStoreWriter(rules.required_properties) as writer:
+        parsed = parse_dump_stream(source, rules.required_properties, keep_wikis, errors=issues)
+        with paused_gc():
+            consumed = consume(writer.passing(parsed))
+        count = save_slim_store(writer, out)
+    return count, issues, consumed
 
 
 def attribute_stage(
@@ -237,8 +256,8 @@ def metrics_stage(
 ) -> tuple[list[MetricsRow], dict[str, WikiCoverageError]]:
     """Compute the four metrics per language and write the metrics TSV.
 
-    ``article_sets`` come from :func:`metrics.build_article_sets`, over the
-    entities in memory or streamed from a store, and ``related`` holds the
+    ``article_sets`` are collected from the records as they pass
+    (:func:`metrics.collect_article_sets`), and ``related`` holds the
     related items.  Returns the rows, in language order, and the languages
     that failed.
     """
@@ -292,10 +311,11 @@ def _write_manifest(manifest: dict, sink: IO[str]) -> None:
     sink.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _store_records(path: Path, rules: RuleSet) -> Iterator[SlimEntity]:
-    """The store's records, streamed; an error reading them is the ingest stage's."""
-    with stage_errors("ingest"):
-        yield from load_slim_store(path, rules.required_properties)
+def _staged(stage: str, records: Iterable[Any]) -> Iterator[Any]:
+    """``records``, streamed; an error raised while reading them is ``stage``'s,
+    whichever stage pulls them."""
+    with stage_errors(stage):
+        yield from records
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
@@ -332,24 +352,37 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         artifacts[name] = staging / file_name
         return artifacts[name]
 
+    article_sets: dict[str, dict[str, EntityId]] = {}
+
+    def attribute(records: Iterable[SlimEntity]) -> tuple[set[EntityId], dict[str, int]]:
+        # the ingest stream's records pass through the article sets into
+        # attribution; an error reading them stays the ingest stage's, and a
+        # title conflict the metrics stage's.  A repeated item is the input's
+        # fault too: attribution sees a dump's repeat before the store writer
+        # sorts its run (a store's, the store reader refuses first)
+        records = collect_article_sets(_staged("ingest", records), config.languages, article_sets)
+        with stage_errors("attribution"):
+            try:
+                return attribute_stage(records, rules, stage_path("attribution", "attribution.tsv"))
+            except DuplicateItemError as exc:
+                raise PipelineStageError("ingest", exc) from exc
+            except TitleConflictError as exc:
+                raise PipelineStageError("metrics", exc) from exc
+
     try:
-        # ingest: dump -> entities (+ slim store artifact); a store is streamed
-        # into attribution instead, and read again for the article sets
+        # ingest: dump -> slim store artifact, or a store as it is; either
+        # stream is attributed as it passes, with the article sets collected
         with stage_errors("ingest"):
             if config.dump is not None:
                 with open(config.dump, "rb") as handle:
-                    entities, dump_issues = slim_stage(
-                        handle, stage_path("slim", "entities.slim"), rules, config.languages
+                    counts["store_records"], dump_issues, (related, attribution_counts) = slim_stage(
+                        handle, stage_path("slim", "entities.slim"), rules, config.languages, attribute
                     )
-                counts["store_records"] = len(entities)
             else:
-                entities, dump_issues = _store_records(config.slim, rules), []
+                dump_issues = []
+                store = load_slim_store(config.slim, rules.required_properties)
+                related, attribution_counts = attribute(store)
             issues["dump_parse_errors"] = len(dump_issues)
-
-        with stage_errors("attribution"):
-            related, attribution_counts = attribute_stage(
-                entities, rules, stage_path("attribution", "attribution.tsv")
-            )
             counts.update(attribution_counts)
 
         with stage_errors("usage"):
@@ -363,11 +396,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         with stage_errors("metrics"):
             if config.readership is None:
                 raise ConfigError("readership CSV is required to compute metrics")
-            if config.dump is not None:
-                article_sets = build_article_sets(entities, config.languages)
-            else:
-                with open(config.slim, encoding="utf-8") as source, paused_gc():
-                    article_sets = build_article_sets(read_store_sitelinks(source), config.languages)
             rows, failures = metrics_stage(
                 article_sets,
                 related,

@@ -37,11 +37,15 @@ line.  The header is enforced per record: a claim key must be one of
 wiki, or does not follow the record before it in item order, is corruption
 naming its line.
 
-The writer holds each record to the header it writes: a claim key outside
-``keep_props`` or a wiki code holding ``=``, ``|``, tab, CR or LF raises
-ValueError, and a repeated item raises :class:`DuplicateItemError`, before
-anything is written, so the writer never leaves a store that its reader
-rejects or reads back otherwise.
+The writer (:class:`SlimStoreWriter`) takes records in any order.  It holds
+each record to the header it writes as the record arrives: a claim key
+outside ``keep_props`` or a wiki code holding ``=``, ``|``, tab, CR or LF
+raises ValueError.  It renders each record to its line at once and keeps at
+most :data:`RUN_CHARS` characters of lines, spilling each full run, sorted,
+to a temporary file; the store is the merge of the runs.  A repeated item
+raises :class:`DuplicateItemError`: before anything is written when both
+records are in one run, while the merge is written otherwise.  So the writer
+never leaves a store that its reader rejects or reads back otherwise.
 :func:`save_slim_store` writes beside the target file and renames over it
 only on success, so a refused or failed write never truncates the store
 already there.
@@ -49,11 +53,15 @@ already there.
 
 from __future__ import annotations
 
+import heapq
 import os
 import re
+import tempfile
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress, islice
+from operator import eq, itemgetter
 from pathlib import Path
 from sys import intern
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
@@ -78,6 +86,11 @@ _UNESCAPES = {"25": "%", "09": "\t", "7C": "|", "0A": "\n", "0D": "\r"}
 _ITEM_TOKEN = id_pattern(ITEM)  # the item ids EntityId.parse_item accepts
 _WIKI_BREAK_RE = re.compile(r"[=|\t\n\r]")  # wiki codes are stored unescaped
 _new_tuple = tuple.__new__  # skips NamedTuple's Python-level __new__
+
+# The most rendered store text the writer holds, in characters.  A full run is
+# sorted and spilled to a temporary file; a 9 GB store (90M items) spills
+# about 270 runs, far below the usual limit of 1024 open files.
+RUN_CHARS = 1 << 25
 
 
 def _escape_title(title: str) -> str:
@@ -106,60 +119,163 @@ class StoreHeader:
     props: tuple[EntityId, ...]
 
 
+_first = itemgetter(0)  # a sorted run's (item number, line) pair: its number
+_line = itemgetter(1)  # and its line
+_number = itemgetter(1)  # an EntityId's number, its second field
+_item_token = "Q%d".__mod__
+
+
 def _record_line(entity: SlimEntity) -> str:
+    """The store line of ``entity``.  Each id is formatted from its number,
+    with no ``str()`` call per id."""
     claims = ";".join(
-        f"{prop}:" + ",".join(map(str, values))
-        for prop, values in sorted(entity.claims.items(), key=lambda kv: kv[0].number)
+        [
+            "P%d:" % prop.number + ",".join(map(_item_token, map(_number, values)))
+            for prop, values in sorted(entity.claims.items())
+        ]
     )
-    links = "|".join(
-        f"{wiki}={_escape_title(title)}" for wiki, title in sorted(entity.sitelinks.items())
-    )
-    return f"{entity.id}\t{claims}\t{links}\n"
+    links = "|".join([f"{wiki}={_escape_title(title)}" for wiki, title in sorted(entity.sitelinks.items())])
+    return "Q%d\t%s\t%s\n" % (entity.id.number, claims, links)
+
+
+def _line_number(line: str) -> int:
+    """The item number a store line starts with."""
+    return int(line[1 : line.index("\t")])
+
+
+def _spilled(run: IO[str]) -> Iterator[tuple[int, str]]:
+    """The (item number, line) pairs of a spilled run, from its start."""
+    run.seek(0)
+    for line in run:
+        yield _line_number(line), line
+
+
+class SlimStoreWriter:
+    """Writes records given in any order as one store, sorted by item number.
+
+    :meth:`add` holds each record to the header and renders it to its store
+    line as it arrives.  The writer holds at most :data:`RUN_CHARS`
+    characters of lines: a full run is sorted and spilled to a temporary
+    file, so writing a store takes about its size in ``TMPDIR`` when it does
+    not fit in one run.  :meth:`write` (or :func:`save_slim_store`) then
+    writes the header, whose count is known by then, and a merge of the
+    spilled runs and the last run, which stays in memory.  A repeated item is
+    two adjacent equal numbers: inside one run it raises
+    :class:`DuplicateItemError` before anything is written, across runs while
+    the merge is written.
+    Close the writer, or use it as a context manager, to drop the spilled
+    runs.
+    """
+
+    def __init__(self, keep_props: Iterable[EntityId]):
+        self._props = frozenset(keep_props)
+        self.count = 0
+        self._storable: set[str] = set()  # the wiki codes checked so far
+        self._run: list[str] = []  # rendered lines, in arrival order
+        self._run_chars = 0
+        self._spills: list[IO[str]] = []
+
+    def __enter__(self) -> "SlimStoreWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Drop the spilled runs."""
+        while self._spills:
+            self._spills.pop().close()
+
+    def add(self, record: SlimEntity) -> None:
+        """Render ``record`` into the current run, spilling the run once full.
+
+        A claim key outside ``keep_props`` or a wiki code the store cannot
+        carry (:func:`unstorable_wiki_code`) raises ValueError naming the
+        item.  An OSError while rendering or spilling raises
+        :class:`SlimStoreWriteError`.
+        """
+        if not record.claims.keys() <= self._props:
+            extra = min(record.claims.keys() - self._props, key=lambda p: p.sort_key)
+            raise ValueError(f"item {record.id}: claim key {extra} is not in keep_props")
+        if not record.sitelinks.keys() <= self._storable:
+            problem = unstorable_wiki_code(record.sitelinks.keys() - self._storable)
+            if problem:
+                raise ValueError(f"item {record.id}: {problem}")
+            self._storable.update(record.sitelinks)
+        try:
+            line = _record_line(record)
+            self._run.append(line)
+            self._run_chars += len(line)
+            if self._run_chars >= RUN_CHARS:
+                self._spill()
+        except OSError as exc:
+            raise SlimStoreWriteError(
+                f"write failed before the first record: {exc}", records_written=0
+            ) from exc
+        self.count += 1
+
+    def passing(self, records: Iterable[SlimEntity]) -> Iterator[SlimEntity]:
+        """:meth:`add` each record, then yield it."""
+        for record in records:
+            self.add(record)
+            yield record
+
+    def _sorted_run(self) -> list[tuple[int, str]]:
+        """The current run as sorted (item number, line) pairs, which starts a
+        new run; a repeated item raises.  The pairs live only until the run is
+        spilled or written, so a held line costs no pair."""
+        lines, self._run, self._run_chars = self._run, [], 0
+        run = sorted(zip(map(_line_number, lines), lines), key=_first)
+        numbers = list(map(_first, run))
+        repeated = next(compress(numbers, map(eq, numbers, islice(numbers, 1, None))), None)
+        if repeated is not None:
+            raise DuplicateItemError(f"item Q{repeated} appears twice in the input stream")
+        return run
+
+    def _spill(self) -> None:
+        run = self._sorted_run()
+        spill = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+        self._spills.append(spill)
+        spill.writelines(map(_line, run))
+
+    def write(self, sink: IO[str]) -> int:
+        """Write the store to ``sink``, once; returns the record count.
+
+        A failed write raises :class:`SlimStoreWriteError` with the number of
+        records that made it out before the failure.  The header lists
+        ``keep_props``, the properties the parse kept.
+        """
+        last = self._sorted_run()
+        props = ",".join(str(prop) for prop in sorted(self._props, key=_number))
+        written = previous = 0
+        try:
+            sink.write(MAGIC + "\n")
+            sink.write(f"count={self.count} props={props}\n")
+            for number, line in heapq.merge(*map(_spilled, self._spills), last, key=_first):
+                if number == previous:
+                    raise DuplicateItemError(f"item Q{number} appears twice in the input stream")
+                previous = number
+                sink.write(line)
+                written += 1
+        except OSError as exc:
+            raise SlimStoreWriteError(
+                f"write failed after {written} of {self.count} records: {exc}",
+                records_written=written,
+            ) from exc
+        return self.count
 
 
 def write_slim_store(entities: Iterable[SlimEntity], sink: IO[str], *, keep_props: Iterable[EntityId]) -> int:
-    """Write entities (re-sorted by id number) to ``sink``; returns the count.
+    """Write entities, in any order, as a store to ``sink``; returns the count.
 
-    The header lists ``keep_props``, the properties the parse kept.  A failed
-    write raises :class:`SlimStoreWriteError` with the number of records that
-    made it out before the failure.  A record with a claim key outside
-    ``keep_props`` or a wiki code the store cannot carry
-    (:func:`unstorable_wiki_code`) raises ValueError naming the item; a
-    repeated item raises :class:`DuplicateItemError`; each before anything is
-    written.
+    See :class:`SlimStoreWriter`: a record outside the header, or a repeated
+    item, is refused before anything is written (a repeat across spilled
+    runs, while the records are written).
     """
-    records = sorted(entities, key=lambda e: e.id.number)
-    prop_set = set(keep_props)
-    storable: set[str] = set()  # the wiki codes checked so far
-    previous = None
-    for record in records:
-        if record.id == previous:  # sorted, so a repeat is the record before
-            raise DuplicateItemError(f"item {record.id} appears twice in the input stream")
-        previous = record.id
-        if not record.claims.keys() <= prop_set:
-            extra = min(record.claims.keys() - prop_set, key=lambda p: p.sort_key)
-            raise ValueError(f"item {record.id}: claim key {extra} is not in keep_props")
-        if not record.sitelinks.keys() <= storable:
-            problem = unstorable_wiki_code(record.sitelinks.keys() - storable)
-            if problem:
-                raise ValueError(f"item {record.id}: {problem}")
-            storable.update(record.sitelinks)
-    props = sorted(prop_set, key=lambda p: p.number)
-    header = f"count={len(records)} props={','.join(str(p) for p in props)}\n"
-
-    written = 0
-    try:
-        sink.write(MAGIC + "\n")
-        sink.write(header)
-        for record in records:
-            sink.write(_record_line(record))
-            written += 1
-    except OSError as exc:
-        raise SlimStoreWriteError(
-            f"write failed after {written} of {len(records)} records: {exc}",
-            records_written=written,
-        ) from exc
-    return len(records)
+    with SlimStoreWriter(keep_props) as writer:
+        for entity in entities:
+            writer.add(entity)
+        return writer.write(sink)
 
 
 def read_store_header(source: Iterable[str]) -> StoreHeader:
@@ -195,10 +311,10 @@ def read_store_header(source: Iterable[str]) -> StoreHeader:
     try:
         props = tuple(map(prop_of, tokens))
     except ValueError as exc:
-        raise SlimStoreCorruptionError(f"line 2: {exc}") from exc
+        raise SlimStoreCorruptionError(f"store line 2: {exc}") from exc
     repeated = [prop for i, prop in enumerate(props) if prop in props[:i]]
     if repeated:
-        raise SlimStoreCorruptionError(f"line 2: property {repeated[0]} appears twice in props=")
+        raise SlimStoreCorruptionError(f"store line 2: property {repeated[0]} appears twice in props=")
     return StoreHeader(count, props)
 
 
@@ -238,7 +354,7 @@ def _parse_record(props: _Declared, values: IdMemo, line: str, line_number: int)
     parts = line.split("\t")
     if len(parts) != 3:
         raise SlimStoreCorruptionError(
-            f"line {line_number}: expected 3 tab-separated fields, got {len(parts)}"
+            f"store line {line_number}: expected 3 tab-separated fields, got {len(parts)}"
         )
     id_field, claims_field, links_field = parts
     value_of = values.__getitem__
@@ -254,7 +370,7 @@ def _parse_record(props: _Declared, values: IdMemo, line: str, line_number: int)
         sitelinks = _parse_sitelinks(links_field)
         return SlimEntity.trusted(EntityId.parse_item(id_field), claims, sitelinks)
     except ValueError as exc:
-        raise SlimStoreCorruptionError(f"line {line_number}: {exc}") from exc
+        raise SlimStoreCorruptionError(f"store line {line_number}: {exc}") from exc
 
 
 class SitelinksRecord(NamedTuple):
@@ -294,7 +410,7 @@ def _sitelinks_parser(props: _Declared) -> Callable[[str, int], SitelinksRecord]
             sitelinks = _parse_sitelinks(parts[2])
             return _new_tuple(SitelinksRecord, (parse_item(parts[0]), sitelinks))
         except ValueError as exc:
-            raise SlimStoreCorruptionError(f"line {line_number}: {exc}") from exc
+            raise SlimStoreCorruptionError(f"store line {line_number}: {exc}") from exc
 
     return parse
 
@@ -334,7 +450,7 @@ def _read_records(
         number = record.id.number
         if number <= previous:
             raise SlimStoreCorruptionError(
-                f"line {line_number}: item {record.id} does not follow Q{previous}; "
+                f"store line {line_number}: item {record.id} does not follow Q{previous}; "
                 "records are sorted by item number, each item once"
             )
         previous = number
@@ -369,16 +485,32 @@ def read_store_sitelinks(source: Iterable[str]) -> Iterator[SitelinksRecord]:
     return _read_records(source, (), _sitelinks_parser)
 
 
-def save_slim_store(entities: Iterable[SlimEntity], path: Path | str, **kwargs) -> int:
-    """:func:`write_slim_store` to ``path``, through a sibling temporary file
-    that replaces ``path`` only once the whole store is written.  A refused or
-    failed write leaves the file already at ``path`` as it was, and removes
-    the temporary file."""
+def save_slim_store(
+    entities: Iterable[SlimEntity] | SlimStoreWriter,
+    path: Path | str,
+    *,
+    keep_props: Iterable[EntityId] | None = None,
+) -> int:
+    """Write a store to ``path``, through a sibling temporary file that
+    replaces ``path`` only once the whole store is written; returns the count.
+
+    ``entities`` are written as :func:`write_slim_store` writes them, with
+    ``keep_props``.  Or ``entities`` is a :class:`SlimStoreWriter` that has
+    had its records, and ``keep_props`` is left out: its store is written, and
+    the caller closes it.  A refused or failed write leaves the file already
+    at ``path`` as it was, and removes the temporary file.
+    """
+    if isinstance(entities, SlimStoreWriter):
+        write = entities.write
+    elif keep_props is None:
+        raise TypeError("save_slim_store() needs keep_props to write entities")
+    else:
+        write = partial(write_slim_store, entities, keep_props=keep_props)
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "w", encoding="utf-8", newline="\n") as sink:
-            count = write_slim_store(entities, sink, **kwargs)
+            count = write(sink)
         os.replace(temporary, path)
     except BaseException:
         with suppress(OSError):

@@ -144,6 +144,12 @@ def overlong_row(row: dict, fieldnames: Sequence[str]) -> str | None:
     return f"expected {len(fieldnames)} fields, got {len(fieldnames) + len(row[None])}"
 
 
+def drain(items: Iterable[object]) -> None:
+    """Read ``items`` to its end, keeping nothing."""
+    for _ in items:
+        pass
+
+
 @contextmanager
 def paused_gc() -> Iterator[None]:
     """Pause the cyclic garbage collector for the block, then restore its state.

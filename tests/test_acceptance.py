@@ -18,9 +18,17 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from wikicoverage.attribution import RuleSet, attribute_all, build_geo_index, read_attribution_tsv
+from wikicoverage import slimstore
+from wikicoverage.attribution import (
+    INSTANCE_OF,
+    RuleSet,
+    attribute_all,
+    build_geo_index,
+    read_attribution_tsv,
+)
 from wikicoverage.chart import BLUE, RED, color_bucket
 from wikicoverage.clusters import aggregate_cluster
+from wikicoverage.dump import parse_dump_stream
 from wikicoverage.entities import SlimEntity
 from wikicoverage.metrics import MetricsRow, build_article_sets, compute_all, join_attribution, reader_share
 from wikicoverage.report import RunConfig, attribute_stage, emit_table, run_pipeline
@@ -30,6 +38,7 @@ from wikicoverage.usage import ReadershipRecord
 from helpers import (
     STORE_PROPS,
     Q,
+    dump_text,
     oracle_geo_graph,
     oracle_related,
     random_attribution_fixture,
@@ -422,6 +431,43 @@ class TestStreamedStore:
             assert sets == {"en": {}}
             assert related == {Q(n) for n in range(100, 20_001, 100)}
             assert peak < 20_000 * 16
+
+    def test_all_from_a_dump_holds_no_entity_list(self, tmp_path, monkeypatch):
+        # each item claims 100 classes and links no requested language: attribution
+        # keeps its id, the article sets nothing, and the store writer a few dozen lines
+        with criterion("all --dump streams its entities (2,000 items of 100 claims, peak < 1/4 of the list)"):
+            statement = '{"mainsnak": {"datavalue": {"value": {"entity-type": "item", "numeric-id": %d}}}}'
+
+            def item(n):
+                statements = ", ".join(statement % (10_000 + 100 * n + k) for k in range(100))
+                claims = f'{{"P31": [{statements}]}}'
+                sitelinks = f'{{"frwiki": {{"title": "T{n}"}}}}'
+                return f'{{"type": "item", "id": "Q{n}", "claims": {claims}, "sitelinks": {sitelinks}}}'
+
+            dump = tmp_path / "dump.json"
+            dump.write_text(dump_text([item(n) for n in range(2_000, 0, -1)]), encoding="utf-8")
+            # the records a parse of it yields, built directly: the parse is slow to trace
+            tracemalloc.start()
+            try:
+                entities = [
+                    SlimEntity(Q(n), {INSTANCE_OF: tuple(Q(10_000 + 100 * n + k) for k in range(100))})
+                    for n in range(2_000, 0, -1)
+                ]
+                listed = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            with open(dump, "rb") as source:
+                assert list(parse_dump_stream(source, RuleSet().required_properties, {"enwiki"})) == entities
+            del entities
+
+            monkeypatch.setattr(slimstore, "RUN_CHARS", 30 * 900)  # each store line is about 900 characters
+            config = RunConfig(
+                out_dir=tmp_path / "out", languages=("en",), dump=dump, readership=FIXTURE / "readership.csv"
+            )
+            peak = traced_peak(lambda: run_pipeline(config))
+            print(f"  traced peak {peak / 2**20:.2f} MiB against a {listed / 2**20:.1f} MiB entity list")
+            assert peak < listed / 4
+            assert (tmp_path / "out" / "entities.slim").read_text(encoding="utf-8").count("\n") == 2 + 2_000
 
 
 class TestDeterminism:

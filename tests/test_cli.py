@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from wikicoverage import slimstore
 from wikicoverage.chart import LOG, SCALES
 from wikicoverage.cli import build_parser, main
 from wikicoverage.clusters import AGGREGATION_MODES, POOLED
@@ -105,6 +106,39 @@ class TestStageByStage:
         }
         for name, path in staged.items():
             assert path.read_bytes() == (all_dir / name).read_bytes(), name
+
+
+    @pytest.mark.parametrize("cap", [1, 60], ids=["one-record-runs", "60-character-runs"])
+    def test_spilled_runs_keep_all_from_a_dump_equal_to_the_stages_and_to_all_from_its_store(
+        self, tmp_path, capsys, monkeypatch, cap
+    ):
+        # the store writer spills a run per record or two, and the demo dump is not in item order
+        monkeypatch.setattr(slimstore, "RUN_CHARS", cap)
+        shared = [FIXTURE / "pageviews-a.txt", FIXTURE / "pageviews-b.txt", "--readership",
+                  FIXTURE / "readership.csv", "--rules", FIXTURE / "rules.txt", "--languages", "en,de"]
+        from_dump, from_store, stages = tmp_path / "dump", tmp_path / "store", tmp_path / "stages"
+        stages.mkdir()
+        assert run(["all", *shared, "--dump", FIXTURE / "dump.json", "--out", from_dump]) == 0
+        store = stages / "entities.slim"
+        assert run(["slim", "--dump", FIXTURE / "dump.json", "--out", store,
+                    "--rules", FIXTURE / "rules.txt", "--languages", "en,de"]) == 0
+        assert run(["attribute", "--slim", store, "--out", stages / "attribution.tsv",
+                    "--rules", FIXTURE / "rules.txt"]) == 0
+        assert run(["usage", *shared[:2], "--languages", "en,de", "--out", stages / "views.tsv"]) == 0
+        assert run(["metrics", "--slim", store, "--attribution", stages / "attribution.tsv",
+                    "--views", stages / "views.tsv", "--readership", FIXTURE / "readership.csv",
+                    "--languages", "en,de", "--out", stages / "metrics.tsv"]) == 0
+        assert run(["all", *shared, "--slim", store, "--out", from_store]) == 0
+        capsys.readouterr()
+
+        assert hashlib.sha256(store.read_bytes()).hexdigest() == GOLDEN_DIGESTS["default"]["entities.slim"]
+        for name in ("entities.slim", "attribution.tsv", "views.tsv", "metrics.tsv"):
+            assert (stages / name).read_bytes() == (from_dump / name).read_bytes(), name
+        artifacts = sorted(p.name for p in from_store.iterdir())
+        assert artifacts == sorted(p.name for p in from_dump.iterdir() if p.name != "entities.slim")
+        for name in artifacts:
+            if name != "manifest.json":
+                assert (from_store / name).read_bytes() == (from_dump / name).read_bytes(), name
 
 
 # sha256 of every artifact `all` writes over the demo fixture, per target; the
@@ -395,7 +429,7 @@ class TestCorruptStores:
         store.write_text("\n".join(lines), encoding="utf-8")
         metrics_err, attribute_err = self.errors(chain, tmp_path, capsys)
         assert metrics_err == attribute_err
-        assert metrics_err.startswith("error: line 5: not an entity id: 'Q0")
+        assert metrics_err.startswith("error: store line 5: not an entity id: 'Q0")
         assert not (tmp_path / "metrics.tsv").exists()
 
     def test_corrupt_store_is_reported_before_a_corrupt_attribution_tsv(self, chain, tmp_path, capsys):
@@ -403,7 +437,7 @@ class TestCorruptStores:
         store.write_text(store.read_text(encoding="utf-8").replace("\t", "\t\t", 1), encoding="utf-8")
         chain["attribution.tsv"].write_text("not\ta\tvalid\tline\n", encoding="utf-8")
         metrics_err, _ = self.errors(chain, tmp_path, capsys)
-        assert metrics_err == "error: line 3: expected 3 tab-separated fields, got 4\n"
+        assert metrics_err == "error: store line 3: expected 3 tab-separated fields, got 4\n"
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -449,7 +483,7 @@ class TestCorruptStores:
         lines.insert(4, lines[3])
         store.write_text("".join(lines), encoding="utf-8")
         item = lines[3].split("\t")[0]
-        message = f"error: line 5: item {item} does not follow {item}; records are sorted by item number, each item once\n"
+        message = f"error: store line 5: item {item} does not follow {item}; records are sorted by item number, each item once\n"
         assert self.errors(chain, tmp_path, capsys) == (message, message)
 
     def test_slim_refuses_a_dump_with_a_repeated_item(self, tmp_path, capsys):

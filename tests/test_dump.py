@@ -90,15 +90,14 @@ class TestBasicParsing:
         with pytest.raises(ValueError, match="^keep_props must hold properties, got Q5$"):
             next(parse_dump_stream(lines(), KEEP | {Q(5)}))
 
-    def test_claim_values_are_shared_only_through_a_caller_memo(self):
+    def test_a_parse_shares_no_claim_value(self):
+        # a memo of claim values would grow with the distinct values of the dump
         text = dump_text([entity_json(f"Q{n}", {"P17": [Q(30)], "P19": [Q(60)]}) for n in (1, 2)])
         first, second = parse(text)
-        assert first.claims[P(17)][0] is not second.claims[P(17)][0]
-        item_ids = {}
-        first, second = parse(text, item_ids=item_ids)
         assert first == SlimEntity(Q(1), {P(17): (Q(30),), P(19): (Q(60),)})
-        assert first.claims[P(17)][0] is second.claims[P(17)][0]
-        assert item_ids == {30: Q(30), 60: Q(60)}
+        assert first.claims[P(17)][0] is not second.claims[P(17)][0]
+        with pytest.raises(TypeError):
+            parse(text, item_ids={})
 
     @pytest.mark.parametrize("bad_id", ["Q\u0663", "Q\uff15", "Q05", "Q", "P17", 17, None])
     def test_bad_item_id_is_tallied(self, bad_id):

@@ -104,6 +104,11 @@ class TestSlimEntity:
         with pytest.raises(ValueError):
             SlimEntity(EntityId.item(1), {EntityId.prop(17): ()})
 
+    def test_rejects_a_claim_value_that_is_not_an_item(self):
+        # every reader and the store writer take a claim value as an item
+        with pytest.raises(ValueError, match="^claim value must be an item, got P5 under P17$"):
+            SlimEntity(EntityId.item(1), {EntityId.prop(17): (EntityId.item(30), EntityId.prop(5))})
+
     def test_rejects_empty_title(self):
         with pytest.raises(ValueError):
             SlimEntity(EntityId.item(1), {}, {"enwiki": ""})

@@ -7,9 +7,18 @@ from urllib.parse import unquote
 
 import pytest
 
-from wikicoverage.errors import ConfigError, PipelineStageError
+from wikicoverage import slimstore
+from wikicoverage.errors import (
+    ConfigError,
+    DumpTruncatedError,
+    DuplicateItemError,
+    PipelineStageError,
+    SlimStoreWriteError,
+)
 from wikicoverage.metrics import MetricsRow, read_metrics_tsv
 from wikicoverage.report import RunConfig, emit_table, run_pipeline, sort_rows_for_table
+
+from helpers import dump_text, entity_json
 
 FIXTURE = Path(__file__).resolve().parents[1] / "demos" / "data"
 
@@ -273,6 +282,50 @@ class TestPipelineEndToEnd:
             run_pipeline(self.config(tmp_path, dump=None, slim=store))
         assert err.value.stage == "ingest"
         assert isinstance(err.value.cause, UnicodeDecodeError)
+
+    @pytest.mark.parametrize("fault", ["truncated-dump", "repeated-item", "store-write"])
+    def test_a_dump_or_store_writer_error_is_the_ingest_stages_while_attribution_pulls(
+        self, tmp_path, monkeypatch, fault
+    ):
+        # attribution pulls the parsed records through the store writer, so each
+        # raises inside it, and attribution meets a repeated item before the
+        # writer sorts its run; the error is still named for the stage that made it
+        dump = FIXTURE / "dump.json"
+        if fault == "truncated-dump":
+            dump = tmp_path / "dump.json"
+            dump.write_bytes((FIXTURE / "dump.json").read_bytes().replace(b"\n]", b"\n"))
+            expected = DumpTruncatedError
+        elif fault == "repeated-item":
+            dump = tmp_path / "dump.json"
+            dump.write_text(
+                dump_text([entity_json("Q5", sitelinks={"enwiki": "A"}), entity_json("Q7"),
+                           entity_json("Q5", sitelinks={"enwiki": "B"})]),
+                encoding="utf-8",
+            )
+            expected = DuplicateItemError
+        else:
+            def fail(entity):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(slimstore, "_record_line", fail)
+            expected = SlimStoreWriteError
+        with pytest.raises(PipelineStageError) as err:
+            run_pipeline(self.config(tmp_path, dump=dump))
+        assert err.value.stage == "ingest"
+        assert isinstance(err.value.cause, expected)
+        assert not (tmp_path / "out" / "attribution.tsv").exists()
+
+    def test_a_title_conflict_stays_the_metrics_stages_error(self, tmp_path):
+        dump = tmp_path / "dump.json"
+        dump.write_text(
+            dump_text([entity_json("Q1", sitelinks={"enwiki": "Same title"}),
+                       entity_json("Q2", sitelinks={"enwiki": "Same_title"})]),
+            encoding="utf-8",
+        )
+        with pytest.raises(PipelineStageError) as err:
+            run_pipeline(self.config(tmp_path, dump=dump))
+        assert err.value.stage == "metrics"
+        assert str(err.value.cause) == "en:'Same_title' claimed by both Q1 and Q2"
 
     def test_missing_readership_aborts_at_metrics_stage(self, tmp_path):
         config = self.config(tmp_path, readership=None)

@@ -1,7 +1,9 @@
 import io
 import random
 import re
+import tempfile
 import tracemalloc
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -97,9 +99,12 @@ class TestWrite:
         assert write([], sink) == 0
         assert "count=0" in sink.getvalue().splitlines()[1]
 
-    def test_keep_props_is_required(self):
+    def test_keep_props_is_required(self, tmp_path):
         with pytest.raises(TypeError):
             write_slim_store([], io.StringIO())
+        with pytest.raises(TypeError):
+            save_slim_store([], tmp_path / "s.slim")
+        assert list(tmp_path.iterdir()) == []
 
     def test_records_are_sorted_by_id_number(self):
         entities = [SlimEntity(Q(9684)), SlimEntity(Q(30))]
@@ -223,6 +228,122 @@ class TestSave:
         assert [p.name for p in tmp_path.iterdir()] == ["s.slim"]
 
 
+def reference_store(entities, props=STORE_PROPS) -> str:
+    """The store text of ``entities`` as the format defines it, built from
+    ``str()`` of each id and sorted up front."""
+    escapes = [("%", "%25"), ("\t", "%09"), ("|", "%7C"), ("\n", "%0A"), ("\r", "%0D")]
+
+    def escape(title):
+        for char, code in escapes:
+            title = title.replace(char, code)
+        return title
+
+    header = ",".join(str(p) for p in sorted(props, key=lambda p: p.number))
+    lines = ["WCM3\n", f"count={len(entities)} props={header}\n"]
+    for entity in sorted(entities, key=lambda e: e.id.number):
+        claims = ";".join(
+            f"{prop}:" + ",".join(str(value) for value in values)
+            for prop, values in sorted(entity.claims.items(), key=lambda kv: kv[0].number)
+        )
+        links = "|".join(f"{wiki}={escape(title)}" for wiki, title in sorted(entity.sitelinks.items()))
+        lines.append(f"{entity.id}\t{claims}\t{links}\n")
+    return "".join(lines)
+
+
+_temporary_file = tempfile.TemporaryFile  # the tests below patch it in the module
+
+
+class Spills:
+    """Every spill file the writer opens, so a test can see that each was closed."""
+
+    def __init__(self):
+        self.files = []
+
+    def __call__(self, *args, **kwargs):
+        spill = _temporary_file(*args, **kwargs)
+        self.files.append(spill)
+        return spill
+
+
+class TestSpilledRuns:
+    """A cap of a few records' text makes the writer spill sorted runs and merge them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 40), st.integers(1, 300))
+    def test_any_order_and_any_cap_write_the_sorted_reference(self, rng, count, cap):
+        entities = random_entities(rng, count)
+        rng.shuffle(entities)
+        spills = Spills()
+        with patch.object(slimstore, "RUN_CHARS", cap), patch.object(tempfile, "TemporaryFile", spills):
+            sink = io.StringIO()
+            assert write(entities, sink) == count
+        assert sink.getvalue() == reference_store(entities)
+        assert all(spill.closed for spill in spills.files)
+        if cap == 1:  # every record is a run of its own
+            assert len(spills.files) == count
+        default = io.StringIO()
+        write(entities, default)
+        assert default.getvalue() == sink.getvalue()
+
+    def test_a_repeat_across_runs_is_refused_and_keeps_the_old_store(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.slim"
+        save_slim_store([SlimEntity(Q(5), {P(17): (Q(30),)}, {"enwiki": "A"})], path, keep_props=STORE_PROPS)
+        kept = path.read_bytes()
+        spill_dir = tmp_path / "spills"
+        spill_dir.mkdir()
+        spills = Spills()
+        monkeypatch.setattr(slimstore, "RUN_CHARS", 1)
+        monkeypatch.setattr(slimstore.tempfile, "tempdir", str(spill_dir))
+        monkeypatch.setattr(slimstore.tempfile, "TemporaryFile", spills)
+        records = [SlimEntity(Q(5), {P(17): (Q(30),)}), SlimEntity(Q(9)), SlimEntity(Q(5), {}, {"enwiki": "X"})]
+        with pytest.raises(DuplicateItemError, match="^item Q5 appears twice in the input stream$"):
+            save_slim_store(records, path, keep_props=STORE_PROPS)
+        assert len(spills.files) == 3 and all(spill.closed for spill in spills.files)
+        assert path.read_bytes() == kept
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.slim", "spills"]
+        assert list(spill_dir.iterdir()) == []
+
+    def test_a_repeat_inside_a_run_is_refused_before_writing(self, monkeypatch):
+        # each line is 5 characters, so a run holds four records: the second run
+        # holds both Q7s and is refused when it is spilled
+        monkeypatch.setattr(slimstore, "RUN_CHARS", 20)
+        sink = io.StringIO()
+        records = [SlimEntity(Q(n)) for n in (1, 2, 3, 4, 7, 5, 7, 6, 8)]
+        with pytest.raises(DuplicateItemError, match="^item Q7 appears twice in the input stream$"):
+            write(records, sink)
+        assert sink.getvalue() == ""
+
+    def test_an_os_error_in_a_spill_keeps_the_old_store(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.slim"
+        save_slim_store([SlimEntity(Q(5))], path, keep_props=STORE_PROPS)
+        kept = path.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise OSError("no space left for the run")
+
+        monkeypatch.setattr(slimstore, "RUN_CHARS", 1)
+        monkeypatch.setattr(slimstore.tempfile, "TemporaryFile", fail)
+        with pytest.raises(SlimStoreWriteError, match="no space left for the run") as err:
+            save_slim_store([SlimEntity(Q(7)), SlimEntity(Q(8))], path, keep_props=STORE_PROPS)
+        assert err.value.records_written == 0
+        assert path.read_bytes() == kept
+        assert [p.name for p in tmp_path.iterdir()] == ["s.slim"]
+
+    def test_an_os_error_reading_a_spill_back_is_a_write_error(self, monkeypatch):
+        class Unreadable(Spills):
+            def __call__(self, *args, **kwargs):
+                spill = super().__call__(*args, **kwargs)
+                spill.seek = lambda *a: (_ for _ in ()).throw(OSError("spill lost"))
+                return spill
+
+        spills = Unreadable()
+        monkeypatch.setattr(slimstore, "RUN_CHARS", 1)
+        monkeypatch.setattr(slimstore.tempfile, "TemporaryFile", spills)
+        with pytest.raises(SlimStoreWriteError, match="^write failed after 0 of 2 records: spill lost$"):
+            write([SlimEntity(Q(8)), SlimEntity(Q(7))], io.StringIO())
+        assert all(spill.closed for spill in spills.files)
+
+
 class TestRead:
     def test_single_entity_round_trip(self):
         entity = SlimEntity(
@@ -301,7 +422,7 @@ class TestRead:
 
     @pytest.mark.parametrize("records, bad_line", BAD_TOKEN_CASES)
     def test_bad_token_is_corruption_naming_its_line(self, records, bad_line):
-        with pytest.raises(SlimStoreCorruptionError, match=f"^line {bad_line}: "):
+        with pytest.raises(SlimStoreCorruptionError, match=f"^store line {bad_line}: "):
             list(read_slim_store(io.StringIO(store_text(records))))
 
 
@@ -315,12 +436,12 @@ class TestRead:
     )
     def test_record_outside_its_header_is_corruption(self, record, problem):
         text = f"WCM3\ncount=2 props=P17\nQ2\tP17:Q30\t\n{record}\n"
-        with pytest.raises(SlimStoreCorruptionError, match=f"^line 4: {re.escape(problem)}$"):
+        with pytest.raises(SlimStoreCorruptionError, match=f"^store line 4: {re.escape(problem)}$"):
             list(read_slim_store(io.StringIO(text)))
 
     def test_empty_title_is_corruption(self):
         text = "WCM3\ncount=1 props=P17\nQ1\t\tenwiki=\n"
-        with pytest.raises(SlimStoreCorruptionError, match="^line 3: sitelink title for 'enwiki' is empty$"):
+        with pytest.raises(SlimStoreCorruptionError, match="^store line 3: sitelink title for 'enwiki' is empty$"):
             list(read_slim_store(io.StringIO(text)))
 
     def test_unrestricted_wikis_accept_any_sitelink(self):
@@ -343,7 +464,7 @@ class TestRead:
         # the writer cannot write one (claims and sitelinks are dicts); reading
         # one would keep only its last group or sitelink
         text = store_text(["Q1\tP17:Q30\tenwiki=X", record])
-        with pytest.raises(SlimStoreCorruptionError, match=f"^line 4: {re.escape(problem)}$"):
+        with pytest.raises(SlimStoreCorruptionError, match=f"^store line 4: {re.escape(problem)}$"):
             list(reader(io.StringIO(text)))
 
     @pytest.mark.parametrize("reader", [read_slim_store, read_store_sitelinks])
@@ -357,7 +478,7 @@ class TestRead:
     )
     def test_record_out_of_item_order_is_corruption(self, reader, records, problem):
         text = store_text(records)
-        message = f"line 4: {problem}; records are sorted by item number, each item once"
+        message = f"store line 4: {problem}; records are sorted by item number, each item once"
         with pytest.raises(SlimStoreCorruptionError, match=f"^{re.escape(message)}$"):
             list(reader(io.StringIO(text)))
 
@@ -383,7 +504,7 @@ class TestTitleEscaping:
     def test_star_claim_value_is_corruption(self):
         # WCM1 wrote a non-item claim value as '*'; since WCM2 it is a bad token
         text = "WCM3\ncount=2 props=P17\nQ1\tP17:Q30\t\nQ2\tP17:*,Q30\t\n"
-        with pytest.raises(SlimStoreCorruptionError, match="^line 4: not an entity id: '\\*'$"):
+        with pytest.raises(SlimStoreCorruptionError, match="^store line 4: not an entity id: '\\*'$"):
             list(read_slim_store(io.StringIO(text)))
 
     def test_bare_entity_round_trips(self):
