@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-from xml.sax.saxutils import escape
 
 from .errors import EmptyChartError
 from .metrics import MetricsRow
@@ -113,6 +112,15 @@ def _ticks(lo: float, hi: float, scale: str) -> list[float]:
     return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text, as ``xml.sax.saxutils.escape`` does.
+
+    That module imports ``urllib.request`` and with it ``ssl`` and ``socket``,
+    several MiB in every process that imports the package.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
@@ -185,7 +193,7 @@ def render_svg(data: Sequence[ChartDatum], scale: str = LOG) -> str:
         )
         parts.append(
             f'<text x="{_fmt(cx)}" y="{_fmt(cy - radius - 3)}" font-size="11" '
-            f'text-anchor="middle">{escape(datum.language)}</text>'
+            f'text-anchor="middle">{_escape(datum.language)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

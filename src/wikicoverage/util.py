@@ -6,7 +6,6 @@ readers, and a pause of the cyclic garbage collector for bulk loads."""
 from __future__ import annotations
 
 import gc
-import hashlib
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -80,6 +79,10 @@ def percent(value: Fraction, places: int = 2) -> str:
 
 
 def sha256_file(path: Path) -> str:
+    # imported here, not at the top: hashlib loads OpenSSL's libcrypto (about
+    # 3.7 MiB RSS), and only the manifest of a whole run takes digests
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):

@@ -1,9 +1,11 @@
 import json
 import re
 from fractions import Fraction
+from xml.sax.saxutils import escape
 
 import pytest
 
+from wikicoverage import chart as chart_module
 from wikicoverage.chart import (
     BLUE,
     RED,
@@ -157,3 +159,13 @@ class TestSvg:
         svg = render_svg([datum], "log")
         cx = float(re.search(r'cx="([0-9.]+)"', svg).group(1))
         assert 70 <= cx <= 720 - 24  # stays inside the margins
+
+    def test_label_escape_matches_the_standard_library(self, monkeypatch):
+        # the pipeline's readers admit only plain language codes, but MetricsRow
+        # takes any string, and the label must stay well-formed XML text
+        language = "a&b<c>d&amp;"
+        chart = build_chart_data([row(language, (60, 100), (1, 10), (1, 10))], "log")
+        svg = render_svg(chart.data, "log")
+        assert ">a&amp;b&lt;c&gt;d&amp;amp;<" in svg
+        monkeypatch.setattr(chart_module, "_escape", escape)
+        assert svg == render_svg(chart.data, "log")
