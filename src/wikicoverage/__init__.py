@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .attribution import (
     RuleSet,
     attribute_all,
-    attribute_item,
     build_geo_index,
     load_rules,
     parse_rules,
@@ -72,7 +71,6 @@ __all__ = [
     "aggregate_views",
     "assign_clusters",
     "attribute_all",
-    "attribute_item",
     "build_article_sets",
     "build_chart_data",
     "build_geo_index",

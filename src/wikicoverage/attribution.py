@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 from .entities import ITEM, PROPERTY, EntityId, SlimEntity, id_pattern
 from .errors import DuplicateItemError, RulesError
@@ -168,58 +168,6 @@ class _Chains(dict):
         return chain
 
 
-def _direct_paths(claims: Mapping[EntityId, tuple[EntityId, ...]], rules: RuleSet) -> Provenance:
-    """An item's direct property matches, in path order, from its claims."""
-    target = rules.target
-    paths: Provenance = ()
-    for prop in rules.path_order[0]:
-        matches = claims.get(prop, ()).count(target)
-        if matches:
-            paths += ((prop, target),) * matches
-    return paths
-
-
-def _places(
-    claims: Mapping[EntityId, tuple[EntityId, ...]], rules: RuleSet
-) -> tuple[tuple[EntityId, ...], ...]:
-    """An item's own claim-value tuple of each place property, in path order."""
-    return tuple([claims.get(prop, ()) for prop in rules.path_order[1]])
-
-
-def _with_place_paths(
-    direct: Provenance,
-    places: tuple[tuple[EntityId, ...], ...],
-    chain_of: Callable[[EntityId], tuple[EntityId, ...] | None],
-    rules: RuleSet,
-) -> Provenance:
-    """``direct`` followed by one path per place value that reaches the target."""
-    paths = list(direct)
-    for prop, values in zip(rules.path_order[1], places):
-        for value in values:
-            chain = chain_of(value)
-            if chain is not None:
-                paths.append((prop, *chain))
-    return tuple(paths)
-
-
-def attribute_item(
-    entity: SlimEntity, index: GeoIndex, rules: RuleSet, chains: _Chains | None = None
-) -> Provenance:
-    """One item's provenance: direct property matches first, then resolved places.
-
-    ``chains`` is the caller's walk memo over ``index`` (see the module
-    docstring); without one, the call keeps its own for this item alone.
-    """
-    chain_of = (_Chains(index, rules) if chains is None else chains).__getitem__
-    claims = entity.claims
-    return _with_place_paths(_direct_paths(claims, rules), _places(claims, rules), chain_of, rules)
-
-
-def is_excluded(entity: SlimEntity, rules: RuleSet) -> bool:
-    """True when the item's instance-of claim hits an excluded class."""
-    return not rules.exclude_classes.isdisjoint(entity.claim_values(INSTANCE_OF))
-
-
 def attribute_all(
     entities: Iterable[SlimEntity], index: dict[EntityId, tuple[EntityId, ...]], rules: RuleSet
 ) -> dict[EntityId, Provenance]:
@@ -235,7 +183,9 @@ def attribute_all(
     """
     results: dict[EntityId, Provenance] = {}  # direct paths only, until the walks
     waiting: list[tuple[EntityId, tuple[tuple[EntityId, ...], ...]]] = []  # items with place values
+    target = rules.target
     excluded = rules.exclude_classes
+    direct_props, place_props = rules.path_order
 
     def passing() -> Iterator[SlimEntity]:
         for entity in entities:
@@ -243,19 +193,28 @@ def attribute_all(
             if item in results:
                 raise DuplicateItemError(f"item {item} appears twice in the input stream")
             claims = entity.claims
+            direct: Provenance = ()
             if excluded.isdisjoint(claims.get(INSTANCE_OF, ())):
-                results[item] = _direct_paths(claims, rules)
-                places = _places(claims, rules)
+                for prop in direct_props:
+                    matches = claims.get(prop, ()).count(target)
+                    if matches:
+                        direct += ((prop, target),) * matches
+                places = tuple([claims.get(prop, ()) for prop in place_props])
                 if any(places):
                     waiting.append((item, places))
-            else:
-                results[item] = ()
+            results[item] = direct
             yield entity
 
     index.update(build_geo_index(passing(), rules))
-    chain_of = _Chains(index, rules).__getitem__
+    chains = _Chains(index, rules)
     for item, places in waiting:
-        results[item] = _with_place_paths(results[item], places, chain_of, rules)
+        paths = list(results[item])
+        for prop, values in zip(place_props, places):
+            for value in values:
+                chain = chains[value]
+                if chain is not None:
+                    paths.append((prop, *chain))
+        results[item] = tuple(paths)
     return results
 
 
@@ -316,7 +275,8 @@ def parse_rules(text: str) -> RuleSet:
 
 
 def load_rules(path: Path | str) -> RuleSet:
-    with open(path, encoding="utf-8") as handle:
+    # utf-8-sig: a byte-order mark that an editor put first is not part of the first key
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_rules(handle.read())
 
 

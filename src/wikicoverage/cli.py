@@ -31,7 +31,6 @@ from .report import (
 )
 from .slimstore import load_slim_store, read_store_sitelinks
 from .usage import language_list_problem, read_views_tsv
-from .util import paused_gc
 
 
 def _languages(text: str) -> tuple[str, ...]:
@@ -81,9 +80,8 @@ def _cmd_metrics(args) -> int:
     # line it meets in either file is the error reported
     related: set = set()
     with open(args.slim, encoding="utf-8") as store, open(args.attribution, encoding="utf-8") as tsv:
-        with paused_gc():
-            records = join_attribution(read_store_sitelinks(store), read_attribution_tsv(tsv), related)
-            article_sets = build_article_sets(records, args.languages)
+        records = join_attribution(read_store_sitelinks(store), read_attribution_tsv(tsv), related)
+        article_sets = build_article_sets(records, args.languages)
     with open(args.views, encoding="utf-8") as handle:
         views = read_views_tsv(handle)
     rows, failures = metrics_stage(

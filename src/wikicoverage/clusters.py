@@ -74,7 +74,8 @@ def parse_cluster_map(source: Iterable[str]) -> dict[str, str]:
 
 
 def load_cluster_map(path) -> dict[str, str]:
-    with open(path, encoding="utf-8", newline="") as handle:
+    # utf-8-sig: a byte-order mark that a spreadsheet put first is not part of the first column's name
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         return parse_cluster_map(handle)
 
 

@@ -183,8 +183,7 @@ def slim_stage(
     issues: list[ParseIssue] = []
     with SlimStoreWriter(rules.required_properties) as writer:
         parsed = parse_dump_stream(source, rules.required_properties, keep_wikis, errors=issues)
-        with paused_gc():
-            consumed = consume(writer.passing(parsed))
+        consumed = consume(writer.passing(parsed))
         count = save_slim_store(writer, out)
     return count, issues, consumed
 
@@ -201,6 +200,8 @@ def attribute_stage(
     later stage reads it.
     """
     geo_index: dict[EntityId, tuple[EntityId, ...]] = {}
+    # the pass keeps tuples per item until it ends, which each collection
+    # would rescan: the one pause that still pays (README, Performance notes)
     with paused_gc():
         attributions = attribute_all(entities, geo_index, rules)
     _write(out, write_attribution_tsv, attributions)
@@ -230,16 +231,15 @@ def usage_stage(
     issues: list[ParseIssue] = []
     titles = TitleMemo()  # each distinct (language, title) is normalised once per stage
     views = None
-    with paused_gc():
-        for path in paths:
-            with open(path, "rb") as handle:
-                # the last file's totals are dropped only when these replace
-                # them: dropping them before this read saves one file's totals
-                # of heap, but when the stages share a process it kept the
-                # heap that attribution had freed from going back to the OS,
-                # which raised the process's peak RSS
-                shard = parse_pageviews_stream(handle, language_set, errors=issues, titles=titles)
-            views = shard if views is None else merge_views(views, shard)
+    for path in paths:
+        with open(path, "rb") as handle:
+            # the last file's totals are dropped only when these replace
+            # them: dropping them before this read saves one file's totals
+            # of heap, but when the stages share a process it kept the
+            # heap that attribution had freed from going back to the OS,
+            # which raised the process's peak RSS
+            shard = parse_pageviews_stream(handle, language_set, errors=issues, titles=titles)
+        views = shard if views is None else merge_views(views, shard)
     if views is None:  # no files
         views = {}
     _write(out, write_views_tsv, views)

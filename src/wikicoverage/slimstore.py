@@ -485,32 +485,19 @@ def read_store_sitelinks(source: Iterable[str]) -> Iterator[SitelinksRecord]:
     return _read_records(source, (), _sitelinks_parser)
 
 
-def save_slim_store(
-    entities: Iterable[SlimEntity] | SlimStoreWriter,
-    path: Path | str,
-    *,
-    keep_props: Iterable[EntityId] | None = None,
-) -> int:
-    """Write a store to ``path``, through a sibling temporary file that
-    replaces ``path`` only once the whole store is written; returns the count.
+def save_slim_store(writer: SlimStoreWriter, path: Path | str) -> int:
+    """Write ``writer``'s store (:meth:`SlimStoreWriter.write`) to ``path``,
+    through a sibling temporary file that replaces ``path`` only once the
+    whole store is written; returns the count.
 
-    ``entities`` are written as :func:`write_slim_store` writes them, with
-    ``keep_props``.  Or ``entities`` is a :class:`SlimStoreWriter` that has
-    had its records, and ``keep_props`` is left out: its store is written, and
-    the caller closes it.  A refused or failed write leaves the file already
-    at ``path`` as it was, and removes the temporary file.
+    The caller closes the writer.  A refused or failed write leaves the file
+    already at ``path`` as it was, and removes the temporary file.
     """
-    if isinstance(entities, SlimStoreWriter):
-        write = entities.write
-    elif keep_props is None:
-        raise TypeError("save_slim_store() needs keep_props to write entities")
-    else:
-        write = partial(write_slim_store, entities, keep_props=keep_props)
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "w", encoding="utf-8", newline="\n") as sink:
-            count = write(sink)
+            count = writer.write(sink)
         os.replace(temporary, path)
     except BaseException:
         with suppress(OSError):

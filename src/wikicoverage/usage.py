@@ -272,7 +272,8 @@ def parse_readership_table(source: Iterable[str]) -> dict[str, list[ReadershipRe
 
 
 def load_readership(path) -> dict[str, list[ReadershipRecord]]:
-    with open(path, encoding="utf-8", newline="") as handle:
+    # utf-8-sig: a byte-order mark that a spreadsheet put first is not part of the first column's name
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         return parse_readership_table(handle)
 
 

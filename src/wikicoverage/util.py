@@ -1,7 +1,8 @@
 """Small shared helpers: title normalization, exact fraction rendering, the
 one count reader of every input file (:func:`parse_count`), the one row
 reader behind the TSV artifact readers, the field-count check of the CSV
-readers, and a pause of the cyclic garbage collector for bulk loads."""
+readers, and a pause of the cyclic garbage collector for attribution's
+pass."""
 
 from __future__ import annotations
 
@@ -157,12 +158,13 @@ def drain(items: Iterable[object]) -> None:
 def paused_gc() -> Iterator[None]:
     """Pause the cyclic garbage collector for the block, then restore its state.
 
-    A bulk load allocates many container objects and frees almost none, so
-    each automatic collection would rescan every record built so far, yet the
-    records (ids, dicts of tuples and strings) form no reference cycles for it
-    to free.  Reference counting still frees everything as usual.  The
-    collector's previous state comes back on exit, on an error too, so a
-    caller that had it off keeps it off.  Wrap a load, never a whole run.
+    Attribution's pass keeps a provenance tuple per item, the place tuples of
+    the items that wait for the walks and the geo index until it ends, so
+    each automatic collection would rescan every one kept so far, yet they
+    form no reference cycles for it to free.  Reference counting still frees
+    everything as usual.  The collector's previous state comes back on exit,
+    on an error too, so a caller that had it off keeps it off.  Wrap a pass
+    whose kept objects grow with its input, never a whole run.
     """
     was_enabled = gc.isenabled()
     gc.disable()

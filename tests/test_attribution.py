@@ -1,3 +1,4 @@
+import codecs
 import io
 import random
 import re
@@ -9,9 +10,8 @@ from hypothesis import strategies as st
 from wikicoverage.attribution import (
     RuleSet,
     attribute_all,
-    attribute_item,
     build_geo_index,
-    is_excluded,
+    load_rules,
     parse_rules,
     read_attribution_tsv,
     render_provenance,
@@ -40,6 +40,29 @@ def parsed(claims: dict) -> SlimEntity:
     text = dump_text([entity_json("Q5", claims)])
     (entity,) = parse_dump_stream(io.StringIO(text), RULES.required_properties)
     return entity
+
+
+def attribute_one(entity: SlimEntity, index: dict, rules: RuleSet) -> tuple:
+    """``entity``'s provenance from :func:`attribute_all` over a copy of ``index``,
+    which the call extends with the entity's own country-chain values."""
+    return attribute_all([entity], dict(index), rules)[entity.id]
+
+
+def expected_provenance(entity: SlimEntity, index: dict, rules: RuleSet) -> tuple:
+    """``entity``'s provenance as the rules define it: none for an excluded
+    class, else its direct matches and then a fresh walk per place value, each
+    kind in property order."""
+    if not rules.exclude_classes.isdisjoint(entity.claim_values(P(31))):
+        return ()
+    paths = []
+    for prop in sorted(rules.direct_props, key=lambda p: p.number):
+        paths += [(prop, v) for v in entity.claim_values(prop) if v == rules.target]
+    for prop in sorted(rules.place_props, key=lambda p: p.number):
+        for value in entity.claim_values(prop):
+            chain = path_to_target(index, value, rules)
+            if chain is not None:
+                paths.append((prop, *chain))
+    return tuple(paths)
 
 
 class TestGeoIndex:
@@ -105,48 +128,50 @@ class TestResolvePlace:
 
 
 class TestAttributeItem:
+    """One item through :func:`attribute_all`."""
+
     def test_citizenship_direct_match(self):
         person = SlimEntity(Q(22686), {P(27): (Q(30),)})
-        paths = attribute_item(person, {}, RULES)
+        paths = attribute_one(person, {}, RULES)
         assert paths
         assert paths == ((P(27), Q(30)),)
 
     def test_country_direct_match(self):
         org = SlimEntity(Q(9684), {P(17): (Q(30),)})
-        assert attribute_item(org, {}, RULES)
+        assert attribute_one(org, {}, RULES)
 
     def test_birthplace_resolves_through_index(self):
         person = SlimEntity(Q(5), {P(19): (Q(60),)})
-        paths = attribute_item(person, {Q(60): (Q(30),)}, RULES)
+        paths = attribute_one(person, {Q(60): (Q(30),)}, RULES)
         assert paths
         assert paths == ((P(19), Q(60), Q(30)),)
 
     def test_foreign_country_only_is_unrelated(self):
         entity = SlimEntity(Q(5), {P(17): (Q(183),)})
-        paths = attribute_item(entity, {}, RULES)
+        paths = attribute_one(entity, {}, RULES)
         assert not paths
         assert paths == ()
 
     def test_direct_paths_come_before_place_paths(self):
         entity = SlimEntity(Q(5), {P(19): (Q(60),), P(27): (Q(30),)})
-        paths = attribute_item(entity, {Q(60): (Q(30),)}, RULES)
+        paths = attribute_one(entity, {Q(60): (Q(30),)}, RULES)
         assert paths == ((P(27), Q(30)), (P(19), Q(60), Q(30)))
 
     def test_multi_hop_place_chain_is_recorded(self):
         index = {Q(100): (Q(101),), Q(101): (Q(30),)}
         entity = SlimEntity(Q(5), {P(276): (Q(100),)})
-        paths = attribute_item(entity, index, RULES)
+        paths = attribute_one(entity, index, RULES)
         assert paths == ((P(276), Q(100), Q(101), Q(30)),)
 
     def test_dual_citizenship_matches_on_any_value(self):
         entity = SlimEntity(Q(5), {P(27): (Q(142), Q(30))})
-        assert attribute_item(entity, {}, RULES)
+        assert attribute_one(entity, {}, RULES)
 
     def test_place_value_equal_to_target_needs_a_geo_edge(self):
         entity = SlimEntity(Q(5), {P(276): (Q(30),)})
-        assert not attribute_item(entity, {}, RULES)
+        assert not attribute_one(entity, {}, RULES)
         # with the target's own self country claim the edge exists
-        paths = attribute_item(entity, {Q(30): (Q(30),)}, RULES)
+        paths = attribute_one(entity, {Q(30): (Q(30),)}, RULES)
         assert paths
         assert paths == ((P(276), Q(30), Q(30)),)
 
@@ -154,7 +179,7 @@ class TestAttributeItem:
         # a string or a property value never matches, even one numbered like the target
         entity = parsed({"P27": ["Q30", P(30)], "P19": ["Q60", P(60)]})
         index = {Q(60): (Q(30),), P(60): (Q(30),)}
-        assert not attribute_item(entity, index, RULES)
+        assert not attribute_one(entity, index, RULES)
 
 
 class TestAttributeAll:
@@ -183,10 +208,11 @@ class TestAttributeAll:
         with pytest.raises(DuplicateItemError):
             attribute_all(entities, {}, RULES)
 
-    def test_excluded_check_helper(self):
-        page = SlimEntity(Q(7), {P(31): (Q(4167410),)})
-        assert is_excluded(page, RULES)
-        assert not is_excluded(SlimEntity(Q(8)), RULES)
+    def test_excluded_item_whose_place_reaches_the_target_is_unrelated(self):
+        page = SlimEntity(Q(7), {P(19): (Q(60),), P(31): (Q(4167410),)})
+        person = SlimEntity(Q(8), {P(19): (Q(60),)})
+        results = attribute_all([page, person], {Q(60): (Q(30),)}, RULES)
+        assert results == {Q(7): (), Q(8): ((P(19), Q(60), Q(30)),)}
 
 
 class TestProperties:
@@ -197,7 +223,7 @@ class TestProperties:
         entities = random_attribution_fixture(rng, 40)
         index = build_geo_index(entities, RULES)
         for entity in entities[:20]:
-            baseline = bool(attribute_item(entity, index, RULES))
+            baseline = bool(attribute_one(entity, index, RULES))
             items = list(entity.claims.items())
             rng.shuffle(items)
             shuffled = SlimEntity(
@@ -205,7 +231,7 @@ class TestProperties:
                 {prop: tuple(rng.sample(values, len(values))) for prop, values in items},
                 dict(entity.sitelinks),
             )
-            assert bool(attribute_item(shuffled, index, RULES)) == baseline
+            assert bool(attribute_one(shuffled, index, RULES)) == baseline
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
@@ -218,8 +244,8 @@ class TestProperties:
             place_props=RULES.place_props,
         )
         for entity in entities:
-            if attribute_item(entity, index, RULES):
-                assert attribute_item(entity, index, wider)
+            if attribute_one(entity, index, RULES):
+                assert attribute_one(entity, index, wider)
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
@@ -232,8 +258,8 @@ class TestProperties:
             place_props=RULES.place_props | {P(1002)},
         )
         for entity in entities:
-            if attribute_item(entity, index, RULES):
-                assert attribute_item(entity, index, wider)
+            if attribute_one(entity, index, RULES):
+                assert attribute_one(entity, index, wider)
 
     @given(seed=st.integers(0, 2**31), max_depth=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
@@ -271,25 +297,16 @@ class TestProperties:
         graph = oracle_geo_graph(entities, rules)
         results = attribute_all(entities, index, rules)
         for entity in entities:
-            paths = []
-            if not is_excluded(entity, rules):
-                for prop in sorted(rules.direct_props, key=lambda p: p.number):
-                    paths += [(prop, v) for v in entity.claim_values(prop) if v == rules.target]
-                for prop in sorted(rules.place_props, key=lambda p: p.number):
-                    for value in entity.claim_values(prop):
-                        chain = path_to_target(index, value, rules)
-                        if chain is not None:
-                            paths.append((prop, *chain))
-            assert results[entity.id] == tuple(paths)
+            assert results[entity.id] == expected_provenance(entity, index, rules)
             assert bool(results[entity.id]) == oracle_related(entity, graph, rules)
 
     def test_widening_a_rule_set_can_flip_unrelated_to_related(self):
         # headquarters location (P159) is not matched by the defaults
         entity = SlimEntity(Q(5), {P(159): (Q(60),)})
         index = {Q(60): (Q(30),)}
-        assert not attribute_item(entity, index, RULES)
+        assert not attribute_one(entity, index, RULES)
         wider = RuleSet(place_props=RULES.place_props | {P(159)})
-        paths = attribute_item(entity, index, wider)
+        paths = attribute_one(entity, index, wider)
         assert paths
         assert paths == ((P(159), Q(60), Q(30)),)
 
@@ -365,8 +382,8 @@ class TestOracleEquivalence:
         index = build_geo_index(entities, rules)
         graph = oracle_geo_graph(entities, rules)
         for entity in entities:
-            # a fresh walk memo per item, and the brute-force walk enumeration
-            expected = () if is_excluded(entity, rules) else attribute_item(entity, index, rules)
+            # a fresh walk per place value, and the brute-force walk enumeration
+            expected = expected_provenance(entity, index, rules)
             assert streamed[entity.id] == expected
             assert bool(expected) == oracle_related(entity, graph, rules)
 
@@ -434,6 +451,13 @@ class TestRuleSet:
         assert rules.geo_chain_props == (P(17), P(131))
         assert rules.max_depth == 3
         assert Q(13406463) in rules.exclude_classes
+
+    def test_a_byte_order_mark_loads_as_the_plain_file(self, tmp_path):
+        text = "target=Q183\nplace=P19\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        assert load_rules(marked) == load_rules(plain) == parse_rules(text)
 
     def test_parse_rules_rejects_unknown_key(self):
         with pytest.raises(RulesError):

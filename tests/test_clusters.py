@@ -1,3 +1,4 @@
+import codecs
 import io
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from wikicoverage.clusters import (
     aggregate_cluster,
     assign_clusters,
     default_cluster_map,
+    load_cluster_map,
     parse_cluster_map,
     write_clusters_tsv,
 )
@@ -146,6 +148,13 @@ class TestClusterMap:
             "US": "English-Speaking",
             "MX": "Latin America",
         }
+
+    def test_a_byte_order_mark_loads_as_the_plain_file(self, tmp_path):
+        text = "country,cluster\nUS,English-Speaking\nMX,Latin America\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        assert load_cluster_map(marked) == load_cluster_map(plain) == {"US": "English-Speaking", "MX": "Latin America"}
 
     def test_missing_column_rejected(self):
         with pytest.raises(ValueError):

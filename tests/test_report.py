@@ -1,4 +1,6 @@
+import codecs
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -21,6 +23,7 @@ from wikicoverage.report import RunConfig, emit_table, run_pipeline, sort_rows_f
 from helpers import dump_text, entity_json
 
 FIXTURE = Path(__file__).resolve().parents[1] / "demos" / "data"
+PACKAGED_MAP = Path(__file__).resolve().parents[1] / "src" / "wikicoverage" / "data" / "cluster_map.csv"
 
 
 def make_row(language, ravs_pair, **overrides):
@@ -260,6 +263,26 @@ class TestPipelineEndToEnd:
         assert len(manifest["inputs"]) == 5
         for entry in manifest["inputs"].values():
             assert len(entry["sha256"]) == 64
+
+    def test_byte_order_marked_inputs_give_the_same_artifacts_and_digest_as_given(self, tmp_path):
+        marked = {}
+        for field, source in (
+            ("readership", FIXTURE / "readership.csv"),
+            ("rules", FIXTURE / "rules.txt"),
+            ("cluster_map", PACKAGED_MAP),
+        ):
+            marked[field] = tmp_path / f"marked-{source.name}"
+            marked[field].write_bytes(codecs.BOM_UTF8 + source.read_bytes())
+        plain = run_pipeline(self.config(tmp_path, out_dir=tmp_path / "plain", cluster_map=PACKAGED_MAP))
+        bom = run_pipeline(self.config(tmp_path, out_dir=tmp_path / "bom", **marked))
+        compared = sorted(set(plain.artifacts) - {"manifest"})
+        assert compared == sorted(set(bom.artifacts) - {"manifest"})
+        for name in compared:
+            assert plain.artifacts[name].read_bytes() == bom.artifacts[name].read_bytes(), name
+        # the manifest digests each file's bytes as given, the mark included
+        for path in marked.values():
+            data = path.read_bytes()
+            assert bom.manifest["inputs"][str(path)] == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
     def test_undecodable_bytes_are_tallied_not_fatal(self, tmp_path):
         dump = tmp_path / "dump.json"

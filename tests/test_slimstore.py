@@ -35,6 +35,14 @@ def write(entities, sink, keep_props=STORE_PROPS, **kwargs):
     return write_slim_store(entities, sink, keep_props=keep_props, **kwargs)
 
 
+def save(entities, path):
+    """Save ``entities`` at ``path`` through a writer, as the ``slim`` stage does."""
+    with slimstore.SlimStoreWriter(STORE_PROPS) as writer:
+        for entity in entities:
+            writer.add(entity)
+        return save_slim_store(writer, path)
+
+
 def round_trip(entities, **kwargs):
     sink = io.StringIO()
     count = write(entities, sink, **kwargs)
@@ -99,12 +107,9 @@ class TestWrite:
         assert write([], sink) == 0
         assert "count=0" in sink.getvalue().splitlines()[1]
 
-    def test_keep_props_is_required(self, tmp_path):
+    def test_keep_props_is_required(self):
         with pytest.raises(TypeError):
             write_slim_store([], io.StringIO())
-        with pytest.raises(TypeError):
-            save_slim_store([], tmp_path / "s.slim")
-        assert list(tmp_path.iterdir()) == []
 
     def test_records_are_sorted_by_id_number(self):
         entities = [SlimEntity(Q(9684)), SlimEntity(Q(30))]
@@ -184,12 +189,12 @@ class TestSave:
 
     def existing_store(self, tmp_path):
         path = tmp_path / "s.slim"
-        save_slim_store([SlimEntity(Q(5), {P(17): (Q(30),)}, {"enwiki": "A"})], path, keep_props=STORE_PROPS)
+        save([SlimEntity(Q(5), {P(17): (Q(30),)}, {"enwiki": "A"})], path)
         return path, path.read_bytes()
 
     def test_save_replaces_the_store(self, tmp_path):
         path, _ = self.existing_store(tmp_path)
-        assert save_slim_store([SlimEntity(Q(7))], path, keep_props=STORE_PROPS) == 1
+        assert save([SlimEntity(Q(7))], path) == 1
         assert [entity.id for entity in read_slim_store(io.StringIO(path.read_text(encoding="utf-8")))] == [Q(7)]
         assert [p.name for p in tmp_path.iterdir()] == ["s.slim"]
 
@@ -205,25 +210,39 @@ class TestSave:
     def test_a_refused_save_keeps_the_old_store(self, tmp_path, entities, error):
         path, kept = self.existing_store(tmp_path)
         with pytest.raises(error):
-            save_slim_store(entities, path, keep_props=STORE_PROPS)
+            save(entities, path)
         assert path.read_bytes() == kept
         assert [p.name for p in tmp_path.iterdir()] == ["s.slim"]
 
-    @pytest.mark.parametrize("failing", ["write", "replace"])
-    def test_an_os_error_keeps_the_old_store(self, tmp_path, monkeypatch, failing):
+    @pytest.mark.parametrize(
+        "failing, expected, message, written",
+        [
+            ("write", SlimStoreWriteError, "write failed after 1 of 2 records: disk full", 1),
+            ("replace", OSError, "disk full", None),
+        ],
+        ids=["write", "replace"],
+    )
+    def test_an_os_error_keeps_the_old_store(self, tmp_path, monkeypatch, failing, expected, message, written):
         path, kept = self.existing_store(tmp_path)
 
         def fail(*args, **kwargs):
             raise OSError("disk full")
 
+        def full_disk(*args, **kwargs):
+            # the temporary file takes the two header lines and one record, then fails
+            sink = open(*args, **kwargs)
+            writes = iter([sink.write] * 3)
+            sink.write = lambda text: next(writes, fail)(text)
+            return sink
+
         if failing == "write":
-            monkeypatch.setattr(slimstore, "_record_line", fail)
-            expected = SlimStoreWriteError
+            monkeypatch.setattr(slimstore, "open", full_disk, raising=False)
         else:
             monkeypatch.setattr(slimstore.os, "replace", fail)
-            expected = OSError
-        with pytest.raises(expected, match="disk full"):
-            save_slim_store([SlimEntity(Q(7)), SlimEntity(Q(8))], path, keep_props=STORE_PROPS)
+        with pytest.raises(expected, match=f"^{message}$") as err:
+            save([SlimEntity(Q(7)), SlimEntity(Q(8))], path)
+        if written is not None:
+            assert err.value.records_written == written
         assert path.read_bytes() == kept
         assert [p.name for p in tmp_path.iterdir()] == ["s.slim"]
 
@@ -287,7 +306,7 @@ class TestSpilledRuns:
 
     def test_a_repeat_across_runs_is_refused_and_keeps_the_old_store(self, tmp_path, monkeypatch):
         path = tmp_path / "s.slim"
-        save_slim_store([SlimEntity(Q(5), {P(17): (Q(30),)}, {"enwiki": "A"})], path, keep_props=STORE_PROPS)
+        save([SlimEntity(Q(5), {P(17): (Q(30),)}, {"enwiki": "A"})], path)
         kept = path.read_bytes()
         spill_dir = tmp_path / "spills"
         spill_dir.mkdir()
@@ -297,7 +316,7 @@ class TestSpilledRuns:
         monkeypatch.setattr(slimstore.tempfile, "TemporaryFile", spills)
         records = [SlimEntity(Q(5), {P(17): (Q(30),)}), SlimEntity(Q(9)), SlimEntity(Q(5), {}, {"enwiki": "X"})]
         with pytest.raises(DuplicateItemError, match="^item Q5 appears twice in the input stream$"):
-            save_slim_store(records, path, keep_props=STORE_PROPS)
+            save(records, path)
         assert len(spills.files) == 3 and all(spill.closed for spill in spills.files)
         assert path.read_bytes() == kept
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.slim", "spills"]
@@ -315,7 +334,7 @@ class TestSpilledRuns:
 
     def test_an_os_error_in_a_spill_keeps_the_old_store(self, tmp_path, monkeypatch):
         path = tmp_path / "s.slim"
-        save_slim_store([SlimEntity(Q(5))], path, keep_props=STORE_PROPS)
+        save([SlimEntity(Q(5))], path)
         kept = path.read_bytes()
 
         def fail(*args, **kwargs):
@@ -324,7 +343,7 @@ class TestSpilledRuns:
         monkeypatch.setattr(slimstore, "RUN_CHARS", 1)
         monkeypatch.setattr(slimstore.tempfile, "TemporaryFile", fail)
         with pytest.raises(SlimStoreWriteError, match="no space left for the run") as err:
-            save_slim_store([SlimEntity(Q(7)), SlimEntity(Q(8))], path, keep_props=STORE_PROPS)
+            save([SlimEntity(Q(7)), SlimEntity(Q(8))], path)
         assert err.value.records_written == 0
         assert path.read_bytes() == kept
         assert [p.name for p in tmp_path.iterdir()] == ["s.slim"]

@@ -1,3 +1,4 @@
+import codecs
 import io
 import random
 import re
@@ -20,6 +21,7 @@ from wikicoverage.usage import (
     TitleMemo,
     aggregate_views,
     language_list_problem,
+    load_readership,
     merge_views,
     parse_pageviews_stream,
     parse_readership_table,
@@ -436,6 +438,13 @@ class TestReadership:
                 ReadershipRecord("en", "GB", 150, 90),
             ]
         }
+
+    def test_a_byte_order_mark_loads_as_the_plain_file(self, tmp_path):
+        text = self.HEADER + "en,US,600,800\nen,GB,150,90\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        assert load_readership(marked) == load_readership(plain) == parse_readership_table(io.StringIO(text))
 
     def test_duplicate_language_country_raises(self):
         source = io.StringIO(self.HEADER + "en,US,600,800\nen,US,1,1\n")
