@@ -7,7 +7,7 @@ chew through dumps far larger than its RAM.
 
 import io
 
-from wikicoverage import EntityId, parse_dump_stream, read_slim_store, write_slim_store
+from wikicoverage import EntityId, SlimStoreWriter, parse_dump_stream, read_slim_store
 
 # a three-entity dump, exactly as it would sit on disk after decompression;
 # the middle line is deliberately broken to show error isolation
@@ -28,17 +28,20 @@ entities = list(
 
 print(f"parsed {len(entities)} entities, skipped {len(errors)} malformed line(s)")
 for entity in entities:
-    claims = {str(p): [str(v) for v in vs] for p, vs in entity.claims.items()}
-    print(f"  {entity.id}: claims={claims} sitelinks={entity.sitelinks}")
+    claims = {str(p): [f"Q{v}" for v in vs] for p, vs in entity.claims.items()}
+    print(f"  Q{entity.id}: claims={claims} sitelinks={entity.sitelinks}")
 for issue in errors:
     print(f"  line {issue.line_number} skipped: {issue.reason}")
 
 # persist to the compact store format and read it back; records come back
 # sorted by item number, which is what the two-pass attribution step expects
 buffer = io.StringIO()
-count = write_slim_store(entities, buffer, keep_props=keep_props)
+with SlimStoreWriter(keep_props) as writer:
+    for entity in entities:
+        writer.add(entity)
+    count = writer.write(buffer)
 print(f"\nslim store with {count} records:")
 print(buffer.getvalue())
 
 restored = list(read_slim_store(io.StringIO(buffer.getvalue())))
-print("round trip ok:", restored == sorted(entities, key=lambda e: e.id.number))
+print("round trip ok:", restored == sorted(entities, key=lambda e: e.id))

@@ -10,24 +10,24 @@ walk resolves each place.
 from wikicoverage import EntityId, RuleSet, SlimEntity, attribute_all
 from wikicoverage.attribution import render_provenance
 
-Q, P = EntityId.item, EntityId.prop
+P = EntityId.prop  # properties are ids; items are their plain numbers
 
 rules = RuleSet()  # target Q30, direct P17/P27/P495, places via P19/P276
 print(f"target: {rules.target}, max geo depth: {rules.max_depth}")
 
 entities = [
     # geography: a city in the target country, a city elsewhere, and a cycle
-    SlimEntity(Q(60), {P(17): (Q(30),)}, {"enwiki": "New York City"}),
-    SlimEntity(Q(64), {P(17): (Q(183),)}, {"enwiki": "Berlin"}),
-    SlimEntity(Q(111), {P(17): (Q(112),)}),
-    SlimEntity(Q(112), {P(17): (Q(111),)}),
+    SlimEntity(60, {P(17): (30,)}, {"enwiki": "New York City"}),
+    SlimEntity(64, {P(17): (183,)}, {"enwiki": "Berlin"}),
+    SlimEntity(111, {P(17): (112,)}),
+    SlimEntity(112, {P(17): (111,)}),
     # topics
-    SlimEntity(Q(22686), {P(27): (Q(30),), P(19): (Q(60),)}, {"enwiki": "Donald Trump"}),
-    SlimEntity(Q(9684), {P(17): (Q(30),)}, {"enwiki": "The New York Times"}),
-    SlimEntity(Q(5879), {P(27): (Q(183),), P(19): (Q(64),)}, {"enwiki": "Goethe"}),
-    SlimEntity(Q(500), {P(19): (Q(111),)}, {"enwiki": "Nobody In Particular"}),
+    SlimEntity(22686, {P(27): (30,), P(19): (60,)}, {"enwiki": "Donald Trump"}),
+    SlimEntity(9684, {P(17): (30,)}, {"enwiki": "The New York Times"}),
+    SlimEntity(5879, {P(27): (183,), P(19): (64,)}, {"enwiki": "Goethe"}),
+    SlimEntity(500, {P(19): (111,)}, {"enwiki": "Nobody In Particular"}),
     # a disambiguation page never counts, even with a matching claim
-    SlimEntity(Q(600), {P(17): (Q(30),), P(31): (Q(4167410),)}),
+    SlimEntity(600, {P(17): (30,), P(31): (4167410,)}),
 ]
 
 # one read of the items, here a one-shot stream: attribute_all fills the geo
@@ -36,10 +36,10 @@ entities = [
 index = {}
 results = attribute_all(iter(entities), index, rules)
 print(f"\ngeo index has {len(index)} entries")
-for item, countries in sorted(index.items(), key=lambda kv: kv[0].number):
-    print(f"  {item} -> {', '.join(str(c) for c in countries)}")
+for item, countries in sorted(index.items()):
+    print(f"  Q{item} -> {', '.join(f'Q{c}' for c in countries)}")
 
 print("\nattribution results:")
-for item, paths in sorted(results.items(), key=lambda kv: kv[0].number):
+for item, paths in sorted(results.items()):
     via = render_provenance(paths) or "-"
-    print(f"  {item}: related={bool(paths)}  via {via}")
+    print(f"  Q{item}: related={bool(paths)}  via {via}")

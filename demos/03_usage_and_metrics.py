@@ -22,7 +22,7 @@ from wikicoverage import (
 )
 from wikicoverage.util import percent
 
-Q, P = EntityId.item, EntityId.prop
+P = EntityId.prop  # properties are ids; items are their plain numbers
 
 # pageview dump lines: mobile traffic folds into the base language, the
 # wiktionary line is skipped, the broken line is tallied and ignored
@@ -49,13 +49,13 @@ print("view totals:", {f"{l}:{t}": v for (l, t), v in sorted(views.items())})
 print("malformed pageview lines:", len(issues))
 
 entities = [
-    SlimEntity(Q(30), {P(17): (Q(30),)}, {"enwiki": "United States"}),
-    SlimEntity(Q(183), {P(17): (Q(183),)}, {"enwiki": "Germany"}),
-    SlimEntity(Q(22686), {P(27): (Q(30),)}, {"enwiki": "Donald Trump"}),
+    SlimEntity(30, {P(17): (30,)}, {"enwiki": "United States"}),
+    SlimEntity(183, {P(17): (183,)}, {"enwiki": "Germany"}),
+    SlimEntity(22686, {P(27): (30,)}, {"enwiki": "Donald Trump"}),
 ]
 # the metrics need only the set of related items (02_attribution.py derives
 # it): the United States and Donald Trump relate to Q30, Germany does not
-related = {Q(30), Q(22686)}
+related = {30, 22686}
 
 readership = parse_readership_table(io.StringIO(READERSHIP))
 rows, failures = compute_all(build_article_sets(entities, {"en"}), related, views, readership)

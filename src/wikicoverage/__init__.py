@@ -37,13 +37,7 @@ from .metrics import (
     reader_share,
 )
 from .report import PipelineResult, RunConfig, emit_table, run_pipeline, sort_rows_for_table
-from .slimstore import (
-    load_slim_store,
-    read_slim_store,
-    read_store_sitelinks,
-    save_slim_store,
-    write_slim_store,
-)
+from .slimstore import SlimStoreWriter, load_slim_store, read_slim_store, read_store_sitelinks, save_slim_store
 from .usage import (
     ReadershipRecord,
     TitleMemo,
@@ -64,6 +58,7 @@ __all__ = [
     "RuleSet",
     "RunConfig",
     "SlimEntity",
+    "SlimStoreWriter",
     "TitleMemo",
     "WikiCoverageError",
     "aggregate_all",
@@ -94,5 +89,4 @@ __all__ = [
     "run_pipeline",
     "save_slim_store",
     "sort_rows_for_table",
-    "write_slim_store",
 ]

@@ -12,6 +12,12 @@ built from the records as they pass, and until it is complete each item
 leaves behind only its id, its direct paths and its place-claim values.  The
 places are walked once the stream ends.
 
+Items are their plain ``int`` numbers here, as the readers give them: the
+geo index, the walks and the results are keyed by item number, and a
+provenance path is ``(property, item number, ..., target number)``.  Only
+the rule set holds :class:`EntityId` values; a call reads the numbers of its
+target and excluded classes once.
+
 Every satisfied claim contributes one provenance path: ``(property, entity,
 ..., target)``, and an item is related exactly when it has one.  Direct paths
 come first, then place paths; properties are visited in ascending id order
@@ -47,9 +53,11 @@ INSTANCE_OF = EntityId.prop(31)
 UNITED_STATES = EntityId.item(30)
 DISAMBIGUATION_PAGE = EntityId.item(4167410)
 
-GeoIndex = Mapping[EntityId, tuple[EntityId, ...]]
-# one path per satisfied claim, each (property, ..., target); empty: not related
-Provenance = tuple[tuple[EntityId, ...], ...]
+# item number -> the item numbers of its country-chain claims
+GeoIndex = Mapping[int, tuple[int, ...]]
+# one path per satisfied claim, each (property, item number, ..., target
+# number); empty: not related
+Provenance = tuple[tuple[EntityId | int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -103,11 +111,11 @@ class RuleSet:
         )
 
 
-def build_geo_index(entities: Iterable[SlimEntity], rules: RuleSet) -> dict[EntityId, tuple[EntityId, ...]]:
-    """Map each item to its country-chain claim values, in claim order."""
-    index: dict[EntityId, tuple[EntityId, ...]] = {}
+def build_geo_index(entities: Iterable[SlimEntity], rules: RuleSet) -> dict[int, tuple[int, ...]]:
+    """Map each item number to its country-chain claim values, in claim order."""
+    index: dict[int, tuple[int, ...]] = {}
     for entity in entities:
-        values: list[EntityId] = []
+        values: list[int] = []
         for prop in rules.geo_chain_props:
             values.extend(entity.claim_values(prop))
         if values:
@@ -115,7 +123,7 @@ def build_geo_index(entities: Iterable[SlimEntity], rules: RuleSet) -> dict[Enti
     return index
 
 
-def _path_to_target(index: GeoIndex, start: EntityId, rules: RuleSet) -> tuple[EntityId, ...] | None:
+def _path_to_target(index: GeoIndex, start: int, rules: RuleSet) -> tuple[int, ...] | None:
     """Shortest chain ``(start, ..., target)`` over geo edges, or None.
 
     Breadth-first and bounded at ``max_depth`` hops, and each node is expanded
@@ -123,12 +131,12 @@ def _path_to_target(index: GeoIndex, start: EntityId, rules: RuleSet) -> tuple[E
     earliest claim in the earliest-discovered node, so the chain is
     deterministic.
     """
-    target = rules.target
-    parents: dict[EntityId, EntityId] = {}
+    target = rules.target.number
+    parents: dict[int, int] = {}
     frontier = [start]
     seen = {start}
 
-    def chain_to(node: EntityId) -> tuple[EntityId, ...]:
+    def chain_to(node: int) -> tuple[int, ...]:
         chain = [node]
         while chain[-1] != start:
             chain.append(parents[chain[-1]])
@@ -136,7 +144,7 @@ def _path_to_target(index: GeoIndex, start: EntityId, rules: RuleSet) -> tuple[E
         return tuple(chain)
 
     for _ in range(rules.max_depth):
-        next_frontier: list[EntityId] = []
+        next_frontier: list[int] = []
         for node in frontier:
             for value in index.get(node, ()):
                 if value == target:
@@ -163,15 +171,16 @@ class _Chains(dict):
         self.index = index
         self.rules = rules
 
-    def __missing__(self, start: EntityId) -> tuple[EntityId, ...] | None:
+    def __missing__(self, start: int) -> tuple[int, ...] | None:
         chain = self[start] = _path_to_target(self.index, start, self.rules)
         return chain
 
 
 def attribute_all(
-    entities: Iterable[SlimEntity], index: dict[EntityId, tuple[EntityId, ...]], rules: RuleSet
-) -> dict[EntityId, Provenance]:
-    """Each input item's provenance, in input order; an excluded-class item gets ``()``.
+    entities: Iterable[SlimEntity], index: dict[int, tuple[int, ...]], rules: RuleSet
+) -> dict[int, Provenance]:
+    """Each input item's provenance by item number, in input order; an
+    excluded-class item gets ``()``.
 
     ``entities`` is read once, as a stream, so a one-shot iterator will do.
     Each record's country-chain values are added to ``index`` as it passes
@@ -181,17 +190,17 @@ def attribute_all(
     own tuples, never copies.  Then each distinct place is walked once over
     the complete index (see the module docstring).
     """
-    results: dict[EntityId, Provenance] = {}  # direct paths only, until the walks
-    waiting: list[tuple[EntityId, tuple[tuple[EntityId, ...], ...]]] = []  # items with place values
-    target = rules.target
-    excluded = rules.exclude_classes
+    results: dict[int, Provenance] = {}  # direct paths only, until the walks
+    waiting: list[tuple[int, tuple[tuple[int, ...], ...]]] = []  # items with place values
+    target = rules.target.number
+    excluded = frozenset(item.number for item in rules.exclude_classes)
     direct_props, place_props = rules.path_order
 
     def passing() -> Iterator[SlimEntity]:
         for entity in entities:
             item = entity.id
             if item in results:
-                raise DuplicateItemError(f"item {item} appears twice in the input stream")
+                raise DuplicateItemError(f"item Q{item} appears twice in the input stream")
             claims = entity.claims
             direct: Provenance = ()
             if excluded.isdisjoint(claims.get(INSTANCE_OF, ())):
@@ -283,8 +292,12 @@ def load_rules(path: Path | str) -> RuleSet:
 # -- attribution TSV ---------------------------------------------------------
 
 
+_item_token = "Q%d".__mod__
+
+
 def render_provenance(paths: Provenance) -> str:
-    return ";".join(">".join(str(node) for node in path) for path in paths)
+    """``P19>Q60>Q30;...``: each path's property, then its item numbers as ``Q<n>``."""
+    return ";".join([f"{path[0]}>" + ">".join(map(_item_token, path[1:])) for path in paths])
 
 
 # what render_provenance writes; each node is an id that EntityId.parse accepts
@@ -296,11 +309,11 @@ _FLAGS = {"true": True, "false": False}
 ATTRIBUTION_COLUMNS = ("item", "related", "provenance")
 
 
-def write_attribution_tsv(results: Mapping[EntityId, Provenance], sink: IO[str]) -> None:
-    for item in sorted(results, key=lambda e: e.number):
+def write_attribution_tsv(results: Mapping[int, Provenance], sink: IO[str]) -> None:
+    for item in sorted(results):
         provenance = results[item]
         flag = "true" if provenance else "false"
-        sink.write(f"{item}\t{flag}\t{render_provenance(provenance)}\n")
+        sink.write(f"Q{item}\t{flag}\t{render_provenance(provenance)}\n")
 
 
 def read_attribution_tsv(source: Iterable[str]) -> Iterator[tuple[int, tuple[str, bool]]]:

@@ -16,10 +16,12 @@ LF) is a malformed line; a keep-set's codes are the caller's, and the store
 writer refuses one it cannot carry.
 
 Each item is checked field by field as it is projected, so the parser builds
-its records with :meth:`SlimEntity.trusted`.  It interns no claim value: no
-caller keeps the records (the slim stage renders each to its store line as
-it passes), and a memo would grow with the distinct values of the whole dump
-and break the parser's flat memory.
+its records with :meth:`SlimEntity.trusted`.  Ids are item numbers: a claim
+value is the ``numeric-id`` int that the JSON decoder already built, and a
+record id is read from its ``Q<n>`` token (:func:`entities.item_number`).  It
+interns no claim value: no caller keeps the records (the slim stage renders
+each to its store line as it passes), and a memo would grow with the distinct
+values of the whole dump and break the parser's flat memory.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .entities import ITEM, PROPERTY, EntityId, SlimEntity
+from .entities import ITEM, PROPERTY, EntityId, SlimEntity, item_number
 from .errors import DumpTruncatedError
 from .slimstore import unstorable_wiki_code
 
@@ -105,9 +107,6 @@ def parse_dump_stream(
         errors.append(pending_issue)
 
 
-_new_id = tuple.__new__  # skips NamedTuple's Python-level __new__
-
-
 def _parse_entity_line(
     line: str,
     prop_by_key: dict[str, EntityId],
@@ -130,12 +129,12 @@ def _parse_entity_line(
         return None, None
     id_raw = obj.get("id")
     try:
-        entity_id = EntityId.parse_item(id_raw)
+        entity_id = item_number(id_raw)
     except ValueError:
         return None, f"bad entity id: {id_raw!r}"
 
     claims_obj = obj.get("claims")
-    claims: dict[EntityId, tuple[EntityId, ...]] = {}
+    claims: dict[EntityId, tuple[int, ...]] = {}
     if isinstance(claims_obj, dict):
         for key, prop in prop_by_key.items():
             statements = claims_obj.get(key)
@@ -154,10 +153,10 @@ def _parse_entity_line(
                     continue
                 number = value.get("numeric-id")
                 if type(number) is int and number >= 1:
-                    values.append(_new_id(EntityId, (ITEM, number)))
+                    values.append(number)
                     continue
                 try:
-                    values.append(EntityId.parse_item(value.get("id")))
+                    values.append(item_number(value.get("id")))
                 except ValueError:
                     pass
             if values:

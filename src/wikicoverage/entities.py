@@ -1,4 +1,13 @@
-"""Identifier and minimal-entity types shared by the whole pipeline."""
+"""Identifier and minimal-entity types shared by the whole pipeline.
+
+An item travels every stage as its plain ``int`` number: a record's id, its
+claim values, the geo index, attribution's results and the article sets all
+hold ints, which hash and compare as fast as Python allows.  A text reader
+turns an item token into its number once (:func:`item_number`, or an
+:class:`IdMemo` for a read's repeated tokens), and a writer prints it as
+``"Q%d"``.  :class:`EntityId` stays for properties (the claim keys), for the
+rule set's ids and for parsing either kind of token.
+"""
 
 from __future__ import annotations
 
@@ -11,8 +20,6 @@ PROPERTY = "property"
 
 _KIND_LETTER = {ITEM: "Q", PROPERTY: "P"}
 _LETTER_KIND = {"Q": ITEM, "P": PROPERTY}
-_KIND_NAME = {ITEM: "an item", PROPERTY: "a property"}
-_new_tuple = tuple.__new__  # skips NamedTuple's Python-level __new__
 
 
 def id_pattern(kind: str | None = None) -> str:
@@ -30,9 +37,8 @@ _ID_RE = re.compile(id_pattern() + r"\Z")
 class EntityId(NamedTuple):
     """A Wikidata-style identifier such as ``Q42`` (item) or ``P17`` (property).
 
-    The bare constructor is the trusted fast path used by the dump parser;
-    external inputs should come through :meth:`parse`, :meth:`parse_item`,
-    :meth:`item` or :meth:`prop`, which validate.
+    The bare constructor is a trusted fast path; external inputs should come
+    through :meth:`parse`, :meth:`item` or :meth:`prop`, which validate.
     """
 
     kind: str
@@ -56,37 +62,12 @@ class EntityId(NamedTuple):
         return cls(_LETTER_KIND[text[0]], int(text[1:]))
 
     @classmethod
-    def parse_item(cls, text: str) -> "EntityId":
-        """Parse an item id such as ``Q42``; any other token raises ValueError.
-
-        The common ASCII ``Q<digits>`` form is built without the regex; every
-        other token takes the :meth:`parse` path, so both accept exactly the
-        same item ids.
-        """
-        if (
-            type(text) is str
-            and text[:1] == "Q"
-            and text[1:2] != "0"
-            and text.isascii()
-            and text[1:].isdigit()
-        ):
-            return _new_tuple(cls, (ITEM, int(text[1:])))
-        entity_id = cls.parse(text)
-        if entity_id.kind != ITEM:
-            raise ValueError(f"not an item id: {text!r}")
-        return entity_id
-
-    @classmethod
     def item(cls, number: int) -> "EntityId":
         return cls._checked(ITEM, number)
 
     @classmethod
     def prop(cls, number: int) -> "EntityId":
         return cls._checked(PROPERTY, number)
-
-    @property
-    def is_item(self) -> bool:
-        return self.kind == ITEM
 
     @property
     def is_property(self) -> bool:
@@ -100,38 +81,45 @@ class EntityId(NamedTuple):
         return _KIND_LETTER[self.kind] + str(self.number)
 
 
+def item_number(text: str) -> int:
+    """The number of an item id such as ``Q42``; any other token raises ValueError.
+
+    The common ASCII ``Q<digits>`` form is read without the regex; every
+    other token takes the :meth:`EntityId.parse` path, so both accept exactly
+    the same item ids.
+    """
+    if type(text) is str and text[:1] == "Q" and text[1:2] != "0" and text.isascii() and text[1:].isdigit():
+        return int(text[1:])
+    EntityId.parse(text)  # raises for every token that is no id
+    raise ValueError(f"not an item id: {text!r}")
+
+
 class IdMemo(dict):
-    """Id token -> validated id of one ``kind``, for the life of one read.
+    """Item id token -> item number (:func:`item_number`), for the life of one read.
 
     Each distinct token is validated on its first lookup, which raises
-    ValueError for a bad token or an id of another kind and stores nothing;
-    later lookups return the same object, so equal ids in one read share it.
+    ValueError for a bad token or a property id and stores nothing; later
+    lookups return the same int, so equal ids in one read share one object.
     Create one per read: a memo that outlives its file would grow with every
     file read.
     """
 
-    __slots__ = ("kind",)
+    __slots__ = ()
 
-    def __init__(self, kind: str):
-        super().__init__()
-        self.kind = kind
-
-    def __missing__(self, token: str) -> EntityId:
-        entity_id = EntityId.parse(token)
-        if entity_id.kind != self.kind:
-            raise ValueError(f"not {_KIND_NAME[self.kind]} id: {token!r}")
-        self[token] = entity_id
-        return entity_id
+    def __missing__(self, token: str) -> int:
+        number = self[token] = item_number(token)
+        return number
 
 
 @dataclass(frozen=True, slots=True)
 class SlimEntity:
     """The minimal projection of one dump item: id, kept claims, kept sitelinks.
 
-    ``claims`` maps a property id to the item ids of its kept claims, in claim
-    order; ``sitelinks`` maps a wiki code (``enwiki``) to the article title
-    exactly as spelled in the dump.  Instances are treated as immutable and are
-    safe to share between threads.
+    ``id`` is the item's number (``42`` for ``Q42``); ``claims`` maps a
+    property id to the item numbers of its kept claims, in claim order;
+    ``sitelinks`` maps a wiki code (``enwiki``) to the article title exactly
+    as spelled in the dump.  Instances are treated as immutable and are safe
+    to share between threads.
 
     The constructor checks every field.  :meth:`trusted` skips those checks
     and is only for the readers that have already made each of them on the
@@ -139,21 +127,21 @@ class SlimEntity:
     (``slimstore._parse_record``).
     """
 
-    id: EntityId
-    claims: dict[EntityId, tuple[EntityId, ...]] = field(default_factory=dict)
+    id: int
+    claims: dict[EntityId, tuple[int, ...]] = field(default_factory=dict)
     sitelinks: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.id.is_item:
-            raise ValueError(f"entity id must be an item, got {self.id}")
+        if type(self.id) is not int or self.id < 1:
+            raise ValueError(f"entity id must be an item number, got {self.id!r}")
         for prop, values in self.claims.items():
             if not prop.is_property:
                 raise ValueError(f"claim key must be a property, got {prop}")
             if not values:
                 raise ValueError(f"claim group {prop} is empty")
             for value in values:
-                if not value.is_item:
-                    raise ValueError(f"claim value must be an item, got {value} under {prop}")
+                if type(value) is not int or value < 1:
+                    raise ValueError(f"claim value must be an item number, got {value!r} under {prop}")
         for wiki, title in self.sitelinks.items():
             if not wiki:
                 raise ValueError("sitelink wiki code is empty")
@@ -161,14 +149,12 @@ class SlimEntity:
                 raise ValueError(f"sitelink title for {wiki!r} is empty")
 
     @classmethod
-    def trusted(
-        cls, id: EntityId, claims: dict[EntityId, tuple[EntityId, ...]], sitelinks: dict[str, str]
-    ) -> "SlimEntity":
+    def trusted(cls, id: int, claims: dict[EntityId, tuple[int, ...]], sitelinks: dict[str, str]) -> "SlimEntity":
         """Build a record without ``__post_init__``'s checks.
 
-        The caller must already have checked every field: ``id`` is an item,
-        each claim key a property with a non-empty tuple of items, and each
-        sitelink a non-empty wiki code with a non-empty title.
+        The caller must already have checked every field: ``id`` is an item
+        number, each claim key a property with a non-empty tuple of item
+        numbers, and each sitelink a non-empty wiki code with a non-empty title.
         """
         entity = _new_object(cls)
         _set_id(entity, id)
@@ -176,8 +162,8 @@ class SlimEntity:
         _set_sitelinks(entity, sitelinks)
         return entity
 
-    def claim_values(self, prop: EntityId) -> tuple[EntityId, ...]:
-        """The item ids that ``prop`` claims, in claim order."""
+    def claim_values(self, prop: EntityId) -> tuple[int, ...]:
+        """The item numbers that ``prop`` claims, in claim order."""
         return self.claims.get(prop, ())
 
 

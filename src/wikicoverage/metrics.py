@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, AbstractSet, Iterable, Iterator, Mapping, TypeVar
 
-from .entities import EntityId, SlimEntity
+from .entities import SlimEntity
 from .errors import (
     IncompleteAttributionError,
     NoReadershipError,
@@ -85,7 +85,7 @@ class MetricsRow:
 
 
 def join_attribution(
-    records: Iterable[Record], rows: Iterable[tuple[int, tuple[str, bool]]], related: set[EntityId]
+    records: Iterable[Record], rows: Iterable[tuple[int, tuple[str, bool]]], related: set[int]
 ) -> Iterator[Record]:
     """Yield each store record once its attribution TSV row is matched to it.
 
@@ -94,11 +94,11 @@ def join_attribution(
     the TSV must list exactly the store's items, in store order.  Each record
     is read before its row, so the first bad line met in either file is the
     one reported; a bad row's ValueError is led by ``attribution TSV``.  A
-    row's item text is compared with its record's id, never parsed.  A TSV
-    that skips, adds or reorders an item raises
+    row's item text is compared with its record's id printed as ``Q<n>``,
+    never parsed.  A TSV that skips, adds or reorders an item raises
     :class:`IncompleteAttributionError` naming the item and the TSV line.
-    The id of each related record is added to ``related``; nothing else is
-    kept.
+    The item number of each related record is added to ``related``; nothing
+    else is kept.
     """
     rows = iter(rows)
 
@@ -113,12 +113,12 @@ def join_attribution(
         row = next_row()
         if row is None:
             raise IncompleteAttributionError(
-                f"attribution TSV has no row for item {record.id}: its rows end after line {line_number}"
+                f"attribution TSV has no row for item Q{record.id}: its rows end after line {line_number}"
             )
         line_number, (item, flag) = row
-        if item != str(record.id):
+        if item != "Q%d" % record.id:
             raise IncompleteAttributionError(
-                f"attribution TSV line {line_number}: item {item!r} where the store has {record.id}; "
+                f"attribution TSV line {line_number}: item {item!r} where the store has Q{record.id}; "
                 "the TSV lists exactly the store's items, in store order"
             )
         if flag:
@@ -133,14 +133,14 @@ def join_attribution(
 
 
 def collect_article_sets(
-    records: Iterable[Record], languages: Iterable[str], article_sets: dict[str, dict[str, EntityId]]
+    records: Iterable[Record], languages: Iterable[str], article_sets: dict[str, dict[str, int]]
 ) -> Iterator[Record]:
     """Yield each record once its sitelinked titles are in ``article_sets``.
 
     ``article_sets`` maps each of ``languages`` to its titles, normalized to
-    underscores, and each title to its owning item: language -> title ->
-    item.  The languages are added when the stream starts, so a stream read
-    to its end leaves one set per language.  Two distinct items claiming the
+    underscores, and each title to its owning item's number: language ->
+    title -> item number.  The languages are added when the stream starts,
+    so a stream read to its end leaves one set per language.  Two distinct items claiming the
     same (language, title) raise :class:`TitleConflictError` naming both ids.
     Nothing of a record is kept but its titles.
     """
@@ -158,17 +158,15 @@ def collect_article_sets(
             previous = articles.get(normalized)
             if previous is not None and previous != record.id:
                 raise TitleConflictError(
-                    f"{language}:{normalized!r} claimed by both {previous} and {record.id}"
+                    f"{language}:{normalized!r} claimed by both Q{previous} and Q{record.id}"
                 )
             articles[normalized] = record.id
         yield record
 
 
-def build_article_sets(
-    entities: Iterable[SlimEntity], languages: Iterable[str]
-) -> dict[str, dict[str, EntityId]]:
+def build_article_sets(entities: Iterable[SlimEntity], languages: Iterable[str]) -> dict[str, dict[str, int]]:
     """The article sets of ``entities`` (:func:`collect_article_sets`, read to its end)."""
-    article_sets: dict[str, dict[str, EntityId]] = {}
+    article_sets: dict[str, dict[str, int]] = {}
     drain(collect_article_sets(entities, languages, article_sets))
     return article_sets
 
@@ -196,11 +194,11 @@ def reader_share(readership: Iterable[ReadershipRecord], primary: str, count: st
 
 def count_related(
     language: str,
-    articles: Mapping[str, EntityId],
-    related: AbstractSet[EntityId],
+    articles: Mapping[str, int],
+    related: AbstractSet[int],
     views: Mapping[tuple[str, str], int],
 ) -> tuple[int, int, int]:
-    """One walk over a language's article set (title -> item): (related
+    """One walk over a language's article set (title -> item number): (related
     articles, related views, total views).  An article is related when its
     owner is in ``related``; a title absent from ``views`` counts 0 views."""
     related_articles = related_views = total_views = 0
@@ -215,8 +213,8 @@ def count_related(
 
 def compute_language_row(
     language: str,
-    articles: Mapping[str, EntityId],
-    related: AbstractSet[EntityId],
+    articles: Mapping[str, int],
+    related: AbstractSet[int],
     views: Mapping[tuple[str, str], int],
     readership: Mapping[str, list[ReadershipRecord]],
 ) -> MetricsRow:
@@ -233,16 +231,17 @@ def compute_language_row(
 
 
 def compute_all(
-    article_sets: Mapping[str, Mapping[str, EntityId]],
-    related: AbstractSet[EntityId],
+    article_sets: Mapping[str, Mapping[str, int]],
+    related: AbstractSet[int],
     views: Mapping[tuple[str, str], int],
     readership: Mapping[str, list[ReadershipRecord]],
     languages: Iterable[str] | None = None,
 ) -> tuple[list[MetricsRow], dict[str, WikiCoverageError]]:
     """One row per language, language-sorted; failures tagged, others produced.
 
-    ``related`` holds the related items, ``views`` maps (language, title) to
-    total views and ``readership`` maps a language to its readership rows.
+    ``related`` holds the related item numbers, ``views`` maps (language,
+    title) to total views and ``readership`` maps a language to its
+    readership rows.
     """
     requested = sorted(set(languages)) if languages is not None else sorted(article_sets)
     rows: list[MetricsRow] = []

@@ -190,16 +190,16 @@ def slim_stage(
 
 def attribute_stage(
     entities: Iterable[SlimEntity], rules: RuleSet, out: Path
-) -> tuple[set[EntityId], dict[str, int]]:
+) -> tuple[set[int], dict[str, int]]:
     """Attribute every item to ``rules.target`` and write the attribution TSV.
 
     ``entities`` is read once, as a stream (:func:`attribution.attribute_all`),
     so a store can be passed as :func:`slimstore.load_slim_store` yields it.
-    Returns the related items and the manifest's counts of items, geo index
-    entries and related items.  The provenance goes only into the TSV: no
+    Returns the related item numbers and the manifest's counts of items, geo
+    index entries and related items.  The provenance goes only into the TSV: no
     later stage reads it.
     """
-    geo_index: dict[EntityId, tuple[EntityId, ...]] = {}
+    geo_index: dict[int, tuple[int, ...]] = {}
     # the pass keeps tuples per item until it ends, which each collection
     # would rescan: the one pause that still pays (README, Performance notes)
     with paused_gc():
@@ -247,8 +247,8 @@ def usage_stage(
 
 
 def metrics_stage(
-    article_sets: dict[str, dict[str, EntityId]],
-    related: AbstractSet[EntityId],
+    article_sets: dict[str, dict[str, int]],
+    related: AbstractSet[int],
     views: dict[tuple[str, str], int],
     readership: Path | str,
     languages: Sequence[str],
@@ -258,8 +258,8 @@ def metrics_stage(
 
     ``article_sets`` are collected from the records as they pass
     (:func:`metrics.collect_article_sets`), and ``related`` holds the
-    related items.  Returns the rows, in language order, and the languages
-    that failed.
+    related item numbers.  Returns the rows, in language order, and the
+    languages that failed.
     """
     rows, failures = compute_all(article_sets, related, views, load_readership(readership), languages)
     _write(out, write_metrics_tsv, rows)
@@ -352,9 +352,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         artifacts[name] = staging / file_name
         return artifacts[name]
 
-    article_sets: dict[str, dict[str, EntityId]] = {}
+    article_sets: dict[str, dict[str, int]] = {}
 
-    def attribute(records: Iterable[SlimEntity]) -> tuple[set[EntityId], dict[str, int]]:
+    def attribute(records: Iterable[SlimEntity]) -> tuple[set[int], dict[str, int]]:
         # the ingest stream's records pass through the article sets into
         # attribution; an error reading them stays the ingest stage's, and a
         # title conflict the metrics stage's.  A repeated item is the input's

@@ -19,9 +19,10 @@ magic and header lines, the ``props=`` check, line numbers, blank lines, the
 header count in both directions, the sitelink checks and the item order.
 
 * :func:`read_slim_store` yields whole :class:`SlimEntity` records.  It
-  validates every id token: record ids and claim values must be items, and
-  the header's ``props=`` properties.  Each distinct token is validated once
-  per read, on its first appearance, and equal ids then share one object.
+  validates every id token: record ids and claim values must be items, read
+  as their numbers, and the header's ``props=`` properties.  Each distinct
+  claim value is read once per read, through an :class:`entities.IdMemo`, on
+  its first appearance, and equal values then share one int.
   Since every field is checked on the way in, records are built with
   :meth:`SlimEntity.trusted`.  :func:`load_slim_store` streams them from a
   path; no reader lists them.
@@ -40,9 +41,10 @@ naming its line.
 The writer (:class:`SlimStoreWriter`) takes records in any order.  It holds
 each record to the header it writes as the record arrives: a claim key
 outside ``keep_props`` or a wiki code holding ``=``, ``|``, tab, CR or LF
-raises ValueError.  It renders each record to its line at once and keeps at
-most :data:`RUN_CHARS` characters of lines, spilling each full run, sorted,
-to a temporary file; the store is the merge of the runs.  A repeated item
+raises ValueError.  It renders each record to its line at once, keeps the
+item number beside the line, and keeps at most :data:`RUN_CHARS` characters
+of lines, spilling each full run, sorted by those numbers, to a temporary
+file; the store is the merge of the runs.  A repeated item
 raises :class:`DuplicateItemError`: before anything is written when both
 records are in one run, while the merge is written otherwise.  So the writer
 never leaves a store that its reader rejects or reads back otherwise.
@@ -66,7 +68,7 @@ from pathlib import Path
 from sys import intern
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
-from .entities import ITEM, PROPERTY, EntityId, IdMemo, SlimEntity, id_pattern
+from .entities import ITEM, EntityId, IdMemo, SlimEntity, id_pattern, item_number
 from .errors import (
     DuplicateItemError,
     SlimStoreCorruptionError,
@@ -83,7 +85,7 @@ _ESCAPE_RE = re.compile(r"[%\t|\n\r]")
 _UNESCAPE_RE = re.compile(r"%(25|09|7C|0A|0D)")
 _ESCAPES = {"%": "%25", "\t": "%09", "|": "%7C", "\n": "%0A", "\r": "%0D"}
 _UNESCAPES = {"25": "%", "09": "\t", "7C": "|", "0A": "\n", "0D": "\r"}
-_ITEM_TOKEN = id_pattern(ITEM)  # the item ids EntityId.parse_item accepts
+_ITEM_TOKEN = id_pattern(ITEM)  # the item ids entities.item_number accepts
 _WIKI_BREAK_RE = re.compile(r"[=|\t\n\r]")  # wiki codes are stored unescaped
 _new_tuple = tuple.__new__  # skips NamedTuple's Python-level __new__
 
@@ -121,7 +123,6 @@ class StoreHeader:
 
 _first = itemgetter(0)  # a sorted run's (item number, line) pair: its number
 _line = itemgetter(1)  # and its line
-_number = itemgetter(1)  # an EntityId's number, its second field
 _item_token = "Q%d".__mod__
 
 
@@ -129,17 +130,14 @@ def _record_line(entity: SlimEntity) -> str:
     """The store line of ``entity``.  Each id is formatted from its number,
     with no ``str()`` call per id."""
     claims = ";".join(
-        [
-            "P%d:" % prop.number + ",".join(map(_item_token, map(_number, values)))
-            for prop, values in sorted(entity.claims.items())
-        ]
+        ["P%d:" % prop.number + ",".join(map(_item_token, values)) for prop, values in sorted(entity.claims.items())]
     )
     links = "|".join([f"{wiki}={_escape_title(title)}" for wiki, title in sorted(entity.sitelinks.items())])
-    return "Q%d\t%s\t%s\n" % (entity.id.number, claims, links)
+    return "Q%d\t%s\t%s\n" % (entity.id, claims, links)
 
 
 def _line_number(line: str) -> int:
-    """The item number a store line starts with."""
+    """The item number a spilled store line starts with."""
     return int(line[1 : line.index("\t")])
 
 
@@ -172,6 +170,7 @@ class SlimStoreWriter:
         self.count = 0
         self._storable: set[str] = set()  # the wiki codes checked so far
         self._run: list[str] = []  # rendered lines, in arrival order
+        self._numbers: list[int] = []  # the item number of each line in the run
         self._run_chars = 0
         self._spills: list[IO[str]] = []
 
@@ -196,15 +195,16 @@ class SlimStoreWriter:
         """
         if not record.claims.keys() <= self._props:
             extra = min(record.claims.keys() - self._props, key=lambda p: p.sort_key)
-            raise ValueError(f"item {record.id}: claim key {extra} is not in keep_props")
+            raise ValueError(f"item Q{record.id}: claim key {extra} is not in keep_props")
         if not record.sitelinks.keys() <= self._storable:
             problem = unstorable_wiki_code(record.sitelinks.keys() - self._storable)
             if problem:
-                raise ValueError(f"item {record.id}: {problem}")
+                raise ValueError(f"item Q{record.id}: {problem}")
             self._storable.update(record.sitelinks)
         try:
             line = _record_line(record)
             self._run.append(line)
+            self._numbers.append(record.id)
             self._run_chars += len(line)
             if self._run_chars >= RUN_CHARS:
                 self._spill()
@@ -224,8 +224,8 @@ class SlimStoreWriter:
         """The current run as sorted (item number, line) pairs, which starts a
         new run; a repeated item raises.  The pairs live only until the run is
         spilled or written, so a held line costs no pair."""
-        lines, self._run, self._run_chars = self._run, [], 0
-        run = sorted(zip(map(_line_number, lines), lines), key=_first)
+        run = sorted(zip(self._numbers, self._run), key=_first)
+        self._numbers, self._run, self._run_chars = [], [], 0
         numbers = list(map(_first, run))
         repeated = next(compress(numbers, map(eq, numbers, islice(numbers, 1, None))), None)
         if repeated is not None:
@@ -246,7 +246,7 @@ class SlimStoreWriter:
         ``keep_props``, the properties the parse kept.
         """
         last = self._sorted_run()
-        props = ",".join(str(prop) for prop in sorted(self._props, key=_number))
+        props = ",".join(str(prop) for prop in sorted(self._props, key=lambda p: p.number))
         written = previous = 0
         try:
             sink.write(MAGIC + "\n")
@@ -263,19 +263,6 @@ class SlimStoreWriter:
                 records_written=written,
             ) from exc
         return self.count
-
-
-def write_slim_store(entities: Iterable[SlimEntity], sink: IO[str], *, keep_props: Iterable[EntityId]) -> int:
-    """Write entities, in any order, as a store to ``sink``; returns the count.
-
-    See :class:`SlimStoreWriter`: a record outside the header, or a repeated
-    item, is refused before anything is written (a repeat across spilled
-    runs, while the records are written).
-    """
-    with SlimStoreWriter(keep_props) as writer:
-        for entity in entities:
-            writer.add(entity)
-        return writer.write(sink)
 
 
 def read_store_header(source: Iterable[str]) -> StoreHeader:
@@ -307,15 +294,21 @@ def read_store_header(source: Iterable[str]) -> StoreHeader:
     except ValueError as exc:  # the pattern admits only digits: too many of them
         raise SlimStoreCorruptionError(f"bad store header: {exc}") from None
     tokens = match.group(2).split(",") if match.group(2) else []
-    prop_of = IdMemo(PROPERTY).__getitem__
     try:
-        props = tuple(map(prop_of, tokens))
+        props = tuple(map(_header_prop, tokens))
     except ValueError as exc:
         raise SlimStoreCorruptionError(f"store line 2: {exc}") from exc
     repeated = [prop for i, prop in enumerate(props) if prop in props[:i]]
     if repeated:
         raise SlimStoreCorruptionError(f"store line 2: property {repeated[0]} appears twice in props=")
     return StoreHeader(count, props)
+
+
+def _header_prop(token: str) -> EntityId:
+    prop = EntityId.parse(token)
+    if not prop.is_property:
+        raise ValueError(f"not a property id: {token!r}")
+    return prop
 
 
 class _Declared(dict):
@@ -350,7 +343,7 @@ def _parse_sitelinks(links_field: str) -> dict[str, str]:
 
 
 def _parse_record(props: _Declared, values: IdMemo, line: str, line_number: int) -> SlimEntity:
-    """One record line; ``props`` is the header's list, ``values`` the read's item id memo."""
+    """One record line; ``props`` is the header's list, ``values`` the read's claim value memo."""
     parts = line.split("\t")
     if len(parts) != 3:
         raise SlimStoreCorruptionError(
@@ -359,7 +352,7 @@ def _parse_record(props: _Declared, values: IdMemo, line: str, line_number: int)
     id_field, claims_field, links_field = parts
     value_of = values.__getitem__
     try:
-        claims: dict[EntityId, tuple[EntityId, ...]] = {}
+        claims: dict[EntityId, tuple[int, ...]] = {}
         if claims_field:
             for group in claims_field.split(";"):
                 prop_text, _, values_text = group.partition(":")
@@ -368,7 +361,7 @@ def _parse_record(props: _Declared, values: IdMemo, line: str, line_number: int)
                     raise ValueError(f"claim key {prop_text!r} appears twice in the record")
                 claims[prop] = tuple(map(value_of, values_text.split(",")))
         sitelinks = _parse_sitelinks(links_field)
-        return SlimEntity.trusted(EntityId.parse_item(id_field), claims, sitelinks)
+        return SlimEntity.trusted(item_number(id_field), claims, sitelinks)
     except ValueError as exc:
         raise SlimStoreCorruptionError(f"store line {line_number}: {exc}") from exc
 
@@ -376,7 +369,7 @@ def _parse_record(props: _Declared, values: IdMemo, line: str, line_number: int)
 class SitelinksRecord(NamedTuple):
     """One store record as :func:`read_store_sitelinks` yields it: no claims."""
 
-    id: EntityId
+    id: int
     sitelinks: dict[str, str]
 
 
@@ -398,8 +391,7 @@ def _claims_pattern(props: Iterable[str]) -> re.Pattern:
 
 def _sitelinks_parser(props: _Declared) -> Callable[[str, int], SitelinksRecord]:
     claims_valid = _claims_pattern(props).fullmatch
-    parse_record = partial(_parse_record, props, IdMemo(ITEM))
-    parse_item = EntityId.parse_item
+    parse_record = partial(_parse_record, props, IdMemo())
 
     def parse(line: str, line_number: int) -> SitelinksRecord:
         parts = line.split("\t")
@@ -408,7 +400,7 @@ def _sitelinks_parser(props: _Declared) -> Callable[[str, int], SitelinksRecord]
             return _new_tuple(SitelinksRecord, (entity.id, entity.sitelinks))
         try:
             sitelinks = _parse_sitelinks(parts[2])
-            return _new_tuple(SitelinksRecord, (parse_item(parts[0]), sitelinks))
+            return _new_tuple(SitelinksRecord, (item_number(parts[0]), sitelinks))
         except ValueError as exc:
             raise SlimStoreCorruptionError(f"store line {line_number}: {exc}") from exc
 
@@ -447,10 +439,10 @@ def _read_records(
                 f"header says {header.count} records but more are present"
             )
         record = parse(line, line_number)
-        number = record.id.number
+        number = record.id
         if number <= previous:
             raise SlimStoreCorruptionError(
-                f"store line {line_number}: item {record.id} does not follow Q{previous}; "
+                f"store line {line_number}: item Q{number} does not follow Q{previous}; "
                 "records are sorted by item number, each item once"
             )
         previous = number
@@ -472,7 +464,7 @@ def read_slim_store(
     record, a record out of item order, or a header count that disagrees with
     the records actually present (checked once the stream is exhausted).
     """
-    return _read_records(source, required_props, lambda props: partial(_parse_record, props, IdMemo(ITEM)))
+    return _read_records(source, required_props, lambda props: partial(_parse_record, props, IdMemo()))
 
 
 def read_store_sitelinks(source: Iterable[str]) -> Iterator[SitelinksRecord]:

@@ -165,6 +165,14 @@ def paused_gc() -> Iterator[None]:
     everything as usual.  The collector's previous state comes back on exit,
     on an error too, so a caller that had it off keeps it off.  Wrap a pass
     whose kept objects grow with its input, never a whole run.
+
+    It still pays with items as ints: over 96,024 items (the benchmark's
+    ``slim-rerun`` inputs at x8; 2-vCPU sandbox, Python 3.11.7, two sets of
+    ten alternating fresh processes), ``attribute`` ran 36 collections in
+    0.02 s paused against 427 in 0.09-0.11 s, and was faster paused in 10
+    and 9 of 10 runs (medians 1.86 s against 1.97 s, then 1.34 s against
+    1.71 s).  Over a whole ``all --dump`` run the saving (0.05-0.06 s of
+    collections) was inside the host's run-to-run spread.
     """
     was_enabled = gc.isenabled()
     gc.disable()

@@ -14,7 +14,7 @@ import random
 from wikicoverage.attribution import INSTANCE_OF, RuleSet
 from wikicoverage.entities import EntityId, SlimEntity
 
-Q = EntityId.item
+Q = EntityId.item  # an item id as a rule set holds it; records hold the plain number
 P = EntityId.prop
 
 
@@ -22,7 +22,9 @@ P = EntityId.prop
 
 
 def statement(value, rank: str = "normal") -> dict:
-    """One claim statement; value may be an EntityId or a string payload."""
+    """One claim statement; value may be an item number, an EntityId or a string payload."""
+    if isinstance(value, int):
+        value = EntityId.item(value)
     if isinstance(value, EntityId):
         datavalue = {
             "type": "wikibase-entityid",
@@ -83,38 +85,39 @@ def random_entities(rng: random.Random, count: int) -> list[SlimEntity]:
     for number in numbers:
         claims = {}
         for prop in rng.sample(STORE_PROPS, rng.randint(0, len(STORE_PROPS))):
-            claims[prop] = tuple(Q(rng.randint(1, 5000)) for _ in range(rng.randint(1, 3)))
+            claims[prop] = tuple(rng.randint(1, 5000) for _ in range(rng.randint(1, 3)))
         sitelinks = {
             wiki: random_title(rng)
             for wiki in rng.sample(wikis, rng.randint(0, len(wikis)))
         }
-        entities.append(SlimEntity(Q(number), claims, sitelinks))
+        entities.append(SlimEntity(number, claims, sitelinks))
     return entities
 
 
 # -- attribution oracle ----------------------------------------------------------
 
 
-def oracle_related(entity: SlimEntity, geo_graph: dict[EntityId, list[EntityId]], rules: RuleSet) -> bool:
+def oracle_related(entity: SlimEntity, geo_graph: dict[int, list[int]], rules: RuleSet) -> bool:
     """Independent attribution decision by brute-force walk enumeration.
 
     ``geo_graph`` is built directly from raw claims (see
     :func:`oracle_geo_graph`), not from the package's index.  A place claim
     satisfies when any walk of 1..max_depth edges reaches the target.
     """
+    target = rules.target.number
     for value in entity.claim_values(INSTANCE_OF):
-        if value in rules.exclude_classes:
+        if value in {item.number for item in rules.exclude_classes}:
             return False
     for prop in rules.direct_props:
         for value in entity.claim_values(prop):
-            if value == rules.target:
+            if value == target:
                 return True
 
-    def walk_hits_target(node: EntityId, budget: int) -> bool:
+    def walk_hits_target(node: int, budget: int) -> bool:
         if budget == 0:
             return False
         for nxt in geo_graph.get(node, ()):
-            if nxt == rules.target:
+            if nxt == target:
                 return True
             if walk_hits_target(nxt, budget - 1):
                 return True
@@ -127,10 +130,10 @@ def oracle_related(entity: SlimEntity, geo_graph: dict[EntityId, list[EntityId]]
     return False
 
 
-def oracle_geo_graph(entities: list[SlimEntity], rules: RuleSet) -> dict[EntityId, list[EntityId]]:
-    graph: dict[EntityId, list[EntityId]] = {}
+def oracle_geo_graph(entities: list[SlimEntity], rules: RuleSet) -> dict[int, list[int]]:
+    graph: dict[int, list[int]] = {}
     for entity in entities:
-        edges: list[EntityId] = []
+        edges: list[int] = []
         for prop in rules.geo_chain_props:
             edges.extend(entity.claim_values(prop))
         if edges:
@@ -146,10 +149,10 @@ def random_attribution_fixture(rng: random.Random, size: int) -> list[SlimEntity
     with direct country claims, place claims and the occasional excluded
     navigation page.
     """
-    target = Q(30)
-    countries = [target, Q(183), Q(142), Q(145)]
+    target = 30
+    countries = [target, 183, 142, 145]
     place_count = max(3, size // 5)
-    places = [Q(1000 + i) for i in range(place_count)]
+    places = [1000 + i for i in range(place_count)]
     entities: list[SlimEntity] = []
 
     for country in countries:
@@ -185,7 +188,7 @@ def random_attribution_fixture(rng: random.Random, size: int) -> list[SlimEntity
         if rng.random() < 0.2:
             claims[P(276)] = (rng.choice(places + countries),)
         if rng.random() < 0.1:
-            claims[P(31)] = (Q(4167410),)  # excluded navigation page
-        entities.append(SlimEntity(Q(next_number), claims, {}))
+            claims[P(31)] = (4167410,)  # excluded navigation page
+        entities.append(SlimEntity(next_number, claims, {}))
         next_number += 1
     return entities

@@ -32,12 +32,11 @@ from wikicoverage.dump import parse_dump_stream
 from wikicoverage.entities import SlimEntity
 from wikicoverage.metrics import MetricsRow, build_article_sets, compute_all, join_attribution, reader_share
 from wikicoverage.report import RunConfig, attribute_stage, emit_table, run_pipeline
-from wikicoverage.slimstore import load_slim_store, read_slim_store, read_store_sitelinks, write_slim_store
+from wikicoverage.slimstore import SlimStoreWriter, load_slim_store, read_slim_store, read_store_sitelinks
 from wikicoverage.usage import ReadershipRecord
 
 from helpers import (
     STORE_PROPS,
-    Q,
     dump_text,
     oracle_geo_graph,
     oracle_related,
@@ -145,12 +144,11 @@ class TestMetricsOracleEquivalence:
         number = 1
         for language, article_count in counts.items():
             for i in range(article_count):
-                item = Q(number)
                 entities.append(
-                    SlimEntity(item, {}, {f"{language}wiki": f"Article {number}"})
+                    SlimEntity(number, {}, {f"{language}wiki": f"Article {number}"})
                 )
                 if rng.random() < 0.4:
-                    related.add(item)
+                    related.add(number)
                 number += 1
         views = {}
         for entity in entities:
@@ -214,11 +212,11 @@ class TestMetricsOracleEquivalence:
 
     def test_trivial_all_related_fixture_is_all_ones(self):
         with criterion("metrics trivial fixture (all four metrics exactly 1.0)"):
-            entities = [SlimEntity(Q(1), {}, {"enwiki": "Lone Article"})]
+            entities = [SlimEntity(1, {}, {"enwiki": "Lone Article"})]
             views = {("en", "Lone_Article"): 10}
             readership = {"en": [ReadershipRecord("en", "US", 5, 9)]}
             rows, failures = compute_all(
-                build_article_sets(entities, ("en",)), {Q(1)}, views, readership
+                build_article_sets(entities, ("en",)), {1}, views, readership
             )
             assert failures == {}
             (row,) = rows
@@ -429,7 +427,7 @@ class TestStreamedStore:
             peak = traced_peak(join)
             print(f"  traced peak {peak / 1024:.0f} KiB for 20,000 records")
             assert sets == {"en": {}}
-            assert related == {Q(n) for n in range(100, 20_001, 100)}
+            assert related == set(range(100, 20_001, 100))
             assert peak < 20_000 * 16
 
     def test_all_from_a_dump_holds_no_entity_list(self, tmp_path, monkeypatch):
@@ -450,7 +448,7 @@ class TestStreamedStore:
             tracemalloc.start()
             try:
                 entities = [
-                    SlimEntity(Q(n), {INSTANCE_OF: tuple(Q(10_000 + 100 * n + k) for k in range(100))})
+                    SlimEntity(n, {INSTANCE_OF: tuple(10_000 + 100 * n + k for k in range(100))})
                     for n in range(2_000, 0, -1)
                 ]
                 listed = tracemalloc.get_traced_memory()[0]
@@ -502,10 +500,13 @@ class TestSlimStoreRoundTrip:
         with criterion("slim store round trip (1200 randomized entities)"):
             entities = random_entities(random.Random(424242), 1_200)
             sink = io.StringIO()
-            count = write_slim_store(entities, sink, keep_props=STORE_PROPS)
+            with SlimStoreWriter(STORE_PROPS) as writer:
+                for entity in entities:
+                    writer.add(entity)
+                count = writer.write(sink)
             assert count == 1_200
             restored = list(read_slim_store(io.StringIO(sink.getvalue())))
-            expected = sorted(entities, key=lambda e: e.id.number)
+            expected = sorted(entities, key=lambda e: e.id)
             discrepancies = sum(1 for a, b in zip(restored, expected) if a != b)
             discrepancies += abs(len(restored) - len(expected))
             assert discrepancies == 0

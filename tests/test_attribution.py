@@ -52,11 +52,11 @@ def expected_provenance(entity: SlimEntity, index: dict, rules: RuleSet) -> tupl
     """``entity``'s provenance as the rules define it: none for an excluded
     class, else its direct matches and then a fresh walk per place value, each
     kind in property order."""
-    if not rules.exclude_classes.isdisjoint(entity.claim_values(P(31))):
+    if {item.number for item in rules.exclude_classes} & set(entity.claim_values(P(31))):
         return ()
     paths = []
     for prop in sorted(rules.direct_props, key=lambda p: p.number):
-        paths += [(prop, v) for v in entity.claim_values(prop) if v == rules.target]
+        paths += [(prop, v) for v in entity.claim_values(prop) if v == rules.target.number]
     for prop in sorted(rules.place_props, key=lambda p: p.number):
         for value in entity.claim_values(prop):
             chain = path_to_target(index, value, rules)
@@ -67,17 +67,17 @@ def expected_provenance(entity: SlimEntity, index: dict, rules: RuleSet) -> tupl
 
 class TestGeoIndex:
     def test_direct_country_claim_is_indexed(self):
-        nyc = SlimEntity(Q(60), {P(17): (Q(30),)})
+        nyc = SlimEntity(60, {P(17): (30,)})
         index = build_geo_index([nyc], RULES)
-        assert index == {Q(60): (Q(30),)}
+        assert index == {60: (30,)}
 
     def test_empty_stream_gives_empty_index(self):
         assert build_geo_index([], RULES) == {}
 
     def test_two_country_values_are_kept_in_claim_order(self):
-        entity = SlimEntity(Q(1), {P(17): (Q(183), Q(30))})
+        entity = SlimEntity(1, {P(17): (183, 30)})
         index = build_geo_index([entity], RULES)
-        assert index[Q(1)] == (Q(183), Q(30))
+        assert index[1] == (183, 30)
 
     def test_opaque_values_are_not_indexed(self):
         entity = parsed({"P17": ["United States", P(30)]})
@@ -89,31 +89,31 @@ def reachable(index, start, candidates, max_depth=5):
     return {
         target
         for target in candidates
-        if path_to_target(index, start, RuleSet(max_depth=max_depth, target=target)) is not None
+        if path_to_target(index, start, RuleSet(max_depth=max_depth, target=Q(target))) is not None
     }
 
 
 class TestResolvePlace:
     def test_one_hop(self):
-        assert path_to_target({Q(60): (Q(30),)}, Q(60), RULES) == (Q(60), Q(30))
+        assert path_to_target({60: (30,)}, 60, RULES) == (60, 30)
 
     def test_cycle_terminates_and_includes_both(self):
-        index = {Q(1): (Q(2),), Q(2): (Q(1),)}
-        assert reachable(index, Q(1), [Q(1), Q(2), Q(30)]) == {Q(1), Q(2)}
-        assert path_to_target(index, Q(1), RuleSet(target=Q(1))) == (Q(1), Q(2), Q(1))
+        index = {1: (2,), 2: (1,)}
+        assert reachable(index, 1, [1, 2, 30]) == {1, 2}
+        assert path_to_target(index, 1, RuleSet(target=Q(1))) == (1, 2, 1)
 
     def test_unknown_place_is_empty(self):
-        assert path_to_target({}, Q(99), RULES) is None
+        assert path_to_target({}, 99, RULES) is None
 
     def test_depth_bound_cuts_long_chains(self):
-        chain = {Q(n): (Q(n + 1),) for n in range(1, 10)}
-        assert reachable(chain, Q(1), [Q(n) for n in range(1, 11)], max_depth=3) == {Q(2), Q(3), Q(4)}
+        chain = {n: (n + 1,) for n in range(1, 10)}
+        assert reachable(chain, 1, range(1, 11), max_depth=3) == {2, 3, 4}
 
     @given(depth=st.integers(min_value=1, max_value=6), seed=st.integers(0, 2**31))
     @settings(max_examples=40)
     def test_depth_monotonicity(self, depth, seed):
         rng = random.Random(seed)
-        nodes = [Q(n) for n in range(1, 15)]
+        nodes = list(range(1, 15))
         index = {
             node: tuple(rng.choice(nodes) for _ in range(rng.randint(0, 3)))
             for node in nodes
@@ -121,8 +121,8 @@ class TestResolvePlace:
         }
         index = {k: v for k, v in index.items() if v}
         for target in nodes:
-            shallow = path_to_target(index, Q(1), RuleSet(max_depth=depth, target=target))
-            deep = path_to_target(index, Q(1), RuleSet(max_depth=depth + 1, target=target))
+            shallow = path_to_target(index, 1, RuleSet(max_depth=depth, target=Q(target)))
+            deep = path_to_target(index, 1, RuleSet(max_depth=depth + 1, target=Q(target)))
             # found within d hops: the walk to d + 1 hops finds the same shortest chain
             assert shallow is None or deep == shallow
 
@@ -131,88 +131,87 @@ class TestAttributeItem:
     """One item through :func:`attribute_all`."""
 
     def test_citizenship_direct_match(self):
-        person = SlimEntity(Q(22686), {P(27): (Q(30),)})
+        person = SlimEntity(22686, {P(27): (30,)})
         paths = attribute_one(person, {}, RULES)
         assert paths
-        assert paths == ((P(27), Q(30)),)
+        assert paths == ((P(27), 30),)
 
     def test_country_direct_match(self):
-        org = SlimEntity(Q(9684), {P(17): (Q(30),)})
+        org = SlimEntity(9684, {P(17): (30,)})
         assert attribute_one(org, {}, RULES)
 
     def test_birthplace_resolves_through_index(self):
-        person = SlimEntity(Q(5), {P(19): (Q(60),)})
-        paths = attribute_one(person, {Q(60): (Q(30),)}, RULES)
+        person = SlimEntity(5, {P(19): (60,)})
+        paths = attribute_one(person, {60: (30,)}, RULES)
         assert paths
-        assert paths == ((P(19), Q(60), Q(30)),)
+        assert paths == ((P(19), 60, 30),)
 
     def test_foreign_country_only_is_unrelated(self):
-        entity = SlimEntity(Q(5), {P(17): (Q(183),)})
+        entity = SlimEntity(5, {P(17): (183,)})
         paths = attribute_one(entity, {}, RULES)
         assert not paths
         assert paths == ()
 
     def test_direct_paths_come_before_place_paths(self):
-        entity = SlimEntity(Q(5), {P(19): (Q(60),), P(27): (Q(30),)})
-        paths = attribute_one(entity, {Q(60): (Q(30),)}, RULES)
-        assert paths == ((P(27), Q(30)), (P(19), Q(60), Q(30)))
+        entity = SlimEntity(5, {P(19): (60,), P(27): (30,)})
+        paths = attribute_one(entity, {60: (30,)}, RULES)
+        assert paths == ((P(27), 30), (P(19), 60, 30))
 
     def test_multi_hop_place_chain_is_recorded(self):
-        index = {Q(100): (Q(101),), Q(101): (Q(30),)}
-        entity = SlimEntity(Q(5), {P(276): (Q(100),)})
+        index = {100: (101,), 101: (30,)}
+        entity = SlimEntity(5, {P(276): (100,)})
         paths = attribute_one(entity, index, RULES)
-        assert paths == ((P(276), Q(100), Q(101), Q(30)),)
+        assert paths == ((P(276), 100, 101, 30),)
 
     def test_dual_citizenship_matches_on_any_value(self):
-        entity = SlimEntity(Q(5), {P(27): (Q(142), Q(30))})
+        entity = SlimEntity(5, {P(27): (142, 30)})
         assert attribute_one(entity, {}, RULES)
 
     def test_place_value_equal_to_target_needs_a_geo_edge(self):
-        entity = SlimEntity(Q(5), {P(276): (Q(30),)})
+        entity = SlimEntity(5, {P(276): (30,)})
         assert not attribute_one(entity, {}, RULES)
         # with the target's own self country claim the edge exists
-        paths = attribute_one(entity, {Q(30): (Q(30),)}, RULES)
+        paths = attribute_one(entity, {30: (30,)}, RULES)
         assert paths
-        assert paths == ((P(276), Q(30), Q(30)),)
+        assert paths == ((P(276), 30, 30),)
 
     def test_opaque_claim_values_never_match(self):
         # a string or a property value never matches, even one numbered like the target
         entity = parsed({"P27": ["Q30", P(30)], "P19": ["Q60", P(60)]})
-        index = {Q(60): (Q(30),), P(60): (Q(30),)}
+        index = {60: (30,)}
         assert not attribute_one(entity, index, RULES)
 
 
 class TestAttributeAll:
     def test_four_item_fixture_counts(self):
         entities = [
-            SlimEntity(Q(1), {P(27): (Q(30),)}),
-            SlimEntity(Q(2), {P(17): (Q(183),)}),
-            SlimEntity(Q(3), {P(19): (Q(60),)}),
-            SlimEntity(Q(4)),
+            SlimEntity(1, {P(27): (30,)}),
+            SlimEntity(2, {P(17): (183,)}),
+            SlimEntity(3, {P(19): (60,)}),
+            SlimEntity(4),
         ]
-        index = {Q(60): (Q(30),)}
+        index = {60: (30,)}
         results = attribute_all(entities, index, RULES)
-        related = [str(i) for i, paths in sorted(results.items(), key=lambda kv: kv[0].number) if paths]
-        assert related == ["Q1", "Q3"]
+        assert [item for item, paths in sorted(results.items()) if paths] == [1, 3]
 
     def test_empty_stream_gives_empty_mapping(self):
         assert attribute_all([], {}, RULES) == {}
 
     def test_disambiguation_page_is_forced_unrelated(self):
-        page = SlimEntity(Q(7), {P(17): (Q(30),), P(31): (Q(4167410),)})
+        page = SlimEntity(7, {P(17): (30,), P(31): (4167410,)})
         results = attribute_all([page], {}, RULES)
-        assert results[Q(7)] == ()
+        assert results[7] == ()
 
     def test_duplicate_item_raises(self):
-        entities = [SlimEntity(Q(1)), SlimEntity(Q(1))]
+        entities = [SlimEntity(1), SlimEntity(1)]
         with pytest.raises(DuplicateItemError):
             attribute_all(entities, {}, RULES)
 
     def test_excluded_item_whose_place_reaches_the_target_is_unrelated(self):
-        page = SlimEntity(Q(7), {P(19): (Q(60),), P(31): (Q(4167410),)})
-        person = SlimEntity(Q(8), {P(19): (Q(60),)})
-        results = attribute_all([page, person], {Q(60): (Q(30),)}, RULES)
-        assert results == {Q(7): (), Q(8): ((P(19), Q(60), Q(30)),)}
+        page = SlimEntity(7, {P(19): (60,), P(31): (4167410,)})
+        person = SlimEntity(8, {P(19): (60,)})
+        results = attribute_all([page, person], {60: (30,)}, RULES)
+        assert results == {7: (), 8: ((P(19), 60, 30),)}
 
 
 class TestProperties:
@@ -266,8 +265,8 @@ class TestProperties:
     def test_memoised_walks_agree_with_fresh_walks_and_the_oracle(self, seed, max_depth):
         rng = random.Random(seed)
         rules = RuleSet(max_depth=max_depth)
-        places = [Q(1000 + i) for i in range(rng.randint(2, 24))]
-        targets = [rules.target, Q(183)]
+        places = [1000 + i for i in range(rng.randint(2, 24))]
+        targets = [rules.target.number, 183]
         geo: dict = {}
         # rings, and chains up to two hops longer than max_depth that end at a country
         for _ in range(rng.randint(1, 4)):
@@ -290,8 +289,8 @@ class TestProperties:
             if rng.random() < 0.2:
                 claims[P(27)] = (rng.choice(targets),)
             if rng.random() < 0.1:
-                claims[P(31)] = (Q(4167410),)
-            entities.append(SlimEntity(Q(number), claims))
+                claims[P(31)] = (4167410,)
+            entities.append(SlimEntity(number, claims))
 
         index = build_geo_index(entities, rules)
         graph = oracle_geo_graph(entities, rules)
@@ -302,13 +301,13 @@ class TestProperties:
 
     def test_widening_a_rule_set_can_flip_unrelated_to_related(self):
         # headquarters location (P159) is not matched by the defaults
-        entity = SlimEntity(Q(5), {P(159): (Q(60),)})
-        index = {Q(60): (Q(30),)}
+        entity = SlimEntity(5, {P(159): (60,)})
+        index = {60: (30,)}
         assert not attribute_one(entity, index, RULES)
         wider = RuleSet(place_props=RULES.place_props | {P(159)})
         paths = attribute_one(entity, index, wider)
         assert paths
-        assert paths == ((P(159), Q(60), Q(30)),)
+        assert paths == ((P(159), 60, 30),)
 
     def test_visit_budget_is_linear_in_index_and_depth(self):
         # complete digraph: every node points at every node; BFS must stop
@@ -319,11 +318,11 @@ class TestProperties:
                 self.lookups += 1
                 return super().get(key, default)
 
-        nodes = [Q(n) for n in range(1, 30)]
+        nodes = list(range(1, 30))
         index = CountingIndex({node: tuple(nodes) for node in nodes})
-        assert path_to_target(index, Q(1), RuleSet(max_depth=5, target=Q(999))) is None
+        assert path_to_target(index, 1, RuleSet(max_depth=5, target=Q(999))) is None
         assert index.lookups <= len(nodes)  # each node is expanded at most once
-        assert reachable(index, Q(1), nodes) == set(nodes)
+        assert reachable(index, 1, nodes) == set(nodes)
 
 
 class TestOracleEquivalence:
@@ -344,8 +343,8 @@ class TestOracleEquivalence:
     def test_a_one_shot_stream_matches_the_list_and_the_oracle(self, seed, max_depth, repeat):
         rng = random.Random(seed)
         rules = RuleSet(max_depth=max_depth)
-        places = [Q(1000 + i) for i in range(rng.randint(2, 20))]
-        targets = [rules.target, Q(183)]
+        places = [1000 + i for i in range(rng.randint(2, 20))]
+        targets = [rules.target.number, 183]
         geo: dict = {}
         # rings, and chains up to two hops longer than max_depth that end at a country
         for _ in range(rng.randint(1, 3)):
@@ -366,8 +365,8 @@ class TestOracleEquivalence:
                 if rng.random() < 0.2:
                     claims[prop] = (rng.choice(targets + places),)
             if rng.random() < 0.15:
-                claims[P(31)] = (Q(4167410),)
-            entities.append(SlimEntity(Q(number), claims))
+                claims[P(31)] = (4167410,)
+            entities.append(SlimEntity(number, claims))
         rng.shuffle(entities)
         if repeat:
             entities.insert(rng.randint(0, len(entities)), rng.choice(entities))
@@ -394,7 +393,7 @@ class TestOracleEquivalence:
         for paths in attribute_all(entities, index, RULES).values():
             for path in paths:
                 assert path[0].is_property
-                assert path[-1] == RULES.target
+                assert path[-1] == RULES.target.number
                 # every geo hop in the path is a real index edge
                 for a, b in zip(path[1:-1], path[2:]):
                     assert b in index.get(a, ()), f"{a}->{b} not in index"
@@ -494,9 +493,9 @@ class TestRuleSet:
 class TestTsv:
     def test_round_trip(self):
         results = {
-            Q(1): ((P(27), Q(30)),),
-            Q(2): (),
-            Q(3): ((P(19), Q(60), Q(30)),),
+            1: ((P(27), 30),),
+            2: (),
+            3: ((P(19), 60, 30),),
         }
         sink = io.StringIO()
         write_attribution_tsv(results, sink)
@@ -504,7 +503,7 @@ class TestTsv:
         assert list(rows) == [(1, ("Q1", True)), (2, ("Q2", False)), (3, ("Q3", True))]
 
     def test_rendering_format(self):
-        paths = ((P(27), Q(30)), (P(19), Q(60), Q(30)))
+        paths = ((P(27), 30), (P(19), 60, 30))
         assert render_provenance(paths) == "P27>Q30;P19>Q60>Q30"
 
     @pytest.mark.parametrize(

@@ -22,11 +22,11 @@ def parse(text, keep=KEEP, wikis=None, errors=None, **kwargs):
 class TestBasicParsing:
     def test_single_entity_with_claim_and_sitelink(self):
         text = dump_text(
-            [entity_json("Q22686", {"P27": [Q(30)]}, {"enwiki": "Donald Trump"})]
+            [entity_json("Q22686", {"P27": [30]}, {"enwiki": "Donald Trump"})]
         )
         (entity,) = parse(text)
         assert entity == SlimEntity(
-            Q(22686), {P(27): (Q(30),)}, {"enwiki": "Donald Trump"}
+            22686, {P(27): (30,)}, {"enwiki": "Donald Trump"}
         )
 
     def test_empty_dump_yields_nothing(self):
@@ -37,14 +37,14 @@ class TestBasicParsing:
     def test_malformed_middle_line_is_tallied_and_skipped(self):
         text = dump_text(
             [
-                entity_json("Q1", {"P17": [Q(30)]}),
+                entity_json("Q1", {"P17": [30]}),
                 '{"type": "item", "id": "Q2", broken',
-                entity_json("Q3", {"P17": [Q(183)]}),
+                entity_json("Q3", {"P17": [183]}),
             ]
         )
         errors = []
         entities = parse(text, errors=errors)
-        assert [e.id for e in entities] == [Q(1), Q(3)]
+        assert [e.id for e in entities] == [1, 3]
         assert len(errors) == 1
         assert errors[0].line_number == 3
         assert "JSON" in errors[0].reason
@@ -56,12 +56,12 @@ class TestBasicParsing:
             [
                 '{"type": "item", "id": "Q1", "extra": ' + "1" * 5000 + "}",
                 "[" * 100_000 + "]" * 100_000,
-                entity_json("Q3", {"P17": [Q(30)]}),
+                entity_json("Q3", {"P17": [30]}),
             ]
         )
         errors = []
         entities = parse(text, errors=errors)
-        assert [e.id for e in entities] == [Q(3)]
+        assert [e.id for e in entities] == [3]
         assert [e.line_number for e in errors] == [2, 3]
         assert all(e.reason.startswith("invalid JSON: ") for e in errors)
         assert "1" * 100 not in errors[0].reason
@@ -70,12 +70,12 @@ class TestBasicParsing:
         text = dump_text(
             [
                 entity_json("P17", entity_type="property"),
-                entity_json("Q5", {"P17": [Q(30)]}),
+                entity_json("Q5", {"P17": [30]}),
             ]
         )
         errors = []
         entities = parse(text, errors=errors)
-        assert [e.id for e in entities] == [Q(5)]
+        assert [e.id for e in entities] == [5]
         assert errors == []
 
     def test_keep_props_must_be_non_empty(self):
@@ -91,10 +91,11 @@ class TestBasicParsing:
             next(parse_dump_stream(lines(), KEEP | {Q(5)}))
 
     def test_a_parse_shares_no_claim_value(self):
-        # a memo of claim values would grow with the distinct values of the dump
-        text = dump_text([entity_json(f"Q{n}", {"P17": [Q(30)], "P19": [Q(60)]}) for n in (1, 2)])
+        # a memo of claim values would grow with the distinct values of the dump;
+        # the values are past the small ints that CPython itself shares
+        text = dump_text([entity_json(f"Q{n}", {"P17": [3000], "P19": [6000]}) for n in (1, 2)])
         first, second = parse(text)
-        assert first == SlimEntity(Q(1), {P(17): (Q(30),), P(19): (Q(60),)})
+        assert first == SlimEntity(1, {P(17): (3000,), P(19): (6000,)})
         assert first.claims[P(17)][0] is not second.claims[P(17)][0]
         with pytest.raises(TypeError):
             parse(text, item_ids={})
@@ -104,17 +105,17 @@ class TestBasicParsing:
         obj = {"type": "item", "id": bad_id}
         text = dump_text([obj, entity_json("Q2")])
         errors = []
-        assert [e.id for e in parse(text, errors=errors)] == [Q(2)]
+        assert [e.id for e in parse(text, errors=errors)] == [2]
         assert [(i.line_number, i.reason) for i in errors] == [(2, f"bad entity id: {bad_id!r}")]
 
     def test_file_order_is_preserved(self):
         text = dump_text([entity_json(f"Q{n}") for n in (9, 2, 7, 4)])
-        assert [e.id.number for e in parse(text)] == [9, 2, 7, 4]
+        assert [e.id for e in parse(text)] == [9, 2, 7, 4]
 
 
 class TestFiltering:
     def test_non_kept_claims_are_dropped(self):
-        text = dump_text([entity_json("Q1", {"P17": [Q(30)], "P131": [Q(99)]})])
+        text = dump_text([entity_json("Q1", {"P17": [30], "P131": [99]})])
         (entity,) = parse(text)
         assert set(entity.claims) == {P(17)}
 
@@ -141,7 +142,7 @@ class TestFiltering:
             ]
         )
         errors = []
-        assert [entity.id for entity in parse(text, errors=errors)] == [Q(2)]
+        assert [entity.id for entity in parse(text, errors=errors)] == [2]
         assert errors == [ParseIssue(2, f"sitelink wiki code {wiki!r} holds '=', '|', a tab, CR or LF")]
         # kept wiki codes are checked by the store writer; the others are dropped
         kept = parse(text, wikis={"enwiki"})
@@ -152,26 +153,26 @@ class TestFiltering:
             [
                 entity_json(
                     "Q1",
-                    {"P17": [statement(Q(30), rank="deprecated"), statement(Q(183))]},
+                    {"P17": [statement(30, rank="deprecated"), statement(183)]},
                 )
             ]
         )
         (entity,) = parse(text)
-        assert entity.claims[P(17)] == (Q(183),)
+        assert entity.claims[P(17)] == (183,)
 
     def test_non_item_values_are_dropped(self):
         # a claim value that is not an item id (a string, a property) is dropped
-        text = dump_text([entity_json("Q1", {"P17": ["just a string", Q(30), P(5)]})])
+        text = dump_text([entity_json("Q1", {"P17": ["just a string", 30, P(5)]})])
         (entity,) = parse(text)
-        assert entity.claims[P(17)] == (Q(30),)
+        assert entity.claims[P(17)] == (30,)
 
     def test_novalue_snak_becomes_opaque(self):
         # a no-value snak carries no item id: it is dropped, and so is the claim
         # group it leaves empty; a property value (P5) is dropped the same way
         stmt = {"mainsnak": {"snaktype": "novalue"}, "rank": "normal"}
-        text = dump_text([entity_json("Q1", {"P17": [stmt], "P27": [P(5)], "P31": [Q(5)]})])
+        text = dump_text([entity_json("Q1", {"P17": [stmt], "P27": [P(5)], "P31": [5]})])
         (entity,) = parse(text)
-        assert entity.claims == {P(31): (Q(5),)}
+        assert entity.claims == {P(31): (5,)}
 
     def test_empty_title_sitelink_is_skipped(self):
         # an empty wiki code is skipped the same way, with every wiki kept
@@ -200,15 +201,15 @@ class TestTruncation:
         assert errors == []
 
     def test_fragment_mode_allows_missing_brackets(self):
-        fragment = json.dumps(entity_json("Q1", {"P17": [Q(30)]})) + ",\n"
+        fragment = json.dumps(entity_json("Q1", {"P17": [30]})) + ",\n"
         entities = parse(fragment, require_terminator=False)
-        assert [e.id for e in entities] == [Q(1)]
+        assert [e.id for e in entities] == [1]
 
 
 class TestChunkBoundaryInvariance:
     def fixture_text(self):
         objects = [
-            entity_json(f"Q{n}", {"P17": [Q(30 + n % 3)]}, {"enwiki": f"Article {n}"})
+            entity_json(f"Q{n}", {"P17": [30 + n % 3]}, {"enwiki": f"Article {n}"})
             for n in range(1, 11)
         ]
         objects.insert(4, "this line is broken {")
@@ -247,7 +248,7 @@ class TestErrorIsolation:
     @settings(max_examples=60)
     def test_counts_are_exact(self, valid, malformed, seed):
         rng = random.Random(seed)
-        objects: list = [entity_json(f"Q{n + 1}", {"P17": [Q(30)]}) for n in range(valid)]
+        objects: list = [entity_json(f"Q{n + 1}", {"P17": [30]}) for n in range(valid)]
         for _ in range(malformed):
             objects.insert(rng.randint(0, len(objects)), '{"oops": ')
         errors = []
@@ -272,7 +273,7 @@ class TestFilteringSoundness:
         objects = []
         for n in range(1, 8):
             claims = {
-                str(p): [Q(rng.randint(1, 99))]
+                str(p): [rng.randint(1, 99)]
                 for p in rng.sample(all_props, rng.randint(0, 6))
             }
             sitelinks = {
@@ -296,7 +297,7 @@ class TestByteInput:
         lines = [b"[\n", b"\xff\xfe broken,\n", good + b"\n", b"]\n"]
         errors = []
         entities = list(parse_dump_stream(iter(lines), KEEP, errors=errors))
-        assert [e.id for e in entities] == [Q(1)]
+        assert [e.id for e in entities] == [1]
         assert len(errors) == 1 and errors[0].reason == "invalid UTF-8"
 
 

@@ -1,14 +1,15 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wikicoverage.entities import ITEM, PROPERTY, EntityId, IdMemo, SlimEntity
+from wikicoverage.entities import ITEM, PROPERTY, EntityId, IdMemo, SlimEntity, item_number
 
 
 class TestEntityId:
-    def test_parse_item(self):
+    def test_parse_an_item_token(self):
         eid = EntityId.parse("Q22686")
         assert eid.kind == ITEM
         assert eid.number == 22686
@@ -24,15 +25,16 @@ class TestEntityId:
             EntityId.parse(bad)
 
     def test_parse_item(self):
-        assert EntityId.parse_item("Q60") == EntityId.item(60)
-        assert EntityId.parse_item("Q1234567890") == EntityId.item(1234567890)
+        assert item_number("Q60") == 60
+        assert item_number("Q1234567890") == 1234567890
+        assert item_number(f"Q{2**64 + 1}") == 2**64 + 1  # no fixed width
 
     @pytest.mark.parametrize(
         "bad", ["", "Q", "Q0", "Q07", "Q-1", "Q+1", "Q 1", "Q1 ", "Q\u0663", "Q\uff15", "P17", "q5", None, 42]
     )
     def test_parse_item_rejects_anything_but_an_item(self, bad):
         with pytest.raises(ValueError):
-            EntityId.parse_item(bad)
+            item_number(bad)
 
     @given(st.text(alphabet="QP0123456789\u0663x", max_size=6))
     def test_parse_item_agrees_with_parse(self, text):
@@ -40,11 +42,11 @@ class TestEntityId:
             expected = EntityId.parse(text)
         except ValueError:
             expected = None
-        if expected is None or not expected.is_item:
+        if expected is None or expected.kind != ITEM:
             with pytest.raises(ValueError):
-                EntityId.parse_item(text)
+                item_number(text)
         else:
-            assert EntityId.parse_item(text) == expected
+            assert item_number(text) == expected.number
 
     def test_number_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -65,22 +67,21 @@ class TestEntityId:
 
 class TestIdMemo:
     def test_each_token_is_parsed_once_and_shared(self):
-        memo = IdMemo(ITEM)
-        first = memo["Q30"]
-        assert first == EntityId.item(30)
-        assert memo["Q30"] is first
-        assert memo["Q17"] == EntityId.item(17)
+        memo = IdMemo()
+        first = memo["Q3000"]  # past the small ints that CPython itself shares
+        assert first == 3000
+        assert memo["Q3000"] is first
+        assert memo["Q17"] == 17
 
     def test_kind_is_checked_on_first_entry(self):
-        props = IdMemo(PROPERTY)
-        assert props["P17"] == EntityId.prop(17)
-        with pytest.raises(ValueError):
-            props["Q5"]
-        assert "Q5" not in props
+        memo = IdMemo()
+        with pytest.raises(ValueError, match="^not an item id: 'P17'$"):
+            memo["P17"]
+        assert "P17" not in memo
 
     @pytest.mark.parametrize("bad", ["", "*", "Q0", "xyz"])
     def test_bad_token_raises_and_is_not_kept(self, bad):
-        memo = IdMemo(ITEM)
+        memo = IdMemo()
         with pytest.raises(ValueError):
             memo[bad]
         assert bad not in memo
@@ -88,34 +89,38 @@ class TestIdMemo:
 
 class TestSlimEntity:
     def test_basic_construction(self):
-        entity = SlimEntity(
-            EntityId.item(22686),
-            {EntityId.prop(27): (EntityId.item(30),)},
-            {"enwiki": "Donald Trump"},
-        )
-        assert entity.claim_values(EntityId.prop(27)) == (EntityId.item(30),)
+        entity = SlimEntity(22686, {EntityId.prop(27): (30,)}, {"enwiki": "Donald Trump"})
+        assert entity.claim_values(EntityId.prop(27)) == (30,)
         assert entity.claim_values(EntityId.prop(17)) == ()
 
     def test_rejects_property_id(self):
         with pytest.raises(ValueError):
             SlimEntity(EntityId.prop(17))
 
+    @pytest.mark.parametrize("bad", [EntityId.item(1), 0, -1, True, "Q1", 1.0])
+    def test_rejects_an_id_that_is_not_an_item_number(self, bad):
+        with pytest.raises(ValueError, match=f"^entity id must be an item number, got {re.escape(repr(bad))}$"):
+            SlimEntity(bad)
+
     def test_rejects_empty_claim_group(self):
         with pytest.raises(ValueError):
-            SlimEntity(EntityId.item(1), {EntityId.prop(17): ()})
+            SlimEntity(1, {EntityId.prop(17): ()})
 
     def test_rejects_a_claim_value_that_is_not_an_item(self):
-        # every reader and the store writer take a claim value as an item
-        with pytest.raises(ValueError, match="^claim value must be an item, got P5 under P17$"):
-            SlimEntity(EntityId.item(1), {EntityId.prop(17): (EntityId.item(30), EntityId.prop(5))})
+        # every reader and the store writer take a claim value as an item number
+        message = "claim value must be an item number, got EntityId(kind='property', number=5) under P17"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SlimEntity(1, {EntityId.prop(17): (30, EntityId.prop(5))})
+        with pytest.raises(ValueError, match="^claim value must be an item number, got 0 under P17$"):
+            SlimEntity(1, {EntityId.prop(17): (30, 0)})
 
     def test_rejects_empty_title(self):
         with pytest.raises(ValueError):
-            SlimEntity(EntityId.item(1), {}, {"enwiki": ""})
+            SlimEntity(1, {}, {"enwiki": ""})
 
     def test_trusted_construction_equals_the_checked_one(self):
-        claims = {EntityId.prop(27): (EntityId.item(30),)}
-        trusted = SlimEntity.trusted(EntityId.item(5), claims, {"enwiki": "X"})
-        assert trusted == SlimEntity(EntityId.item(5), claims, {"enwiki": "X"})
+        claims = {EntityId.prop(27): (30,)}
+        trusted = SlimEntity.trusted(5, claims, {"enwiki": "X"})
+        assert trusted == SlimEntity(5, claims, {"enwiki": "X"})
         with pytest.raises(dataclasses.FrozenInstanceError):
-            trusted.id = EntityId.item(6)
+            trusted.id = 6

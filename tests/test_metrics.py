@@ -30,8 +30,6 @@ from wikicoverage.metrics import (
 )
 from wikicoverage.usage import ReadershipRecord
 
-from helpers import Q
-
 
 def rr(language, country, readers, views_from=0):
     return ReadershipRecord(language, country, readers, views_from)
@@ -39,9 +37,9 @@ def rr(language, country, readers, views_from=0):
 
 class TestArticleSets:
     def test_sitelink_title_is_normalized_to_underscores(self):
-        entity = SlimEntity(Q(9684), {}, {"enwiki": "The New York Times"})
+        entity = SlimEntity(9684, {}, {"enwiki": "The New York Times"})
         sets = build_article_sets([entity], {"en"})
-        assert sets["en"] == {"The_New_York_Times": Q(9684)}
+        assert sets["en"] == {"The_New_York_Times": 9684}
 
     def test_empty_stream_gives_empty_sets(self):
         sets = build_article_sets([], {"en", "de"})
@@ -56,7 +54,7 @@ class TestArticleSets:
             for lang in expected:
                 if rng.random() < 0.6:
                     links[f"{lang}wiki"] = f"Artikel {n}"
-            entities.append(SlimEntity(Q(n), {}, links))
+            entities.append(SlimEntity(n, {}, links))
             for lang in expected:
                 if f"{lang}wiki" in links:
                     expected[lang] += 1
@@ -65,28 +63,28 @@ class TestArticleSets:
 
     def test_conflicting_titles_name_both_ids(self):
         entities = [
-            SlimEntity(Q(1), {}, {"enwiki": "Same Title"}),
-            SlimEntity(Q(2), {}, {"enwiki": "Same_Title"}),
+            SlimEntity(1, {}, {"enwiki": "Same Title"}),
+            SlimEntity(2, {}, {"enwiki": "Same_Title"}),
         ]
         with pytest.raises(TitleConflictError) as err:
             build_article_sets(entities, {"en"})
         assert "Q1" in str(err.value) and "Q2" in str(err.value)
 
     def test_unrequested_languages_are_ignored(self):
-        entity = SlimEntity(Q(1), {}, {"enwiki": "A", "dewiki": "B"})
+        entity = SlimEntity(1, {}, {"enwiki": "A", "dewiki": "B"})
         sets = build_article_sets([entity], {"en"})
         assert list(sets) == ["en"]
 
     def test_hyphenated_language_maps_to_underscore_wiki_code(self):
-        entity = SlimEntity(Q(1), {}, {"zh_min_nanwiki": "A"})
+        entity = SlimEntity(1, {}, {"zh_min_nanwiki": "A"})
         sets = build_article_sets([entity], {"zh-min-nan"})
-        assert sets["zh-min-nan"] == {"A": Q(1)}
+        assert sets["zh-min-nan"] == {"A": 1}
 
 
 class TestAttributionJoin:
     """``join_attribution`` matches each store record to its attribution TSV row."""
 
-    STORE = [SlimEntity(Q(n), {}, {"enwiki": f"T{n}"}) for n in (1, 2, 3)]
+    STORE = [SlimEntity(n, {}, {"enwiki": f"T{n}"}) for n in (1, 2, 3)]
 
     def join(self, lines, store=STORE):
         related = set()
@@ -97,7 +95,7 @@ class TestAttributionJoin:
     def test_rows_in_store_order_pass_every_record_and_keep_the_related(self):
         records, related = self.join(["Q1\ttrue\tP27>Q30", "", "Q2\tfalse\t", "Q3\ttrue\tP17>Q30"])
         assert records == self.STORE
-        assert related == {Q(1), Q(3)}
+        assert related == {1, 3}
 
     @pytest.mark.parametrize(
         "lines, message",
@@ -226,8 +224,8 @@ class TestReaderShares:
 
 class TestArticleShares:
     def build(self, total, related_count):
-        articles = {f"T{n}": Q(n) for n in range(1, total + 1)}
-        return articles, {Q(n) for n in range(1, related_count + 1)}
+        articles = {f"T{n}": n for n in range(1, total + 1)}
+        return articles, set(range(1, related_count + 1))
 
     def test_three_of_ten_related(self):
         articles, related = self.build(10, 3)
@@ -249,7 +247,7 @@ class TestArticleShares:
 
     def test_missing_attribution_is_incomplete_input(self):
         # an article's owner is attributed only through the join with the TSV
-        store = [SlimEntity(Q(1), {}, {"enwiki": "T1"})]
+        store = [SlimEntity(1, {}, {"enwiki": "T1"})]
         with pytest.raises(IncompleteAttributionError, match="^attribution TSV has no row for item Q1"):
             build_article_sets(join_attribution(store, [], set()), {"en"})
 
@@ -260,15 +258,15 @@ class TestArticleShares:
 
     def test_adding_related_article_increases_share(self):
         articles, related = self.build(10, 3)
-        grown = {**articles, "new": Q(99)}
-        related.add(Q(99))
+        grown = {**articles, "new": 99}
+        related.add(99)
         assert language_row(grown, related).ras > Fraction(3, 10)
 
 
 class TestViewShares:
     def fixture(self):
-        articles = {"A": Q(1), "B": Q(2), "C": Q(3), "D": Q(4)}
-        related = {Q(1), Q(2)}
+        articles = {"A": 1, "B": 2, "C": 3, "D": 4}
+        related = {1, 2}
         views = {("en", "A"): 30, ("en", "B"): 10, ("en", "C"): 45, ("en", "D"): 15}
         return articles, related, views
 
@@ -309,12 +307,12 @@ class TestViewShares:
 class TestComputeAll:
     def fixture(self):
         entities = [
-            SlimEntity(Q(1), {}, {"enwiki": "A", "dewiki": "A"}),
-            SlimEntity(Q(2), {}, {"enwiki": "B"}),
-            SlimEntity(Q(3), {}, {"dewiki": "C", "frwiki": "C"}),
-            SlimEntity(Q(4), {}, {"frwiki": "D"}),
+            SlimEntity(1, {}, {"enwiki": "A", "dewiki": "A"}),
+            SlimEntity(2, {}, {"enwiki": "B"}),
+            SlimEntity(3, {}, {"dewiki": "C", "frwiki": "C"}),
+            SlimEntity(4, {}, {"frwiki": "D"}),
         ]
-        related = {Q(1), Q(3)}
+        related = {1, 3}
         views = {
             ("en", "A"): 6,
             ("en", "B"): 2,
@@ -356,8 +354,8 @@ class TestComputeAll:
         assert isinstance(failures["de"], NoReadershipError)
 
     def test_single_language_all_related_fixture_is_all_ones(self):
-        entities = [SlimEntity(Q(1), {}, {"enwiki": "Only"})]
-        related = {Q(1)}
+        entities = [SlimEntity(1, {}, {"enwiki": "Only"})]
+        related = {1}
         views = {("en", "Only"): 10}
         readership = {"en": [rr("en", "US", 3, 7)]}
         rows, failures = compute_all(build_article_sets(entities, {"en"}), related, views, readership)
@@ -376,7 +374,7 @@ class TestComputeAll:
         def fine(lang):
             return [rr(lang, "US", 5, 5)]
 
-        article_sets = {"aa": {}, "ab": {}, "ac": {}, "ad": {}, "af": {"T": Q(1)}}
+        article_sets = {"aa": {}, "ab": {}, "ac": {}, "ad": {}, "af": {"T": 1}}
         readership = {
             "ab": [rr("ab", "US", 0, 0)],
             "ac": [rr("ac", "US", 5, 0)],
@@ -384,7 +382,7 @@ class TestComputeAll:
             "af": fine("af"),
         }
         languages = [*article_sets, "ag"]
-        rows, failures = compute_all(article_sets, {Q(1)}, {}, readership, languages)
+        rows, failures = compute_all(article_sets, {1}, {}, readership, languages)
         assert rows == []
         assert {lang: (type(exc), str(exc)) for lang, exc in failures.items()} == {
             "aa": (NoReadershipError, "no readership rows for this language"),

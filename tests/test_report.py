@@ -9,7 +9,9 @@ from urllib.parse import unquote
 
 import pytest
 
-from wikicoverage import slimstore
+from wikicoverage import report, slimstore
+from wikicoverage.attribution import load_rules
+from wikicoverage.dump import parse_dump_stream
 from wikicoverage.errors import (
     ConfigError,
     DumpTruncatedError,
@@ -416,6 +418,51 @@ class TestPipelineEndToEnd:
         assert compared == ["attribution", "chart", "chart_svg", "clusters", "metrics", "table", "views"]
         for name in compared:
             assert first.artifacts[name].read_bytes() == second.artifacts[name].read_bytes(), name
+
+
+class TestItemNumbers:
+    """Every stage carries an item as its plain ``int`` number; only text prints ``Q<n>``."""
+
+    def test_the_readers_yield_int_ids_and_claim_values(self, tmp_path):
+        rules = load_rules(FIXTURE / "rules.txt")
+        with open(FIXTURE / "dump.json", "rb") as handle:
+            parsed = list(parse_dump_stream(handle, rules.required_properties, {"enwiki", "dewiki"}))
+        store = tmp_path / "entities.slim"
+        with slimstore.SlimStoreWriter(rules.required_properties) as writer:
+            for record in parsed:
+                writer.add(record)
+            slimstore.save_slim_store(writer, store)
+        with open(store, encoding="utf-8") as source:
+            stored = list(slimstore.read_slim_store(source))
+        with open(store, encoding="utf-8") as source:
+            sitelinks = list(slimstore.read_store_sitelinks(source))
+        assert stored == sorted(parsed, key=lambda record: record.id)
+        assert [(r.id, r.sitelinks) for r in sitelinks] == [(r.id, r.sitelinks) for r in stored]
+        assert {type(record.id) for record in parsed + stored + sitelinks} == {int}
+        values = [value for record in parsed + stored for group in record.claims.values() for value in group]
+        assert values and {type(value) for value in values} == {int}
+
+    def test_all_over_a_store_relates_and_owns_articles_by_int(self, tmp_path, monkeypatch):
+        config = dict(
+            languages=("en", "de"),
+            pageviews=(FIXTURE / "pageviews-a.txt", FIXTURE / "pageviews-b.txt"),
+            readership=FIXTURE / "readership.csv",
+            rules=FIXTURE / "rules.txt",
+        )
+        store = run_pipeline(RunConfig(out_dir=tmp_path / "dump", dump=FIXTURE / "dump.json", **config)).artifacts["slim"]
+        seen = {}
+        metrics_stage = report.metrics_stage
+
+        def spy(article_sets, related, *args):
+            seen.update(article_sets=article_sets, related=related)
+            return metrics_stage(article_sets, related, *args)
+
+        monkeypatch.setattr(report, "metrics_stage", spy)
+        run_pipeline(RunConfig(out_dir=tmp_path / "store", slim=store, **config))
+        assert 30 in seen["related"]  # the target, Q30, claims itself as its country
+        assert {type(item) for item in seen["related"]} == {int}
+        owners = [item for articles in seen["article_sets"].values() for item in articles.values()]
+        assert owners and {type(item) for item in owners} == {int}
 
 
 class TestRunConfigValidation:

@@ -25,14 +25,17 @@ from wikicoverage.slimstore import (
     read_store_header,
     read_store_sitelinks,
     save_slim_store,
-    write_slim_store,
 )
 
-from helpers import STORE_PROPS, P, Q, random_entities
+from helpers import STORE_PROPS, P, random_entities
 
 
-def write(entities, sink, keep_props=STORE_PROPS, **kwargs):
-    return write_slim_store(entities, sink, keep_props=keep_props, **kwargs)
+def write(entities, sink, keep_props=STORE_PROPS):
+    """Write ``entities``, in any order, as a store to ``sink`` through a writer; returns the count."""
+    with slimstore.SlimStoreWriter(keep_props) as writer:
+        for entity in entities:
+            writer.add(entity)
+        return writer.write(sink)
 
 
 def save(entities, path):
@@ -109,18 +112,18 @@ class TestWrite:
 
     def test_keep_props_is_required(self):
         with pytest.raises(TypeError):
-            write_slim_store([], io.StringIO())
+            slimstore.SlimStoreWriter()
 
     def test_records_are_sorted_by_id_number(self):
-        entities = [SlimEntity(Q(9684)), SlimEntity(Q(30))]
+        entities = [SlimEntity(9684), SlimEntity(30)]
         count, back = round_trip(entities)
         assert count == 2
-        assert [e.id for e in back] == [Q(30), Q(9684)]
+        assert [e.id for e in back] == [30, 9684]
 
     def test_header_carries_keep_sets(self):
         sink = io.StringIO()
-        write_slim_store(
-            [SlimEntity(Q(1), {P(17): (Q(30),)})],
+        write(
+            [SlimEntity(1, {P(17): (30,)})],
             sink,
             keep_props=[P(27), P(17)],
         )
@@ -130,14 +133,14 @@ class TestWrite:
 
     @pytest.mark.parametrize(
         "entity, problem",
-        [(SlimEntity(Q(1), {P(99): (Q(5),)}, {"dewiki": "X"}), "item Q1: claim key P99 is not in keep_props")],
+        [(SlimEntity(1, {P(99): (5,)}, {"dewiki": "X"}), "item Q1: claim key P99 is not in keep_props")],
         ids=["undeclared-claim-key"],
     )
     def test_record_outside_the_header_is_refused_before_writing(self, entity, problem):
         sink = io.StringIO()
-        records = [SlimEntity(Q(9), {P(17): (Q(30),)}, {"enwiki": "Y"}), entity]
+        records = [SlimEntity(9, {P(17): (30,)}, {"enwiki": "Y"}), entity]
         with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
-            write_slim_store(records, sink, keep_props=[P(17)])
+            write(records, sink, keep_props=[P(17)])
         assert sink.getvalue() == ""
 
     @pytest.mark.parametrize(
@@ -146,15 +149,15 @@ class TestWrite:
     def test_wiki_code_the_store_cannot_carry_is_refused_before_writing(self, wiki):
         # a record splits on these: `a=b` read back as {'a': 'b=T'}, `x|y` failed the read
         sink = io.StringIO()
-        records = [SlimEntity(Q(9), {}, {"enwiki": "Y"}), SlimEntity(Q(12), {}, {"enwiki": "Z", wiki: "T"})]
+        records = [SlimEntity(9, {}, {"enwiki": "Y"}), SlimEntity(12, {}, {"enwiki": "Z", wiki: "T"})]
         problem = f"item Q12: wiki code {wiki!r} holds '=', '|', a tab, CR or LF"
         with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
-            write_slim_store(records, sink, keep_props=[P(17)])
+            write(records, sink, keep_props=[P(17)])
         assert sink.getvalue() == ""
 
     def test_unrestricted_wikis_write_any_sitelink(self):
         # no header line lists the wiki codes, so a comma or a space in one is stored as it is
-        entity = SlimEntity(Q(1), {P(17): (Q(5),)}, {"dewiki": "X", "xxwiki": "Y", "a,b": "Z", "a b": "W"})
+        entity = SlimEntity(1, {P(17): (5,)}, {"dewiki": "X", "xxwiki": "Y", "a,b": "Z", "a b": "W"})
         assert round_trip([entity], keep_props=[P(17)]) == (1, [entity])
         sink = io.StringIO()
         write([entity], sink, keep_props=[P(17)])
@@ -170,14 +173,14 @@ class TestWrite:
                 if self.calls > 4:  # magic, header, two records
                     raise OSError("disk full")
 
-        entities = [SlimEntity(Q(n)) for n in range(1, 6)]
+        entities = [SlimEntity(n) for n in range(1, 6)]
         with pytest.raises(SlimStoreWriteError) as err:
             write(entities, FlakySink())
         assert err.value.records_written == 2
 
     def test_repeated_item_is_refused_before_writing(self):
         sink = io.StringIO()
-        records = [SlimEntity(Q(5), {P(17): (Q(30),)}), SlimEntity(Q(9)), SlimEntity(Q(5), {}, {"enwiki": "X"})]
+        records = [SlimEntity(5, {P(17): (30,)}), SlimEntity(9), SlimEntity(5, {}, {"enwiki": "X"})]
         with pytest.raises(DuplicateItemError, match="^item Q5 appears twice in the input stream$"):
             write(records, sink)
         assert sink.getvalue() == ""
@@ -189,21 +192,21 @@ class TestSave:
 
     def existing_store(self, tmp_path):
         path = tmp_path / "s.slim"
-        save([SlimEntity(Q(5), {P(17): (Q(30),)}, {"enwiki": "A"})], path)
+        save([SlimEntity(5, {P(17): (30,)}, {"enwiki": "A"})], path)
         return path, path.read_bytes()
 
     def test_save_replaces_the_store(self, tmp_path):
         path, _ = self.existing_store(tmp_path)
-        assert save([SlimEntity(Q(7))], path) == 1
-        assert [entity.id for entity in read_slim_store(io.StringIO(path.read_text(encoding="utf-8")))] == [Q(7)]
+        assert save([SlimEntity(7)], path) == 1
+        assert [entity.id for entity in read_slim_store(io.StringIO(path.read_text(encoding="utf-8")))] == [7]
         assert [p.name for p in tmp_path.iterdir()] == ["s.slim"]
 
     @pytest.mark.parametrize(
         "entities, error",
         [
-            ([SlimEntity(Q(5)), SlimEntity(Q(5))], DuplicateItemError),
-            ([SlimEntity(Q(5), {P(999): (Q(1),)})], ValueError),
-            ([SlimEntity(Q(5), {}, {"a|b": "X"})], ValueError),
+            ([SlimEntity(5), SlimEntity(5)], DuplicateItemError),
+            ([SlimEntity(5, {P(999): (1,)})], ValueError),
+            ([SlimEntity(5, {}, {"a|b": "X"})], ValueError),
         ],
         ids=["repeated-item", "claim-outside-keep-props", "unstorable-wiki-code"],
     )
@@ -240,7 +243,7 @@ class TestSave:
         else:
             monkeypatch.setattr(slimstore.os, "replace", fail)
         with pytest.raises(expected, match=f"^{message}$") as err:
-            save([SlimEntity(Q(7)), SlimEntity(Q(8))], path)
+            save([SlimEntity(7), SlimEntity(8)], path)
         if written is not None:
             assert err.value.records_written == written
         assert path.read_bytes() == kept
@@ -249,7 +252,7 @@ class TestSave:
 
 def reference_store(entities, props=STORE_PROPS) -> str:
     """The store text of ``entities`` as the format defines it, built from
-    ``str()`` of each id and sorted up front."""
+    ``Q<n>`` of each item number and sorted up front."""
     escapes = [("%", "%25"), ("\t", "%09"), ("|", "%7C"), ("\n", "%0A"), ("\r", "%0D")]
 
     def escape(title):
@@ -259,13 +262,13 @@ def reference_store(entities, props=STORE_PROPS) -> str:
 
     header = ",".join(str(p) for p in sorted(props, key=lambda p: p.number))
     lines = ["WCM3\n", f"count={len(entities)} props={header}\n"]
-    for entity in sorted(entities, key=lambda e: e.id.number):
+    for entity in sorted(entities, key=lambda e: e.id):
         claims = ";".join(
-            f"{prop}:" + ",".join(str(value) for value in values)
+            f"{prop}:" + ",".join(f"Q{value}" for value in values)
             for prop, values in sorted(entity.claims.items(), key=lambda kv: kv[0].number)
         )
         links = "|".join(f"{wiki}={escape(title)}" for wiki, title in sorted(entity.sitelinks.items()))
-        lines.append(f"{entity.id}\t{claims}\t{links}\n")
+        lines.append(f"Q{entity.id}\t{claims}\t{links}\n")
     return "".join(lines)
 
 
@@ -306,7 +309,7 @@ class TestSpilledRuns:
 
     def test_a_repeat_across_runs_is_refused_and_keeps_the_old_store(self, tmp_path, monkeypatch):
         path = tmp_path / "s.slim"
-        save([SlimEntity(Q(5), {P(17): (Q(30),)}, {"enwiki": "A"})], path)
+        save([SlimEntity(5, {P(17): (30,)}, {"enwiki": "A"})], path)
         kept = path.read_bytes()
         spill_dir = tmp_path / "spills"
         spill_dir.mkdir()
@@ -314,7 +317,7 @@ class TestSpilledRuns:
         monkeypatch.setattr(slimstore, "RUN_CHARS", 1)
         monkeypatch.setattr(slimstore.tempfile, "tempdir", str(spill_dir))
         monkeypatch.setattr(slimstore.tempfile, "TemporaryFile", spills)
-        records = [SlimEntity(Q(5), {P(17): (Q(30),)}), SlimEntity(Q(9)), SlimEntity(Q(5), {}, {"enwiki": "X"})]
+        records = [SlimEntity(5, {P(17): (30,)}), SlimEntity(9), SlimEntity(5, {}, {"enwiki": "X"})]
         with pytest.raises(DuplicateItemError, match="^item Q5 appears twice in the input stream$"):
             save(records, path)
         assert len(spills.files) == 3 and all(spill.closed for spill in spills.files)
@@ -327,14 +330,26 @@ class TestSpilledRuns:
         # holds both Q7s and is refused when it is spilled
         monkeypatch.setattr(slimstore, "RUN_CHARS", 20)
         sink = io.StringIO()
-        records = [SlimEntity(Q(n)) for n in (1, 2, 3, 4, 7, 5, 7, 6, 8)]
+        records = [SlimEntity(n) for n in (1, 2, 3, 4, 7, 5, 7, 6, 8)]
         with pytest.raises(DuplicateItemError, match="^item Q7 appears twice in the input stream$"):
             write(records, sink)
         assert sink.getvalue() == ""
 
+    @pytest.mark.parametrize("cap", [1, slimstore.RUN_CHARS], ids=["spilled", "one-run"])
+    def test_item_numbers_past_two_to_the_63_sort_and_repeat_exactly(self, monkeypatch, cap):
+        # an item number is a Python int: no fixed-width integer may hold one
+        monkeypatch.setattr(slimstore, "RUN_CHARS", cap)
+        records = [SlimEntity(n, {P(17): (2**63 + 7,)}) for n in (2**63 + 1, 2**64 + 3, 2**63 - 1, 5)]
+        sink = io.StringIO()
+        assert write(records, sink) == 4
+        assert sink.getvalue() == reference_store(records)
+        assert list(read_slim_store(io.StringIO(sink.getvalue()))) == sorted(records, key=lambda e: e.id)
+        with pytest.raises(DuplicateItemError, match=f"^item Q{2**64 + 3} appears twice in the input stream$"):
+            write([*records, SlimEntity(2**64 + 3)], io.StringIO())
+
     def test_an_os_error_in_a_spill_keeps_the_old_store(self, tmp_path, monkeypatch):
         path = tmp_path / "s.slim"
-        save([SlimEntity(Q(5))], path)
+        save([SlimEntity(5)], path)
         kept = path.read_bytes()
 
         def fail(*args, **kwargs):
@@ -343,7 +358,7 @@ class TestSpilledRuns:
         monkeypatch.setattr(slimstore, "RUN_CHARS", 1)
         monkeypatch.setattr(slimstore.tempfile, "TemporaryFile", fail)
         with pytest.raises(SlimStoreWriteError, match="no space left for the run") as err:
-            save([SlimEntity(Q(7)), SlimEntity(Q(8))], path)
+            save([SlimEntity(7), SlimEntity(8)], path)
         assert err.value.records_written == 0
         assert path.read_bytes() == kept
         assert [p.name for p in tmp_path.iterdir()] == ["s.slim"]
@@ -359,21 +374,21 @@ class TestSpilledRuns:
         monkeypatch.setattr(slimstore, "RUN_CHARS", 1)
         monkeypatch.setattr(slimstore.tempfile, "TemporaryFile", spills)
         with pytest.raises(SlimStoreWriteError, match="^write failed after 0 of 2 records: spill lost$"):
-            write([SlimEntity(Q(8)), SlimEntity(Q(7))], io.StringIO())
+            write([SlimEntity(8), SlimEntity(7)], io.StringIO())
         assert all(spill.closed for spill in spills.files)
 
 
 class TestRead:
     def test_single_entity_round_trip(self):
         entity = SlimEntity(
-            Q(22686), {P(27): (Q(30),)}, {"enwiki": "Donald Trump"}
+            22686, {P(27): (30,)}, {"enwiki": "Donald Trump"}
         )
         _, back = round_trip([entity])
         assert back == [entity]
 
     def test_count_mismatch_is_corruption(self):
         sink = io.StringIO()
-        write([SlimEntity(Q(n)) for n in range(1, 5)], sink)
+        write([SlimEntity(n) for n in range(1, 5)], sink)
         text = sink.getvalue().replace("count=4", "count=5")
         with pytest.raises(SlimStoreCorruptionError):
             list(read_slim_store(io.StringIO(text)))
@@ -393,7 +408,7 @@ class TestRead:
 
     def test_extra_records_are_corruption(self):
         sink = io.StringIO()
-        write([SlimEntity(Q(1)), SlimEntity(Q(2))], sink)
+        write([SlimEntity(1), SlimEntity(2)], sink)
         text = sink.getvalue().replace("count=2", "count=1")
         with pytest.raises(SlimStoreCorruptionError):
             list(read_slim_store(io.StringIO(text)))
@@ -420,7 +435,7 @@ class TestRead:
 
     def test_store_lacking_a_required_property_is_a_mismatch(self):
         sink = io.StringIO()
-        write([SlimEntity(Q(1), {P(17): (Q(30),)})], sink, keep_props=[P(17), P(276)])
+        write([SlimEntity(1, {P(17): (30,)})], sink, keep_props=[P(17), P(276)])
         text = sink.getvalue()
         assert len(list(read_slim_store(io.StringIO(text), [P(276), P(17)]))) == 1
         with pytest.raises(SlimStoreMismatchError, match="kept without P19, P27, which"):
@@ -516,7 +531,7 @@ class TestTitleEscaping:
         ],
     )
     def test_awkward_titles_survive(self, title):
-        entity = SlimEntity(Q(1), {}, {"enwiki": title})
+        entity = SlimEntity(1, {}, {"enwiki": title})
         _, back = round_trip([entity])
         assert back[0].sitelinks["enwiki"] == title
 
@@ -527,8 +542,8 @@ class TestTitleEscaping:
             list(read_slim_store(io.StringIO(text)))
 
     def test_bare_entity_round_trips(self):
-        _, back = round_trip([SlimEntity(Q(7))])
-        assert back == [SlimEntity(Q(7))]
+        _, back = round_trip([SlimEntity(7)])
+        assert back == [SlimEntity(7)]
 
     def test_garbage_claim_token_is_corruption(self):
         text = "WCM3\ncount=1 props=P17\nQ1\tP17:xyz\t\n"
@@ -543,13 +558,13 @@ class TestRoundTripProperty:
         entities = random_entities(random.Random(seed), count)
         written, back = round_trip(entities)
         assert written == count
-        assert back == sorted(entities, key=lambda e: e.id.number)
+        assert back == sorted(entities, key=lambda e: e.id)
 
     def test_shared_place_nodes_round_trip_as_one_object(self):
-        places = [Q(n) for n in range(1000, 1010)]
+        places = list(range(1000, 1010))
         entities = [
             SlimEntity(
-                Q(n),
+                n,
                 {P(17): (places[n % 3],), P(19): (places[n % 10], places[n % 7])},
                 {"enwiki": f"Item {n}"},
             )
@@ -564,7 +579,7 @@ class TestRoundTripProperty:
     def test_ten_thousand_record_round_trip(self):
         entities = random_entities(random.Random(1234), 10_000)
         _, back = round_trip(entities)
-        assert back == sorted(entities, key=lambda e: e.id.number)
+        assert back == sorted(entities, key=lambda e: e.id)
 
 
 class TestSitelinksReader:
@@ -630,8 +645,8 @@ class TestSitelinksReader:
         def store(values_per_record):
             entities = [
                 SlimEntity(
-                    Q(n),
-                    {P(17): tuple(Q(n * 100 + k) for k in range(values_per_record))},
+                    n,
+                    {P(17): tuple(n * 100 + k for k in range(values_per_record))},
                     {"enwiki": f"Title {n}", "dewiki": f"Titel {n}"},
                 )
                 for n in range(1, 2001)
