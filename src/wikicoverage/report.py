@@ -59,6 +59,7 @@ from .usage import (
     load_readership,
     merge_views,
     parse_pageviews_stream,
+    read_pageview_lines,
     write_views_tsv,
 )
 from .util import drain, paused_gc, percent, sha256_file, sitelink_key
@@ -218,10 +219,12 @@ def usage_stage(
     ``languages`` limits the languages kept; None keeps every language.
     Returns the totals and the malformed lines skipped.
 
-    :func:`usage.parse_pageviews_stream` totals each file in one pass, and
-    the files are folded as they are read: the first file's totals become
-    the running totals, and :func:`usage.merge_views` adds each later file's
-    totals into them in place.  A file's totals are dropped when the next
+    Each file is read a block at a time (:func:`usage.read_pageview_lines`),
+    and a gzipped file is decompressed as it is read; the manifest digests
+    the files as given.  :func:`usage.parse_pageviews_stream` totals each
+    file in one pass, and the files are folded as they are read: the first
+    file's totals become the running totals, and :func:`usage.merge_views`
+    adds each later file's totals into them in place.  A file's totals are dropped when the next
     file's replace them, so the stage holds the running totals, the title
     memo and at most two files' totals, however many files there are.  The
     memo gives each distinct (language, raw title) one key for the whole
@@ -238,7 +241,8 @@ def usage_stage(
             # of heap, but when the stages share a process it kept the
             # heap that attribution had freed from going back to the OS,
             # which raised the process's peak RSS
-            shard = parse_pageviews_stream(handle, language_set, errors=issues, titles=titles)
+            lines = read_pageview_lines(handle)
+            shard = parse_pageviews_stream(lines, language_set, errors=issues, titles=titles)
         views = shard if views is None else merge_views(views, shard)
     if views is None:  # no files
         views = {}

@@ -18,20 +18,26 @@ not carry it).  The views TSV and readership readers take their counts
 through :func:`util.parse_count` too, so a refused count reads the same in
 every reader, led by its line or row.
 
+The usage stage reads each file through :func:`read_pageview_lines`, a
+block of whole lines at a time: each block is decoded once and split on LF
+alone, and a block that is not UTF-8 is split into byte lines, which the
+parse decodes one by one.  A file that starts with the gzip magic is
+decompressed as it is read, as Wikimedia publishes its hourly files.
 :func:`parse_pageviews_stream` adds each kept line's views straight into
-the file's totals, in the loop that splits the line.  Titles are
-percent-decoded through a :class:`TitleMemo`, which gives each distinct
-(language, raw title) its totals key once per memo.  The usage stage shares
-one memo between all of its shards and drops it when the stage ends; the
-memo then holds at most the stage's distinct titles, and the keys its totals
-hold are the memo's own.
+the file's totals, in the loop that splits the line.  It reads each distinct
+view count text once per call.  Titles are percent-decoded through a
+:class:`TitleMemo`, which gives each distinct (language, raw title) its
+totals key once per memo.  The usage stage shares one memo between all of
+its shards and drops it when the stage ends; the memo then holds at most the
+stage's distinct titles, and the keys its totals hold are the memo's own.
 """
 
 from __future__ import annotations
 
 import csv
 import re
-from typing import IO, Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import IO, BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from .dump import ParseIssue
 from .errors import ReadershipTableError
@@ -53,6 +59,10 @@ VIEWS_COLUMNS = ("language", "title", "views")
 # the reasons tallied for an empty title and for one that decodes to a tab, LF or CR
 EMPTY_TITLE = "empty title"
 BAD_TITLE = "title decodes to a tab, LF or CR"
+
+# bytes a pageview file is read in, then finished to a whole line (README, Performance notes)
+BLOCK_SIZE = 12 * 1024
+_GZIP_MAGIC = b"\x1f\x8b"
 
 
 def language_list_problem(languages: Sequence[str]) -> str | None:
@@ -132,6 +142,15 @@ class TitleMemo(dict):
         return titles
 
 
+def _view_count(count_text: str) -> int | None:
+    """The view count :func:`util.parse_count` reads from ``count_text``, or
+    None if it refuses it."""
+    try:
+        return parse_count(count_text, "view count")
+    except ValueError:
+        return None
+
+
 def _refusal(key: tuple[str, str] | str, count_text: str) -> str:
     """Why a line of a tracked language is refused, given its title's memo
     entry and its view count: the title's emptiness is checked before the
@@ -145,6 +164,57 @@ def _refusal(key: tuple[str, str] | str, count_text: str) -> str:
     return key
 
 
+def _block_lines(block: bytes) -> list[str] | list[bytes]:
+    """The lines of a block of whole lines, without their LFs.
+
+    The block is decoded once and split on LF alone: ``str.splitlines``
+    would also split on CR, form feeds, separators and more, which a title
+    or a count may hold.  A block that is not UTF-8 is split as bytes, so
+    each of its lines is decoded alone and a line that fails is tallied
+    with its own number.
+    """
+    try:
+        lines = block.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        lines = block.split(b"\n")
+    if not lines[-1]:  # the block ended with an LF
+        del lines[-1]
+    return lines
+
+
+def _gunzipped_blocks(handle: BinaryIO) -> Iterator[bytes]:
+    """The blocks of whole lines of a gzipped file, decompressed as it is
+    read.  Truncated or corrupt data raises :class:`gzip.BadGzipFile`, an
+    OSError, that names the file."""
+    import gzip  # only a gzipped file pays for the imports
+    import zlib
+
+    try:
+        with gzip.GzipFile(fileobj=handle) as unpacked:
+            while block := unpacked.read(BLOCK_SIZE):
+                yield block + unpacked.readline()
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise gzip.BadGzipFile(f"{handle.name}: corrupt gzip data: {exc}") from exc
+
+
+def read_pageview_lines(handle: BinaryIO) -> Iterator[str | bytes]:
+    """The lines of a pageview file opened for binary reading, for
+    :func:`parse_pageviews_stream`.
+
+    The file is read in blocks of whole lines, :data:`BLOCK_SIZE` bytes and
+    then the rest of the last line, and each block is decoded once
+    (:func:`_block_lines`); only one block's lines are held, however long
+    the file, and they are chained with no generator step per line.  A file
+    that starts with the gzip magic is decompressed as it is read.
+    """
+    if handle.peek(2)[:2] == _GZIP_MAGIC:
+        blocks = _gunzipped_blocks(handle)
+    else:
+        read, readline = handle.read, handle.readline
+        blocks = iter(lambda: read(BLOCK_SIZE) + readline(), b"")
+    return chain.from_iterable(map(_block_lines, blocks))
+
+
 def parse_pageviews_stream(
     lines: Iterable[str | bytes],
     languages: set[str] | None = None,
@@ -156,13 +226,15 @@ def parse_pageviews_stream(
     tallying malformed lines and moving on.
 
     Byte lines are decoded as UTF-8; an undecodable line is tallied as
-    ``invalid UTF-8``.  Blank lines are skipped.  Each distinct domain is
-    classified once per call, and each distinct title of a language is
-    normalised once per ``titles`` memo: pass one memo to every shard of a
-    stage to share it, or leave it out for a memo of this call's own.
+    ``invalid UTF-8``.  Blank lines are skipped.  Each distinct domain and
+    each distinct view count text is read once per call, and each distinct
+    title of a language is normalised once per ``titles`` memo: pass one memo
+    to every shard of a stage to share it, or leave it out for a memo of
+    this call's own.
     """
     memo = TitleMemo() if titles is None else titles
     keys_of: dict[str, _LanguageTitles | None] = {}  # domain -> its language's memo
+    counts: dict[str, int | None] = {}  # count text -> its views, or None if refused
     totals: dict[tuple[str, str], int] = {}
     get = totals.get
 
@@ -191,11 +263,11 @@ def parse_pageviews_stream(
         if keys is None:
             continue
         key = keys[raw_title]
-        try:  # the common line inline; _refusal orders the reasons of the rest
-            if key.__class__ is str or not (count_text.isascii() and count_text.isdigit()):
-                raise ValueError
-            views = int(count_text)
-        except ValueError:
+        try:
+            views = counts[count_text]
+        except KeyError:
+            views = counts[count_text] = _view_count(count_text)
+        if views is None or key.__class__ is str:  # _refusal orders the reasons
             tally(line_number, _refusal(key, count_text))
             continue
         totals[key] = get(key, 0) + views

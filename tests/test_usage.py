@@ -1,8 +1,11 @@
 import codecs
+import gzip
 import io
 import random
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 from urllib.parse import unquote
 
 import pytest
@@ -171,6 +174,31 @@ class TestParseStream:
         assert next(iter(first)) is next(iter(second))
         assert titles == {"en": {"Caf%C3%A9": ("en", "Caf\u00e9")}, "de": {"Foo": ("de", "Foo")}}
 
+    def test_a_refused_count_is_tallied_on_every_line_that_repeats_it(self):
+        lines = ["en A x 0\n", "en B 1 0\n", "en C x 0\n", "de A x 0\n", "en A 2 0\n", "en D x 0\n"]
+        errors = []
+        assert parse_pageviews_stream(lines, errors=errors) == {("en", "B"): 1, ("en", "A"): 2}
+        assert errors == [ParseIssue(n, "non-numeric view count 'x'") for n in (1, 3, 4, 6)]
+
+    def test_a_repeated_count_keeps_the_order_of_the_reasons(self):
+        # the count is read once, but an empty title still wins over it and a bad title still loses
+        lines = ["en A x 0\n", "en  x 0\n", "en Foo%0A x 0\n", "en Foo%0A 3 0\n", "en  3 0\n", "en A 3 0\n"]
+        errors = []
+        assert parse_pageviews_stream(lines, errors=errors) == {("en", "A"): 3}
+        assert [(e.line_number, e.reason) for e in errors] == [
+            (1, "non-numeric view count 'x'"),
+            (2, "empty title"),
+            (3, "non-numeric view count 'x'"),
+            (4, BAD_TITLE),
+            (5, "empty title"),
+        ]
+
+    def test_a_count_one_digit_too_long_is_refused_each_time_it_appears(self):
+        lines = [f"en Foo {'1' * 4301} 0\n", "en Bar 5 0\n", f"en Baz {'1' * 4301} 0\n"]
+        errors = []
+        assert parse_pageviews_stream(lines, errors=errors) == {("en", "Bar"): 5}
+        assert errors == [ParseIssue(n, "view count too large (4301 digits)") for n in (1, 3)]
+
 
 _DOMAINS = ["en", "en.m", "de.zero", "de", "fr", "en.d", "en.", "commons.m", "www", "EN", "", " ", "zh-min-nan"]
 _TITLE_PIECES = [
@@ -280,6 +308,81 @@ class TestStreamAgreesWithLineParser:
         errors = []
         totals = parse_pageviews_stream(byte_lines, languages, errors=errors, titles=titles)
         assert (totals, errors) == reference_totals(byte_lines, languages)
+
+
+# characters str.splitlines splits on but a pageview line holds as its own, and multi-byte ones
+_ODD_PIECES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\u00e9", "\u20ac", "\U0001f600"]
+
+
+@st.composite
+def odd_title_lines(draw):
+    """A line whose title holds characters that are not line breaks in a
+    pageview file, or a title longer than the smallest blocks."""
+    if draw(st.booleans()):
+        title = "".join(draw(st.lists(st.sampled_from(["a", "_", "%20", *_ODD_PIECES]), min_size=1, max_size=6)))
+    else:
+        title = "Long_" * draw(st.integers(13, 40))
+    fields = [draw(st.sampled_from(["en", "de.m", "fr"])), title, draw(st.sampled_from(_COUNTS)), "0"]
+    return " ".join(fields) + draw(st.sampled_from(["\n", "\r\n", ""]))
+
+
+class TestBlockReader:
+    @given(
+        lines=st.lists(st.one_of(pageview_lines(), odd_title_lines()), max_size=25),
+        languages=st.sampled_from([None, {"en"}, {"en", "de"}]),
+        corrupt=st.lists(st.one_of(st.none(), st.none(), st.integers(0, 60)), max_size=25),
+        block_size=st.integers(1, 64),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_usage_stage_reads_a_file_like_its_lines_at_any_block_size(
+        self, lines, languages, corrupt, block_size
+    ):
+        corrupt += [None] * (len(lines) - len(corrupt))
+        data = b"".join(_as_bytes(line, at) for line, at in zip(lines, corrupt))
+        saved = wikicoverage.usage.BLOCK_SIZE
+        wikicoverage.usage.BLOCK_SIZE = block_size
+        try:
+            with tempfile.TemporaryDirectory() as directory:
+                path = Path(directory, "pageviews.txt")
+                path.write_bytes(data)
+                views, issues = usage_stage([path], languages, Path(directory, "views.tsv"))
+        finally:
+            wikicoverage.usage.BLOCK_SIZE = saved
+        assert (views, issues) == reference_totals(data.split(b"\n"), languages)
+
+    def test_a_gzipped_file_reads_like_the_plain_one(self, tmp_path):
+        shards = [
+            b"en Foo 1 0\nen.m Caf%C3%A9 2 0\nde Foo 3 0\nen Foo%0ABar 1 0\n",
+            b"en Caf%C3%A9 4 0\nen.m Foo 5 0\nen x 1\nen B\xe9ta 1 0\nde Foo 7 0",
+        ]
+        plain = [tmp_path / f"pageviews-{index}.txt" for index in range(len(shards))]
+        packed = [tmp_path / f"pageviews-{index}.gz" for index in range(len(shards))]
+        for plain_path, packed_path, data in zip(plain, packed, shards):
+            plain_path.write_bytes(data)
+            packed_path.write_bytes(gzip.compress(data))
+        views, issues = usage_stage(plain, ["en", "de"], tmp_path / "plain.tsv")
+        assert usage_stage([plain[0], packed[1]], ["en", "de"], tmp_path / "mixed.tsv") == (views, issues)
+        assert usage_stage(packed, ["en", "de"], tmp_path / "packed.tsv") == (views, issues)
+        assert (tmp_path / "packed.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()
+        assert [(i.line_number, i.reason) for i in issues] == [
+            (4, BAD_TITLE), (3, "expected 4 space-separated fields, got 3"), (4, "invalid UTF-8")
+        ]
+        assert views == {("en", "Foo"): 6, ("en", "Caf\u00e9"): 6, ("de", "Foo"): 10}
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            gzip.compress(b"en Foo 1 0\n" * 100)[:-12],
+            b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff\x07" + bytes(8),  # a reserved deflate block type
+            gzip.compress(b"en Foo 1 0\n")[:-8] + bytes(8),  # a wrong CRC
+        ],
+        ids=["truncated", "corrupt", "bad-crc"],
+    )
+    def test_a_damaged_gzipped_file_raises_an_os_error_that_names_it(self, tmp_path, data):
+        path = tmp_path / "pageviews.gz"
+        path.write_bytes(data)
+        with pytest.raises(OSError, match=re.escape(f"{path}: corrupt gzip data: ")):
+            usage_stage([path], None, tmp_path / "views.tsv")
 
 
 class TestAggregate:
@@ -396,6 +499,24 @@ class TestAggregate:
             return top
 
         assert peak(32) <= 1.25 * peak(4)
+
+    def test_usage_stage_peak_memory_is_flat_in_the_length_of_a_file(self, tmp_path):
+        # the same 2,000 titles repeated: the reader holds one block of lines, never the file
+        titles = "".join(f"en Title_{n} {n % 7 + 1} 0\n" for n in range(2000))
+
+        def peak(copies):
+            path = tmp_path / f"pageviews-{copies}.txt"
+            path.write_text(titles * copies, encoding="utf-8")
+            tracemalloc.start()
+            try:
+                views, _ = usage_stage([path], ["en"], tmp_path / "views.tsv")
+                top = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(views) == 2000 and views[("en", "Title_1")] == 2 * copies
+            return top
+
+        assert peak(16) <= 1.25 * peak(1)
 
     def test_usage_stage_over_no_files_writes_an_empty_views_tsv(self, tmp_path):
         views, issues = usage_stage([], None, tmp_path / "views.tsv")
