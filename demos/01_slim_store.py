@@ -7,7 +7,7 @@ chew through dumps far larger than its RAM.
 
 import io
 
-from wikicoverage import EntityId, SlimStoreWriter, parse_dump_stream, read_slim_store
+from wikicoverage import SlimStoreWriter, parse_dump_stream, read_slim_store
 
 # a three-entity dump, exactly as it would sit on disk after decompression;
 # the middle line is deliberately broken to show error isolation
@@ -19,7 +19,7 @@ DUMP = """\
 ]
 """
 
-keep_props = frozenset({EntityId.prop(17), EntityId.prop(27)})
+keep_props = frozenset({17, 27})  # P17 and P27: every id is its number
 
 errors = []
 entities = list(
@@ -28,7 +28,7 @@ entities = list(
 
 print(f"parsed {len(entities)} entities, skipped {len(errors)} malformed line(s)")
 for entity in entities:
-    claims = {str(p): [f"Q{v}" for v in vs] for p, vs in entity.claims.items()}
+    claims = {f"P{p}": [f"Q{v}" for v in vs] for p, vs in entity.claims.items()}
     print(f"  Q{entity.id}: claims={claims} sitelinks={entity.sitelinks}")
 for issue in errors:
     print(f"  line {issue.line_number} skipped: {issue.reason}")

@@ -7,27 +7,26 @@ items pass in one read; once they have all passed, a bounded breadth-first
 walk resolves each place.
 """
 
-from wikicoverage import EntityId, RuleSet, SlimEntity, attribute_all
+from wikicoverage import RuleSet, SlimEntity, attribute_all
 from wikicoverage.attribution import render_provenance
 
-P = EntityId.prop  # properties are ids; items are their plain numbers
-
 rules = RuleSet()  # target Q30, direct P17/P27/P495, places via P19/P276
-print(f"target: {rules.target}, max geo depth: {rules.max_depth}")
+print(f"target: Q{rules.target}, max geo depth: {rules.max_depth}")
 
+# every id is its number: claims map property numbers to item numbers
 entities = [
     # geography: a city in the target country, a city elsewhere, and a cycle
-    SlimEntity(60, {P(17): (30,)}, {"enwiki": "New York City"}),
-    SlimEntity(64, {P(17): (183,)}, {"enwiki": "Berlin"}),
-    SlimEntity(111, {P(17): (112,)}),
-    SlimEntity(112, {P(17): (111,)}),
+    SlimEntity(60, {17: (30,)}, {"enwiki": "New York City"}),
+    SlimEntity(64, {17: (183,)}, {"enwiki": "Berlin"}),
+    SlimEntity(111, {17: (112,)}),
+    SlimEntity(112, {17: (111,)}),
     # topics
-    SlimEntity(22686, {P(27): (30,), P(19): (60,)}, {"enwiki": "Donald Trump"}),
-    SlimEntity(9684, {P(17): (30,)}, {"enwiki": "The New York Times"}),
-    SlimEntity(5879, {P(27): (183,), P(19): (64,)}, {"enwiki": "Goethe"}),
-    SlimEntity(500, {P(19): (111,)}, {"enwiki": "Nobody In Particular"}),
+    SlimEntity(22686, {27: (30,), 19: (60,)}, {"enwiki": "Donald Trump"}),
+    SlimEntity(9684, {17: (30,)}, {"enwiki": "The New York Times"}),
+    SlimEntity(5879, {27: (183,), 19: (64,)}, {"enwiki": "Goethe"}),
+    SlimEntity(500, {19: (111,)}, {"enwiki": "Nobody In Particular"}),
     # a disambiguation page never counts, even with a matching claim
-    SlimEntity(600, {P(17): (30,), P(31): (4167410,)}),
+    SlimEntity(600, {17: (30,), 31: (4167410,)}),
 ]
 
 # one read of the items, here a one-shot stream: attribute_all fills the geo

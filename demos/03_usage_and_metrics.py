@@ -13,7 +13,6 @@ import io
 from fractions import Fraction
 
 from wikicoverage import (
-    EntityId,
     SlimEntity,
     build_article_sets,
     compute_all,
@@ -21,8 +20,6 @@ from wikicoverage import (
     parse_readership_table,
 )
 from wikicoverage.util import percent
-
-P = EntityId.prop  # properties are ids; items are their plain numbers
 
 # pageview dump lines: mobile traffic folds into the base language, the
 # wiktionary line is skipped, the broken line is tallied and ignored
@@ -48,10 +45,11 @@ views = parse_pageviews_stream(io.StringIO(PAGEVIEWS), errors=issues)
 print("view totals:", {f"{l}:{t}": v for (l, t), v in sorted(views.items())})
 print("malformed pageview lines:", len(issues))
 
+# every id is its number: claims map property numbers to item numbers
 entities = [
-    SlimEntity(30, {P(17): (30,)}, {"enwiki": "United States"}),
-    SlimEntity(183, {P(17): (183,)}, {"enwiki": "Germany"}),
-    SlimEntity(22686, {P(27): (30,)}, {"enwiki": "Donald Trump"}),
+    SlimEntity(30, {17: (30,)}, {"enwiki": "United States"}),
+    SlimEntity(183, {17: (183,)}, {"enwiki": "Germany"}),
+    SlimEntity(22686, {27: (30,)}, {"enwiki": "Donald Trump"}),
 ]
 # the metrics need only the set of related items (02_attribution.py derives
 # it): the United States and Donald Trump relate to Q30, Germany does not

@@ -26,7 +26,7 @@ from .clusters import (
     load_cluster_map,
 )
 from .dump import ParseIssue, parse_dump_stream
-from .entities import EntityId, SlimEntity
+from .entities import SlimEntity
 from .errors import WikiCoverageError
 from .metrics import (
     MetricsRow,
@@ -50,7 +50,6 @@ __all__ = [
     "ChartData",
     "ChartDatum",
     "ClusterRow",
-    "EntityId",
     "MetricsRow",
     "ParseIssue",
     "PipelineResult",

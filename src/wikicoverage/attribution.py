@@ -12,11 +12,12 @@ built from the records as they pass, and until it is complete each item
 leaves behind only its id, its direct paths and its place-claim values.  The
 places are walked once the stream ends.
 
-Items are their plain ``int`` numbers here, as the readers give them: the
-geo index, the walks and the results are keyed by item number, and a
-provenance path is ``(property, item number, ..., target number)``.  Only
-the rule set holds :class:`EntityId` values; a call reads the numbers of its
-target and excluded classes once.
+Ids are their plain ``int`` numbers here, as the readers give them: the
+geo index, the walks and the results are keyed by item number, the rule set
+holds property and item numbers, and a provenance path is ``(property
+number, item number, ..., target number)``.  A rules file's ids are read as
+numbers by :func:`parse_rules`, and :func:`render_provenance` prints them
+back as ``P<n>`` and ``Q<n>``.
 
 Every satisfied claim contributes one provenance path: ``(property, entity,
 ..., target)``, and an item is related exactly when it has one.  Direct paths
@@ -37,27 +38,29 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
-from .entities import ITEM, PROPERTY, EntityId, SlimEntity, id_pattern
+from .entities import SlimEntity, id_pattern, item_number, property_number
 from .errors import DuplicateItemError, RulesError
 from .util import iter_tsv, parse_count
 
-COUNTRY = EntityId.prop(17)
-PLACE_OF_BIRTH = EntityId.prop(19)
-CITIZENSHIP = EntityId.prop(27)
-LOCATION = EntityId.prop(276)
-COUNTRY_OF_ORIGIN = EntityId.prop(495)
-INSTANCE_OF = EntityId.prop(31)
+# property numbers
+COUNTRY = 17
+PLACE_OF_BIRTH = 19
+CITIZENSHIP = 27
+LOCATION = 276
+COUNTRY_OF_ORIGIN = 495
+INSTANCE_OF = 31
 
-UNITED_STATES = EntityId.item(30)
-DISAMBIGUATION_PAGE = EntityId.item(4167410)
+# item numbers
+UNITED_STATES = 30
+DISAMBIGUATION_PAGE = 4167410
 
 # item number -> the item numbers of its country-chain claims
 GeoIndex = Mapping[int, tuple[int, ...]]
-# one path per satisfied claim, each (property, item number, ..., target
-# number); empty: not related
-Provenance = tuple[tuple[EntityId | int, ...], ...]
+# one path per satisfied claim, each (property number, item number, ...,
+# target number); empty: not related
+Provenance = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -67,44 +70,37 @@ class RuleSet:
     ``direct_props`` values must equal ``target``; ``place_props`` values are
     places resolved through ``geo_chain_props`` edges, at most ``max_depth``
     hops.  Items whose instance-of claim hits ``exclude_classes`` are never
-    attributed (navigation pages, not topics).  ``target`` and
-    ``exclude_classes`` are items; the three property sets hold properties.
+    attributed (navigation pages, not topics).  Every id is its number:
+    ``target`` and ``exclude_classes`` hold item numbers, the three property
+    sets property numbers.
     """
 
-    target: EntityId = UNITED_STATES
-    direct_props: frozenset[EntityId] = frozenset({COUNTRY, CITIZENSHIP, COUNTRY_OF_ORIGIN})
-    place_props: frozenset[EntityId] = frozenset({PLACE_OF_BIRTH, LOCATION})
-    geo_chain_props: tuple[EntityId, ...] = (COUNTRY,)
+    target: int = UNITED_STATES
+    direct_props: frozenset[int] = frozenset({COUNTRY, CITIZENSHIP, COUNTRY_OF_ORIGIN})
+    place_props: frozenset[int] = frozenset({PLACE_OF_BIRTH, LOCATION})
+    geo_chain_props: tuple[int, ...] = (COUNTRY,)
     max_depth: int = 5
-    exclude_classes: frozenset[EntityId] = frozenset({DISAMBIGUATION_PAGE})
+    exclude_classes: frozenset[int] = frozenset({DISAMBIGUATION_PAGE})
 
     def __post_init__(self):
-        for name, ids, kind in (
-            ("target", (self.target,), ITEM),
-            ("exclude_classes", self.exclude_classes, ITEM),
-            ("direct", self.direct_props, PROPERTY),
-            ("place", self.place_props, PROPERTY),
-            ("geo_chain", self.geo_chain_props, PROPERTY),
-        ):
-            wrong = [i for i in ids if i.kind != kind]
-            if wrong:
-                first = min(wrong, key=lambda i: i.sort_key)
-                article = "an" if kind == ITEM else "a"
-                raise ValueError(f"{name} must be {article} {kind} id, got {first}")
+        ids = (self.target, *self.exclude_classes, *self.direct_props, *self.place_props, *self.geo_chain_props)
+        for number in ids:
+            if type(number) is not int or number < 1:
+                raise ValueError(f"a rule set id must be a positive int, got {number!r}")
         if self.direct_props & self.place_props:
-            overlap = ", ".join(sorted(str(p) for p in self.direct_props & self.place_props))
+            overlap = ", ".join(["P%d" % prop for prop in sorted(self.direct_props & self.place_props)])
             raise ValueError(f"direct and place property sets overlap: {overlap}")
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
 
     @cached_property
-    def path_order(self) -> tuple[tuple[EntityId, ...], tuple[EntityId, ...]]:
+    def path_order(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``direct_props`` and ``place_props``, each in ascending id order: the
         order of provenance paths.  Sorted once per rule set."""
         return tuple(sorted(self.direct_props)), tuple(sorted(self.place_props))
 
     @property
-    def required_properties(self) -> frozenset[EntityId]:
+    def required_properties(self) -> frozenset[int]:
         """Every property the dump parser must keep for these rules to work."""
         return frozenset(
             {*self.direct_props, *self.place_props, *self.geo_chain_props, INSTANCE_OF}
@@ -117,7 +113,7 @@ def build_geo_index(entities: Iterable[SlimEntity], rules: RuleSet) -> dict[int,
     for entity in entities:
         values: list[int] = []
         for prop in rules.geo_chain_props:
-            values.extend(entity.claim_values(prop))
+            values.extend(entity.claims.get(prop, ()))
         if values:
             index[entity.id] = tuple(values)
     return index
@@ -131,7 +127,7 @@ def _path_to_target(index: GeoIndex, start: int, rules: RuleSet) -> tuple[int, .
     earliest claim in the earliest-discovered node, so the chain is
     deterministic.
     """
-    target = rules.target.number
+    target = rules.target
     parents: dict[int, int] = {}
     frontier = [start]
     seen = {start}
@@ -192,8 +188,8 @@ def attribute_all(
     """
     results: dict[int, Provenance] = {}  # direct paths only, until the walks
     waiting: list[tuple[int, tuple[tuple[int, ...], ...]]] = []  # items with place values
-    target = rules.target.number
-    excluded = frozenset(item.number for item in rules.exclude_classes)
+    target = rules.target
+    excluded = rules.exclude_classes
     direct_props, place_props = rules.path_order
 
     def passing() -> Iterator[SlimEntity]:
@@ -229,19 +225,30 @@ def attribute_all(
 
 # -- rules file (key=value lines) -------------------------------------------
 
-_LIST_KEYS = {"direct", "place", "geo_chain", "exclude_classes"}
+# each list key's RuleSet field and the reader of its ids
+_LIST_KEYS = {
+    "direct": ("direct_props", property_number),
+    "place": ("place_props", property_number),
+    "geo_chain": ("geo_chain_props", property_number),
+    "exclude_classes": ("exclude_classes", item_number),
+}
 
 
-def _parse_id_list(value: str, line_number: int) -> tuple[EntityId, ...]:
-    try:
-        return tuple(EntityId.parse(tok.strip()) for tok in value.split(",") if tok.strip())
-    except ValueError as exc:
-        raise RulesError(f"line {line_number}: {exc}") from exc
+def _id_list(key: str, value: str, read_id: Callable[[str], int]) -> tuple[int, ...]:
+    """The numbers of a list key's ids, each read by ``read_id``; a bad or
+    repeated id raises ValueError."""
+    tokens = [token.strip() for token in value.split(",") if token.strip()]
+    ids = tuple(map(read_id, tokens))
+    repeated = [token for i, token in enumerate(tokens) if token in tokens[:i]]
+    if repeated:
+        raise ValueError(f"repeated id {repeated[0]} in {key!r}")
+    return ids
 
 
 def parse_rules(text: str) -> RuleSet:
-    """Parse a rules file; unspecified keys keep their defaults, and a
-    repeated key is an error."""
+    """Parse a rules file; unspecified keys keep their defaults.  A repeated
+    key, and a bad value (an id of the wrong kind among them), is an error
+    naming its line."""
     kwargs: dict = {}
     seen: set[str] = set()
     for line_number, raw in enumerate(text.splitlines(), start=1):
@@ -255,28 +262,21 @@ def parse_rules(text: str) -> RuleSet:
         if key in seen:
             raise RulesError(f"line {line_number}: repeated key {key!r}")
         seen.add(key)
-        if key == "target":
-            try:
-                kwargs["target"] = EntityId.parse(value)
-            except ValueError as exc:
-                raise RulesError(f"line {line_number}: {exc}") from exc
-        elif key == "max_depth":
-            try:
-                kwargs["max_depth"] = parse_count(value, "max_depth")
-            except ValueError as exc:
-                raise RulesError(f"line {line_number}: {exc}") from exc
-        elif key in _LIST_KEYS:
-            ids = _parse_id_list(value, line_number)
-            if key == "direct":
-                kwargs["direct_props"] = frozenset(ids)
-            elif key == "place":
-                kwargs["place_props"] = frozenset(ids)
-            elif key == "geo_chain":
-                kwargs["geo_chain_props"] = ids
+        try:
+            if key == "target":
+                kwargs["target"] = item_number(value)
+            elif key == "max_depth":
+                kwargs["max_depth"] = depth = parse_count(value, "max_depth")
+                if depth < 1:
+                    raise ValueError(f"max_depth must be >= 1, got {depth}")
+            elif key in _LIST_KEYS:
+                name, read_id = _LIST_KEYS[key]
+                ids = _id_list(key, value, read_id)
+                kwargs[name] = ids if key == "geo_chain" else frozenset(ids)
             else:
-                kwargs["exclude_classes"] = frozenset(ids)
-        else:
-            raise RulesError(f"line {line_number}: unknown key {key!r}")
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            raise RulesError(f"line {line_number}: {exc}") from exc
     try:
         return RuleSet(**kwargs)
     except ValueError as exc:
@@ -296,11 +296,12 @@ _item_token = "Q%d".__mod__
 
 
 def render_provenance(paths: Provenance) -> str:
-    """``P19>Q60>Q30;...``: each path's property, then its item numbers as ``Q<n>``."""
-    return ";".join([f"{path[0]}>" + ">".join(map(_item_token, path[1:])) for path in paths])
+    """``P19>Q60>Q30;...``: each path's property as ``P<n>``, then its item
+    numbers as ``Q<n>``."""
+    return ";".join(["P%d>" % path[0] + ">".join(map(_item_token, path[1:])) for path in paths])
 
 
-# what render_provenance writes; each node is an id that EntityId.parse accepts
+# what render_provenance writes; each node is a ``P<n>`` or ``Q<n>`` token
 _PATH = f"{id_pattern()}(?:>{id_pattern()})*"
 _PROVENANCE_RE = re.compile(f"(?:{_PATH}(?:;{_PATH})*)?")
 

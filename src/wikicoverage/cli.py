@@ -65,7 +65,7 @@ def _cmd_slim(args) -> int:
 def _cmd_attribute(args) -> int:
     rules = resolve_rules(args.rules, args.target)
     _, counts = attribute_stage(load_slim_store(args.slim, rules.required_properties), rules, Path(args.out))
-    print(f"attributed {counts['entities']} items, {counts['related_items']} related to {rules.target}")
+    print(f"attributed {counts['entities']} items, {counts['related_items']} related to Q{rules.target}")
     return 0
 
 

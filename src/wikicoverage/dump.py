@@ -16,9 +16,10 @@ LF) is a malformed line; a keep-set's codes are the caller's, and the store
 writer refuses one it cannot carry.
 
 Each item is checked field by field as it is projected, so the parser builds
-its records with :meth:`SlimEntity.trusted`.  Ids are item numbers: a claim
-value is the ``numeric-id`` int that the JSON decoder already built, and a
-record id is read from its ``Q<n>`` token (:func:`entities.item_number`).  It
+its records with :meth:`SlimEntity.trusted`.  Ids are their int numbers: a
+claim value is the ``numeric-id`` int that the JSON decoder already built, a
+record id is read from its ``Q<n>`` token (:func:`entities.item_number`), and
+a claim key is the caller's property number, looked up as its ``P<n>`` key.  It
 interns no claim value: no caller keeps the records (the slim stage renders
 each to its store line as it passes), and a memo would grow with the distinct
 values of the whole dump and break the parser's flat memory.
@@ -30,7 +31,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .entities import ITEM, PROPERTY, EntityId, SlimEntity, item_number
+from .entities import SlimEntity, item_number
 from .errors import DumpTruncatedError
 from .slimstore import unstorable_wiki_code
 
@@ -45,7 +46,7 @@ class ParseIssue:
 
 def parse_dump_stream(
     stream: Iterable[str | bytes],
-    keep_props: frozenset[EntityId] | set[EntityId],
+    keep_props: frozenset[int] | set[int],
     keep_wikis: set[str] | frozenset[str] | None = None,
     *,
     errors: list[ParseIssue] | None = None,
@@ -53,7 +54,7 @@ def parse_dump_stream(
 ) -> Iterator[SlimEntity]:
     """Yield one :class:`SlimEntity` per item entity, in file order.
 
-    ``keep_props`` must be a non-empty set of properties; claims outside it
+    ``keep_props`` must be a non-empty set of property numbers; claims outside it
     are dropped, as are sitelinks outside ``keep_wikis`` (``None`` keeps every
     sitelink).  Malformed lines are appended to ``errors`` (if given) and
     skipped; the stream keeps going.  A dump that ends without its closing
@@ -62,10 +63,7 @@ def parse_dump_stream(
     """
     if not keep_props:
         raise ValueError("keep_props must be non-empty")
-    wrong = [p for p in keep_props if p.kind != PROPERTY]
-    if wrong:
-        raise ValueError(f"keep_props must hold properties, got {min(wrong, key=lambda p: p.sort_key)}")
-    prop_by_key = {str(p): p for p in sorted(keep_props, key=lambda p: p.sort_key)}
+    prop_by_key = {"P%d" % prop: prop for prop in sorted(keep_props)}
     wiki_keys = None if keep_wikis is None else sorted(set(keep_wikis))
 
     saw_terminator = False
@@ -109,7 +107,7 @@ def parse_dump_stream(
 
 def _parse_entity_line(
     line: str,
-    prop_by_key: dict[str, EntityId],
+    prop_by_key: dict[str, int],
     wiki_keys: list[str] | None,
 ) -> tuple[SlimEntity | None, str | None]:
     """Parse one entity line; returns (entity, None), (None, reason) on a
@@ -125,7 +123,7 @@ def _parse_entity_line(
     kind = obj.get("type")
     if kind is None:
         return None, "entity has no type"
-    if kind != ITEM:
+    if kind != "item":
         return None, None
     id_raw = obj.get("id")
     try:
@@ -134,7 +132,7 @@ def _parse_entity_line(
         return None, f"bad entity id: {id_raw!r}"
 
     claims_obj = obj.get("claims")
-    claims: dict[EntityId, tuple[int, ...]] = {}
+    claims: dict[int, tuple[int, ...]] = {}
     if isinstance(claims_obj, dict):
         for key, prop in prop_by_key.items():
             statements = claims_obj.get(key)
@@ -149,7 +147,7 @@ def _parse_entity_line(
                 mainsnak = statement.get("mainsnak")
                 datavalue = mainsnak.get("datavalue") if isinstance(mainsnak, dict) else None
                 value = datavalue.get("value") if isinstance(datavalue, dict) else None
-                if not isinstance(value, dict) or value.get("entity-type") != ITEM:
+                if not isinstance(value, dict) or value.get("entity-type") != "item":
                     continue
                 number = value.get("numeric-id")
                 if type(number) is int and number >= 1:

@@ -43,7 +43,7 @@ from .clusters import (
     write_clusters_tsv,
 )
 from .dump import ParseIssue, parse_dump_stream
-from .entities import EntityId, SlimEntity
+from .entities import SlimEntity, item_number
 from .errors import (
     ConfigError,
     DuplicateItemError,
@@ -134,7 +134,7 @@ def resolve_rules(rules_path: Path | str | None, target: str | None) -> RuleSet:
     rules = load_rules(rules_path) if rules_path else RuleSet()
     if target:
         try:
-            rules = replace(rules, target=EntityId.parse(target))
+            rules = replace(rules, target=item_number(target))
         except ValueError as exc:
             raise ConfigError(f"bad target id: {exc}") from exc
     return rules
@@ -157,6 +157,10 @@ def stage_errors(stage: str) -> Iterator[None]:
 def _write(path: Path, writer, value) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as sink:
         writer(value, sink)
+
+
+def _write_text(text: str, sink: IO[str]) -> None:
+    sink.write(text)
 
 
 # -- the six stages ------------------------------------------------------------
@@ -297,10 +301,10 @@ def report_stage(
     written = {"table": out_dir / "table.tsv", "chart": out_dir / "chart.json"}
     _write(written["table"], emit_table, table_rows)
     chart = build_chart_data(table_rows, scale)
-    written["chart"].write_text(chart.to_json(), encoding="utf-8")
+    _write(written["chart"], _write_text, chart.to_json())
     if svg and chart.data:
         written["chart_svg"] = out_dir / "chart.svg"
-        written["chart_svg"].write_text(render_svg(chart.data, scale), encoding="utf-8")
+        _write(written["chart_svg"], _write_text, render_svg(chart.data, scale))
     return chart, written
 
 
@@ -309,10 +313,6 @@ class PipelineResult:
     out_dir: Path
     artifacts: dict[str, Path] = field(default_factory=dict)
     manifest: dict = field(default_factory=dict)
-
-
-def _write_manifest(manifest: dict, sink: IO[str]) -> None:
-    sink.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _staged(stage: str, records: Iterable[Any]) -> Iterator[Any]:
@@ -344,7 +344,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             "languages": list(config.languages),
             "scale": config.scale,
             "aggregation": config.aggregation,
-            "target": str(rules.target),
+            "target": "Q%d" % rules.target,
             "svg": config.svg,
         },
         "inputs": inputs,
@@ -423,7 +423,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             artifacts.update(written)
             issues["chart_dropped"] = chart.dropped
 
-        _write(stage_path("manifest", "manifest.json"), _write_manifest, manifest)
+        manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        _write(stage_path("manifest", "manifest.json"), _write_text, manifest_text)
 
         # promote: move everything out of staging in one sweep
         promoted: dict[str, Path] = {}

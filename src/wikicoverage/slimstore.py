@@ -19,8 +19,9 @@ magic and header lines, the ``props=`` check, line numbers, blank lines, the
 header count in both directions, the sitelink checks and the item order.
 
 * :func:`read_slim_store` yields whole :class:`SlimEntity` records.  It
-  validates every id token: record ids and claim values must be items, read
-  as their numbers, and the header's ``props=`` properties.  Each distinct
+  validates every id token and reads each as its number: record ids and
+  claim values must be items, the header's ``props=`` properties, and a
+  claim key is looked up among the header's properties.  Each distinct
   claim value is read once per read, through an :class:`entities.IdMemo`, on
   its first appearance, and equal values then share one int.
   Since every field is checked on the way in, records are built with
@@ -68,7 +69,7 @@ from pathlib import Path
 from sys import intern
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
-from .entities import ITEM, EntityId, IdMemo, SlimEntity, id_pattern, item_number
+from .entities import IdMemo, SlimEntity, id_pattern, item_number, property_number
 from .errors import (
     DuplicateItemError,
     SlimStoreCorruptionError,
@@ -85,7 +86,7 @@ _ESCAPE_RE = re.compile(r"[%\t|\n\r]")
 _UNESCAPE_RE = re.compile(r"%(25|09|7C|0A|0D)")
 _ESCAPES = {"%": "%25", "\t": "%09", "|": "%7C", "\n": "%0A", "\r": "%0D"}
 _UNESCAPES = {"25": "%", "09": "\t", "7C": "|", "0A": "\n", "0D": "\r"}
-_ITEM_TOKEN = id_pattern(ITEM)  # the item ids entities.item_number accepts
+_ITEM_TOKEN = id_pattern("Q")  # the item ids entities.item_number accepts
 _WIKI_BREAK_RE = re.compile(r"[=|\t\n\r]")  # wiki codes are stored unescaped
 _new_tuple = tuple.__new__  # skips NamedTuple's Python-level __new__
 
@@ -118,7 +119,7 @@ def unstorable_wiki_code(wikis: Iterable[str]) -> str | None:
 @dataclass(frozen=True)
 class StoreHeader:
     count: int
-    props: tuple[EntityId, ...]
+    props: tuple[int, ...]
 
 
 _first = itemgetter(0)  # a sorted run's (item number, line) pair: its number
@@ -130,7 +131,7 @@ def _record_line(entity: SlimEntity) -> str:
     """The store line of ``entity``.  Each id is formatted from its number,
     with no ``str()`` call per id."""
     claims = ";".join(
-        ["P%d:" % prop.number + ",".join(map(_item_token, values)) for prop, values in sorted(entity.claims.items())]
+        ["P%d:" % prop + ",".join(map(_item_token, values)) for prop, values in sorted(entity.claims.items())]
     )
     links = "|".join([f"{wiki}={_escape_title(title)}" for wiki, title in sorted(entity.sitelinks.items())])
     return "Q%d\t%s\t%s\n" % (entity.id, claims, links)
@@ -165,7 +166,7 @@ class SlimStoreWriter:
     runs.
     """
 
-    def __init__(self, keep_props: Iterable[EntityId]):
+    def __init__(self, keep_props: Iterable[int]):
         self._props = frozenset(keep_props)
         self.count = 0
         self._storable: set[str] = set()  # the wiki codes checked so far
@@ -194,8 +195,8 @@ class SlimStoreWriter:
         :class:`SlimStoreWriteError`.
         """
         if not record.claims.keys() <= self._props:
-            extra = min(record.claims.keys() - self._props, key=lambda p: p.sort_key)
-            raise ValueError(f"item Q{record.id}: claim key {extra} is not in keep_props")
+            extra = min(record.claims.keys() - self._props)
+            raise ValueError(f"item Q{record.id}: claim key P{extra} is not in keep_props")
         if not record.sitelinks.keys() <= self._storable:
             problem = unstorable_wiki_code(record.sitelinks.keys() - self._storable)
             if problem:
@@ -246,7 +247,7 @@ class SlimStoreWriter:
         ``keep_props``, the properties the parse kept.
         """
         last = self._sorted_run()
-        props = ",".join(str(prop) for prop in sorted(self._props, key=lambda p: p.number))
+        props = ",".join(["P%d" % prop for prop in sorted(self._props)])
         written = previous = 0
         try:
             sink.write(MAGIC + "\n")
@@ -295,29 +296,23 @@ def read_store_header(source: Iterable[str]) -> StoreHeader:
         raise SlimStoreCorruptionError(f"bad store header: {exc}") from None
     tokens = match.group(2).split(",") if match.group(2) else []
     try:
-        props = tuple(map(_header_prop, tokens))
+        props = tuple(map(property_number, tokens))
     except ValueError as exc:
         raise SlimStoreCorruptionError(f"store line 2: {exc}") from exc
-    repeated = [prop for i, prop in enumerate(props) if prop in props[:i]]
+    repeated = [token for i, token in enumerate(tokens) if token in tokens[:i]]
     if repeated:
         raise SlimStoreCorruptionError(f"store line 2: property {repeated[0]} appears twice in props=")
     return StoreHeader(count, props)
 
 
-def _header_prop(token: str) -> EntityId:
-    prop = EntityId.parse(token)
-    if not prop.is_property:
-        raise ValueError(f"not a property id: {token!r}")
-    return prop
-
-
 class _Declared(dict):
-    """Claim key -> the header's property; a key ``props=`` does not declare is corruption."""
+    """Claim key -> the header's property number; a key ``props=`` does not
+    declare is corruption."""
 
     __slots__ = ()
 
-    def __init__(self, props: Iterable[EntityId]):
-        super().__init__((str(prop), prop) for prop in props)
+    def __init__(self, props: Iterable[int]):
+        super().__init__(("P%d" % prop, prop) for prop in props)
 
     def __missing__(self, token: str):
         raise ValueError(f"claim key {token!r} is not in the header's props=")
@@ -352,7 +347,7 @@ def _parse_record(props: _Declared, values: IdMemo, line: str, line_number: int)
     id_field, claims_field, links_field = parts
     value_of = values.__getitem__
     try:
-        claims: dict[EntityId, tuple[int, ...]] = {}
+        claims: dict[int, tuple[int, ...]] = {}
         if claims_field:
             for group in claims_field.split(";"):
                 prop_text, _, values_text = group.partition(":")
@@ -409,7 +404,7 @@ def _sitelinks_parser(props: _Declared) -> Callable[[str, int], SitelinksRecord]
 
 def _read_records(
     source: Iterable[str],
-    required_props: Iterable[EntityId],
+    required_props: Iterable[int],
     parser: Callable[[_Declared], Callable[[str, int], SlimEntity | SitelinksRecord]],
 ) -> Iterator:
     """The record skeleton both readers share.
@@ -421,7 +416,7 @@ def _read_records(
     header = read_store_header(lines)
     missing = set(required_props).difference(header.props)
     if missing:
-        ids = ", ".join(str(p) for p in sorted(missing, key=lambda p: p.number))
+        ids = ", ".join(["P%d" % prop for prop in sorted(missing)])
         raise SlimStoreMismatchError(
             f"store was kept without {ids}, which the rules need; rebuild it with these rules"
         )
@@ -454,7 +449,7 @@ def _read_records(
 
 
 def read_slim_store(
-    source: Iterable[str], required_props: Iterable[EntityId] = ()
+    source: Iterable[str], required_props: Iterable[int] = ()
 ) -> Iterator[SlimEntity]:
     """Yield the stored records in stored order.
 
@@ -498,7 +493,7 @@ def save_slim_store(writer: SlimStoreWriter, path: Path | str) -> int:
     return count
 
 
-def load_slim_store(path: Path | str, required_props: Iterable[EntityId] = ()) -> Iterator[SlimEntity]:
+def load_slim_store(path: Path | str, required_props: Iterable[int] = ()) -> Iterator[SlimEntity]:
     """:func:`read_slim_store` over the file at ``path``, which stays open
     until the last record is read or the stream is closed."""
     with open(path, encoding="utf-8") as source:

@@ -12,23 +12,19 @@ import json
 import random
 
 from wikicoverage.attribution import INSTANCE_OF, RuleSet
-from wikicoverage.entities import EntityId, SlimEntity
-
-Q = EntityId.item  # an item id as a rule set holds it; records hold the plain number
-P = EntityId.prop
+from wikicoverage.entities import SlimEntity
 
 
 # -- dump JSON construction ----------------------------------------------------
 
 
-def statement(value, rank: str = "normal") -> dict:
-    """One claim statement; value may be an item number, an EntityId or a string payload."""
+def statement(value, rank: str = "normal", kind: str = "item") -> dict:
+    """One claim statement; value may be an entity number, of ``kind``
+    (``"item"`` or ``"property"``), or a string payload."""
     if isinstance(value, int):
-        value = EntityId.item(value)
-    if isinstance(value, EntityId):
         datavalue = {
             "type": "wikibase-entityid",
-            "value": {"entity-type": value.kind, "numeric-id": value.number},
+            "value": {"entity-type": kind, "numeric-id": value},
         }
     else:
         datavalue = {"type": "string", "value": value}
@@ -67,7 +63,7 @@ def dump_text(objects: list[dict | str], terminator: bool = True) -> str:
 # -- random slim entities (store round-trip fixtures) ---------------------------
 
 # every property that random_entities claims, for a store header's props=
-STORE_PROPS = (P(17), P(19), P(27), P(31), P(276), P(495))
+STORE_PROPS = (17, 19, 27, 31, 276, 495)
 
 _TITLE_CHARS = "abcdefgh XYZ_%|\t'(),:;=é中"
 
@@ -104,12 +100,12 @@ def oracle_related(entity: SlimEntity, geo_graph: dict[int, list[int]], rules: R
     :func:`oracle_geo_graph`), not from the package's index.  A place claim
     satisfies when any walk of 1..max_depth edges reaches the target.
     """
-    target = rules.target.number
-    for value in entity.claim_values(INSTANCE_OF):
-        if value in {item.number for item in rules.exclude_classes}:
+    target = rules.target
+    for value in entity.claims.get(INSTANCE_OF, ()):
+        if value in rules.exclude_classes:
             return False
     for prop in rules.direct_props:
-        for value in entity.claim_values(prop):
+        for value in entity.claims.get(prop, ()):
             if value == target:
                 return True
 
@@ -124,7 +120,7 @@ def oracle_related(entity: SlimEntity, geo_graph: dict[int, list[int]], rules: R
         return False
 
     for prop in rules.place_props:
-        for value in entity.claim_values(prop):
+        for value in entity.claims.get(prop, ()):
             if walk_hits_target(value, rules.max_depth):
                 return True
     return False
@@ -135,7 +131,7 @@ def oracle_geo_graph(entities: list[SlimEntity], rules: RuleSet) -> dict[int, li
     for entity in entities:
         edges: list[int] = []
         for prop in rules.geo_chain_props:
-            edges.extend(entity.claim_values(prop))
+            edges.extend(entity.claims.get(prop, ()))
         if edges:
             graph[entity.id] = edges
     return graph
@@ -158,7 +154,7 @@ def random_attribution_fixture(rng: random.Random, size: int) -> list[SlimEntity
     for country in countries:
         claims = {}
         if rng.random() < 0.5:
-            claims[P(17)] = (country,)  # countries often carry a self claim
+            claims[17] = (country,)  # countries often carry a self claim
         entities.append(SlimEntity(country, claims, {}))
 
     for index, place in enumerate(places):
@@ -169,26 +165,26 @@ def random_attribution_fixture(rng: random.Random, size: int) -> list[SlimEntity
                 edges.append(rng.choice(countries))
             else:
                 edges.append(rng.choice(places))  # chains, cycles, dead ends
-        claims = {P(17): tuple(edges)} if edges else {}
+        claims = {17: tuple(edges)} if edges else {}
         entities.append(SlimEntity(place, claims, {}))
 
     next_number = 50_000
     while len(entities) < size:
         claims = {}
         if rng.random() < 0.3:
-            claims[P(27)] = tuple(
+            claims[27] = tuple(
                 rng.choice(countries) for _ in range(rng.randint(1, 2))
             )
         if rng.random() < 0.25:
-            claims[P(17)] = (rng.choice(countries),)
+            claims[17] = (rng.choice(countries),)
         if rng.random() < 0.15:
-            claims[P(495)] = (rng.choice(countries),)
+            claims[495] = (rng.choice(countries),)
         if rng.random() < 0.4:
-            claims[P(19)] = (rng.choice(places),)
+            claims[19] = (rng.choice(places),)
         if rng.random() < 0.2:
-            claims[P(276)] = (rng.choice(places + countries),)
+            claims[276] = (rng.choice(places + countries),)
         if rng.random() < 0.1:
-            claims[P(31)] = (4167410,)  # excluded navigation page
+            claims[31] = (4167410,)  # excluded navigation page
         entities.append(SlimEntity(next_number, claims, {}))
         next_number += 1
     return entities

@@ -211,8 +211,8 @@ class TestErrorsAndFlags:
         run(["slim", "--dump", FIXTURE / "dump.json", "--out", slim])
         capsys.readouterr()
         for target, message in (
-            ("Zx", "bad target id: not an entity id: 'Zx'\n"),
-            ("P17", "bad target id: target must be an item id, got P17\n"),
+            ("Zx", "bad target id: not an item id: 'Zx'\n"),
+            ("P17", "bad target id: not an item id: 'P17'\n"),
         ):
             messages = []
             for argv in (
@@ -429,7 +429,7 @@ class TestCorruptStores:
         store.write_text("\n".join(lines), encoding="utf-8")
         metrics_err, attribute_err = self.errors(chain, tmp_path, capsys)
         assert metrics_err == attribute_err
-        assert metrics_err.startswith("error: store line 5: not an entity id: 'Q0")
+        assert metrics_err.startswith("error: store line 5: not an item id: 'Q0")
         assert not (tmp_path / "metrics.tsv").exists()
 
     def test_corrupt_store_is_reported_before_a_corrupt_attribution_tsv(self, chain, tmp_path, capsys):

@@ -10,7 +10,7 @@ from urllib.parse import unquote
 import pytest
 
 from wikicoverage import report, slimstore
-from wikicoverage.attribution import load_rules
+from wikicoverage.attribution import RuleSet, attribute_all, load_rules
 from wikicoverage.dump import parse_dump_stream
 from wikicoverage.errors import (
     ConfigError,
@@ -421,7 +421,9 @@ class TestPipelineEndToEnd:
 
 
 class TestItemNumbers:
-    """Every stage carries an item as its plain ``int`` number; only text prints ``Q<n>``."""
+    """Every stage carries an id, item or property, as its plain ``int`` number;
+    only text prints ``Q<n>`` and ``P<n>``.  An int hashes alike under every
+    string hash seed, and CI runs this class under two."""
 
     def test_the_readers_yield_int_ids_and_claim_values(self, tmp_path):
         rules = load_rules(FIXTURE / "rules.txt")
@@ -441,6 +443,24 @@ class TestItemNumbers:
         assert {type(record.id) for record in parsed + stored + sitelinks} == {int}
         values = [value for record in parsed + stored for group in record.claims.values() for value in group]
         assert values and {type(value) for value in values} == {int}
+        keys = [prop for record in parsed + stored for prop in record.claims]
+        assert keys and {type(prop) for prop in keys} == {int}
+        with open(store, encoding="utf-8") as source:
+            header = slimstore.read_store_header(source)
+        assert set(header.props) == rules.required_properties
+        assert {type(prop) for prop in header.props} == {int}
+
+    def test_a_rule_set_and_its_provenance_hold_int_ids(self):
+        retargeted = report.resolve_rules(FIXTURE / "rules.txt", "Q183")
+        for rules in (RuleSet(), load_rules(FIXTURE / "rules.txt"), retargeted):
+            ids = (rules.target, *rules.exclude_classes, *rules.direct_props, *rules.place_props)
+            assert {type(number) for number in ids + rules.geo_chain_props} == {int}
+            assert {type(prop) for prop in rules.required_properties} == {int}
+        rules = load_rules(FIXTURE / "rules.txt")
+        with open(FIXTURE / "dump.json", "rb") as handle:
+            results = attribute_all(parse_dump_stream(handle, rules.required_properties), {}, rules)
+        nodes = [node for paths in results.values() for path in paths for node in path]
+        assert nodes and {type(node) for node in nodes} == {int}
 
     def test_all_over_a_store_relates_and_owns_articles_by_int(self, tmp_path, monkeypatch):
         config = dict(

@@ -27,7 +27,7 @@ from wikicoverage.slimstore import (
     save_slim_store,
 )
 
-from helpers import STORE_PROPS, P, random_entities
+from helpers import STORE_PROPS, random_entities
 
 
 def write(entities, sink, keep_props=STORE_PROPS):
@@ -123,24 +123,24 @@ class TestWrite:
     def test_header_carries_keep_sets(self):
         sink = io.StringIO()
         write(
-            [SlimEntity(1, {P(17): (30,)})],
+            [SlimEntity(1, {17: (30,)})],
             sink,
-            keep_props=[P(27), P(17)],
+            keep_props=[27, 17],
         )
         header = read_store_header(io.StringIO(sink.getvalue()))
-        assert header == slimstore.StoreHeader(1, (P(17), P(27)))
+        assert header == slimstore.StoreHeader(1, (17, 27))
         assert sink.getvalue().splitlines()[:2] == ["WCM3", "count=1 props=P17,P27"]
 
     @pytest.mark.parametrize(
         "entity, problem",
-        [(SlimEntity(1, {P(99): (5,)}, {"dewiki": "X"}), "item Q1: claim key P99 is not in keep_props")],
+        [(SlimEntity(1, {99: (5,)}, {"dewiki": "X"}), "item Q1: claim key P99 is not in keep_props")],
         ids=["undeclared-claim-key"],
     )
     def test_record_outside_the_header_is_refused_before_writing(self, entity, problem):
         sink = io.StringIO()
-        records = [SlimEntity(9, {P(17): (30,)}, {"enwiki": "Y"}), entity]
+        records = [SlimEntity(9, {17: (30,)}, {"enwiki": "Y"}), entity]
         with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
-            write(records, sink, keep_props=[P(17)])
+            write(records, sink, keep_props=[17])
         assert sink.getvalue() == ""
 
     @pytest.mark.parametrize(
@@ -152,15 +152,15 @@ class TestWrite:
         records = [SlimEntity(9, {}, {"enwiki": "Y"}), SlimEntity(12, {}, {"enwiki": "Z", wiki: "T"})]
         problem = f"item Q12: wiki code {wiki!r} holds '=', '|', a tab, CR or LF"
         with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
-            write(records, sink, keep_props=[P(17)])
+            write(records, sink, keep_props=[17])
         assert sink.getvalue() == ""
 
     def test_unrestricted_wikis_write_any_sitelink(self):
         # no header line lists the wiki codes, so a comma or a space in one is stored as it is
-        entity = SlimEntity(1, {P(17): (5,)}, {"dewiki": "X", "xxwiki": "Y", "a,b": "Z", "a b": "W"})
-        assert round_trip([entity], keep_props=[P(17)]) == (1, [entity])
+        entity = SlimEntity(1, {17: (5,)}, {"dewiki": "X", "xxwiki": "Y", "a,b": "Z", "a b": "W"})
+        assert round_trip([entity], keep_props=[17]) == (1, [entity])
         sink = io.StringIO()
-        write([entity], sink, keep_props=[P(17)])
+        write([entity], sink, keep_props=[17])
         assert outcome(read_store_sitelinks, sink.getvalue()) == [(entity.id, entity.sitelinks)]
 
     def test_partial_write_failure_reports_progress(self):
@@ -180,7 +180,7 @@ class TestWrite:
 
     def test_repeated_item_is_refused_before_writing(self):
         sink = io.StringIO()
-        records = [SlimEntity(5, {P(17): (30,)}), SlimEntity(9), SlimEntity(5, {}, {"enwiki": "X"})]
+        records = [SlimEntity(5, {17: (30,)}), SlimEntity(9), SlimEntity(5, {}, {"enwiki": "X"})]
         with pytest.raises(DuplicateItemError, match="^item Q5 appears twice in the input stream$"):
             write(records, sink)
         assert sink.getvalue() == ""
@@ -192,7 +192,7 @@ class TestSave:
 
     def existing_store(self, tmp_path):
         path = tmp_path / "s.slim"
-        save([SlimEntity(5, {P(17): (30,)}, {"enwiki": "A"})], path)
+        save([SlimEntity(5, {17: (30,)}, {"enwiki": "A"})], path)
         return path, path.read_bytes()
 
     def test_save_replaces_the_store(self, tmp_path):
@@ -205,7 +205,7 @@ class TestSave:
         "entities, error",
         [
             ([SlimEntity(5), SlimEntity(5)], DuplicateItemError),
-            ([SlimEntity(5, {P(999): (1,)})], ValueError),
+            ([SlimEntity(5, {999: (1,)})], ValueError),
             ([SlimEntity(5, {}, {"a|b": "X"})], ValueError),
         ],
         ids=["repeated-item", "claim-outside-keep-props", "unstorable-wiki-code"],
@@ -260,12 +260,12 @@ def reference_store(entities, props=STORE_PROPS) -> str:
             title = title.replace(char, code)
         return title
 
-    header = ",".join(str(p) for p in sorted(props, key=lambda p: p.number))
+    header = ",".join(f"P{p}" for p in sorted(props))
     lines = ["WCM3\n", f"count={len(entities)} props={header}\n"]
     for entity in sorted(entities, key=lambda e: e.id):
         claims = ";".join(
-            f"{prop}:" + ",".join(f"Q{value}" for value in values)
-            for prop, values in sorted(entity.claims.items(), key=lambda kv: kv[0].number)
+            f"P{prop}:" + ",".join(f"Q{value}" for value in values)
+            for prop, values in sorted(entity.claims.items())
         )
         links = "|".join(f"{wiki}={escape(title)}" for wiki, title in sorted(entity.sitelinks.items()))
         lines.append(f"Q{entity.id}\t{claims}\t{links}\n")
@@ -309,7 +309,7 @@ class TestSpilledRuns:
 
     def test_a_repeat_across_runs_is_refused_and_keeps_the_old_store(self, tmp_path, monkeypatch):
         path = tmp_path / "s.slim"
-        save([SlimEntity(5, {P(17): (30,)}, {"enwiki": "A"})], path)
+        save([SlimEntity(5, {17: (30,)}, {"enwiki": "A"})], path)
         kept = path.read_bytes()
         spill_dir = tmp_path / "spills"
         spill_dir.mkdir()
@@ -317,7 +317,7 @@ class TestSpilledRuns:
         monkeypatch.setattr(slimstore, "RUN_CHARS", 1)
         monkeypatch.setattr(slimstore.tempfile, "tempdir", str(spill_dir))
         monkeypatch.setattr(slimstore.tempfile, "TemporaryFile", spills)
-        records = [SlimEntity(5, {P(17): (30,)}), SlimEntity(9), SlimEntity(5, {}, {"enwiki": "X"})]
+        records = [SlimEntity(5, {17: (30,)}), SlimEntity(9), SlimEntity(5, {}, {"enwiki": "X"})]
         with pytest.raises(DuplicateItemError, match="^item Q5 appears twice in the input stream$"):
             save(records, path)
         assert len(spills.files) == 3 and all(spill.closed for spill in spills.files)
@@ -339,7 +339,7 @@ class TestSpilledRuns:
     def test_item_numbers_past_two_to_the_63_sort_and_repeat_exactly(self, monkeypatch, cap):
         # an item number is a Python int: no fixed-width integer may hold one
         monkeypatch.setattr(slimstore, "RUN_CHARS", cap)
-        records = [SlimEntity(n, {P(17): (2**63 + 7,)}) for n in (2**63 + 1, 2**64 + 3, 2**63 - 1, 5)]
+        records = [SlimEntity(n, {17: (2**63 + 7,)}) for n in (2**63 + 1, 2**64 + 3, 2**63 - 1, 5)]
         sink = io.StringIO()
         assert write(records, sink) == 4
         assert sink.getvalue() == reference_store(records)
@@ -381,7 +381,7 @@ class TestSpilledRuns:
 class TestRead:
     def test_single_entity_round_trip(self):
         entity = SlimEntity(
-            22686, {P(27): (30,)}, {"enwiki": "Donald Trump"}
+            22686, {27: (30,)}, {"enwiki": "Donald Trump"}
         )
         _, back = round_trip([entity])
         assert back == [entity]
@@ -435,11 +435,11 @@ class TestRead:
 
     def test_store_lacking_a_required_property_is_a_mismatch(self):
         sink = io.StringIO()
-        write([SlimEntity(1, {P(17): (30,)})], sink, keep_props=[P(17), P(276)])
+        write([SlimEntity(1, {17: (30,)})], sink, keep_props=[17, 276])
         text = sink.getvalue()
-        assert len(list(read_slim_store(io.StringIO(text), [P(276), P(17)]))) == 1
+        assert len(list(read_slim_store(io.StringIO(text), [276, 17]))) == 1
         with pytest.raises(SlimStoreMismatchError, match="kept without P19, P27, which"):
-            list(read_slim_store(io.StringIO(text), [P(27), P(17), P(19)]))
+            list(read_slim_store(io.StringIO(text), [27, 17, 19]))
 
     def test_garbage_magic_is_corruption(self):
         with pytest.raises(SlimStoreCorruptionError):
@@ -538,7 +538,7 @@ class TestTitleEscaping:
     def test_star_claim_value_is_corruption(self):
         # WCM1 wrote a non-item claim value as '*'; since WCM2 it is a bad token
         text = "WCM3\ncount=2 props=P17\nQ1\tP17:Q30\t\nQ2\tP17:*,Q30\t\n"
-        with pytest.raises(SlimStoreCorruptionError, match="^store line 4: not an entity id: '\\*'$"):
+        with pytest.raises(SlimStoreCorruptionError, match="^store line 4: not an item id: '\\*'$"):
             list(read_slim_store(io.StringIO(text)))
 
     def test_bare_entity_round_trips(self):
@@ -565,7 +565,7 @@ class TestRoundTripProperty:
         entities = [
             SlimEntity(
                 n,
-                {P(17): (places[n % 3],), P(19): (places[n % 10], places[n % 7])},
+                {17: (places[n % 3],), 19: (places[n % 10], places[n % 7])},
                 {"enwiki": f"Item {n}"},
             )
             for n in range(1, 500)
@@ -646,7 +646,7 @@ class TestSitelinksReader:
             entities = [
                 SlimEntity(
                     n,
-                    {P(17): tuple(n * 100 + k for k in range(values_per_record))},
+                    {17: tuple(n * 100 + k for k in range(values_per_record))},
                     {"enwiki": f"Title {n}", "dewiki": f"Titel {n}"},
                 )
                 for n in range(1, 2001)
