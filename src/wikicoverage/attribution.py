@@ -42,7 +42,7 @@ from typing import IO, Callable, Iterable, Iterator, Mapping
 
 from .entities import SlimEntity, id_pattern, item_number, property_number
 from .errors import DuplicateItemError, RulesError
-from .util import iter_tsv, parse_count
+from .util import first_repeat, iter_tsv, parse_count
 
 # property numbers
 COUNTRY = 17
@@ -61,6 +61,13 @@ GeoIndex = Mapping[int, tuple[int, ...]]
 # one path per satisfied claim, each (property number, item number, ...,
 # target number); empty: not related
 Provenance = tuple[tuple[int, ...], ...]
+
+
+def _checked_depth(depth: int) -> int:
+    """``depth`` if it is a valid ``max_depth``, else ValueError."""
+    if depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {depth}")
+    return depth
 
 
 @dataclass(frozen=True)
@@ -90,8 +97,7 @@ class RuleSet:
         if self.direct_props & self.place_props:
             overlap = ", ".join(["P%d" % prop for prop in sorted(self.direct_props & self.place_props)])
             raise ValueError(f"direct and place property sets overlap: {overlap}")
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+        _checked_depth(self.max_depth)
 
     @cached_property
     def path_order(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -239,9 +245,9 @@ def _id_list(key: str, value: str, read_id: Callable[[str], int]) -> tuple[int, 
     repeated id raises ValueError."""
     tokens = [token.strip() for token in value.split(",") if token.strip()]
     ids = tuple(map(read_id, tokens))
-    repeated = [token for i, token in enumerate(tokens) if token in tokens[:i]]
-    if repeated:
-        raise ValueError(f"repeated id {repeated[0]} in {key!r}")
+    repeated = first_repeat(tokens)
+    if repeated is not None:
+        raise ValueError(f"repeated id {repeated} in {key!r}")
     return ids
 
 
@@ -266,9 +272,7 @@ def parse_rules(text: str) -> RuleSet:
             if key == "target":
                 kwargs["target"] = item_number(value)
             elif key == "max_depth":
-                kwargs["max_depth"] = depth = parse_count(value, "max_depth")
-                if depth < 1:
-                    raise ValueError(f"max_depth must be >= 1, got {depth}")
+                kwargs["max_depth"] = _checked_depth(parse_count(value, "max_depth"))
             elif key in _LIST_KEYS:
                 name, read_id = _LIST_KEYS[key]
                 ids = _id_list(key, value, read_id)

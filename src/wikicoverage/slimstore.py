@@ -77,7 +77,7 @@ from .errors import (
     SlimStoreVersionError,
     SlimStoreWriteError,
 )
-from .util import parse_count
+from .util import first_repeat, parse_count
 
 MAGIC = "WCM3"
 
@@ -299,9 +299,9 @@ def read_store_header(source: Iterable[str]) -> StoreHeader:
         props = tuple(map(property_number, tokens))
     except ValueError as exc:
         raise SlimStoreCorruptionError(f"store line 2: {exc}") from exc
-    repeated = [token for i, token in enumerate(tokens) if token in tokens[:i]]
-    if repeated:
-        raise SlimStoreCorruptionError(f"store line 2: property {repeated[0]} appears twice in props=")
+    repeated = first_repeat(tokens)
+    if repeated is not None:
+        raise SlimStoreCorruptionError(f"store line 2: property {repeated} appears twice in props=")
     return StoreHeader(count, props)
 
 

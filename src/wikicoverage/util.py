@@ -1,8 +1,8 @@
 """Small shared helpers: title normalization, exact fraction rendering, the
-one count reader of every input file (:func:`parse_count`), the one row
-reader behind the TSV artifact readers, the field-count check of the CSV
-readers, and a pause of the cyclic garbage collector for attribution's
-pass."""
+one count reader of every input file (:func:`parse_count`), the one check
+for a token repeated in a list (:func:`first_repeat`), the one row reader
+behind the TSV artifact readers, the field-count check of the CSV readers,
+and a pause of the cyclic garbage collector for attribution's pass."""
 
 from __future__ import annotations
 
@@ -59,6 +59,16 @@ def parse_count(text: str, field: str) -> int:
     if negative:  # -0 is no count either
         raise ValueError(f"non-numeric {field} {text!r}")
     return count
+
+
+def first_repeat(tokens: Sequence[str]) -> str | None:
+    """The first token that equals an earlier one in ``tokens``, or None."""
+    seen: set[str] = set()
+    for token in tokens:
+        if token in seen:
+            return token
+        seen.add(token)
+    return None
 
 
 def format_fraction(value: Fraction, places: int = 6) -> str:

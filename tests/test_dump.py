@@ -263,18 +263,22 @@ class TestFilteringSoundness:
         wikis = {w for w, m in zip(all_wikis, wiki_mask) if m}
         rng = random.Random(seed)
         objects = []
+        expected = {}
         for n in range(1, 8):
-            claims = {
-                str(p): [rng.randint(1, 99)]
-                for p in rng.sample(all_props, rng.randint(0, 6))
-            }
+            claims = {p: rng.randint(1, 99) for p in rng.sample(all_props, rng.randint(0, 6))}
             sitelinks = {
                 w: f"T{n}" for w in rng.sample(all_wikis, rng.randint(0, 3))
             }
-            objects.append(entity_json(f"Q{n}", claims, sitelinks))
-        for entity in parse(dump_text(objects), keep=keep, wikis=wikis):
-            assert set(entity.claims) <= keep
-            assert set(entity.sitelinks) <= wikis
+            objects.append(
+                entity_json(f"Q{n}", {f"P{p}": [v] for p, v in claims.items()}, sitelinks)
+            )
+            expected[n] = (
+                {p: (v,) for p, v in claims.items() if p in keep},
+                {w: t for w, t in sitelinks.items() if w in wikis},
+            )
+        entities = parse(dump_text(objects), keep=keep, wikis=wikis)
+        # every kept claim and sitelink comes through, and nothing else does
+        assert {e.id: (e.claims, e.sitelinks) for e in entities} == expected
 
 
 class TestByteInput:

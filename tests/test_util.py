@@ -12,6 +12,7 @@ from wikicoverage.metrics import METRICS_COLUMNS, read_metrics_tsv
 from wikicoverage.slimstore import read_store_header
 from wikicoverage.usage import parse_pageviews_stream, parse_readership_table, read_views_tsv
 from wikicoverage.util import (
+    first_repeat,
     format_fraction,
     normalize_pageview_title,
     normalize_sitelink_title,
@@ -101,6 +102,22 @@ class TestEveryCountReader:
             assert f"{field} too large (5000 digits)" in message
             assert re.search("[0-9]{21}", message) is None
             assert len(message) < 200
+
+
+class TestFirstRepeat:
+    @pytest.mark.parametrize(
+        "tokens, repeated",
+        [([], None), (["P17"], None), (["P17", "P19"], None), (["P17", "P17"], "P17"),
+         (["P1", "P2", "P2", "P1"], "P2"), (["P1", "P2", "P3", "P1", "P2"], "P1")],
+    )
+    def test_names_the_first_token_seen_before(self, tokens, repeated):
+        assert first_repeat(tokens) == repeated
+
+    def test_both_readers_name_the_same_repeat(self):
+        with pytest.raises(WikiCoverageError, match=r"^line 1: repeated id P19 in 'direct'$"):
+            parse_rules("direct=P17,P19,P27,P19,P17\n")
+        with pytest.raises(WikiCoverageError, match=r"property P19 appears twice in props=$"):
+            read_store_header(iter(["WCM3\n", "count=0 props=P17,P19,P27,P19,P17\n"]))
 
 
 class TestSitelinkKey:
