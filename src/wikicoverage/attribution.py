@@ -27,22 +27,22 @@ entity.  Only this module sees provenance: later stages get a related flag.
 
 A walk depends only on the index, its start and the rules, so
 :func:`attribute_all` resolves each distinct place once per call: it keeps a
-dict from start node to chain (or None) for that call alone, which holds at
-most one entry per node the walks start from and so is bounded by the places
-the input claims.  It is never kept between calls.
+:class:`util.Memo` from start node to chain (or None) for that call alone,
+which holds at most one entry per node the walks start from and so is
+bounded by the places the input claims.  It is never kept between calls.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping
 
 from .entities import SlimEntity, id_pattern, item_number, property_number
 from .errors import DuplicateItemError, RulesError
-from .util import first_repeat, iter_tsv, parse_count
+from .util import Memo, first_repeat, iter_tsv, parse_count
 
 # property numbers
 COUNTRY = 17
@@ -162,22 +162,6 @@ def _path_to_target(index: GeoIndex, start: int, rules: RuleSet) -> tuple[int, .
     return None
 
 
-class _Chains(dict):
-    """Start node -> :func:`_path_to_target` chain or None, each walked on its
-    first lookup.  One per call over one index, never shared between calls."""
-
-    __slots__ = ("index", "rules")
-
-    def __init__(self, index: GeoIndex, rules: RuleSet):
-        super().__init__()
-        self.index = index
-        self.rules = rules
-
-    def __missing__(self, start: int) -> tuple[int, ...] | None:
-        chain = self[start] = _path_to_target(self.index, start, self.rules)
-        return chain
-
-
 def attribute_all(
     entities: Iterable[SlimEntity], index: dict[int, tuple[int, ...]], rules: RuleSet
 ) -> dict[int, Provenance]:
@@ -217,7 +201,7 @@ def attribute_all(
             yield entity
 
     index.update(build_geo_index(passing(), rules))
-    chains = _Chains(index, rules)
+    chains = Memo(partial(_path_to_target, index, rules=rules))  # one per call, never shared
     for item, places in waiting:
         paths = list(results[item])
         for prop, values in zip(place_props, places):
@@ -254,9 +238,10 @@ def _id_list(key: str, value: str, read_id: Callable[[str], int]) -> tuple[int, 
 def parse_rules(text: str) -> RuleSet:
     """Parse a rules file; unspecified keys keep their defaults.  A repeated
     key, and a bad value (an id of the wrong kind among them), is an error
-    naming its line."""
+    naming its line; ``direct`` and ``place`` sets that overlap name the later
+    of their lines."""
     kwargs: dict = {}
-    seen: set[str] = set()
+    lines: dict[str, int] = {}  # each key given -> its line number
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -265,9 +250,9 @@ def parse_rules(text: str) -> RuleSet:
         if not sep:
             raise RulesError(f"line {line_number}: expected key=value, got {raw!r}")
         key, value = key.strip(), value.strip()
-        if key in seen:
+        if key in lines:
             raise RulesError(f"line {line_number}: repeated key {key!r}")
-        seen.add(key)
+        lines[key] = line_number
         try:
             if key == "target":
                 kwargs["target"] = item_number(value)
@@ -283,8 +268,9 @@ def parse_rules(text: str) -> RuleSet:
             raise RulesError(f"line {line_number}: {exc}") from exc
     try:
         return RuleSet(**kwargs)
-    except ValueError as exc:
-        raise RulesError(str(exc)) from exc
+    except ValueError as exc:  # the ids and depth are checked: only direct and place can overlap
+        line_number = max(lines.get("direct", 0), lines.get("place", 0))
+        raise RulesError(f"line {line_number}: {exc}") from exc
 
 
 def load_rules(path: Path | str) -> RuleSet:
@@ -305,8 +291,8 @@ def render_provenance(paths: Provenance) -> str:
     return ";".join(["P%d>" % path[0] + ">".join(map(_item_token, path[1:])) for path in paths])
 
 
-# what render_provenance writes; each node is a ``P<n>`` or ``Q<n>`` token
-_PATH = f"{id_pattern()}(?:>{id_pattern()})*"
+# what render_provenance writes: a path is a ``P<n>``, then one or more ``Q<n>``
+_PATH = f"{id_pattern('P')}(?:>{id_pattern('Q')})+"
 _PROVENANCE_RE = re.compile(f"(?:{_PATH}(?:;{_PATH})*)?")
 
 _FLAGS = {"true": True, "false": False}

@@ -6,8 +6,8 @@ values, the geo index, the rule set, attribution's results and the article
 sets all hold ints, which hash and compare as fast as Python allows, and hash
 alike under every string hash seed.  Which kind an int is follows from where
 it sits.  An id's letter is read only where text comes in
-(:func:`item_number`, :func:`property_number`, or an :class:`IdMemo` for a
-read's repeated item tokens) and written only where text goes out, as
+(:func:`item_number`, :func:`property_number`, or a ``util.Memo(item_number)``
+for a read's repeated item tokens) and written only where text goes out, as
 ``"Q%d"`` or ``"P%d"``.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-def id_pattern(letters: str = "PQ") -> str:
+def id_pattern(letters: str) -> str:
     """Regex text for the id tokens that start with one of ``letters``: the
     letter, then a number in ASCII digits with no sign and no leading zero,
     which is what :func:`item_number` and :func:`property_number` accept and
@@ -37,23 +37,6 @@ def property_number(text: str) -> int:
     if type(text) is str and text[:1] == "P" and text[1:2] != "0" and text.isascii() and text[1:].isdigit():
         return int(text[1:])
     raise ValueError(f"not a property id: {text!r}")
-
-
-class IdMemo(dict):
-    """Item id token -> item number (:func:`item_number`), for the life of one read.
-
-    Each distinct token is validated on its first lookup, which raises
-    ValueError for a bad token or a property id and stores nothing; later
-    lookups return the same int, so equal ids in one read share one object.
-    Create one per read: a memo that outlives its file would grow with every
-    file read.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, token: str) -> int:
-        number = self[token] = item_number(token)
-        return number
 
 
 @dataclass(frozen=True, slots=True)

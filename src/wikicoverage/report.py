@@ -295,7 +295,9 @@ def report_stage(
     """Write ``table.tsv``, ``chart.json`` and, when asked and not empty, ``chart.svg``.
 
     Table and chart both list the rows in table order.  Returns the chart
-    and the written artifacts by name.
+    and the written artifacts by name.  With no ``chart.svg`` to write, one
+    already in ``out_dir`` is removed, so it never sits stale beside the new
+    ``chart.json``.
     """
     table_rows = sort_rows_for_table(rows)
     written = {"table": out_dir / "table.tsv", "chart": out_dir / "chart.json"}
@@ -305,6 +307,8 @@ def report_stage(
     if svg and chart.data:
         written["chart_svg"] = out_dir / "chart.svg"
         _write(written["chart_svg"], _write_text, render_svg(chart.data, scale))
+    else:
+        (out_dir / "chart.svg").unlink(missing_ok=True)
     return chart, written
 
 
@@ -432,6 +436,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             final = out_dir / path.name
             os.replace(path, final)
             promoted[name] = final
+        if "chart_svg" not in promoted:  # as report_stage does, in the promoted directory
+            (out_dir / "chart.svg").unlink(missing_ok=True)
         return PipelineResult(out_dir=out_dir, artifacts=promoted, manifest=manifest)
     finally:
         shutil.rmtree(staging, ignore_errors=True)

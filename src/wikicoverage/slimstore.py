@@ -22,8 +22,8 @@ header count in both directions, the sitelink checks and the item order.
   validates every id token and reads each as its number: record ids and
   claim values must be items, the header's ``props=`` properties, and a
   claim key is looked up among the header's properties.  Each distinct
-  claim value is read once per read, through an :class:`entities.IdMemo`, on
-  its first appearance, and equal values then share one int.
+  claim value is read once per read, through a ``util.Memo(item_number)``,
+  on its first appearance, and equal values then share one int.
   Since every field is checked on the way in, records are built with
   :meth:`SlimEntity.trusted`.  :func:`load_slim_store` streams them from a
   path; no reader lists them.
@@ -69,7 +69,7 @@ from pathlib import Path
 from sys import intern
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
-from .entities import IdMemo, SlimEntity, id_pattern, item_number, property_number
+from .entities import SlimEntity, id_pattern, item_number, property_number
 from .errors import (
     DuplicateItemError,
     SlimStoreCorruptionError,
@@ -77,7 +77,7 @@ from .errors import (
     SlimStoreVersionError,
     SlimStoreWriteError,
 )
-from .util import first_repeat, parse_count
+from .util import Memo, first_repeat, parse_count
 
 MAGIC = "WCM3"
 
@@ -337,7 +337,7 @@ def _parse_sitelinks(links_field: str) -> dict[str, str]:
     return sitelinks
 
 
-def _parse_record(props: _Declared, values: IdMemo, line: str, line_number: int) -> SlimEntity:
+def _parse_record(props: _Declared, values: Memo, line: str, line_number: int) -> SlimEntity:
     """One record line; ``props`` is the header's list, ``values`` the read's claim value memo."""
     parts = line.split("\t")
     if len(parts) != 3:
@@ -386,7 +386,8 @@ def _claims_pattern(props: Iterable[str]) -> re.Pattern:
 
 def _sitelinks_parser(props: _Declared) -> Callable[[str, int], SitelinksRecord]:
     claims_valid = _claims_pattern(props).fullmatch
-    parse_record = partial(_parse_record, props, IdMemo())
+    # one id memo per read: a memo that outlived its file would grow with every file read
+    parse_record = partial(_parse_record, props, Memo(item_number))
 
     def parse(line: str, line_number: int) -> SitelinksRecord:
         parts = line.split("\t")
@@ -459,7 +460,8 @@ def read_slim_store(
     record, a record out of item order, or a header count that disagrees with
     the records actually present (checked once the stream is exhausted).
     """
-    return _read_records(source, required_props, lambda props: partial(_parse_record, props, IdMemo()))
+    # one id memo per read, as in _sitelinks_parser
+    return _read_records(source, required_props, lambda props: partial(_parse_record, props, Memo(item_number)))
 
 
 def read_store_sitelinks(source: Iterable[str]) -> Iterator[SitelinksRecord]:

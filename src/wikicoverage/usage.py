@@ -24,24 +24,28 @@ alone, and a block that is not UTF-8 is split into byte lines, which the
 parse decodes one by one.  A file that starts with the gzip magic is
 decompressed as it is read, as Wikimedia publishes its hourly files.
 :func:`parse_pageviews_stream` adds each kept line's views straight into
-the file's totals, in the loop that splits the line.  It reads each distinct
-view count text once per call.  Titles are percent-decoded through a
-:class:`TitleMemo`, which gives each distinct (language, raw title) its
-totals key once per memo.  The usage stage shares one memo between all of
-its shards and drops it when the stage ends; the memo then holds at most the
-stage's distinct titles, and the keys its totals hold are the memo's own.
+the file's totals, in the loop that splits the line.  It judges each
+distinct view count text once per call and keeps the verdict: the views, or
+the message refusing them.  Titles are percent-decoded through a
+:class:`TitleMemo`, a :class:`util.Memo` per language, which gives each
+distinct (language, raw title) its totals key, or the reason it is refused,
+once per memo.  So a refused line's reason is read from the two verdicts.
+The usage stage shares one title memo between all of its shards and drops
+it when the stage ends; the memo then holds at most the stage's distinct
+titles, and the keys its totals hold are the memo's own.
 """
 
 from __future__ import annotations
 
 import csv
 import re
+from functools import partial
 from itertools import chain
 from typing import IO, BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from .dump import ParseIssue
 from .errors import ReadershipTableError
-from .util import normalize_pageview_title, overlong_row, parse_count, read_tsv
+from .util import Memo, normalize_pageview_title, overlong_row, parse_count, read_tsv
 
 # a readership language code; pageview domains and --languages use the same codes
 LANGUAGE_RE = re.compile(r"[a-z][a-z0-9-]*\Z")
@@ -99,69 +103,47 @@ def _tracked_language(domain: str, languages: set[str] | None) -> str | None:
     return base
 
 
-class _LanguageTitles(dict):
-    """Raw title -> totals key ``(language, title)``, or the reason the title
-    is refused, for one language of a :class:`TitleMemo`."""
-
-    __slots__ = ("language",)
-
-    def __init__(self, language: str):
-        super().__init__()
-        self.language = language
-
-    def __missing__(self, raw: str) -> tuple[str, str] | str:
-        if not raw:
-            key = EMPTY_TITLE
-        else:
-            title = normalize_pageview_title(raw)
-            if "\t" in title or "\n" in title or "\r" in title:
-                key = BAD_TITLE
-            else:
-                key = (self.language, title)
-        self[raw] = key
-        return key
+def _title_key(language: str, raw: str) -> tuple[str, str] | str:
+    """The totals key ``(language, title)`` of a raw pageview title, or why
+    it is refused: :data:`EMPTY_TITLE`, or :data:`BAD_TITLE` when it decodes
+    to a tab, LF or CR (no sitelink title holds one, and the views TSV could
+    not carry it)."""
+    if not raw:
+        return EMPTY_TITLE
+    title = normalize_pageview_title(raw)
+    if "\t" in title or "\n" in title or "\r" in title:
+        return BAD_TITLE
+    return (language, title)
 
 
-class TitleMemo(dict):
-    """Tracked language -> raw pageview title -> the totals key
-    ``(language, title)``, or the reason that title is refused.
+def _language_titles(language: str) -> Memo:
+    """Raw title -> :func:`_title_key` in ``language``."""
+    return Memo(partial(_title_key, language))
+
+
+class TitleMemo(Memo):
+    """Tracked language -> raw pageview title -> :func:`_title_key`.
 
     A title is decoded and normalised on its first lookup in a language;
     later lookups return the same key object, which every file's totals then
-    key on.  An empty title maps to :data:`EMPTY_TITLE`, and one that decodes
-    to a tab, LF or CR to :data:`BAD_TITLE`: no sitelink title holds one, and
-    the views TSV could not carry it.  Create one per usage stage and share
-    it between that stage's shards; it holds each distinct raw title of each
-    tracked language once, so it must not outlive the stage.
+    key on.  Create one per usage stage and share it between that stage's
+    shards; it holds each distinct raw title of each tracked language once,
+    so it must not outlive the stage.
     """
 
     __slots__ = ()
 
-    def __missing__(self, language: str) -> _LanguageTitles:
-        titles = self[language] = _LanguageTitles(language)
-        return titles
+    def __init__(self):
+        super().__init__(_language_titles)
 
 
-def _view_count(count_text: str) -> int | None:
+def _count_verdict(count_text: str) -> int | str:
     """The view count :func:`util.parse_count` reads from ``count_text``, or
-    None if it refuses it."""
+    its message refusing it."""
     try:
         return parse_count(count_text, "view count")
-    except ValueError:
-        return None
-
-
-def _refusal(key: tuple[str, str] | str, count_text: str) -> str:
-    """Why a line of a tracked language is refused, given its title's memo
-    entry and its view count: the title's emptiness is checked before the
-    count, and its decoding after."""
-    if key == EMPTY_TITLE:
-        return EMPTY_TITLE
-    try:
-        parse_count(count_text, "view count")
     except ValueError as exc:
         return str(exc)
-    return key
 
 
 def _block_lines(block: bytes) -> list[str] | list[bytes]:
@@ -233,8 +215,8 @@ def parse_pageviews_stream(
     this call's own.
     """
     memo = TitleMemo() if titles is None else titles
-    keys_of: dict[str, _LanguageTitles | None] = {}  # domain -> its language's memo
-    counts: dict[str, int | None] = {}  # count text -> its views, or None if refused
+    keys_of: dict[str, Memo | None] = {}  # domain -> its language's title memo
+    counts: dict[str, int | str] = {}  # count text -> its views, or why it is refused
     totals: dict[tuple[str, str], int] = {}
     get = totals.get
 
@@ -266,9 +248,10 @@ def parse_pageviews_stream(
         try:
             views = counts[count_text]
         except KeyError:
-            views = counts[count_text] = _view_count(count_text)
-        if views is None or key.__class__ is str:  # _refusal orders the reasons
-            tally(line_number, _refusal(key, count_text))
+            views = counts[count_text] = _count_verdict(count_text)
+        if views.__class__ is str or key.__class__ is str:
+            # the reasons in order: an empty title, the count, then BAD_TITLE
+            tally(line_number, key if key == EMPTY_TITLE or views.__class__ is int else views)
             continue
         totals[key] = get(key, 0) + views
     return totals

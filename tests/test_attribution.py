@@ -513,6 +513,20 @@ class TestRuleSet:
         with pytest.raises(RulesError, match=f"^{problem}$"):
             parse_rules(text)
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("target=Q30\ndirect=P17,P19\nmax_depth=3\n", "line 2: direct and place property sets overlap: P19"),
+            ("target=Q30\nplace=P27\n# no direct= here\n", "line 2: direct and place property sets overlap: P27"),
+            ("place=P17,P19\ntarget=Q30\ndirect=P17,P19\n", "line 3: direct and place property sets overlap: P17, P19"),
+        ],
+        ids=["direct", "place", "both"],
+    )
+    def test_parse_rules_names_the_line_that_made_an_overlap(self, text, problem):
+        # the later of the direct= and place= lines, whichever the file sets
+        with pytest.raises(RulesError, match=f"^{problem}$"):
+            parse_rules(text)
+
     @pytest.mark.parametrize("value", ["+3", "3_0", "\u0663", "three"], ids=["plus-sign", "underscore", "arabic-indic-digit", "word"])
     def test_parse_rules_rejects_a_max_depth_that_is_not_ascii_digits(self, value):
         with pytest.raises(RulesError, match=f"^line 2: {re.escape(f'non-numeric max_depth {value!r}')}$"):
@@ -540,13 +554,29 @@ class TestTsv:
         rows = read_attribution_tsv(io.StringIO(sink.getvalue()))
         assert list(rows) == [(1, ("Q1", True)), (2, ("Q2", False)), (3, ("Q3", True))]
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 2**70), st.lists(st.integers(1, 2**70), min_size=1, max_size=5)),
+            max_size=4,
+        )
+    )
+    def test_every_rendered_provenance_reads_back(self, paths):
+        provenance = tuple((prop, *items) for prop, items in paths)
+        sink = io.StringIO()
+        write_attribution_tsv({7: provenance}, sink)
+        assert list(read_attribution_tsv(io.StringIO(sink.getvalue()))) == [(1, ("Q7", bool(provenance)))]
+
     def test_rendering_format(self):
         paths = ((27, 30), (19, 60, 30))
         assert render_provenance(paths) == "P27>Q30;P19>Q60>Q30"
 
     @pytest.mark.parametrize(
         "row, problem",
-        [pytest.param(f"Q2\ttrue\t{p}", "", id=p) for p in ["P27>Q30x", "P27>Q03", "P27>", "P27>Q30;", ">Q30"]]
+        [
+            pytest.param(f"Q2\ttrue\t{p}", "", id=p)
+            # a path is a P<n> then one or more Q<n>, as render_provenance writes it
+            for p in ["P27>Q30x", "P27>Q03", "P27>", "P27>Q30;", ">Q30", "Q27>P30", "P27", "P27>P30", "Q27>Q30"]
+        ]
         # only true and false are flags
         + [pytest.param("Q2\tmaybe\t", "", id="flag-maybe")]
         # the flag must mirror whether provenance is empty

@@ -369,6 +369,26 @@ class TestChartFlags:
         assert payload["scale"] == "linear"
         assert not (report_dir / "chart.svg").exists()
 
+    @pytest.mark.parametrize("rerun", ["all-no-svg", "report-no-svg", "report-every-row-dropped"])
+    def test_a_run_that_writes_no_svg_leaves_none_from_an_earlier_run(self, rerun, tmp_path, capsys):
+        inputs = [FIXTURE / "pageviews-a.txt", FIXTURE / "pageviews-b.txt", "--dump", FIXTURE / "dump.json",
+                  "--readership", FIXTURE / "readership.csv", "--languages", "en,de"]
+        out = tmp_path / "out"
+        assert run(["all", *inputs, "--out", out]) == 0
+        assert (out / "chart.svg").exists()
+        # under the log scale a row whose ras is zero is dropped from the chart
+        zero = tmp_path / "zero.tsv"
+        zero.write_text("\t".join(METRICS_COLUMNS) + "\nen\tUS\t0.600000\t0.800000\t0.000000\t0.000000\t18\t0\t575\t0\n")
+        argv = {
+            "all-no-svg": ["all", *inputs, "--no-svg"],
+            "report-no-svg": ["report", "--metrics", out / "metrics.tsv", "--no-svg"],
+            "report-every-row-dropped": ["report", "--metrics", zero],
+        }[rerun]
+        assert run([*argv, "--out", out]) == 0
+        assert not (out / "chart.svg").exists()
+        # only chart.svg goes: the store beside it may be the next run's --slim input
+        assert (out / "chart.json").exists() and (out / "entities.slim").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [["report", "--metrics", "m.tsv", "--out", "o"], ["all", "--languages", "en", "--out", "o"]],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wikicoverage.entities import IdMemo, SlimEntity, item_number, property_number
+from wikicoverage.entities import SlimEntity, item_number, property_number
 
 # the accepted tokens: a letter, then ASCII digits with no sign and no leading zero
 TOKEN = re.compile(r"[QP][1-9][0-9]*")
@@ -80,28 +80,6 @@ class TestEntityId:
         # an id is its int, which hashes alike under every string hash seed
         assert {30: 1}[item_number("Q30")] == 1
         assert hash(property_number("P17")) == hash(17) == 17
-
-
-class TestIdMemo:
-    def test_each_token_is_parsed_once_and_shared(self):
-        memo = IdMemo()
-        first = memo["Q3000"]  # past the small ints that CPython itself shares
-        assert first == 3000
-        assert memo["Q3000"] is first
-        assert memo["Q17"] == 17
-
-    def test_kind_is_checked_on_first_entry(self):
-        memo = IdMemo()
-        with pytest.raises(ValueError, match="^not an item id: 'P17'$"):
-            memo["P17"]
-        assert "P17" not in memo
-
-    @pytest.mark.parametrize("bad", ["", "*", "Q0", "xyz"])
-    def test_bad_token_raises_and_is_not_kept(self, bad):
-        memo = IdMemo()
-        with pytest.raises(ValueError):
-            memo[bad]
-        assert bad not in memo
 
 
 class TestSlimEntity:

@@ -107,18 +107,38 @@ class TestParseLine:
         assert parse_one(f"en {title} 5 0\n") == ({}, [ParseIssue(1, BAD_TITLE)])
 
     # a line that fails two checks is tallied with the first one's reason:
-    # field count, language, empty title, count, then title
+    # UTF-8, field count, language (a line of another domain is skipped, not
+    # tallied), empty title, count, then title; a title that is empty cannot
+    # also decode to a break, so every other pair has its case here
     @pytest.mark.parametrize(
         "line, reason",
         [
             ("en Foo%09 x 0\n", "non-numeric view count 'x'"),
             ("en  x 0\n", "empty title"),
             (b"en.d Foo\xff 1 0\n", "invalid UTF-8"),
+            ("en Foo%0A -3 0\n", "negative view count -3"),
+            (b"en Foo\xff 1\n", "invalid UTF-8"),
+            (b"en  1 \xff\n", "invalid UTF-8"),
+            (b"en Foo 1\xff 0\n", "invalid UTF-8"),
+            (b"en Foo%0A\xff 1 0\n", "invalid UTF-8"),
+            ("en.d Foo 1\n", "expected 4 space-separated fields, got 3"),
+            ("en  1\n", "expected 4 space-separated fields, got 3"),
+            ("en Foo x\n", "expected 4 space-separated fields, got 3"),
+            ("en Foo%0A 1\n", "expected 4 space-separated fields, got 3"),
+            ("en.d  1 0\n", None),
+            ("en.d Foo x 0\n", None),
+            ("en.d Foo%0A 1 0\n", None),
         ],
-        ids=["bad-count-and-tab-title", "empty-title-and-bad-count", "untracked-domain-and-bad-byte"],
+        ids=[
+            "bad-count-and-tab-title", "empty-title-and-bad-count", "untracked-domain-and-bad-byte",
+            "negative-count-and-lf-title", "bad-byte-and-three-fields", "bad-byte-and-empty-title",
+            "bad-byte-and-bad-count", "bad-byte-and-lf-title", "three-fields-and-untracked-domain",
+            "three-fields-and-empty-title", "three-fields-and-bad-count", "three-fields-and-lf-title",
+            "untracked-domain-and-empty-title", "untracked-domain-and-bad-count", "untracked-domain-and-lf-title",
+        ],
     )
     def test_the_first_failed_check_gives_the_reason(self, line, reason):
-        assert parse_one(line) == ({}, [ParseIssue(1, reason)])
+        assert parse_one(line) == ({}, [] if reason is None else [ParseIssue(1, reason)])
 
 
 class TestParseStream:

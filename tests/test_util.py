@@ -7,11 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wikicoverage.attribution import parse_rules
+from wikicoverage.entities import item_number
 from wikicoverage.errors import WikiCoverageError
 from wikicoverage.metrics import METRICS_COLUMNS, read_metrics_tsv
 from wikicoverage.slimstore import read_store_header
 from wikicoverage.usage import parse_pageviews_stream, parse_readership_table, read_views_tsv
 from wikicoverage.util import (
+    Memo,
     first_repeat,
     format_fraction,
     normalize_pageview_title,
@@ -118,6 +120,45 @@ class TestFirstRepeat:
             parse_rules("direct=P17,P19,P27,P19,P17\n")
         with pytest.raises(WikiCoverageError, match=r"property P19 appears twice in props=$"):
             read_store_header(iter(["WCM3\n", "count=0 props=P17,P19,P27,P19,P17\n"]))
+
+
+class TestMemo:
+    """``Memo(item_number)``, the store readers' id memo."""
+
+    def test_each_token_is_parsed_once_and_shared(self):
+        memo = Memo(item_number)
+        first = memo["Q3000"]  # past the small ints that CPython itself shares
+        assert first == 3000
+        assert memo["Q3000"] is first
+        assert memo[f"Q{3000}"] is first  # an equal token, built apart, shares the int
+        assert memo["Q17"] == 17
+
+    def test_kind_is_checked_on_first_entry(self):
+        memo = Memo(item_number)
+        with pytest.raises(ValueError, match="^not an item id: 'P17'$"):
+            memo["P17"]
+        assert "P17" not in memo
+
+    @pytest.mark.parametrize("bad", ["", "*", "Q0", "xyz"])
+    def test_bad_token_raises_and_is_not_kept(self, bad):
+        memo = Memo(item_number)
+        with pytest.raises(ValueError):
+            memo[bad]
+        assert bad not in memo
+        assert not memo
+
+    def test_function_is_called_once_per_distinct_key(self):
+        calls = []
+
+        def double(key):
+            calls.append(key)
+            return key * 2
+
+        memo = Memo(double)
+        assert [memo[key] for key in ["a", "b", "a", "a", "b", "c"]] == ["aa", "bb", "aa", "aa", "bb", "cc"]
+        assert calls == ["a", "b", "c"]
+        assert memo == {"a": "aa", "b": "bb", "c": "cc"}
+        assert memo.get("d") is None and "d" not in memo  # only a subscript computes
 
 
 class TestSitelinkKey:
