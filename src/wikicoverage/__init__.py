@@ -39,8 +39,8 @@ from .metrics import (
 from .report import PipelineResult, RunConfig, emit_table, run_pipeline, sort_rows_for_table
 from .slimstore import SlimStoreWriter, load_slim_store, read_slim_store, read_store_sitelinks, save_slim_store
 from .usage import (
+    PageviewMemo,
     ReadershipRecord,
-    TitleMemo,
     aggregate_views,
     parse_pageviews_stream,
     parse_readership_table,
@@ -51,6 +51,7 @@ __all__ = [
     "ChartDatum",
     "ClusterRow",
     "MetricsRow",
+    "PageviewMemo",
     "ParseIssue",
     "PipelineResult",
     "ReadershipRecord",
@@ -58,7 +59,6 @@ __all__ = [
     "RunConfig",
     "SlimEntity",
     "SlimStoreWriter",
-    "TitleMemo",
     "WikiCoverageError",
     "aggregate_all",
     "aggregate_cluster",

@@ -239,10 +239,13 @@ def parse_rules(text: str) -> RuleSet:
     """Parse a rules file; unspecified keys keep their defaults.  A repeated
     key, and a bad value (an id of the wrong kind among them), is an error
     naming its line; ``direct`` and ``place`` sets that overlap name the later
-    of their lines."""
+    of their lines.  Lines end at LF, CR or CRLF, as text-mode reading ends
+    them: a form feed, or another break that ``str.splitlines`` takes, is
+    part of its line."""
     kwargs: dict = {}
     lines: dict[str, int] = {}  # each key given -> its line number
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    text_lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_number, raw in enumerate(text_lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -54,7 +54,7 @@ from .errors import (
 from .metrics import MetricsRow, collect_article_sets, compute_all, write_metrics_tsv
 from .slimstore import SlimStoreWriter, load_slim_store, save_slim_store
 from .usage import (
-    TitleMemo,
+    PageviewMemo,
     language_list_problem,
     load_readership,
     merge_views,
@@ -228,15 +228,16 @@ def usage_stage(
     the files as given.  :func:`usage.parse_pageviews_stream` totals each
     file in one pass, and the files are folded as they are read: the first
     file's totals become the running totals, and :func:`usage.merge_views`
-    adds each later file's totals into them in place.  A file's totals are dropped when the next
-    file's replace them, so the stage holds the running totals, the title
-    memo and at most two files' totals, however many files there are.  The
-    memo gives each distinct (language, raw title) one key for the whole
-    stage, so every file's totals share the same key objects.
+    adds each later file's totals into them in place.  A file's totals are
+    dropped when the next file's replace them, so the stage holds the
+    running totals, the stage memo and at most two files' totals, however
+    many files there are.  The :class:`usage.PageviewMemo` judges each
+    distinct domain, view count text and (language, raw title) once for the
+    whole stage, so every file's totals share the same key objects.
     """
     language_set = None if languages is None else set(languages)
     issues: list[ParseIssue] = []
-    titles = TitleMemo()  # each distinct (language, title) is normalised once per stage
+    memo = PageviewMemo(language_set)  # every file's verdicts, dropped when the stage ends
     views = None
     for path in paths:
         with open(path, "rb") as handle:
@@ -246,7 +247,7 @@ def usage_stage(
             # heap that attribution had freed from going back to the OS,
             # which raised the process's peak RSS
             lines = read_pageview_lines(handle)
-            shard = parse_pageviews_stream(lines, language_set, errors=issues, titles=titles)
+            shard = parse_pageviews_stream(lines, language_set, errors=issues, memo=memo)
         views = shard if views is None else merge_views(views, shard)
     if views is None:  # no files
         views = {}

@@ -24,15 +24,17 @@ alone, and a block that is not UTF-8 is split into byte lines, which the
 parse decodes one by one.  A file that starts with the gzip magic is
 decompressed as it is read, as Wikimedia publishes its hourly files.
 :func:`parse_pageviews_stream` adds each kept line's views straight into
-the file's totals, in the loop that splits the line.  It judges each
-distinct view count text once per call and keeps the verdict: the views, or
-the message refusing them.  Titles are percent-decoded through a
-:class:`TitleMemo`, a :class:`util.Memo` per language, which gives each
-distinct (language, raw title) its totals key, or the reason it is refused,
-once per memo.  So a refused line's reason is read from the two verdicts.
-The usage stage shares one title memo between all of its shards and drops
-it when the stage ends; the memo then holds at most the stage's distinct
-titles, and the keys its totals hold are the memo's own.
+the file's totals, in the loop that splits the line; only a line that does
+not split into four text fields (a byte line, a blank line, a wrong field
+count) leaves that path.  Every verdict the loop needs is kept in a
+:class:`PageviewMemo`: each distinct domain's title table (None when the
+domain is not tracked), each distinct view count text's views or the
+message refusing them, and each distinct (language, raw title)'s totals
+key or the reason it is refused.  So a refused line's reason is read from
+the verdicts.  The usage stage makes one memo for its language set, passes
+it to every file's call, and drops it when the stage ends: each distinct
+domain, count text and title is judged once per usage stage, not once per
+file, and the keys the totals hold are the memo's own.
 """
 
 from __future__ import annotations
@@ -121,22 +123,6 @@ def _language_titles(language: str) -> Memo:
     return Memo(partial(_title_key, language))
 
 
-class TitleMemo(Memo):
-    """Tracked language -> raw pageview title -> :func:`_title_key`.
-
-    A title is decoded and normalised on its first lookup in a language;
-    later lookups return the same key object, which every file's totals then
-    key on.  Create one per usage stage and share it between that stage's
-    shards; it holds each distinct raw title of each tracked language once,
-    so it must not outlive the stage.
-    """
-
-    __slots__ = ()
-
-    def __init__(self):
-        super().__init__(_language_titles)
-
-
 def _count_verdict(count_text: str) -> int | str:
     """The view count :func:`util.parse_count` reads from ``count_text``, or
     its message refusing it."""
@@ -144,6 +130,38 @@ def _count_verdict(count_text: str) -> int | str:
         return parse_count(count_text, "view count")
     except ValueError as exc:
         return str(exc)
+
+
+class PageviewMemo:
+    """Every verdict :func:`parse_pageviews_stream` reaches, for one
+    language set.
+
+    - ``domains``: domain -> its language's title table, or None when the
+      domain is not tracked;
+    - ``counts``: view count text -> :func:`_count_verdict`;
+    - ``titles``: tracked language -> raw title -> :func:`_title_key`.
+
+    Each verdict is reached on its first lookup; later lookups return the
+    same object, so every file's totals key on the same title keys.  Create
+    one per usage stage and pass it to every file's call, with the language
+    set it was made for; it holds each distinct domain, count text and raw
+    title of the stage once, so it must not outlive the stage.
+    """
+
+    __slots__ = ("languages", "domains", "counts", "titles")
+
+    def __init__(self, languages: Iterable[str] | None = None):
+        self.languages = None if languages is None else frozenset(languages)
+        # exact dicts: CPython 3.11 specializes subscripts of exact dicts only
+        self.domains: dict[str, Memo | None] = {}
+        self.counts: dict[str, int | str] = {}
+        self.titles = Memo(_language_titles)
+
+    def title_table(self, domain: str) -> Memo | None:
+        """The title table of ``domain``'s language, or None when the
+        domain is not tracked."""
+        language = _tracked_language(domain, self.languages)
+        return None if language is None else self.titles[language]
 
 
 def _block_lines(block: bytes) -> list[str] | list[bytes]:
@@ -202,21 +220,24 @@ def parse_pageviews_stream(
     languages: set[str] | None = None,
     *,
     errors: list[ParseIssue] | None = None,
-    titles: TitleMemo | None = None,
+    memo: PageviewMemo | None = None,
 ) -> dict[tuple[str, str], int]:
     """Exact view totals per (language, title) of a whole pageviews file,
     tallying malformed lines and moving on.
 
     Byte lines are decoded as UTF-8; an undecodable line is tallied as
-    ``invalid UTF-8``.  Blank lines are skipped.  Each distinct domain and
-    each distinct view count text is read once per call, and each distinct
-    title of a language is normalised once per ``titles`` memo: pass one memo
-    to every shard of a stage to share it, or leave it out for a memo of
-    this call's own.
+    ``invalid UTF-8``.  Blank lines are skipped.  Each distinct domain, view
+    count text and (language, raw title) is judged once per ``memo``: pass
+    the usage stage's memo to every file's call, so each is judged once per
+    usage stage, or leave it out for a memo of this call's own.  A memo made
+    for another language set than ``languages`` raises ValueError.
     """
-    memo = TitleMemo() if titles is None else titles
-    keys_of: dict[str, Memo | None] = {}  # domain -> its language's title memo
-    counts: dict[str, int | str] = {}  # count text -> its views, or why it is refused
+    wanted = None if languages is None else frozenset(languages)
+    if memo is None:
+        memo = PageviewMemo(wanted)
+    elif memo.languages != wanted:
+        raise ValueError(f"a PageviewMemo made for languages {memo.languages} cannot read languages {wanted}")
+    domains, counts = memo.domains, memo.counts
     totals: dict[tuple[str, str], int] = {}
     get = totals.get
 
@@ -225,23 +246,25 @@ def parse_pageviews_stream(
             errors.append(ParseIssue(line_number, reason))
 
     for line_number, line in enumerate(lines, start=1):
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError:
-                tally(line_number, "invalid UTF-8")
-                continue
-        fields = line.split(" ")
-        if len(fields) != 4:
-            if line.strip():
-                tally(line_number, f"expected 4 space-separated fields, got {len(fields)}")
-            continue
-        domain, raw_title, count_text, _ = fields
         try:
-            keys = keys_of[domain]
+            domain, raw_title, count_text, _ = line.split(" ")
+        except (ValueError, TypeError):  # a wrong field count, or a byte line
+            if isinstance(line, bytes):
+                try:
+                    line = line.decode("utf-8")
+                except UnicodeDecodeError:
+                    tally(line_number, "invalid UTF-8")
+                    continue
+            fields = line.split(" ")
+            if len(fields) != 4:
+                if line.strip():
+                    tally(line_number, f"expected 4 space-separated fields, got {len(fields)}")
+                continue
+            domain, raw_title, count_text, _ = fields
+        try:
+            keys = domains[domain]
         except KeyError:
-            language = _tracked_language(domain, languages)
-            keys = keys_of[domain] = None if language is None else memo[language]
+            keys = domains[domain] = memo.title_table(domain)
         if keys is None:
             continue
         key = keys[raw_title]

@@ -532,6 +532,25 @@ class TestRuleSet:
         with pytest.raises(RulesError, match=f"^line 2: {re.escape(f'non-numeric max_depth {value!r}')}$"):
             parse_rules(f"target=Q30\nmax_depth={value}")
 
+    # every break str.splitlines takes but text-mode reading does not
+    _ODD_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("odd", _ODD_BREAKS, ids=ascii)
+    def test_an_odd_break_inside_a_value_is_part_of_its_line(self, odd):
+        problem = f"line 2: non-numeric max_depth {f'3{odd}4'!r}"
+        with pytest.raises(RulesError, match=f"^{re.escape(problem)}$"):
+            parse_rules(f"target=Q30\nmax_depth=3{odd}4\n")
+
+    @pytest.mark.parametrize("odd", _ODD_BREAKS, ids=ascii)
+    def test_a_line_holding_an_odd_break_shifts_no_later_line_number(self, odd):
+        with pytest.raises(RulesError, match="^line 4: unknown key 'colour'$"):
+            parse_rules(f"target=Q30\n{odd}\n# {odd} comment\ncolour=blue\n")
+
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_lines_end_at_lf_cr_or_crlf(self, end):
+        with pytest.raises(RulesError, match="^line 3: unknown key 'colour'$"):
+            parse_rules(f"target=Q30{end}max_depth=3{end}colour=blue{end}")
+
     def test_parse_rules_rejects_bad_id(self):
         with pytest.raises(RulesError, match="^line 1: not an item id: 'Z9'$"):
             parse_rules("target=Z9")

@@ -20,8 +20,8 @@ from wikicoverage.report import usage_stage
 from wikicoverage.usage import (
     _NON_LANGUAGE_CODES,
     BAD_TITLE,
+    PageviewMemo,
     ReadershipRecord,
-    TitleMemo,
     aggregate_views,
     language_list_problem,
     load_readership,
@@ -178,21 +178,39 @@ class TestParseStream:
 
     def test_bad_title_is_tallied_once_per_line_and_memoised_once(self):
         lines = ["en Foo%0ABar 5 0\n", "en Foo 1 0\n", "en.m Foo%0ABar 2 0\n", "en A\tB 3 0\n", "en  4 0\n"]
-        titles = TitleMemo()
+        memo = PageviewMemo()
         errors = []
-        assert parse_pageviews_stream(lines, errors=errors, titles=titles) == {("en", "Foo"): 1}
+        assert parse_pageviews_stream(lines, errors=errors, memo=memo) == {("en", "Foo"): 1}
         assert [(e.line_number, e.reason) for e in errors] == [
             (1, BAD_TITLE), (3, BAD_TITLE), (4, BAD_TITLE), (5, "empty title")
         ]
-        assert titles == {"en": {"Foo%0ABar": BAD_TITLE, "Foo": ("en", "Foo"), "A\tB": BAD_TITLE, "": "empty title"}}
+        assert memo.titles == {"en": {"Foo%0ABar": BAD_TITLE, "Foo": ("en", "Foo"), "A\tB": BAD_TITLE, "": "empty title"}}
 
     def test_shared_memo_normalises_each_title_once_across_shards(self):
-        titles = TitleMemo()
-        first = parse_pageviews_stream(["en Caf%C3%A9 1 0\n", "de Foo 2 0\n"], titles=titles)
-        second = parse_pageviews_stream(["en.m Caf%C3%A9 3 0\n"], titles=titles)
+        memo = PageviewMemo()
+        first = parse_pageviews_stream(["en Caf%C3%A9 1 0\n", "de Foo 2 0\n"], memo=memo)
+        second = parse_pageviews_stream(["en.m Caf%C3%A9 3 0\n"], memo=memo)
         assert first == {("en", "Caf\u00e9"): 1, ("de", "Foo"): 2} and second == {("en", "Caf\u00e9"): 3}
         assert next(iter(first)) is next(iter(second))
-        assert titles == {"en": {"Caf%C3%A9": ("en", "Caf\u00e9")}, "de": {"Foo": ("de", "Foo")}}
+        assert memo.titles == {"en": {"Caf%C3%A9": ("en", "Caf\u00e9")}, "de": {"Foo": ("de", "Foo")}}
+
+    @pytest.mark.parametrize(
+        "made_for, called_with",
+        [({"en"}, {"en", "de"}), ({"en", "de"}, {"en"}), ({"en"}, None), (None, {"en"}), (set(), None)],
+        ids=["more-languages", "fewer-languages", "memo-for-a-set-call-for-every", "memo-for-every-call-for-a-set", "empty-set"],
+    )
+    def test_a_memo_refuses_a_call_with_another_language_set(self, made_for, called_with):
+        memo = PageviewMemo(made_for)
+        with pytest.raises(ValueError, match="^a PageviewMemo made for languages "):
+            parse_pageviews_stream(["en Foo 1 0\n"], called_with, memo=memo)
+        assert memo.domains == {} and memo.counts == {} and memo.titles == {}
+
+    @pytest.mark.parametrize("called_with", [{"de", "en"}, frozenset({"en", "de"}), ["en", "de"], ("de", "en")])
+    def test_a_memo_takes_its_language_set_in_any_container(self, called_with):
+        memo = PageviewMemo({"en", "de"})
+        lines = ["en Foo 1 0\n", "de.m Foo 2 0\n", "fr Foo 3 0\n"]
+        assert parse_pageviews_stream(lines, called_with, memo=memo) == {("en", "Foo"): 1, ("de", "Foo"): 2}
+        assert memo.domains == {"en": memo.titles["en"], "de.m": memo.titles["de"], "fr": None}
 
     def test_a_refused_count_is_tallied_on_every_line_that_repeats_it(self):
         lines = ["en A x 0\n", "en B 1 0\n", "en C x 0\n", "de A x 0\n", "en A 2 0\n", "en D x 0\n"]
@@ -318,16 +336,62 @@ class TestStreamAgreesWithLineParser:
     )
     @settings(max_examples=300, deadline=None)
     def test_text_and_bytes_match_the_per_line_reference(self, lines, languages, corrupt):
-        titles = TitleMemo()  # shared by both calls, as the usage stage shares it between files
+        memo = PageviewMemo(languages)  # shared by both calls, as the usage stage shares it between files
         errors = []
-        totals = parse_pageviews_stream(lines, languages, errors=errors, titles=titles)
+        totals = parse_pageviews_stream(lines, languages, errors=errors, memo=memo)
         assert (totals, errors) == reference_totals(lines, languages)
 
         corrupt += [None] * (len(lines) - len(corrupt))
         byte_lines = [_as_bytes(line, at) for line, at in zip(lines, corrupt)]
         errors = []
-        totals = parse_pageviews_stream(byte_lines, languages, errors=errors, titles=titles)
+        totals = parse_pageviews_stream(byte_lines, languages, errors=errors, memo=memo)
         assert (totals, errors) == reference_totals(byte_lines, languages)
+
+
+def _views_tsv(totals) -> bytes:
+    """The views TSV of ``totals``, written with no call into the package."""
+    rows = "".join(f"{language}\t{title}\t{views}\n" for (language, title), views in sorted(totals.items()))
+    return f"language\ttitle\tviews\n{rows}".encode("utf-8")
+
+
+@st.composite
+def pageview_files(draw):
+    """A pageview file's bytes: tracked, untracked and folded domains, blank
+    lines, wrong field counts, empty, refused and BAD_TITLE titles, refused
+    counts, and lines that are not UTF-8."""
+    lines = draw(st.lists(pageview_lines(), max_size=20))
+    corrupt = draw(st.lists(st.one_of(st.none(), st.none(), st.integers(0, 60)), min_size=len(lines), max_size=len(lines)))
+    return b"".join(_as_bytes(line, at) for line, at in zip(lines, corrupt))
+
+
+class TestUsageStageAgreesWithPerFileReference:
+    @given(
+        files=st.lists(pageview_files(), min_size=1, max_size=5),
+        languages=st.sampled_from([None, {"en"}, {"en", "de"}]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_stage_memo_gives_the_per_file_reference_summed(self, files, languages, data):
+        # the stage memo carries every verdict from file to file; the result must be what
+        # the reference gives each file alone, summed, with the issues in file order
+        expected_totals, expected_issues = {}, []
+        for data_bytes in files:
+            totals, issues = reference_totals(data_bytes.split(b"\n"), languages)
+            for key, views in totals.items():
+                expected_totals[key] = expected_totals.get(key, 0) + views
+            expected_issues += issues
+        order = data.draw(st.permutations(range(len(files))))
+        with tempfile.TemporaryDirectory() as directory:
+            paths = [Path(directory, f"pageviews-{index}.txt") for index in range(len(files))]
+            for path, data_bytes in zip(paths, files):
+                path.write_bytes(data_bytes)
+            views, issues = usage_stage(paths, languages, Path(directory, "views.tsv"))
+            permuted_views, _ = usage_stage([paths[i] for i in order], languages, Path(directory, "permuted.tsv"))
+            written = Path(directory, "views.tsv").read_bytes()
+            assert Path(directory, "permuted.tsv").read_bytes() == written
+        assert (views, issues) == (expected_totals, expected_issues)
+        assert permuted_views == views
+        assert written == _views_tsv(expected_totals)
 
 
 # characters str.splitlines splits on but a pageview line holds as its own, and multi-byte ones
@@ -430,8 +494,8 @@ class TestAggregate:
         parts = [[] for _ in range(shards)]
         for line in lines:
             parts[rng.randrange(shards)].append(line)
-        titles = TitleMemo()
-        sharded = merge_views(*[parse_pageviews_stream(part, titles=titles) for part in parts])
+        memo = PageviewMemo()
+        sharded = merge_views(*[parse_pageviews_stream(part, memo=memo) for part in parts])
         assert sharded == single_pass
 
     def test_usage_stage_with_one_memo_equals_independent_shards(self, tmp_path):
@@ -483,6 +547,27 @@ class TestAggregate:
         first, second = ({key: key for key in shard} for shard in shards)
         assert first[("en", "Caf\u00e9")] is second[("en", "Caf\u00e9")]
         assert first[("en", "Foo")] is second[("en", "Foo")]
+
+    def test_usage_stage_judges_each_domain_and_count_once(self, tmp_path, monkeypatch):
+        judged = []
+
+        def counting(function):
+            def judge(text, *rest):
+                judged.append(text)
+                return function(text, *rest)
+
+            return judge
+
+        for name in ("_tracked_language", "_count_verdict"):
+            monkeypatch.setattr(wikicoverage.usage, name, counting(getattr(wikicoverage.usage, name)))
+        paths = [tmp_path / "pageviews-0.txt", tmp_path / "pageviews-1.txt"]
+        paths[0].write_bytes(b"en Foo 1 0\nen.m Bar 2 0\nfr Foo 1 0\nen Baz x 0\n")
+        paths[1].write_bytes(b"en Bar 1 0\nen.m Foo 2 0\nfr Bar 2 0\nen Foo x 0\n")
+        views, issues = usage_stage(paths, ["en"], tmp_path / "views.tsv")
+
+        assert sorted(judged) == ["1", "2", "en", "en.m", "fr", "x"]  # each once, in the first file
+        assert views == {("en", "Foo"): 3, ("en", "Bar"): 3}
+        assert issues == [ParseIssue(4, "non-numeric view count 'x'")] * 2
 
     def test_merge_adds_later_parts_into_the_first_and_returns_it(self):
         first = {("en", "A"): 1, ("en", "B"): 2}
