@@ -37,7 +37,7 @@ from .metrics import (
     reader_share,
 )
 from .report import PipelineResult, RunConfig, emit_table, run_pipeline, sort_rows_for_table
-from .slimstore import SlimStoreWriter, load_slim_store, read_slim_store, read_store_sitelinks, save_slim_store
+from .slimstore import SlimStoreWriter, load_slim_store, read_slim_store, save_slim_store
 from .usage import (
     PageviewMemo,
     ReadershipRecord,
@@ -82,7 +82,6 @@ __all__ = [
     "parse_rules",
     "primary_country",
     "read_slim_store",
-    "read_store_sitelinks",
     "reader_share",
     "render_svg",
     "run_pipeline",

@@ -29,7 +29,7 @@ from .report import (
     slim_stage,
     usage_stage,
 )
-from .slimstore import load_slim_store, read_store_sitelinks
+from .slimstore import load_slim_store, read_slim_store
 from .usage import language_list_problem, read_views_tsv
 
 
@@ -77,10 +77,11 @@ def _cmd_usage(args) -> int:
 
 def _cmd_metrics(args) -> int:
     # the join reads each store record before its TSV row, so the first bad
-    # line it meets in either file is the error reported
+    # line it meets in either file is the error reported; the records need
+    # only their ids and sitelinks, so the read requires no property
     related: set = set()
     with open(args.slim, encoding="utf-8") as store, open(args.attribution, encoding="utf-8") as tsv:
-        records = join_attribution(read_store_sitelinks(store), read_attribution_tsv(tsv), related)
+        records = join_attribution(read_slim_store(store, ()), read_attribution_tsv(tsv), related)
         article_sets = build_article_sets(records, args.languages)
     with open(args.views, encoding="utf-8") as handle:
         views = read_views_tsv(handle)

@@ -53,7 +53,7 @@ class SlimEntity:
     The constructor checks every field.  :meth:`trusted` skips those checks
     and is only for the readers that have already made each of them on the
     way in: the dump parser (``dump._parse_entity_line``) and the store reader
-    (``slimstore._parse_record``).
+    (``slimstore.read_slim_store``).
     """
 
     id: int
@@ -83,7 +83,9 @@ class SlimEntity:
 
         The caller must already have checked every field: ``id`` is an item
         number, each claim key a property number with a non-empty tuple of
-        item numbers, and each sitelink a non-empty wiki code with a non-empty title.
+        item numbers, and each sitelink a non-empty wiki code with a non-empty
+        title.  ``claims`` may hold fewer properties than the input kept: a
+        store read builds only those its caller requires.
         """
         entity = _new_object(cls)
         _set_id(entity, id)

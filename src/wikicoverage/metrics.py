@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, AbstractSet, Iterable, Iterator, Mapping, TypeVar
+from typing import IO, AbstractSet, Iterable, Iterator, Mapping
 
 from .entities import SlimEntity
 from .errors import (
@@ -47,8 +47,6 @@ METRICS_COLUMNS = (
 )
 # a share as write_metrics_tsv writes it
 _SHARE_RE = re.compile(r"[0-9]+\.[0-9]{6}")
-
-Record = TypeVar("Record")  # a store record: SlimEntity or slimstore.SitelinksRecord
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,8 @@ class MetricsRow:
 
 
 def join_attribution(
-    records: Iterable[Record], rows: Iterable[tuple[int, tuple[str, bool]]], related: set[int]
-) -> Iterator[Record]:
+    records: Iterable[SlimEntity], rows: Iterable[tuple[int, tuple[str, bool]]], related: set[int]
+) -> Iterator[SlimEntity]:
     """Yield each store record once its attribution TSV row is matched to it.
 
     ``records`` come from a store, in item order, and ``rows`` from
@@ -98,7 +96,8 @@ def join_attribution(
     never parsed.  A TSV that skips, adds or reorders an item raises
     :class:`IncompleteAttributionError` naming the item and the TSV line.
     The item number of each related record is added to ``related``; nothing
-    else is kept.
+    else is kept.  Only each record's id is read, so a store read that
+    requires no property (``read_slim_store(source, ())``) will do.
     """
     rows = iter(rows)
 
@@ -133,8 +132,8 @@ def join_attribution(
 
 
 def collect_article_sets(
-    records: Iterable[Record], languages: Iterable[str], article_sets: dict[str, dict[str, int]]
-) -> Iterator[Record]:
+    records: Iterable[SlimEntity], languages: Iterable[str], article_sets: dict[str, dict[str, int]]
+) -> Iterator[SlimEntity]:
     """Yield each record once its sitelinked titles are in ``article_sets``.
 
     ``article_sets`` maps each of ``languages`` to its titles, normalized to
@@ -142,7 +141,8 @@ def collect_article_sets(
     title -> item number.  The languages are added when the stream starts,
     so a stream read to its end leaves one set per language.  Two distinct items claiming the
     same (language, title) raise :class:`TitleConflictError` naming both ids.
-    Nothing of a record is kept but its titles.
+    Only each record's id and sitelinks are read, never its claims, and
+    nothing of a record is kept but its titles.
     """
     language_list = sorted(set(languages))
     for language in language_list:

@@ -235,9 +235,8 @@ def usage_stage(
     distinct domain, view count text and (language, raw title) once for the
     whole stage, so every file's totals share the same key objects.
     """
-    language_set = None if languages is None else set(languages)
     issues: list[ParseIssue] = []
-    memo = PageviewMemo(language_set)  # every file's verdicts, dropped when the stage ends
+    memo = PageviewMemo(languages)  # the kept languages and every file's verdicts, for this stage only
     views = None
     for path in paths:
         with open(path, "rb") as handle:
@@ -247,7 +246,7 @@ def usage_stage(
             # heap that attribution had freed from going back to the OS,
             # which raised the process's peak RSS
             lines = read_pageview_lines(handle)
-            shard = parse_pageviews_stream(lines, language_set, errors=issues, memo=memo)
+            shard = parse_pageviews_stream(lines, memo=memo, errors=issues)
         views = shard if views is None else merge_views(views, shard)
     if views is None:  # no files
         views = {}

@@ -14,30 +14,34 @@ checks them against it.  ``WCM1``, which also stored non-item claim values as
 ``*``, and ``WCM2``, whose header also listed the kept wiki codes, are not
 read: rebuild such a store.
 
-There are two readers of one file, and they share one record skeleton: the
-magic and header lines, the ``props=`` check, line numbers, blank lines, the
-header count in both directions, the sitelink checks and the item order.
+One reader, :func:`read_slim_store` (:func:`load_slim_store` from a path),
+yields :class:`SlimEntity` records.  It checks the magic and header lines,
+that ``props=`` holds every property the caller requires, line numbers,
+blank lines, the header count in both directions, the sitelink checks and
+the item order.  It picks its record parse once per read:
 
-* :func:`read_slim_store` yields whole :class:`SlimEntity` records.  It
-  validates every id token and reads each as its number: record ids and
-  claim values must be items, the header's ``props=`` properties, and a
-  claim key is looked up among the header's properties.  Each distinct
-  claim value is read once per read, through a ``util.Memo(item_number)``,
-  on its first appearance, and equal values then share one int.
-  Since every field is checked on the way in, records are built with
-  :meth:`SlimEntity.trusted`.  :func:`load_slim_store` streams them from a
-  path; no reader lists them.
-* :func:`read_store_sitelinks` yields only each record's id and sitelinks, for
-  the article sets of ``metrics``.  It checks the claims field whole against
-  one pattern compiled from ``props=`` and builds no claim; a field that fails
-  the pattern is handed to the whole-record parser, so both readers accept
-  the same stores and fail a bad one with the same message.
+* By default, and whenever the caller requires a property, each line goes
+  through the checked whole-record parse, and a record holds every stored
+  claim.  It validates every id token and reads each as its number: record
+  ids and claim values must be items, the header's ``props=`` properties,
+  and a claim key is looked up among the header's properties.  Each
+  distinct claim value is read once per read, through a
+  ``util.Memo(item_number)``, on its first appearance, and equal values
+  then share one int.
+* A read that requires no property (``required_props=()``, as ``metrics``
+  reads) builds no claim.  It checks the claims field whole against one
+  pattern compiled from ``props=``; a field that fails the pattern is
+  handed to the whole-record parse, so both parses accept the same stores
+  and fail a bad one with the same message.
 
-Either way a bad token raises :class:`SlimStoreCorruptionError` naming its
-line.  The header is enforced per record: a claim key must be one of
-``props=``.  A record that breaks its own header, repeats a claim key or a
-wiki, or does not follow the record before it in item order, is corruption
-naming its line.
+Since every field is checked on the way in, records are built with
+:meth:`SlimEntity.trusted`; no reader lists them.
+
+A bad token raises :class:`SlimStoreCorruptionError` naming its line.  The
+header is enforced per record: a claim key must be one of ``props=``.  A
+record that breaks its own header, repeats a claim key or a wiki, or does
+not follow the record before it in item order, is corruption naming its
+line.
 
 The writer (:class:`SlimStoreWriter`) takes records in any order.  It holds
 each record to the header it writes as the record arrives: a claim key
@@ -66,8 +70,8 @@ from functools import partial
 from itertools import compress, islice
 from operator import eq, itemgetter
 from pathlib import Path
-from sys import intern
-from typing import IO, Callable, Iterable, Iterator, NamedTuple
+from sys import get_int_max_str_digits, intern
+from typing import IO, Callable, Iterable, Iterator
 
 from .entities import SlimEntity, id_pattern, item_number, property_number
 from .errors import (
@@ -86,9 +90,7 @@ _ESCAPE_RE = re.compile(r"[%\t|\n\r]")
 _UNESCAPE_RE = re.compile(r"%(25|09|7C|0A|0D)")
 _ESCAPES = {"%": "%25", "\t": "%09", "|": "%7C", "\n": "%0A", "\r": "%0D"}
 _UNESCAPES = {"25": "%", "09": "\t", "7C": "|", "0A": "\n", "0D": "\r"}
-_ITEM_TOKEN = id_pattern("Q")  # the item ids entities.item_number accepts
 _WIKI_BREAK_RE = re.compile(r"[=|\t\n\r]")  # wiki codes are stored unescaped
-_new_tuple = tuple.__new__  # skips NamedTuple's Python-level __new__
 
 # The most rendered store text the writer holds, in characters.  A full run is
 # sorted and spilled to a temporary file; a 9 GB store (90M items) spills
@@ -361,13 +363,6 @@ def _parse_record(props: _Declared, values: Memo, line: str, line_number: int) -
         raise SlimStoreCorruptionError(f"store line {line_number}: {exc}") from exc
 
 
-class SitelinksRecord(NamedTuple):
-    """One store record as :func:`read_store_sitelinks` yields it: no claims."""
-
-    id: int
-    sitelinks: dict[str, str]
-
-
 def _claims_pattern(props: Iterable[str]) -> re.Pattern:
     """The claims fields :func:`_parse_record` accepts under the header's ``props=``.
 
@@ -377,52 +372,67 @@ def _claims_pattern(props: Iterable[str]) -> re.Pattern:
     keys = "|".join(map(re.escape, props))
     if not keys:
         return re.compile("")
-    values = f":{_ITEM_TOKEN}(?:,{_ITEM_TOKEN})*"
+    # the item ids entities.item_number accepts: int() reads no more digits
+    # than its limit (0 is no limit)
+    limit = get_int_max_str_digits()
+    item = f"[Q][1-9][0-9]{{0,{limit - 1}}}" if limit else id_pattern("Q")
+    values = f":{item}(?:,{item})*"
     # each group's lookahead refuses a later group with the same key
     first = f"({keys}){values}(?!.*;\\1:)"
     later = f";({keys}){values}(?!.*;\\2:)"
     return re.compile(f"(?:{first}(?:{later})*)?", re.DOTALL)
 
 
-def _sitelinks_parser(props: _Declared) -> Callable[[str, int], SitelinksRecord]:
+def _unclaimed_parser(props: _Declared, values: Memo) -> Callable[[str, int], SlimEntity]:
+    """The record parse of a read that requires no property: the claims field
+    is checked whole against :func:`_claims_pattern` and never built."""
     claims_valid = _claims_pattern(props).fullmatch
-    # one id memo per read: a memo that outlived its file would grow with every file read
-    parse_record = partial(_parse_record, props, Memo(item_number))
 
-    def parse(line: str, line_number: int) -> SitelinksRecord:
+    def parse(line: str, line_number: int) -> SlimEntity:
         parts = line.split("\t")
         if len(parts) != 3 or claims_valid(parts[1]) is None:
-            entity = parse_record(line, line_number)  # raises the whole reader's error
-            return _new_tuple(SitelinksRecord, (entity.id, entity.sitelinks))
+            _parse_record(props, values, line, line_number)  # raises the checked parse's error
         try:
             sitelinks = _parse_sitelinks(parts[2])
-            return _new_tuple(SitelinksRecord, (item_number(parts[0]), sitelinks))
+            return SlimEntity.trusted(item_number(parts[0]), {}, sitelinks)
         except ValueError as exc:
             raise SlimStoreCorruptionError(f"store line {line_number}: {exc}") from exc
 
     return parse
 
 
-def _read_records(
-    source: Iterable[str],
-    required_props: Iterable[int],
-    parser: Callable[[_Declared], Callable[[str, int], SlimEntity | SitelinksRecord]],
-) -> Iterator:
-    """The record skeleton both readers share.
+def read_slim_store(
+    source: Iterable[str], required_props: Iterable[int] | None = None
+) -> Iterator[SlimEntity]:
+    """Yield the stored records in stored order.  Each holds every stored
+    claim, unless ``required_props`` is empty: a read that requires no
+    property builds no claim.
 
-    ``parser(props)`` gives the function that turns one record line and its
-    number into a record; it is called once the header is read.
+    Raises :class:`SlimStoreVersionError` for another format version,
+    :class:`SlimStoreMismatchError` when the header's ``props=`` lacks one of
+    ``required_props``, and :class:`SlimStoreCorruptionError` for a bad
+    record, a record out of item order, or a header count that disagrees with
+    the records actually present (checked once the stream is exhausted).
+    Every read, whatever it requires, accepts the same stores and fails a bad
+    one with the same message.
     """
     lines = iter(source)
     header = read_store_header(lines)
-    missing = set(required_props).difference(header.props)
+    required = set(() if required_props is None else required_props)
+    missing = required.difference(header.props)
     if missing:
         ids = ", ".join(["P%d" % prop for prop in sorted(missing)])
         raise SlimStoreMismatchError(
             f"store was kept without {ids}, which the rules need; rebuild it with these rules"
         )
 
-    parse = parser(_Declared(header.props))
+    props = _Declared(header.props)
+    # one id memo per read: a memo that outlived its file would grow with every file read
+    values = Memo(item_number)
+    if required or required_props is None:
+        parse = partial(_parse_record, props, values)
+    else:
+        parse = _unclaimed_parser(props, values)
     seen = 0
     previous = 0  # the item number of the record before; every id is above 0
     for line_number, raw in enumerate(lines, start=3):
@@ -449,31 +459,6 @@ def _read_records(
         )
 
 
-def read_slim_store(
-    source: Iterable[str], required_props: Iterable[int] = ()
-) -> Iterator[SlimEntity]:
-    """Yield the stored records in stored order.
-
-    Raises :class:`SlimStoreVersionError` for another format version,
-    :class:`SlimStoreMismatchError` when the header's ``props=`` lacks one of
-    ``required_props``, and :class:`SlimStoreCorruptionError` for a bad
-    record, a record out of item order, or a header count that disagrees with
-    the records actually present (checked once the stream is exhausted).
-    """
-    # one id memo per read, as in _sitelinks_parser
-    return _read_records(source, required_props, lambda props: partial(_parse_record, props, Memo(item_number)))
-
-
-def read_store_sitelinks(source: Iterable[str]) -> Iterator[SitelinksRecord]:
-    """Yield each stored record's ``.id`` and ``.sitelinks``, in stored order.
-
-    Accepts exactly the stores :func:`read_slim_store` accepts and fails the
-    others with the same error.  The claims field is checked whole and never
-    built.
-    """
-    return _read_records(source, (), _sitelinks_parser)
-
-
 def save_slim_store(writer: SlimStoreWriter, path: Path | str) -> int:
     """Write ``writer``'s store (:meth:`SlimStoreWriter.write`) to ``path``,
     through a sibling temporary file that replaces ``path`` only once the
@@ -495,7 +480,7 @@ def save_slim_store(writer: SlimStoreWriter, path: Path | str) -> int:
     return count
 
 
-def load_slim_store(path: Path | str, required_props: Iterable[int] = ()) -> Iterator[SlimEntity]:
+def load_slim_store(path: Path | str, required_props: Iterable[int] | None = None) -> Iterator[SlimEntity]:
     """:func:`read_slim_store` over the file at ``path``, which stays open
     until the last record is read or the stream is closed."""
     with open(path, encoding="utf-8") as source:

@@ -143,9 +143,10 @@ class PageviewMemo:
 
     Each verdict is reached on its first lookup; later lookups return the
     same object, so every file's totals key on the same title keys.  Create
-    one per usage stage and pass it to every file's call, with the language
-    set it was made for; it holds each distinct domain, count text and raw
-    title of the stage once, so it must not outlive the stage.
+    one per usage stage, for the stage's language set (None keeps every
+    language), and pass it to every file's call; it holds each distinct
+    domain, count text and raw title of the stage once, so it must not
+    outlive the stage.
     """
 
     __slots__ = ("languages", "domains", "counts", "titles")
@@ -217,26 +218,22 @@ def read_pageview_lines(handle: BinaryIO) -> Iterator[str | bytes]:
 
 def parse_pageviews_stream(
     lines: Iterable[str | bytes],
-    languages: set[str] | None = None,
+    memo: PageviewMemo | None = None,
     *,
     errors: list[ParseIssue] | None = None,
-    memo: PageviewMemo | None = None,
 ) -> dict[tuple[str, str], int]:
     """Exact view totals per (language, title) of a whole pageviews file,
     tallying malformed lines and moving on.
 
-    Byte lines are decoded as UTF-8; an undecodable line is tallied as
-    ``invalid UTF-8``.  Blank lines are skipped.  Each distinct domain, view
-    count text and (language, raw title) is judged once per ``memo``: pass
-    the usage stage's memo to every file's call, so each is judged once per
-    usage stage, or leave it out for a memo of this call's own.  A memo made
-    for another language set than ``languages`` raises ValueError.
+    The languages kept are those ``memo`` was made for; with no memo the
+    call makes its own, which keeps every language.  Byte lines are decoded
+    as UTF-8; an undecodable line is tallied as ``invalid UTF-8``.  Blank
+    lines are skipped.  Each distinct domain, view count text and (language,
+    raw title) is judged once per ``memo``: pass the usage stage's memo to
+    every file's call, so each is judged once per usage stage.
     """
-    wanted = None if languages is None else frozenset(languages)
     if memo is None:
-        memo = PageviewMemo(wanted)
-    elif memo.languages != wanted:
-        raise ValueError(f"a PageviewMemo made for languages {memo.languages} cannot read languages {wanted}")
+        memo = PageviewMemo()
     domains, counts = memo.domains, memo.counts
     totals: dict[tuple[str, str], int] = {}
     get = totals.get

@@ -32,7 +32,7 @@ from wikicoverage.dump import parse_dump_stream
 from wikicoverage.entities import SlimEntity
 from wikicoverage.metrics import MetricsRow, build_article_sets, compute_all, join_attribution, reader_share
 from wikicoverage.report import RunConfig, attribute_stage, emit_table, run_pipeline
-from wikicoverage.slimstore import SlimStoreWriter, load_slim_store, read_slim_store, read_store_sitelinks
+from wikicoverage.slimstore import SlimStoreWriter, load_slim_store, read_slim_store
 from wikicoverage.usage import ReadershipRecord
 
 from helpers import (
@@ -420,7 +420,7 @@ class TestStreamedStore:
 
             def join():
                 with open(store, encoding="utf-8") as records, open(tsv, encoding="utf-8") as rows:
-                    joined = join_attribution(read_store_sitelinks(records), read_attribution_tsv(rows), related)
+                    joined = join_attribution(read_slim_store(records, ()), read_attribution_tsv(rows), related)
                     sets.update(build_article_sets(joined, ["en"]))
 
             peak = traced_peak(join)

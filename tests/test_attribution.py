@@ -499,6 +499,9 @@ class TestRuleSet:
     def test_parse_rules_rejects_unknown_key(self):
         with pytest.raises(RulesError):
             parse_rules("colour=blue")
+        # a line with no key at all
+        with pytest.raises(RulesError, match="^line 2: expected key=value, got ' direct P17 '$"):
+            parse_rules("target=Q30\n direct P17 \nmax_depth=3\n")
 
     @pytest.mark.parametrize(
         "text, problem",

@@ -143,6 +143,10 @@ class TestSvg:
         with pytest.raises(EmptyChartError):
             render_svg([], "log")
 
+    def test_unknown_scale_raises(self):
+        with pytest.raises(ValueError, match="^unknown scale 'sqrt'$"):
+            render_svg(self.data(10), "sqrt")
+
     def test_labels_and_axes_present(self):
         svg = render_svg(self.data(10, 20), "log")
         assert "related article share" in svg

@@ -140,6 +140,46 @@ class TestStageByStage:
             if name != "manifest.json":
                 assert (from_store / name).read_bytes() == (from_dump / name).read_bytes(), name
 
+    def test_a_store_kept_for_one_more_property_gives_the_same_artifacts(self, tmp_path, capsys):
+        # attribute's reads require the run's properties, a strict subset of
+        # the wider store's; the P131 claims they also build reach no artifact
+        wide_rules = tmp_path / "wide-rules.txt"
+        wide_rules.write_text(
+            (FIXTURE / "rules.txt").read_text(encoding="utf-8").replace("direct=P17,P27,P495", "direct=P17,P27,P495,P131"),
+            encoding="utf-8",
+        )
+        views = tmp_path / "views.tsv"
+        assert run(["usage", FIXTURE / "pageviews-a.txt", FIXTURE / "pageviews-b.txt",
+                    "--languages", "en,de", "--out", views]) == 0
+        runs = {}
+        for name, rules in (("kept", FIXTURE / "rules.txt"), ("wide", wide_rules)):
+            out = runs[name] = tmp_path / name
+            out.mkdir()
+            store = out / "entities.slim"
+            assert run(["slim", "--dump", FIXTURE / "dump.json", "--out", store,
+                        "--rules", rules, "--languages", "en,de"]) == 0
+            assert run(["attribute", "--slim", store, "--out", out / "attribution.tsv",
+                        "--rules", FIXTURE / "rules.txt"]) == 0
+            assert run(["metrics", "--slim", store, "--attribution", out / "attribution.tsv",
+                        "--views", views, "--readership", FIXTURE / "readership.csv",
+                        "--languages", "en,de", "--out", out / "metrics.tsv"]) == 0
+            assert run(["all", FIXTURE / "pageviews-a.txt", FIXTURE / "pageviews-b.txt", "--slim", store,
+                        "--readership", FIXTURE / "readership.csv", "--rules", FIXTURE / "rules.txt",
+                        "--languages", "en,de", "--out", out / "all"]) == 0
+        capsys.readouterr()
+
+        wide_store = (runs["wide"] / "entities.slim").read_text(encoding="utf-8")
+        assert wide_store.split("\n")[1].endswith(" props=P17,P19,P27,P31,P131,P276,P495")
+        assert "P131:Q" in wide_store
+        assert (runs["kept"] / "entities.slim").read_bytes() != wide_store.encode("utf-8")
+        for name in ("attribution.tsv", "metrics.tsv"):
+            assert (runs["wide"] / name).read_bytes() == (runs["kept"] / name).read_bytes(), name
+        artifacts = sorted(path.name for path in (runs["kept"] / "all").iterdir())
+        assert artifacts == sorted(path.name for path in (runs["wide"] / "all").iterdir())
+        for name in artifacts:
+            if name != "manifest.json":
+                assert (runs["wide"] / "all" / name).read_bytes() == (runs["kept"] / "all" / name).read_bytes(), name
+
 
 # sha256 of every artifact `all` writes over the demo fixture, per target; the
 # manifest's digest leaves out its path-keyed "inputs"
@@ -288,6 +328,20 @@ class TestErrorsAndFlags:
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         assert list(manifest["issues"]["failed_languages"]) == ["xx"]
         assert len((tmp_path / "metrics.tsv").read_text(encoding="utf-8").splitlines()) == 3
+
+    def test_clusters_warns_of_a_country_the_map_lacks(self, tmp_path, capsys):
+        assert run(
+            ["all", FIXTURE / "pageviews-a.txt", FIXTURE / "pageviews-b.txt", "--dump", FIXTURE / "dump.json",
+             "--readership", FIXTURE / "readership.csv", "--rules", FIXTURE / "rules.txt",
+             "--languages", "en,de", "--out", tmp_path / "all"]
+        ) == 0
+        cluster_map = tmp_path / "map.csv"
+        cluster_map.write_text("country,cluster\nUS,English-Speaking\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["clusters", "--metrics", tmp_path / "all" / "metrics.tsv", "--cluster-map", cluster_map,
+                    "--out", tmp_path / "clusters.tsv"]) == 0
+        assert capsys.readouterr().err == "warning: no cluster for country DE (de)\n"
+        assert "English-Speaking" in (tmp_path / "clusters.tsv").read_text(encoding="utf-8")
 
     def test_a_language_the_store_was_kept_without_fails_all(self, tmp_path, capsys):
         # the store's header does not list its kept wiki codes: the language shows as having no articles

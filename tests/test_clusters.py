@@ -160,6 +160,14 @@ class TestClusterMap:
         with pytest.raises(ValueError):
             parse_cluster_map(["country,colour", "US,blue"])
 
+    def test_empty_file_gives_empty_map(self):
+        assert parse_cluster_map([]) == {}
+
+    @pytest.mark.parametrize("row", ["US,", ",Nordic", " , "], ids=["cluster", "country", "both"])
+    def test_empty_field_rejected_naming_its_row(self, row):
+        with pytest.raises(ValueError, match="^cluster map row 3: empty field$"):
+            parse_cluster_map(["country,cluster", "SE,Nordic", row])
+
     @pytest.mark.parametrize("country", ["us", "USA", "U", "U1", "\uff35S"])
     def test_bad_country_code_rejected_naming_its_row(self, country):
         # readership country codes are [A-Z]{2}, so such a row could never match a primary country

@@ -92,6 +92,27 @@ class TestBasicParsing:
         with pytest.raises(TypeError):
             parse(text, item_ids={})
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('["Q1"]', "entity line is not a JSON object"),
+            ('"Q1"', "entity line is not a JSON object"),
+            ('{"id": "Q1", "claims": {}}', "entity has no type"),
+        ],
+        ids=["array", "string", "no-type"],
+    )
+    def test_a_line_that_is_no_typed_object_is_tallied(self, line, reason):
+        text = dump_text([line, entity_json("Q2")])
+        errors = []
+        assert [e.id for e in parse(text, errors=errors)] == [2]
+        assert [(i.line_number, i.reason) for i in errors] == [(2, reason)]
+
+    def test_a_malformed_line_after_the_closing_bracket_is_tallied_at_the_end(self):
+        text = dump_text([entity_json("Q1")]) + "{broken\n"
+        errors = []
+        assert [e.id for e in parse(text, errors=errors)] == [1]
+        assert [(i.line_number, i.reason[:14]) for i in errors] == [(4, "invalid JSON: ")]
+
     @pytest.mark.parametrize("bad_id", ["Q\u0663", "Q\uff15", "Q05", "Q", "P17", 17, None])
     def test_bad_item_id_is_tallied(self, bad_id):
         obj = {"type": "item", "id": bad_id}
@@ -157,6 +178,15 @@ class TestFiltering:
         text = dump_text([entity_json("Q1", {"P17": ["just a string", 30, statement(5, kind="property")]})])
         (entity,) = parse(text)
         assert entity.claims[17] == (30,)
+
+    def test_an_item_value_without_a_numeric_id_is_read_from_its_id(self):
+        # a value with an "id" and no "numeric-id" is kept when the id is an item's
+        def value(fields):
+            return {"mainsnak": {"datavalue": {"value": {"entity-type": "item", **fields}}}, "rank": "normal"}
+
+        claims = {"P17": [value({"id": "Q30"}), value({"id": "P30"}), value({"id": "Q030"}), value({}), 183]}
+        (entity,) = parse(dump_text([entity_json("Q1", claims)]))
+        assert entity.claims == {17: (30, 183)}
 
     def test_novalue_snak_becomes_opaque(self):
         # a no-value snak carries no item id: it is dropped, and so is the claim

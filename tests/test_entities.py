@@ -119,6 +119,9 @@ class TestSlimEntity:
     def test_rejects_empty_title(self):
         with pytest.raises(ValueError):
             SlimEntity(1, {}, {"enwiki": ""})
+        # nor may the other side of a sitelink be empty
+        with pytest.raises(ValueError, match="^sitelink wiki code is empty$"):
+            SlimEntity(1, {}, {"": "X"})
 
     def test_trusted_construction_equals_the_checked_one(self):
         claims = {27: (30,)}

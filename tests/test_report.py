@@ -437,9 +437,9 @@ class TestItemNumbers:
         with open(store, encoding="utf-8") as source:
             stored = list(slimstore.read_slim_store(source))
         with open(store, encoding="utf-8") as source:
-            sitelinks = list(slimstore.read_store_sitelinks(source))
+            sitelinks = list(slimstore.read_slim_store(source, ()))
         assert stored == sorted(parsed, key=lambda record: record.id)
-        assert [(r.id, r.sitelinks) for r in sitelinks] == [(r.id, r.sitelinks) for r in stored]
+        assert [(r.id, r.claims, r.sitelinks) for r in sitelinks] == [(r.id, {}, r.sitelinks) for r in stored]
         assert {type(record.id) for record in parsed + stored + sitelinks} == {int}
         values = [value for record in parsed + stored for group in record.claims.values() for value in group]
         assert values and {type(value) for value in values} == {int}
@@ -521,6 +521,11 @@ class TestRunConfigValidation:
         )
         with pytest.raises(PipelineStageError):
             run_pipeline(config)
+
+    def test_rejects_unknown_aggregation(self, tmp_path):
+        config = RunConfig(out_dir=tmp_path, languages=("en",), dump=FIXTURE / "dump.json", aggregation="median")
+        with pytest.raises(ConfigError, match="^unknown aggregation 'median'$"):
+            config.validate()
 
     def test_validate_directly_raises_config_error(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -15,6 +15,7 @@ from wikicoverage.entities import SlimEntity
 from wikicoverage.errors import (
     DuplicateItemError,
     SlimStoreCorruptionError,
+    SlimStoreError,
     SlimStoreMismatchError,
     SlimStoreVersionError,
     SlimStoreWriteError,
@@ -23,7 +24,6 @@ from wikicoverage.metrics import build_article_sets
 from wikicoverage.slimstore import (
     read_slim_store,
     read_store_header,
-    read_store_sitelinks,
     save_slim_store,
 )
 
@@ -52,12 +52,39 @@ def round_trip(entities, **kwargs):
     return count, list(read_slim_store(io.StringIO(sink.getvalue())))
 
 
-def outcome(reader, text):
-    """The ids and sitelinks a reader yields from ``text``, or the error it raises."""
+def read_no_claims(source):
+    """A read that requires no property, as ``metrics`` reads a store."""
+    return read_slim_store(source, ())
+
+
+def outcome(text, required_props=None):
+    """The records a read of ``text`` yields, as (id, claims, sitelinks), or
+    the error it raises."""
     try:
-        return [(record.id, record.sitelinks) for record in reader(io.StringIO(text))]
-    except SlimStoreCorruptionError as exc:
-        return f"error: {exc}"
+        return [(r.id, r.claims, r.sitelinks) for r in read_slim_store(io.StringIO(text), required_props)]
+    except SlimStoreError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def requirements(text):
+    """The kinds of ``required_props`` a read of ``text`` takes: none named,
+    every header property, a strict subset of them, and no property."""
+    try:
+        props = read_store_header(io.StringIO(text)).props
+    except SlimStoreError:
+        props = ()
+    return [None, props, props[1::2], ()]
+
+
+def assert_every_read_agrees(text):
+    """Each read of ``text`` yields the full read's records, with no claims
+    when it requires no property, or raises the full read's error."""
+    full = outcome(text)
+    for required in requirements(text):
+        expected = full
+        if required == () and not isinstance(full, str):
+            expected = [(id_, {}, sitelinks) for id_, _, sitelinks in full]
+        assert outcome(text, required) == expected, required
 
 
 # records that break a token, each with the line it breaks; a first entry
@@ -82,6 +109,7 @@ BAD_TOKEN_CASES = [
     (["props=P17,Q5"], 2),
     (["props=P17,,P31"], 2),
     (["props=P17,P31,P17"], 2),
+    (["Q1\tP17:Q" + "1" * 4301 + "\t"], 3),  # more digits than int() reads
 ]
 
 
@@ -161,7 +189,7 @@ class TestWrite:
         assert round_trip([entity], keep_props=[17]) == (1, [entity])
         sink = io.StringIO()
         write([entity], sink, keep_props=[17])
-        assert outcome(read_store_sitelinks, sink.getvalue()) == [(entity.id, entity.sitelinks)]
+        assert outcome(sink.getvalue(), ()) == [(entity.id, {}, entity.sitelinks)]
 
     def test_partial_write_failure_reports_progress(self):
         class FlakySink:
@@ -396,13 +424,13 @@ class TestRead:
     @pytest.mark.parametrize("count", ["\u0661", "+1", "1_0"], ids=["arabic-indic-digit", "plus-sign", "underscore"])
     def test_header_count_that_is_not_ascii_digits_is_corruption(self, count):
         text = f"WCM3\ncount={count} props=P17\nQ1\tP17:Q30\t\n"
-        for read in (read_slim_store, read_store_sitelinks):
+        for read in (read_slim_store, read_no_claims):
             with pytest.raises(SlimStoreCorruptionError, match="^bad store header"):
                 list(read(io.StringIO(text)))
 
     def test_header_count_with_more_digits_than_int_reads_is_corruption(self):
         text = f"WCM3\ncount={'1' * 5000} props=P17\nQ1\tP17:Q30\t\n"
-        for read in (read_slim_store, read_store_sitelinks):
+        for read in (read_slim_store, read_no_claims):
             with pytest.raises(SlimStoreCorruptionError, match=r"^bad store header: count too large \(5000 digits\)$"):
                 list(read(io.StringIO(text)))
 
@@ -449,6 +477,16 @@ class TestRead:
         with pytest.raises(SlimStoreCorruptionError):
             list(read_slim_store(io.StringIO("")))
 
+    def test_magic_line_alone_is_corruption(self):
+        for read in (read_slim_store, read_no_claims):
+            with pytest.raises(SlimStoreCorruptionError, match="^store has no header line$"):
+                list(read(io.StringIO("WCM3\n")))
+
+    def test_blank_line_between_records_is_skipped_and_not_counted(self):
+        text = "WCM3\ncount=2 props=P17\nQ1\tP17:Q30\tenwiki=A\n\nQ2\t\tenwiki=B\n"
+        assert outcome(text) == [(1, {17: (30,)}, {"enwiki": "A"}), (2, {}, {"enwiki": "B"})]
+        assert_every_read_agrees(text)
+
     def test_bad_record_field_count_is_corruption(self):
         text = "WCM3\ncount=1 props=\nQ1\tonly-two-fields\n"
         with pytest.raises(SlimStoreCorruptionError):
@@ -456,8 +494,10 @@ class TestRead:
 
     @pytest.mark.parametrize("records, bad_line", BAD_TOKEN_CASES)
     def test_bad_token_is_corruption_naming_its_line(self, records, bad_line):
+        text = store_text(records)
         with pytest.raises(SlimStoreCorruptionError, match=f"^store line {bad_line}: "):
-            list(read_slim_store(io.StringIO(store_text(records))))
+            list(read_slim_store(io.StringIO(text)))
+        assert_every_read_agrees(text)
 
 
     @pytest.mark.parametrize(
@@ -483,7 +523,7 @@ class TestRead:
         [entity] = read_slim_store(io.StringIO(text))
         assert entity.sitelinks == {"dewiki": "X", "xxwiki": "Y"}
 
-    @pytest.mark.parametrize("reader", [read_slim_store, read_store_sitelinks])
+    @pytest.mark.parametrize("reader", [read_slim_store, read_no_claims])
     @pytest.mark.parametrize(
         "record, problem",
         [
@@ -501,7 +541,7 @@ class TestRead:
         with pytest.raises(SlimStoreCorruptionError, match=f"^store line 4: {re.escape(problem)}$"):
             list(reader(io.StringIO(text)))
 
-    @pytest.mark.parametrize("reader", [read_slim_store, read_store_sitelinks])
+    @pytest.mark.parametrize("reader", [read_slim_store, read_no_claims])
     @pytest.mark.parametrize(
         "records, problem",
         [
@@ -583,17 +623,20 @@ class TestRoundTripProperty:
 
 
 class TestSitelinksReader:
-    """``read_store_sitelinks`` accepts exactly what ``read_slim_store`` accepts."""
+    """A read that requires no property checks the claims field whole and
+    builds no claim; it accepts exactly what the whole read accepts and fails
+    the others the same way."""
 
     @given(seed=st.integers(min_value=0, max_value=2**31), count=st.integers(0, 60))
     @settings(max_examples=30, deadline=None)
     def test_yields_the_ids_and_sitelinks_of_every_record(self, seed, count):
         sink = io.StringIO()
-        write(random_entities(random.Random(seed), count), sink)
+        entities = sorted(random_entities(random.Random(seed), count), key=lambda e: e.id)
+        write(entities, sink)
         text = sink.getvalue()
-        back = list(read_store_sitelinks(io.StringIO(text)))
-        assert [(r.id, r.sitelinks) for r in back] == outcome(read_slim_store, text)
-        assert len(back) == count
+        back = list(read_no_claims(io.StringIO(text)))
+        assert [(r.id, r.claims, r.sitelinks) for r in back] == [(e.id, {}, e.sitelinks) for e in entities]
+        assert_every_read_agrees(text)
 
     @pytest.mark.parametrize(
         "records",
@@ -611,11 +654,11 @@ class TestSitelinksReader:
             ["Q1\t;\t"],
             ["props=", "Q1\t\tenwiki=X"],
             ["props=", "Q1\tP17:Q5\t"],
+            ["Q1\tP17:Q" + "1" * 4300 + "\t"],  # as many digits as int() reads
         ],
     )
     def test_hand_written_stores_read_the_same(self, records):
-        text = store_text(records)
-        assert outcome(read_store_sitelinks, text) == outcome(read_slim_store, text)
+        assert_every_read_agrees(store_text(records))
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
@@ -639,7 +682,7 @@ class TestSitelinksReader:
             mutated[at:at if insert else at + 1] = [replacement]
             fields[which] = "".join(mutated)
             mutated_text = text.replace(original, "\t".join(fields), 1)
-            assert outcome(read_store_sitelinks, mutated_text) == outcome(read_slim_store, mutated_text)
+            assert_every_read_agrees(mutated_text)
 
     def test_claims_are_never_built(self, tmp_path):
         def store(values_per_record):
@@ -666,7 +709,7 @@ class TestSitelinksReader:
                     tracemalloc.stop()
 
         one, forty = store(1), store(40)
-        peak(read_store_sitelinks, one)  # compiles and caches the claims pattern
-        assert peak(read_store_sitelinks, forty) <= 1.1 * peak(read_store_sitelinks, one)
-        # the measure sees claims: the whole-record reader, streamed the same way, peaks far higher
-        assert peak(read_slim_store, forty) > 2 * peak(read_store_sitelinks, forty)
+        peak(read_no_claims, one)  # compiles and caches the claims pattern
+        assert peak(read_no_claims, forty) <= 1.1 * peak(read_no_claims, one)
+        # the measure sees claims: the whole read, streamed the same way, peaks far higher
+        assert peak(read_slim_store, forty) > 2 * peak(read_no_claims, forty)

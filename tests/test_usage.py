@@ -35,7 +35,7 @@ from wikicoverage.usage import (
 
 def parse_one(line, languages=None):
     """The totals and the tallied issues of a one-line pageviews file."""
-    return parse_pageviews_stream([line], languages, errors=(errors := [])), errors
+    return parse_pageviews_stream([line], PageviewMemo(languages), errors=(errors := [])), errors
 
 
 class TestParseLine:
@@ -168,8 +168,8 @@ class TestParseStream:
     def test_byte_lines_parse_like_text_lines(self):
         text = "en Caf\u00e9 1 0\nen.m Foo 2 0\nde Bar 3 0\nen.d Baz 4 0\nen Foo x 0\nen Foo -1 0\n"
         text_errors, byte_errors = [], []
-        from_text = parse_pageviews_stream(io.StringIO(text), {"en"}, errors=text_errors)
-        from_bytes = parse_pageviews_stream(io.BytesIO(text.encode("utf-8")), {"en"}, errors=byte_errors)
+        from_text = parse_pageviews_stream(io.StringIO(text), PageviewMemo({"en"}), errors=text_errors)
+        from_bytes = parse_pageviews_stream(io.BytesIO(text.encode("utf-8")), PageviewMemo({"en"}), errors=byte_errors)
         assert from_bytes == from_text == {("en", "Caf\u00e9"): 1, ("en", "Foo"): 2}
         assert byte_errors == text_errors and len(text_errors) == 2
 
@@ -194,22 +194,11 @@ class TestParseStream:
         assert next(iter(first)) is next(iter(second))
         assert memo.titles == {"en": {"Caf%C3%A9": ("en", "Caf\u00e9")}, "de": {"Foo": ("de", "Foo")}}
 
-    @pytest.mark.parametrize(
-        "made_for, called_with",
-        [({"en"}, {"en", "de"}), ({"en", "de"}, {"en"}), ({"en"}, None), (None, {"en"}), (set(), None)],
-        ids=["more-languages", "fewer-languages", "memo-for-a-set-call-for-every", "memo-for-every-call-for-a-set", "empty-set"],
-    )
-    def test_a_memo_refuses_a_call_with_another_language_set(self, made_for, called_with):
-        memo = PageviewMemo(made_for)
-        with pytest.raises(ValueError, match="^a PageviewMemo made for languages "):
-            parse_pageviews_stream(["en Foo 1 0\n"], called_with, memo=memo)
-        assert memo.domains == {} and memo.counts == {} and memo.titles == {}
-
     @pytest.mark.parametrize("called_with", [{"de", "en"}, frozenset({"en", "de"}), ["en", "de"], ("de", "en")])
     def test_a_memo_takes_its_language_set_in_any_container(self, called_with):
-        memo = PageviewMemo({"en", "de"})
+        memo = PageviewMemo(called_with)
         lines = ["en Foo 1 0\n", "de.m Foo 2 0\n", "fr Foo 3 0\n"]
-        assert parse_pageviews_stream(lines, called_with, memo=memo) == {("en", "Foo"): 1, ("de", "Foo"): 2}
+        assert parse_pageviews_stream(lines, memo) == {("en", "Foo"): 1, ("de", "Foo"): 2}
         assert memo.domains == {"en": memo.titles["en"], "de.m": memo.titles["de"], "fr": None}
 
     def test_a_refused_count_is_tallied_on_every_line_that_repeats_it(self):
@@ -338,13 +327,13 @@ class TestStreamAgreesWithLineParser:
     def test_text_and_bytes_match_the_per_line_reference(self, lines, languages, corrupt):
         memo = PageviewMemo(languages)  # shared by both calls, as the usage stage shares it between files
         errors = []
-        totals = parse_pageviews_stream(lines, languages, errors=errors, memo=memo)
+        totals = parse_pageviews_stream(lines, memo, errors=errors)
         assert (totals, errors) == reference_totals(lines, languages)
 
         corrupt += [None] * (len(lines) - len(corrupt))
         byte_lines = [_as_bytes(line, at) for line, at in zip(lines, corrupt)]
         errors = []
-        totals = parse_pageviews_stream(byte_lines, languages, errors=errors, memo=memo)
+        totals = parse_pageviews_stream(byte_lines, memo, errors=errors)
         assert (totals, errors) == reference_totals(byte_lines, languages)
 
 
@@ -513,7 +502,7 @@ class TestAggregate:
         independent = []
         for path in paths:
             with open(path, "rb") as handle:
-                independent.append(parse_pageviews_stream(handle, {"en", "de"}, errors=independent_issues))
+                independent.append(parse_pageviews_stream(handle, PageviewMemo({"en", "de"}), errors=independent_issues))
         assert views == merge_views(*independent)
         assert issues == independent_issues
         assert [(i.line_number, i.reason) for i in issues] == [
@@ -680,6 +669,9 @@ class TestReadership:
     def test_header_only_gives_empty_table(self):
         assert parse_readership_table(io.StringIO(self.HEADER)) == {}
 
+    def test_empty_file_gives_empty_table(self):
+        assert parse_readership_table(io.StringIO("")) == {}
+
     def test_missing_column_raises(self):
         source = io.StringIO("language,country,readers\nen,US,600\n")
         with pytest.raises(ReadershipTableError):
@@ -711,6 +703,10 @@ class TestReadership:
     def test_bad_country_code_raises(self):
         source = io.StringIO(self.HEADER + "en,usa,1,1\n")
         with pytest.raises(ReadershipTableError):
+            parse_readership_table(source)
+        # and so does a bad language code, naming its row
+        source = io.StringIO(self.HEADER + "en,US,1,1\nEN,GB,1,1\n")
+        with pytest.raises(ReadershipTableError, match="^row 3: bad language code 'EN'$"):
             parse_readership_table(source)
 
     @pytest.mark.parametrize("extra", ["999", "", "999,1"], ids=["one-field", "empty-field", "two-fields"])

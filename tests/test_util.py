@@ -123,7 +123,7 @@ class TestFirstRepeat:
 
 
 class TestMemo:
-    """``Memo(item_number)``, the store readers' id memo."""
+    """``Memo(item_number)``, the store reader's id memo."""
 
     def test_each_token_is_parsed_once_and_shared(self):
         memo = Memo(item_number)
