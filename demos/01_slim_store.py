@@ -21,9 +21,10 @@ DUMP = """\
 
 keep_props = frozenset({17, 27})  # P17 and P27: every id is its number
 
+# the parser reads bytes lines, as from a dump file opened with open(path, "rb")
 errors = []
 entities = list(
-    parse_dump_stream(io.StringIO(DUMP), keep_props, {"enwiki"}, errors=errors)
+    parse_dump_stream(io.BytesIO(DUMP.encode("utf-8")), keep_props, {"enwiki"}, errors=errors)
 )
 
 print(f"parsed {len(entities)} entities, skipped {len(errors)} malformed line(s)")
@@ -34,7 +35,8 @@ for issue in errors:
     print(f"  line {issue.line_number} skipped: {issue.reason}")
 
 # persist to the compact store format and read it back; records come back
-# sorted by item number, which is what the two-pass attribution step expects
+# sorted by item number, which is what the two-pass attribution step expects.
+# A read names the properties it requires: the store must have kept them
 buffer = io.StringIO()
 with SlimStoreWriter(keep_props) as writer:
     for entity in entities:
@@ -43,5 +45,5 @@ with SlimStoreWriter(keep_props) as writer:
 print(f"\nslim store with {count} records:")
 print(buffer.getvalue())
 
-restored = list(read_slim_store(io.StringIO(buffer.getvalue())))
+restored = list(read_slim_store(io.StringIO(buffer.getvalue()), keep_props))
 print("round trip ok:", restored == sorted(entities, key=lambda e: e.id))

@@ -13,6 +13,7 @@ import io
 from fractions import Fraction
 
 from wikicoverage import (
+    PageviewMemo,
     SlimEntity,
     build_article_sets,
     compute_all,
@@ -40,8 +41,11 @@ en,DE,100,60
 en,FR,150,50
 """
 
+# the memo holds the run's languages and every verdict the parse reaches;
+# the usage stage makes one and passes it to every file's parse
+languages = ["en"]
 issues = []
-views = parse_pageviews_stream(io.StringIO(PAGEVIEWS), errors=issues)
+views = parse_pageviews_stream(io.StringIO(PAGEVIEWS), PageviewMemo(languages), errors=issues)
 print("view totals:", {f"{l}:{t}": v for (l, t), v in sorted(views.items())})
 print("malformed pageview lines:", len(issues))
 
@@ -56,7 +60,7 @@ entities = [
 related = {30, 22686}
 
 readership = parse_readership_table(io.StringIO(READERSHIP))
-rows, failures = compute_all(build_article_sets(entities, {"en"}), related, views, readership)
+rows, failures = compute_all(build_article_sets(entities, languages), related, views, readership, languages)
 assert not failures
 
 (row,) = rows

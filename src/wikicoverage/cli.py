@@ -16,7 +16,7 @@ from pathlib import Path
 from .attribution import read_attribution_tsv
 from .chart import LOG, SCALES
 from .clusters import AGGREGATION_MODES, POOLED
-from .errors import WikiCoverageError
+from .errors import ConfigError, WikiCoverageError
 from .metrics import MetricsRow, build_article_sets, join_attribution, read_metrics_tsv
 from .report import (
     RunConfig,
@@ -30,7 +30,7 @@ from .report import (
     usage_stage,
 )
 from .slimstore import load_slim_store, read_slim_store
-from .usage import language_list_problem, read_views_tsv
+from .usage import language_list_problem, pageview_files_problem, read_views_tsv
 
 
 def _languages(text: str) -> tuple[str, ...]:
@@ -70,6 +70,9 @@ def _cmd_attribute(args) -> int:
 
 
 def _cmd_usage(args) -> int:
+    problem = pageview_files_problem(args.pageviews)
+    if problem:
+        raise ConfigError(problem)
     views, issues = usage_stage(args.pageviews, args.languages, Path(args.out))
     print(f"aggregated {len(views)} (language, title) totals ({len(issues)} malformed lines)")
     return 0

@@ -45,20 +45,21 @@ class ParseIssue:
 
 
 def parse_dump_stream(
-    stream: Iterable[str | bytes],
+    stream: Iterable[bytes],
     keep_props: frozenset[int] | set[int],
     keep_wikis: set[str] | frozenset[str] | None = None,
     *,
-    errors: list[ParseIssue] | None = None,
+    errors: list[ParseIssue],
     require_terminator: bool = True,
 ) -> Iterator[SlimEntity]:
     """Yield one :class:`SlimEntity` per item entity, in file order.
 
-    ``keep_props`` must be a non-empty set of property numbers; claims outside it
-    are dropped, as are sitelinks outside ``keep_wikis`` (``None`` keeps every
-    sitelink).  Malformed lines are appended to ``errors`` (if given) and
-    skipped; the stream keeps going.  A dump that ends without its closing
-    ``]`` raises :class:`DumpTruncatedError` unless ``require_terminator`` is
+    ``stream`` yields bytes lines, as a binary file does.  ``keep_props`` must
+    be a non-empty set of property numbers; claims outside it are dropped, as
+    are sitelinks outside ``keep_wikis`` (``None`` keeps every sitelink).
+    Malformed lines, a line that is not UTF-8 among them, are appended to
+    ``errors`` and skipped.  A dump that ends without its closing ``]``
+    raises :class:`DumpTruncatedError` unless ``require_terminator`` is
     false, which is the mode used to parse dump fragments split between lines.
     """
     if not keep_props:
@@ -72,17 +73,14 @@ def parse_dump_stream(
 
     for line_number, raw in enumerate(stream, start=1):
         if pending_issue is not None:
-            if errors is not None:
-                errors.append(pending_issue)
+            errors.append(pending_issue)
             pending_issue = None
         last_line_number = line_number
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                pending_issue = ParseIssue(line_number, "invalid UTF-8")
-                continue
-        line = raw.strip()
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            pending_issue = ParseIssue(line_number, "invalid UTF-8")
+            continue
         if not line or line == "[":
             continue
         if line == "]":
@@ -101,7 +99,7 @@ def parse_dump_stream(
         raise DumpTruncatedError(
             f"dump ended at line {last_line_number} without closing ']'{detail}"
         )
-    if pending_issue is not None and errors is not None:
+    if pending_issue is not None:
         errors.append(pending_issue)
 
 

@@ -235,18 +235,17 @@ def compute_all(
     related: AbstractSet[int],
     views: Mapping[tuple[str, str], int],
     readership: Mapping[str, list[ReadershipRecord]],
-    languages: Iterable[str] | None = None,
+    languages: Iterable[str],
 ) -> tuple[list[MetricsRow], dict[str, WikiCoverageError]]:
-    """One row per language, language-sorted; failures tagged, others produced.
+    """One row per language of ``languages``, language-sorted; failures tagged, others produced.
 
     ``related`` holds the related item numbers, ``views`` maps (language,
     title) to total views and ``readership`` maps a language to its
     readership rows.
     """
-    requested = sorted(set(languages)) if languages is not None else sorted(article_sets)
     rows: list[MetricsRow] = []
     failures: dict[str, WikiCoverageError] = {}
-    for language in requested:
+    for language in sorted(set(languages)):
         try:
             articles = article_sets.get(language)
             if articles is None:

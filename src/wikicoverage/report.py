@@ -58,6 +58,7 @@ from .usage import (
     language_list_problem,
     load_readership,
     merge_views,
+    pageview_files_problem,
     parse_pageviews_stream,
     read_pageview_lines,
     write_views_tsv,
@@ -110,7 +111,7 @@ class RunConfig:
     svg: bool = True
 
     def validate(self) -> None:
-        problem = language_list_problem(self.languages)
+        problem = language_list_problem(self.languages) or pageview_files_problem(self.pageviews)
         if problem:
             raise ConfigError(problem)
         if (self.dump is None) == (self.slim is None):

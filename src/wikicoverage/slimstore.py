@@ -20,14 +20,14 @@ that ``props=`` holds every property the caller requires, line numbers,
 blank lines, the header count in both directions, the sitelink checks and
 the item order.  It picks its record parse once per read:
 
-* By default, and whenever the caller requires a property, each line goes
-  through the checked whole-record parse, and a record holds every stored
-  claim.  It validates every id token and reads each as its number: record
-  ids and claim values must be items, the header's ``props=`` properties,
-  and a claim key is looked up among the header's properties.  Each
-  distinct claim value is read once per read, through a
-  ``util.Memo(item_number)``, on its first appearance, and equal values
-  then share one int.
+* A read that requires a property (``rules.required_properties``, as
+  ``attribute`` reads) puts each line through the checked whole-record
+  parse, and a record holds every stored claim.  It validates every id
+  token and reads each as its number: record ids and claim values must be
+  items, the header's ``props=`` properties, and a claim key is looked up
+  among the header's properties.  Each distinct claim value is read once
+  per read, through a ``util.Memo(item_number)``, on its first appearance,
+  and equal values then share one int.
 * A read that requires no property (``required_props=()``, as ``metrics``
   reads) builds no claim.  It checks the claims field whole against one
   pattern compiled from ``props=``; a field that fails the pattern is
@@ -401,9 +401,7 @@ def _unclaimed_parser(props: _Declared, values: Memo) -> Callable[[str, int], Sl
     return parse
 
 
-def read_slim_store(
-    source: Iterable[str], required_props: Iterable[int] | None = None
-) -> Iterator[SlimEntity]:
+def read_slim_store(source: Iterable[str], required_props: Iterable[int]) -> Iterator[SlimEntity]:
     """Yield the stored records in stored order.  Each holds every stored
     claim, unless ``required_props`` is empty: a read that requires no
     property builds no claim.
@@ -418,7 +416,7 @@ def read_slim_store(
     """
     lines = iter(source)
     header = read_store_header(lines)
-    required = set(() if required_props is None else required_props)
+    required = set(required_props)
     missing = required.difference(header.props)
     if missing:
         ids = ", ".join(["P%d" % prop for prop in sorted(missing)])
@@ -429,10 +427,7 @@ def read_slim_store(
     props = _Declared(header.props)
     # one id memo per read: a memo that outlived its file would grow with every file read
     values = Memo(item_number)
-    if required or required_props is None:
-        parse = partial(_parse_record, props, values)
-    else:
-        parse = _unclaimed_parser(props, values)
+    parse = partial(_parse_record, props, values) if required else _unclaimed_parser(props, values)
     seen = 0
     previous = 0  # the item number of the record before; every id is above 0
     for line_number, raw in enumerate(lines, start=3):
@@ -480,7 +475,7 @@ def save_slim_store(writer: SlimStoreWriter, path: Path | str) -> int:
     return count
 
 
-def load_slim_store(path: Path | str, required_props: Iterable[int] | None = None) -> Iterator[SlimEntity]:
+def load_slim_store(path: Path | str, required_props: Iterable[int]) -> Iterator[SlimEntity]:
     """:func:`read_slim_store` over the file at ``path``, which stays open
     until the last record is read or the stream is closed."""
     with open(path, encoding="utf-8") as source:

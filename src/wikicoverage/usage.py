@@ -34,7 +34,8 @@ key or the reason it is refused.  So a refused line's reason is read from
 the verdicts.  The usage stage makes one memo for its language set, passes
 it to every file's call, and drops it when the stage ends: each distinct
 domain, count text and title is judged once per usage stage, not once per
-file, and the keys the totals hold are the memo's own.
+file, and the keys the totals hold are the memo's own.  A file given twice
+would count its views twice: :func:`pageview_files_problem` refuses it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import csv
 import re
 from functools import partial
 from itertools import chain
+from pathlib import Path
 from typing import IO, BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from .dump import ParseIssue
@@ -81,6 +83,18 @@ def language_list_problem(languages: Sequence[str]) -> str | None:
             return f"bad language code {language!r}"
         if language in languages[:index]:
             return f"repeated language code {language!r}"
+    return None
+
+
+def pageview_files_problem(paths: Iterable[Path | str]) -> str | None:
+    """Why ``paths`` cannot be a run's pageview files, or None: a file given
+    twice, compared after :meth:`Path.resolve`, would count its views twice."""
+    seen: set[Path] = set()
+    for path in paths:
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            return f"pageview file given twice: {path}"
+        seen.add(resolved)
     return None
 
 
@@ -217,31 +231,20 @@ def read_pageview_lines(handle: BinaryIO) -> Iterator[str | bytes]:
 
 
 def parse_pageviews_stream(
-    lines: Iterable[str | bytes],
-    memo: PageviewMemo | None = None,
-    *,
-    errors: list[ParseIssue] | None = None,
+    lines: Iterable[str | bytes], memo: PageviewMemo, *, errors: list[ParseIssue]
 ) -> dict[tuple[str, str], int]:
-    """Exact view totals per (language, title) of a whole pageviews file,
-    tallying malformed lines and moving on.
+    """Exact view totals per (language, title) of a whole pageviews file;
+    each malformed line is appended to ``errors`` and skipped.
 
-    The languages kept are those ``memo`` was made for; with no memo the
-    call makes its own, which keeps every language.  Byte lines are decoded
-    as UTF-8; an undecodable line is tallied as ``invalid UTF-8``.  Blank
-    lines are skipped.  Each distinct domain, view count text and (language,
-    raw title) is judged once per ``memo``: pass the usage stage's memo to
-    every file's call, so each is judged once per usage stage.
+    The languages kept are those ``memo`` was made for.  Byte lines are
+    decoded as UTF-8; an undecodable line is tallied as ``invalid UTF-8``.
+    Blank lines are skipped.  Each distinct domain, view count text and
+    (language, raw title) is judged once per ``memo``, which the usage
+    stage shares between its files.
     """
-    if memo is None:
-        memo = PageviewMemo()
     domains, counts = memo.domains, memo.counts
     totals: dict[tuple[str, str], int] = {}
     get = totals.get
-
-    def tally(line_number: int, reason: str) -> None:
-        if errors is not None:
-            errors.append(ParseIssue(line_number, reason))
-
     for line_number, line in enumerate(lines, start=1):
         try:
             domain, raw_title, count_text, _ = line.split(" ")
@@ -250,12 +253,12 @@ def parse_pageviews_stream(
                 try:
                     line = line.decode("utf-8")
                 except UnicodeDecodeError:
-                    tally(line_number, "invalid UTF-8")
+                    errors.append(ParseIssue(line_number, "invalid UTF-8"))
                     continue
             fields = line.split(" ")
             if len(fields) != 4:
                 if line.strip():
-                    tally(line_number, f"expected 4 space-separated fields, got {len(fields)}")
+                    errors.append(ParseIssue(line_number, f"expected 4 space-separated fields, got {len(fields)}"))
                 continue
             domain, raw_title, count_text, _ = fields
         try:
@@ -271,7 +274,7 @@ def parse_pageviews_stream(
             views = counts[count_text] = _count_verdict(count_text)
         if views.__class__ is str or key.__class__ is str:
             # the reasons in order: an empty title, the count, then BAD_TITLE
-            tally(line_number, key if key == EMPTY_TITLE or views.__class__ is int else views)
+            errors.append(ParseIssue(line_number, key if key == EMPTY_TITLE or views.__class__ is int else views))
             continue
         totals[key] = get(key, 0) + views
     return totals
@@ -288,22 +291,17 @@ def aggregate_views(records: Iterable[tuple[str, str, int]]) -> dict[tuple[str, 
     return totals
 
 
-def merge_views(*parts: dict[tuple[str, str], int]) -> dict[tuple[str, str], int]:
-    """Add the later per-shard totals into the first, in place, and return it.
-
-    The result equals a single pass over the concatenation; the later parts
-    are left as they were, and no parts gives ``{}``.  The usage stage folds
-    each shard's totals into its running totals this way as soon as the
-    shard has been read, so it never holds every shard's totals at once.
-    """
-    if not parts:
-        return {}
-    merged = parts[0]
-    get = merged.get
-    for part in parts[1:]:
-        for key, views in part.items():
-            merged[key] = get(key, 0) + views
-    return merged
+def merge_views(
+    totals: dict[tuple[str, str], int], part: dict[tuple[str, str], int]
+) -> dict[tuple[str, str], int]:
+    """Add ``part``'s totals into ``totals`` in place and return ``totals``:
+    the totals of one pass over both.  The usage stage folds each file's
+    totals into its running totals this way once the file is read, so it
+    never holds every file's totals at once."""
+    get = totals.get
+    for key, views in part.items():
+        totals[key] = get(key, 0) + views
+    return totals
 
 
 def parse_readership_table(source: Iterable[str]) -> dict[str, list[ReadershipRecord]]:

@@ -106,9 +106,9 @@ def format_fraction(value: Fraction, places: int = 6) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def percent(value: Fraction, places: int = 2) -> str:
-    """Render a fraction as a percentage string, e.g. ``31.58%``."""
-    return format_fraction(value * 100, places) + "%"
+def percent(value: Fraction) -> str:
+    """Render a fraction as a percentage string at 2 decimals, e.g. ``31.58%``."""
+    return format_fraction(value * 100, 2) + "%"
 
 
 def sha256_file(path: Path) -> str:
@@ -153,16 +153,15 @@ def iter_tsv(
         yield line_number, value
 
 
-def read_tsv(
-    source: Iterable[str], columns: tuple[str, ...], row: Callable[[list[str]], tuple], header: bool = True
-) -> dict:
-    """Read a tab-separated artifact (:func:`iter_tsv`) into ``{key: value}``, in line order.
+def read_tsv(source: Iterable[str], columns: tuple[str, ...], row: Callable[[list[str]], tuple]) -> dict:
+    """Read a tab-separated artifact with its header (:func:`iter_tsv`) into
+    ``{key: value}``, in line order.
 
     ``row`` turns a line's fields into a ``(key, value)`` that no earlier line
     gave; a repeated key raises ValueError led by ``line N: ``.
     """
     result = {}
-    for line_number, (key, value) in iter_tsv(source, columns, row, header):
+    for line_number, (key, value) in iter_tsv(source, columns, row):
         if key in result:
             raise ValueError(f"line {line_number}: repeated key {key}")
         result[key] = value

@@ -216,7 +216,7 @@ class TestMetricsOracleEquivalence:
             views = {("en", "Lone_Article"): 10}
             readership = {"en": [ReadershipRecord("en", "US", 5, 9)]}
             rows, failures = compute_all(
-                build_article_sets(entities, ("en",)), {1}, views, readership
+                build_article_sets(entities, ("en",)), {1}, views, readership, ("en",)
             )
             assert failures == {}
             (row,) = rows
@@ -281,8 +281,8 @@ def peak_kib():
 path = sys.argv[1]
 keep = frozenset({17, 27, 31})
 started = time.perf_counter()
-with open(path, encoding="utf-8") as handle:
-    count = sum(1 for _ in parse_dump_stream(handle, keep))
+with open(path, "rb") as handle:
+    count = sum(1 for _ in parse_dump_stream(handle, keep, errors=[]))
 elapsed = time.perf_counter() - started
 print(json.dumps({"entities": count, "seconds": elapsed, "maxrss_kib": peak_kib()}))
 """
@@ -454,7 +454,7 @@ class TestStreamedStore:
             finally:
                 tracemalloc.stop()
             with open(dump, "rb") as source:
-                assert list(parse_dump_stream(source, RuleSet().required_properties, {"enwiki"})) == entities
+                assert list(parse_dump_stream(source, RuleSet().required_properties, {"enwiki"}, errors=[])) == entities
             del entities
 
             monkeypatch.setattr(slimstore, "RUN_CHARS", 30 * 900)  # each store line is about 900 characters
@@ -504,7 +504,7 @@ class TestSlimStoreRoundTrip:
                     writer.add(entity)
                 count = writer.write(sink)
             assert count == 1_200
-            restored = list(read_slim_store(io.StringIO(sink.getvalue())))
+            restored = list(read_slim_store(io.StringIO(sink.getvalue()), STORE_PROPS))
             expected = sorted(entities, key=lambda e: e.id)
             discrepancies = sum(1 for a, b in zip(restored, expected) if a != b)
             discrepancies += abs(len(restored) - len(expected))

@@ -239,6 +239,18 @@ class TestErrorsAndFlags:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_pageview_file_given_twice_is_a_clean_error(self, tmp_path, capsys):
+        pageviews = FIXTURE / "pageviews-a.txt"
+        again = FIXTURE / ".." / "data" / "pageviews-a.txt"
+        for argv in (
+            ["usage", pageviews, again, "--out", tmp_path / "views.tsv"],
+            ["all", pageviews, again, "--dump", FIXTURE / "dump.json", "--readership", FIXTURE / "readership.csv",
+             "--languages", "en,de", "--out", tmp_path / "all"],
+        ):
+            assert run(argv) == 1
+            assert capsys.readouterr().err.endswith(f"pageview file given twice: {again}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_count_in_metrics_tsv_is_a_clean_error(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.tsv"
         header = "\t".join(METRICS_COLUMNS) + "\n"

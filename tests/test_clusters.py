@@ -1,6 +1,7 @@
 import codecs
 import io
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wikicoverage.clusters import (
+    ClusterRow,
     aggregate_all,
     aggregate_cluster,
     assign_clusters,
@@ -40,6 +42,21 @@ def random_row(rng, language):
     related_views = rng.randint(0, total_views)
     country = rng.choice(["US", "DE", "MX", "BR", "PL"])
     return row(language, country, related_views, total_views, related_articles, articles)
+
+
+class TestClusterRow:
+    @pytest.mark.parametrize(
+        "popularity, articles, members, problem",
+        [
+            (Fraction(1, 2), Fraction(1, 2), (), "cluster has no member languages"),
+            (Fraction(3, 2), Fraction(1, 2), ("en",), "popularity share out of [0, 1]: 3/2"),
+            (Fraction(1, 2), Fraction(-1, 2), ("en",), "article share out of [0, 1]: -1/2"),
+        ],
+        ids=["no-members", "popularity-above-one", "articles-below-zero"],
+    )
+    def test_a_row_outside_its_bounds_is_refused(self, popularity, articles, members, problem):
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            ClusterRow("Anglo", popularity, articles, members)
 
 
 class TestAssign:

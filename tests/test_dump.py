@@ -16,7 +16,9 @@ KEEP = frozenset({17, 19, 27, 31, 276, 495})
 
 
 def parse(text, keep=KEEP, wikis=None, errors=None, **kwargs):
-    return list(parse_dump_stream(io.StringIO(text), keep, wikis, errors=errors, **kwargs))
+    """The items of ``text``, read as UTF-8 lines from a binary handle, as the slim stage reads a dump."""
+    errors = [] if errors is None else errors
+    return list(parse_dump_stream(io.BytesIO(text.encode("utf-8")), keep, wikis, errors=errors, **kwargs))
 
 
 class TestBasicParsing:
@@ -315,7 +317,7 @@ class TestByteInput:
     def test_bytes_lines_are_decoded(self):
         text = dump_text([entity_json("Q1", sitelinks={"enwiki": "Café"})])
         stream = io.BytesIO(text.encode("utf-8"))
-        (entity,) = list(parse_dump_stream(stream, KEEP))
+        (entity,) = list(parse_dump_stream(stream, KEEP, errors=[]))
         assert entity.sitelinks["enwiki"] == "Café"
 
     def test_invalid_utf8_line_is_tallied(self):

@@ -305,6 +305,9 @@ class TestViewShares:
 
 
 class TestComputeAll:
+    # the run's language list, in the order a user may give it; rows come back sorted
+    LANGUAGES = ("fr", "en", "de")
+
     def fixture(self):
         entities = [
             SlimEntity(1, {}, {"enwiki": "A", "dewiki": "A"}),
@@ -326,12 +329,12 @@ class TestComputeAll:
             "de": [rr("de", "DE", 75, 50), rr("de", "AT", 25, 50)],
             "fr": [rr("fr", "FR", 9, 9), rr("fr", "BE", 1, 1)],
         }
-        article_sets = build_article_sets(entities, {"en", "de", "fr"})
+        article_sets = build_article_sets(entities, self.LANGUAGES)
         return article_sets, related, views, readership
 
     def test_three_language_fixture_matches_per_op_oracles(self):
         article_sets, related, views, readership = self.fixture()
-        rows, failures = compute_all(article_sets, related, views, readership)
+        rows, failures = compute_all(article_sets, related, views, readership, self.LANGUAGES)
         assert failures == {}
         by_lang = {row.language: row for row in rows}
         # oracle: values recomputed by hand from the fixture tables above
@@ -348,7 +351,7 @@ class TestComputeAll:
     def test_language_without_readership_fails_alone(self):
         article_sets, related, views, readership = self.fixture()
         del readership["de"]
-        rows, failures = compute_all(article_sets, related, views, readership)
+        rows, failures = compute_all(article_sets, related, views, readership, self.LANGUAGES)
         assert {row.language for row in rows} == {"en", "fr"}
         assert set(failures) == {"de"}
         assert isinstance(failures["de"], NoReadershipError)
@@ -358,14 +361,14 @@ class TestComputeAll:
         related = {1}
         views = {("en", "Only"): 10}
         readership = {"en": [rr("en", "US", 3, 7)]}
-        rows, failures = compute_all(build_article_sets(entities, {"en"}), related, views, readership)
+        rows, failures = compute_all(build_article_sets(entities, {"en"}), related, views, readership, ["en"])
         assert failures == {}
         (row,) = rows
         assert (row.ppcrw, row.vpc, row.ras, row.ravs) == (1, 1, 1, 1)
 
     def test_rows_come_back_language_sorted(self):
         article_sets, related, views, readership = self.fixture()
-        rows, _ = compute_all(article_sets, related, views, readership)
+        rows, _ = compute_all(article_sets, related, views, readership, self.LANGUAGES)
         assert [row.language for row in rows] == ["de", "en", "fr"]
 
     def test_failure_messages_are_exact_and_in_check_order(self):

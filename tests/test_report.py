@@ -428,14 +428,14 @@ class TestItemNumbers:
     def test_the_readers_yield_int_ids_and_claim_values(self, tmp_path):
         rules = load_rules(FIXTURE / "rules.txt")
         with open(FIXTURE / "dump.json", "rb") as handle:
-            parsed = list(parse_dump_stream(handle, rules.required_properties, {"enwiki", "dewiki"}))
+            parsed = list(parse_dump_stream(handle, rules.required_properties, {"enwiki", "dewiki"}, errors=[]))
         store = tmp_path / "entities.slim"
         with slimstore.SlimStoreWriter(rules.required_properties) as writer:
             for record in parsed:
                 writer.add(record)
             slimstore.save_slim_store(writer, store)
         with open(store, encoding="utf-8") as source:
-            stored = list(slimstore.read_slim_store(source))
+            stored = list(slimstore.read_slim_store(source, rules.required_properties))
         with open(store, encoding="utf-8") as source:
             sitelinks = list(slimstore.read_slim_store(source, ()))
         assert stored == sorted(parsed, key=lambda record: record.id)
@@ -458,7 +458,7 @@ class TestItemNumbers:
             assert {type(prop) for prop in rules.required_properties} == {int}
         rules = load_rules(FIXTURE / "rules.txt")
         with open(FIXTURE / "dump.json", "rb") as handle:
-            results = attribute_all(parse_dump_stream(handle, rules.required_properties), {}, rules)
+            results = attribute_all(parse_dump_stream(handle, rules.required_properties, errors=[]), {}, rules)
         nodes = [node for paths in results.values() for path in paths for node in path]
         assert nodes and {type(node) for node in nodes} == {int}
 
@@ -506,6 +506,21 @@ class TestRunConfigValidation:
         with pytest.raises(PipelineStageError) as err:
             run_pipeline(config)
         assert err.value.stage == "config"
+
+    def test_a_pageview_file_given_twice_fails_as_the_config_stage(self, tmp_path):
+        # each copy's views would be counted, and the manifest, keyed by path, would list one
+        twice = (FIXTURE / "pageviews-a.txt", FIXTURE / "pageviews-b.txt", FIXTURE / "pageviews-a.txt")
+        config = RunConfig(
+            out_dir=tmp_path / "out",
+            languages=("en", "de"),
+            dump=FIXTURE / "dump.json",
+            pageviews=twice,
+            readership=FIXTURE / "readership.csv",
+        )
+        with pytest.raises(PipelineStageError, match="pageview file given twice: ") as err:
+            run_pipeline(config)
+        assert err.value.stage == "config"
+        assert not (tmp_path / "out").exists()
 
     def test_rejects_empty_language_list(self, tmp_path):
         config = RunConfig(out_dir=tmp_path, languages=(), dump=FIXTURE / "dump.json")

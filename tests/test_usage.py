@@ -5,6 +5,7 @@ import random
 import re
 import tempfile
 import tracemalloc
+from functools import reduce
 from pathlib import Path
 from urllib.parse import unquote
 
@@ -70,7 +71,7 @@ class TestParseLine:
         # int() refuses more than 4300 digits by default; the reason does not echo them
         lines = [f"en Foo {count} 0\n", "en Bar 5 0\n"]
         errors = []
-        assert parse_pageviews_stream(lines, errors=errors) == {("en", "Bar"): 5}
+        assert parse_pageviews_stream(lines, PageviewMemo(), errors=errors) == {("en", "Bar"): 5}
         assert errors == [ParseIssue(1, "view count too large (5000 digits)")]
 
     def test_count_of_as_many_digits_as_int_reads_is_kept_and_one_more_is_malformed(self):
@@ -145,13 +146,13 @@ class TestParseStream:
     def test_malformed_lines_are_tallied_and_skipped(self):
         lines = ["en Foo 1 0\n", "en Bar x 0\n", "en Baz 2 0\n"]
         errors = []
-        assert parse_pageviews_stream(lines, errors=errors) == {("en", "Foo"): 1, ("en", "Baz"): 2}
+        assert parse_pageviews_stream(lines, PageviewMemo(), errors=errors) == {("en", "Foo"): 1, ("en", "Baz"): 2}
         assert len(errors) == 1 and errors[0].line_number == 2
 
     def test_counts_that_are_not_ascii_digits_are_tallied_with_their_lines(self):
         lines = ["en Foo 1_000 0\n", "en Bar \u0663 0\n", "en Baz +5 0\n", "en Qux -4 0\n", "en Ok 7 0\n"]
         errors = []
-        assert parse_pageviews_stream(lines, errors=errors) == {("en", "Ok"): 7}
+        assert parse_pageviews_stream(lines, PageviewMemo(), errors=errors) == {("en", "Ok"): 7}
         assert errors == [
             ParseIssue(1, "non-numeric view count '1_000'"),
             ParseIssue(2, "non-numeric view count '\u0663'"),
@@ -162,7 +163,7 @@ class TestParseStream:
     def test_undecodable_line_is_tallied_and_skipped(self):
         shard = io.BytesIO(b"en Alpha 3 0\nen B\xe9ta 2 0\nen Gamma 4 0\n")
         errors = []
-        assert parse_pageviews_stream(shard, errors=errors) == {("en", "Alpha"): 3, ("en", "Gamma"): 4}
+        assert parse_pageviews_stream(shard, PageviewMemo(), errors=errors) == {("en", "Alpha"): 3, ("en", "Gamma"): 4}
         assert [(e.line_number, e.reason) for e in errors] == [(2, "invalid UTF-8")]
 
     def test_byte_lines_parse_like_text_lines(self):
@@ -174,7 +175,7 @@ class TestParseStream:
         assert byte_errors == text_errors and len(text_errors) == 2
 
     def test_blank_lines_are_ignored(self):
-        assert parse_pageviews_stream(["\n", "en Foo 1 0\n"]) == {("en", "Foo"): 1}
+        assert parse_pageviews_stream(["\n", "en Foo 1 0\n"], PageviewMemo(), errors=[]) == {("en", "Foo"): 1}
 
     def test_bad_title_is_tallied_once_per_line_and_memoised_once(self):
         lines = ["en Foo%0ABar 5 0\n", "en Foo 1 0\n", "en.m Foo%0ABar 2 0\n", "en A\tB 3 0\n", "en  4 0\n"]
@@ -188,8 +189,8 @@ class TestParseStream:
 
     def test_shared_memo_normalises_each_title_once_across_shards(self):
         memo = PageviewMemo()
-        first = parse_pageviews_stream(["en Caf%C3%A9 1 0\n", "de Foo 2 0\n"], memo=memo)
-        second = parse_pageviews_stream(["en.m Caf%C3%A9 3 0\n"], memo=memo)
+        first = parse_pageviews_stream(["en Caf%C3%A9 1 0\n", "de Foo 2 0\n"], memo=memo, errors=[])
+        second = parse_pageviews_stream(["en.m Caf%C3%A9 3 0\n"], memo=memo, errors=[])
         assert first == {("en", "Caf\u00e9"): 1, ("de", "Foo"): 2} and second == {("en", "Caf\u00e9"): 3}
         assert next(iter(first)) is next(iter(second))
         assert memo.titles == {"en": {"Caf%C3%A9": ("en", "Caf\u00e9")}, "de": {"Foo": ("de", "Foo")}}
@@ -198,20 +199,20 @@ class TestParseStream:
     def test_a_memo_takes_its_language_set_in_any_container(self, called_with):
         memo = PageviewMemo(called_with)
         lines = ["en Foo 1 0\n", "de.m Foo 2 0\n", "fr Foo 3 0\n"]
-        assert parse_pageviews_stream(lines, memo) == {("en", "Foo"): 1, ("de", "Foo"): 2}
+        assert parse_pageviews_stream(lines, memo, errors=[]) == {("en", "Foo"): 1, ("de", "Foo"): 2}
         assert memo.domains == {"en": memo.titles["en"], "de.m": memo.titles["de"], "fr": None}
 
     def test_a_refused_count_is_tallied_on_every_line_that_repeats_it(self):
         lines = ["en A x 0\n", "en B 1 0\n", "en C x 0\n", "de A x 0\n", "en A 2 0\n", "en D x 0\n"]
         errors = []
-        assert parse_pageviews_stream(lines, errors=errors) == {("en", "B"): 1, ("en", "A"): 2}
+        assert parse_pageviews_stream(lines, PageviewMemo(), errors=errors) == {("en", "B"): 1, ("en", "A"): 2}
         assert errors == [ParseIssue(n, "non-numeric view count 'x'") for n in (1, 3, 4, 6)]
 
     def test_a_repeated_count_keeps_the_order_of_the_reasons(self):
         # the count is read once, but an empty title still wins over it and a bad title still loses
         lines = ["en A x 0\n", "en  x 0\n", "en Foo%0A x 0\n", "en Foo%0A 3 0\n", "en  3 0\n", "en A 3 0\n"]
         errors = []
-        assert parse_pageviews_stream(lines, errors=errors) == {("en", "A"): 3}
+        assert parse_pageviews_stream(lines, PageviewMemo(), errors=errors) == {("en", "A"): 3}
         assert [(e.line_number, e.reason) for e in errors] == [
             (1, "non-numeric view count 'x'"),
             (2, "empty title"),
@@ -223,7 +224,7 @@ class TestParseStream:
     def test_a_count_one_digit_too_long_is_refused_each_time_it_appears(self):
         lines = [f"en Foo {'1' * 4301} 0\n", "en Bar 5 0\n", f"en Baz {'1' * 4301} 0\n"]
         errors = []
-        assert parse_pageviews_stream(lines, errors=errors) == {("en", "Bar"): 5}
+        assert parse_pageviews_stream(lines, PageviewMemo(), errors=errors) == {("en", "Bar"): 5}
         assert errors == [ParseIssue(n, "view count too large (4301 digits)") for n in (1, 3)]
 
 
@@ -467,7 +468,7 @@ class TestAggregate:
 
     def test_mobile_fold_preserves_language_sum(self):
         lines = ["en Foo 2 0\n", "en.m Foo 3 0\n", "en.m Bar 4 0\n"]
-        totals = parse_pageviews_stream(lines)
+        totals = parse_pageviews_stream(lines, PageviewMemo(), errors=[])
         assert totals == {("en", "Foo"): 5, ("en", "Bar"): 4}
         assert sum(totals.values()) == 9
 
@@ -479,12 +480,12 @@ class TestAggregate:
             f"{rng.choice(['en', 'de'])} {rng.choice(['A', 'B', 'C', 'D'])} {rng.randint(0, 50)} 0\n"
             for _ in range(rng.randint(0, 200))
         ]
-        single_pass = parse_pageviews_stream(lines)
+        single_pass = parse_pageviews_stream(lines, PageviewMemo(), errors=[])
         parts = [[] for _ in range(shards)]
         for line in lines:
             parts[rng.randrange(shards)].append(line)
         memo = PageviewMemo()
-        sharded = merge_views(*[parse_pageviews_stream(part, memo=memo) for part in parts])
+        sharded = reduce(merge_views, [parse_pageviews_stream(part, memo=memo, errors=[]) for part in parts])
         assert sharded == single_pass
 
     def test_usage_stage_with_one_memo_equals_independent_shards(self, tmp_path):
@@ -503,7 +504,7 @@ class TestAggregate:
         for path in paths:
             with open(path, "rb") as handle:
                 independent.append(parse_pageviews_stream(handle, PageviewMemo({"en", "de"}), errors=independent_issues))
-        assert views == merge_views(*independent)
+        assert views == reduce(merge_views, independent)
         assert issues == independent_issues
         assert [(i.line_number, i.reason) for i in issues] == [
             (4, BAD_TITLE), (4, "expected 4 space-separated fields, got 3"), (5, "invalid UTF-8")
@@ -562,16 +563,11 @@ class TestAggregate:
         first = {("en", "A"): 1, ("en", "B"): 2}
         second = {("en", "B"): 3, ("de", "A"): 4}
         third = {("en", "A"): 5}
-        merged = merge_views(first, second, third)
+        merged = merge_views(merge_views(first, second), third)
         assert merged is first
         assert merged == {("en", "A"): 6, ("en", "B"): 5, ("de", "A"): 4}
         assert second == {("en", "B"): 3, ("de", "A"): 4}
         assert third == {("en", "A"): 5}
-
-    def test_merge_of_one_part_returns_it_and_of_none_an_empty_dict(self):
-        only = {("en", "A"): 1}
-        assert merge_views(only) is only and only == {("en", "A"): 1}
-        assert merge_views() == {}
 
     def test_usage_stage_peak_memory_is_flat_in_the_number_of_shards(self, tmp_path):
         # the same 2,000 titles in every shard: the running totals do not grow
@@ -621,7 +617,7 @@ class TestAggregate:
         rng = random.Random(42)
         records = [("en", f"T{rng.randint(1, 30)}", rng.randint(0, 9)) for _ in range(1000)]
         shards = [records[i::4] for i in range(4)]
-        assert merge_views(*[aggregate_views(s) for s in shards]) == aggregate_views(records)
+        assert reduce(merge_views, [aggregate_views(s) for s in shards]) == aggregate_views(records)
 
 
 class TestLanguageList:

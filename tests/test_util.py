@@ -11,7 +11,7 @@ from wikicoverage.entities import item_number
 from wikicoverage.errors import WikiCoverageError
 from wikicoverage.metrics import METRICS_COLUMNS, read_metrics_tsv
 from wikicoverage.slimstore import read_store_header
-from wikicoverage.usage import parse_pageviews_stream, parse_readership_table, read_views_tsv
+from wikicoverage.usage import PageviewMemo, parse_pageviews_stream, parse_readership_table, read_views_tsv
 from wikicoverage.util import (
     Memo,
     first_repeat,
@@ -57,7 +57,7 @@ class TestParseCount:
 
 def _pageview_reason(count):
     errors = []
-    assert parse_pageviews_stream([f"en Foo {count} 0\n"], errors=errors) == {}
+    assert parse_pageviews_stream([f"en Foo {count} 0\n"], PageviewMemo(), errors=errors) == {}
     (issue,) = errors
     raise ValueError(issue.reason)
 
@@ -186,7 +186,8 @@ class TestTitleNormalization:
     def test_pageview_escape_of_a_byte_that_is_not_utf8_becomes_a_replacement_character(self):
         # views.tsv keys on this form, so two such titles total under one key
         assert normalize_pageview_title("A%E9") == normalize_pageview_title("A%E8") == "A\ufffd"
-        assert parse_pageviews_stream(["en A%E9 1 0\n", "en A%E8 2 0\n"]) == {("en", "A\ufffd"): 3}
+        lines = ["en A%E9 1 0\n", "en A%E8 2 0\n"]
+        assert parse_pageviews_stream(lines, PageviewMemo(), errors=[]) == {("en", "A\ufffd"): 3}
 
     def test_pageview_decoded_space_becomes_underscore(self):
         assert normalize_pageview_title("A%20B") == "A_B"
