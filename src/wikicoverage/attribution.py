@@ -63,13 +63,6 @@ GeoIndex = Mapping[int, tuple[int, ...]]
 Provenance = tuple[tuple[int, ...], ...]
 
 
-def _checked_depth(depth: int) -> int:
-    """``depth`` if it is a valid ``max_depth``, else ValueError."""
-    if depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {depth}")
-    return depth
-
-
 @dataclass(frozen=True)
 class RuleSet:
     """Configuration for attribution.
@@ -79,7 +72,8 @@ class RuleSet:
     hops.  Items whose instance-of claim hits ``exclude_classes`` are never
     attributed (navigation pages, not topics).  Every id is its number:
     ``target`` and ``exclude_classes`` hold item numbers, the three property
-    sets property numbers.
+    sets property numbers, as :func:`parse_rules` reads them; it also checks
+    that ``max_depth`` is at least 1.
     """
 
     target: int = UNITED_STATES
@@ -90,14 +84,9 @@ class RuleSet:
     exclude_classes: frozenset[int] = frozenset({DISAMBIGUATION_PAGE})
 
     def __post_init__(self):
-        ids = (self.target, *self.exclude_classes, *self.direct_props, *self.place_props, *self.geo_chain_props)
-        for number in ids:
-            if type(number) is not int or number < 1:
-                raise ValueError(f"a rule set id must be a positive int, got {number!r}")
         if self.direct_props & self.place_props:
             overlap = ", ".join(["P%d" % prop for prop in sorted(self.direct_props & self.place_props)])
             raise ValueError(f"direct and place property sets overlap: {overlap}")
-        _checked_depth(self.max_depth)
 
     @cached_property
     def path_order(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -260,7 +249,10 @@ def parse_rules(text: str) -> RuleSet:
             if key == "target":
                 kwargs["target"] = item_number(value)
             elif key == "max_depth":
-                kwargs["max_depth"] = _checked_depth(parse_count(value, "max_depth"))
+                depth = parse_count(value, "max_depth")
+                if depth < 1:
+                    raise ValueError(f"max_depth must be >= 1, got {depth}")
+                kwargs["max_depth"] = depth
             elif key in _LIST_KEYS:
                 name, read_id = _LIST_KEYS[key]
                 ids = _id_list(key, value, read_id)

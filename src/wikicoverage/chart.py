@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import EmptyChartError
 from .metrics import MetricsRow
 
 RED = "red"
@@ -69,8 +68,6 @@ class ChartData:
 
 def build_chart_data(rows: Iterable[MetricsRow], scale: str = LOG) -> ChartData:
     """One datum per row; under a log scale zero-valued rows are dropped and tallied."""
-    if scale not in SCALES:
-        raise ValueError(f"unknown scale {scale!r}")
     data: list[ChartDatum] = []
     dropped = 0
     for row in rows:
@@ -126,16 +123,14 @@ def _fmt(value: float) -> str:
 
 
 def render_svg(data: Sequence[ChartDatum], scale: str = LOG) -> str:
-    """Static SVG bubble chart; radius grows with the square root of size."""
-    if not data:
-        raise EmptyChartError("no chart data to render")
-    if scale not in SCALES:
-        raise ValueError(f"unknown scale {scale!r}")
+    """Static SVG bubble chart; radius grows with the square root of size.
 
+    ``data`` is not empty, and every size is positive (an article count).
+    """
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     max_size = max(d.size for d in data)
-    radius_unit = _MAX_RADIUS / math.sqrt(max_size) if max_size > 0 else 0.0
+    radius_unit = _MAX_RADIUS / math.sqrt(max_size)
 
     def sx(value: float) -> float:
         return _MARGIN_LEFT + plot_w * _project(value, *AXIS_LIMITS, scale)

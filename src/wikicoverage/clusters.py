@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Mapping
 
-from .errors import UndefinedAggregateError
 from .metrics import MetricsRow
 from .usage import COUNTRY_RE
 from .util import format_fraction, overlong_row
@@ -26,20 +25,13 @@ AGGREGATION_MODES = (POOLED, MEAN)
 
 @dataclass(frozen=True)
 class ClusterRow:
-    """Aggregated shares for one cultural cluster."""
+    """Aggregated shares for one cultural cluster: pooled or mean shares of
+    checked :class:`MetricsRow` members, so each lies in [0, 1]."""
 
     cluster: str
     popularity_share: Fraction
     article_share: Fraction
     member_languages: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.member_languages:
-            raise ValueError("cluster has no member languages")
-        if not 0 <= self.popularity_share <= 1:
-            raise ValueError(f"popularity share out of [0, 1]: {self.popularity_share}")
-        if not 0 <= self.article_share <= 1:
-            raise ValueError(f"article share out of [0, 1]: {self.article_share}")
 
 
 def parse_cluster_map(source: Iterable[str]) -> dict[str, str]:
@@ -113,14 +105,11 @@ def aggregate_cluster(
 ) -> ClusterRow:
     """Aggregate one cluster's members into popularity and article shares.
 
+    ``members`` is not empty (:func:`assign_clusters` makes no empty group).
     ``pooled`` divides summed numerators by summed denominators; ``mean``
     averages the member shares without weighting.
     """
     member_list = list(members)
-    if not member_list:
-        raise UndefinedAggregateError(f"cluster {cluster!r} has no members")
-    if method not in AGGREGATION_MODES:
-        raise ValueError(f"unknown aggregation method {method!r}")
     if method == POOLED:
         # every member's counts are positive (MetricsRow), so neither total is zero
         total_views = sum(m.total_views for m in member_list)

@@ -11,12 +11,14 @@ is dropped on the spot.  A kept claim value is an item id: a statement whose
 value is anything else (a string, a quantity, a property, a no-value or
 some-value snak), and every deprecated-rank statement, is dropped, and so is
 a claim group left empty.  Without a keep-set of wiki codes, an item with a
-wiki code that a slim store cannot carry (it holds ``=``, ``|``, tab, CR or
-LF) is a malformed line; a keep-set's codes are the caller's, and the store
-writer refuses one it cannot carry.
+wiki code that a slim store cannot carry (it holds ``=``, ``|``, tab, CR, LF
+or a lone surrogate) is a malformed line; a keep-set's codes are the
+caller's, ``<lang>wiki`` codes that a store can carry.  So is an item with a
+kept title that holds a lone surrogate, which a ``\\ud800`` escape decodes to
+and UTF-8 cannot encode.
 
-Each item is checked field by field as it is projected, so the parser builds
-its records with :meth:`SlimEntity.trusted`.  Ids are their int numbers: a
+Each item is checked field by field as it is projected, and then built with
+the plain :class:`SlimEntity` constructor.  Ids are their int numbers: a
 claim value is the ``numeric-id`` int that the JSON decoder already built, a
 record id is read from its ``Q<n>`` token (:func:`entities.item_number`), and
 a claim key is the caller's property number, looked up as its ``P<n>`` key.  It
@@ -28,12 +30,16 @@ values of the whole dump and break the parser's flat memory.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .entities import SlimEntity, item_number
 from .errors import DumpTruncatedError
 from .slimstore import unstorable_wiki_code
+
+# what a JSON "\ud800" escape with no pair decodes to; a UTF-8 store cannot hold it
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -54,16 +60,15 @@ def parse_dump_stream(
 ) -> Iterator[SlimEntity]:
     """Yield one :class:`SlimEntity` per item entity, in file order.
 
-    ``stream`` yields bytes lines, as a binary file does.  ``keep_props`` must
-    be a non-empty set of property numbers; claims outside it are dropped, as
-    are sitelinks outside ``keep_wikis`` (``None`` keeps every sitelink).
+    ``stream`` yields bytes lines, as a binary file does.  ``keep_props`` is
+    a set of property numbers (``rules.required_properties``); claims
+    outside it are dropped, as are sitelinks outside ``keep_wikis`` (``None``
+    keeps every sitelink).
     Malformed lines, a line that is not UTF-8 among them, are appended to
     ``errors`` and skipped.  A dump that ends without its closing ``]``
     raises :class:`DumpTruncatedError` unless ``require_terminator`` is
     false, which is the mode used to parse dump fragments split between lines.
     """
-    if not keep_props:
-        raise ValueError("keep_props must be non-empty")
     prop_by_key = {"P%d" % prop: prop for prop in sorted(keep_props)}
     wiki_keys = None if keep_wikis is None else sorted(set(keep_wikis))
 
@@ -170,10 +175,12 @@ def _parse_entity_line(
                 continue
             title = entry.get("title")
             if wiki and isinstance(title, str) and title:
+                if not title.isascii() and _SURROGATE_RE.search(title):
+                    return None, f"sitelink title for {wiki!r} holds a lone surrogate"
                 sitelinks[wiki] = title
-        # a kept code is one of the caller's keep_wikis; the store writer refuses a bad one
+        # a kept code is one of the caller's keep_wikis, which a store can carry
         problem = unstorable_wiki_code(sitelinks) if wiki_keys is None else None
         if problem:
             return None, f"sitelink {problem}"
 
-    return SlimEntity.trusted(entity_id, claims, sitelinks), None
+    return SlimEntity(entity_id, claims, sitelinks), None

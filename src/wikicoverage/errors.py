@@ -67,14 +67,6 @@ class TitleConflictError(WikiCoverageError):
     """Two distinct items claim the same (language, title) sitelink."""
 
 
-class UndefinedAggregateError(WikiCoverageError):
-    """A cluster aggregate is undefined: the cluster has no members."""
-
-
-class EmptyChartError(WikiCoverageError):
-    """A chart was requested for zero data points."""
-
-
 class ConfigError(WikiCoverageError):
     """A pipeline run configuration is invalid or references missing files."""
 

@@ -181,10 +181,9 @@ def primary_country(readership: Iterable[ReadershipRecord]) -> str:
 
 def reader_share(readership: Iterable[ReadershipRecord], primary: str, count: str) -> Fraction:
     """The primary country's share of one readership count: ``ppcrw`` over
-    ``readers``, ``vpc`` over ``views_from``."""
+    ``readers``, ``vpc`` over ``views_from``.  ``primary`` is one of the
+    rows' countries (:func:`primary_country`)."""
     records = list(readership)
-    if primary not in {r.country for r in records}:
-        raise UndefinedMetricError(f"primary country {primary!r} absent from readership")
     total = sum(getattr(r, count) for r in records)
     if total == 0:
         raise UndefinedMetricError(f"zero total {count}")
@@ -241,16 +240,14 @@ def compute_all(
 
     ``related`` holds the related item numbers, ``views`` maps (language,
     title) to total views and ``readership`` maps a language to its
-    readership rows.
+    readership rows.  ``article_sets`` holds a set for each of ``languages``
+    (:func:`collect_article_sets` adds them when its stream starts).
     """
     rows: list[MetricsRow] = []
     failures: dict[str, WikiCoverageError] = {}
     for language in sorted(set(languages)):
         try:
-            articles = article_sets.get(language)
-            if articles is None:
-                raise UndefinedMetricError(f"no article set for language {language!r}")
-            rows.append(compute_language_row(language, articles, related, views, readership))
+            rows.append(compute_language_row(language, article_sets[language], related, views, readership))
         except WikiCoverageError as exc:
             failures[language] = exc
     return rows, failures

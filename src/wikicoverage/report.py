@@ -95,7 +95,8 @@ def emit_table(rows: Iterable[MetricsRow], sink: IO[str]) -> None:
 
 @dataclass
 class RunConfig:
-    """Everything one pipeline run needs.  Exactly one of dump/slim is set."""
+    """Everything one pipeline run needs.  Exactly one of dump/slim is set,
+    and ``readership`` is required: :meth:`validate` checks both."""
 
     out_dir: Path
     languages: tuple[str, ...]
@@ -111,7 +112,7 @@ class RunConfig:
     svg: bool = True
 
     def validate(self) -> None:
-        problem = language_list_problem(self.languages) or pageview_files_problem(self.pageviews)
+        problem = language_list_problem(self.languages)
         if problem:
             raise ConfigError(problem)
         if (self.dump is None) == (self.slim is None):
@@ -123,6 +124,11 @@ class RunConfig:
         for path in self.input_paths():
             if not Path(path).exists():
                 raise ConfigError(f"input file does not exist: {path}")
+        problem = pageview_files_problem(self.pageviews)
+        if problem:
+            raise ConfigError(problem)
+        if self.readership is None:
+            raise ConfigError("readership CSV is required to compute metrics")
 
     def input_paths(self) -> list[Path]:
         paths = [p for p in (self.dump, self.slim, self.readership, self.rules, self.cluster_map) if p]
@@ -401,10 +407,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             counts["view_keys"] = len(views)
             issues["pageview_parse_errors"] = len(view_issues)
 
-        # metrics: needs the readership table; missing table aborts here
         with stage_errors("metrics"):
-            if config.readership is None:
-                raise ConfigError("readership CSV is required to compute metrics")
             rows, failures = metrics_stage(
                 article_sets,
                 related,

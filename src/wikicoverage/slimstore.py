@@ -34,8 +34,8 @@ the item order.  It picks its record parse once per read:
   handed to the whole-record parse, so both parses accept the same stores
   and fail a bad one with the same message.
 
-Since every field is checked on the way in, records are built with
-:meth:`SlimEntity.trusted`; no reader lists them.
+Since every field is checked on the way in, records are built with the
+plain :class:`SlimEntity` constructor; no reader lists them.
 
 A bad token raises :class:`SlimStoreCorruptionError` naming its line.  The
 header is enforced per record: a claim key must be one of ``props=``.  A
@@ -43,16 +43,18 @@ record that breaks its own header, repeats a claim key or a wiki, or does
 not follow the record before it in item order, is corruption naming its
 line.
 
-The writer (:class:`SlimStoreWriter`) takes records in any order.  It holds
-each record to the header it writes as the record arrives: a claim key
-outside ``keep_props`` or a wiki code holding ``=``, ``|``, tab, CR or LF
-raises ValueError.  It renders each record to its line at once, keeps the
-item number beside the line, and keeps at most :data:`RUN_CHARS` characters
-of lines, spilling each full run, sorted by those numbers, to a temporary
-file; the store is the merge of the runs.  A repeated item
-raises :class:`DuplicateItemError`: before anything is written when both
-records are in one run, while the merge is written otherwise.  So the writer
-never leaves a store that its reader rejects or reads back otherwise.
+The writer (:class:`SlimStoreWriter`) takes records in any order.  Its
+precondition is that each record keeps to the header it writes: every claim
+key is one of ``keep_props``, and every wiki code is one that
+:func:`unstorable_wiki_code` passes.  The dump parser's records, its one
+producer, meet it: the parse keeps only ``keep_props`` claims, and it either
+keeps the caller's ``<lang>wiki`` codes or tallies an item with an
+unstorable code as a malformed line.  The writer renders each record to its
+line at once, keeps the item number beside the line, and keeps at most
+:data:`RUN_CHARS` characters of lines, spilling each full run, sorted by
+those numbers, to a temporary file; the store is the merge of the runs.  A
+repeated item raises :class:`DuplicateItemError`: before anything is written
+when both records are in one run, while the merge is written otherwise.
 :func:`save_slim_store` writes beside the target file and renames over it
 only on success, so a refused or failed write never truncates the store
 already there.
@@ -90,7 +92,7 @@ _ESCAPE_RE = re.compile(r"[%\t|\n\r]")
 _UNESCAPE_RE = re.compile(r"%(25|09|7C|0A|0D)")
 _ESCAPES = {"%": "%25", "\t": "%09", "|": "%7C", "\n": "%0A", "\r": "%0D"}
 _UNESCAPES = {"25": "%", "09": "\t", "7C": "|", "0A": "\n", "0D": "\r"}
-_WIKI_BREAK_RE = re.compile(r"[=|\t\n\r]")  # wiki codes are stored unescaped
+_WIKI_BREAK_RE = re.compile(r"[=|\t\n\r\ud800-\udfff]")  # wiki codes are stored unescaped
 
 # The most rendered store text the writer holds, in characters.  A full run is
 # sorted and spilled to a temporary file; a 9 GB store (90M items) spills
@@ -112,10 +114,10 @@ def unstorable_wiki_code(wikis: Iterable[str]) -> str | None:
     Wiki codes are stored as they are: a record splits on tabs and line
     breaks, its sitelinks field on ``|`` and each pair on its first ``=``, so
     a code holding one of those would read back as another sitelink, or fail
-    the read.
+    the read.  A lone surrogate cannot be written as UTF-8 at all.
     """
     bad = [wiki for wiki in wikis if _WIKI_BREAK_RE.search(wiki)]
-    return f"wiki code {min(bad)!r} holds '=', '|', a tab, CR or LF" if bad else None
+    return f"wiki code {min(bad)!r} holds '=', '|', a tab, CR, LF or a lone surrogate" if bad else None
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,8 @@ def _spilled(run: IO[str]) -> Iterator[tuple[int, str]]:
 class SlimStoreWriter:
     """Writes records given in any order as one store, sorted by item number.
 
-    :meth:`add` holds each record to the header and renders it to its store
-    line as it arrives.  The writer holds at most :data:`RUN_CHARS`
+    :meth:`add` renders each record to its store line as it arrives; each
+    record must keep to the header (see the module docstring).  The writer holds at most :data:`RUN_CHARS`
     characters of lines: a full run is sorted and spilled to a temporary
     file, so writing a store takes about its size in ``TMPDIR`` when it does
     not fit in one run.  :meth:`write` (or :func:`save_slim_store`) then
@@ -171,7 +173,6 @@ class SlimStoreWriter:
     def __init__(self, keep_props: Iterable[int]):
         self._props = frozenset(keep_props)
         self.count = 0
-        self._storable: set[str] = set()  # the wiki codes checked so far
         self._run: list[str] = []  # rendered lines, in arrival order
         self._numbers: list[int] = []  # the item number of each line in the run
         self._run_chars = 0
@@ -191,19 +192,9 @@ class SlimStoreWriter:
     def add(self, record: SlimEntity) -> None:
         """Render ``record`` into the current run, spilling the run once full.
 
-        A claim key outside ``keep_props`` or a wiki code the store cannot
-        carry (:func:`unstorable_wiki_code`) raises ValueError naming the
-        item.  An OSError while rendering or spilling raises
+        An OSError while rendering or spilling raises
         :class:`SlimStoreWriteError`.
         """
-        if not record.claims.keys() <= self._props:
-            extra = min(record.claims.keys() - self._props)
-            raise ValueError(f"item Q{record.id}: claim key P{extra} is not in keep_props")
-        if not record.sitelinks.keys() <= self._storable:
-            problem = unstorable_wiki_code(record.sitelinks.keys() - self._storable)
-            if problem:
-                raise ValueError(f"item Q{record.id}: {problem}")
-            self._storable.update(record.sitelinks)
         try:
             line = _record_line(record)
             self._run.append(line)
@@ -358,7 +349,7 @@ def _parse_record(props: _Declared, values: Memo, line: str, line_number: int) -
                     raise ValueError(f"claim key {prop_text!r} appears twice in the record")
                 claims[prop] = tuple(map(value_of, values_text.split(",")))
         sitelinks = _parse_sitelinks(links_field)
-        return SlimEntity.trusted(item_number(id_field), claims, sitelinks)
+        return SlimEntity(item_number(id_field), claims, sitelinks)
     except ValueError as exc:
         raise SlimStoreCorruptionError(f"store line {line_number}: {exc}") from exc
 
@@ -394,7 +385,7 @@ def _unclaimed_parser(props: _Declared, values: Memo) -> Callable[[str, int], Sl
             _parse_record(props, values, line, line_number)  # raises the checked parse's error
         try:
             sitelinks = _parse_sitelinks(parts[2])
-            return SlimEntity.trusted(item_number(parts[0]), {}, sitelinks)
+            return SlimEntity(item_number(parts[0]), {}, sitelinks)
         except ValueError as exc:
             raise SlimStoreCorruptionError(f"store line {line_number}: {exc}") from exc
 

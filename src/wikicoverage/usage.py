@@ -41,6 +41,7 @@ would count its views twice: :func:`pageview_files_problem` refuses it.
 from __future__ import annotations
 
 import csv
+import os
 import re
 from functools import partial
 from itertools import chain
@@ -88,13 +89,17 @@ def language_list_problem(languages: Sequence[str]) -> str | None:
 
 def pageview_files_problem(paths: Iterable[Path | str]) -> str | None:
     """Why ``paths`` cannot be a run's pageview files, or None: a file given
-    twice, compared after :meth:`Path.resolve`, would count its views twice."""
-    seen: set[Path] = set()
+    twice would count its views twice.  Files are compared by identity
+    (device and inode), so a symlink, a hard link or a path through ``..``
+    to a file already given is that file again.  A missing file raises
+    OSError."""
+    seen: set[tuple[int, int]] = set()
     for path in paths:
-        resolved = Path(path).resolve()
-        if resolved in seen:
+        stat = os.stat(path)
+        identity = (stat.st_dev, stat.st_ino)
+        if identity in seen:
             return f"pageview file given twice: {path}"
-        seen.add(resolved)
+        seen.add(identity)
     return None
 
 

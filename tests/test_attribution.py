@@ -417,23 +417,26 @@ class TestRuleSet:
             RuleSet(direct_props=frozenset({17}), place_props=frozenset({17}))
 
     def test_max_depth_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RuleSet(max_depth=0)
+        # a rule set's depth is read from its rules file, which refuses a sign as well as 0
+        with pytest.raises(RulesError, match="^line 1: negative max_depth -2$"):
+            parse_rules("max_depth=-2\n")
 
     @pytest.mark.parametrize(
-        "field, value, bad",
+        "line, bad",
         [
-            ("target", "Q30", "'Q30'"),
-            ("exclude_classes", frozenset({5, 0}), "0"),
-            ("direct_props", frozenset({17, -27}), "-27"),
-            ("place_props", frozenset({True}), "True"),
-            ("geo_chain_props", (17, 17.0), "17.0"),
+            ("target=Q0", "Q0"),
+            ("exclude_classes=Q5,Q05", "Q05"),
+            ("direct=P17,P-27", "P-27"),
+            ("place=P1.0", "P1.0"),
+            ("geo_chain=P17,P+17", "P+17"),
         ],
         ids=["target", "exclude_classes", "direct", "place", "geo_chain"],
     )
-    def test_ids_must_be_positive_ints(self, field, value, bad):
-        with pytest.raises(ValueError, match=f"^a rule set id must be a positive int, got {re.escape(bad)}$"):
-            RuleSet(**{field: value})
+    def test_ids_must_be_positive_ints(self, line, bad):
+        # each id's number is a positive int in ASCII digits, with no sign, point or leading zero
+        kind = "an item" if bad[0] == "Q" else "a property"
+        with pytest.raises(RulesError, match=f"^line 2: not {kind} id: {re.escape(repr(bad))}$"):
+            parse_rules(f"max_depth=3\n{line}\n")
 
     @pytest.mark.parametrize(
         "line, problem",

@@ -1,6 +1,7 @@
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 from xml.sax.saxutils import escape
 
 import pytest
@@ -14,8 +15,10 @@ from wikicoverage.chart import (
     color_bucket,
     render_svg,
 )
-from wikicoverage.errors import EmptyChartError
+from wikicoverage.cli import main
+from wikicoverage.errors import ConfigError
 from wikicoverage.metrics import MetricsRow
+from wikicoverage.report import RunConfig
 
 
 def row(language, ppcrw, ras_pair, ravs_pair):
@@ -77,8 +80,10 @@ class TestChartData:
         assert len(chart.data) == 1
 
     def test_unknown_scale_rejected(self):
-        with pytest.raises(ValueError):
-            build_chart_data([], "sqrt")
+        # the chart takes the scale as given: a run's configuration refuses any other
+        config = RunConfig(Path("out"), ("en",), dump=Path("dump.json"), scale="sqrt")
+        with pytest.raises(ConfigError, match="^unknown scale 'sqrt'$"):
+            config.validate()
 
     def test_json_schema(self):
         rows = [row("en", (60, 100), (1, 10), (3, 10))]
@@ -139,13 +144,14 @@ class TestSvg:
         svg = render_svg(self.data(10, color=RED), "linear")
         assert "#c0392b" in svg
 
-    def test_empty_data_raises(self):
-        with pytest.raises(EmptyChartError):
-            render_svg([], "log")
-
-    def test_unknown_scale_raises(self):
-        with pytest.raises(ValueError, match="^unknown scale 'sqrt'$"):
-            render_svg(self.data(10), "sqrt")
+    def test_unknown_scale_raises(self, tmp_path, capsys):
+        # each command that draws the chart takes --scale from its choices
+        for command in ("report", "all"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--scale", "sqrt", "--out", str(tmp_path / "out")])
+            assert exc.value.code == 2
+            assert "argument --scale: invalid choice: 'sqrt'" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_labels_and_axes_present(self):
         svg = render_svg(self.data(10, 20), "log")

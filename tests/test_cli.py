@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -239,16 +240,21 @@ class TestErrorsAndFlags:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_a_pageview_file_given_twice_is_a_clean_error(self, tmp_path, capsys):
+    def test_a_pageview_file_given_twice_is_a_clean_error(self, tmp_path, tmp_path_factory, capsys):
+        # the second copy spelled through `..`, and a hard link to the first
         pageviews = FIXTURE / "pageviews-a.txt"
-        again = FIXTURE / ".." / "data" / "pageviews-a.txt"
-        for argv in (
-            ["usage", pageviews, again, "--out", tmp_path / "views.tsv"],
-            ["all", pageviews, again, "--dump", FIXTURE / "dump.json", "--readership", FIXTURE / "readership.csv",
-             "--languages", "en,de", "--out", tmp_path / "all"],
-        ):
-            assert run(argv) == 1
-            assert capsys.readouterr().err.endswith(f"pageview file given twice: {again}\n")
+        copy = tmp_path_factory.mktemp("inputs") / "a.txt"
+        copy.write_bytes(pageviews.read_bytes())
+        link = copy.with_name("b.txt")
+        os.link(copy, link)
+        for first, again in ((pageviews, FIXTURE / ".." / "data" / "pageviews-a.txt"), (copy, link)):
+            for argv in (
+                ["usage", first, again, "--out", tmp_path / "views.tsv"],
+                ["all", first, again, "--dump", FIXTURE / "dump.json", "--readership", FIXTURE / "readership.csv",
+                 "--languages", "en,de", "--out", tmp_path / "all"],
+            ):
+                assert run(argv) == 1
+                assert capsys.readouterr().err.endswith(f"pageview file given twice: {again}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_zero_count_in_metrics_tsv_is_a_clean_error(self, tmp_path, capsys):
@@ -401,6 +407,33 @@ class TestErrorsAndFlags:
              "--views", views, "--readership", FIXTURE / "readership.csv",
              "--languages", "en,de", "--out", tmp_path / "metrics.tsv"]
         ) == 0
+
+    def test_a_lone_surrogate_in_a_title_is_one_malformed_line(self, tmp_path, capsys):
+        # the escape decodes to a lone surrogate, which the store write could not encode
+        bad = '{"type": "item", "id": "Q999", "sitelinks": {"enwiki": {"title": "Bad \\ud800 title"}}},\n'
+        dirty = tmp_path / "dirty.json"
+        clean_text = (FIXTURE / "dump.json").read_text(encoding="utf-8")
+        dirty.write_text(clean_text.replace("[\n", "[\n" + bad, 1), encoding="utf-8")
+        manifests = {}
+        for name, dump, skipped in (("clean", FIXTURE / "dump.json", 1), ("dirty", dirty, 2)):
+            for languages in ((), ("--languages", "en,de")):
+                store = tmp_path / f"{name}{len(languages)}.slim"
+                assert run(["slim", "--dump", dump, "--out", store, *languages]) == 0
+                assert capsys.readouterr().out == f"wrote 21 entities to {store} ({skipped} malformed lines skipped)\n"
+            assert run(["all", FIXTURE / "pageviews-a.txt", "--dump", dump, "--readership", FIXTURE / "readership.csv",
+                        "--languages", "en,de", "--out", tmp_path / name]) == 0
+            capsys.readouterr()
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))
+            del manifest["inputs"]  # keyed by the input paths of this run
+            manifests[name] = manifest
+        for languages in ("0", "2"):
+            assert (tmp_path / f"dirty{languages}.slim").read_bytes() == (tmp_path / f"clean{languages}.slim").read_bytes()
+        for path in (tmp_path / "clean").iterdir():
+            if path.name != "manifest.json":
+                assert (tmp_path / "dirty" / path.name).read_bytes() == path.read_bytes()
+        assert manifests["dirty"]["issues"].pop("dump_parse_errors") == 2
+        assert manifests["clean"]["issues"].pop("dump_parse_errors") == 1
+        assert manifests["dirty"] == manifests["clean"]
 
     def test_stdin_dump_input(self, tmp_path):
         with open(FIXTURE / "dump.json", "rb") as dump:

@@ -3,13 +3,13 @@ import io
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wikicoverage.clusters import (
-    ClusterRow,
     aggregate_all,
     aggregate_cluster,
     assign_clusters,
@@ -18,8 +18,10 @@ from wikicoverage.clusters import (
     parse_cluster_map,
     write_clusters_tsv,
 )
-from wikicoverage.errors import UndefinedAggregateError
+from wikicoverage.cli import main
+from wikicoverage.errors import ConfigError
 from wikicoverage.metrics import MetricsRow
+from wikicoverage.report import RunConfig
 
 
 def row(language, country, related_views, total_views, related_articles, articles):
@@ -45,18 +47,19 @@ def random_row(rng, language):
 
 
 class TestClusterRow:
+    """A cluster row checks nothing itself: each member is a checked
+    :class:`MetricsRow`, and a share pooled or averaged from shares in
+    [0, 1] lies in [0, 1] too."""
+
     @pytest.mark.parametrize(
-        "popularity, articles, members, problem",
-        [
-            (Fraction(1, 2), Fraction(1, 2), (), "cluster has no member languages"),
-            (Fraction(3, 2), Fraction(1, 2), ("en",), "popularity share out of [0, 1]: 3/2"),
-            (Fraction(1, 2), Fraction(-1, 2), ("en",), "article share out of [0, 1]: -1/2"),
-        ],
-        ids=["no-members", "popularity-above-one", "articles-below-zero"],
+        "counts, problem",
+        [((15, 10, 1, 2), "ravs out of [0, 1]: 3/2"), ((1, 2, -1, 2), "ras out of [0, 1]: -1/2")],
+        ids=["popularity-above-one", "articles-below-zero"],
     )
-    def test_a_row_outside_its_bounds_is_refused(self, popularity, articles, members, problem):
+    def test_a_row_outside_its_bounds_is_refused(self, counts, problem):
+        # related views, total views, related articles, articles
         with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
-            ClusterRow("Anglo", popularity, articles, members)
+            row("en", "US", *counts)
 
 
 class TestAssign:
@@ -104,12 +107,22 @@ class TestAggregate:
         assert cluster.article_share == Fraction(1, 5)
 
     def test_no_members_is_undefined(self):
-        with pytest.raises(UndefinedAggregateError):
-            aggregate_cluster("Ghost", [])
+        # a cluster that no primary country maps to has no share, and gets no row
+        mapping = {"US": "Anglo", "FJ": "Ghost"}
+        assignments, _ = assign_clusters([row("en", "US", 1, 10, 1, 10)], mapping)
+        assert [cluster.cluster for cluster in aggregate_all(assignments)] == ["Anglo"]
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_cluster("X", [row("a", "US", 1, 10, 1, 10)], method="median")
+    def test_unknown_method_rejected(self, tmp_path, capsys):
+        # the method is taken as given: a run's configuration refuses any other,
+        # and so do the --aggregation choices of each command that aggregates
+        config = RunConfig(Path("out"), ("en",), dump=Path("dump.json"), aggregation="median")
+        with pytest.raises(ConfigError, match="^unknown aggregation 'median'$"):
+            config.validate()
+        for command in ("clusters", "all"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--aggregation", "median", "--out", str(tmp_path / "out")])
+            assert exc.value.code == 2
+            assert "argument --aggregation: invalid choice: 'median'" in capsys.readouterr().err
 
     def test_mean_method_averages_member_shares(self):
         members = [row("a", "US", 10, 100, 5, 50), row("b", "US", 30, 100, 10, 50)]

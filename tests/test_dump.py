@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wikicoverage.attribution import parse_rules
 from wikicoverage.dump import ParseIssue, parse_dump_stream
 from wikicoverage.entities import SlimEntity
 from wikicoverage.errors import DumpTruncatedError
@@ -81,8 +82,12 @@ class TestBasicParsing:
         assert errors == []
 
     def test_keep_props_must_be_non_empty(self):
-        with pytest.raises(ValueError):
-            parse("[\n]\n", keep=frozenset())
+        # the parse keeps a rule set's required properties, never none: every
+        # rule set needs P31 for its excluded classes, whatever the rules file empties
+        rules = parse_rules("direct=\nplace=\ngeo_chain=\nexclude_classes=\n")
+        assert rules.required_properties == frozenset({31})
+        text = dump_text([entity_json("Q1", {"P31": [5], "P17": [30]})])
+        assert parse(text, keep=rules.required_properties) == [SlimEntity(1, {31: (5,)})]
 
     def test_a_parse_shares_no_claim_value(self):
         # a memo of claim values would grow with the distinct values of the dump;
@@ -147,21 +152,36 @@ class TestFiltering:
         assert entity.sitelinks == {"enwiki": "A", "dewiki": "B"}
 
     @pytest.mark.parametrize(
-        "wiki", ["a=b", "x|y", "a\tb", "a\rb", "a\nb"], ids=["equals", "pipe", "tab", "cr", "lf"]
+        "wiki",
+        ["a=b", "x|y", "a\tb", "a\rb", "a\nb", "a\ud800b"],
+        ids=["equals", "pipe", "tab", "cr", "lf", "lone-surrogate"],
     )
     def test_wiki_code_a_store_cannot_carry_is_tallied_and_skipped(self, wiki):
+        # json.dumps writes a lone surrogate as its "\ud800" escape
         text = dump_text(
             [
-                entity_json("Q1", sitelinks={"enwiki": "A", wiki: "T"}),
+                json.dumps(entity_json("Q1", sitelinks={"enwiki": "A", wiki: "T"})),
                 entity_json("Q2", sitelinks={"enwiki": "B"}),
             ]
         )
         errors = []
         assert [entity.id for entity in parse(text, errors=errors)] == [2]
-        assert errors == [ParseIssue(2, f"sitelink wiki code {wiki!r} holds '=', '|', a tab, CR or LF")]
-        # kept wiki codes are checked by the store writer; the others are dropped
+        assert errors == [ParseIssue(2, f"sitelink wiki code {wiki!r} holds '=', '|', a tab, CR, LF or a lone surrogate")]
+        # a keep-set's codes are the caller's storable ones; the others are dropped
         kept = parse(text, wikis={"enwiki"})
         assert [entity.sitelinks for entity in kept] == [{"enwiki": "A"}, {"enwiki": "B"}]
+
+    @pytest.mark.parametrize("wikis", [None, {"enwiki", "dewiki"}], ids=["every-wiki", "kept"])
+    def test_a_lone_surrogate_in_a_kept_title_is_tallied_and_skipped(self, wikis):
+        # a "\ud800" escape decodes to a lone surrogate, which a UTF-8 store cannot hold
+        bad = json.dumps(entity_json("Q1", sitelinks={"enwiki": "Bad \ud800 title", "dewiki": "A"}))
+        text = dump_text([bad, entity_json("Q2", sitelinks={"enwiki": "B"})])
+        errors = []
+        assert [entity.id for entity in parse(text, wikis=wikis, errors=errors)] == [2]
+        assert errors == [ParseIssue(2, "sitelink title for 'enwiki' holds a lone surrogate")]
+        # a sitelink that is not kept is dropped, whatever it holds
+        kept = parse(text, wikis={"dewiki"})
+        assert [entity.sitelinks for entity in kept] == [{"dewiki": "A"}, {}]
 
     def test_deprecated_rank_claims_are_dropped(self):
         text = dump_text(

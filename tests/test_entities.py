@@ -1,11 +1,17 @@
-import dataclasses
+import io
+import json
 import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wikicoverage.dump import ParseIssue, parse_dump_stream
 from wikicoverage.entities import SlimEntity, item_number, property_number
+from wikicoverage.errors import SlimStoreCorruptionError
+from wikicoverage.slimstore import read_slim_store
+
+from helpers import dump_text, entity_json, statement
 
 # the accepted tokens: a letter, then ASCII digits with no sign and no leading zero
 TOKEN = re.compile(r"[QP][1-9][0-9]*")
@@ -82,7 +88,29 @@ class TestEntityId:
         assert hash(property_number("P17")) == hash(17) == 17
 
 
+def parsed(*objects):
+    """The records and malformed lines of a dump holding ``objects``, keeping P17."""
+    errors = []
+    text = dump_text(list(objects))
+    records = list(parse_dump_stream(io.BytesIO(text.encode("utf-8")), frozenset({17}), None, errors=errors))
+    return records, errors
+
+
+def assert_store_refuses(record, problem, props="P17"):
+    """Both reads of a store whose one record line is ``record`` refuse it
+    with ``problem``: the checked whole-record parse, and the no-claim read."""
+    text = f"WCM3\ncount=1 props={props}\n{record}\n"
+    for required in ((int(props[1:]),), ()):
+        message = f"^store line 3: {re.escape(problem)}$"
+        with pytest.raises(SlimStoreCorruptionError, match=message):
+            list(read_slim_store(io.StringIO(text), required))
+
+
 class TestSlimEntity:
+    """The constructor checks nothing.  A record's fields are checked where
+    they enter, by the dump parser and the store reader, so each test here
+    gives those readers a field that no record may hold."""
+
     def test_basic_construction(self):
         entity = SlimEntity(22686, {27: (30,)}, {"enwiki": "Donald Trump"})
         assert entity.id == 22686
@@ -91,41 +119,44 @@ class TestSlimEntity:
 
     def test_rejects_property_id(self):
         # an id token, of either kind, is no item number
-        with pytest.raises(ValueError):
-            SlimEntity("P17")
+        records, errors = parsed(entity_json("P17"), entity_json("Q2"))
+        assert (records, errors) == ([SlimEntity(2)], [ParseIssue(2, "bad entity id: 'P17'")])
+        assert_store_refuses("P17\t\t", "not an item id: 'P17'")
 
     @pytest.mark.parametrize("bad", [("item", 1), 0, -1, True, "Q1", 1.0])
     def test_rejects_an_id_that_is_not_an_item_number(self, bad):
-        with pytest.raises(ValueError, match=f"^entity id must be an item number, got {re.escape(repr(bad))}$"):
-            SlimEntity(bad)
+        # a store's id field is a Q<n> token: a value spelled any other way,
+        # as its repr spells it (a quoted 'Q1' among them), is corruption
+        assert_store_refuses(f"{bad!r}\t\t", f"not an item id: {repr(bad)!r}")
+        if type(bad) is not str:
+            # a dump's id is a JSON string; a number, a bool or a list is a malformed line
+            value = json.loads(json.dumps(bad))  # a tuple comes back as a list
+            assert parsed({"type": "item", "id": bad}) == ([], [ParseIssue(2, f"bad entity id: {value!r}")])
 
     def test_rejects_empty_claim_group(self):
-        with pytest.raises(ValueError):
-            SlimEntity(1, {17: ()})
+        # a claim group whose every statement is dropped is dropped with them
+        deprecated = statement(30, rank="deprecated")
+        assert parsed(entity_json("Q1", {"P17": [deprecated]})) == ([SlimEntity(1)], [])
+        assert_store_refuses("Q1\tP17:\t", "not an item id: ''")
 
     def test_rejects_a_claim_value_that_is_not_an_item(self):
-        # every reader and the store writer take a claim value as an item number
-        with pytest.raises(ValueError, match="^claim value must be an item number, got 'P5' under P17$"):
-            SlimEntity(1, {17: (30, "P5")})
-        with pytest.raises(ValueError, match="^claim value must be an item number, got 0 under P17$"):
-            SlimEntity(1, {17: (30, 0)})
+        # every reader takes a claim value as an item number
+        assert parsed(entity_json("Q1", {"P17": [30, statement(5, kind="property")]})) == (
+            [SlimEntity(1, {17: (30,)})],
+            [],
+        )
+        assert_store_refuses("Q1\tP17:Q30,P5\t", "not an item id: 'P5'")
+        assert_store_refuses("Q1\tP17:Q30,Q0\t", "not an item id: 'Q0'")
 
     @pytest.mark.parametrize("bad", ["P17", 0, True])
     def test_rejects_a_claim_key_that_is_not_a_property_number(self, bad):
-        message = f"claim key must be a property number, got {bad!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            SlimEntity(1, {bad: (30,)})
+        # a store's claim key is one of the properties its header lists, here P27 alone
+        assert_store_refuses(f"Q1\t{bad}:Q30\t", f"claim key {str(bad)!r} is not in the header's props=", "P27")
 
     def test_rejects_empty_title(self):
-        with pytest.raises(ValueError):
-            SlimEntity(1, {}, {"enwiki": ""})
+        # the parser drops a sitelink with an empty title or wiki code
+        sitelinks = {"enwiki": "", "": "X", "dewiki": "B"}
+        assert parsed(entity_json("Q1", sitelinks=sitelinks)) == ([SlimEntity(1, {}, {"dewiki": "B"})], [])
+        assert_store_refuses("Q1\t\tenwiki=", "sitelink title for 'enwiki' is empty")
         # nor may the other side of a sitelink be empty
-        with pytest.raises(ValueError, match="^sitelink wiki code is empty$"):
-            SlimEntity(1, {}, {"": "X"})
-
-    def test_trusted_construction_equals_the_checked_one(self):
-        claims = {27: (30,)}
-        trusted = SlimEntity.trusted(5, claims, {"enwiki": "X"})
-        assert trusted == SlimEntity(5, claims, {"enwiki": "X"})
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            trusted.id = 6
+        assert_store_refuses("Q1\t\t=X", "sitelink wiki code is empty")

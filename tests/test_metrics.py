@@ -217,9 +217,13 @@ class TestReaderShares:
         with pytest.raises(UndefinedMetricError):
             reader_share([rr("en", "US", 0, 5)], "US", "readers")
 
+
     def test_absent_primary_is_an_error(self):
-        with pytest.raises(UndefinedMetricError):
-            reader_share([rr("en", "US", 5)], "GB", "readers")
+        # the primary country is picked from the language's own rows, so a
+        # language without rows has none, and its row fails before any share
+        readership = {"de": [rr("de", "DE", 5)]}
+        with pytest.raises(NoReadershipError, match="^no readership rows for this language$"):
+            compute_language_row("en", {"A": 1}, {1}, {("en", "A"): 5}, readership)
 
 
 class TestArticleShares:
@@ -384,8 +388,7 @@ class TestComputeAll:
             "ad": fine("ad"),
             "af": fine("af"),
         }
-        languages = [*article_sets, "ag"]
-        rows, failures = compute_all(article_sets, {1}, {}, readership, languages)
+        rows, failures = compute_all(article_sets, {1}, {}, readership, list(article_sets))
         assert rows == []
         assert {lang: (type(exc), str(exc)) for lang, exc in failures.items()} == {
             "aa": (NoReadershipError, "no readership rows for this language"),
@@ -393,12 +396,7 @@ class TestComputeAll:
             "ac": (UndefinedMetricError, "zero total views_from"),
             "ad": (UndefinedMetricError, "no articles for language 'ad'"),
             "af": (UndefinedMetricError, "zero total views for language 'af'"),
-            "ag": (UndefinedMetricError, "no article set for language 'ag'"),
         }
-        # the primary country comes from the same rows, so compute_all never
-        # meets an absent one; the share function names it
-        with pytest.raises(UndefinedMetricError, match="^primary country 'GB' absent from readership$"):
-            reader_share(fine("en"), "GB", "readers")
 
 
 class TestMetricsRow:

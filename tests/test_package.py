@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from pathlib import Path
 
 import wikicoverage
+from wikicoverage import errors
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 DATA_DIR = Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -64,6 +66,18 @@ print(json.dumps(report))
 def test_every_exported_name_resolves():
     missing = [name for name in wikicoverage.__all__ if not hasattr(wikicoverage, name)]
     assert missing == []
+
+
+def test_every_error_class_is_raised_or_extended():
+    # a class that no code raises and none extends is dead code
+    classes = [value for value in vars(errors).values() if isinstance(value, type) and value.__module__ == errors.__name__]
+    extended = {base.__name__ for cls in classes for base in cls.__bases__}
+    raised = set()
+    for path in (SRC_DIR / "wikicoverage").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name):
+                raised.add(node.exc.func.id)
+    assert [cls.__name__ for cls in classes if cls.__name__ not in raised | extended] == []
 
 
 def test_stage_commands_load_no_heavy_module(tmp_path):

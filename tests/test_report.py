@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 from urllib.parse import unquote
@@ -352,20 +353,27 @@ class TestPipelineEndToEnd:
         assert err.value.stage == "metrics"
         assert str(err.value.cause) == "en:'Same_title' claimed by both Q1 and Q2"
 
-    def test_missing_readership_aborts_at_metrics_stage(self, tmp_path):
+    def test_missing_readership_aborts_at_config_stage(self, tmp_path):
+        # refused before the dump is parsed or a pageview file read
         config = self.config(tmp_path, readership=None)
         with pytest.raises(PipelineStageError) as err:
             run_pipeline(config)
-        assert err.value.stage == "metrics"
-        assert "readership" in str(err.value)
-        # nothing was promoted
-        assert not any((tmp_path / "out").glob("*.tsv"))
+        assert err.value.stage == "config"
+        assert str(err.value.cause) == "readership CSV is required to compute metrics"
+        assert not (tmp_path / "out").exists()
 
     def test_failure_leaves_no_staging_directory(self, tmp_path):
-        config = self.config(tmp_path, readership=None)
+        # a title conflict fails the metrics stage, after staging started
+        dump = tmp_path / "dump.json"
+        dump.write_text(
+            dump_text([entity_json("Q1", sitelinks={"enwiki": "Same title"}),
+                       entity_json("Q2", sitelinks={"enwiki": "Same_title"})]),
+            encoding="utf-8",
+        )
         with pytest.raises(PipelineStageError):
-            run_pipeline(config)
-        assert not list((tmp_path / "out").glob(".staging-*"))
+            run_pipeline(self.config(tmp_path, dump=dump))
+        assert (tmp_path / "out").is_dir()
+        assert not list((tmp_path / "out").iterdir())
 
     def test_clusters_use_the_default_packaged_map(self, tmp_path):
         result = run_pipeline(self.config(tmp_path))
@@ -493,34 +501,48 @@ class TestRunConfigValidation:
         assert err.value.stage == "config"
 
     def test_rejects_missing_files(self, tmp_path):
-        config = RunConfig(
-            out_dir=tmp_path, languages=("en",), dump=tmp_path / "nope.json"
-        )
-        with pytest.raises(PipelineStageError):
-            run_pipeline(config)
+        # a missing pageview file is named as missing before the files are compared
+        for missing, config in (
+            (tmp_path / "nope.json", RunConfig(out_dir=tmp_path, languages=("en",), dump=tmp_path / "nope.json")),
+            (tmp_path / "nope.txt", RunConfig(out_dir=tmp_path, languages=("en",), dump=FIXTURE / "dump.json",
+                                              pageviews=(tmp_path / "nope.txt",), readership=FIXTURE / "readership.csv")),
+        ):
+            with pytest.raises(PipelineStageError) as err:
+                run_pipeline(config)
+            assert err.value.stage == "config"
+            assert str(err.value.cause) == f"input file does not exist: {missing}"
 
     def test_directory_as_input_fails_as_the_config_stage(self, tmp_path):
         config = RunConfig(
-            out_dir=tmp_path, languages=("en",), dump=FIXTURE / "dump.json", pageviews=(FIXTURE,)
+            out_dir=tmp_path,
+            languages=("en",),
+            dump=FIXTURE / "dump.json",
+            pageviews=(FIXTURE,),
+            readership=FIXTURE / "readership.csv",
         )
         with pytest.raises(PipelineStageError) as err:
             run_pipeline(config)
         assert err.value.stage == "config"
 
     def test_a_pageview_file_given_twice_fails_as_the_config_stage(self, tmp_path):
-        # each copy's views would be counted, and the manifest, keyed by path, would list one
-        twice = (FIXTURE / "pageviews-a.txt", FIXTURE / "pageviews-b.txt", FIXTURE / "pageviews-a.txt")
-        config = RunConfig(
-            out_dir=tmp_path / "out",
-            languages=("en", "de"),
-            dump=FIXTURE / "dump.json",
-            pageviews=twice,
-            readership=FIXTURE / "readership.csv",
-        )
-        with pytest.raises(PipelineStageError, match="pageview file given twice: ") as err:
-            run_pipeline(config)
-        assert err.value.stage == "config"
-        assert not (tmp_path / "out").exists()
+        # each copy's views would be counted, and the manifest, keyed by path, would list one;
+        # a hard link is the same file under another name
+        copy = tmp_path / "a.txt"
+        copy.write_bytes((FIXTURE / "pageviews-a.txt").read_bytes())
+        os.link(copy, tmp_path / "b.txt")
+        for first, again in ((FIXTURE / "pageviews-a.txt", FIXTURE / "pageviews-a.txt"), (copy, tmp_path / "b.txt")):
+            config = RunConfig(
+                out_dir=tmp_path / "out",
+                languages=("en", "de"),
+                dump=FIXTURE / "dump.json",
+                pageviews=(first, FIXTURE / "pageviews-b.txt", again),
+                readership=FIXTURE / "readership.csv",
+            )
+            with pytest.raises(PipelineStageError) as err:
+                run_pipeline(config)
+            assert err.value.stage == "config"
+            assert str(err.value.cause) == f"pageview file given twice: {again}"
+            assert not (tmp_path / "out").exists()
 
     def test_rejects_empty_language_list(self, tmp_path):
         config = RunConfig(out_dir=tmp_path, languages=(), dump=FIXTURE / "dump.json")

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wikicoverage import slimstore
+from wikicoverage.attribution import RuleSet
 from wikicoverage.cli import main
+from wikicoverage.dump import ParseIssue
 from wikicoverage.entities import SlimEntity
 from wikicoverage.errors import (
     DuplicateItemError,
@@ -22,13 +24,14 @@ from wikicoverage.errors import (
     SlimStoreWriteError,
 )
 from wikicoverage.metrics import build_article_sets
+from wikicoverage.report import slim_stage
 from wikicoverage.slimstore import (
     read_slim_store,
     read_store_header,
     save_slim_store,
 )
 
-from helpers import STORE_PROPS, random_entities
+from helpers import STORE_PROPS, dump_text, entity_json, random_entities
 
 
 def write(entities, sink, keep_props=STORE_PROPS):
@@ -45,6 +48,15 @@ def save(entities, path):
         for entity in entities:
             writer.add(entity)
         return save_slim_store(writer, path)
+
+
+def slim(tmp_path, objects, languages=None):
+    """The records of the store that the ``slim`` stage, the writer's one
+    producer, writes for a dump of ``objects``, and the malformed lines it tallies."""
+    out = tmp_path / "s.slim"
+    source = io.BytesIO(dump_text(objects).encode("utf-8"))
+    _, issues, _ = slim_stage(source, out, RuleSet(), languages)
+    return list(read_every_claim(io.StringIO(out.read_text(encoding="utf-8")))), issues
 
 
 def round_trip(entities, **kwargs):
@@ -168,29 +180,29 @@ class TestWrite:
         assert header == slimstore.StoreHeader(1, (17, 27))
         assert sink.getvalue().splitlines()[:2] == ["WCM3", "count=1 props=P17,P27"]
 
-    @pytest.mark.parametrize(
-        "entity, problem",
-        [(SlimEntity(1, {99: (5,)}, {"dewiki": "X"}), "item Q1: claim key P99 is not in keep_props")],
-        ids=["undeclared-claim-key"],
-    )
-    def test_record_outside_the_header_is_refused_before_writing(self, entity, problem):
-        sink = io.StringIO()
-        records = [SlimEntity(9, {17: (30,)}, {"enwiki": "Y"}), entity]
-        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
-            write(records, sink, keep_props=[17])
-        assert sink.getvalue() == ""
+    @pytest.mark.parametrize("claims", [{"P99": [5], "P17": [30]}], ids=["undeclared-claim-key"])
+    def test_record_outside_the_header_is_refused_before_writing(self, tmp_path, claims):
+        # the parse keeps only the claims of the properties the header lists
+        objects = [entity_json("Q9", {"P17": [30]}, {"enwiki": "Y"}), entity_json("Q1", claims, {"dewiki": "X"})]
+        records, issues = slim(tmp_path, objects)
+        assert records == [SlimEntity(1, {17: (30,)}, {"dewiki": "X"}), SlimEntity(9, {17: (30,)}, {"enwiki": "Y"})]
+        assert issues == []
 
     @pytest.mark.parametrize(
         "wiki", ["a=b", "x|y", "a\tb", "a\rb", "a\nb"], ids=["equals", "pipe", "tab", "cr", "lf"]
     )
-    def test_wiki_code_the_store_cannot_carry_is_refused_before_writing(self, wiki):
-        # a record splits on these: `a=b` read back as {'a': 'b=T'}, `x|y` failed the read
-        sink = io.StringIO()
-        records = [SlimEntity(9, {}, {"enwiki": "Y"}), SlimEntity(12, {}, {"enwiki": "Z", wiki: "T"})]
-        problem = f"item Q12: wiki code {wiki!r} holds '=', '|', a tab, CR or LF"
-        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
-            write(records, sink, keep_props=[17])
-        assert sink.getvalue() == ""
+    def test_wiki_code_the_store_cannot_carry_is_refused_before_writing(self, tmp_path, wiki):
+        # a record splits on these: `a=b` would read back as {'a': 'b=T'}, `x|y` fail the read;
+        # the parse tallies the item as a malformed line, so the store holds the rest
+        objects = [
+            entity_json("Q9", sitelinks={"enwiki": "Y"}),
+            entity_json("Q12", sitelinks={"enwiki": "Z", wiki: "T"}),
+        ]
+        problem = f"sitelink wiki code {wiki!r} holds '=', '|', a tab, CR, LF or a lone surrogate"
+        assert slim(tmp_path, objects) == ([SlimEntity(9, {}, {"enwiki": "Y"})], [ParseIssue(3, problem)])
+        # a run's languages keep only their own wiki codes
+        records, issues = slim(tmp_path, objects, ["en"])
+        assert (records, issues) == ([SlimEntity(9, {}, {"enwiki": "Y"}), SlimEntity(12, {}, {"enwiki": "Z"})], [])
 
     def test_unrestricted_wikis_write_any_sitelink(self):
         # no header line lists the wiki codes, so a comma or a space in one is stored as it is
@@ -242,10 +254,10 @@ class TestSave:
         "entities, error",
         [
             ([SlimEntity(5), SlimEntity(5)], DuplicateItemError),
-            ([SlimEntity(5, {999: (1,)})], ValueError),
-            ([SlimEntity(5, {}, {"a|b": "X"})], ValueError),
+            # a lone surrogate has no UTF-8 form: the write of the temporary file fails
+            ([SlimEntity(5, {}, {"a\ud800b": "X"})], UnicodeEncodeError),
         ],
-        ids=["repeated-item", "claim-outside-keep-props", "unstorable-wiki-code"],
+        ids=["repeated-item", "unstorable-wiki-code"],
     )
     def test_a_refused_save_keeps_the_old_store(self, tmp_path, entities, error):
         path, kept = self.existing_store(tmp_path)
