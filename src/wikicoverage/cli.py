@@ -41,6 +41,15 @@ def _languages(text: str) -> tuple[str, ...]:
     return languages
 
 
+def _out_file(path: str) -> Path:
+    """``--out`` of a stage that reads all of its input before it writes:
+    its directory is checked first, so a missing one fails at once."""
+    out = Path(path)
+    if not out.parent.is_dir():
+        raise ConfigError(f"output directory does not exist: {out.parent}")
+    return out
+
+
 def _read_metrics(path: str) -> list[MetricsRow]:
     with open(path, encoding="utf-8") as handle:
         return read_metrics_tsv(handle)
@@ -54,31 +63,35 @@ def _warn_failed(failures: dict) -> int:
 
 
 def _cmd_slim(args) -> int:
+    out = _out_file(args.out)
     rules = resolve_rules(args.rules, None)
     dump = contextlib.nullcontext(sys.stdin.buffer) if args.dump == "-" else open(args.dump, "rb")
     with dump as handle:
-        count, issues, _ = slim_stage(handle, Path(args.out), rules, args.languages)
+        count, issues, _ = slim_stage(handle, out, rules, args.languages)
     print(f"wrote {count} entities to {args.out} ({len(issues)} malformed lines skipped)")
     return 0
 
 
 def _cmd_attribute(args) -> int:
+    out = _out_file(args.out)
     rules = resolve_rules(args.rules, args.target)
-    _, counts = attribute_stage(load_slim_store(args.slim, rules.required_properties), rules, Path(args.out))
+    _, counts = attribute_stage(load_slim_store(args.slim, rules.required_properties), rules, out)
     print(f"attributed {counts['entities']} items, {counts['related_items']} related to Q{rules.target}")
     return 0
 
 
 def _cmd_usage(args) -> int:
+    out = _out_file(args.out)
     problem = pageview_files_problem(args.pageviews)
     if problem:
         raise ConfigError(problem)
-    views, issues = usage_stage(args.pageviews, args.languages, Path(args.out))
+    views, issues = usage_stage(args.pageviews, args.languages, out)
     print(f"aggregated {len(views)} (language, title) totals ({len(issues)} malformed lines)")
     return 0
 
 
 def _cmd_metrics(args) -> int:
+    out = _out_file(args.out)
     # the join reads each store record before its TSV row, so the first bad
     # line it meets in either file is the error reported; the records need
     # only their ids and sitelinks, so the read requires no property
@@ -89,15 +102,16 @@ def _cmd_metrics(args) -> int:
     with open(args.views, encoding="utf-8") as handle:
         views = read_views_tsv(handle)
     rows, failures = metrics_stage(
-        article_sets, related, views, args.readership, args.languages, Path(args.out)
+        article_sets, related, views, args.readership, args.languages, out
     )
     print(f"wrote {len(rows)} metric rows to {args.out}")
     return _warn_failed(failures)
 
 
 def _cmd_clusters(args) -> int:
+    out = _out_file(args.out)
     cluster_rows, unassigned = clusters_stage(
-        _read_metrics(args.metrics), args.cluster_map, args.aggregation, Path(args.out)
+        _read_metrics(args.metrics), args.cluster_map, args.aggregation, out
     )
     for row in unassigned:
         print(f"warning: no cluster for country {row.primary_country} ({row.language})", file=sys.stderr)

@@ -10,12 +10,10 @@ keep-set of properties, sitelinks to a keep-set of wiki codes; everything else
 is dropped on the spot.  A kept claim value is an item id: a statement whose
 value is anything else (a string, a quantity, a property, a no-value or
 some-value snak), and every deprecated-rank statement, is dropped, and so is
-a claim group left empty.  Without a keep-set of wiki codes, an item with a
-wiki code that a slim store cannot carry (it holds ``=``, ``|``, tab, CR, LF
-or a lone surrogate) is a malformed line; a keep-set's codes are the
-caller's, ``<lang>wiki`` codes that a store can carry.  So is an item with a
-kept title that holds a lone surrogate, which a ``\\ud800`` escape decodes to
-and UTF-8 cannot encode.
+a claim group left empty.  An item whose kept wiki code or title holds a
+lone surrogate, which a ``\\ud800`` escape decodes to and UTF-8 cannot
+encode, is a malformed line.  Kept claims come in ascending property order
+and kept sitelinks in ascending wiki order, the order a slim store keeps.
 
 Each item is checked field by field as it is projected, and then built with
 the plain :class:`SlimEntity` constructor.  Ids are their int numbers: a
@@ -30,16 +28,12 @@ values of the whole dump and break the parser's flat memory.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .entities import SlimEntity, item_number
 from .errors import DumpTruncatedError
-from .slimstore import unstorable_wiki_code
-
-# what a JSON "\ud800" escape with no pair decodes to; a UTF-8 store cannot hold it
-_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
+from .util import lone_surrogate
 
 
 @dataclass(frozen=True)
@@ -175,12 +169,10 @@ def _parse_entity_line(
                 continue
             title = entry.get("title")
             if wiki and isinstance(title, str) and title:
-                if not title.isascii() and _SURROGATE_RE.search(title):
+                if not wiki.isascii() and lone_surrogate(wiki):
+                    return None, f"sitelink wiki code {wiki!r} holds a lone surrogate"
+                if not title.isascii() and lone_surrogate(title):
                     return None, f"sitelink title for {wiki!r} holds a lone surrogate"
                 sitelinks[wiki] = title
-        # a kept code is one of the caller's keep_wikis, which a store can carry
-        problem = unstorable_wiki_code(sitelinks) if wiki_keys is None else None
-        if problem:
-            return None, f"sitelink {problem}"
 
     return SlimEntity(entity_id, claims, sitelinks), None

@@ -6,9 +6,9 @@ values, the geo index, the rule set, attribution's results and the article
 sets all hold ints, which hash and compare as fast as Python allows, and hash
 alike under every string hash seed.  Which kind an int is follows from where
 it sits.  An id's letter is read only where text comes in
-(:func:`item_number`, :func:`property_number`, or a ``util.Memo(item_number)``
-for a read's repeated item tokens) and written only where text goes out, as
-``"Q%d"`` or ``"P%d"``.
+(:func:`item_number`, :func:`property_number`) and written only where text
+goes out, as ``"Q%d"`` or ``"P%d"``; a slim store spells ids as bare JSON
+integers, which its decoder reads as ints.
 """
 
 from __future__ import annotations

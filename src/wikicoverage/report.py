@@ -166,10 +166,6 @@ def _write(path: Path, writer, value) -> None:
         writer(value, sink)
 
 
-def _write_text(text: str, sink: IO[str]) -> None:
-    sink.write(text)
-
-
 # -- the six stages ------------------------------------------------------------
 
 
@@ -310,10 +306,10 @@ def report_stage(
     written = {"table": out_dir / "table.tsv", "chart": out_dir / "chart.json"}
     _write(written["table"], emit_table, table_rows)
     chart = build_chart_data(table_rows, scale)
-    _write(written["chart"], _write_text, chart.to_json())
+    written["chart"].write_text(chart.to_json(), encoding="utf-8", newline="\n")
     if svg and chart.data:
         written["chart_svg"] = out_dir / "chart.svg"
-        _write(written["chart_svg"], _write_text, render_svg(chart.data, scale))
+        written["chart_svg"].write_text(render_svg(chart.data, scale), encoding="utf-8", newline="\n")
     else:
         (out_dir / "chart.svg").unlink(missing_ok=True)
     return chart, written
@@ -432,7 +428,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             issues["chart_dropped"] = chart.dropped
 
         manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        _write(stage_path("manifest", "manifest.json"), _write_text, manifest_text)
+        stage_path("manifest", "manifest.json").write_text(manifest_text, encoding="utf-8", newline="\n")
 
         # promote: move everything out of staging in one sweep
         promoted: dict[str, Path] = {}

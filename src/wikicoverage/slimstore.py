@@ -1,81 +1,61 @@
 """Compact intermediate store for parsed entities.
 
 Re-parsing dump JSON on every run defeats the two-pass pipeline, so parsed
-entities are persisted in a small line-oriented format:
+entities are persisted as one compact JSON array per line, under two header
+lines:
 
-    WCM3
+    WCM4
     count=<n> props=<comma-list>
-    <QID>\\t<prop>:<QID>[,...][;...]\\t<wiki>=<title>[|...]
+    [<item>,[<prop>,[<item>,...],...],["<wiki>","<title>",...]]
 
-Records are sorted by item number, each item once.  Titles have ``%``, tab,
-pipe, CR and LF percent-encoded.  The header's ``props=`` lists the
-properties the parse kept; a reader given the properties its rules need
-checks them against it.  ``WCM1``, which also stored non-item claim values as
-``*``, and ``WCM2``, whose header also listed the kept wiki codes, are not
-read: rebuild such a store.
+A record holds the item's number, its claims as alternating property numbers
+and arrays of item numbers, and its sitelinks as alternating wiki codes and
+titles, e.g. ``[42,[17,[30],31,[5]],["dewiki","X","enwiki","Y"]]``.  Records
+are sorted by item number, each item once; claim keys and wiki codes
+ascend, each once.  The stdlib ``json`` codec writes and reads every line,
+so a title or a wiki code may hold any character but a lone surrogate.
+``props=`` lists the properties the parse kept.  ``WCM1`` to ``WCM3``, which
+spelled records in a grammar of their own, are not read: rebuild such a store.
 
 One reader, :func:`read_slim_store` (:func:`load_slim_store` from a path),
-yields :class:`SlimEntity` records.  It checks the magic and header lines,
-that ``props=`` holds every property the caller requires, line numbers,
-blank lines, the header count in both directions, the sitelink checks and
-the item order.  It picks its record parse once per read:
-
-* A read that requires a property (``rules.required_properties``, as
-  ``attribute`` reads) puts each line through the checked whole-record
-  parse, and a record holds every stored claim.  It validates every id
-  token and reads each as its number: record ids and claim values must be
-  items, the header's ``props=`` properties, and a claim key is looked up
-  among the header's properties.  Each distinct claim value is read once
-  per read, through a ``util.Memo(item_number)``, on its first appearance,
-  and equal values then share one int.
-* A read that requires no property (``required_props=()``, as ``metrics``
-  reads) builds no claim.  It checks the claims field whole against one
-  pattern compiled from ``props=``; a field that fails the pattern is
-  handed to the whole-record parse, so both parses accept the same stores
-  and fail a bad one with the same message.
-
-Since every field is checked on the way in, records are built with the
-plain :class:`SlimEntity` constructor; no reader lists them.
-
-A bad token raises :class:`SlimStoreCorruptionError` naming its line.  The
-header is enforced per record: a claim key must be one of ``props=``.  A
-record that breaks its own header, repeats a claim key or a wiki, or does
-not follow the record before it in item order, is corruption naming its
-line.
+checks the header, that ``props=`` holds every property its caller
+requires, the header count in both directions and the item order, and
+decodes each record line once and checks each field: the id and every claim
+value an item number (an ``int`` of at least 1, not a ``bool``), each claim
+key one of ``props=``, each wiki code and title a non-empty string with no
+lone surrogate, which only a ``\\ud800`` escape can spell.  A read that
+requires no property (``metrics``) builds no claim; any other yields every
+stored claim.  Both make the same checks, so they accept the same stores
+and fail a bad one with the same message, naming its line.  Records are
+built with the plain :class:`SlimEntity` constructor; no reader lists them.
 
 The writer (:class:`SlimStoreWriter`) takes records in any order.  Its
-precondition is that each record keeps to the header it writes: every claim
-key is one of ``keep_props``, and every wiki code is one that
-:func:`unstorable_wiki_code` passes.  The dump parser's records, its one
-producer, meet it: the parse keeps only ``keep_props`` claims, and it either
-keeps the caller's ``<lang>wiki`` codes or tallies an item with an
-unstorable code as a malformed line.  The writer renders each record to its
-line at once, keeps the item number beside the line, and keeps at most
+precondition is that every claim key is one of ``keep_props`` and that
+claim keys and wiki codes ascend, as the dump parser, its one producer,
+yields them.  It renders each record to its line at once and keeps at most
 :data:`RUN_CHARS` characters of lines, spilling each full run, sorted by
-those numbers, to a temporary file; the store is the merge of the runs.  A
+item number, to a temporary file; the store is the merge of the runs.  A
 repeated item raises :class:`DuplicateItemError`: before anything is written
 when both records are in one run, while the merge is written otherwise.
-:func:`save_slim_store` writes beside the target file and renames over it
-only on success, so a refused or failed write never truncates the store
-already there.
+:func:`save_slim_store` renames its file over the target only once the whole
+store is written.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import os
 import re
 import tempfile
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import partial
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from operator import eq, itemgetter
 from pathlib import Path
-from sys import get_int_max_str_digits, intern
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
-from .entities import SlimEntity, id_pattern, item_number, property_number
+from .entities import SlimEntity, property_number
 from .errors import (
     DuplicateItemError,
     SlimStoreCorruptionError,
@@ -83,41 +63,20 @@ from .errors import (
     SlimStoreVersionError,
     SlimStoreWriteError,
 )
-from .util import Memo, first_repeat, parse_count
+from .util import first_repeat, lone_surrogate, parse_count
 
-MAGIC = "WCM3"
+MAGIC = "WCM4"
 
 _HEADER_RE = re.compile(r"count=([0-9]+) props=(\S*)\Z")
-_ESCAPE_RE = re.compile(r"[%\t|\n\r]")
-_UNESCAPE_RE = re.compile(r"%(25|09|7C|0A|0D)")
-_ESCAPES = {"%": "%25", "\t": "%09", "|": "%7C", "\n": "%0A", "\r": "%0D"}
-_UNESCAPES = {"25": "%", "09": "\t", "7C": "|", "0A": "\n", "0D": "\r"}
-_WIKI_BREAK_RE = re.compile(r"[=|\t\n\r\ud800-\udfff]")  # wiki codes are stored unescaped
 
 # The most rendered store text the writer holds, in characters.  A full run is
 # sorted and spilled to a temporary file; a 9 GB store (90M items) spills
 # about 270 runs, far below the usual limit of 1024 open files.
 RUN_CHARS = 1 << 25
 
-
-def _escape_title(title: str) -> str:
-    return _ESCAPE_RE.sub(lambda m: _ESCAPES[m.group(0)], title)
-
-
-def _unescape_title(text: str) -> str:
-    return _UNESCAPE_RE.sub(lambda m: _UNESCAPES[m.group(1)], text)
-
-
-def unstorable_wiki_code(wikis: Iterable[str]) -> str | None:
-    """Why a store cannot carry the least bad one of ``wikis``, or None.
-
-    Wiki codes are stored as they are: a record splits on tabs and line
-    breaks, its sitelinks field on ``|`` and each pair on its first ``=``, so
-    a code holding one of those would read back as another sitelink, or fail
-    the read.  A lone surrogate cannot be written as UTF-8 at all.
-    """
-    bad = [wiki for wiki in wikis if _WIKI_BREAK_RE.search(wiki)]
-    return f"wiki code {min(bad)!r} holds '=', '|', a tab, CR, LF or a lone surrogate" if bad else None
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False).encode
+_decode = json.JSONDecoder().raw_decode
+_flat = chain.from_iterable  # a dict's items as alternating keys and values
 
 
 @dataclass(frozen=True)
@@ -128,22 +87,16 @@ class StoreHeader:
 
 _first = itemgetter(0)  # a sorted run's (item number, line) pair: its number
 _line = itemgetter(1)  # and its line
-_item_token = "Q%d".__mod__
 
 
 def _record_line(entity: SlimEntity) -> str:
-    """The store line of ``entity``.  Each id is formatted from its number,
-    with no ``str()`` call per id."""
-    claims = ";".join(
-        ["P%d:" % prop + ",".join(map(_item_token, values)) for prop, values in sorted(entity.claims.items())]
-    )
-    links = "|".join([f"{wiki}={_escape_title(title)}" for wiki, title in sorted(entity.sitelinks.items())])
-    return "Q%d\t%s\t%s\n" % (entity.id, claims, links)
+    """The store line of ``entity``, which keeps to the writer's precondition."""
+    return _encode([entity.id, [*_flat(entity.claims.items())], [*_flat(entity.sitelinks.items())]]) + "\n"
 
 
 def _line_number(line: str) -> int:
     """The item number a spilled store line starts with."""
-    return int(line[1 : line.index("\t")])
+    return int(line[1 : line.index(",")])
 
 
 def _spilled(run: IO[str]) -> Iterator[tuple[int, str]]:
@@ -157,15 +110,15 @@ class SlimStoreWriter:
     """Writes records given in any order as one store, sorted by item number.
 
     :meth:`add` renders each record to its store line as it arrives; each
-    record must keep to the header (see the module docstring).  The writer holds at most :data:`RUN_CHARS`
-    characters of lines: a full run is sorted and spilled to a temporary
-    file, so writing a store takes about its size in ``TMPDIR`` when it does
-    not fit in one run.  :meth:`write` (or :func:`save_slim_store`) then
-    writes the header, whose count is known by then, and a merge of the
-    spilled runs and the last run, which stays in memory.  A repeated item is
-    two adjacent equal numbers: inside one run it raises
-    :class:`DuplicateItemError` before anything is written, across runs while
-    the merge is written.
+    record must keep to the header and to the record order (see the module
+    docstring).  The writer holds at most :data:`RUN_CHARS` characters of
+    lines: a full run is sorted and spilled to a temporary file, so writing
+    a store takes about its size in ``TMPDIR`` when it does not fit in one
+    run.  :meth:`write` (or :func:`save_slim_store`) then writes the header,
+    whose count is known by then, and a merge of the spilled runs and the
+    last run, which stays in memory.  A repeated item is two adjacent equal
+    numbers: inside one run it raises :class:`DuplicateItemError` before
+    anything is written, across runs while the merge is written.
     Close the writer, or use it as a context manager, to drop the spilled
     runs.
     """
@@ -263,7 +216,7 @@ def read_store_header(source: Iterable[str]) -> StoreHeader:
     """Read the magic and header lines of a store stream.
 
     Raises :class:`SlimStoreVersionError` for another format version (``WCM1``
-    and ``WCM2`` included) and :class:`SlimStoreCorruptionError` for a missing
+    to ``WCM3`` included) and :class:`SlimStoreCorruptionError` for a missing
     or malformed header, whose ``props=`` holds an empty or repeated token.
     An iterator is left at the first record line.
     """
@@ -298,98 +251,59 @@ def read_store_header(source: Iterable[str]) -> StoreHeader:
     return StoreHeader(count, props)
 
 
-class _Declared(dict):
-    """Claim key -> the header's property number; a key ``props=`` does not
-    declare is corruption."""
-
-    __slots__ = ()
-
-    def __init__(self, props: Iterable[int]):
-        super().__init__(("P%d" % prop, prop) for prop in props)
-
-    def __missing__(self, token: str):
-        raise ValueError(f"claim key {token!r} is not in the header's props=")
-
-
-def _parse_sitelinks(links_field: str) -> dict[str, str]:
-    """A record's sitelinks field.  A bad pair raises ValueError."""
-    sitelinks: dict[str, str] = {}
-    if links_field:
-        for pair in links_field.split("|"):
-            wiki, sep, title = pair.partition("=")
-            if not sep:
-                raise ValueError(f"bad sitelink field {pair!r}")
-            if not wiki:
-                raise ValueError("sitelink wiki code is empty")
-            if not title:
-                raise ValueError(f"sitelink title for {wiki!r} is empty")
-            if wiki in sitelinks:
-                raise ValueError(f"sitelink {wiki!r} appears twice in the record")
-            # one string per wiki code, shared by every record that links it
-            sitelinks[intern(wiki)] = _unescape_title(title) if "%" in title else title
-    return sitelinks
-
-
-def _parse_record(props: _Declared, values: Memo, line: str, line_number: int) -> SlimEntity:
-    """One record line; ``props`` is the header's list, ``values`` the read's claim value memo."""
-    parts = line.split("\t")
-    if len(parts) != 3:
-        raise SlimStoreCorruptionError(
-            f"store line {line_number}: expected 3 tab-separated fields, got {len(parts)}"
-        )
-    id_field, claims_field, links_field = parts
-    value_of = values.__getitem__
+def _parse_record(props: frozenset[int], claimed: bool, line: str) -> SlimEntity:
+    """One record line, decoded once and checked field by field; its claims
+    are built when ``claimed``.  ``props`` holds the header's properties.  A
+    bad record raises ValueError."""
     try:
-        claims: dict[int, tuple[int, ...]] = {}
-        if claims_field:
-            for group in claims_field.split(";"):
-                prop_text, _, values_text = group.partition(":")
-                prop = props[prop_text]
-                if prop in claims:
-                    raise ValueError(f"claim key {prop_text!r} appears twice in the record")
-                claims[prop] = tuple(map(value_of, values_text.split(",")))
-        sitelinks = _parse_sitelinks(links_field)
-        return SlimEntity(item_number(id_field), claims, sitelinks)
-    except ValueError as exc:
-        raise SlimStoreCorruptionError(f"store line {line_number}: {exc}") from exc
-
-
-def _claims_pattern(props: Iterable[str]) -> re.Pattern:
-    """The claims fields :func:`_parse_record` accepts under the header's ``props=``.
-
-    That is ``prop:Q<n>[,Q<n>]`` groups joined by ``;``, each ``prop`` one of
-    ``props`` and in no later group, or nothing at all.
-    """
-    keys = "|".join(map(re.escape, props))
-    if not keys:
-        return re.compile("")
-    # the item ids entities.item_number accepts: int() reads no more digits
-    # than its limit (0 is no limit)
-    limit = get_int_max_str_digits()
-    item = f"[Q][1-9][0-9]{{0,{limit - 1}}}" if limit else id_pattern("Q")
-    values = f":{item}(?:,{item})*"
-    # each group's lookahead refuses a later group with the same key
-    first = f"({keys}){values}(?!.*;\\1:)"
-    later = f";({keys}){values}(?!.*;\\2:)"
-    return re.compile(f"(?:{first}(?:{later})*)?", re.DOTALL)
-
-
-def _unclaimed_parser(props: _Declared, values: Memo) -> Callable[[str, int], SlimEntity]:
-    """The record parse of a read that requires no property: the claims field
-    is checked whole against :func:`_claims_pattern` and never built."""
-    claims_valid = _claims_pattern(props).fullmatch
-
-    def parse(line: str, line_number: int) -> SlimEntity:
-        parts = line.split("\t")
-        if len(parts) != 3 or claims_valid(parts[1]) is None:
-            _parse_record(props, values, line, line_number)  # raises the checked parse's error
-        try:
-            sitelinks = _parse_sitelinks(parts[2])
-            return SlimEntity(item_number(parts[0]), {}, sitelinks)
-        except ValueError as exc:
-            raise SlimStoreCorruptionError(f"store line {line_number}: {exc}") from exc
-
-    return parse
+        record, end = _decode(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON at column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, or nesting too deep
+        raise ValueError(f"invalid JSON: {exc}") from None
+    if line[end:] not in ("\n", "") or type(record) is not list or len(record) != 3:
+        raise ValueError("a record is one JSON array of 3 elements")
+    item, groups, links = record
+    if type(item) is not int or item < 1:
+        raise ValueError(f"not an item number: {_encode(item)}")
+    if type(groups) is not list or len(groups) % 2:
+        raise ValueError("claims are not an array of alternating properties and values")
+    claims: dict[int, tuple[int, ...]] = {}
+    previous = 0
+    fields = iter(groups)
+    for prop in fields:
+        values = next(fields)
+        if type(prop) is not int or prop not in props:
+            raise ValueError(f"claim key {_encode(prop)} is not in the header's props=")
+        if prop <= previous:
+            raise ValueError(f"claim key {prop} does not follow {previous}; claim keys are ascending, each once")
+        previous = prop
+        if type(values) is not list or not values:
+            raise ValueError(f"claim values of {prop} are not a non-empty array")
+        for value in values:
+            if type(value) is not int or value < 1:
+                raise ValueError(f"not an item number: {_encode(value)}")
+        if claimed:
+            claims[prop] = tuple(values)
+    if type(links) is not list or len(links) % 2:
+        raise ValueError("sitelinks are not an array of alternating wiki codes and titles")
+    sitelinks: dict[str, str] = {}
+    last = ""
+    fields = iter(links)
+    for wiki in fields:
+        title = next(fields)
+        if type(wiki) is not str or not wiki:
+            raise ValueError(f"sitelink wiki code {_encode(wiki)} is not a non-empty string")
+        if wiki <= last:
+            raise ValueError(f"sitelink {wiki!r} does not follow {last!r}; wiki codes are ascending, each once")
+        last = wiki
+        if type(title) is not str or not title:
+            raise ValueError(f"sitelink title for {wiki!r} is not a non-empty string: {_encode(title)}")
+        sitelinks[wiki] = title
+    # only an escape spells a lone surrogate, and the writer writes none
+    if "\\u" in line and lone_surrogate("".join(links)):
+        raise ValueError("a sitelink holds a lone surrogate")
+    return SlimEntity(item, claims, sitelinks)
 
 
 def read_slim_store(source: Iterable[str], required_props: Iterable[int]) -> Iterator[SlimEntity]:
@@ -402,8 +316,6 @@ def read_slim_store(source: Iterable[str], required_props: Iterable[int]) -> Ite
     ``required_props``, and :class:`SlimStoreCorruptionError` for a bad
     record, a record out of item order, or a header count that disagrees with
     the records actually present (checked once the stream is exhausted).
-    Every read, whatever it requires, accepts the same stores and fails a bad
-    one with the same message.
     """
     lines = iter(source)
     header = read_store_header(lines)
@@ -415,22 +327,20 @@ def read_slim_store(source: Iterable[str], required_props: Iterable[int]) -> Ite
             f"store was kept without {ids}, which the rules need; rebuild it with these rules"
         )
 
-    props = _Declared(header.props)
-    # one id memo per read: a memo that outlived its file would grow with every file read
-    values = Memo(item_number)
-    parse = partial(_parse_record, props, values) if required else _unclaimed_parser(props, values)
+    props = frozenset(header.props)
+    claimed = bool(required)
     seen = 0
     previous = 0  # the item number of the record before; every id is above 0
-    for line_number, raw in enumerate(lines, start=3):
-        line = raw.rstrip("\n")
-        if not line:
+    for line_number, line in enumerate(lines, start=3):
+        if line == "\n":
             continue
         seen += 1
         if seen > header.count:
-            raise SlimStoreCorruptionError(
-                f"header says {header.count} records but more are present"
-            )
-        record = parse(line, line_number)
+            raise SlimStoreCorruptionError(f"header says {header.count} records but more are present")
+        try:
+            record = _parse_record(props, claimed, line)
+        except ValueError as exc:
+            raise SlimStoreCorruptionError(f"store line {line_number}: {exc}") from exc
         number = record.id
         if number <= previous:
             raise SlimStoreCorruptionError(
@@ -440,9 +350,7 @@ def read_slim_store(source: Iterable[str], required_props: Iterable[int]) -> Ite
         previous = number
         yield record
     if seen != header.count:
-        raise SlimStoreCorruptionError(
-            f"header says {header.count} records but file has {seen}"
-        )
+        raise SlimStoreCorruptionError(f"header says {header.count} records but file has {seen}")
 
 
 def save_slim_store(writer: SlimStoreWriter, path: Path | str) -> int:

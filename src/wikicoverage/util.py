@@ -1,13 +1,15 @@
 """Small shared helpers: title normalization, exact fraction rendering, the
 one count reader of every input file (:func:`parse_count`), the one check
 for a token repeated in a list (:func:`first_repeat`), the one memo type
-(:class:`Memo`), the one row reader behind the TSV artifact readers, the
-field-count check of the CSV readers, and a pause of the cyclic garbage
-collector for attribution's pass."""
+(:class:`Memo`), the one test for a lone surrogate in decoded JSON text
+(:func:`lone_surrogate`), the one row reader behind the TSV artifact
+readers, the field-count check of the CSV readers, and a pause of the
+cyclic garbage collector for attribution's pass."""
 
 from __future__ import annotations
 
 import gc
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -70,6 +72,10 @@ def first_repeat(tokens: Sequence[str]) -> str | None:
             return token
         seen.add(token)
     return None
+
+
+# finds what a JSON "\ud800" escape with no pair decodes to, which UTF-8 cannot encode
+lone_surrogate = re.compile(r"[\ud800-\udfff]").search
 
 
 class Memo(dict):

@@ -65,7 +65,9 @@ def dump_text(objects: list[dict | str], terminator: bool = True) -> str:
 # every property that random_entities claims, for a store header's props=
 STORE_PROPS = (17, 19, 27, 31, 276, 495)
 
-_TITLE_CHARS = "abcdefgh XYZ_%|\t'(),:;=é中"
+# the characters a record's text could break on, JSON's own among them, and
+# characters outside the Basic Multilingual Plane
+_TITLE_CHARS = "abcdefgh XYZ_%|\t\r\n'(),:;=\"\\[]{}é中\u2028\uffff\U0001f600\U00010348"
 
 
 def random_title(rng: random.Random) -> str:
@@ -74,7 +76,8 @@ def random_title(rng: random.Random) -> str:
 
 
 def random_entities(rng: random.Random, count: int) -> list[SlimEntity]:
-    """Entities with unique ids, mixed claims and odd titles."""
+    """Entities with unique ids, mixed claims and odd titles.  Claim keys and
+    wiki codes ascend, as the dump parser yields them."""
     numbers = rng.sample(range(1, max(count * 10, 1000)), count)
     entities = []
     wikis = ["enwiki", "dewiki", "frwiki", "plwiki", "zh_min_nanwiki"]
@@ -86,7 +89,7 @@ def random_entities(rng: random.Random, count: int) -> list[SlimEntity]:
             wiki: random_title(rng)
             for wiki in rng.sample(wikis, rng.randint(0, len(wikis)))
         }
-        entities.append(SlimEntity(number, claims, sitelinks))
+        entities.append(SlimEntity(number, dict(sorted(claims.items())), dict(sorted(sitelinks.items()))))
     return entities
 
 

@@ -369,12 +369,12 @@ class TestStreamingBounds:
 def write_store(path: Path, records: int, links) -> int:
     """A store of places ``Q1``-``Q10`` (each in country ``Q30`` or ``Q183``) and
     items ``Q11`` on, each born in one of them; ``links(n)`` is item ``n``'s
-    sitelinks field."""
+    sitelinks, alternating wiki codes and titles."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"WCM3\ncount={records} props=P17,P19,P27,P31,P276,P495\n")
+        handle.write(f"WCM4\ncount={records} props=P17,P19,P27,P31,P276,P495\n")
         for n in range(1, records + 1):
-            claims = f"P17:Q{30 if n % 2 else 183}" if n <= 10 else f"P19:Q{1 + n % 10}"
-            handle.write(f"Q{n}\t{claims}\t{links(n)}\n")
+            claims = [17, [30 if n % 2 else 183]] if n <= 10 else [19, [1 + n % 10]]
+            handle.write(json.dumps([n, claims, links(n)], separators=(",", ":")) + "\n")
     return path.stat().st_size
 
 
@@ -393,7 +393,7 @@ class TestStreamedStore:
         # each record's 16 KB title is dropped once the record has passed
         with criterion("attribute streams the store (2,000 records of 16 KB, peak < 1/4 of the store)"):
             store = tmp_path / "entities.slim"
-            size = write_store(store, 2_000, lambda n: f"enwiki=T{n}_" + "x" * 16_000)
+            size = write_store(store, 2_000, lambda n: ["enwiki", f"T{n}_" + "x" * 16_000])
             rules = RuleSet()
             out = tmp_path / "attribution.tsv"
             peak = traced_peak(
@@ -404,12 +404,32 @@ class TestStreamedStore:
             related = out.read_text(encoding="utf-8").count("\ttrue\t")
             assert related == 5 + 995  # the places in Q30, and the items born there
 
+    def test_a_store_read_keeps_no_claim_value(self, tmp_path):
+        # each record claims 100 items no other record claims: a drained read
+        # may keep none of them once their record has passed
+        with criterion("store read is flat (2,000 records of 100 distinct claim values, peak < 1 MiB)"):
+            store = tmp_path / "entities.slim"
+            with SlimStoreWriter([INSTANCE_OF]) as writer:
+                for n in range(1, 2_001):
+                    writer.add(SlimEntity(n, {INSTANCE_OF: tuple(10_000 + 100 * n + k for k in range(100))}))
+                slimstore.save_slim_store(writer, store)
+            drained = []
+
+            def drain():
+                for record in load_slim_store(store, [INSTANCE_OF]):
+                    drained.append(len(record.claims[INSTANCE_OF]))
+
+            peak = traced_peak(drain)
+            print(f"  traced peak {peak / 2**20:.2f} MiB over {store.stat().st_size / 2**20:.1f} MiB of store")
+            assert drained == [100] * 2_000
+            assert peak < 2**20
+
     def test_the_metrics_join_holds_no_per_item_map(self, tmp_path):
         # no record links an English article, one in a hundred is related:
         # the join may keep those, and nothing per item
         with criterion("metrics join (20,000 records, peak < 16 B per record)"):
             store = tmp_path / "entities.slim"
-            write_store(store, 20_000, lambda n: f"frwiki=T{n}")
+            write_store(store, 20_000, lambda n: ["frwiki", f"T{n}"])
             tsv = tmp_path / "attribution.tsv"
             tsv.write_text(
                 "".join(f"Q{n}\ttrue\tP17>Q30\n" if n % 100 == 0 else f"Q{n}\tfalse\t\n" for n in range(1, 20_001)),

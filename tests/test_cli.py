@@ -171,7 +171,7 @@ class TestStageByStage:
 
         wide_store = (runs["wide"] / "entities.slim").read_text(encoding="utf-8")
         assert wide_store.split("\n")[1].endswith(" props=P17,P19,P27,P31,P131,P276,P495")
-        assert "P131:Q" in wide_store
+        assert any(131 in json.loads(line)[1][0::2] for line in wide_store.split("\n")[2:] if line)
         assert (runs["kept"] / "entities.slim").read_bytes() != wide_store.encode("utf-8")
         for name in ("attribution.tsv", "metrics.tsv"):
             assert (runs["wide"] / name).read_bytes() == (runs["kept"] / name).read_bytes(), name
@@ -190,7 +190,7 @@ GOLDEN_DIGESTS = {
         "chart.json": "7fd6eebb7dab727c30e0d827e88603bdafd510bd1f25703095fbb7451d6a3336",
         "chart.svg": "9f2c02903d5efa1c82df1db26790f5cf015711b7d41239aeda95f92ee2c13c0b",
         "clusters.tsv": "4785fbddc4712ce903865976bdd2bcaad759a15d229ab01374ba94e47a15b5a2",
-        "entities.slim": "b8ab2413ca2f78fa57fe742fc5d4d273702a9db144165dae665e1bfe5a189bab",
+        "entities.slim": "2848d8aa2707f0fc9e36119d0468afd4556eb39f6332455d744559a0b0bc281f",
         "manifest.json": "47d9f49f06076787ba8c464d3552bb9394b6986e2000334a4cd850d9e676a03d",
         "metrics.tsv": "38ee2e9031921762283c419a0b1a743ba2d91692a3c077f9f608d4c52c205509",
         "table.tsv": "dfda502475b7b74a1c22a435580d1d8a12ae11e969ebbae75ddda9baa9b72085",
@@ -201,7 +201,7 @@ GOLDEN_DIGESTS = {
         "chart.json": "263602129f12c7f0108b1b6a7316254dd9e490a961f586b5d55d6d1782a8430d",
         "chart.svg": "d61128d4fa44220ec4bc0230b8c03d0af0815dba4cceb2fd751bfaacdee23d93",
         "clusters.tsv": "78c2fff1911cf95a16dc82cc3bb221cb79c517169adfcb0ef371f726e1c3e7f7",
-        "entities.slim": "b8ab2413ca2f78fa57fe742fc5d4d273702a9db144165dae665e1bfe5a189bab",
+        "entities.slim": "2848d8aa2707f0fc9e36119d0468afd4556eb39f6332455d744559a0b0bc281f",
         "manifest.json": "ff34e597ea8d153de8a20e65359fedf0c28bf94600e9d0a97f616d0d86617d36",
         "metrics.tsv": "889db149497ced9f049b11a4d102b2fdbd533cb68471a1cc4525a1edfd0f09d3",
         "table.tsv": "52b65ec6c27ccd898445e6e711bba2edddeb9b6486f84dc3374ca18c5f8295f5",
@@ -235,6 +235,25 @@ class TestGoldenDigests:
 
 
 class TestErrorsAndFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["slim", "--dump", "absent.json"],
+            ["attribute", "--slim", "absent.slim"],
+            ["usage", "absent.txt"],
+            ["metrics", "--slim", "absent.slim", "--attribution", "absent.tsv", "--views", "absent.tsv",
+             "--readership", "absent.csv", "--languages", "en"],
+            ["clusters", "--metrics", "absent.tsv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_missing_out_directory_fails_before_any_input_is_read(self, tmp_path, capsys, argv):
+        # every input is missing too: the first error names the directory
+        missing = tmp_path / "missing"
+        assert run([*argv, "--out", missing / "out.file"]) == 1
+        assert capsys.readouterr().err == f"error: output directory does not exist: {missing}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):
         code = run(["attribute", "--slim", tmp_path / "nope.slim", "--out", tmp_path / "x"])
         assert code == 1
@@ -543,20 +562,22 @@ class TestCorruptStores:
     def test_bad_claim_token_fails_metrics_as_it_fails_attribute(self, chain, tmp_path, capsys):
         store = chain["entities.slim"]
         lines = store.read_text(encoding="utf-8").split("\n")
-        item, claims, links = lines[4].split("\t")
-        lines[4] = "\t".join((item, claims.replace(":Q", ":Q0", 1), links))
+        record = json.loads(lines[4])
+        record[1][1][0] = 0  # the first claim's first value
+        lines[4] = json.dumps(record, ensure_ascii=False, separators=(",", ":"))
         store.write_text("\n".join(lines), encoding="utf-8")
         metrics_err, attribute_err = self.errors(chain, tmp_path, capsys)
         assert metrics_err == attribute_err
-        assert metrics_err.startswith("error: store line 5: not an item id: 'Q0")
+        assert metrics_err == "error: store line 5: not an item number: 0\n"
         assert not (tmp_path / "metrics.tsv").exists()
 
     def test_corrupt_store_is_reported_before_a_corrupt_attribution_tsv(self, chain, tmp_path, capsys):
         store = chain["entities.slim"]
-        store.write_text(store.read_text(encoding="utf-8").replace("\t", "\t\t", 1), encoding="utf-8")
+        # the first record gets an empty array between its claims and its sitelinks
+        store.write_text(store.read_text(encoding="utf-8").replace("]],[", "]],[],[", 1), encoding="utf-8")
         chain["attribution.tsv"].write_text("not\ta\tvalid\tline\n", encoding="utf-8")
         metrics_err, _ = self.errors(chain, tmp_path, capsys)
-        assert metrics_err == "error: store line 3: expected 3 tab-separated fields, got 4\n"
+        assert metrics_err == "error: store line 3: a record is one JSON array of 3 elements\n"
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -601,8 +622,8 @@ class TestCorruptStores:
         lines[1] = lines[1].replace(f"count={count} ", f"count={count + 1} ")
         lines.insert(4, lines[3])
         store.write_text("".join(lines), encoding="utf-8")
-        item = lines[3].split("\t")[0]
-        message = f"error: store line 5: item {item} does not follow {item}; records are sorted by item number, each item once\n"
+        item = json.loads(lines[3])[0]
+        message = f"error: store line 5: item Q{item} does not follow Q{item}; records are sorted by item number, each item once\n"
         assert self.errors(chain, tmp_path, capsys) == (message, message)
 
     def test_slim_refuses_a_dump_with_a_repeated_item(self, tmp_path, capsys):

@@ -99,7 +99,7 @@ def parsed(*objects):
 def assert_store_refuses(record, problem, props="P17"):
     """Both reads of a store whose one record line is ``record`` refuse it
     with ``problem``: the checked whole-record parse, and the no-claim read."""
-    text = f"WCM3\ncount=1 props={props}\n{record}\n"
+    text = f"WCM4\ncount=1 props={props}\n{record}\n"
     for required in ((int(props[1:]),), ()):
         message = f"^store line 3: {re.escape(problem)}$"
         with pytest.raises(SlimStoreCorruptionError, match=message):
@@ -121,13 +121,14 @@ class TestSlimEntity:
         # an id token, of either kind, is no item number
         records, errors = parsed(entity_json("P17"), entity_json("Q2"))
         assert (records, errors) == ([SlimEntity(2)], [ParseIssue(2, "bad entity id: 'P17'")])
-        assert_store_refuses("P17\t\t", "not an item id: 'P17'")
+        assert_store_refuses('["P17",[],[]]', 'not an item number: "P17"')
 
     @pytest.mark.parametrize("bad", [("item", 1), 0, -1, True, "Q1", 1.0])
     def test_rejects_an_id_that_is_not_an_item_number(self, bad):
-        # a store's id field is a Q<n> token: a value spelled any other way,
-        # as its repr spells it (a quoted 'Q1' among them), is corruption
-        assert_store_refuses(f"{bad!r}\t\t", f"not an item id: {repr(bad)!r}")
+        # a store's id is a JSON integer: a value spelled any other way, as
+        # the store spells it (a quoted "Q1" among them), is corruption
+        spelled = json.dumps(bad, separators=(",", ":"))
+        assert_store_refuses(f"[{spelled},[],[]]", f"not an item number: {spelled}")
         if type(bad) is not str:
             # a dump's id is a JSON string; a number, a bool or a list is a malformed line
             value = json.loads(json.dumps(bad))  # a tuple comes back as a list
@@ -137,7 +138,7 @@ class TestSlimEntity:
         # a claim group whose every statement is dropped is dropped with them
         deprecated = statement(30, rank="deprecated")
         assert parsed(entity_json("Q1", {"P17": [deprecated]})) == ([SlimEntity(1)], [])
-        assert_store_refuses("Q1\tP17:\t", "not an item id: ''")
+        assert_store_refuses("[1,[17,[]],[]]", "claim values of 17 are not a non-empty array")
 
     def test_rejects_a_claim_value_that_is_not_an_item(self):
         # every reader takes a claim value as an item number
@@ -145,18 +146,19 @@ class TestSlimEntity:
             [SlimEntity(1, {17: (30,)})],
             [],
         )
-        assert_store_refuses("Q1\tP17:Q30,P5\t", "not an item id: 'P5'")
-        assert_store_refuses("Q1\tP17:Q30,Q0\t", "not an item id: 'Q0'")
+        assert_store_refuses('[1,[17,[30,"P5"]],[]]', 'not an item number: "P5"')
+        assert_store_refuses("[1,[17,[30,0]],[]]", "not an item number: 0")
 
     @pytest.mark.parametrize("bad", ["P17", 0, True])
     def test_rejects_a_claim_key_that_is_not_a_property_number(self, bad):
         # a store's claim key is one of the properties its header lists, here P27 alone
-        assert_store_refuses(f"Q1\t{bad}:Q30\t", f"claim key {str(bad)!r} is not in the header's props=", "P27")
+        spelled = json.dumps(bad)
+        assert_store_refuses(f"[1,[{spelled},[30]],[]]", f"claim key {spelled} is not in the header's props=", "P27")
 
     def test_rejects_empty_title(self):
         # the parser drops a sitelink with an empty title or wiki code
         sitelinks = {"enwiki": "", "": "X", "dewiki": "B"}
         assert parsed(entity_json("Q1", sitelinks=sitelinks)) == ([SlimEntity(1, {}, {"dewiki": "B"})], [])
-        assert_store_refuses("Q1\t\tenwiki=", "sitelink title for 'enwiki' is empty")
+        assert_store_refuses('[1,[],["enwiki",""]]', 'sitelink title for \'enwiki\' is not a non-empty string: ""')
         # nor may the other side of a sitelink be empty
-        assert_store_refuses("Q1\t\t=X", "sitelink wiki code is empty")
+        assert_store_refuses('[1,[],["","X"]]', 'sitelink wiki code "" is not a non-empty string')

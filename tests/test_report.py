@@ -303,7 +303,7 @@ class TestPipelineEndToEnd:
     def test_undecodable_store_fails_as_the_ingest_stage(self, tmp_path):
         store = tmp_path / "entities.slim"
         first = run_pipeline(self.config(tmp_path, out_dir=tmp_path / "first"))
-        store.write_bytes(first.artifacts["slim"].read_bytes().replace(b"=Berlin|", b"=B\xe9rlin|"))
+        store.write_bytes(first.artifacts["slim"].read_bytes().replace(b"\"Berlin\"", b"\"B\xe9rlin\""))
         with pytest.raises(PipelineStageError) as err:
             run_pipeline(self.config(tmp_path, dump=None, slim=store))
         assert err.value.stage == "ingest"

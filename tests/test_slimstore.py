@@ -1,9 +1,11 @@
 import io
+import json
 import random
 import re
 import tempfile
 import tracemalloc
 from functools import partial
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -13,7 +15,6 @@ from hypothesis import strategies as st
 from wikicoverage import slimstore
 from wikicoverage.attribution import RuleSet
 from wikicoverage.cli import main
-from wikicoverage.dump import ParseIssue
 from wikicoverage.entities import SlimEntity
 from wikicoverage.errors import (
     DuplicateItemError,
@@ -23,7 +24,6 @@ from wikicoverage.errors import (
     SlimStoreVersionError,
     SlimStoreWriteError,
 )
-from wikicoverage.metrics import build_article_sets
 from wikicoverage.report import slim_stage
 from wikicoverage.slimstore import (
     read_slim_store,
@@ -108,41 +108,65 @@ def assert_every_read_agrees(text):
         assert outcome(text, required) == expected, required
 
 
-# records that break a token, each with the line it breaks; a first entry
+# records that break a field, each with the line it breaks; a first entry
 # "props=..." stands in for the header's property list
 BAD_TOKEN_CASES = [
-    (["Q1\tQ5:Q30\t"], 3),
-    (["P17\tP17:Q30\t"], 3),
-    (["Q01\tP17:Q30\t"], 3),
-    (["Q\u0663\tP17:Q30\t"], 3),
-    (["Q\tP17:Q30\t"], 3),
-    (["Q1\tP17:Q01\t"], 3),
-    (["Q1\tP17:Q\u0663\t"], 3),
-    (["Q1\tP17:Q\t"], 3),
-    (["Q1\tP17:\t"], 3),
-    (["Q1\tP17:Q30,\t"], 3),
-    (["Q1\t\t=Title"], 3),
-    (["Q1\t\tenwiki="], 3),
-    (["Q1\tP17:Q30\tenwiki=A", "Q2\tP17:Q30,Q0\tenwiki=B"], 4),
-    (["Q1\tP17:Q30\t", "Q2\tP17:Q30\t", "Q3\tP31:Q5;Q5:Q30\t"], 5),
-    (["Q1\tP17:Q30,P5\t"], 3),
+    (['[1,["Q5",[30]],[]]'], 3),  # an item id as a claim key
+    (['["P17",[17,[30]],[]]'], 3),  # a property id as the record's id
+    (["[01,[17,[30]],[]]"], 3),  # a leading zero
+    (["[\u0663,[17,[30]],[]]"], 3),  # a digit that is not ASCII
+    (["[null,[17,[30]],[]]"], 3),
+    (["[1,[17,[01]],[]]"], 3),
+    (["[1,[17,[\u0663]],[]]"], 3),
+    (['[1,[17,["30"]],[]]'], 3),
+    (["[1,[17,[]],[]]"], 3),
+    (["[1,[17,[30,]],[]]"], 3),
+    (['[1,[],["","Title"]]'], 3),
+    (['[1,[],["enwiki",""]]'], 3),
+    (['[1,[17,[30]],["enwiki","A"]]', '[2,[17,[30,0]],["enwiki","B"]]'], 4),
+    (["[1,[17,[30]],[]]", "[2,[17,[30]],[]]", '[3,[31,[5],"Q5",[30]],[]]'], 5),
+    (['[1,[17,[30,"P5"]],[]]'], 3),
     (["props=P17,Q5x"], 2),
     (["props=P17,Q5"], 2),
     (["props=P17,,P31"], 2),
     (["props=P17,P31,P17"], 2),
-    (["Q1\tP17:Q" + "1" * 4301 + "\t"], 3),  # more digits than int() reads
+    (["[1,[17,[" + "1" * 4301 + "]],[]]"], 3),  # more digits than int() reads
+    (["props=P1,P17", "[1,[true,[5]],[]]"], 3),  # a bool equals 1, and is no property
+    (["[true,[],[]]"], 3),
+    (["[1,[17,[true]],[]]"], 3),
+    (["[1,[17,[false]],[]]"], 3),
+    (["[1.0,[],[]]"], 3),
+    (["[1,[17,[30.0]],[]]"], 3),
+    (["[1,[17,[3e1]],[]]"], 3),
+    (["[1,[17,[-30]],[]]"], 3),
+    (["[1,[17,[Infinity]],[]]"], 3),
+    (["[1,[17,[NaN]],[]]"], 3),
+    (["[1,[17,30],[]]"], 3),
+    (["[1,[17],[]]"], 3),
+    (["[1,{},[]]"], 3),
+    (["[1,[[],[]],[]]"], 3),
+    (["[1,[],{}]"], 3),
+    (['[1,[],["enwiki"]]'], 3),
+    (['[1,[],[5,"X"]]'], 3),
+    (['[1,[],["enwiki",5]]'], 3),
+    (['[1,[],["enwiki",["X"]]]'], 3),
+    (['[1,[],["enwiki","a\\ud800"]]'], 3),  # a lone surrogate, spelled as its escape
+    (['[1,[],["enwiki","a\\uDC00"]]'], 3),
+    (['[1,[],["a\\ud800","X"]]'], 3),
+    (["[1,[],[]]", "[" * 100_000], 4),  # nested deeper than the decoder recurses
+    (["[1,[],[]]x"], 3),
+    ([" [1,[],[]]"], 3),
 ]
 
 
-# a field mutates one token at a time: an id prefix, a digit run, a separator
-# or a run of other text is replaced by, or preceded by, one replacement: a
-# Q/P id, a digit run (zero and a leading zero among them), a separator, a
-# tab, or nothing
-MUTABLE_TOKEN = re.compile(r"[QP]|[0-9]+|[:;,=|%]|[^QP0-9:;,=|%]+")
+# a record line mutates one token at a time: a digit run, a bracket, a comma,
+# a quote or a run of other text is replaced by, or preceded by, one
+# replacement: a number (zero, a leading zero, a sign, a fraction), a literal,
+# a string, a bracket, a comma, a quote, an escape, or nothing
+MUTABLE_TOKEN = re.compile(r'[0-9]+|[\[\],"]|[^\[\],"0-9]+')
 TOKEN_REPLACEMENTS = [
-    "Q0", "Q01", "Q7", "Q", "P0", "P17", "P",
-    "0", "01", "7",
-    ":", ";", ",", "=", "|", "%", "\t", "",
+    "0", "01", "7", "-7", "7.0", "1e3", "true", "null", "NaN",
+    '"x"', '""', "[", "]", ",", '"', "{}", "\\ud800", "\\u00e9", " ", "",
 ]
 
 
@@ -150,7 +174,7 @@ def store_text(records):
     props = "props=P17,P31"
     if records[0].startswith("props="):
         props, records = records[0], records[1:]
-    return f"WCM3\ncount={len(records)} {props}\n" + "".join(r + "\n" for r in records)
+    return f"WCM4\ncount={len(records)} {props}\n" + "".join(r + "\n" for r in records)
 
 
 class TestWrite:
@@ -178,7 +202,7 @@ class TestWrite:
         )
         header = read_store_header(io.StringIO(sink.getvalue()))
         assert header == slimstore.StoreHeader(1, (17, 27))
-        assert sink.getvalue().splitlines()[:2] == ["WCM3", "count=1 props=P17,P27"]
+        assert sink.getvalue().splitlines() == ["WCM4", "count=1 props=P17,P27", "[1,[17,[30]],[]]"]
 
     @pytest.mark.parametrize("claims", [{"P99": [5], "P17": [30]}], ids=["undeclared-claim-key"])
     def test_record_outside_the_header_is_refused_before_writing(self, tmp_path, claims):
@@ -189,24 +213,25 @@ class TestWrite:
         assert issues == []
 
     @pytest.mark.parametrize(
-        "wiki", ["a=b", "x|y", "a\tb", "a\rb", "a\nb"], ids=["equals", "pipe", "tab", "cr", "lf"]
+        "wiki",
+        ["a=b", "x|y", "a\tb", "a\rb", "a\nb", 'a"b', "a\\b", "a,b", "a\u2028b", "a\U0001f600b"],
+        ids=["equals", "pipe", "tab", "cr", "lf", "quote", "backslash", "comma", "line-separator", "astral"],
     )
-    def test_wiki_code_the_store_cannot_carry_is_refused_before_writing(self, tmp_path, wiki):
-        # a record splits on these: `a=b` would read back as {'a': 'b=T'}, `x|y` fail the read;
-        # the parse tallies the item as a malformed line, so the store holds the rest
+    def test_wiki_code_with_a_delimiter_is_stored_and_read_back(self, tmp_path, wiki):
+        # JSON spells any code; a store kept without languages holds it
         objects = [
             entity_json("Q9", sitelinks={"enwiki": "Y"}),
             entity_json("Q12", sitelinks={"enwiki": "Z", wiki: "T"}),
         ]
-        problem = f"sitelink wiki code {wiki!r} holds '=', '|', a tab, CR, LF or a lone surrogate"
-        assert slim(tmp_path, objects) == ([SlimEntity(9, {}, {"enwiki": "Y"})], [ParseIssue(3, problem)])
+        expected = [SlimEntity(9, {}, {"enwiki": "Y"}), SlimEntity(12, {}, dict(sorted({"enwiki": "Z", wiki: "T"}.items())))]
+        assert slim(tmp_path, objects) == (expected, [])
         # a run's languages keep only their own wiki codes
         records, issues = slim(tmp_path, objects, ["en"])
         assert (records, issues) == ([SlimEntity(9, {}, {"enwiki": "Y"}), SlimEntity(12, {}, {"enwiki": "Z"})], [])
 
     def test_unrestricted_wikis_write_any_sitelink(self):
         # no header line lists the wiki codes, so a comma or a space in one is stored as it is
-        entity = SlimEntity(1, {17: (5,)}, {"dewiki": "X", "xxwiki": "Y", "a,b": "Z", "a b": "W"})
+        entity = SlimEntity(1, {17: (5,)}, {"a b": "W", "a,b": "Z", "dewiki": "X", "xxwiki": "Y"})
         assert round_trip([entity], keep_props=[17]) == (1, [entity])
         sink = io.StringIO()
         write([entity], sink, keep_props=[17])
@@ -300,24 +325,15 @@ class TestSave:
 
 
 def reference_store(entities, props=STORE_PROPS) -> str:
-    """The store text of ``entities`` as the format defines it, built from
-    ``Q<n>`` of each item number and sorted up front."""
-    escapes = [("%", "%25"), ("\t", "%09"), ("|", "%7C"), ("\n", "%0A"), ("\r", "%0D")]
-
-    def escape(title):
-        for char, code in escapes:
-            title = title.replace(char, code)
-        return title
-
+    """The store text of ``entities`` as the format defines it: one compact
+    JSON array per record, its claims and sitelinks flattened to alternating
+    keys and values, everything sorted up front."""
     header = ",".join(f"P{p}" for p in sorted(props))
-    lines = ["WCM3\n", f"count={len(entities)} props={header}\n"]
+    lines = ["WCM4\n", f"count={len(entities)} props={header}\n"]
     for entity in sorted(entities, key=lambda e: e.id):
-        claims = ";".join(
-            f"P{prop}:" + ",".join(f"Q{value}" for value in values)
-            for prop, values in sorted(entity.claims.items())
-        )
-        links = "|".join(f"{wiki}={escape(title)}" for wiki, title in sorted(entity.sitelinks.items()))
-        lines.append(f"Q{entity.id}\t{claims}\t{links}\n")
+        claims = [x for prop, values in sorted(entity.claims.items()) for x in (prop, list(values))]
+        links = [x for pair in sorted(entity.sitelinks.items()) for x in pair]
+        lines.append(json.dumps([entity.id, claims, links], ensure_ascii=False, separators=(",", ":")) + "\n")
     return "".join(lines)
 
 
@@ -375,9 +391,9 @@ class TestSpilledRuns:
         assert list(spill_dir.iterdir()) == []
 
     def test_a_repeat_inside_a_run_is_refused_before_writing(self, monkeypatch):
-        # each line is 5 characters, so a run holds four records: the second run
+        # each line is 10 characters, so a run holds four records: the second run
         # holds both Q7s and is refused when it is spilled
-        monkeypatch.setattr(slimstore, "RUN_CHARS", 20)
+        monkeypatch.setattr(slimstore, "RUN_CHARS", 40)
         sink = io.StringIO()
         records = [SlimEntity(n) for n in (1, 2, 3, 4, 7, 5, 7, 6, 8)]
         with pytest.raises(DuplicateItemError, match="^item Q7 appears twice in the input stream$"):
@@ -444,13 +460,13 @@ class TestRead:
 
     @pytest.mark.parametrize("count", ["\u0661", "+1", "1_0"], ids=["arabic-indic-digit", "plus-sign", "underscore"])
     def test_header_count_that_is_not_ascii_digits_is_corruption(self, count):
-        text = f"WCM3\ncount={count} props=P17\nQ1\tP17:Q30\t\n"
+        text = f"WCM4\ncount={count} props=P17\n[1,[17,[30]],[]]\n"
         for read in (read_every_claim, read_no_claims):
             with pytest.raises(SlimStoreCorruptionError, match="^bad store header"):
                 list(read(io.StringIO(text)))
 
     def test_header_count_with_more_digits_than_int_reads_is_corruption(self):
-        text = f"WCM3\ncount={'1' * 5000} props=P17\nQ1\tP17:Q30\t\n"
+        text = f"WCM4\ncount={'1' * 5000} props=P17\n[1,[17,[30]],[]]\n"
         for read in (read_every_claim, read_no_claims):
             with pytest.raises(SlimStoreCorruptionError, match=r"^bad store header: count too large \(5000 digits\)$"):
                 list(read(io.StringIO(text)))
@@ -469,8 +485,10 @@ class TestRead:
             "WCM1\ncount=1 props=P17 wikis=*\nQ1\tP17:*,Q30\t\n",
             # WCM2 also listed the kept wiki codes
             "WCM2\ncount=1 props=P17 wikis=*\nQ1\tP17:Q30\t\n",
+            # WCM3 spelled records in a grammar of its own
+            "WCM3\ncount=1 props=P17\nQ1\tP17:Q30\tenwiki=A%7CB\n",
         ],
-        ids=["WCM1", "WCM2"],
+        ids=["WCM1", "WCM2", "WCM3"],
     )
     def test_unknown_version_is_version_error(self, tmp_path, capsys, text):
         with pytest.raises(SlimStoreVersionError):
@@ -501,17 +519,20 @@ class TestRead:
     def test_magic_line_alone_is_corruption(self):
         for read in (read_every_claim, read_no_claims):
             with pytest.raises(SlimStoreCorruptionError, match="^store has no header line$"):
-                list(read(io.StringIO("WCM3\n")))
+                list(read(io.StringIO("WCM4\n")))
 
     def test_blank_line_between_records_is_skipped_and_not_counted(self):
-        text = "WCM3\ncount=2 props=P17\nQ1\tP17:Q30\tenwiki=A\n\nQ2\t\tenwiki=B\n"
+        text = 'WCM4\ncount=2 props=P17\n[1,[17,[30]],["enwiki","A"]]\n\n[2,[],["enwiki","B"]]\n'
         assert outcome(text, (17,)) == [(1, {17: (30,)}, {"enwiki": "A"}), (2, {}, {"enwiki": "B"})]
         assert_every_read_agrees(text)
 
     def test_bad_record_field_count_is_corruption(self):
-        text = "WCM3\ncount=1 props=\nQ1\tonly-two-fields\n"
-        with pytest.raises(SlimStoreCorruptionError):
-            list(read_every_claim(io.StringIO(text)))
+        problem = "store line 3: a record is one JSON array of 3 elements"
+        for record in ["[1,[]]", "[1,[],[],[]]", "{}", '"[1,[],[]]"', "[1,[],[]] []"]:
+            text = f"WCM4\ncount=1 props=\n{record}\n"
+            for read in (read_every_claim, read_no_claims):
+                with pytest.raises(SlimStoreCorruptionError, match=f"^{re.escape(problem)}$"):
+                    list(read(io.StringIO(text)))
 
     @pytest.mark.parametrize("records, bad_line", BAD_TOKEN_CASES)
     def test_bad_token_is_corruption_naming_its_line(self, records, bad_line):
@@ -524,23 +545,24 @@ class TestRead:
     @pytest.mark.parametrize(
         "record, problem",
         [
-            ("Q1\tP99:Q5\tenwiki=X", "claim key 'P99' is not in the header's props="),
-            ("Q1\tQ5:Q30\t", "claim key 'Q5' is not in the header's props="),
+            ('[1,[99,[5]],["enwiki","X"]]', "claim key 99 is not in the header's props="),
+            ('[1,["Q5",[30]],[]]', 'claim key "Q5" is not in the header\'s props='),
         ],
         ids=["undeclared-claim-key", "item-as-claim-key"],
     )
     def test_record_outside_its_header_is_corruption(self, record, problem):
-        text = f"WCM3\ncount=2 props=P17\nQ2\tP17:Q30\t\n{record}\n"
+        text = f"WCM4\ncount=2 props=P17\n[2,[17,[30]],[]]\n{record}\n"
         with pytest.raises(SlimStoreCorruptionError, match=f"^store line 4: {re.escape(problem)}$"):
             list(read_every_claim(io.StringIO(text)))
 
     def test_empty_title_is_corruption(self):
-        text = "WCM3\ncount=1 props=P17\nQ1\t\tenwiki=\n"
-        with pytest.raises(SlimStoreCorruptionError, match="^store line 3: sitelink title for 'enwiki' is empty$"):
+        text = 'WCM4\ncount=1 props=P17\n[1,[],["enwiki",""]]\n'
+        message = 'store line 3: sitelink title for \'enwiki\' is not a non-empty string: ""'
+        with pytest.raises(SlimStoreCorruptionError, match=f"^{re.escape(message)}$"):
             list(read_every_claim(io.StringIO(text)))
 
     def test_unrestricted_wikis_accept_any_sitelink(self):
-        text = "WCM3\ncount=1 props=P17\nQ1\tP17:Q5\tdewiki=X|xxwiki=Y\n"
+        text = 'WCM4\ncount=1 props=P17\n[1,[17,[5]],["dewiki","X","xxwiki","Y"]]\n'
         [entity] = read_every_claim(io.StringIO(text))
         assert entity.sitelinks == {"dewiki": "X", "xxwiki": "Y"}
 
@@ -548,17 +570,19 @@ class TestRead:
     @pytest.mark.parametrize(
         "record, problem",
         [
-            ("Q2\tP17:Q5;P17:Q6\tenwiki=A", "claim key 'P17' appears twice in the record"),
-            ("Q2\tP17:Q5;P31:Q7;P17:Q6\t", "claim key 'P17' appears twice in the record"),
-            ("Q2\tP17:Q5\tenwiki=A|enwiki=B", "sitelink 'enwiki' appears twice in the record"),
-            ("Q2\tP17:Q5;P17:Q6\tenwiki=A|enwiki=B", "claim key 'P17' appears twice in the record"),
+            ('[2,[17,[5],17,[6]],["enwiki","A"]]', "claim key 17 does not follow 17; claim keys are ascending, each once"),
+            ("[2,[17,[5],31,[7],17,[6]],[]]", "claim key 17 does not follow 31; claim keys are ascending, each once"),
+            ('[2,[17,[5]],["enwiki","A","enwiki","B"]]', "sitelink 'enwiki' does not follow 'enwiki'; wiki codes are ascending, each once"),
+            ('[2,[17,[5],17,[6]],["enwiki","A","enwiki","B"]]', "claim key 17 does not follow 17; claim keys are ascending, each once"),
+            ("[2,[31,[5],17,[6]],[]]", "claim key 17 does not follow 31; claim keys are ascending, each once"),
+            ('[2,[],["enwiki","A","dewiki","B"]]', "sitelink 'dewiki' does not follow 'enwiki'; wiki codes are ascending, each once"),
         ],
-        ids=["claim-key", "claim-key-apart", "wiki", "both"],
+        ids=["claim-key", "claim-key-apart", "wiki", "both", "claim-keys-descending", "wikis-descending"],
     )
     def test_a_repeat_within_a_record_is_corruption(self, reader, record, problem):
-        # the writer cannot write one (claims and sitelinks are dicts); reading
-        # one would keep only its last group or sitelink
-        text = store_text(["Q1\tP17:Q30\tenwiki=X", record])
+        # the writer cannot write one (claims and sitelinks are dicts, their keys
+        # ascending); reading one would keep only its last group or sitelink
+        text = store_text(['[1,[17,[30]],["enwiki","X"]]', record])
         with pytest.raises(SlimStoreCorruptionError, match=f"^store line 4: {re.escape(problem)}$"):
             list(reader(io.StringIO(text)))
 
@@ -566,8 +590,8 @@ class TestRead:
     @pytest.mark.parametrize(
         "records, problem",
         [
-            (["Q5\tP17:Q30\t", "Q5\t\tenwiki=X"], "item Q5 does not follow Q5"),
-            (["Q7\tP17:Q30\t", "Q5\t\tenwiki=X"], "item Q5 does not follow Q7"),
+            (["[5,[17,[30]],[]]", '[5,[],["enwiki","X"]]'], "item Q5 does not follow Q5"),
+            (["[7,[17,[30]],[]]", '[5,[],["enwiki","X"]]'], "item Q5 does not follow Q7"),
         ],
         ids=["repeated", "descending"],
     )
@@ -576,6 +600,15 @@ class TestRead:
         message = f"store line 4: {problem}; records are sorted by item number, each item once"
         with pytest.raises(SlimStoreCorruptionError, match=f"^{re.escape(message)}$"):
             list(reader(io.StringIO(text)))
+
+
+# any character but a lone surrogate: the ones a record's text could break on,
+# JSON's own among them, a line separator, a noncharacter and astral ones
+HOSTILE_TEXT = st.text(
+    st.sampled_from("%|=\"\\\t\r\n\u2028\uffff\U0001f600") | st.characters(blacklist_categories=("Cs",)),
+    min_size=1,
+    max_size=8,
+)
 
 
 class TestTitleEscaping:
@@ -588,7 +621,12 @@ class TestTitleEscaping:
             "percent % sign",
             "%7C literal escape",
             "new\nline",
+            "carriage\rreturn",
+            'quote " and backslash \\',
+            "\\ud800 spelled out",
+            "line\u2028separator",
             "café 中文",
+            "astral \U0001f600",
         ],
     )
     def test_awkward_titles_survive(self, title):
@@ -596,19 +634,13 @@ class TestTitleEscaping:
         _, back = round_trip([entity])
         assert back[0].sitelinks["enwiki"] == title
 
-    def test_star_claim_value_is_corruption(self):
-        # WCM1 wrote a non-item claim value as '*'; since WCM2 it is a bad token
-        text = "WCM3\ncount=2 props=P17\nQ1\tP17:Q30\t\nQ2\tP17:*,Q30\t\n"
-        with pytest.raises(SlimStoreCorruptionError, match="^store line 4: not an item id: '\\*'$"):
-            list(read_every_claim(io.StringIO(text)))
-
     def test_bare_entity_round_trips(self):
         _, back = round_trip([SlimEntity(7)])
         assert back == [SlimEntity(7)]
 
     def test_garbage_claim_token_is_corruption(self):
-        text = "WCM3\ncount=1 props=P17\nQ1\tP17:xyz\t\n"
-        with pytest.raises(SlimStoreCorruptionError):
+        text = 'WCM4\ncount=1 props=P17\n[1,[17,["xyz"]],[]]\n'
+        with pytest.raises(SlimStoreCorruptionError, match='^store line 3: not an item number: "xyz"$'):
             list(read_every_claim(io.StringIO(text)))
 
 
@@ -621,21 +653,38 @@ class TestRoundTripProperty:
         assert written == count
         assert back == sorted(entities, key=lambda e: e.id)
 
-    def test_shared_place_nodes_round_trip_as_one_object(self):
-        places = list(range(1000, 1010))
+    @given(
+        st.dictionaries(
+            st.integers(1, 2**70),
+            st.tuples(
+                st.dictionaries(st.sampled_from(STORE_PROPS), st.lists(st.integers(1, 2**70), min_size=1, max_size=3)),
+                st.dictionaries(HOSTILE_TEXT, HOSTILE_TEXT, max_size=3),
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_hostile_titles_and_codes_round_trip(self, items):
         entities = [
-            SlimEntity(
-                n,
-                {17: (places[n % 3],), 19: (places[n % 10], places[n % 7])},
-                {"enwiki": f"Item {n}"},
-            )
-            for n in range(1, 500)
+            SlimEntity(n, {p: tuple(v) for p, v in sorted(claims.items())}, dict(sorted(links.items())))
+            for n, (claims, links) in items.items()
         ]
-        _, back = round_trip(entities)
-        assert back == entities
-        shared = {id(v) for e in back for values in e.claims.values() for v in values}
-        assert len(shared) == len(places)  # one object per distinct place
-        assert len({id(wiki) for e in back for wiki in e.sitelinks}) == 1  # and per wiki code
+        written, back = round_trip(entities)
+        assert written == len(entities)
+        assert back == sorted(entities, key=lambda e: e.id)
+        text = io.StringIO()
+        write(entities, text)
+        assert outcome(text.getvalue(), ()) == [(e.id, {}, e.sitelinks) for e in back]
+
+    @given(st.lists(st.dictionaries(HOSTILE_TEXT, HOSTILE_TEXT, max_size=3), max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_a_store_kept_without_languages_carries_any_wiki_code(self, links):
+        # the slim stage keeps every sitelink of the dump when it is given no languages
+        with tempfile.TemporaryDirectory() as directory:
+            objects = [entity_json(f"Q{n}", sitelinks=sitelinks) for n, sitelinks in enumerate(links, start=1)]
+            records, issues = slim(Path(directory), objects)
+        assert issues == []
+        assert records == [SlimEntity(n, {}, dict(sorted(sitelinks.items()))) for n, sitelinks in enumerate(links, start=1)]
 
     def test_ten_thousand_record_round_trip(self):
         entities = random_entities(random.Random(1234), 10_000)
@@ -644,9 +693,9 @@ class TestRoundTripProperty:
 
 
 class TestSitelinksReader:
-    """A read that requires no property checks the claims field whole and
-    builds no claim; it accepts exactly what the whole read accepts and fails
-    the others the same way."""
+    """A read that requires no property makes every check the whole read
+    makes and builds no claim; it accepts exactly what the whole read accepts
+    and fails the others the same way."""
 
     @given(seed=st.integers(min_value=0, max_value=2**31), count=st.integers(0, 60))
     @settings(max_examples=30, deadline=None)
@@ -663,19 +712,20 @@ class TestSitelinksReader:
         "records",
         [
             *(records for records, _ in BAD_TOKEN_CASES),
-            ["Q1\tP17:Q5;P17:Q6\tenwiki=X"],
-            ["Q1\tP17:Q5\tenwiki=A|enwiki=B"],
-            ["Q1\tP31:Q7;P17:Q5,Q8;P17:Q6\t"],
-            ["props=P1,P17", "Q1\tP1:Q5;P17:Q6;P1:Q7\t"],
-            ["props=P1,P17", "Q1\tP17:Q5;P1:Q6\t"],
-            ["Q1\tP17:Q5\t", "Q1\tP31:Q5\t"],
-            ["Q1\tP17:Q5\tenwiki=a%7Cb%25"],
-            ["Q1\tP17:Q5\tenwiki"],
-            ["Q1\tP17:Q5"],
-            ["Q1\t;\t"],
-            ["props=", "Q1\t\tenwiki=X"],
-            ["props=", "Q1\tP17:Q5\t"],
-            ["Q1\tP17:Q" + "1" * 4300 + "\t"],  # as many digits as int() reads
+            ['[1,[17,[5],17,[6]],["enwiki","X"]]'],
+            ['[1,[17,[5]],["enwiki","A","enwiki","B"]]'],
+            ["[1,[31,[7],17,[5,8],17,[6]],[]]"],
+            ["props=P1,P17", "[1,[1,[5],17,[6],1,[7]],[]]"],
+            ["props=P1,P17", "[1,[17,[5],1,[6]],[]]"],
+            ["[1,[17,[5]],[]]", "[1,[31,[5]],[]]"],
+            ['[1,[17,[5]],["enwiki","a\\u007cb\\"\\\\"]]'],  # escapes a title may hold
+            ['[1,[17,[5]],["enwiki","\\ud83d\\ude00"]]'],  # an escaped surrogate pair
+            ['[1,[17,[5]],["enwiki"]]'],
+            ["[1,[17,[5]]]"],
+            ["[1,[,],[]]"],
+            ["props=", '[1,[],["enwiki","X"]]'],
+            ["props=", "[1,[17,[5]],[]]"],
+            ["[1,[17,[" + "1" * 4300 + "]],[]]"],  # as many digits as int() reads
         ],
     )
     def test_hand_written_stores_read_the_same(self, records):
@@ -690,20 +740,15 @@ class TestSitelinksReader:
     def test_a_mutated_field_reads_the_same_in_both_readers(self, seed, count, data):
         sink = io.StringIO()
         write(random_entities(random.Random(seed), count), sink)
-        text = sink.getvalue()
-        lines = text.split("\n")  # lines[2:count + 2] are the records
-        fields = lines[data.draw(st.integers(2, count + 1), label="line")].split("\t")
-        which = data.draw(st.sampled_from([1, 2]), label="field")  # claims or sitelinks
+        lines = sink.getvalue().split("\n")  # lines[2:count + 2] are the records
+        which = data.draw(st.integers(2, count + 1), label="line")
         replacement = data.draw(st.sampled_from(TOKEN_REPLACEMENTS), label="replacement")
         insert = data.draw(st.booleans(), label="insert")
-        original = "\t".join(fields)
-        tokens = MUTABLE_TOKEN.findall(fields[which])
+        tokens = MUTABLE_TOKEN.findall(lines[which])
         for at in range(len(tokens) + 1):  # each token in turn, then an append
             mutated = tokens.copy()
             mutated[at:at if insert else at + 1] = [replacement]
-            fields[which] = "".join(mutated)
-            mutated_text = text.replace(original, "\t".join(fields), 1)
-            assert_every_read_agrees(mutated_text)
+            assert_every_read_agrees("\n".join([*lines[:which], "".join(mutated), *lines[which + 1 :]]))
 
     def test_claims_are_never_built(self, tmp_path):
         def store(values_per_record):
@@ -711,7 +756,7 @@ class TestSitelinksReader:
                 SlimEntity(
                     n,
                     {17: tuple(n * 100 + k for k in range(values_per_record))},
-                    {"enwiki": f"Title {n}", "dewiki": f"Titel {n}"},
+                    {"dewiki": f"Titel {n}", "enwiki": f"Title {n}"},
                 )
                 for n in range(1, 2001)
             ]
@@ -721,16 +766,16 @@ class TestSitelinksReader:
             return path
 
         def peak(reader, path):
+            # every record is held at once, so a record's claims would show
             with open(path, encoding="utf-8") as source:
                 tracemalloc.start()
                 try:
-                    build_article_sets(reader(source), ["en", "de"])
+                    records = list(reader(source))
                     return tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
 
         one, forty = store(1), store(40)
-        peak(read_no_claims, one)  # compiles and caches the claims pattern
         assert peak(read_no_claims, forty) <= 1.1 * peak(read_no_claims, one)
-        # the measure sees claims: the whole read, streamed the same way, peaks far higher
+        # the measure sees claims: the whole read, listed the same way, peaks far higher
         assert peak(partial(read_slim_store, required_props=STORE_PROPS), forty) > 2 * peak(read_no_claims, forty)

@@ -77,7 +77,7 @@ COUNT_READERS = {
     ),
     "metrics-tsv": (_metrics_row, "total_views"),
     "rules": (lambda count: parse_rules(f"target=Q30\nmax_depth={count}"), "max_depth"),
-    "store-header": (lambda count: read_store_header(["WCM3\n", f"count={count} props=P17\n"]), "count"),
+    "store-header": (lambda count: read_store_header(["WCM4\n", f"count={count} props=P17\n"]), "count"),
 }
 
 
@@ -119,11 +119,11 @@ class TestFirstRepeat:
         with pytest.raises(WikiCoverageError, match=r"^line 1: repeated id P19 in 'direct'$"):
             parse_rules("direct=P17,P19,P27,P19,P17\n")
         with pytest.raises(WikiCoverageError, match=r"property P19 appears twice in props=$"):
-            read_store_header(iter(["WCM3\n", "count=0 props=P17,P19,P27,P19,P17\n"]))
+            read_store_header(iter(["WCM4\n", "count=0 props=P17,P19,P27,P19,P17\n"]))
 
 
 class TestMemo:
-    """``Memo(item_number)``, the store reader's id memo."""
+    """``util.Memo``, here over ``item_number``: each key computed once, a refusal kept for no key."""
 
     def test_each_token_is_parsed_once_and_shared(self):
         memo = Memo(item_number)
