@@ -36,14 +36,16 @@ for issue in errors:
 
 # persist to the compact store format and read it back; records come back
 # sorted by item number, which is what the two-pass attribution step expects.
+# The writer writes UTF-8 bytes, as to a file opened with open(path, "wb").
 # A read names the properties it requires: the store must have kept them
-buffer = io.StringIO()
+buffer = io.BytesIO()
 with SlimStoreWriter(keep_props) as writer:
     for entity in entities:
         writer.add(entity)
     count = writer.write(buffer)
+text = buffer.getvalue().decode("utf-8")
 print(f"\nslim store with {count} records:")
-print(buffer.getvalue())
+print(text)
 
-restored = list(read_slim_store(io.StringIO(buffer.getvalue()), keep_props))
+restored = list(read_slim_store(io.StringIO(text), keep_props))
 print("round trip ok:", restored == sorted(entities, key=lambda e: e.id))

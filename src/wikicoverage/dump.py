@@ -47,7 +47,7 @@ class ParseIssue:
 def parse_dump_stream(
     stream: Iterable[bytes],
     keep_props: frozenset[int] | set[int],
-    keep_wikis: set[str] | frozenset[str] | None = None,
+    keep_wikis: set[str] | frozenset[str] | None,
     *,
     errors: list[ParseIssue],
     require_terminator: bool = True,

@@ -11,7 +11,8 @@ files.  A pipeline run stages its artifacts in a temporary directory and
 promotes them only when the whole run succeeds.
 
 No stage of a run holds every entity.  From a dump, each parsed record
-passes through the store writer, which renders it to its store line, then
+passes through the store writer, which renders it to the UTF-8 bytes of its
+store line and holds at most :data:`slimstore.RUN_BYTES` of them, then
 through :func:`metrics.collect_article_sets`, which adds its titles, into
 attribution, which pulls the records; the store is written once attribution
 is done.  A store given instead is streamed through the same article-set
@@ -180,12 +181,12 @@ def slim_stage(
 
     The store keeps the properties ``rules`` need and, when ``languages`` is
     given, only those languages' sitelinks.  Each parsed record is rendered
-    to its store line (:class:`slimstore.SlimStoreWriter`) and then handed
-    on, in dump order, to ``consume``, which reads the stream to its end:
-    ``all`` attributes the records and collects the article sets as they
-    pass.  The store is written once the stream ends.  Returns the number of
-    records stored, the malformed lines skipped and what ``consume``
-    returned; no record is kept.
+    to its UTF-8 store line (:class:`slimstore.SlimStoreWriter`) and then
+    handed on, in dump order, to ``consume``, which reads the stream to its
+    end: ``all`` attributes the records and collects the article sets as
+    they pass.  The store is written once the stream ends.  Returns the
+    number of records stored, the malformed lines skipped and what
+    ``consume`` returned; no record is kept.
     """
     keep_wikis = None if languages is None else {sitelink_key(lang) for lang in languages}
     issues: list[ParseIssue] = []

@@ -32,11 +32,13 @@ built with the plain :class:`SlimEntity` constructor; no reader lists them.
 The writer (:class:`SlimStoreWriter`) takes records in any order.  Its
 precondition is that every claim key is one of ``keep_props`` and that
 claim keys and wiki codes ascend, as the dump parser, its one producer,
-yields them.  It renders each record to its line at once and keeps at most
-:data:`RUN_CHARS` characters of lines, spilling each full run, sorted by
-item number, to a temporary file; the store is the merge of the runs.  A
-repeated item raises :class:`DuplicateItemError`: before anything is written
-when both records are in one run, while the merge is written otherwise.
+yields them.  It renders each record to the UTF-8 bytes of its line at once,
+so a lone surrogate, which has no UTF-8 form, is refused before anything is
+written.  It keeps at most :data:`RUN_BYTES` bytes of lines, spilling each
+full run, sorted by item number, to a binary temporary file; the store is
+the merge of the runs, written to a binary sink.  A repeated item raises
+:class:`DuplicateItemError`: before anything is written when both records
+are in one run, while the merge is written otherwise.
 :func:`save_slim_store` renames its file over the target only once the whole
 store is written.
 """
@@ -69,10 +71,11 @@ MAGIC = "WCM4"
 
 _HEADER_RE = re.compile(r"count=([0-9]+) props=(\S*)\Z")
 
-# The most rendered store text the writer holds, in characters.  A full run is
-# sorted and spilled to a temporary file; a 9 GB store (90M items) spills
-# about 270 runs, far below the usual limit of 1024 open files.
-RUN_CHARS = 1 << 25
+# The most rendered store lines the writer holds, in UTF-8 bytes (32 MiB).  A
+# full run is sorted and spilled to a temporary file; a 9 GB store (90M items)
+# spills at most 268 runs, each open until the merge, far below the usual limit
+# of 1024 open files.
+RUN_BYTES = 1 << 25
 
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False).encode
 _decode = json.JSONDecoder().raw_decode
@@ -89,17 +92,19 @@ _first = itemgetter(0)  # a sorted run's (item number, line) pair: its number
 _line = itemgetter(1)  # and its line
 
 
-def _record_line(entity: SlimEntity) -> str:
-    """The store line of ``entity``, which keeps to the writer's precondition."""
-    return _encode([entity.id, [*_flat(entity.claims.items())], [*_flat(entity.sitelinks.items())]]) + "\n"
+def _record_line(entity: SlimEntity) -> bytes:
+    """The UTF-8 store line of ``entity``, which keeps to the writer's
+    precondition; a lone surrogate raises UnicodeEncodeError."""
+    line = _encode([entity.id, [*_flat(entity.claims.items())], [*_flat(entity.sitelinks.items())]]) + "\n"
+    return line.encode()
 
 
-def _line_number(line: str) -> int:
+def _line_number(line: bytes) -> int:
     """The item number a spilled store line starts with."""
-    return int(line[1 : line.index(",")])
+    return int(line[1 : line.index(b",")])
 
 
-def _spilled(run: IO[str]) -> Iterator[tuple[int, str]]:
+def _spilled(run: IO[bytes]) -> Iterator[tuple[int, bytes]]:
     """The (item number, line) pairs of a spilled run, from its start."""
     run.seek(0)
     for line in run:
@@ -109,14 +114,14 @@ def _spilled(run: IO[str]) -> Iterator[tuple[int, str]]:
 class SlimStoreWriter:
     """Writes records given in any order as one store, sorted by item number.
 
-    :meth:`add` renders each record to its store line as it arrives; each
-    record must keep to the header and to the record order (see the module
-    docstring).  The writer holds at most :data:`RUN_CHARS` characters of
-    lines: a full run is sorted and spilled to a temporary file, so writing
-    a store takes about its size in ``TMPDIR`` when it does not fit in one
-    run.  :meth:`write` (or :func:`save_slim_store`) then writes the header,
-    whose count is known by then, and a merge of the spilled runs and the
-    last run, which stays in memory.  A repeated item is two adjacent equal
+    :meth:`add` renders each record to the UTF-8 bytes of its store line as
+    it arrives; each record must keep to the header and to the record order
+    (see the module docstring).  The writer holds at most :data:`RUN_BYTES`
+    bytes of lines: a full run is sorted and spilled to a binary temporary
+    file, so writing a store takes about its size in ``TMPDIR`` when it does
+    not fit in one run.  :meth:`write` (or :func:`save_slim_store`) then
+    writes the header, whose count is known by then, and a merge of the
+    spilled runs and the last run, which stays in memory.  A repeated item is two adjacent equal
     numbers: inside one run it raises :class:`DuplicateItemError` before
     anything is written, across runs while the merge is written.
     Close the writer, or use it as a context manager, to drop the spilled
@@ -126,10 +131,10 @@ class SlimStoreWriter:
     def __init__(self, keep_props: Iterable[int]):
         self._props = frozenset(keep_props)
         self.count = 0
-        self._run: list[str] = []  # rendered lines, in arrival order
+        self._run: list[bytes] = []  # rendered lines, in arrival order
         self._numbers: list[int] = []  # the item number of each line in the run
-        self._run_chars = 0
-        self._spills: list[IO[str]] = []
+        self._run_bytes = 0
+        self._spills: list[IO[bytes]] = []
 
     def __enter__(self) -> "SlimStoreWriter":
         return self
@@ -146,14 +151,15 @@ class SlimStoreWriter:
         """Render ``record`` into the current run, spilling the run once full.
 
         An OSError while rendering or spilling raises
-        :class:`SlimStoreWriteError`.
+        :class:`SlimStoreWriteError`; a lone surrogate raises
+        UnicodeEncodeError.
         """
         try:
             line = _record_line(record)
             self._run.append(line)
             self._numbers.append(record.id)
-            self._run_chars += len(line)
-            if self._run_chars >= RUN_CHARS:
+            self._run_bytes += len(line)
+            if self._run_bytes >= RUN_BYTES:
                 self._spill()
         except OSError as exc:
             raise SlimStoreWriteError(
@@ -167,12 +173,12 @@ class SlimStoreWriter:
             self.add(record)
             yield record
 
-    def _sorted_run(self) -> list[tuple[int, str]]:
+    def _sorted_run(self) -> list[tuple[int, bytes]]:
         """The current run as sorted (item number, line) pairs, which starts a
         new run; a repeated item raises.  The pairs live only until the run is
         spilled or written, so a held line costs no pair."""
         run = sorted(zip(self._numbers, self._run), key=_first)
-        self._numbers, self._run, self._run_chars = [], [], 0
+        self._numbers, self._run, self._run_bytes = [], [], 0
         numbers = list(map(_first, run))
         repeated = next(compress(numbers, map(eq, numbers, islice(numbers, 1, None))), None)
         if repeated is not None:
@@ -181,12 +187,12 @@ class SlimStoreWriter:
 
     def _spill(self) -> None:
         run = self._sorted_run()
-        spill = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+        spill = tempfile.TemporaryFile("w+b")
         self._spills.append(spill)
         spill.writelines(map(_line, run))
 
-    def write(self, sink: IO[str]) -> int:
-        """Write the store to ``sink``, once; returns the record count.
+    def write(self, sink: IO[bytes]) -> int:
+        """Write the store to the binary ``sink``, once; returns the record count.
 
         A failed write raises :class:`SlimStoreWriteError` with the number of
         records that made it out before the failure.  The header lists
@@ -196,8 +202,8 @@ class SlimStoreWriter:
         props = ",".join(["P%d" % prop for prop in sorted(self._props)])
         written = previous = 0
         try:
-            sink.write(MAGIC + "\n")
-            sink.write(f"count={self.count} props={props}\n")
+            sink.write(f"{MAGIC}\n".encode())
+            sink.write(f"count={self.count} props={props}\n".encode())
             for number, line in heapq.merge(*map(_spilled, self._spills), last, key=_first):
                 if number == previous:
                     raise DuplicateItemError(f"item Q{number} appears twice in the input stream")
@@ -364,7 +370,7 @@ def save_slim_store(writer: SlimStoreWriter, path: Path | str) -> int:
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(temporary, "w", encoding="utf-8", newline="\n") as sink:
+        with open(temporary, "wb") as sink:
             count = writer.write(sink)
         os.replace(temporary, path)
     except BaseException:

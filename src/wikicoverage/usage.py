@@ -170,7 +170,7 @@ class PageviewMemo:
 
     __slots__ = ("languages", "domains", "counts", "titles")
 
-    def __init__(self, languages: Iterable[str] | None = None):
+    def __init__(self, languages: Iterable[str] | None):
         self.languages = None if languages is None else frozenset(languages)
         # exact dicts: CPython 3.11 specializes subscripts of exact dicts only
         self.domains: dict[str, Memo | None] = {}

@@ -282,7 +282,7 @@ path = sys.argv[1]
 keep = frozenset({17, 27, 31})
 started = time.perf_counter()
 with open(path, "rb") as handle:
-    count = sum(1 for _ in parse_dump_stream(handle, keep, errors=[]))
+    count = sum(1 for _ in parse_dump_stream(handle, keep, None, errors=[]))
 elapsed = time.perf_counter() - started
 print(json.dumps({"entities": count, "seconds": elapsed, "maxrss_kib": peak_kib()}))
 """
@@ -477,7 +477,7 @@ class TestStreamedStore:
                 assert list(parse_dump_stream(source, RuleSet().required_properties, {"enwiki"}, errors=[])) == entities
             del entities
 
-            monkeypatch.setattr(slimstore, "RUN_CHARS", 30 * 900)  # each store line is about 900 characters
+            monkeypatch.setattr(slimstore, "RUN_BYTES", 30 * 900)  # each store line is about 900 bytes
             config = RunConfig(
                 out_dir=tmp_path / "out", languages=("en",), dump=dump, readership=FIXTURE / "readership.csv"
             )
@@ -518,13 +518,13 @@ class TestSlimStoreRoundTrip:
     def test_thousand_plus_randomized_entities_round_trip_exactly(self):
         with criterion("slim store round trip (1200 randomized entities)"):
             entities = random_entities(random.Random(424242), 1_200)
-            sink = io.StringIO()
+            sink = io.BytesIO()
             with SlimStoreWriter(STORE_PROPS) as writer:
                 for entity in entities:
                     writer.add(entity)
                 count = writer.write(sink)
             assert count == 1_200
-            restored = list(read_slim_store(io.StringIO(sink.getvalue()), STORE_PROPS))
+            restored = list(read_slim_store(io.StringIO(sink.getvalue().decode("utf-8")), STORE_PROPS))
             expected = sorted(entities, key=lambda e: e.id)
             discrepancies = sum(1 for a, b in zip(restored, expected) if a != b)
             discrepancies += abs(len(restored) - len(expected))

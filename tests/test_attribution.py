@@ -37,7 +37,7 @@ RULES = RuleSet()
 def parsed(claims: dict) -> SlimEntity:
     """Item Q5 with ``claims``, as the dump parser keeps it for the default rules."""
     text = dump_text([entity_json("Q5", claims)])
-    (entity,) = parse_dump_stream(io.BytesIO(text.encode("utf-8")), RULES.required_properties, errors=[])
+    (entity,) = parse_dump_stream(io.BytesIO(text.encode("utf-8")), RULES.required_properties, None, errors=[])
     return entity
 
 

@@ -114,7 +114,7 @@ class TestStageByStage:
         self, tmp_path, capsys, monkeypatch, cap
     ):
         # the store writer spills a run per record or two, and the demo dump is not in item order
-        monkeypatch.setattr(slimstore, "RUN_CHARS", cap)
+        monkeypatch.setattr(slimstore, "RUN_BYTES", cap)
         shared = [FIXTURE / "pageviews-a.txt", FIXTURE / "pageviews-b.txt", "--readership",
                   FIXTURE / "readership.csv", "--rules", FIXTURE / "rules.txt", "--languages", "en,de"]
         from_dump, from_store, stages = tmp_path / "dump", tmp_path / "store", tmp_path / "stages"

@@ -344,14 +344,14 @@ class TestByteInput:
     def test_bytes_lines_are_decoded(self):
         text = dump_text([entity_json("Q1", sitelinks={"enwiki": "Café"})])
         stream = io.BytesIO(text.encode("utf-8"))
-        (entity,) = list(parse_dump_stream(stream, KEEP, errors=[]))
+        (entity,) = list(parse_dump_stream(stream, KEEP, None, errors=[]))
         assert entity.sitelinks["enwiki"] == "Café"
 
     def test_invalid_utf8_line_is_tallied(self):
         good = json.dumps(entity_json("Q1")).encode("utf-8")
         lines = [b"[\n", b"\xff\xfe broken,\n", good + b"\n", b"]\n"]
         errors = []
-        entities = list(parse_dump_stream(iter(lines), KEEP, errors=errors))
+        entities = list(parse_dump_stream(iter(lines), KEEP, None, errors=errors))
         assert [e.id for e in entities] == [1]
         assert len(errors) == 1 and errors[0].reason == "invalid UTF-8"
 

@@ -466,7 +466,7 @@ class TestItemNumbers:
             assert {type(prop) for prop in rules.required_properties} == {int}
         rules = load_rules(FIXTURE / "rules.txt")
         with open(FIXTURE / "dump.json", "rb") as handle:
-            results = attribute_all(parse_dump_stream(handle, rules.required_properties, errors=[]), {}, rules)
+            results = attribute_all(parse_dump_stream(handle, rules.required_properties, None, errors=[]), {}, rules)
         nodes = [node for paths in results.values() for path in paths for node in path]
         assert nodes and {type(node) for node in nodes} == {int}
 

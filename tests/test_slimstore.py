@@ -60,9 +60,9 @@ def slim(tmp_path, objects, languages=None):
 
 
 def round_trip(entities, **kwargs):
-    sink = io.StringIO()
+    sink = io.BytesIO()
     count = write(entities, sink, **kwargs)
-    return count, list(read_every_claim(io.StringIO(sink.getvalue())))
+    return count, list(read_every_claim(io.StringIO(sink.getvalue().decode("utf-8"))))
 
 
 def header_props(text):
@@ -179,9 +179,9 @@ def store_text(records):
 
 class TestWrite:
     def test_empty_stream_writes_count_zero(self):
-        sink = io.StringIO()
+        sink = io.BytesIO()
         assert write([], sink) == 0
-        assert "count=0" in sink.getvalue().splitlines()[1]
+        assert b"count=0" in sink.getvalue().splitlines()[1]
 
     def test_keep_props_is_required(self):
         with pytest.raises(TypeError):
@@ -194,15 +194,15 @@ class TestWrite:
         assert [e.id for e in back] == [30, 9684]
 
     def test_header_carries_keep_sets(self):
-        sink = io.StringIO()
+        sink = io.BytesIO()
         write(
             [SlimEntity(1, {17: (30,)})],
             sink,
             keep_props=[27, 17],
         )
-        header = read_store_header(io.StringIO(sink.getvalue()))
+        header = read_store_header(io.StringIO(sink.getvalue().decode("utf-8")))
         assert header == slimstore.StoreHeader(1, (17, 27))
-        assert sink.getvalue().splitlines() == ["WCM4", "count=1 props=P17,P27", "[1,[17,[30]],[]]"]
+        assert sink.getvalue().splitlines() == [b"WCM4", b"count=1 props=P17,P27", b"[1,[17,[30]],[]]"]
 
     @pytest.mark.parametrize("claims", [{"P99": [5], "P17": [30]}], ids=["undeclared-claim-key"])
     def test_record_outside_the_header_is_refused_before_writing(self, tmp_path, claims):
@@ -233,16 +233,16 @@ class TestWrite:
         # no header line lists the wiki codes, so a comma or a space in one is stored as it is
         entity = SlimEntity(1, {17: (5,)}, {"a b": "W", "a,b": "Z", "dewiki": "X", "xxwiki": "Y"})
         assert round_trip([entity], keep_props=[17]) == (1, [entity])
-        sink = io.StringIO()
+        sink = io.BytesIO()
         write([entity], sink, keep_props=[17])
-        assert outcome(sink.getvalue(), ()) == [(entity.id, {}, entity.sitelinks)]
+        assert outcome(sink.getvalue().decode("utf-8"), ()) == [(entity.id, {}, entity.sitelinks)]
 
     def test_partial_write_failure_reports_progress(self):
         class FlakySink:
             def __init__(self):
                 self.calls = 0
 
-            def write(self, text):
+            def write(self, data):
                 self.calls += 1
                 if self.calls > 4:  # magic, header, two records
                     raise OSError("disk full")
@@ -253,11 +253,11 @@ class TestWrite:
         assert err.value.records_written == 2
 
     def test_repeated_item_is_refused_before_writing(self):
-        sink = io.StringIO()
+        sink = io.BytesIO()
         records = [SlimEntity(5, {17: (30,)}), SlimEntity(9), SlimEntity(5, {}, {"enwiki": "X"})]
         with pytest.raises(DuplicateItemError, match="^item Q5 appears twice in the input stream$"):
             write(records, sink)
-        assert sink.getvalue() == ""
+        assert sink.getvalue() == b""
 
 
 class TestSave:
@@ -279,7 +279,7 @@ class TestSave:
         "entities, error",
         [
             ([SlimEntity(5), SlimEntity(5)], DuplicateItemError),
-            # a lone surrogate has no UTF-8 form: the write of the temporary file fails
+            # a lone surrogate has no UTF-8 form: the writer's add refuses it, before any file is opened
             ([SlimEntity(5, {}, {"a\ud800b": "X"})], UnicodeEncodeError),
         ],
         ids=["repeated-item", "unstorable-wiki-code"],
@@ -309,7 +309,7 @@ class TestSave:
             # the temporary file takes the two header lines and one record, then fails
             sink = open(*args, **kwargs)
             writes = iter([sink.write] * 3)
-            sink.write = lambda text: next(writes, fail)(text)
+            sink.write = lambda data: next(writes, fail)(data)
             return sink
 
         if failing == "write":
@@ -324,8 +324,8 @@ class TestSave:
         assert [p.name for p in tmp_path.iterdir()] == ["s.slim"]
 
 
-def reference_store(entities, props=STORE_PROPS) -> str:
-    """The store text of ``entities`` as the format defines it: one compact
+def reference_store(entities, props=STORE_PROPS) -> bytes:
+    """The store bytes of ``entities`` as the format defines it: one compact
     JSON array per record, its claims and sitelinks flattened to alternating
     keys and values, everything sorted up front."""
     header = ",".join(f"P{p}" for p in sorted(props))
@@ -334,7 +334,7 @@ def reference_store(entities, props=STORE_PROPS) -> str:
         claims = [x for prop, values in sorted(entity.claims.items()) for x in (prop, list(values))]
         links = [x for pair in sorted(entity.sitelinks.items()) for x in pair]
         lines.append(json.dumps([entity.id, claims, links], ensure_ascii=False, separators=(",", ":")) + "\n")
-    return "".join(lines)
+    return "".join(lines).encode("utf-8")
 
 
 _temporary_file = tempfile.TemporaryFile  # the tests below patch it in the module
@@ -361,16 +361,49 @@ class TestSpilledRuns:
         entities = random_entities(rng, count)
         rng.shuffle(entities)
         spills = Spills()
-        with patch.object(slimstore, "RUN_CHARS", cap), patch.object(tempfile, "TemporaryFile", spills):
-            sink = io.StringIO()
+        with patch.object(slimstore, "RUN_BYTES", cap), patch.object(tempfile, "TemporaryFile", spills):
+            sink = io.BytesIO()
             assert write(entities, sink) == count
         assert sink.getvalue() == reference_store(entities)
         assert all(spill.closed for spill in spills.files)
         if cap == 1:  # every record is a run of its own
             assert len(spills.files) == count
-        default = io.StringIO()
+        default = io.BytesIO()
         write(entities, default)
         assert default.getvalue() == sink.getvalue()
+
+    def test_a_run_is_capped_in_utf8_bytes(self, monkeypatch):
+        # each title holds a 3-byte and a 4-byte character, so a line holds more
+        # bytes than characters; every line has the same size, and a cap of two
+        # lines' bytes spills every second record
+        entities = [SlimEntity(n, {17: (30,)}, {"jawiki": f"東京 {n} \U0001f600"}) for n in range(29, 9, -1)]
+        line = reference_store(entities[:1]).splitlines(keepends=True)[2]
+        assert len(line) > len(line.decode("utf-8"))
+        one_run = io.BytesIO()
+        write(entities, one_run)
+        spills = Spills()
+        monkeypatch.setattr(slimstore, "RUN_BYTES", 2 * len(line))
+        monkeypatch.setattr(slimstore.tempfile, "TemporaryFile", spills)
+        sink = io.BytesIO()
+        assert write(entities, sink) == 20
+        assert len(spills.files) == 10 and all(spill.closed for spill in spills.files)
+        assert sink.getvalue() == one_run.getvalue() == reference_store(entities)
+
+    def test_a_held_run_traces_its_utf8_bytes(self):
+        # as a str each line would take 4 bytes a character, its astral one
+        # widening it; held as UTF-8 its text takes 1 to 4 bytes a character
+        entities = [SlimEntity(n, {17: (30,)}, {"jawiki": "東京" * 100 + "\U0001f600"}) for n in range(1_000, 2_000)]
+        size = len(reference_store(entities).split(b"\n", 2)[2])
+        with slimstore.SlimStoreWriter(STORE_PROPS) as writer:
+            tracemalloc.start()
+            try:
+                for entity in entities:
+                    writer.add(entity)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        # a bytes object's header, its slot in the run, and its item number
+        assert held <= size + 128 * len(entities)
 
     def test_a_repeat_across_runs_is_refused_and_keeps_the_old_store(self, tmp_path, monkeypatch):
         path = tmp_path / "s.slim"
@@ -379,7 +412,7 @@ class TestSpilledRuns:
         spill_dir = tmp_path / "spills"
         spill_dir.mkdir()
         spills = Spills()
-        monkeypatch.setattr(slimstore, "RUN_CHARS", 1)
+        monkeypatch.setattr(slimstore, "RUN_BYTES", 1)
         monkeypatch.setattr(slimstore.tempfile, "tempdir", str(spill_dir))
         monkeypatch.setattr(slimstore.tempfile, "TemporaryFile", spills)
         records = [SlimEntity(5, {17: (30,)}), SlimEntity(9), SlimEntity(5, {}, {"enwiki": "X"})]
@@ -391,26 +424,26 @@ class TestSpilledRuns:
         assert list(spill_dir.iterdir()) == []
 
     def test_a_repeat_inside_a_run_is_refused_before_writing(self, monkeypatch):
-        # each line is 10 characters, so a run holds four records: the second run
+        # each line is 10 bytes, so a run holds four records: the second run
         # holds both Q7s and is refused when it is spilled
-        monkeypatch.setattr(slimstore, "RUN_CHARS", 40)
-        sink = io.StringIO()
+        monkeypatch.setattr(slimstore, "RUN_BYTES", 40)
+        sink = io.BytesIO()
         records = [SlimEntity(n) for n in (1, 2, 3, 4, 7, 5, 7, 6, 8)]
         with pytest.raises(DuplicateItemError, match="^item Q7 appears twice in the input stream$"):
             write(records, sink)
-        assert sink.getvalue() == ""
+        assert sink.getvalue() == b""
 
-    @pytest.mark.parametrize("cap", [1, slimstore.RUN_CHARS], ids=["spilled", "one-run"])
+    @pytest.mark.parametrize("cap", [1, slimstore.RUN_BYTES], ids=["spilled", "one-run"])
     def test_item_numbers_past_two_to_the_63_sort_and_repeat_exactly(self, monkeypatch, cap):
         # an item number is a Python int: no fixed-width integer may hold one
-        monkeypatch.setattr(slimstore, "RUN_CHARS", cap)
+        monkeypatch.setattr(slimstore, "RUN_BYTES", cap)
         records = [SlimEntity(n, {17: (2**63 + 7,)}) for n in (2**63 + 1, 2**64 + 3, 2**63 - 1, 5)]
-        sink = io.StringIO()
+        sink = io.BytesIO()
         assert write(records, sink) == 4
         assert sink.getvalue() == reference_store(records)
-        assert list(read_every_claim(io.StringIO(sink.getvalue()))) == sorted(records, key=lambda e: e.id)
+        assert list(read_every_claim(io.StringIO(sink.getvalue().decode("utf-8")))) == sorted(records, key=lambda e: e.id)
         with pytest.raises(DuplicateItemError, match=f"^item Q{2**64 + 3} appears twice in the input stream$"):
-            write([*records, SlimEntity(2**64 + 3)], io.StringIO())
+            write([*records, SlimEntity(2**64 + 3)], io.BytesIO())
 
     def test_an_os_error_in_a_spill_keeps_the_old_store(self, tmp_path, monkeypatch):
         path = tmp_path / "s.slim"
@@ -420,7 +453,7 @@ class TestSpilledRuns:
         def fail(*args, **kwargs):
             raise OSError("no space left for the run")
 
-        monkeypatch.setattr(slimstore, "RUN_CHARS", 1)
+        monkeypatch.setattr(slimstore, "RUN_BYTES", 1)
         monkeypatch.setattr(slimstore.tempfile, "TemporaryFile", fail)
         with pytest.raises(SlimStoreWriteError, match="no space left for the run") as err:
             save([SlimEntity(7), SlimEntity(8)], path)
@@ -436,10 +469,10 @@ class TestSpilledRuns:
                 return spill
 
         spills = Unreadable()
-        monkeypatch.setattr(slimstore, "RUN_CHARS", 1)
+        monkeypatch.setattr(slimstore, "RUN_BYTES", 1)
         monkeypatch.setattr(slimstore.tempfile, "TemporaryFile", spills)
         with pytest.raises(SlimStoreWriteError, match="^write failed after 0 of 2 records: spill lost$"):
-            write([SlimEntity(8), SlimEntity(7)], io.StringIO())
+            write([SlimEntity(8), SlimEntity(7)], io.BytesIO())
         assert all(spill.closed for spill in spills.files)
 
 
@@ -452,9 +485,9 @@ class TestRead:
         assert back == [entity]
 
     def test_count_mismatch_is_corruption(self):
-        sink = io.StringIO()
+        sink = io.BytesIO()
         write([SlimEntity(n) for n in range(1, 5)], sink)
-        text = sink.getvalue().replace("count=4", "count=5")
+        text = sink.getvalue().decode("utf-8").replace("count=4", "count=5")
         with pytest.raises(SlimStoreCorruptionError):
             list(read_every_claim(io.StringIO(text)))
 
@@ -472,9 +505,9 @@ class TestRead:
                 list(read(io.StringIO(text)))
 
     def test_extra_records_are_corruption(self):
-        sink = io.StringIO()
+        sink = io.BytesIO()
         write([SlimEntity(1), SlimEntity(2)], sink)
-        text = sink.getvalue().replace("count=2", "count=1")
+        text = sink.getvalue().decode("utf-8").replace("count=2", "count=1")
         with pytest.raises(SlimStoreCorruptionError):
             list(read_every_claim(io.StringIO(text)))
 
@@ -501,9 +534,9 @@ class TestRead:
         assert capsys.readouterr().err == f"error: unsupported store version {text[:4]!r}\n"
 
     def test_store_lacking_a_required_property_is_a_mismatch(self):
-        sink = io.StringIO()
+        sink = io.BytesIO()
         write([SlimEntity(1, {17: (30,)})], sink, keep_props=[17, 276])
-        text = sink.getvalue()
+        text = sink.getvalue().decode("utf-8")
         assert len(list(read_slim_store(io.StringIO(text), [276, 17]))) == 1
         with pytest.raises(SlimStoreMismatchError, match="kept without P19, P27, which"):
             list(read_slim_store(io.StringIO(text), [27, 17, 19]))
@@ -672,9 +705,9 @@ class TestRoundTripProperty:
         written, back = round_trip(entities)
         assert written == len(entities)
         assert back == sorted(entities, key=lambda e: e.id)
-        text = io.StringIO()
-        write(entities, text)
-        assert outcome(text.getvalue(), ()) == [(e.id, {}, e.sitelinks) for e in back]
+        sink = io.BytesIO()
+        write(entities, sink)
+        assert outcome(sink.getvalue().decode("utf-8"), ()) == [(e.id, {}, e.sitelinks) for e in back]
 
     @given(st.lists(st.dictionaries(HOSTILE_TEXT, HOSTILE_TEXT, max_size=3), max_size=5))
     @settings(max_examples=60, deadline=None)
@@ -700,10 +733,10 @@ class TestSitelinksReader:
     @given(seed=st.integers(min_value=0, max_value=2**31), count=st.integers(0, 60))
     @settings(max_examples=30, deadline=None)
     def test_yields_the_ids_and_sitelinks_of_every_record(self, seed, count):
-        sink = io.StringIO()
+        sink = io.BytesIO()
         entities = sorted(random_entities(random.Random(seed), count), key=lambda e: e.id)
         write(entities, sink)
-        text = sink.getvalue()
+        text = sink.getvalue().decode("utf-8")
         back = list(read_no_claims(io.StringIO(text)))
         assert [(r.id, r.claims, r.sitelinks) for r in back] == [(e.id, {}, e.sitelinks) for e in entities]
         assert_every_read_agrees(text)
@@ -738,9 +771,9 @@ class TestSitelinksReader:
     )
     @settings(max_examples=500, deadline=None)
     def test_a_mutated_field_reads_the_same_in_both_readers(self, seed, count, data):
-        sink = io.StringIO()
+        sink = io.BytesIO()
         write(random_entities(random.Random(seed), count), sink)
-        lines = sink.getvalue().split("\n")  # lines[2:count + 2] are the records
+        lines = sink.getvalue().decode("utf-8").split("\n")  # lines[2:count + 2] are the records
         which = data.draw(st.integers(2, count + 1), label="line")
         replacement = data.draw(st.sampled_from(TOKEN_REPLACEMENTS), label="replacement")
         insert = data.draw(st.booleans(), label="insert")
@@ -761,7 +794,7 @@ class TestSitelinksReader:
                 for n in range(1, 2001)
             ]
             path = tmp_path / f"{values_per_record}.slim"
-            with open(path, "w", encoding="utf-8") as sink:
+            with open(path, "wb") as sink:
                 write(entities, sink)
             return path
 

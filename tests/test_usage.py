@@ -71,7 +71,7 @@ class TestParseLine:
         # int() refuses more than 4300 digits by default; the reason does not echo them
         lines = [f"en Foo {count} 0\n", "en Bar 5 0\n"]
         errors = []
-        assert parse_pageviews_stream(lines, PageviewMemo(), errors=errors) == {("en", "Bar"): 5}
+        assert parse_pageviews_stream(lines, PageviewMemo(None), errors=errors) == {("en", "Bar"): 5}
         assert errors == [ParseIssue(1, "view count too large (5000 digits)")]
 
     def test_count_of_as_many_digits_as_int_reads_is_kept_and_one_more_is_malformed(self):
@@ -146,13 +146,13 @@ class TestParseStream:
     def test_malformed_lines_are_tallied_and_skipped(self):
         lines = ["en Foo 1 0\n", "en Bar x 0\n", "en Baz 2 0\n"]
         errors = []
-        assert parse_pageviews_stream(lines, PageviewMemo(), errors=errors) == {("en", "Foo"): 1, ("en", "Baz"): 2}
+        assert parse_pageviews_stream(lines, PageviewMemo(None), errors=errors) == {("en", "Foo"): 1, ("en", "Baz"): 2}
         assert len(errors) == 1 and errors[0].line_number == 2
 
     def test_counts_that_are_not_ascii_digits_are_tallied_with_their_lines(self):
         lines = ["en Foo 1_000 0\n", "en Bar \u0663 0\n", "en Baz +5 0\n", "en Qux -4 0\n", "en Ok 7 0\n"]
         errors = []
-        assert parse_pageviews_stream(lines, PageviewMemo(), errors=errors) == {("en", "Ok"): 7}
+        assert parse_pageviews_stream(lines, PageviewMemo(None), errors=errors) == {("en", "Ok"): 7}
         assert errors == [
             ParseIssue(1, "non-numeric view count '1_000'"),
             ParseIssue(2, "non-numeric view count '\u0663'"),
@@ -163,7 +163,7 @@ class TestParseStream:
     def test_undecodable_line_is_tallied_and_skipped(self):
         shard = io.BytesIO(b"en Alpha 3 0\nen B\xe9ta 2 0\nen Gamma 4 0\n")
         errors = []
-        assert parse_pageviews_stream(shard, PageviewMemo(), errors=errors) == {("en", "Alpha"): 3, ("en", "Gamma"): 4}
+        assert parse_pageviews_stream(shard, PageviewMemo(None), errors=errors) == {("en", "Alpha"): 3, ("en", "Gamma"): 4}
         assert [(e.line_number, e.reason) for e in errors] == [(2, "invalid UTF-8")]
 
     def test_byte_lines_parse_like_text_lines(self):
@@ -175,11 +175,11 @@ class TestParseStream:
         assert byte_errors == text_errors and len(text_errors) == 2
 
     def test_blank_lines_are_ignored(self):
-        assert parse_pageviews_stream(["\n", "en Foo 1 0\n"], PageviewMemo(), errors=[]) == {("en", "Foo"): 1}
+        assert parse_pageviews_stream(["\n", "en Foo 1 0\n"], PageviewMemo(None), errors=[]) == {("en", "Foo"): 1}
 
     def test_bad_title_is_tallied_once_per_line_and_memoised_once(self):
         lines = ["en Foo%0ABar 5 0\n", "en Foo 1 0\n", "en.m Foo%0ABar 2 0\n", "en A\tB 3 0\n", "en  4 0\n"]
-        memo = PageviewMemo()
+        memo = PageviewMemo(None)
         errors = []
         assert parse_pageviews_stream(lines, errors=errors, memo=memo) == {("en", "Foo"): 1}
         assert [(e.line_number, e.reason) for e in errors] == [
@@ -188,7 +188,7 @@ class TestParseStream:
         assert memo.titles == {"en": {"Foo%0ABar": BAD_TITLE, "Foo": ("en", "Foo"), "A\tB": BAD_TITLE, "": "empty title"}}
 
     def test_shared_memo_normalises_each_title_once_across_shards(self):
-        memo = PageviewMemo()
+        memo = PageviewMemo(None)
         first = parse_pageviews_stream(["en Caf%C3%A9 1 0\n", "de Foo 2 0\n"], memo=memo, errors=[])
         second = parse_pageviews_stream(["en.m Caf%C3%A9 3 0\n"], memo=memo, errors=[])
         assert first == {("en", "Caf\u00e9"): 1, ("de", "Foo"): 2} and second == {("en", "Caf\u00e9"): 3}
@@ -205,14 +205,14 @@ class TestParseStream:
     def test_a_refused_count_is_tallied_on_every_line_that_repeats_it(self):
         lines = ["en A x 0\n", "en B 1 0\n", "en C x 0\n", "de A x 0\n", "en A 2 0\n", "en D x 0\n"]
         errors = []
-        assert parse_pageviews_stream(lines, PageviewMemo(), errors=errors) == {("en", "B"): 1, ("en", "A"): 2}
+        assert parse_pageviews_stream(lines, PageviewMemo(None), errors=errors) == {("en", "B"): 1, ("en", "A"): 2}
         assert errors == [ParseIssue(n, "non-numeric view count 'x'") for n in (1, 3, 4, 6)]
 
     def test_a_repeated_count_keeps_the_order_of_the_reasons(self):
         # the count is read once, but an empty title still wins over it and a bad title still loses
         lines = ["en A x 0\n", "en  x 0\n", "en Foo%0A x 0\n", "en Foo%0A 3 0\n", "en  3 0\n", "en A 3 0\n"]
         errors = []
-        assert parse_pageviews_stream(lines, PageviewMemo(), errors=errors) == {("en", "A"): 3}
+        assert parse_pageviews_stream(lines, PageviewMemo(None), errors=errors) == {("en", "A"): 3}
         assert [(e.line_number, e.reason) for e in errors] == [
             (1, "non-numeric view count 'x'"),
             (2, "empty title"),
@@ -224,7 +224,7 @@ class TestParseStream:
     def test_a_count_one_digit_too_long_is_refused_each_time_it_appears(self):
         lines = [f"en Foo {'1' * 4301} 0\n", "en Bar 5 0\n", f"en Baz {'1' * 4301} 0\n"]
         errors = []
-        assert parse_pageviews_stream(lines, PageviewMemo(), errors=errors) == {("en", "Bar"): 5}
+        assert parse_pageviews_stream(lines, PageviewMemo(None), errors=errors) == {("en", "Bar"): 5}
         assert errors == [ParseIssue(n, "view count too large (4301 digits)") for n in (1, 3)]
 
 
@@ -468,7 +468,7 @@ class TestAggregate:
 
     def test_mobile_fold_preserves_language_sum(self):
         lines = ["en Foo 2 0\n", "en.m Foo 3 0\n", "en.m Bar 4 0\n"]
-        totals = parse_pageviews_stream(lines, PageviewMemo(), errors=[])
+        totals = parse_pageviews_stream(lines, PageviewMemo(None), errors=[])
         assert totals == {("en", "Foo"): 5, ("en", "Bar"): 4}
         assert sum(totals.values()) == 9
 
@@ -480,11 +480,11 @@ class TestAggregate:
             f"{rng.choice(['en', 'de'])} {rng.choice(['A', 'B', 'C', 'D'])} {rng.randint(0, 50)} 0\n"
             for _ in range(rng.randint(0, 200))
         ]
-        single_pass = parse_pageviews_stream(lines, PageviewMemo(), errors=[])
+        single_pass = parse_pageviews_stream(lines, PageviewMemo(None), errors=[])
         parts = [[] for _ in range(shards)]
         for line in lines:
             parts[rng.randrange(shards)].append(line)
-        memo = PageviewMemo()
+        memo = PageviewMemo(None)
         sharded = reduce(merge_views, [parse_pageviews_stream(part, memo=memo, errors=[]) for part in parts])
         assert sharded == single_pass
 

@@ -57,7 +57,7 @@ class TestParseCount:
 
 def _pageview_reason(count):
     errors = []
-    assert parse_pageviews_stream([f"en Foo {count} 0\n"], PageviewMemo(), errors=errors) == {}
+    assert parse_pageviews_stream([f"en Foo {count} 0\n"], PageviewMemo(None), errors=errors) == {}
     (issue,) = errors
     raise ValueError(issue.reason)
 
@@ -187,7 +187,7 @@ class TestTitleNormalization:
         # views.tsv keys on this form, so two such titles total under one key
         assert normalize_pageview_title("A%E9") == normalize_pageview_title("A%E8") == "A\ufffd"
         lines = ["en A%E9 1 0\n", "en A%E8 2 0\n"]
-        assert parse_pageviews_stream(lines, PageviewMemo(), errors=[]) == {("en", "A\ufffd"): 3}
+        assert parse_pageviews_stream(lines, PageviewMemo(None), errors=[]) == {("en", "A\ufffd"): 3}
 
     def test_pageview_decoded_space_becomes_underscore(self):
         assert normalize_pageview_title("A%20B") == "A_B"
