@@ -7,7 +7,8 @@ chew through dumps far larger than its RAM.
 
 import io
 
-from wikicoverage import SlimStoreWriter, parse_dump_stream, read_slim_store
+from wikicoverage.dump import parse_dump_stream
+from wikicoverage.slimstore import SlimStoreWriter, read_slim_store
 
 # a three-entity dump, exactly as it would sit on disk after decompression;
 # the middle line is deliberately broken to show error isolation

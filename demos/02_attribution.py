@@ -7,8 +7,8 @@ items pass in one read; once they have all passed, a bounded breadth-first
 walk resolves each place.
 """
 
-from wikicoverage import RuleSet, SlimEntity, attribute_all
-from wikicoverage.attribution import render_provenance
+from wikicoverage.attribution import RuleSet, attribute_all, render_provenance
+from wikicoverage.entities import SlimEntity
 
 rules = RuleSet()  # target Q30, direct P17/P27/P495, places via P19/P276
 print(f"target: Q{rules.target}, max geo depth: {rules.max_depth}")

@@ -12,14 +12,9 @@ from the article and view counts a row stores.
 import io
 from fractions import Fraction
 
-from wikicoverage import (
-    PageviewMemo,
-    SlimEntity,
-    build_article_sets,
-    compute_all,
-    parse_pageviews_stream,
-    parse_readership_table,
-)
+from wikicoverage.entities import SlimEntity
+from wikicoverage.metrics import build_article_sets, compute_all
+from wikicoverage.usage import PageviewMemo, parse_pageviews_stream, parse_readership_table
 from wikicoverage.util import percent
 
 # pageview dump lines: mobile traffic folds into the base language, the

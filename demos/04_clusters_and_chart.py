@@ -2,21 +2,17 @@
 
 Languages join a cluster through their primary country (an editable CSV asset
 ships with the package).  Cluster shares pool raw numerators over raw
-denominators; pass ``method="mean"`` for an unweighted average instead.
+denominators (``method="pooled"``, as ``all`` does by default);
+``method="mean"`` averages the member shares without weighting.
 """
 
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from wikicoverage import (
-    MetricsRow,
-    aggregate_all,
-    assign_clusters,
-    build_chart_data,
-    default_cluster_map,
-    render_svg,
-)
+from wikicoverage.chart import build_chart_data, render_svg
+from wikicoverage.clusters import aggregate_all, assign_clusters, default_cluster_map
+from wikicoverage.metrics import MetricsRow
 from wikicoverage.util import percent
 
 
@@ -51,7 +47,7 @@ if unassigned:
     print("  (unassigned:", ", ".join(m.language for m in unassigned) + ")")
 
 print("\npooled cluster shares:")
-for cluster in aggregate_all(assignments):
+for cluster in aggregate_all(assignments, method="pooled"):
     print(
         f"  {cluster.cluster}: popularity {percent(cluster.popularity_share)}, "
         f"articles {percent(cluster.article_share)}"

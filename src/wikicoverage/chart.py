@@ -66,7 +66,7 @@ class ChartData:
         return json.dumps(payload, indent=2) + "\n"
 
 
-def build_chart_data(rows: Iterable[MetricsRow], scale: str = LOG) -> ChartData:
+def build_chart_data(rows: Iterable[MetricsRow], scale: str) -> ChartData:
     """One datum per row; under a log scale zero-valued rows are dropped and tallied."""
     data: list[ChartDatum] = []
     dropped = 0
@@ -122,7 +122,7 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def render_svg(data: Sequence[ChartDatum], scale: str = LOG) -> str:
+def render_svg(data: Sequence[ChartDatum], scale: str) -> str:
     """Static SVG bubble chart; radius grows with the square root of size.
 
     ``data`` is not empty, and every size is positive (an article count).

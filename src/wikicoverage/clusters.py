@@ -2,9 +2,9 @@
 
 Languages map to clusters through their primary country via an editable
 country->cluster CSV (a seed asset ships with the package).  Cluster shares
-pool the raw numerators and denominators of their member languages by
-default; an unweighted mean of member shares is available for sensitivity
-analysis.
+pool the raw numerators and denominators of their member languages
+(``pooled``, the CLI's default); an unweighted mean of member shares
+(``mean``) is available for sensitivity analysis.
 """
 
 from __future__ import annotations
@@ -100,9 +100,7 @@ def assign_clusters(
     return assignments, unassigned
 
 
-def aggregate_cluster(
-    cluster: str, members: Iterable[MetricsRow], *, method: str = POOLED
-) -> ClusterRow:
+def aggregate_cluster(cluster: str, members: Iterable[MetricsRow], *, method: str) -> ClusterRow:
     """Aggregate one cluster's members into popularity and article shares.
 
     ``members`` is not empty (:func:`assign_clusters` makes no empty group).
@@ -128,9 +126,7 @@ def aggregate_cluster(
     )
 
 
-def aggregate_all(
-    assignments: Mapping[str, list[MetricsRow]], *, method: str = POOLED
-) -> list[ClusterRow]:
+def aggregate_all(assignments: Mapping[str, list[MetricsRow]], *, method: str) -> list[ClusterRow]:
     """One row per cluster, most popular first (ties by cluster name)."""
     rows = [
         aggregate_cluster(cluster, members, method=method)

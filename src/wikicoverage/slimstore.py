@@ -31,12 +31,14 @@ built with the plain :class:`SlimEntity` constructor; no reader lists them.
 
 The writer (:class:`SlimStoreWriter`) takes records in any order.  Its
 precondition is that every claim key is one of ``keep_props`` and that
-claim keys and wiki codes ascend, as the dump parser, its one producer,
-yields them.  It renders each record to the UTF-8 bytes of its line at once,
-so a lone surrogate, which has no UTF-8 form, is refused before anything is
-written.  It keeps at most :data:`RUN_BYTES` bytes of lines, spilling each
-full run, sorted by item number, to a binary temporary file; the store is
-the merge of the runs, written to a binary sink.  A repeated item raises
+claim keys and wiki codes ascend, as the dump parser yields them.  Its one
+producer in the package is :func:`report.slim_stage`, which hands it the
+parser's records; the package does not export it.  It renders each record
+to the UTF-8 bytes of its line at once, so a lone surrogate, which has no
+UTF-8 form, is refused before anything is written.  It keeps at most
+:data:`RUN_BYTES` bytes of lines, spilling each full run, sorted by item
+number, to a binary temporary file; the store is the merge of the runs,
+written to a binary sink.  A repeated item raises
 :class:`DuplicateItemError`: before anything is written when both records
 are in one run, while the merge is written otherwise.
 :func:`save_slim_store` renames its file over the target only once the whole

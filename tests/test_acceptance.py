@@ -546,7 +546,7 @@ class TestClusterPooling:
                     related_views=related_views,
                 )
 
-            cluster = aggregate_cluster("Latin America", [member("es", 10), member("pt", 30)])
+            cluster = aggregate_cluster("Latin America", [member("es", 10), member("pt", 30)], method="pooled")
             assert cluster.popularity_share == Fraction(20, 100)
             assert float(cluster.popularity_share) == 0.20
 
@@ -568,6 +568,6 @@ class TestClusterPooling:
                     total_views=total_views,
                     related_views=related_views,
                 )
-                cluster = aggregate_cluster("Solo", [row])
+                cluster = aggregate_cluster("Solo", [row], method="pooled")
                 assert cluster.popularity_share == row.ravs
                 assert cluster.article_share == row.ras

@@ -89,20 +89,20 @@ class TestAssign:
 class TestAggregate:
     def test_pooled_share_of_two_members(self):
         members = [row("a", "US", 10, 100, 5, 50), row("b", "US", 30, 100, 10, 50)]
-        cluster = aggregate_cluster("Test", members)
+        cluster = aggregate_cluster("Test", members, method="pooled")
         assert cluster.popularity_share == Fraction(40, 200)
         assert cluster.article_share == Fraction(15, 100)
 
     def test_single_member_identity(self):
         member = row("a", "US", 7, 31, 3, 11)
-        cluster = aggregate_cluster("Solo", [member])
+        cluster = aggregate_cluster("Solo", [member], method="pooled")
         assert cluster.popularity_share == member.ravs
         assert cluster.article_share == member.ras
         assert cluster.member_languages == ("a",)
 
     def test_equal_member_shares_pool_to_the_same_share(self):
         members = [row("a", "US", 2, 10, 2, 10), row("b", "US", 6, 30, 6, 30)]
-        cluster = aggregate_cluster("Sym", members)
+        cluster = aggregate_cluster("Sym", members, method="pooled")
         assert cluster.popularity_share == Fraction(1, 5)
         assert cluster.article_share == Fraction(1, 5)
 
@@ -110,7 +110,7 @@ class TestAggregate:
         # a cluster that no primary country maps to has no share, and gets no row
         mapping = {"US": "Anglo", "FJ": "Ghost"}
         assignments, _ = assign_clusters([row("en", "US", 1, 10, 1, 10)], mapping)
-        assert [cluster.cluster for cluster in aggregate_all(assignments)] == ["Anglo"]
+        assert [cluster.cluster for cluster in aggregate_all(assignments, method="pooled")] == ["Anglo"]
 
     def test_unknown_method_rejected(self, tmp_path, capsys):
         # the method is taken as given: a run's configuration refuses any other,
@@ -134,7 +134,7 @@ class TestAggregate:
     def test_pooled_share_lies_between_member_extremes(self, seed, count):
         rng = random.Random(seed)
         members = [random_row(rng, f"l{i}") for i in range(count)]
-        cluster = aggregate_cluster("P", members)
+        cluster = aggregate_cluster("P", members, method="pooled")
         shares = [m.ravs for m in members]
         assert min(shares) <= cluster.popularity_share <= max(shares)
 
@@ -145,7 +145,7 @@ class TestAggregate:
         members = [random_row(rng, f"l{i}") for i in range(rng.randint(1, 6))]
         shuffled = members[:]
         rng.shuffle(shuffled)
-        assert aggregate_cluster("O", members) == aggregate_cluster("O", shuffled)
+        assert aggregate_cluster("O", members, method="pooled") == aggregate_cluster("O", shuffled, method="pooled")
 
     def test_splitting_a_member_in_two_preserves_pooled_shares(self):
         whole = [row("a", "US", 10, 100, 4, 40), row("b", "US", 6, 60, 3, 30)]
@@ -154,8 +154,8 @@ class TestAggregate:
             row("a2", "US", 5, 50, 2, 20),
             row("b", "US", 6, 60, 3, 30),
         ]
-        before = aggregate_cluster("S", whole)
-        after = aggregate_cluster("S", split)
+        before = aggregate_cluster("S", whole, method="pooled")
+        after = aggregate_cluster("S", split, method="pooled")
         assert before.popularity_share == after.popularity_share
         assert before.article_share == after.article_share
 
@@ -167,7 +167,7 @@ class TestAggregateAll:
             "High": [row("b", "US", 50, 100, 1, 10)],
             "Also high": [row("c", "US", 50, 100, 1, 10)],
         }
-        names = [r.cluster for r in aggregate_all(assignments)]
+        names = [r.cluster for r in aggregate_all(assignments, method="pooled")]
         assert names == ["Also high", "High", "Low"]
 
 
@@ -232,7 +232,7 @@ class TestClusterMap:
 
 class TestTsv:
     def test_output_format(self):
-        rows = [aggregate_cluster("Latin America", [row("es", "MX", 16, 100, 11, 100)])]
+        rows = [aggregate_cluster("Latin America", [row("es", "MX", 16, 100, 11, 100)], method="pooled")]
         sink = io.StringIO()
         write_clusters_tsv(rows, sink)
         lines = sink.getvalue().splitlines()

@@ -212,6 +212,18 @@ class TestWrite:
         assert records == [SlimEntity(1, {17: (30,)}, {"dewiki": "X"}), SlimEntity(9, {17: (30,)}, {"enwiki": "Y"})]
         assert issues == []
 
+    @pytest.mark.parametrize("languages", [None, ["zh", "en", "de"]], ids=["all-wikis", "languages"])
+    def test_the_one_producer_meets_the_key_order_precondition(self, tmp_path, languages):
+        # the writer renders claims and sitelinks in dict order; the slim stage
+        # hands it the parser's records, whose keys ascend whatever the dump's order
+        objects = [entity_json("Q1", {"P31": [5], "P17": [30]}, {"zhwiki": "Z", "enwiki": "E", "dewiki": "D"})]
+        (record,), issues = slim(tmp_path, objects, languages)
+        assert issues == []
+        assert list(record.claims) == [17, 31]
+        assert list(record.sitelinks) == ["dewiki", "enwiki", "zhwiki"]
+        line = (tmp_path / "s.slim").read_text(encoding="utf-8").splitlines()[2]
+        assert line == '[1,[17,[30],31,[5]],["dewiki","D","enwiki","E","zhwiki","Z"]]'
+
     @pytest.mark.parametrize(
         "wiki",
         ["a=b", "x|y", "a\tb", "a\rb", "a\nb", 'a"b', "a\\b", "a,b", "a\u2028b", "a\U0001f600b"],
